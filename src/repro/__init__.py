@@ -27,7 +27,7 @@ from repro.core.events import NodeStatus, ViewChangeEvent
 from repro.core.membership import RapidNode
 from repro.core.centralized import CentralizedClusterNode, EnsembleNode
 from repro.core.node_id import Endpoint, NodeId
-from repro.core.settings import BroadcastMode, RapidSettings
+from repro.core.settings import RapidSettings
 
 __version__ = "1.0.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "EnsembleNode",
     "Endpoint",
     "NodeId",
-    "BroadcastMode",
     "RapidSettings",
     "__version__",
 ]

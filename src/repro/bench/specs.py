@@ -110,7 +110,7 @@ def quick_suite() -> list:
             "rapid",
             24,
             seed=2,
-            params={"failures": 6, "settings": {"broadcast_mode": "gossip"}},
+            params={"failures": 6, "settings": {"gossip_threshold": 1}},
         ),
         BenchSpec("crash", "memberlist", 16, seed=1, params={"failures": 3}),
         # Join-dissemination gate: staggered late joins plus graceful

@@ -6,7 +6,7 @@ from repro.core.events import NodeStatus, ViewChangeEvent
 from repro.core.membership import RapidNode
 from repro.core.node_id import Endpoint, NodeId
 from repro.core.ring import KRingTopology
-from repro.core.settings import BroadcastMode, RapidSettings
+from repro.core.settings import RapidSettings
 
 __all__ = [
     "Configuration",
@@ -17,6 +17,5 @@ __all__ = [
     "Endpoint",
     "NodeId",
     "KRingTopology",
-    "BroadcastMode",
     "RapidSettings",
 ]

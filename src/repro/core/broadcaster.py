@@ -1,41 +1,33 @@
-"""Cluster-wide dissemination substrates.
+"""Cluster-wide dissemination substrate.
 
 Rapid broadcasts two kinds of payloads: batched edge alerts and consensus
 vote bundles.  The paper performs both over UDP, with gossip used for the
-counting step.  Two interchangeable broadcasters are provided:
+counting step.  :class:`Broadcaster` disseminates a payload one of two
+ways, chosen per installed view by its owner (see
+:meth:`repro.core.settings.RapidSettings.use_gossip`):
 
-* :class:`UnicastBroadcaster` — the sender unicasts the payload to every
-  member.  Simple, O(N) messages per broadcast from one node, matching the
-  reference implementation's default broadcaster.
-* :class:`GossipBroadcaster` — epidemic "infect and die" relay: the
-  originator sends to ``fanout`` random peers; every first-time receiver
-  relays onward while a hop budget lasts.  O(log N) latency, load spread
-  over the whole cluster.
-* :class:`AdaptiveBroadcaster` — picks between the two per view: unicast
-  below a membership-size threshold (one message delay, cheap at small N),
-  gossip at or above it (bounded per-node fan-out at large N).  This is the
-  :data:`~repro.core.settings.BroadcastMode.AUTO` substrate.
+* **unicast** — the sender unicasts the payload to every member.  One
+  message delay, O(N) messages per broadcast from one node, matching the
+  reference implementation's default broadcaster; cheap at small N.
+* **gossip** — epidemic "infect and die" relay: the originator sends to
+  ``fanout`` random peers; every first-time receiver relays onward while a
+  hop budget lasts.  O(log N) latency, per-node fan-out bounded at large N.
 
-All deliver the payload locally as well, so a node always processes its own
-broadcasts through the same code path as everyone else's.
+Either way the payload is delivered locally as well, so a node always
+processes its own broadcasts through the same code path as everyone
+else's.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = [
-    "Broadcaster",
-    "UnicastBroadcaster",
-    "GossipBroadcaster",
-    "AdaptiveBroadcaster",
-    "make_fanout",
-]
+__all__ = ["Broadcaster", "make_fanout"]
 
 Deliver = Callable[[Endpoint, Any], None]
 
@@ -66,56 +58,19 @@ def make_fanout(runtime: Runtime) -> Fanout:
 
 
 class Broadcaster:
-    """Interface: deliver a payload to every member of the current view."""
+    """Deliver a payload to every member of the current view.
 
-    def set_membership(self, members: Sequence[Endpoint]) -> None:
-        """Adopt the membership of a newly installed view."""
-        raise NotImplementedError
+    Unicast views fan the bare payload out to the precomputed peer list
+    through the runtime's ``broadcast`` fast path when one exists (see
+    :func:`make_fanout`).  Gossip views wrap it in a
+    :class:`~repro.core.messages.GossipEnvelope` and relay epidemically
+    with duplicate suppression and relay batching.  Inbound envelopes are
+    relayed whichever way this node currently originates: during a view
+    change peers may disagree about the mode for a moment, and an
+    envelope must travel on no matter which side of the threshold this
+    node sits on.
 
-    def broadcast(self, payload: Any) -> None:
-        """Disseminate ``payload`` to every member, self included."""
-        raise NotImplementedError
-
-    def handle(self, src: Endpoint, envelope: Any) -> None:
-        """Process a transport-level broadcast message (gossip relay)."""
-        raise NotImplementedError
-
-
-class UnicastBroadcaster(Broadcaster):
-    """Send the payload directly to every member.
-
-    The peer list (membership minus self) is computed once per view change
-    rather than per broadcast, and the fan-out goes through the runtime's
-    ``broadcast`` fast path when one exists (see :func:`make_fanout`).
-    """
-
-    def __init__(self, runtime: Runtime, deliver: Deliver) -> None:
-        self.runtime = runtime
-        self.deliver = deliver
-        self._members: tuple = ()
-        self._peers: tuple = ()
-        self._fanout = make_fanout(runtime)
-
-    def set_membership(self, members: Sequence[Endpoint]) -> None:
-        """Adopt a new view; precompute the peer list (members minus self)."""
-        self._members = tuple(members)
-        me = self.runtime.addr
-        self._peers = tuple(m for m in self._members if m != me)
-
-    def broadcast(self, payload: Any) -> None:
-        """Send ``payload`` to every peer directly, then deliver locally."""
-        self._fanout(self._peers, payload)
-        self.deliver(self.runtime.addr, payload)
-
-    def handle(self, src: Endpoint, envelope: Any) -> None:
-        """Unicast broadcasts arrive as bare payloads; deliver as-is."""
-        self.deliver(src, envelope)
-
-
-class GossipBroadcaster(Broadcaster):
-    """Epidemic relay with duplicate suppression and relay batching.
-
-    ``hops`` defaults to ``ceil(log2(N)) + 3`` relays, enough for an
+    An envelope lives for ``ceil(log2(N)) + 3`` relays, enough for an
     epidemic with the default fanout to reach all members with high
     probability; duplicates are dropped on the ``(origin, message_id)``
     key, where ``message_id`` is a per-origin sequence number.  The id is
@@ -138,15 +93,15 @@ class GossipBroadcaster(Broadcaster):
         runtime: Runtime,
         deliver: Deliver,
         fanout: int = 8,
-        hops: Optional[int] = None,
         relay_window: float = 0.05,
     ) -> None:
-        """Bind the relay to ``runtime`` and its delivery callback."""
+        """Bind the substrate to ``runtime`` and its delivery callback."""
         self.runtime = runtime
         self.deliver = deliver
         self.fanout = fanout
         self.relay_window = relay_window
-        self._fixed_hops = hops
+        #: True when the current view originates broadcasts epidemically.
+        self.gossip = False
         self._members: tuple = ()
         self._peers: tuple = ()
         self._seen: set = set()
@@ -155,14 +110,16 @@ class GossipBroadcaster(Broadcaster):
         self._relay_buf: list = []
         self._relay_timer = None
 
-    def set_membership(self, members: Sequence[Endpoint]) -> None:
-        """Adopt a new view: recompute peers, forget dedup history.
+    def set_membership(self, members: Sequence[Endpoint], gossip: bool) -> None:
+        """Adopt a new view and its dissemination mode.
 
-        Envelopes still buffered for relay belong to the old view and
-        are dropped with it — relaying them after ``_seen`` was wiped
-        would make every receiver treat them as first-seen and re-start
-        an epidemic of already-disseminated, now-stale traffic.
+        Recomputes the peer list (members minus self) and forgets the
+        dedup history.  Envelopes still buffered for relay belong to the
+        old view and are dropped with it — relaying them after ``_seen``
+        was wiped would make every receiver treat them as first-seen and
+        re-start an epidemic of already-disseminated, now-stale traffic.
         """
+        self.gossip = gossip
         self._members = tuple(members)
         self._peers = tuple(m for m in self._members if m != self.runtime.addr)
         self._seen.clear()
@@ -172,13 +129,15 @@ class GossipBroadcaster(Broadcaster):
             self._relay_timer = None
 
     def _hops(self) -> int:
-        if self._fixed_hops is not None:
-            return self._fixed_hops
         n = max(2, len(self._members))
         return int(math.ceil(math.log2(n))) + 3
 
     def broadcast(self, payload: Any) -> None:
-        """Originate an epidemic broadcast (local delivery included)."""
+        """Disseminate ``payload`` to every member, self included."""
+        if not self.gossip:
+            self._fanout(self._peers, payload)
+            self.deliver(self.runtime.addr, payload)
+            return
         # The counter is never reset (not even on view changes) so the
         # (origin, id) dedup key stays unique for the broadcaster's
         # lifetime.
@@ -198,11 +157,8 @@ class GossipBroadcaster(Broadcaster):
         if isinstance(envelope, GossipBundle):
             for inner in envelope.envelopes:
                 self._handle_envelope(inner)
-            return
-        if not isinstance(envelope, GossipEnvelope):
-            self.deliver(src, envelope)
-            return
-        self._handle_envelope(envelope)
+        else:
+            self._handle_envelope(envelope)
 
     def _handle_envelope(self, envelope: GossipEnvelope) -> None:
         key = (envelope.sender, envelope.message_id)
@@ -246,57 +202,3 @@ class GossipBroadcaster(Broadcaster):
         count = min(self.fanout, len(peers))
         self._fanout(self.runtime.rng.sample(peers, count), message)
 
-
-class AdaptiveBroadcaster(Broadcaster):
-    """Scale-adaptive substrate: unicast small views, gossip large ones.
-
-    Both substrates are kept membership-current so the switch at
-    ``threshold`` is seamless in either direction (a shrinking cluster
-    falls back to unicast).  Inbound traffic is dispatched on the wire
-    format rather than the locally active substrate: during a view change
-    peers may disagree about the mode for a moment, and a
-    :class:`~repro.core.messages.GossipEnvelope` must be relayed no
-    matter which side of the threshold this node currently sits on.
-    """
-
-    def __init__(
-        self,
-        runtime: Runtime,
-        deliver: Deliver,
-        threshold: int,
-        fanout: int = 8,
-        hops: Optional[int] = None,
-        relay_window: float = 0.05,
-    ) -> None:
-        """Construct both substrates; unicast starts active."""
-        self.threshold = threshold
-        self._unicast = UnicastBroadcaster(runtime, deliver)
-        self._gossip = GossipBroadcaster(
-            runtime, deliver, fanout=fanout, hops=hops, relay_window=relay_window
-        )
-        self._active: Broadcaster = self._unicast
-
-    def set_membership(self, members: Sequence[Endpoint]) -> None:
-        """Adopt a new view and re-pick the substrate for its size."""
-        members = tuple(members)
-        self._unicast.set_membership(members)
-        self._gossip.set_membership(members)
-        self._active = (
-            self._gossip if len(members) >= self.threshold else self._unicast
-        )
-
-    @property
-    def gossip_active(self) -> bool:
-        """True when the current view disseminates epidemically."""
-        return self._active is self._gossip
-
-    def broadcast(self, payload: Any) -> None:
-        """Disseminate through whichever substrate the view size picked."""
-        self._active.broadcast(payload)
-
-    def handle(self, src: Endpoint, envelope: Any) -> None:
-        """Dispatch inbound traffic on wire format, not the active mode."""
-        if isinstance(envelope, (GossipEnvelope, GossipBundle)):
-            self._gossip.handle(src, envelope)
-        else:
-            self._unicast.handle(src, envelope)

@@ -110,6 +110,7 @@ class EnsembleNode:
             settings=self.settings,
             broadcast=self._broadcast_ensemble,
             on_decide=self._on_decide,
+            gossip=self.settings.use_gossip(len(self.ensemble)),
         )
 
     def _broadcast_ensemble(self, payload: Any) -> None:

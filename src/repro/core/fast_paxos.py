@@ -8,12 +8,13 @@ bitwise OR, so any process that observes a proposal endorsed by at least
 and no further communication: "the VC protocol converges simply by counting
 the number of identical CD proposals".
 
-Dissemination is scale-adaptive.  Below the gossip threshold each voter
+Dissemination is scale-adaptive, chosen per view by the instance's owner
+(``RapidSettings.use_gossip``).  Below the gossip threshold each voter
 broadcasts its aggregate once and repairs loss with periodic gossip — one
 message delay in the common case, O(N) messages per voter.  At or above the
-threshold (``RapidSettings.use_gossip``) the gossip counting step *is* the
-dissemination path, as in the paper's large deployments: no initial
-broadcast storm, only periodic pushes of **delta bundles** — each peer is
+threshold the gossip counting step *is* the dissemination path, as in the
+paper's large deployments: no initial broadcast storm, only periodic pushes
+of **delta bundles** — each peer is
 sent only the proposals/bitmap bits it has not been shown yet — to
 ``gossip_fanout`` random peers.  Aggregates compound bitwise-OR along the
 way, so every vote reaches every node in O(log N) rounds and a view change
@@ -32,9 +33,8 @@ to ``gossip_pull_fanout`` random peers, and the receiver — after OR-merging
 the digest like any bundle — replies with exactly the bits the digest
 lacks, or the :class:`~repro.core.messages.Decision` once one is known.
 After local convergence an undecided node drops to a slow pull heartbeat
-(``RapidSettings.pull_interval``) instead of going fully quiet.  Pulls are
-gated by ``RapidSettings.gossip_pull_mode`` (``auto`` = active exactly when
-vote dissemination is in gossip mode).
+(``RapidSettings.pull_interval``) instead of going fully quiet.  Pulls ride
+the gossip counting step, so they run exactly when it does.
 
 Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
@@ -92,6 +92,10 @@ class FastPaxos:
         Cluster-wide dissemination callable (alert broadcaster is reused).
     on_decide:
         Invoked exactly once with the decided proposal.
+    gossip:
+        Whether this view disseminates votes by gossip (delta bundles and
+        pulls, no initial broadcast storm) rather than one aggregate
+        broadcast per voter.
     metrics:
         Registry receiving ``consensus.*`` counters and the decision
         latency histogram (virtual time; disabled by default).
@@ -110,6 +114,7 @@ class FastPaxos:
         settings: RapidSettings,
         broadcast: Callable[[object], None],
         on_decide: Callable[[Proposal], None],
+        gossip: bool,
         metrics: Optional[MetricsRegistry] = None,
         index: Optional[dict] = None,
     ) -> None:
@@ -132,13 +137,7 @@ class FastPaxos:
         # Incremental popcounts of `votes` bitmaps: maintained by _merge so
         # quorum checks never rescan an N-bit bitmap.
         self._counts: dict[Proposal, int] = {}
-        #: True when this view disseminates votes by gossip (delta bundles,
-        #: no initial broadcast storm) rather than one aggregate broadcast.
-        self.gossip_mode = settings.use_gossip(self.n)
-        #: True when stale ticks also *pull*: send a digest, get back the
-        #: missing bits.  Rides the gossip counting step, so it is only
-        #: effective while ``gossip_mode`` is active.
-        self.pull_mode = settings.use_pull(self.n)
+        self.gossip_mode = gossip
         # Per-peer dissemination ledger (gossip mode): bits each peer has
         # been shown by us or has shown us, so pushes carry only deltas.
         self._shown: dict[Endpoint, dict[Proposal, int]] = {}
@@ -388,21 +387,18 @@ class FastPaxos:
                 self._stale_ticks = 0
             else:
                 self._stale_ticks += 1
-                if self.pull_mode:
-                    # A quiet interval means pushes stopped teaching us;
-                    # actively fetch what we might be missing.
-                    self._send_pulls()
+                # A quiet interval means pushes stopped teaching us;
+                # actively fetch what we might be missing.
+                self._send_pulls()
                 if self._stale_ticks >= self.settings.gossip_convergence_ticks:
                     # Converged: nothing new learned for k intervals.  Push
                     # gossip goes quiet — an incoming bundle with new bits
                     # re-arms it — but an undecided node keeps a slow pull
-                    # heartbeat so the tail is fetched, not waited out
-                    # (without pulls, only the fallback timer guards
-                    # liveness here).
-                    if self.pull_mode:
-                        self._gossip_timer = self.runtime.schedule(
-                            self.settings.pull_interval(), self._gossip_tick
-                        )
+                    # heartbeat so the tail is fetched rather than waited
+                    # out until the fallback timer.
+                    self._gossip_timer = self.runtime.schedule(
+                        self.settings.pull_interval(), self._gossip_tick
+                    )
                     return
             self._push_deltas()
         else:

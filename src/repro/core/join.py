@@ -149,7 +149,7 @@ class JoinProtocol:
             # through begin()/_restart, which clear the in-flight id.
             return
         self._config_id = msg.config_id
-        base = self._delta_base()
+        base = self.node._delta_base
         request = JoinRequest(
             sender=self.node.addr,
             uuid=self.node.node_id.uuid,
@@ -189,12 +189,6 @@ class JoinProtocol:
 
     # -------------------------------------------------------------- materialize
 
-    def _delta_base(self) -> Optional["Configuration"]:
-        """The configuration this node can accept a delta against, if any."""
-        if self.node.settings.join_delta_mode == "off":
-            return None
-        return self.node._delta_base
-
     def _materialize(self, msg: JoinResponse) -> Optional["Configuration"]:
         """Reconstruct the admitting configuration from a SAFE_TO_JOIN reply.
 
@@ -215,7 +209,7 @@ class JoinProtocol:
             return config
         if msg.delta is None:
             return None
-        base = self._delta_base()
+        base = self.node._delta_base
         if base is None or base.config_id != msg.delta.base_config_id:
             self._drop_base_and_restart()
             return None

@@ -27,13 +27,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
-from repro.core.broadcaster import (
-    AdaptiveBroadcaster,
-    Broadcaster,
-    GossipBroadcaster,
-    UnicastBroadcaster,
-    make_fanout,
-)
+from repro.core.broadcaster import Broadcaster, make_fanout
 from repro.core.events import NodeStatus, ViewChangeEvent
 from repro.core.fast_paxos import FastPaxos
 from repro.core.join import JoinProtocol
@@ -63,7 +57,7 @@ from repro.core.messages import (
 )
 from repro.core.node_id import Endpoint, NodeId
 from repro.core.ring import KRingTopology
-from repro.core.settings import BroadcastMode, RapidSettings
+from repro.core.settings import RapidSettings
 from repro.detectors.base import DetectorFactory
 from repro.detectors.ping_timeout import PingTimeoutDetector
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
@@ -146,25 +140,12 @@ class RapidNode:
         self.consensus: Optional[FastPaxos] = None
         self.metadata_store: dict[Endpoint, dict] = {}
 
-        if self.settings.broadcast_mode == BroadcastMode.GOSSIP:
-            self.broadcaster: Broadcaster = GossipBroadcaster(
-                runtime,
-                self._deliver_broadcast,
-                fanout=self.settings.gossip_fanout,
-                relay_window=self.settings.gossip_relay_window,
-            )
-        elif self.settings.broadcast_mode == BroadcastMode.AUTO:
-            # Scale-adaptive default: unicast below gossip_threshold
-            # members, epidemic gossip at or above it.
-            self.broadcaster = AdaptiveBroadcaster(
-                runtime,
-                self._deliver_broadcast,
-                threshold=self.settings.gossip_threshold,
-                fanout=self.settings.gossip_fanout,
-                relay_window=self.settings.gossip_relay_window,
-            )
-        else:
-            self.broadcaster = UnicastBroadcaster(runtime, self._deliver_broadcast)
+        self.broadcaster = Broadcaster(
+            runtime,
+            self.on_message,
+            fanout=self.settings.gossip_fanout,
+            relay_window=self.settings.gossip_relay_window,
+        )
 
         # Monitoring state (per configuration), kept in parallel arrays
         # indexed by subject position: the probe wheel touches these every
@@ -204,7 +185,13 @@ class RapidNode:
         self._wheel_timer = None
         self._wheel_slow = False
         self._report_timer = None
-        self._wheel_slots = self.settings.wheel_slots()
+        #: Sub-intervals the wheel divides ``probe_interval`` into: 2 is
+        #: the minimum that strides probe traffic while keeping batched
+        #: acks (queued for up to one sub-interval) comfortably inside
+        #: ``probe_timeout``; every further slot costs a tick event and up
+        #: to two fan-outs per node per interval.  Bounded by ``k`` — a
+        #: view with fewer subjects than slots would tick empty slots.
+        self._wheel_slots = min(2, self.settings.k)
         self._sub_interval = self.settings.probe_interval / self._wheel_slots
         self._fanout = make_fanout(runtime)
 
@@ -316,19 +303,13 @@ class RapidNode:
     def on_message(self, src: Endpoint, msg: Any) -> None:
         """Entry point for every inbound message.
 
-        Exact-type dispatch table: wire messages are final dataclasses,
-        and a dict lookup beats a ten-way isinstance chain on the
-        per-message hot path.  Subclasses extend ``_DISPATCH`` (see
+        Payloads the broadcaster unwraps (or a node's own broadcasts,
+        delivered locally) come back through here too.  Exact-type
+        dispatch table: wire messages are final dataclasses, and a dict
+        lookup beats a ten-way isinstance chain on the per-message hot
+        path.  Subclasses extend ``_DISPATCH`` (see
         :class:`repro.core.centralized.CentralizedClusterNode`).
         """
-        handler = self._DISPATCH.get(type(msg))
-        if handler is not None:
-            handler(self, src, msg)
-
-    def _deliver_broadcast(self, origin: Endpoint, payload: Any) -> None:
-        self._handle(origin, payload)
-
-    def _handle(self, src: Endpoint, msg: Any) -> None:
         handler = self._DISPATCH.get(type(msg))
         if handler is not None:
             handler(self, src, msg)
@@ -404,7 +385,7 @@ class RapidNode:
     def _wheel_tick(self) -> None:
         """One probe-wheel sub-interval: expire, ack, probe, reinforce.
 
-        Runs ``probe_wheel_slots`` times per ``probe_interval``.  Every
+        Runs ``_wheel_slots`` times per ``probe_interval``.  Every
         subject is probed exactly once per interval (in its assigned
         slot); expiry of overdue probes is checked against the shared
         ring, so no per-probe timeout event ever reaches the engine.
@@ -575,18 +556,37 @@ class RapidNode:
         """Broadcast an irrevocable REMOVE alert about a subject we monitor."""
         if self.status != NodeStatus.ACTIVE or subject in self._alerted:
             return
+        alert = self._observer_alert(subject, AlertKind.REMOVE)
+        if alert is not None:
+            self._alerted.add(subject)
+            self._enqueue_alert(alert)
+
+    def _observer_alert(
+        self, subject: Endpoint, kind: Optional[str] = None
+    ) -> Optional[Alert]:
+        """The alert this node vouches for ``subject`` with, as its observer.
+
+        ``kind`` defaults to what the cut detector has already heard about
+        the subject (echoes repeat the pending verdict), REMOVE when it
+        has heard nothing.  ``None`` when we observe ``subject`` on no
+        ring of the current topology.
+        """
         rings = tuple(self.topology.observer_rings(self.addr, subject))
         if not rings:
-            return
-        self._alerted.add(subject)
-        self._enqueue_alert(
-            Alert(
-                observer=self.addr,
-                subject=subject,
-                kind=AlertKind.REMOVE,
-                config_id=self.config.config_id,
-                ring_numbers=rings,
-            )
+            return None
+        if kind is None:
+            kind = self.cut_detector.kind_of(subject) or AlertKind.REMOVE
+        uuid = 0
+        if kind == AlertKind.JOIN:
+            pending = self._pending_joiners.get(subject)
+            uuid = pending[0] if pending is not None else 0
+        return Alert(
+            observer=self.addr,
+            subject=subject,
+            kind=kind,
+            config_id=self.config.config_id,
+            ring_numbers=rings,
+            joiner_uuid=uuid,
         )
 
     def _reinforcement_scan(self, now: float) -> None:
@@ -603,25 +603,10 @@ class RapidNode:
                 continue
             if subject in self._alerted:
                 continue
-            rings = tuple(self.topology.observer_rings(self.addr, subject))
-            if not rings:
-                continue
-            kind = self.cut_detector.kind_of(subject) or AlertKind.REMOVE
-            uuid = 0
-            if kind == AlertKind.JOIN:
-                pending = self._pending_joiners.get(subject)
-                uuid = pending[0] if pending is not None else 0
-            self._alerted.add(subject)
-            self._enqueue_alert(
-                Alert(
-                    observer=self.addr,
-                    subject=subject,
-                    kind=kind,
-                    config_id=self.config.config_id,
-                    ring_numbers=rings,
-                    joiner_uuid=uuid,
-                )
-            )
+            alert = self._observer_alert(subject)
+            if alert is not None:
+                self._alerted.add(subject)
+                self._enqueue_alert(alert)
 
     def _reannounce_scan(self, now: float) -> None:
         """Liveness aid for healed partitions: re-broadcast stuck alerts.
@@ -647,26 +632,9 @@ class RapidNode:
         for subject in sorted(self._alerted):
             if subject not in self.config:
                 continue
-            rings = tuple(self.topology.observer_rings(self.addr, subject))
-            if not rings:
-                continue
-            kind = AlertKind.REMOVE
-            if self.cut_detector is not None:
-                kind = self.cut_detector.kind_of(subject) or AlertKind.REMOVE
-            uuid = 0
-            if kind == AlertKind.JOIN:
-                pending = self._pending_joiners.get(subject)
-                uuid = pending[0] if pending is not None else 0
-            self._enqueue_alert(
-                Alert(
-                    observer=self.addr,
-                    subject=subject,
-                    kind=kind,
-                    config_id=self.config.config_id,
-                    ring_numbers=rings,
-                    joiner_uuid=uuid,
-                )
-            )
+            alert = self._observer_alert(subject)
+            if alert is not None:
+                self._enqueue_alert(alert)
 
     def _record_report(self) -> None:
         """Sample this node's view size into the experiment trace."""
@@ -845,7 +813,10 @@ class RapidNode:
         self.cut_detector = MultiNodeCutDetector(
             self.settings.k, self.settings.h, self.settings.l, self.topology
         )
-        self.broadcaster.set_membership(config.members)
+        # One decision per view, shared by both disseminators: alerts and
+        # votes travel by gossip in views at or above the threshold.
+        gossip = self.settings.use_gossip(config.size)
+        self.broadcaster.set_membership(config.members, gossip)
         self.consensus = FastPaxos(
             runtime=self.runtime,
             members=config.members,
@@ -853,6 +824,7 @@ class RapidNode:
             settings=self.settings,
             broadcast=self.broadcaster.broadcast,
             on_decide=self._on_decide,
+            gossip=gossip,
             metrics=self.metrics,
             index=config.member_index(),
         )
@@ -884,8 +856,9 @@ class RapidNode:
         # answers — and batched: every joiner receiving the same payload
         # (the interned view snapshot, one delta per base, the
         # CONFIG_CHANGED notice) shares one fanned-out message.
-        snapshot_targets: list[Endpoint] = []
-        delta_targets: dict[int, list] = {}
+        # {base_config_id: joiners}; base 0 is the full snapshot, sent
+        # first.
+        admitted_targets: dict[int, list] = {0: []}
         changed_targets: list[Endpoint] = []
         for joiner in joined:
             pending = self._pending_joiners.pop(joiner, None)
@@ -896,10 +869,9 @@ class RapidNode:
                 continue
             if not self._is_designated_responder(old_topology, joiner):
                 continue
-            if self._view_delta(config, base_id) is not None:
-                delta_targets.setdefault(base_id, []).append(joiner)
-            else:
-                snapshot_targets.append(joiner)
+            if self._view_delta(base_id) is None:
+                base_id = 0
+            admitted_targets.setdefault(base_id, []).append(joiner)
         for joiner in list(self._pending_joiners):
             self._pending_joiners.pop(joiner)
             if joiner in config:
@@ -907,27 +879,11 @@ class RapidNode:
             if not self._is_designated_responder(old_topology, joiner):
                 continue
             changed_targets.append(joiner)
-        if snapshot_targets:
-            self._fanout(snapshot_targets, self._join_response(config))
-        for base_id, targets in delta_targets.items():
-            self._fanout(
-                targets,
-                JoinResponse(
-                    sender=self.addr,
-                    status=JoinStatus.SAFE_TO_JOIN,
-                    config_id=config.config_id,
-                    delta=self._view_delta(config, base_id),
-                ),
-            )
+        for base_id, targets in admitted_targets.items():
+            if targets:
+                self._fanout(targets, self._join_response(base_id))
         if changed_targets:
-            self._fanout(
-                changed_targets,
-                JoinResponse(
-                    sender=self.addr,
-                    status=JoinStatus.CONFIG_CHANGED,
-                    config_id=config.config_id,
-                ),
-            )
+            self._fanout(changed_targets, self._join_response(admitted=False))
         event = ViewChangeEvent(
             configuration=config,
             joined=joined,
@@ -945,6 +901,7 @@ class RapidNode:
                 removes=len(removed),
                 seq=config.seq,
                 members=config.members,
+                uuids=config.uuids,
             )
         if self.on_view_change is not None:
             self.on_view_change(event)
@@ -956,10 +913,11 @@ class RapidNode:
         lowest-numbered ring of the configuration its JoinRequests were
         scoped to — deterministic per (joiner, configuration) pair, so
         all ``K`` observers agree without coordination and exactly one
-        sends the (view-sized) response.  With dedup disabled, or on the
-        very first install (no prior topology), everyone answers.
+        sends the (view-sized) response; a lost response is recovered by
+        the joiner's retry.  On the very first install (no prior
+        topology) everyone answers.
         """
-        if not self.settings.join_single_responder or topology is None:
+        if topology is None:
             return True
         return topology.observers_of(joiner)[0] == self.addr
 
@@ -985,7 +943,7 @@ class RapidNode:
     #: rejoiner's base may lie before it falls back to a full snapshot.
     _CHAIN_DEPTH = 32
 
-    def _view_delta(self, config: Configuration, base_id: int) -> Optional[ViewDelta]:
+    def _view_delta(self, base_id: int) -> Optional[ViewDelta]:
         """The delta response payload for a joiner holding ``base_id``.
 
         Composes the transition-chain links from the advertised base to
@@ -993,15 +951,18 @@ class RapidNode:
         per endpoint wins: a member removed and re-admitted along the way
         nets to an add with its final uuid; a transient member both added
         and removed nets to a remove the base never saw — appliers skip
-        those).  ``None`` when deltas are off, the base fell off the
-        chain (or 0 = first-time joiner), or the composed delta would not
-        beat the full snapshot (``auto`` mode).  Memoized per (install,
-        base): a wave of rejoiners sharing a base costs one composition.
+        those).  ``None`` when the base fell off the chain (or 0 =
+        first-time joiner), or the composed delta would not encode fewer
+        entries (adds plus removes) than the full snapshot has members —
+        the byte cost of either encoding is proportional to its entry
+        count.  Memoized per (install, base): a wave of rejoiners sharing
+        a base costs one composition.
         """
-        if base_id == 0 or self.settings.join_delta_mode == "off":
+        if base_id == 0:
             return None
         if base_id in self._delta_cache:
             return self._delta_cache[base_id]
+        config = self.config
         delta: Optional[ViewDelta] = None
         net: dict[Endpoint, Optional[int]] = {}
         chain = self._config_chain
@@ -1020,9 +981,7 @@ class RapidNode:
                         endpoint for endpoint, uuid in net.items() if uuid is None
                     )
                 )
-                if self.settings.send_join_delta(
-                    len(adds) + len(removes), config.size
-                ):
+                if len(adds) + len(removes) < config.size:
                     added = {endpoint for endpoint, _ in adds}
                     delta = ViewDelta(
                         base_config_id=base_id,
@@ -1047,20 +1006,31 @@ class RapidNode:
         self._delta_cache[base_id] = delta
         return delta
 
-    def _join_response(self, config: Configuration) -> JoinResponse:
-        """A SAFE_TO_JOIN response carrying the interned view snapshot.
+    def _join_response(self, base_id: int = 0, admitted: bool = True) -> JoinResponse:
+        """This node's answer to a joiner, scoped to the current view.
 
+        An admitted joiner gets SAFE_TO_JOIN carrying the view: as a
+        delta against the ``base_id`` it advertised when one beats the
+        snapshot (:meth:`_view_delta`), else as the interned snapshot.
         The :class:`ViewSnapshot` is built once per installed view
         (:meth:`Configuration.view_snapshot`) and shared by every
         response (and every admitted joiner) of that view; the simulated
         network memoizes its wire size on the object, so constructing
-        and sizing the N-th response is O(1).
+        and sizing the N-th response is O(1).  A joiner the view moved
+        past gets a bare CONFIG_CHANGED.
         """
+        config = self.config
+        view = delta = None
+        if admitted:
+            delta = self._view_delta(base_id)
+            if delta is None:
+                view = config.view_snapshot(self._metadata_entries(config))
         return JoinResponse(
             sender=self.addr,
-            status=JoinStatus.SAFE_TO_JOIN,
+            status=JoinStatus.SAFE_TO_JOIN if admitted else JoinStatus.CONFIG_CHANGED,
             config_id=config.config_id,
-            view=config.view_snapshot(self._metadata_entries(config)),
+            view=view,
+            delta=delta,
         )
 
     def _install_joined_view(
@@ -1096,7 +1066,7 @@ class RapidNode:
         if msg.sender in self.config:
             if self.config.uuid_of(msg.sender) == msg.uuid:
                 # The join already succeeded but the response was lost.
-                self.runtime.send(msg.sender, self._join_response(self.config))
+                self.runtime.send(msg.sender, self._join_response())
             else:
                 self.runtime.send(
                     msg.sender,
@@ -1133,42 +1103,20 @@ class RapidNode:
         if self.status != NodeStatus.ACTIVE or self.config is None:
             return
         if msg.config_id != self.config.config_id:
-            if msg.sender in self.config and self.config.uuid_of(msg.sender) == msg.uuid:
-                # The join already succeeded; re-send the view (as a delta
-                # against the joiner's advertised base when possible).
-                delta = self._view_delta(self.config, msg.base_config_id)
-                if delta is not None:
-                    self.runtime.send(
-                        msg.sender,
-                        JoinResponse(
-                            sender=self.addr,
-                            status=JoinStatus.SAFE_TO_JOIN,
-                            config_id=self.config.config_id,
-                            delta=delta,
-                        ),
-                    )
-                else:
-                    self.runtime.send(msg.sender, self._join_response(self.config))
-            else:
-                self.runtime.send(
-                    msg.sender,
-                    JoinResponse(
-                        sender=self.addr,
-                        status=JoinStatus.CONFIG_CHANGED,
-                        config_id=self.config.config_id,
-                    ),
-                )
+            # Either the join already succeeded — re-send the view (as a
+            # delta against the joiner's advertised base when possible) —
+            # or the view moved on without it.
+            admitted = (
+                msg.sender in self.config
+                and self.config.uuid_of(msg.sender) == msg.uuid
+            )
+            self.runtime.send(
+                msg.sender, self._join_response(msg.base_config_id, admitted)
+            )
             return
         rings = tuple(self.topology.observer_rings(self.addr, msg.sender))
         if not rings:
-            self.runtime.send(
-                msg.sender,
-                JoinResponse(
-                    sender=self.addr,
-                    status=JoinStatus.CONFIG_CHANGED,
-                    config_id=self.config.config_id,
-                ),
-            )
+            self.runtime.send(msg.sender, self._join_response(admitted=False))
             return
         # Duplicate JoinRequests (network-level duplication, or a joiner
         # retry racing its own admission) must not re-broadcast the JOIN

@@ -8,25 +8,10 @@ Fast Paxos quorum of three quarters of the membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
+from typing import Mapping
 
-__all__ = ["RapidSettings", "BroadcastMode"]
-
-
-class BroadcastMode:
-    """How alert and vote messages are disseminated cluster-wide.
-
-    ``AUTO`` (the default) picks per view: unicast below
-    ``gossip_threshold`` members — one message delay, O(N) messages per
-    broadcast — and epidemic gossip at or above it, where the O(N²)
-    aggregate message volume of everyone unicasting to everyone would
-    dominate the run (the paper's large-scale deployments use the gossip
-    counting step for exactly this reason).
-    """
-
-    UNICAST_ALL = "unicast-all"
-    GOSSIP = "gossip"
-    AUTO = "auto"
+__all__ = ["RapidSettings"]
 
 
 @dataclass
@@ -47,22 +32,16 @@ class RapidSettings:
     probe_interval:
         Seconds between edge-monitoring probes to each subject.  Every
         subject is probed exactly once per interval; *when* within the
-        interval is decided by the probe wheel (see
-        ``probe_wheel_slots``).
+        interval is decided by the probe wheel, which strides subjects
+        over ``min(2, k)`` sub-intervals (see
+        :class:`~repro.core.membership.RapidNode`).
     probe_timeout:
         Seconds an observer waits before counting a probe as failed.
         Expiry is checked on wheel ticks, so the effective timeout is
-        ``probe_timeout`` rounded up to the next wheel sub-interval
-        (at most ``probe_interval / probe_wheel_slots`` late).
-    probe_wheel_slots:
-        Number of sub-intervals the probe wheel divides ``probe_interval``
-        into.  Each subject is assigned to one slot, so probe traffic is
-        strided across the interval instead of bursting once; probe
-        expiry and batched acks ride the same tick, so no per-probe
-        timeout events are ever scheduled.  ``0`` (the default) picks
-        automatically (currently 2; see :meth:`wheel_slots`).
-        Must keep ``probe_interval / slots + 2 * RTT < probe_timeout``
-        or batched acks arrive after their probe expired.
+        ``probe_timeout`` rounded up to the next wheel sub-interval (at
+        most half a ``probe_interval`` late).  Batched acks ride the same
+        tick, so ``probe_interval / 2 + 2 * RTT < probe_timeout`` must
+        hold or acks arrive after their probe expired.
     failure_threshold / detector_window:
         The default edge detector marks an edge faulty when
         ``failure_threshold`` of the last ``detector_window`` probes failed
@@ -99,8 +78,8 @@ class RapidSettings:
         the stranded members learn they were kicked and rejoin.
     gossip_interval / gossip_fanout:
         Parameters of the epidemic broadcast used for alert dissemination
-        and consensus vote counting when gossip is active (``GOSSIP``
-        mode, or ``AUTO`` mode at or above ``gossip_threshold``).
+        and consensus vote counting when gossip is active (views of at
+        least ``gossip_threshold`` members).
     gossip_relay_window:
         Epidemic *relay batching*: a node buffers envelopes it owes a
         forward for this many seconds and relays them as one bundle to
@@ -110,30 +89,24 @@ class RapidSettings:
         is up to this much added latency per relay hop.  ``0`` disables
         batching (immediate per-envelope relays).
     gossip_threshold:
-        Cluster size at which ``AUTO`` switches from unicast broadcast to
-        gossip, for both alert dissemination and consensus vote counting.
+        View size at which dissemination switches from unicast broadcast
+        — one message delay, O(N) messages per broadcast — to epidemic
+        gossip, for both alerts and consensus vote counting (see
+        :meth:`use_gossip`).  ``1`` gossips at any size; a threshold above
+        the largest view never does.
     gossip_convergence_ticks:
         Consensus vote gossip stops ticking after this many consecutive
         intervals without learning a new vote bit (the aggregate has
         converged); any later bundle that teaches new bits re-arms it.
-    gossip_pull_mode:
-        Pull-gossip round for consensus vote counting: ``"on"``,
-        ``"off"``, or ``"auto"`` (the default — enabled exactly when
-        vote dissemination is in gossip mode).  A node whose push tick
-        learned nothing sends a digest of its aggregate to
-        ``gossip_pull_fanout`` random peers; a peer replies with
+    gossip_pull_fanout:
+        Peers sent a pull digest per stale gossip tick (and per heartbeat
+        tick after local convergence, see :meth:`pull_interval`).  In
+        gossip mode a node whose push tick learned nothing sends a digest
+        of its aggregate to this many random peers; a peer replies with
         exactly the vote bits the digest is missing (or the decision,
         once known).  This closes the convergence tail push-only gossip
         leaves: a straggler that has nothing new to *push* would
         otherwise sit silent until the classical-Paxos fallback timer.
-    gossip_pull_fanout:
-        Peers sent a digest per stale gossip tick (and per heartbeat
-        tick after local convergence).
-    gossip_pull_interval:
-        Cadence of the post-convergence pull heartbeat: an undecided
-        node keeps pulling at this period after its push gossip went
-        quiet.  ``0`` (the default) picks automatically
-        (``gossip_interval * gossip_convergence_ticks``).
     join_timeout:
         Seconds a joiner waits for a join to complete before retrying.
         Retries are jittered by up to ``join_retry_jitter`` of the delay
@@ -141,25 +114,6 @@ class RapidSettings:
     join_retry_jitter:
         Fraction of a join retry delay added as uniform random jitter
         (per-node deterministic in the simulator).  ``0`` disables it.
-    join_single_responder:
-        Join-time response dedup: when true (the default), only the
-        *designated* observer — the one on the lowest-numbered ring among
-        the joiner's temporary observers, deterministic per configuration
-        — answers an admitted (or superseded) joiner; the other ``K - 1``
-        observers stay silent.  Cuts join-response traffic from ``K`` full
-        views per joiner to one; a lost response is recovered by the
-        joiner's retry (the seed re-sends the view when it finds the
-        member already admitted).  ``False`` restores every-observer
-        responses (the reference implementation's behavior).
-    join_delta_mode:
-        Delta-encoded join responses: ``"on"``, ``"off"``, or ``"auto"``
-        (the default).  A joiner holding a configuration from a previous
-        membership advertises its id; a responder that still retains that
-        base answers with a :class:`~repro.core.messages.ViewDelta`
-        (adds/removes/metadata against the base) instead of a full view
-        snapshot.  ``auto`` sends the delta only when it encodes fewer
-        entries than the snapshot; ``on`` always prefers the delta when
-        the base is known; ``off`` never advertises or sends deltas.
     view_probe_interval:
         Rapid-C only: how often cluster members poll the ensemble for view
         updates (the paper uses 5 seconds to mirror its ZooKeeper setup).
@@ -171,7 +125,6 @@ class RapidSettings:
 
     probe_interval: float = 1.0
     probe_timeout: float = 1.0
-    probe_wheel_slots: int = 0
     failure_threshold: float = 0.4
     detector_window: int = 10
     probe_bootstrap_budget: int = 15
@@ -184,20 +137,15 @@ class RapidSettings:
     reinforcement_timeout: float = 10.0
     reannounce_interval: float = 30.0
 
-    broadcast_mode: str = BroadcastMode.AUTO
     gossip_interval: float = 0.2
     gossip_fanout: int = 8
     gossip_relay_window: float = 0.05
     gossip_threshold: int = 128
     gossip_convergence_ticks: int = 5
-    gossip_pull_mode: str = "auto"
     gossip_pull_fanout: int = 1
-    gossip_pull_interval: float = 0.0
 
     join_timeout: float = 5.0
     join_retry_jitter: float = 0.25
-    join_single_responder: bool = True
-    join_delta_mode: str = "auto"
     view_probe_interval: float = 5.0
 
     # View-size sampling period used by experiment traces (the paper's
@@ -212,88 +160,54 @@ class RapidSettings:
             )
         if self.k < 1:
             raise ValueError("k must be positive")
-        if self.broadcast_mode not in (
-            BroadcastMode.UNICAST_ALL,
-            BroadcastMode.GOSSIP,
-            BroadcastMode.AUTO,
-        ):
-            raise ValueError(f"unknown broadcast mode {self.broadcast_mode!r}")
         if self.gossip_threshold < 1:
             raise ValueError("gossip_threshold must be positive")
         if self.gossip_convergence_ticks < 1:
             raise ValueError("gossip_convergence_ticks must be positive")
-        if self.probe_wheel_slots < 0:
-            raise ValueError("probe_wheel_slots must be >= 0 (0 = auto)")
         if self.probe_bootstrap_budget < 1:
             raise ValueError("probe_bootstrap_budget must be positive")
-        if self.gossip_pull_mode not in ("on", "off", "auto"):
-            raise ValueError(
-                f"gossip_pull_mode must be on/off/auto, got {self.gossip_pull_mode!r}"
-            )
         if self.gossip_pull_fanout < 1:
             raise ValueError("gossip_pull_fanout must be positive")
-        if self.gossip_pull_interval < 0:
-            raise ValueError("gossip_pull_interval must be >= 0 (0 = auto)")
         if self.gossip_relay_window < 0:
             raise ValueError("gossip_relay_window must be >= 0 (0 = immediate)")
         if self.join_retry_jitter < 0:
             raise ValueError("join_retry_jitter must be >= 0 (0 = none)")
-        if self.join_delta_mode not in ("on", "off", "auto"):
+
+    @classmethod
+    def from_overrides(cls, overrides: Mapping) -> "RapidSettings":
+        """Defaults with the named fields replaced, from a plain mapping.
+
+        The door for field dicts that arrive from outside the program —
+        benchmark specs, sweep grids, CLI JSON.  A name that is not a
+        field (a typo, or a knob a stale grid still passes) raises
+        ``ValueError`` naming it and listing the valid ones.
+        """
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(overrides) - set(known))
+        if unknown:
             raise ValueError(
-                f"join_delta_mode must be on/off/auto, got {self.join_delta_mode!r}"
+                f"unknown RapidSettings field(s) {unknown}; "
+                f"valid fields: {known}"
             )
-
-    def wheel_slots(self) -> int:
-        """Resolve ``probe_wheel_slots``, applying the ``auto`` default.
-
-        Auto picks 2 sub-intervals: the minimum that strides probe
-        traffic while keeping batched acks (queued for up to one
-        sub-interval) comfortably inside ``probe_timeout``.  Every
-        additional slot costs one tick event and up to two fan-out
-        events per node per interval, so the default favors the event
-        budget; raise it for smoother traffic on jitter-sensitive
-        networks.  Bounded by ``k`` — a view with fewer subjects than
-        slots would tick empty slots for nothing.
-        """
-        if self.probe_wheel_slots:
-            return self.probe_wheel_slots
-        return max(1, min(2, self.k))
-
-    def use_pull(self, n: int) -> bool:
-        """Whether a view of ``n`` members runs the pull-gossip round."""
-        if self.gossip_pull_mode == "off":
-            return False
-        if self.gossip_pull_mode == "on":
-            return True
-        return self.use_gossip(n)
-
-    def pull_interval(self) -> float:
-        """Resolve ``gossip_pull_interval``, applying the ``auto`` default."""
-        if self.gossip_pull_interval:
-            return self.gossip_pull_interval
-        return self.gossip_interval * self.gossip_convergence_ticks
-
-    def send_join_delta(self, delta_entries: int, view_entries: int) -> bool:
-        """Whether a delta of ``delta_entries`` beats a full view.
-
-        ``delta_entries`` counts the delta's adds plus removes,
-        ``view_entries`` the members of the full snapshot — the byte cost
-        of either encoding is proportional to its entry count, so the
-        ``auto`` mode compares entries rather than re-serializing both.
-        """
-        if self.join_delta_mode == "off":
-            return False
-        if self.join_delta_mode == "on":
-            return True
-        return delta_entries < view_entries
+        return cls(**overrides)
 
     def use_gossip(self, n: int) -> bool:
-        """Whether a view of ``n`` members disseminates by gossip."""
-        if self.broadcast_mode == BroadcastMode.GOSSIP:
-            return True
-        if self.broadcast_mode == BroadcastMode.AUTO:
-            return n >= self.gossip_threshold
-        return False
+        """Whether a view of ``n`` members disseminates by gossip.
+
+        The one definition of the switch: a node evaluates it once per
+        installed view and hands the answer to both its alert broadcaster
+        and its consensus instance (which also pulls exactly when it
+        gossips).
+        """
+        return n >= self.gossip_threshold
+
+    def pull_interval(self) -> float:
+        """Period of the post-convergence pull heartbeat.
+
+        An undecided node whose push gossip went quiet keeps pulling once
+        per convergence window.
+        """
+        return self.gossip_interval * self.gossip_convergence_ticks
 
     def scaled(self, **overrides) -> "RapidSettings":
         """Return a copy with the given fields replaced."""

@@ -3,13 +3,11 @@
 from repro.detectors.base import DetectorFactory, EdgeFailureDetector
 from repro.detectors.ping_timeout import PingTimeoutDetector
 from repro.detectors.phi_accrual import PhiAccrualDetector, phi
-from repro.detectors.adaptive import AdaptiveTimeoutDetector
 
 __all__ = [
     "EdgeFailureDetector",
     "DetectorFactory",
     "PingTimeoutDetector",
     "PhiAccrualDetector",
-    "AdaptiveTimeoutDetector",
     "phi",
 ]

@@ -10,9 +10,7 @@ decides when the edge should be declared faulty.  Implementations here:
   from the paper's implementation section: faulty when >= 40% of the last
   10 probes failed;
 * :class:`~repro.detectors.phi_accrual.PhiAccrualDetector` — the
-  phi-accrual detector of Hayashibara et al., as used by Akka and Cassandra;
-* :class:`~repro.detectors.adaptive.AdaptiveTimeoutDetector` — a
-  history-based adaptive scheme in the spirit of Hystrix/Finagle.
+  phi-accrual detector of Hayashibara et al., as used by Akka and Cassandra.
 """
 
 from __future__ import annotations

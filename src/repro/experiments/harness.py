@@ -274,7 +274,8 @@ def harness_for(system: str, seed: int = 0, **kwargs):
     ``settings`` may be passed as a plain dict of
     :class:`~repro.core.settings.RapidSettings` field overrides — the form
     benchmark specs use, since their params must stay JSON-serializable —
-    and is instantiated here for the Rapid harnesses.  Likewise ``config``
+    and is instantiated here for the Rapid harnesses (an unknown field
+    name raises ``ValueError`` listing the valid ones).  Likewise ``config``
     may be a plain dict of the baseline harness's config-dataclass fields
     (``SwimConfig``, ``GossipFdConfig``, ``ZkConfig``, ``AkkaConfig``), the
     form sweep grids use.
@@ -285,7 +286,7 @@ def harness_for(system: str, seed: int = 0, **kwargs):
         raise ValueError(f"unknown system {system!r}; choose from {sorted(SYSTEMS)}")
     settings = kwargs.get("settings")
     if isinstance(settings, dict):
-        kwargs["settings"] = RapidSettings(**settings)
+        kwargs["settings"] = RapidSettings.from_overrides(settings)
     config = kwargs.get("config")
     if isinstance(config, dict):
         config_cls = getattr(factory, "config_cls", None)

@@ -344,7 +344,7 @@ def live_bootstrap_experiment(
             f"live_bootstrap runs the rapid system only, not {system!r}"
         )
     if isinstance(settings, dict):
-        settings = RapidSettings(**settings)
+        settings = RapidSettings.from_overrides(settings)
     if stagger is None:
         stagger = default_stagger(n)
     harness = LiveHarness(seed=seed, settings=settings, host=host)

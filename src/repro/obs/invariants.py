@@ -20,6 +20,10 @@ view per node, and it continuously asserts four safety properties:
     global chain: no two distinct configurations may occupy the same
     sequence number, and a process may skip a configuration only if it was
     not a member of it (it was partitioned out and re-admitted later).
+    Membership here is per *incarnation* (endpoint plus logical id): a
+    process that left gracefully stops installing views but stays listed
+    until its removal is decided, and the fresh identity it rejoins under
+    owes nothing for the views its previous one sat out.
 **no disjoint majorities**
     No two configurations with *disjoint* memberships are ever concurrently
     installed by a majority of their respective members — the classic
@@ -137,8 +141,8 @@ class ViewLedger:
         self._configs: dict[int, tuple] = {}
         #: seq -> config_id — the single global chain (fork detection).
         self._chain: dict[int, int] = {}
-        #: seq -> frozenset(members) for the membership-gap check.
-        self._members_at: dict[int, frozenset] = {}
+        #: seq -> {member: logical id} for the membership-gap check.
+        self._members_at: dict[int, dict] = {}
         #: config_id -> set of endpoints currently on that view.
         self._holders: dict[int, set] = {}
         self._trace: deque = deque(maxlen=trace_depth)
@@ -153,9 +157,12 @@ class ViewLedger:
         seq: int,
         members: tuple,
         size: Optional[int] = None,
+        uuids: tuple = (),
     ) -> None:
         """Record one view installation and assert every safety property.
 
+        ``uuids`` are the members' logical ids, aligned with ``members``;
+        feeds that omit them treat every endpoint as one incarnation.
         Raises :class:`InvariantViolation` on the first property that
         fails; the ledger state up to the offending observation is kept,
         so post-mortem inspection sees exactly what the monitor saw.
@@ -189,7 +196,9 @@ class ViewLedger:
         chained = self._chain.get(seq)
         if chained is None:
             self._chain[seq] = config_id
-            self._members_at[seq] = frozenset(members)
+            self._members_at[seq] = (
+                dict(zip(members, uuids)) if uuids else dict.fromkeys(members, 0)
+            )
         elif chained != config_id:
             self._fail(
                 "fork",
@@ -200,16 +209,22 @@ class ViewLedger:
 
         if prev is not None and not self.allow_member_gaps:
             members_at = self._members_at
-            for skipped in range(prev[0] + 1, seq):
-                between = members_at.get(skipped)
-                if between is not None and endpoint in between:
-                    self._fail(
-                        "fork",
-                        f"{endpoint} jumped seq={prev[0]} -> seq={seq}, "
-                        f"skipping seq={skipped} of which it was a member "
-                        f"(its chain is not a contiguous subsequence)",
-                        obs,
-                    )
+            incarnation = members_at[seq].get(endpoint, 0)
+            # Contiguity binds one incarnation's chain.  An install under
+            # a new logical id starts a fresh chain: the previous identity
+            # left (or was kicked) and, though listed until its removal
+            # was decided, had stopped installing views.
+            if members_at[prev[0]].get(endpoint, 0) == incarnation:
+                for skipped in range(prev[0] + 1, seq):
+                    between = members_at.get(skipped)
+                    if between is not None and between.get(endpoint) == incarnation:
+                        self._fail(
+                            "fork",
+                            f"{endpoint} jumped seq={prev[0]} -> seq={seq}, "
+                            f"skipping seq={skipped} of which it was a member "
+                            f"(its chain is not a contiguous subsequence)",
+                            obs,
+                        )
 
         self._last[endpoint] = (seq, config_id)
         if prev is not None:
@@ -242,7 +257,7 @@ class ViewLedger:
             other_seq, other_members = self._configs[other_id]
             if len(other_holders) * 2 <= len(other_members):
                 continue
-            if member_set.isdisjoint(other_members):
+            if member_set.keys().isdisjoint(other_members):
                 self._fail(
                     "split_brain",
                     f"disjoint views cfg={config_id} "

@@ -64,7 +64,7 @@ class SimRuntime:
 
         Optional runtime capability: callers discover it with ``getattr``
         and fall back to a ``send`` loop (see
-        :class:`repro.core.broadcaster.UnicastBroadcaster`).
+        :func:`repro.core.broadcaster.make_fanout`).
         """
         if not self._crashed:
             self.network.broadcast(self.addr, dsts, msg)

@@ -156,15 +156,21 @@ class ViewChangeEventLog:
         removes: int = 0,
         seq: int = 0,
         members: tuple = (),
+        uuids: tuple = (),
     ) -> None:
-        """Append one view-change installation to the log."""
+        """Append one view-change installation to the log.
+
+        ``uuids`` (the members' logical ids) are not kept in the record;
+        they only let the ledger tell a rejoined process's incarnations
+        apart.
+        """
         self.records.append(
             ViewChangeRecord(
                 time, endpoint, config_id, size, joins, removes, seq, members
             )
         )
         if self.ledger is not None and members:
-            self.ledger.observe(time, endpoint, config_id, seq, members, size)
+            self.ledger.observe(time, endpoint, config_id, seq, members, size, uuids)
 
     def distinct_configurations(self) -> list[int]:
         """Config ids in order of first installation anywhere."""

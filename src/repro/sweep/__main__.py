@@ -139,9 +139,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(point.name)
         return 0
     started = time.perf_counter()
-    rows = run_sweep(
-        points, log=None if args.quiet else print, keep_going=args.keep_going
-    )
+    try:
+        rows = run_sweep(
+            points, log=None if args.quiet else print, keep_going=args.keep_going
+        )
+    except ValueError as exc:  # a grid mistake, caught before any point ran
+        print(exc, file=sys.stderr)
+        return 2
     wall = time.perf_counter() - started
     out = write_sweep_csv(rows, args.out)
     digest = sweep_hash(rows)

@@ -28,6 +28,7 @@ import hashlib
 import time
 from typing import Callable, Iterable, Optional, Sequence
 
+from repro.core.settings import RapidSettings
 from repro.experiments import scenarios
 from repro.sweep.grid import SweepPoint
 
@@ -153,7 +154,9 @@ def run_sweep(
     gathered so far, error marker included, are still returned so the
     caller can write a partial CSV; with ``keep_going=True`` the
     remaining points run and every failure is marked.  Either way the
-    caller decides the exit status via :func:`failed_points`.
+    caller decides the exit status via :func:`failed_points`.  A grid
+    mistake — an unknown scenario, an unknown ``settings`` field — raises
+    ``ValueError`` before any point runs.
     """
     for point in points:
         if point.scenario not in scenarios.SCENARIO_FUNCTIONS:
@@ -162,6 +165,9 @@ def run_sweep(
                 f"unknown scenario {point.scenario!r}; choose from "
                 f"{sorted(scenarios.SCENARIO_FUNCTIONS)}"
             )
+        settings = point.call_kwargs().get("settings")
+        if isinstance(settings, dict):
+            RapidSettings.from_overrides(settings)  # raises on unknown fields
     rows: list = []
     for i, point in enumerate(points):
         started = time.perf_counter()

@@ -225,7 +225,7 @@ class TestCli:
 
     def test_quick_suite_gates_gossip_consensus(self):
         names = [spec.name for spec in suite_specs("quick")]
-        assert any("broadcast_mode:gossip" in name for name in names)
+        assert any("gossip_threshold:1" in name for name in names)
 
     def test_run_budget_breach_fails(self, tmp_path, capsys):
         from repro.bench.__main__ import main

@@ -2,19 +2,11 @@
 
 import random
 
-from repro.core.broadcaster import (
-    AdaptiveBroadcaster,
-    GossipBroadcaster,
-    UnicastBroadcaster,
-)
-from repro.core.membership import RapidNode
+from repro.core.broadcaster import Broadcaster
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
-from repro.core.settings import BroadcastMode, RapidSettings
-from repro.sim.cluster import endpoint_for
-from repro.sim.engine import Engine
-from repro.sim.network import Network
-from repro.sim.process import SimRuntime
+from repro.core.settings import RapidSettings
+from repro.sim.cluster import SimCluster, endpoint_for
 
 
 class FakeRuntime:
@@ -66,8 +58,8 @@ class TestGossipMessageIds:
         envelopes = []
         for _ in range(2):
             runtime = FakeRuntime(view[0])
-            bcast = GossipBroadcaster(runtime, lambda src, msg: None, fanout=3)
-            bcast.set_membership(view)
+            bcast = Broadcaster(runtime, lambda src, msg: None, fanout=3)
+            bcast.set_membership(view, gossip=True)
             bcast.broadcast("a")
             bcast.broadcast("b")
             envelopes.append([msg for _, msg in runtime.sent])
@@ -77,10 +69,10 @@ class TestGossipMessageIds:
 
     def test_counter_survives_view_changes(self):
         runtime = FakeRuntime(members(4)[0])
-        bcast = GossipBroadcaster(runtime, lambda src, msg: None, fanout=2)
-        bcast.set_membership(members(4))
+        bcast = Broadcaster(runtime, lambda src, msg: None, fanout=2)
+        bcast.set_membership(members(4), gossip=True)
         bcast.broadcast("a")
-        bcast.set_membership(members(5))
+        bcast.set_membership(members(5), gossip=True)
         bcast.broadcast("b")
         ids = {msg.message_id for _, msg in runtime.sent}
         assert ids == {1, 2}  # never reused within one origin
@@ -90,10 +82,10 @@ class TestGossipMessageIds:
         view = members(4)
         delivered = []
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
+        bcast = Broadcaster(
             runtime, lambda src, msg: delivered.append((src, msg)), fanout=2
         )
-        bcast.set_membership(view)
+        bcast.set_membership(view, gossip=True)
         for origin in (view[1], view[2]):
             bcast.handle(
                 origin,
@@ -113,10 +105,10 @@ class TestRelayBatching:
         """k first-seen envelopes within the window → one bundle per peer."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
+        bcast = Broadcaster(
             runtime, lambda src, msg: None, fanout=3, relay_window=0.05
         )
-        bcast.set_membership(view)
+        bcast.set_membership(view, gossip=True)
         for i in range(4):
             bcast.handle(
                 view[1],
@@ -136,10 +128,10 @@ class TestRelayBatching:
         """No bundle overhead when the window caught only one envelope."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
+        bcast = Broadcaster(
             runtime, lambda src, msg: None, fanout=2, relay_window=0.05
         )
-        bcast.set_membership(view)
+        bcast.set_membership(view, gossip=True)
         bcast.handle(
             view[1],
             GossipEnvelope(sender=view[1], message_id=1, hops_left=1, payload="p"),
@@ -152,10 +144,10 @@ class TestRelayBatching:
         view = members(8)
         delivered = []
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
+        bcast = Broadcaster(
             runtime, lambda src, msg: delivered.append((src, msg)), fanout=2
         )
-        bcast.set_membership(view)
+        bcast.set_membership(view, gossip=True)
         envelopes = tuple(
             GossipEnvelope(sender=view[1], message_id=i + 1, hops_left=0, payload=i)
             for i in range(3)
@@ -171,10 +163,10 @@ class TestRelayBatching:
     def test_window_zero_relays_immediately(self):
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = GossipBroadcaster(
+        bcast = Broadcaster(
             runtime, lambda src, msg: None, fanout=2, relay_window=0.0
         )
-        bcast.set_membership(view)
+        bcast.set_membership(view, gossip=True)
         bcast.handle(
             view[1],
             GossipEnvelope(sender=view[1], message_id=1, hops_left=1, payload="p"),
@@ -183,40 +175,34 @@ class TestRelayBatching:
         assert runtime.timers == []
 
 
-class TestAdaptiveBroadcaster:
-    def test_switches_on_membership_size(self):
+class TestModePerView:
+    def test_mode_follows_each_installed_view(self):
         runtime = FakeRuntime(members(8)[0])
-        bcast = AdaptiveBroadcaster(
-            runtime, lambda src, msg: None, threshold=6, fanout=3
-        )
-        bcast.set_membership(members(4))
-        assert not bcast.gossip_active
+        bcast = Broadcaster(runtime, lambda src, msg: None, fanout=3)
+        bcast.set_membership(members(4), gossip=False)
         bcast.broadcast("small")
         assert all(not isinstance(m, GossipEnvelope) for _, m in runtime.sent)
         assert len(runtime.sent) == 3  # unicast to every peer
 
         runtime.sent.clear()
-        bcast.set_membership(members(8))
-        assert bcast.gossip_active
+        bcast.set_membership(members(8), gossip=True)
         bcast.broadcast("large")
         assert all(isinstance(m, GossipEnvelope) for _, m in runtime.sent)
         assert len(runtime.sent) == 3  # gossip fanout, not all peers
 
         runtime.sent.clear()
-        bcast.set_membership(members(4))  # shrink back below threshold
-        assert not bcast.gossip_active
+        bcast.set_membership(members(4), gossip=False)  # shrink back
+        bcast.broadcast("small again")
+        assert all(not isinstance(m, GossipEnvelope) for _, m in runtime.sent)
 
-    def test_envelopes_handled_regardless_of_active_mode(self):
+    def test_envelopes_relayed_regardless_of_mode(self):
         """During a mode disagreement a unicast-side node must still relay
-        gossip envelopes, and bare payloads must still deliver."""
+        gossip envelopes."""
         view = members(8)
         delivered = []
         runtime = FakeRuntime(view[0])
-        bcast = AdaptiveBroadcaster(
-            runtime, lambda src, msg: delivered.append(msg), threshold=100, fanout=3
-        )
-        bcast.set_membership(view)
-        assert not bcast.gossip_active
+        bcast = Broadcaster(runtime, lambda src, msg: delivered.append(msg), fanout=3)
+        bcast.set_membership(view, gossip=False)
         bcast.handle(
             view[1],
             GossipEnvelope(sender=view[1], message_id=1, hops_left=2, payload="x"),
@@ -224,19 +210,20 @@ class TestAdaptiveBroadcaster:
         assert delivered == ["x"]
         runtime.fire_timers()  # the relay-batching window elapses
         assert len(runtime.sent) == 3  # relayed onward despite unicast mode
-        bcast.handle(view[2], "bare")
-        assert delivered == ["x", "bare"]
 
-    def test_rapid_node_auto_mode_wires_adaptive_broadcaster(self):
-        engine = Engine()
-        network = Network(engine, seed=1)
-        runtime = SimRuntime(engine, network, endpoint_for(0), seed=1)
-        node = RapidNode(runtime, RapidSettings(), seeds=(endpoint_for(0),))
-        assert isinstance(node.broadcaster, AdaptiveBroadcaster)
-        assert node.broadcaster.threshold == node.settings.gossip_threshold
-        unicast_node = RapidNode(
-            SimRuntime(engine, network, endpoint_for(1), seed=1),
-            RapidSettings(broadcast_mode=BroadcastMode.UNICAST_ALL),
-            seeds=(endpoint_for(0),),
-        )
-        assert isinstance(unicast_node.broadcaster, UnicastBroadcaster)
+
+class TestNodeWiring:
+    def test_one_threshold_decision_drives_alerts_and_votes(self):
+        """A node evaluates ``n >= gossip_threshold`` once per installed
+        view and hands the answer to its broadcaster and its consensus."""
+        cluster = SimCluster(seed=1, settings=RapidSettings(gossip_threshold=4))
+        cluster.bootstrap(3, seed_delay=1.0)
+        assert cluster.run_until_converged(3, timeout=60) is not None
+        for node in cluster.nodes.values():
+            assert not node.broadcaster.gossip
+            assert not node.consensus.gossip_mode
+        cluster.add_node(endpoint_for(3), seeds=(endpoint_for(0),))
+        assert cluster.run_until_converged(4, timeout=60) is not None
+        for node in cluster.nodes.values():
+            assert node.broadcaster.gossip
+            assert node.consensus.gossip_mode

@@ -25,7 +25,7 @@ from repro.core.messages import (
     make_proposal,
 )
 from repro.core.node_id import Endpoint
-from repro.core.settings import BroadcastMode, RapidSettings
+from repro.core.settings import RapidSettings
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
@@ -62,6 +62,7 @@ class ConsensusHarness:
                 settings=settings,
                 broadcast=self._broadcaster_for(runtime),
                 on_decide=lambda value: None,
+                gossip=settings.use_gossip(n),
                 metrics=self.metrics,
                 index=index,
             )
@@ -92,7 +93,8 @@ class ConsensusHarness:
 
 
 def gossip_settings(**overrides):
-    return RapidSettings(broadcast_mode=BroadcastMode.GOSSIP, **overrides)
+    """Gossip dissemination at any view size."""
+    return RapidSettings(gossip_threshold=1, **overrides)
 
 
 class TestIncrementalQuorum:
@@ -167,11 +169,11 @@ class TestDeltaBundles:
         assert delta.bitmaps == (1 << 5,)  # the peer's own bits are excluded
 
     def test_gossip_mode_selected_by_scale(self):
-        auto = RapidSettings()  # AUTO by default
-        assert not auto.use_gossip(auto.gossip_threshold - 1)
-        assert auto.use_gossip(auto.gossip_threshold)
+        default = RapidSettings()
+        assert not default.use_gossip(default.gossip_threshold - 1)
+        assert default.use_gossip(default.gossip_threshold)
         assert gossip_settings().use_gossip(2)
-        unicast = RapidSettings(broadcast_mode=BroadcastMode.UNICAST_ALL)
+        unicast = RapidSettings(gossip_threshold=1_000_000)
         assert not unicast.use_gossip(10_000)
 
 
@@ -205,35 +207,8 @@ class TestGossipDissemination:
         assert decisions <= {a, b}
         assert any(node.used_fallback for node in harness.nodes.values())
 
-    def test_gossip_stops_after_convergence(self):
-        """With pulls off, once nothing new is learned for k ticks the
-        timer goes fully quiet (the pre-pull contract, still available)."""
-        # Fallback pushed beyond the observation window so the only
-        # possible traffic after convergence is vote gossip.
-        settings = gossip_settings(
-            gossip_convergence_ticks=3,
-            consensus_fallback_timeout=10_000.0,
-            gossip_pull_mode="off",
-        )
-        # 8 voters in a 32-member view: quorum (24) is unreachable, so the
-        # round converges (all 8 bits everywhere) without deciding.
-        harness = ConsensusHarness(32, settings, seed=5)
-        proposal = proposal_for(0)
-        for addr in harness.members[:8]:
-            node = harness.nodes[addr]
-            harness.engine.schedule(0.0, node.propose, proposal)
-        harness.engine.run(until=30.0)
-        sent_before = harness.network.sent_messages
-        harness.engine.run(until=60.0)
-        assert harness.network.sent_messages == sent_before
-        for addr in harness.members[:8]:
-            node = harness.nodes[addr]
-            assert not node.decided
-            assert node.votes[proposal].bit_count() == 8
-
     def test_pull_heartbeat_is_bounded_after_convergence(self):
-        """With pulls on (the default in gossip mode), undecided nodes keep
-        a slow pull heartbeat after push gossip converges — bounded by
+        """In gossip mode undecided nodes keep a slow pull heartbeat after push gossip converges — bounded by
         ``gossip_pull_fanout`` digests per ``pull_interval()`` per node
         (each earning at most one reply)."""
         settings = gossip_settings(
@@ -304,19 +279,17 @@ class TestPullGossip:
         harness.engine.run(until=2.0)
         pulls = counter_value(harness, "consensus.vote_pulls_sent")
         assert pulls > 0
-        assert node.pull_mode
 
-    def test_pull_mode_gating(self):
-        """use_pull follows gossip mode in auto, and the explicit knobs."""
-        auto = RapidSettings()
-        assert not auto.use_pull(auto.gossip_threshold - 1)
-        assert auto.use_pull(auto.gossip_threshold)
-        assert RapidSettings(gossip_pull_mode="on").use_pull(2)
-        assert not gossip_settings(gossip_pull_mode="off").use_pull(10_000)
-        assert RapidSettings().pull_interval() == (
-            RapidSettings().gossip_interval * RapidSettings().gossip_convergence_ticks
-        )
-        assert RapidSettings(gossip_pull_interval=2.5).pull_interval() == 2.5
+    def test_unicast_views_never_pull(self):
+        """Pulls ride the gossip counting step: below the threshold a
+        stale tick re-pushes the aggregate and sends no digest."""
+        settings = RapidSettings(consensus_fallback_timeout=10_000.0)
+        harness = ConsensusHarness(16, settings, seed=9)
+        node = harness.nodes[harness.members[0]]
+        harness.engine.schedule(0.0, node.propose, proposal_for(0))
+        harness.engine.run(until=2.0)
+        assert counter_value(harness, "consensus.vote_pulls_sent") == 0
+        assert counter_value(harness, "consensus.vote_bundles_sent") > 0
 
 
 class TestScale:
@@ -325,7 +298,7 @@ class TestScale:
         VoteBundle deliveries — orders of magnitude below the ~1M an
         all-to-all aggregate broadcast used to produce."""
         n = 1000
-        settings = RapidSettings()  # AUTO: n=1000 >> threshold, gossip active
+        settings = RapidSettings()  # n=1000 >> threshold, gossip active
         harness = ConsensusHarness(n, settings, seed=6)
         proposal = proposal_for(0)
         harness.propose_all(lambda i: proposal)

@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro.detectors.adaptive import AdaptiveTimeoutDetector
 from repro.detectors.phi_accrual import PhiAccrualDetector, phi
 from repro.detectors.ping_timeout import PingTimeoutDetector
 
@@ -160,30 +159,3 @@ class TestPhiAccrual:
             t_loose + silence
         )
 
-
-class TestAdaptiveTimeout:
-    def test_consecutive_failures_latch(self):
-        d = AdaptiveTimeoutDetector(max_consecutive=4)
-        for i in range(3):
-            d.on_probe_failure(float(i))
-        assert not d.failed()
-        d.on_probe_failure(3.0)
-        assert d.failed()
-
-    def test_success_resets_the_streak(self):
-        d = AdaptiveTimeoutDetector(max_consecutive=3)
-        for round_start in range(0, 20, 3):
-            d.on_probe_failure(round_start + 0.0)
-            d.on_probe_failure(round_start + 1.0)
-            d.on_probe_success(round_start + 2.0, 0.001)
-        assert not d.failed()
-
-    def test_timeout_budget_tracks_rtt_spread(self):
-        d = AdaptiveTimeoutDetector(k_stddev=4.0, floor=0.010)
-        assert d.timeout_budget() == pytest.approx(0.1)  # no history: 10x floor
-        for i in range(50):
-            d.on_probe_success(float(i), 0.005)
-        assert d.timeout_budget() == pytest.approx(0.010)  # clamped to floor
-        for i in range(50, 100):
-            d.on_probe_success(float(i), 0.005 + (i % 10) * 0.01)
-        assert d.timeout_budget() > 0.010

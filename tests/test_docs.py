@@ -31,7 +31,7 @@ _PATH_RE = re.compile(
 )
 
 #: Dotted repro-module references (``repro.bench.specs``,
-#: ``repro.core.settings.RapidSettings.probe_wheel_slots``, ...).
+#: ``repro.core.settings.RapidSettings.gossip_threshold``, ...).
 _MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 _CODE_SPAN_RE = re.compile(r"`([^`]+)`")

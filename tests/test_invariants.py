@@ -11,7 +11,10 @@ import pytest
 
 from repro.core.node_id import Endpoint
 from repro.experiments.harness import harness_for
-from repro.experiments.scenarios import partition_heal_experiment
+from repro.experiments.scenarios import (
+    join_churn_experiment,
+    partition_heal_experiment,
+)
 from repro.obs.invariants import InvariantViolation, ViewLedger
 from repro.sim.cluster import SimCluster
 from repro.sim.faults import Duplicate, Reorder
@@ -105,6 +108,37 @@ class TestSyntheticTraces:
         ledger.observe(5.0, ep(1), 400, 4, m4)
         assert ledger.view_changes_of(ep(1)) == (4, 400)
 
+    def test_leaver_listed_until_removed_then_rejoins_under_new_id(self):
+        # ep(1) calls leave() after seq 1: it stops installing views but
+        # stays listed (old logical id 11) through seq 2 until its removal
+        # is decided at seq 3, then rejoins at seq 4 as id 12.  The skipped
+        # seq 2 listed its *previous* incarnation, so this is no fork.
+        ledger = ViewLedger()
+        m = members(1, 2, 3)
+        ledger.observe(1.0, ep(1), 100, 1, m, uuids=(11, 20, 30))
+        ledger.observe(2.0, ep(2), 200, 2, members(1, 2, 3, 4), uuids=(11, 20, 30, 40))
+        ledger.observe(3.0, ep(2), 300, 3, members(2, 3, 4), uuids=(20, 30, 40))
+        rejoined = members(1, 2, 3, 4)
+        ledger.observe(4.0, ep(2), 400, 4, rejoined, uuids=(12, 20, 30, 40))
+        ledger.observe(5.0, ep(1), 400, 4, rejoined, uuids=(12, 20, 30, 40))
+        assert ledger.view_changes_of(ep(1)) == (4, 400)
+        # Monotonicity still binds across incarnations.
+        with pytest.raises(InvariantViolation) as exc:
+            ledger.observe(6.0, ep(1), 300, 3, members(2, 3, 4), uuids=(20, 30, 40))
+        assert exc.value.prop == "monotonicity"
+
+    def test_same_incarnation_skip_is_still_a_fork(self):
+        # With logical ids on the feed, a process that never left (same
+        # id throughout) skipping a view it belonged to still trips.
+        ledger = ViewLedger()
+        ledger.observe(1.0, ep(1), 100, 1, members(1, 2, 3), uuids=(11, 20, 30))
+        ledger.observe(2.0, ep(2), 200, 2, members(1, 2, 3, 4), uuids=(11, 20, 30, 40))
+        m3 = members(1, 2, 3, 4, 5)
+        ledger.observe(3.0, ep(2), 300, 3, m3, uuids=(11, 20, 30, 40, 50))
+        with pytest.raises(InvariantViolation) as exc:
+            ledger.observe(4.0, ep(1), 300, 3, m3, uuids=(11, 20, 30, 40, 50))
+        assert exc.value.prop == "fork"
+
     def test_allow_member_gaps_mode(self):
         # Rapid-C's ViewUpdate push is last-write-wins: a slow member may
         # legitimately jump views it belonged to.
@@ -176,6 +210,19 @@ class TestLedgerWiring:
         assert rapid_c.ledger.allow_member_gaps is True
         baseline = harness_for("memberlist", seed=1)
         assert baseline.ledger is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_graceful_leave_and_rejoin_churn_runs_clean(self, seed):
+        # Eight members leave gracefully and rejoin under fresh ids while
+        # sixteen late joiners arrive.  A leaver stays listed until its
+        # removal is decided, so its next install skips views that named
+        # its previous incarnation; the ledger used to call that a fork
+        # (4 of these 6 seeds).
+        result = join_churn_experiment(
+            "rapid", 24, joiners=16, rejoins=8, seed=seed
+        )
+        report = result["harness"].ledger.report()
+        assert report["ok"] is True and report["nodes"] == 40
 
     def test_event_log_carries_members(self):
         cluster = SimCluster(seed=3)

@@ -9,8 +9,8 @@ Pins the properties of the join/bootstrap dissemination overhaul:
   answered with a full snapshot or a delta (fallback equivalence);
 * ``UUID_IN_USE`` makes a rejoiner mint a fresh logical identity and
   still complete the join;
-* exactly one SAFE_TO_JOIN responder answers each admitted joiner when
-  ``join_single_responder`` is on, deterministically across seeds;
+* exactly one SAFE_TO_JOIN responder answers each admitted joiner,
+  deterministically across seeds;
 * join retry timeouts are jittered and clear the in-flight config id.
 """
 
@@ -142,25 +142,14 @@ class TestDeltaRoundTrip:
         with pytest.raises(ValueError):
             base.apply_delta(delta)
 
-    def test_join_delta_mode_validated(self):
-        with pytest.raises(ValueError):
-            RapidSettings(join_delta_mode="sometimes")
+    def test_join_retry_jitter_validated(self):
         with pytest.raises(ValueError):
             RapidSettings(join_retry_jitter=-0.1)
 
-    def test_send_join_delta_modes(self):
-        auto = RapidSettings(join_delta_mode="auto")
-        assert auto.send_join_delta(3, 100)
-        assert not auto.send_join_delta(100, 100)
-        assert RapidSettings(join_delta_mode="on").send_join_delta(100, 1)
-        assert not RapidSettings(join_delta_mode="off").send_join_delta(1, 100)
-
 
 class TestRejoinPaths:
-    def _leave_and_rejoin(self, mode: str, rejoin_after: float = 8.0):
-        cluster = SimCluster(
-            seed=3, settings=settings_for_tests(join_delta_mode=mode)
-        )
+    def _leave_and_rejoin(self, keep_base: bool, rejoin_after: float = 8.0):
+        cluster = SimCluster(seed=3, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(10, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
@@ -168,7 +157,15 @@ class TestRejoinPaths:
         node = cluster.nodes[victim]
         recorder.responses.clear()
         node.leave()
-        cluster.engine.schedule(rejoin_after, node.rejoin)
+
+        def rejoin():
+            node.rejoin()
+            if not keep_base:
+                # A rejoiner that no longer holds its departed view
+                # advertises no base and must be sent the full snapshot.
+                node._delta_base = None
+
+        cluster.engine.schedule(rejoin_after, rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         return cluster, node, recorder
 
@@ -177,20 +174,22 @@ class TestRejoinPaths:
         # ViewDelta, and the rejoiner must complete from it (a failed
         # apply would fall back to a full-snapshot retry, which would
         # show up as a second, "view"-kind response here).
-        cluster, node, recorder = self._leave_and_rejoin("on")
+        cluster, node, recorder = self._leave_and_rejoin(keep_base=True)
         assert node.status == NodeStatus.ACTIVE
         assert cluster.distinct_views() == {node.config.config_id}
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
         assert kinds == ["delta"]
 
     def test_delta_and_snapshot_paths_install_identical_views(self):
-        # Fallback equivalence: the same churn, answered with deltas
-        # enabled and disabled, must converge on the same installed
+        # Fallback equivalence: the same churn, answered with a delta
+        # and with the full snapshot, must converge on the same installed
         # configuration id for the rejoiner as for everyone else.
-        for mode in ("auto", "off"):
-            cluster, node, _ = self._leave_and_rejoin(mode)
+        for keep_base, kind in ((True, "delta"), (False, "view")):
+            cluster, node, recorder = self._leave_and_rejoin(keep_base)
+            kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
+            assert kinds == [kind]
             views = cluster.distinct_views()
-            assert views == {node.config.config_id}, mode
+            assert views == {node.config.config_id}, kind
             assert node.config.size == 10
 
     def test_uuid_in_use_mints_fresh_identity(self):
@@ -278,27 +277,6 @@ class TestSingleResponder:
             }
 
         assert responder_map(5) == responder_map(5)
-
-    def test_disabled_dedup_restores_k_responders(self):
-        cluster = SimCluster(
-            seed=1, settings=settings_for_tests(join_single_responder=False)
-        )
-        recorder = RecordingNetwork(cluster)
-        cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
-        assert cluster.run_until_converged(12, timeout=120.0) is not None
-        multi = [
-            senders
-            for (dst, seq), senders in _group(recorder.safe_to_join()).items()
-            if len(senders) > 1
-        ]
-        assert multi, "expected some admissions answered by several observers"
-
-
-def _group(responses):
-    grouped: dict = {}
-    for sender, dst, _, seq, _ in responses:
-        grouped.setdefault((dst, seq), []).append(sender)
-    return grouped
 
 
 class _FakeJoiner:

@@ -103,6 +103,7 @@ class TestConsensus:
             settings=RapidSettings(),
             broadcast=lambda msg: None,
             on_decide=lambda value: None,
+            gossip=True,
         )
         proposals = [
             (Change(endpoint=Endpoint(f"10.99.0.{i}", 1), kind=AlertKind.REMOVE),)

