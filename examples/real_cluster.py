@@ -2,9 +2,10 @@
 """Boot a real Rapid cluster on localhost UDP sockets.
 
 Runs ``n`` protocol nodes — each with its own UDP socket — multiplexed
-on one asyncio event loop, waits for every node to report the full
-cluster size, then prints a small convergence report and (optionally)
-keeps the cluster running so you can watch steady-state probe traffic.
+on one asyncio event loop (a ``repro.experiments.live.LiveHarness``),
+waits for every node to report the full cluster size, then prints a
+small convergence report and (optionally) keeps the cluster running so
+you can watch steady-state probe traffic.
 
 Usage::
 
@@ -21,13 +22,21 @@ are tuned for small clusters (see ``repro.experiments.live``).
 """
 
 import argparse
-import asyncio
 import sys
 import time
 
 from repro.core.settings import RapidSettings
-from repro.experiments.live import LIVE_SETTINGS
-from repro.runtime.asyncio_transport import run_local_cluster
+from repro.experiments.live import LIVE_SETTINGS, LiveHarness
+
+#: Tight timers for small clusters, where wall seconds are expensive.
+FAST_SETTINGS = dict(
+    probe_interval=0.2,
+    probe_timeout=0.2,
+    batching_window=0.05,
+    join_timeout=1.0,
+    consensus_fallback_timeout=2.0,
+    gossip_interval=0.05,
+)
 
 
 def main(argv=None) -> int:
@@ -62,42 +71,31 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    settings = RapidSettings(**LIVE_SETTINGS) if args.profile == "live" else None
-
-    async def drive() -> int:
-        started = time.perf_counter()
-        try:
-            nodes, runtimes = await run_local_cluster(
-                args.nodes,
-                base_port=args.base_port,
-                settings=settings,
-                converge_timeout=args.timeout,
+    settings = RapidSettings(
+        **(LIVE_SETTINGS if args.profile == "live" else FAST_SETTINGS)
+    )
+    started = time.perf_counter()
+    with LiveHarness(settings=settings, base_port=args.base_port) as harness:
+        harness.bootstrap(args.nodes, seed_delay=0.2)
+        if harness.run_until_converged(args.nodes, timeout=args.timeout) is None:
+            print(
+                f"FAILED: cluster did not converge to {args.nodes} nodes",
+                file=sys.stderr,
             )
-        except TimeoutError as exc:
-            print(f"FAILED: {exc}", file=sys.stderr)
             return 1
         elapsed = time.perf_counter() - started
-        try:
-            ports = [runtime.addr.port for runtime in runtimes]
-            print(
-                f"converged: {args.nodes} nodes in {elapsed:.2f}s "
-                f"(ports {min(ports)}..{max(ports)})"
-            )
-            sizes = sorted({node.size for node in nodes})
-            print(f"view sizes: {sizes}")
-            if args.hold > 0:
-                print(f"holding for {args.hold:.0f}s of steady state ...")
-                await asyncio.sleep(args.hold)
-                print(
-                    "still converged:",
-                    all(node.size == args.nodes for node in nodes),
-                )
-        finally:
-            for runtime in runtimes:
-                runtime.close()
-        return 0
-
-    return asyncio.run(drive())
+        ports = [ep.port for ep in harness.endpoints]
+        print(
+            f"converged: {args.nodes} nodes in {elapsed:.2f}s "
+            f"(ports {min(ports)}..{max(ports)})"
+        )
+        sizes = sorted({node.size for node in harness.agents.values()})
+        print(f"view sizes: {sizes}")
+        if args.hold > 0:
+            print(f"holding for {args.hold:.0f}s of steady state ...")
+            harness.run_for(args.hold)
+            print("still converged:", harness.converged(args.nodes))
+    return 0
 
 
 if __name__ == "__main__":

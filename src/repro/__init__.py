@@ -16,10 +16,12 @@ The primary entry points re-exported here:
 * :class:`~repro.core.node_id.Endpoint` — process addresses;
 * :class:`~repro.core.events.ViewChangeEvent` — the view-change callback
   payload;
-* :class:`~repro.sim.cluster.SimCluster` — simulated deployments for
-  experiments and tests.
+* :func:`repro.experiments.harness.harness_for` — a simulated deployment
+  of any system under test, driven through the one harness contract of
+  :class:`~repro.sim.cluster.SimCluster`.
 
-See ``README.md`` for a quickstart and ``DESIGN.md`` for the system map.
+See ``README.md`` for a quickstart and ``docs/ARCHITECTURE.md`` for the
+system map.
 """
 
 from repro.core.configuration import Configuration

@@ -1,18 +1,16 @@
 """Shared scaffolding for baseline membership systems.
 
 Each baseline (SWIM/Memberlist, ZooKeeper, Akka-like, all-to-all gossip FD)
-implements :class:`MembershipAgent`: the minimal surface the experiment
-harnesses and example applications need — a view of the cluster, a
-view-change notification hook, and a per-second view-size report into a
-:class:`~repro.sim.trace.ViewTrace`.  :class:`repro.core.membership.RapidNode`
-is adapted to the same surface so experiments swap systems freely.
+implements :class:`MembershipAgent`: the minimal surface the cluster driver
+(:class:`repro.sim.cluster.SimCluster`) and the example applications need —
+``start()``, a ``view()`` of the cluster and the ``view_size`` it reports.
+:class:`repro.core.membership.RapidNode` has the same three (it samples its
+own view size into the :class:`~repro.sim.trace.ViewTrace`; baselines get a
+:class:`ViewReporter`), so experiments swap systems freely.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
-
-from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 from repro.sim.trace import ViewTrace
 
@@ -33,6 +31,7 @@ class MembershipAgent:
 
     @property
     def view_size(self) -> int:
+        """The cluster size this agent reports (0: nothing to report yet)."""
         return len(self.view())
 
 
@@ -44,31 +43,17 @@ class ViewReporter:
     """
 
     def __init__(
-        self,
-        agent: MembershipAgent,
-        trace: ViewTrace,
-        interval: float = 1.0,
-        only_when: Optional[Callable[[], bool]] = None,
+        self, agent: MembershipAgent, trace: ViewTrace, interval: float = 1.0
     ) -> None:
         self.agent = agent
         self.trace = trace
         self.interval = interval
-        self.only_when = only_when
-        self._stopped = False
 
     def start(self) -> None:
         self.agent.runtime.schedule(self.interval, self._tick)
 
-    def stop(self) -> None:
-        self._stopped = True
-
     def _tick(self) -> None:
-        if self._stopped:
-            return
-        if self.only_when is None or self.only_when():
-            size = self.agent.view_size
-            if size > 0:
-                self.trace.record(
-                    self.agent.runtime.addr, self.agent.runtime.now(), size
-                )
+        size = self.agent.view_size
+        if size > 0:
+            self.trace.sample(self.agent.runtime.addr, self.agent.runtime.now(), size)
         self.agent.runtime.schedule(self.interval, self._tick)

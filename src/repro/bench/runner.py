@@ -224,12 +224,10 @@ class BenchRunner:
         harness = outcome["harness"]
         engine = harness.engine
         network = harness.network
-        ledger = getattr(harness, "ledger", None)
+        ledger = harness.ledger
         invariants = (
             ledger.report() if self.check_invariants and ledger is not None else None
         )
-        duplicate_counts = getattr(network, "duplicate_counts", {})
-        reorder_counts = getattr(network, "reorder_counts", {})
         snapshot = harness.metrics.snapshot()
         if not self.include_per_node:
             snapshot = {
@@ -258,8 +256,8 @@ class BenchRunner:
                     key: _class_row(
                         count,
                         network.class_bytes.get(key, 0),
-                        duplicate_counts.get(key, 0),
-                        reorder_counts.get(key, 0),
+                        network.duplicate_counts.get(key, 0),
+                        network.reorder_counts.get(key, 0),
                     )
                     for key, count in sorted(network.class_counts.items())
                 },
@@ -320,8 +318,21 @@ def build_report(suite: str, scale: float, cases: Sequence[CaseResult]) -> dict:
 
 
 def write_report(report: dict, path: str) -> Path:
-    """Serialize a report to ``path`` (e.g. ``BENCH_quick.json``)."""
-    out = Path(path)
+    """Serialize a report to ``path`` (e.g. ``BENCH_quick.json``).
+
+    Numbers stamped ``-dirty`` must not replace a committed baseline:
+    raises ``ValueError`` when ``path`` is git-tracked and the report's
+    ``config.git`` says the tree is dirty. There is no override — write
+    elsewhere and move the file.
+    """
+    out = Path(path).resolve()
+    if str(report["config"].get("git")).endswith("-dirty") and (
+        _git("ls-files", "--error-unmatch", out.name, cwd=out.parent) is not None
+    ):
+        raise ValueError(
+            f"refusing to overwrite {out}: it is git-tracked and the tree is "
+            "dirty; write the report elsewhere (--out) and move it"
+        )
     out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
     return out
 
@@ -491,17 +502,21 @@ def _scalars(outcome: dict) -> dict:
     return kept
 
 
-def _git_describe() -> Optional[str]:
+def _git(*args: str, cwd=None) -> Optional[str]:
+    """Output of one git command, or ``None`` if it fails or git is absent."""
     try:
-        return (
-            subprocess.run(
-                ["git", "describe", "--always", "--dirty"],
-                capture_output=True,
-                text=True,
-                timeout=5,
-                check=True,
-            ).stdout.strip()
-            or None
-        )
+        return subprocess.run(
+            ["git", *args],
+            cwd=cwd,
+            capture_output=True,
+            text=True,
+            timeout=5,
+            check=True,
+        ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         return None
+
+
+def _git_describe() -> Optional[str]:
+    """The ``config.git`` stamp: ``git describe --always --dirty``."""
+    return _git("describe", "--always", "--dirty") or None

@@ -196,10 +196,6 @@ class MultiNodeCutDetector:
         """Number of distinct rings that reported ``subject``."""
         return self._tally(subject)
 
-    def stable_subjects(self) -> list:
-        """Subjects currently at or above the high watermark."""
-        return [s for s in self._reports if self._tally(s) >= self.h and s not in self._proposed]
-
     def unstable_subjects(self) -> list:
         """Subjects in the blocking region ``L <= tally < H``."""
         return [
@@ -216,7 +212,3 @@ class MultiNodeCutDetector:
         """The alert kind (JOIN/REMOVE) first reported for ``subject``."""
         entry = self._kinds.get(subject)
         return entry[0] if entry else None
-
-    def reporting_observers(self, subject: Endpoint) -> set:
-        """Observers whose alerts (explicit or implicit) were recorded."""
-        return set(self._reports.get(subject, {}).values())

@@ -88,8 +88,10 @@ class RapidNode:
         Application callback invoked on every installed view change.
     metadata:
         Application-supplied role metadata, e.g. ``{"role": "backend"}``.
-    view_trace / event_log:
-        Optional experiment hooks (see :mod:`repro.sim.trace`).
+    trace:
+        Optional experiment hook (a :class:`repro.sim.trace.ViewTrace`):
+        receives this node's view size every ``report_interval`` and
+        every view it installs.
     metrics:
         Registry receiving ``cluster.*`` aggregates, per-node
         ``node.<ep>.*`` counters, and the consensus instruments (shared
@@ -104,8 +106,7 @@ class RapidNode:
         detector_factory: Optional[DetectorFactory] = None,
         on_view_change: Optional[ViewChangeCallback] = None,
         metadata: Optional[dict] = None,
-        view_trace=None,
-        event_log=None,
+        trace=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.runtime = runtime
@@ -130,8 +131,7 @@ class RapidNode:
         self.detector_factory = detector_factory or self._default_detector_factory()
         self.on_view_change = on_view_change
         self.metadata = dict(metadata or {})
-        self.view_trace = view_trace
-        self.event_log = event_log
+        self.trace = trace
 
         self.status = NodeStatus.INIT
         self.config: Optional[Configuration] = None
@@ -184,7 +184,6 @@ class RapidNode:
         #: start at sub-interval pace immediately.
         self._wheel_timer = None
         self._wheel_slow = False
-        self._report_timer = None
         #: Sub-intervals the wheel divides ``probe_interval`` into: 2 is
         #: the minimum that strides probe traffic while keeping batched
         #: acks (queued for up to one sub-interval) comfortably inside
@@ -290,6 +289,18 @@ class RapidNode:
         """Number of members in the current view (0 until active)."""
         return len(self.membership)
 
+    def view(self) -> tuple:
+        """:attr:`membership` as a call — the accessor baselines share
+        (:class:`repro.baselines.common.MembershipAgent`)."""
+        return self.membership
+
+    @property
+    def view_size(self) -> int:
+        """The cluster size this process reports: 0 unless an active member."""
+        if self.status == NodeStatus.ACTIVE and self.config is not None:
+            return self.config.size
+        return 0
+
     def metadata_tuple(self) -> tuple:
         """This node's role metadata in canonical (sorted, hashable) form."""
         return tuple(sorted(self.metadata.items()))
@@ -358,29 +369,24 @@ class RapidNode:
         return lambda: PingTimeoutDetector(window=window, threshold=threshold)
 
     def _start_ticks(self) -> None:
-        """Start the per-node probe wheel (and the view-report timer).
+        """Start the per-node probe wheel.
 
         The wheel is the node's *single* recurring schedule: one tick per
         sub-interval drives probe sends (strided across slots), probe
         expiry (the shared ring), batched ack flushes, and — once per
         full rotation — the reinforcement scan.  Report sampling rides
-        the wheel too whenever ``report_interval`` is a whole number of
-        sub-intervals; otherwise it keeps a dedicated timer.
+        the wheel too: ``report_interval`` is a whole number of
+        sub-intervals (``RapidSettings`` rejects anything else).
         """
         if self._tick_started:
             return
         self._tick_started = True
         jitter = self.runtime.rng.uniform(0, self._sub_interval)
         self._wheel_timer = self.runtime.schedule(jitter, self._wheel_tick)
-        self._report_every = 0
-        if self.view_trace is not None:
-            ratio = self.settings.report_interval / self._sub_interval
-            if abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1:
-                self._report_every = int(round(ratio))
-            else:
-                self._report_timer = self.runtime.schedule(
-                    self.settings.report_interval, self._report_tick
-                )
+        if self.trace is not None:
+            self._report_every = round(
+                self.settings.report_interval / self._sub_interval
+            )
 
     def _wheel_tick(self) -> None:
         """One probe-wheel sub-interval: expire, ack, probe, reinforce.
@@ -495,7 +501,9 @@ class RapidNode:
             self._reinforcement_scan(now)
             self._reannounce_scan(now)
         if self._report_every and tick % self._report_every == 0:
-            self._record_report()
+            size = self.view_size
+            if size:
+                self.trace.sample(self.addr, now, size, self.config.config_id)
         self._wheel_timer = self.runtime.schedule(
             self._sub_interval, self._wheel_tick
         )
@@ -635,26 +643,6 @@ class RapidNode:
             alert = self._observer_alert(subject)
             if alert is not None:
                 self._enqueue_alert(alert)
-
-    def _record_report(self) -> None:
-        """Sample this node's view size into the experiment trace."""
-        if self.status == NodeStatus.ACTIVE and self.config is not None:
-            self.view_trace.record(
-                self.addr, self.runtime.now(), self.config.size, self.config.config_id
-            )
-
-    def _report_tick(self) -> None:
-        """Dedicated report timer, used only when the report period does
-        not divide evenly into wheel sub-intervals (otherwise reporting
-        rides the wheel tick).  Dies with the membership like the wheel;
-        _install restarts it on a rejoin."""
-        if self.status in (NodeStatus.KICKED, NodeStatus.LEFT):
-            self._report_timer = None
-            return
-        self._record_report()
-        self._report_timer = self.runtime.schedule(
-            self.settings.report_interval, self._report_tick
-        )
 
     # ----------------------------------------------------------------- alerts
 
@@ -796,15 +784,6 @@ class RapidNode:
             self._wheel_timer = self.runtime.schedule(
                 self.runtime.rng.uniform(0, self._sub_interval), self._wheel_tick
             )
-        if (
-            self._tick_started
-            and self._report_timer is None
-            and self.view_trace is not None
-            and self._report_every == 0
-        ):
-            self._report_timer = self.runtime.schedule(
-                self.settings.report_interval, self._report_tick
-            )
         self.view_changes_installed += 1
         self._m_view_changes.inc()
         self._m_node_views.inc()
@@ -891,8 +870,8 @@ class RapidNode:
             kicked=False,
             time=self.runtime.now(),
         )
-        if self.event_log is not None:
-            self.event_log.record(
+        if self.trace is not None:
+            self.trace.record(
                 self.runtime.now(),
                 self.addr,
                 config.config_id,

@@ -1,57 +1,55 @@
-"""Live-runtime experiment harness: the sim harness surface over real UDP.
+"""Live-runtime experiment harness: the cluster driver over real UDP.
 
-:class:`LiveHarness` mirrors the simulator harness API (``bootstrap``,
-``run_for``, ``run_until_converged``, ``crash``, ``recover``,
-``live_endpoints``, ``view_sizes``) over :class:`~repro.runtime.live_net.
-LiveRuntime` — a few hundred localhost UDP nodes multiplexed on one
-private asyncio event loop.  The same driver code therefore runs a
-workload against the simulator *or* against real sockets, which is what
-makes the cross-validation suite (``tests/test_live.py``) possible: same
-workload, matched :class:`~repro.core.settings.RapidSettings`, sim and
-live trajectories compared within a documented tolerance.
+:class:`LiveHarness` is the simulator's driver
+(:class:`~repro.sim.cluster.SimCluster`, through
+:class:`~repro.experiments.harness.RapidHarness`) with the clock and the
+sockets swapped: a few hundred localhost UDP nodes
+(:class:`~repro.runtime.live_net.LiveRuntime`) multiplexed on one private
+asyncio event loop.  The same driver code therefore runs a workload
+against the simulator *or* against real sockets, which is what makes the
+cross-validation suite (``tests/test_live.py``) possible: same workload,
+matched :class:`~repro.core.settings.RapidSettings`, sim and live
+trajectories compared within a documented tolerance.
 
 Design notes:
 
-* The harness owns a private event loop and exposes *synchronous*
-  methods that ``run_until_complete`` internally — the squidasm-style
+* The harness owns a private event loop and its *synchronous* driving
+  methods ``run_until_complete`` internally — the squidasm-style
   sim-stack/real-stack split, where only the lowest layer knows which
   clock is ticking.  Real time keeps passing while the loop is parked
   between calls, so drivers should do all timed work through the harness
   methods.
 * Nodes bind OS-assigned ephemeral ports
-  (:func:`~repro.runtime.asyncio_transport.open_local_socket`), so
-  concurrent CI runs never collide.
+  (:func:`~repro.runtime.asyncio_transport.open_local_socket`) unless a
+  ``base_port`` is given, so concurrent CI runs never collide.
 * All runtimes share one epoch, so ``runtime.now()`` — and every
   timestamp in the :class:`~repro.sim.trace.ViewTrace` — is small
   run-relative seconds, directly comparable to sim virtual time.
-* ``engine`` and ``network`` are facades with the counter surface
-  :class:`repro.bench.runner.BenchRunner` harvests, so ``live_bootstrap``
-  bench cases produce ordinary report entries (wall time doubles as
-  "virtual" time; events are delivered datagrams; byte counters are real
-  measured bytes, with the sim-sized estimate alongside).
+* ``engine`` and ``network`` are a facade and the
+  :class:`~repro.runtime.live_net.LiveWire`, with the calls the driver
+  makes and the counter surface :class:`repro.bench.runner.BenchRunner`
+  harvests, so ``live_bootstrap`` bench cases produce ordinary report
+  entries (wall time doubles as "virtual" time; events are delivered
+  datagrams; byte counters are real measured bytes, with the sim-sized
+  estimate alongside).
 
 Crash semantics are fail-stop, like ``SimRuntime.crash``: ``crash``
 closes the node's transport and stops its timers (they are guarded at
-fire time); ``recover`` re-binds the same port and clears the guard.
-Timers skipped while crashed stay dead — identical to the simulator.
+fire time).  Always ``close()`` a harness (or use it as a context
+manager): every socket it bound is released, converged or not.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.core.events import NodeStatus
-from repro.core.membership import RapidNode
 from repro.core.node_id import Endpoint, stable_hash64
 from repro.core.settings import RapidSettings
-from repro.obs.invariants import ViewLedger
-from repro.obs.metrics import MetricsRegistry
+from repro.experiments.harness import RapidHarness
 from repro.runtime.asyncio_transport import open_local_socket
 from repro.runtime.live_net import LiveRuntime, LiveWire
-from repro.sim.rng import child_rng
-from repro.sim.trace import ViewChangeEventLog, ViewTrace
 
 __all__ = [
     "LIVE_SETTINGS",
@@ -103,7 +101,9 @@ class _LiveEngine:
     ``now`` is harness-relative wall time (the live analogue of virtual
     time), ``wall_time_s`` is the time actually spent driving the event
     loop, and ``events_processed`` counts delivered datagrams — the
-    closest live analogue of the simulator's delivery events.
+    closest live analogue of the simulator's delivery events.  ``run``
+    and ``schedule_at`` are the two calls the cluster driver makes on an
+    engine.
     """
 
     def __init__(self, harness: "LiveHarness") -> None:
@@ -122,167 +122,87 @@ class _LiveEngine:
     @property
     def events_processed(self) -> int:
         """Datagrams delivered to node handlers so far."""
-        return self._harness.wire.delivered_messages
+        return self._harness.network.delivered_messages
+
+    def run(self, until: float) -> None:
+        """Drive the event loop until harness time ``until``."""
+        harness = self._harness
+        started = time.perf_counter()
+        try:
+            harness.loop.run_until_complete(
+                asyncio.sleep(max(0.0, until - self.now))
+            )
+        finally:
+            harness._run_wall_s += time.perf_counter() - started
+
+    def schedule_at(self, when: float, fn, *args) -> None:
+        """Call ``fn(*args)`` at harness time ``when``."""
+        self._harness.loop.call_later(max(0.0, when - self.now), fn, *args)
 
 
-class LiveHarness:
-    """Drive a real localhost UDP Rapid cluster with the sim harness API."""
+class LiveHarness(RapidHarness):
+    """The cluster driver over real localhost UDP sockets.
+
+    Inherits the whole driving surface; a real clock forces only what is
+    defined here: a private event loop behind the engine facade, a
+    :class:`~repro.runtime.live_net.LiveWire` as the network, socket
+    binding, and :meth:`close`.  ``base_port=None`` (the default) binds
+    OS-assigned ephemeral ports; an explicit base gives the predictable
+    ``base_port + i`` layout.
+    """
 
     name = "live-rapid"
+    #: Wall seconds are what a live run measures, so poll finely.
+    poll_interval = 0.25
 
     def __init__(
         self,
         seed: int = 0,
         settings: Optional[RapidSettings] = None,
         host: str = "127.0.0.1",
+        base_port: Optional[int] = None,
     ) -> None:
-        self.seed = seed
-        self.settings = settings or live_settings()
         self.host = host
+        self.base_port = base_port
         self.loop = asyncio.new_event_loop()
-        self.metrics = MetricsRegistry()
-        self.trace = ViewTrace()
-        # The same safety-invariant monitor the sim harness runs: live
-        # nodes feed the event log from their real install path, so the
-        # consistency properties are checked against real UDP traffic too.
-        self.ledger = ViewLedger(seed=seed)
-        self.event_log = ViewChangeEventLog(ledger=self.ledger)
         self._epoch = self.loop.time()
         self._final_now: Optional[float] = None
-        self.wire = LiveWire(seed=seed, clock=self._now)
-        #: ``network`` and ``engine`` satisfy the benchmark runner's
-        #: harvest surface (counters / clocks), like the sim harnesses.
-        self.network = self.wire
-        self.engine = _LiveEngine(self)
-        self.agents: dict[Endpoint, RapidNode] = {}
-        self.runtimes: dict[Endpoint, LiveRuntime] = {}
-        self.endpoints: list[Endpoint] = []
-        self._crashed: set[Endpoint] = set()
         self._run_wall_s = 0.0
-        self._closed = False
+        #: Pre-bound sockets of bootstrap-cohort addresses not yet started.
+        self._sockets: dict = {}
+        super().__init__(seed=seed, settings=settings or live_settings())
 
-    # ------------------------------------------------------------- plumbing
-
-    @property
-    def nodes(self) -> dict:
-        """Alias matching :class:`~repro.sim.cluster.SimCluster`."""
-        return self.agents
+    # ---------------------------------------------- what the real clock swaps
 
     def _now(self) -> float:
         if self._final_now is not None:
             return self._final_now
         return self.loop.time() - self._epoch
 
-    def _run(self, coro):
-        started = time.perf_counter()
-        try:
-            return self.loop.run_until_complete(coro)
-        finally:
-            self._run_wall_s += time.perf_counter() - started
+    def _fabric(self, latency) -> tuple:
+        return _LiveEngine(self), LiveWire(seed=self.seed, clock=self._now)
 
-    # -------------------------------------------------------------- driving
+    def _address(self, index: int) -> Endpoint:
+        """Bind the cohort's sockets up front: the seed list needs real ports."""
+        if self.base_port is not None:
+            return Endpoint(self.host, self.base_port + index)
+        sock, endpoint = open_local_socket(self.host)
+        self._sockets[endpoint] = sock
+        return endpoint
 
-    def bootstrap(
-        self, n: int, seed_delay: float = 1.0, stagger: float = 0.5
-    ) -> list:
-        """Bind ``n`` nodes on ephemeral ports and start the join storm.
-
-        Node 0 is the seed and starts immediately; the rest start at
-        ``seed_delay`` plus a uniform stagger, drawn from a seed-derived
-        rng stream exactly like the sim harness's bootstrap.  Returns the
-        endpoint list (actual bound ports).
-        """
-        return self._run(self._bootstrap(n, seed_delay, stagger))
-
-    async def _bootstrap(self, n: int, seed_delay: float, stagger: float):
-        bound = [open_local_socket(self.host) for _ in range(n)]
-        self.endpoints = [ep for _, ep in bound]
-        seed_ep = self.endpoints[0]
-        rng = child_rng(self.seed, "live", "stagger")
-        for i, (sock, ep) in enumerate(bound):
-            runtime = LiveRuntime(
-                ep, self.wire, seed=stable_hash64(self.seed, "live-node", i)
-            )
-            runtime.epoch = self._epoch
-            await runtime.start(sock=sock)
-            node = RapidNode(
-                runtime,
-                self.settings,
-                seeds=(seed_ep,),
-                view_trace=self.trace,
-                event_log=self.event_log,
-                metrics=self.metrics,
-            )
-            self.agents[ep] = node
-            self.runtimes[ep] = runtime
-            if i == 0:
-                node.start()
-            else:
-                offset = seed_delay + (rng.random() * stagger if stagger else 0.0)
-                runtime.schedule(offset, node.start)
-        return self.endpoints
-
-    def run_for(self, duration: float) -> None:
-        """Drive the event loop for ``duration`` real seconds."""
-        self._run(asyncio.sleep(duration))
-
-    def run_until_converged(
-        self, size: int, timeout: float = 60.0, check_interval: float = 0.25
-    ) -> Optional[float]:
-        """Run until every live node is active at ``size``; time or None."""
-        return self._run(self._wait_converged(size, timeout, check_interval))
-
-    async def _wait_converged(
-        self, size: int, timeout: float, check_interval: float
-    ) -> Optional[float]:
-        deadline = self._now() + timeout
-        while self._now() < deadline:
-            if self.converged(size):
-                return self._now()
-            await asyncio.sleep(check_interval)
-        return None
-
-    def converged(self, size: int) -> bool:
-        """True when every non-crashed node is ACTIVE and reports ``size``."""
-        found = False
-        for ep in self.endpoints:
-            if ep in self._crashed:
-                continue
-            found = True
-            node = self.agents[ep]
-            if node.status != NodeStatus.ACTIVE or node.size != size:
-                return False
-        return found
-
-    # --------------------------------------------------------------- faults
-
-    def crash(self, endpoints: Iterable[Endpoint]) -> None:
-        """Fail-stop nodes: close their sockets, stop their timers."""
-        for ep in endpoints:
-            self.runtimes[ep].close()
-            self._crashed.add(ep)
-
-    def recover(self, endpoints: Iterable[Endpoint]) -> None:
-        """Re-bind crashed nodes on their original ports.
-
-        The port was released by ``crash``; on a busy host another
-        process may steal it in the window, which raises ``OSError`` —
-        acceptable for a test harness, where recovery windows are short.
-        """
-        self._run(self._recover(list(endpoints)))
-
-    async def _recover(self, endpoints: list) -> None:
-        for ep in endpoints:
-            await self.runtimes[ep].start()
-            self._crashed.discard(ep)
-
-    def live_endpoints(self) -> list:
-        """Endpoints not currently crashed."""
-        return [ep for ep in self.endpoints if ep not in self._crashed]
-
-    def view_sizes(self) -> list:
-        """Believed cluster size at every live node."""
-        return [self.agents[ep].size for ep in self.live_endpoints()]
+    def _runtime(self, endpoint: Endpoint) -> LiveRuntime:
+        """A started runtime on ``endpoint``'s pre-bound socket, or one
+        that binds the address itself; all share the harness epoch."""
+        runtime = LiveRuntime(
+            endpoint,
+            self.network,
+            seed=stable_hash64(self.seed, "live-node", len(self.runtimes)),
+        )
+        runtime.epoch = self._epoch
+        self.loop.run_until_complete(
+            runtime.start(sock=self._sockets.pop(endpoint, None))
+        )
+        return runtime
 
     # -------------------------------------------------------------- teardown
 
@@ -292,16 +212,16 @@ class LiveHarness:
         Clocks freeze at close time so measurements harvested afterwards
         (e.g. by the benchmark runner) stay consistent.
         """
-        if self._closed:
+        if self.loop.is_closed():
             return
-        self._closed = True
         self._final_now = self.loop.time() - self._epoch
+        for sock in self._sockets.values():
+            sock.close()
         for runtime in self.runtimes.values():
             runtime.close()
-        if not self.loop.is_closed():
-            # One final tick so transport close callbacks run.
-            self.loop.run_until_complete(asyncio.sleep(0))
-            self.loop.close()
+        # One final tick so transport close callbacks run.
+        self.loop.run_until_complete(asyncio.sleep(0))
+        self.loop.close()
 
     def __enter__(self) -> "LiveHarness":
         return self
@@ -356,8 +276,9 @@ def live_bootstrap_experiment(
     finally:
         harness.close()
     trace = harness.trace
-    real = harness.wire.sent_bytes
-    estimated = harness.wire.estimated_bytes_sent
+    wire = harness.network
+    real = wire.sent_bytes
+    estimated = wire.estimated_bytes_sent
     return {
         "system": system,
         "n": n,
@@ -369,8 +290,8 @@ def live_bootstrap_experiment(
         "real_bytes_sent": real,
         "estimated_bytes_sent": estimated,
         "sim_estimate_ratio": (real / estimated) if estimated else None,
-        "decode_errors": harness.wire.decode_errors,
-        "wire_parity": harness.wire.parity_by_class(),
+        "decode_errors": wire.decode_errors,
+        "wire_parity": wire.parity_by_class(),
         "invariant_checks": harness.ledger.records,
         "harness": harness,
     }

@@ -14,7 +14,7 @@ but slow).  Scale via the ``n`` arguments or the benchmark CLI's
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.stats import summarize
 from repro.apps.resilience import ViewWatcher
@@ -30,7 +30,7 @@ from repro.core.events import NodeStatus
 from repro.core.messages import Alert, AlertKind
 from repro.core.node_id import Endpoint
 from repro.core.ring import KRingTopology
-from repro.experiments.harness import harness_for
+from repro.experiments.harness import SYSTEMS, RapidHarness, harness_for
 from repro.experiments.live import live_bootstrap_experiment
 from repro.obs.app_scorecard import AppScorecard
 from repro.obs.scorecard import StabilityScorecard
@@ -52,8 +52,39 @@ __all__ = [
     "txn_platform_experiment",
     "service_discovery_experiment",
     "bandwidth_stats",
+    "install_profile",
     "SCENARIO_FUNCTIONS",
 ]
+
+
+def _settled(
+    system: str,
+    n: int,
+    seed: int,
+    settle_timeout: float,
+    harness_kwargs: dict,
+    rest: float = 5.0,
+) -> tuple:
+    """A steady ``n``-process cluster: ``(harness, endpoints, settled)``.
+
+    The preamble every fault scenario shares: one seed process, the rest
+    five seconds later spread over one second, run until all report
+    ``n`` (``settled`` says whether they did within ``settle_timeout``),
+    then ``rest`` quiet seconds before anything is injected.
+    """
+    harness = harness_for(system, seed=seed, **harness_kwargs)
+    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
+    settled = harness.run_until_converged(n, timeout=settle_timeout)
+    harness.run_for(rest)
+    return harness, endpoints, settled is not None
+
+
+def _require_rapid(scenario: str, system: str, needs: str) -> None:
+    """Reject a baseline for a scenario that drives Rapid's node API."""
+    if system in SYSTEMS and not issubclass(SYSTEMS[system], RapidHarness):
+        raise ValueError(
+            f"{scenario} requires a Rapid harness, not {system!r} ({needs})"
+        )
 
 
 # ------------------------------------------------------------- Figures 5-7,
@@ -112,10 +143,9 @@ def crash_experiment(
     for all survivors to converge to ``n - failures``, and the per-process
     bandwidth statistics over the run (Table 2).
     """
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(10.0)  # steady state before the fault
+    harness, endpoints, _ = _settled(
+        system, n, seed, settle_timeout, harness_kwargs, rest=10.0
+    )
     crash_time = harness.engine.now
     victims = endpoints[n // 2 : n // 2 + failures]
     harness.crash(victims)
@@ -173,33 +203,23 @@ def join_churn_experiment(
     ``n + joiners`` members and the join-path traffic totals
     (message/byte counts of the ``PreJoin*``/``Join*`` classes).
     """
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    cluster = getattr(harness, "cluster", None)
-    if cluster is None:
-        raise ValueError(
-            f"join_churn requires a Rapid harness, not {system!r} "
-            "(needs node-level leave/rejoin and late add_node)"
-        )
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
+    _require_rapid(
+        "join_churn", system, "needs node-level leave/rejoin and late add_node"
+    )
+    harness, endpoints, _ = _settled(system, n, seed, settle_timeout, harness_kwargs)
     churn_start = harness.engine.now
     rng = harness.network.rng_for("join_churn")
-    rejoin_eps = endpoints[1 : 1 + max(0, min(rejoins, n - 1))]
-    for ep in rejoin_eps:
-        node = cluster.nodes[ep]
+    for ep in endpoints[1 : 1 + max(0, min(rejoins, n - 1))]:
+        node = harness.agents[ep]
         leave_at = churn_start + rng.random() * join_stagger
         harness.engine.schedule_at(leave_at, node.leave)
         harness.engine.schedule_at(leave_at + rejoin_delay, node.rejoin)
-    seed_ep = endpoints[0]
-    fresh_eps = [endpoint_for(n + i) for i in range(joiners)]
-    for ep in fresh_eps:
-        cluster.add_node(
-            ep,
-            seeds=(seed_ep,),
+    for i in range(joiners):
+        harness.add_node(
+            endpoint_for(n + i),
+            seeds=(endpoints[0],),
             start_at=churn_start + rng.random() * join_stagger,
         )
-    endpoints.extend(fresh_eps)
     converged_at = harness.run_until_converged(n + joiners, timeout=churn_timeout)
     harness.run_for(2.0)
     network = harness.network
@@ -224,7 +244,7 @@ def join_churn_experiment(
         ),
         "join_messages": join_messages,
         "join_bytes": join_bytes,
-        "timeseries": harness.trace.aggregate_series(endpoints, step=5.0),
+        "timeseries": harness.trace.aggregate_series(list(harness.agents), step=5.0),
         "harness": harness,
     }
 
@@ -269,10 +289,7 @@ def packet_loss_experiment(
     distinct view sizes healthy processes reported after the fault (a stable
     system reports at most two — before and after removal).
     """
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
+    harness, endpoints, _ = _settled(system, n, seed, settle_timeout, harness_kwargs)
     fault_start = harness.engine.now + fault_at
     faulty_count = max(1, int(n * faulty_fraction))
     faulty = frozenset(endpoints[n // 3 : n // 3 + faulty_count])
@@ -311,19 +328,6 @@ def packet_loss_experiment(
 # named fault profiles scored against ground truth
 
 
-def _view_callable(agent):
-    """A zero-argument view accessor for any membership agent.
-
-    Baselines expose ``view()``; Rapid nodes expose the ``membership``
-    property (the installed configuration's member tuple).  Both return
-    identity-stable tuples on quiet seconds, which the scorecard exploits.
-    """
-    view = getattr(agent, "view", None)
-    if callable(view):
-        return view
-    return lambda: agent.membership
-
-
 def _apply_action(harness, action) -> None:
     """Execute one scheduled fault action against a harness."""
     if action.action == "crash":
@@ -334,6 +338,42 @@ def _apply_action(harness, action) -> None:
     else:  # netup
         for ep in action.nodes:
             harness.network.recover(ep)
+
+
+def install_profile(
+    harness,
+    endpoints: Sequence[Endpoint],
+    profile: str,
+    seed: int,
+    fault_start: float,
+    profile_overrides: Optional[dict] = None,
+    scorecard_interval: float = 1.0,
+) -> tuple:
+    """Compile and install a fault profile: ``(compiled, healthy, scorecard)``.
+
+    The one fault-install path of every profile-driven scenario: network
+    rules installed, crash/recover actions scheduled, and a membership
+    :class:`~repro.obs.scorecard.StabilityScorecard` started over the
+    ``healthy`` observers (the endpoints the profile leaves alone).
+    """
+    compiled = compile_profile(
+        profile, endpoints, seed, fault_start, overrides=profile_overrides
+    )
+    for rule in compiled.rules:
+        harness.network.add_rule(rule)
+    for action in compiled.actions:
+        harness.engine.schedule_at(action.time, _apply_action, harness, action)
+    healthy = [ep for ep in endpoints if ep not in compiled.faulty]
+    scorecard = StabilityScorecard(
+        engine=harness.engine,
+        views={ep: harness.agents[ep].view for ep in healthy},
+        faulty=compiled.faulty,
+        fault_start=fault_start,
+        interval=scorecard_interval,
+        crashed=lambda ep: harness.runtimes[ep].crashed,
+    )
+    scorecard.start()
+    return compiled, healthy, scorecard
 
 
 def adversary_experiment(
@@ -358,29 +398,14 @@ def adversary_experiment(
     seconds.  The returned dict is flat scalars (sweep-CSV friendly) plus
     the usual ``timeseries``/``harness`` keys.
     """
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    settled = harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
+    harness, endpoints, settled = _settled(
+        system, n, seed, settle_timeout, harness_kwargs
+    )
     fault_start = harness.engine.now + fault_at
-    compiled = compile_profile(
-        profile, endpoints, seed, fault_start, overrides=profile_overrides
+    compiled, healthy, scorecard = install_profile(
+        harness, endpoints, profile, seed, fault_start,
+        profile_overrides, scorecard_interval,
     )
-    for rule in compiled.rules:
-        harness.network.add_rule(rule)
-    for action in compiled.actions:
-        harness.engine.schedule_at(action.time, _apply_action, harness, action)
-    healthy = [ep for ep in endpoints if ep not in compiled.faulty]
-    agents = harness.agents
-    scorecard = StabilityScorecard(
-        engine=harness.engine,
-        views={ep: _view_callable(agents[ep]) for ep in healthy},
-        faulty=compiled.faulty,
-        fault_start=fault_start,
-        interval=scorecard_interval,
-        crashed=lambda ep: harness.runtimes[ep].crashed,
-    )
-    scorecard.start()
     harness.run_for(fault_at + observe_for)
     report = {
         "system": system,
@@ -388,15 +413,14 @@ def adversary_experiment(
         "profile": profile,
         "expect_eviction": compiled.expect_eviction,
         "faulty": sorted(str(e) for e in compiled.faulty),
-        "settled": settled is not None,
+        "settled": settled,
         **scorecard.report(),
         "timeseries": harness.trace.aggregate_series(healthy, step=5.0),
         "harness": harness,
     }
-    event_log = getattr(getattr(harness, "cluster", None), "event_log", None)
-    if event_log is not None:
+    if harness.ledger is not None:  # installs carry config ids only where checked
         report["configs_post_fault"] = len(
-            {r.config_id for r in event_log.records if r.time >= fault_start}
+            {r.config_id for r in harness.trace.records if r.time >= fault_start}
         )
     return report
 
@@ -432,22 +456,18 @@ def partition_heal_experiment(
     :meth:`~repro.core.membership.RapidNode.rejoin`, exercising the
     delta-encoded rejoin path back to a full ``n``-member view.
 
-    Requires a Rapid harness (node-level status/rejoin and the view event
-    log).  Returns flat scalars — minority install count during the
-    partition, whether the majority converged while split, rejoin and
+    Requires a Rapid harness (node-level status/rejoin and the trace's
+    install records).  Returns flat scalars — minority install count during
+    the partition, whether the majority converged while split, rejoin and
     re-convergence progress, and the ledger's check count — plus the usual
     ``timeseries``/``harness`` payloads.
     """
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    cluster = getattr(harness, "cluster", None)
-    if cluster is None:
-        raise ValueError(
-            f"partition_heal requires a Rapid harness, not {system!r} "
-            "(needs node-level status/rejoin and the view event log)"
-        )
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    settled = harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
+    _require_rapid(
+        "partition_heal", system, "needs node-level status/rejoin and install records"
+    )
+    harness, endpoints, settled = _settled(
+        system, n, seed, settle_timeout, harness_kwargs
+    )
     fault_start = harness.engine.now + fault_at
     compiled = compile_profile(
         "partition_heal",
@@ -464,10 +484,10 @@ def partition_heal_experiment(
     harness.run_for(fault_at + partition_for)
     minority_installs = sum(
         1
-        for record in cluster.event_log.records
+        for record in harness.trace.records
         if record.endpoint in minority and record.time >= fault_start
     )
-    majority_sizes = {len(cluster.nodes[ep].membership) for ep in majority}
+    majority_sizes = {len(harness.agents[ep].view()) for ep in majority}
     majority_converged = majority_sizes == {n - len(minority)}
     rejoined: set = set()
     reconverged_at = None
@@ -475,7 +495,7 @@ def partition_heal_experiment(
     while harness.engine.now < deadline:
         harness.run_for(rejoin_poll)
         for ep in minority:
-            node = cluster.nodes[ep]
+            node = harness.agents[ep]
             if ep not in rejoined and node.status in (
                 NodeStatus.KICKED,
                 NodeStatus.LEFT,
@@ -492,14 +512,14 @@ def partition_heal_experiment(
         "minority": len(minority),
         "fault_start": fault_start,
         "heal_time": heal_time,
-        "settled": settled is not None,
+        "settled": settled,
         "minority_installs_during_partition": minority_installs,
         "majority_converged_during_partition": majority_converged,
         "rejoined": len(rejoined),
         "reconverge_time": (
             reconverged_at - heal_time if reconverged_at is not None else None
         ),
-        "invariant_checks": cluster.ledger.records,
+        "invariant_checks": harness.ledger.records,
         "timeseries": harness.trace.aggregate_series(list(endpoints), step=5.0),
         "harness": harness,
     }
@@ -588,60 +608,64 @@ def _alerts_for_failures(
 # application tier served through churn
 
 
-def _install_profile(
-    harness,
-    endpoints: Sequence[Endpoint],
-    profile: str,
+def _app_experiment(
+    system: str,
+    n: int,
+    profile: Optional[str],
     seed: int,
-    fault_start: float,
-    profile_overrides: Optional[dict],
+    fault_at: float,
+    observe_for: float,
+    settle_timeout: float,
     scorecard_interval: float,
-):
-    """Compile and install a fault profile; return (compiled, scorecard).
-
-    Shared plumbing between the app experiments and
-    :func:`adversary_experiment`-style drivers: network rules installed,
-    crash/recover actions scheduled, and a membership
-    :class:`~repro.obs.scorecard.StabilityScorecard` started over the
-    healthy observers.
-    """
-    compiled = compile_profile(
-        profile, endpoints, seed, fault_start, overrides=profile_overrides
-    )
-    for rule in compiled.rules:
-        harness.network.add_rule(rule)
-    for action in compiled.actions:
-        harness.engine.schedule_at(action.time, _apply_action, harness, action)
-    agents = harness.agents
-    healthy = [ep for ep in endpoints if ep not in compiled.faulty]
-    scorecard = StabilityScorecard(
-        engine=harness.engine,
-        views={ep: _view_callable(agents[ep]) for ep in healthy},
-        faulty=compiled.faulty,
-        fault_start=fault_start,
-        interval=scorecard_interval,
-        crashed=lambda ep: harness.runtimes[ep].crashed,
-    )
-    scorecard.start()
-    return compiled, scorecard
-
-
-def _app_report(
-    result: dict,
-    stats: AppScorecard,
-    start: float,
-    end: float,
-    compiled,
-    mem_card,
-    harness,
-    healthy: Sequence[Endpoint],
+    profile_overrides: Optional[dict],
+    harness_kwargs: dict,
+    deploy: Callable,
+    drain: float,
 ) -> dict:
-    """Assemble the flat app-experiment result row plus series payloads."""
-    result.update(stats.report(start, end))
-    result["harness"] = harness
-    result["timeseries"] = harness.trace.aggregate_series(list(healthy), step=5.0)
-    result["app_latency_series"] = stats.latency_series(start, end)
-    result["app_goodput_series"] = stats.goodput_series(start, end)
+    """Serve an application through a fault profile; the flat result row.
+
+    The skeleton under both app experiments: settle the cluster, let
+    ``deploy(harness, endpoints, stats)`` co-host the app tier on it —
+    returning the load ``sources`` to start for the workload's duration,
+    the (already started) view ``watchers``, and a callable giving the
+    app's own result keys — strike with ``profile`` ``fault_at`` seconds
+    in, run the workload out plus ``drain`` seconds of in-flight requests,
+    and assemble app SLO scalars, ``mem_``-prefixed membership stability
+    metrics and the series payloads behind ``repro.bench --timeseries``.
+    """
+    harness, endpoints, settled = _settled(
+        system, n, seed, settle_timeout, harness_kwargs
+    )
+    start = harness.engine.now
+    duration = fault_at + observe_for
+    fault_start = start + fault_at if profile is not None else None
+    stats = AppScorecard(fault_start=fault_start)
+    sources, watchers, app_result = deploy(harness, endpoints, stats)
+    for source in sources:
+        source.start(duration)
+    compiled = mem_card = None
+    healthy: Sequence[Endpoint] = endpoints
+    if profile is not None:
+        compiled, healthy, mem_card = install_profile(
+            harness, endpoints, profile, seed, fault_start,
+            profile_overrides, scorecard_interval,
+        )
+    harness.run_for(duration + drain + 1.0)
+    for worker in (*sources, *watchers):
+        worker.stop()
+    end = start + duration
+    result = {
+        "system": system,
+        "n": n,
+        "profile": profile or "none",
+        "settled": settled,
+        **app_result(),
+        **stats.report(start, end),
+        "harness": harness,
+        "timeseries": harness.trace.aggregate_series(list(healthy), step=5.0),
+        "app_latency_series": stats.latency_series(start, end),
+        "app_goodput_series": stats.goodput_series(start, end),
+    }
     if compiled is not None:
         result["expect_eviction"] = compiled.expect_eviction
         result["faulty"] = sorted(str(e) for e in compiled.faulty)
@@ -686,60 +710,38 @@ def service_discovery_experiment(
     if isinstance(app_config, dict):
         app_config = ServiceDiscoveryConfig(**app_config)
     config = app_config or ServiceDiscoveryConfig()
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    settled = harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
-    workload_start = harness.engine.now
-    duration = fault_at + observe_for
-    fault_start = workload_start + fault_at if profile is not None else None
-    stats = AppScorecard(fault_start=fault_start)
-    lb_ep = endpoints[0]
-    lb = LoadBalancer(
-        TypeDispatcher.overlay(harness.runtimes[lb_ep]),
-        endpoints[1:],
-        stats,
-        config,
-    )
-    for ep in endpoints[1:]:
-        Backend(TypeDispatcher.overlay(harness.runtimes[ep]), config)
-    watcher = ViewWatcher(
-        harness.runtimes[lb_ep],
-        _view_callable(harness.agents[lb_ep]),
-        lb.on_view_change,
-        interval=0.25,
-    )
-    watcher.start()
-    generator = WorkloadGenerator(
-        SimRuntime(
-            harness.engine, harness.network, Endpoint("10.254.1.2", 9999), seed=seed
-        ),
-        lb_ep,
-        stats,
-        config,
-    )
-    generator.start(duration)
-    compiled = mem_card = None
-    healthy: Sequence[Endpoint] = endpoints
-    if profile is not None:
-        compiled, mem_card = _install_profile(
-            harness, endpoints, profile, seed, fault_start,
-            profile_overrides, scorecard_interval,
+
+    def deploy(harness, endpoints, stats):
+        lb_ep = endpoints[0]
+        lb = LoadBalancer(
+            TypeDispatcher.overlay(harness.runtimes[lb_ep]),
+            endpoints[1:],
+            stats,
+            config,
         )
-        healthy = [ep for ep in endpoints if ep not in compiled.faulty]
-    harness.run_for(duration + config.request_deadline + 1.0)
-    generator.stop()
-    watcher.stop()
-    result = {
-        "system": system,
-        "n": n,
-        "profile": profile or "none",
-        "settled": settled is not None,
-        "reloads": lb.reloads,
-    }
-    return _app_report(
-        result, stats, workload_start, workload_start + duration,
-        compiled, mem_card, harness, healthy,
+        for ep in endpoints[1:]:
+            Backend(TypeDispatcher.overlay(harness.runtimes[ep]), config)
+        watcher = ViewWatcher(
+            harness.runtimes[lb_ep],
+            harness.agents[lb_ep].view,
+            lb.on_view_change,
+            interval=0.25,
+        )
+        watcher.start()
+        generator = WorkloadGenerator(
+            SimRuntime(
+                harness.engine, harness.network, Endpoint("10.254.1.2", 9999), seed=seed
+            ),
+            lb_ep,
+            stats,
+            config,
+        )
+        return [generator], [watcher], lambda: {"reloads": lb.reloads}
+
+    return _app_experiment(
+        system, n, profile, seed, fault_at, observe_for, settle_timeout,
+        scorecard_interval, profile_overrides, harness_kwargs,
+        deploy, config.request_deadline,
     )
 
 
@@ -776,71 +778,48 @@ def txn_platform_experiment(
     config = app_config or TxnPlatformConfig()
     if profile == "blackhole" and "pair" not in (profile_overrides or {}):
         profile_overrides = {**(profile_overrides or {}), "pair": "edge"}
-    harness = harness_for(system, seed=seed, **harness_kwargs)
-    endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=1.0)
-    settled = harness.run_until_converged(n, timeout=settle_timeout)
-    harness.run_for(5.0)
-    workload_start = harness.engine.now
-    duration = fault_at + observe_for
-    fault_start = workload_start + fault_at if profile is not None else None
-    stats = AppScorecard(fault_start=fault_start)
-    servers = []
-    watchers = []
-    for ep in endpoints:
-        server = DataServer(
-            TypeDispatcher.overlay(harness.runtimes[ep]),
-            endpoints,
-            config,
-            stats=stats,
-        )
-        watcher = ViewWatcher(
-            harness.runtimes[ep],
-            _view_callable(harness.agents[ep]),
-            server.on_view_change,
-            interval=0.5,
-        )
-        watcher.start()
-        servers.append(server)
-        watchers.append(watcher)
-    clients = [
-        TxnClient(
-            SimRuntime(
-                harness.engine,
-                harness.network,
-                Endpoint(f"10.254.0.{i + 1}", 7000),
-                seed=seed,
-            ),
-            endpoints,
-            stats,
-            config,
-        )
-        for i in range(n_clients)
-    ]
-    for client in clients:
-        client.start(duration)
-    compiled = mem_card = None
-    healthy: Sequence[Endpoint] = endpoints
-    if profile is not None:
-        compiled, mem_card = _install_profile(
-            harness, endpoints, profile, seed, fault_start,
-            profile_overrides, scorecard_interval,
-        )
-        healthy = [ep for ep in endpoints if ep not in compiled.faulty]
-    harness.run_for(duration + config.txn_deadline + 1.0)
-    for client in clients:
-        client.stop()
-    for watcher in watchers:
-        watcher.stop()
-    result = {
-        "system": system,
-        "n": n,
-        "profile": profile or "none",
-        "settled": settled is not None,
-        "failovers": max(s.failovers_observed for s in servers),
-    }
-    return _app_report(
-        result, stats, workload_start, workload_start + duration,
-        compiled, mem_card, harness, healthy,
+
+    def deploy(harness, endpoints, stats):
+        servers = []
+        watchers = []
+        for ep in endpoints:
+            server = DataServer(
+                TypeDispatcher.overlay(harness.runtimes[ep]),
+                endpoints,
+                config,
+                stats=stats,
+            )
+            watcher = ViewWatcher(
+                harness.runtimes[ep],
+                harness.agents[ep].view,
+                server.on_view_change,
+                interval=0.5,
+            )
+            watcher.start()
+            servers.append(server)
+            watchers.append(watcher)
+        clients = [
+            TxnClient(
+                SimRuntime(
+                    harness.engine,
+                    harness.network,
+                    Endpoint(f"10.254.0.{i + 1}", 7000),
+                    seed=seed,
+                ),
+                endpoints,
+                stats,
+                config,
+            )
+            for i in range(n_clients)
+        ]
+        return clients, watchers, lambda: {
+            "failovers": max(s.failovers_observed for s in servers)
+        }
+
+    return _app_experiment(
+        system, n, profile, seed, fault_at, observe_for, settle_timeout,
+        scorecard_interval, profile_overrides, harness_kwargs,
+        deploy, config.txn_deadline,
     )
 
 

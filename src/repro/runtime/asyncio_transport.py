@@ -9,7 +9,8 @@ One UDP socket per node, bound to the node's listen endpoint, is used for
 both sending and receiving, so a peer's datagram source address equals its
 listen address — the address book the protocol already uses.
 
-Example (see ``examples/real_cluster.py`` for a full script)::
+Example (``examples/real_cluster.py`` boots a whole cluster through
+:class:`repro.experiments.live.LiveHarness`)::
 
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 5001))
     await runtime.start()
@@ -27,7 +28,7 @@ from typing import Any, Callable, Optional
 from repro.core.node_id import Endpoint
 from repro.runtime.codec import CodecError, decode_bytes, encode_bytes
 
-__all__ = ["AsyncioRuntime", "open_local_socket", "run_local_cluster"]
+__all__ = ["AsyncioRuntime", "open_local_socket"]
 
 
 def open_local_socket(host: str = "127.0.0.1") -> tuple:
@@ -158,68 +159,3 @@ class AsyncioRuntime:
             self.decode_errors += 1
             return
         self._handler(Endpoint(host=addr[0], port=addr[1]), msg)
-
-
-async def run_local_cluster(
-    n: int,
-    base_port: Optional[int] = None,
-    settings=None,
-    host: str = "127.0.0.1",
-    converge_timeout: float = 30.0,
-):
-    """Boot an ``n``-node Rapid cluster on localhost UDP ports.
-
-    With ``base_port=None`` (the default) each node binds an OS-assigned
-    ephemeral port, so concurrent runs on one host never collide; pass an
-    explicit base to get the predictable ``base_port + i`` layout.
-
-    Returns ``(nodes, runtimes)`` once every node reports ``n`` members, or
-    raises ``TimeoutError`` — every runtime is closed before the raise, so
-    a failed run leaks no sockets.  Used by the live integration tests and
-    the ``examples/real_cluster.py`` script.
-    """
-    from repro.core.events import NodeStatus
-    from repro.core.membership import RapidNode
-    from repro.core.settings import RapidSettings
-
-    settings = settings or RapidSettings(
-        probe_interval=0.2,
-        probe_timeout=0.2,
-        batching_window=0.05,
-        join_timeout=1.0,
-        consensus_fallback_timeout=2.0,
-        gossip_interval=0.05,
-    )
-    runtimes = []
-    nodes = []
-    try:
-        for i in range(n):
-            if base_port is None:
-                sock, ep = open_local_socket(host)
-                runtime = AsyncioRuntime(ep, seed=i)
-                await runtime.start(sock=sock)
-            else:
-                runtime = AsyncioRuntime(Endpoint(host, base_port + i), seed=i)
-                await runtime.start()
-            runtimes.append(runtime)
-        seed_ep = runtimes[0].addr
-        for runtime in runtimes:
-            nodes.append(RapidNode(runtime, settings, seeds=(seed_ep,)))
-        nodes[0].start()
-        await asyncio.sleep(0.2)
-        for node in nodes[1:]:
-            node.start()
-        deadline = asyncio.get_running_loop().time() + converge_timeout
-        while asyncio.get_running_loop().time() < deadline:
-            if all(
-                node.status == NodeStatus.ACTIVE and node.size == n for node in nodes
-            ):
-                return nodes, runtimes
-            await asyncio.sleep(0.1)
-    except BaseException:
-        for runtime in runtimes:
-            runtime.close()
-        raise
-    for runtime in runtimes:
-        runtime.close()
-    raise TimeoutError(f"cluster did not converge to {n} nodes")

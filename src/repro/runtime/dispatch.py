@@ -73,6 +73,3 @@ class TypeDispatcher:
         handler = self._routes.get(type(msg), self._default)
         if handler is not None:
             handler(src, msg)
-
-    def attach_to(self, runtime: Runtime) -> None:
-        runtime.attach(self.dispatch)

@@ -10,8 +10,9 @@ roles back as a thin layer over :class:`AsyncioRuntime`:
 * :class:`LiveWire` is the shared per-cluster fabric: it holds
   :mod:`repro.sim.faults` rules (the *same* rule objects the simulator
   consumes — drop rules and delay rules split exactly like
-  ``Network.add_rule``) and the counter surface the benchmark runner
-  harvests (``sent_messages``, ``sent_bytes``, ``class_counts``, ...).
+  ``Network.add_rule``; rules that duplicate or reorder deliveries are
+  refused) and the counter surface the benchmark runner harvests
+  (``sent_messages``, ``sent_bytes``, ``class_counts``, ...).
   For every datagram it records both the **real** encoded size and the
   simulator's :func:`~repro.sim.network.wire_size` estimate, so a run
   yields a per-class sim-vs-real parity table for free.
@@ -78,11 +79,25 @@ class LiveWire:
         #: Per-class byte totals under the simulator's sizing model, for
         #: the same messages: the sim-vs-real parity comparison.
         self.class_bytes_est: dict[str, int] = {}
+        #: The simulated network's message-adversary counters.  Always
+        #: empty here: :meth:`add_rule` refuses the rules that fill them.
+        self.duplicate_counts: dict[str, int] = {}
+        self.reorder_counts: dict[str, int] = {}
 
     # ----------------------------------------------------------- fault rules
 
     def add_rule(self, rule: FaultRule) -> FaultRule:
-        """Install a drop or delay rule; returns it for later removal."""
+        """Install a drop or delay rule; returns it for later removal.
+
+        A rule that rewrites deliveries (``Duplicate``, ``Reorder``) has
+        no sender-side equivalent on a real socket; it raises
+        ``ValueError`` instead of sitting inert among the drop rules.
+        """
+        if rule.mutates_delivery:
+            raise ValueError(
+                f"LiveWire cannot apply {type(rule).__name__}: it drops and "
+                "delays datagrams but does not duplicate or reorder them"
+            )
         if rule.adds_delay:
             self._delay_rules.append(rule)
         else:
@@ -100,6 +115,12 @@ class LiveWire:
         """Remove every installed rule."""
         self._rules.clear()
         self._delay_rules.clear()
+
+    def rng_for(self, *scope: object):
+        """A seeded RNG stream for auxiliary draws, labelled by the last
+        scope element: the bootstrap stagger stays on ``("live",
+        "stagger")``, the stream the parity tolerances were measured on."""
+        return child_rng(self.seed, "live", scope[-1])
 
     def should_drop(self, src: Endpoint, dst: Endpoint) -> bool:
         """Whether any active drop rule discards a ``src -> dst`` datagram."""
@@ -189,6 +210,15 @@ class LiveRuntime(AsyncioRuntime):
     ) -> None:
         super().__init__(addr, seed=seed)
         self.wire = wire
+
+    @property
+    def crashed(self) -> bool:
+        """Whether the socket is closed — fail-stop, like ``SimRuntime``."""
+        return self._closed
+
+    def crash(self) -> None:
+        """Fail-stop: close the socket; pending timers are skipped."""
+        self.close()
 
     def send(self, dst: Endpoint, msg: Any) -> None:
         if self._transport is None or self._closed:

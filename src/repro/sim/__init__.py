@@ -4,7 +4,7 @@ from repro.sim.cluster import SimCluster, endpoint_for
 from repro.sim.engine import Engine
 from repro.sim.network import Network, wire_size
 from repro.sim.process import SimRuntime
-from repro.sim.trace import ViewChangeEventLog, ViewTrace
+from repro.sim.trace import ViewTrace
 
 __all__ = [
     "SimCluster",
@@ -13,6 +13,5 @@ __all__ = [
     "Network",
     "wire_size",
     "SimRuntime",
-    "ViewChangeEventLog",
     "ViewTrace",
 ]

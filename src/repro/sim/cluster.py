@@ -1,27 +1,27 @@
-"""Harness for building Rapid clusters inside the simulator.
+"""The cluster driver: one harness contract for every system under test.
 
-:class:`SimCluster` owns an engine + network pair and constructs Rapid nodes
-(decentralized or logically centralized), wiring every node to shared
-experiment traces.  Benchmarks and examples drive their scenarios through
-this class rather than assembling nodes by hand.
+The paper's evaluation (section 7) puts Rapid, Memberlist and ZooKeeper
+through one procedure — start a seed process, spawn ``N - 1`` more, have
+"every process log its own view of the cluster size every second", inject
+the fault, watch.  :class:`SimCluster` is that procedure and the state of
+one run of it.  A system plugs in by subclassing it with an agent factory
+(:mod:`repro.experiments.harness` has one subclass per system); the live
+runtime swaps the clock and the sockets underneath and inherits the rest
+(:class:`repro.experiments.live.LiveHarness`).  ``docs/ARCHITECTURE.md``
+tabulates the contract.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.core.centralized import CentralizedClusterNode, EnsembleNode
-from repro.core.events import NodeStatus
-from repro.core.membership import RapidNode
 from repro.core.node_id import Endpoint
-from repro.core.settings import RapidSettings
-from repro.obs.invariants import ViewLedger
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.process import SimRuntime
-from repro.sim.trace import ViewChangeEventLog, ViewTrace
+from repro.sim.trace import ViewTrace
 
 __all__ = ["SimCluster", "endpoint_for"]
 
@@ -32,234 +32,152 @@ def endpoint_for(index: int, port: int = 5000) -> Endpoint:
 
 
 class SimCluster:
-    """A simulated Rapid deployment.
+    """One run of one membership system: its state and the driving surface.
 
     Parameters
     ----------
     seed:
-        Root seed for all randomness in the experiment.
-    settings:
-        Rapid protocol settings shared by every node.
-    mode:
-        ``"decentralized"`` (default) or ``"centralized"`` (Rapid-C with a
-        3-node ensemble).
-    metrics:
-        Shared :class:`~repro.obs.metrics.MetricsRegistry` wired into the
-        engine, network, and every node; created (enabled) by default.
+        Root seed for all randomness in the run.
+    latency:
+        Latency model of the simulated network (the default otherwise).
+    ledger:
+        The run's :class:`~repro.obs.invariants.ViewLedger`, fed by
+        ``trace``; ``None`` for systems whose views carry no
+        configuration ids to check.
+
+    Agents are anything with ``start()``, ``view()`` and ``view_size``
+    (:class:`~repro.baselines.common.MembershipAgent`,
+    :class:`~repro.core.membership.RapidNode`).  ``agents`` and
+    ``runtimes`` map every process added so far; ``endpoints`` is the
+    cohort :meth:`bootstrap` started, and may be reassigned by a driver
+    that grows the cluster by hand.
     """
 
-    ENSEMBLE_PORT = 9000
+    #: Seconds of the run's clock between two convergence polls.
+    poll_interval = 1.0
 
     def __init__(
-        self,
-        seed: int = 0,
-        settings: Optional[RapidSettings] = None,
-        latency: Optional[LatencyModel] = None,
-        mode: str = "decentralized",
-        ensemble_size: int = 3,
-        metrics: Optional[MetricsRegistry] = None,
+        self, seed: int = 0, latency: Optional[LatencyModel] = None, ledger=None
     ) -> None:
-        if mode not in ("decentralized", "centralized"):
-            raise ValueError(f"unknown mode {mode!r}")
         self.seed = seed
-        self.settings = settings or RapidSettings()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.engine = Engine(metrics=self.metrics)
-        self.network = Network(
-            self.engine, seed=seed, latency=latency, metrics=self.metrics
+        self.metrics = MetricsRegistry()
+        self.engine, self.network = self._fabric(latency)
+        self.ledger = ledger
+        self.trace = ViewTrace(ledger)
+        self.agents: dict[Endpoint, object] = {}
+        self.runtimes: dict[Endpoint, object] = {}
+        self.endpoints: list[Endpoint] = []
+
+    # ------------------------------------------- what a system or a clock swaps
+
+    def make_agent(self, runtime, seeds: tuple = (), **agent_kw):
+        """Build (not start) this system's agent on ``runtime``."""
+        raise NotImplementedError
+
+    def _fabric(self, latency: Optional[LatencyModel]) -> tuple:
+        """The run's ``(engine, network)`` pair."""
+        engine = Engine(metrics=self.metrics)
+        return engine, Network(
+            engine, seed=self.seed, latency=latency, metrics=self.metrics
         )
-        self.mode = mode
-        self.view_trace = ViewTrace()
-        # Safety-invariant monitor: every view installation any node
-        # records is checked on the spot.  Centralized mode relaxes only
-        # the contiguity leg (ViewUpdate pushes legitimately skip views).
-        self.ledger = ViewLedger(
-            seed=seed, allow_member_gaps=(mode == "centralized")
-        )
-        self.event_log = ViewChangeEventLog(ledger=self.ledger)
-        self.nodes: dict[Endpoint, RapidNode] = {}
-        self.runtimes: dict[Endpoint, SimRuntime] = {}
-        self.ensemble: list[EnsembleNode] = []
-        self.ensemble_endpoints: tuple = ()
-        if mode == "centralized":
-            self.ensemble_endpoints = tuple(
-                Endpoint(host=f"10.255.255.{i + 1}", port=self.ENSEMBLE_PORT)
-                for i in range(ensemble_size)
-            )
-            for ep in self.ensemble_endpoints:
-                runtime = SimRuntime(self.engine, self.network, ep, seed=seed)
-                self.ensemble.append(
-                    EnsembleNode(runtime, self.ensemble_endpoints, self.settings)
-                )
-                self.runtimes[ep] = runtime
+
+    def _address(self, index: int) -> Endpoint:
+        """Where the ``index``-th process of the bootstrap cohort listens."""
+        return endpoint_for(index)
+
+    def _runtime(self, endpoint: Endpoint):
+        """A ready messaging/timer environment for the process at ``endpoint``."""
+        return SimRuntime(self.engine, self.network, endpoint, seed=self.seed)
 
     # ------------------------------------------------------------- node setup
 
     def add_node(
-        self,
-        endpoint: Endpoint,
-        seeds: Iterable[Endpoint] = (),
-        start_at: Optional[float] = None,
-        on_view_change: Optional[Callable] = None,
-        metadata: Optional[dict] = None,
-        detector_factory=None,
-    ) -> RapidNode:
-        """Create a node; it starts immediately or at ``start_at``."""
-        runtime = SimRuntime(self.engine, self.network, endpoint, seed=self.seed)
-        if self.mode == "centralized":
-            node: RapidNode = CentralizedClusterNode(
-                runtime,
-                self.ensemble_endpoints,
-                self.settings,
-                on_view_change=on_view_change,
-                metadata=metadata,
-                detector_factory=detector_factory,
-                view_trace=self.view_trace,
-                event_log=self.event_log,
-                metrics=self.metrics,
-            )
-        else:
-            node = RapidNode(
-                runtime,
-                self.settings,
-                seeds=tuple(seeds),
-                on_view_change=on_view_change,
-                metadata=metadata,
-                detector_factory=detector_factory,
-                view_trace=self.view_trace,
-                event_log=self.event_log,
-                metrics=self.metrics,
-            )
-        self.nodes[endpoint] = node
+        self, endpoint: Endpoint, start_at: Optional[float] = None, **agent_kw
+    ):
+        """Create a process; it starts now, or at ``start_at`` on the run's clock.
+
+        ``agent_kw`` goes to the system's agent factory: ``seeds`` (the
+        bootstrap contact list) for every system, anything else the
+        agent class accepts.
+        """
+        runtime = self._runtime(endpoint)
+        agent = self.make_agent(runtime, **agent_kw)
+        self.agents[endpoint] = agent
         self.runtimes[endpoint] = runtime
         if start_at is None:
-            node.start()
+            agent.start()
         else:
-            self.engine.schedule_at(start_at, node.start)
-        return node
+            self.engine.schedule_at(start_at, self._start, endpoint)
+        return agent
+
+    def _start(self, endpoint: Endpoint) -> None:
+        """A deferred start; a process crashed while it waited stays down."""
+        if not self.runtimes[endpoint].crashed:
+            self.agents[endpoint].start()
 
     def bootstrap(
-        self,
-        n: int,
-        seed_delay: float = 10.0,
-        stagger: float = 0.0,
-        on_view_change: Optional[Callable] = None,
+        self, n: int, seed_delay: float = 10.0, stagger: float = 0.0, **agent_kw
     ) -> list:
         """Start a seed process, then ``n - 1`` joiners after ``seed_delay``.
 
         Mirrors the paper's bootstrap experiments: "we start each experiment
         with a single seed process, and after ten seconds, spawn a
         subsequent group of N-1 processes".  ``stagger`` spreads the joiner
-        start times uniformly over that many seconds.
+        start times uniformly over that many seconds.  Returns the cohort's
+        endpoints (also kept as ``endpoints``).
         """
-        endpoints = [endpoint_for(i) for i in range(n)]
-        seed_ep = endpoints[0]
-        if self.mode == "centralized":
-            self.add_node(seed_ep, on_view_change=on_view_change)
-        else:
-            self.add_node(seed_ep, seeds=(seed_ep,), on_view_change=on_view_change)
+        self.endpoints = [self._address(i) for i in range(n)]
+        seeds = (self.endpoints[0],)
         rng = self.network.rng_for("bootstrap", "stagger")
-        for ep in endpoints[1:]:
-            offset = seed_delay + (rng.random() * stagger if stagger else 0.0)
-            if self.mode == "centralized":
-                self.add_node(ep, start_at=offset, on_view_change=on_view_change)
-            else:
-                self.add_node(
-                    ep, seeds=(seed_ep,), start_at=offset, on_view_change=on_view_change
-                )
-        return endpoints
+        joiners_at = self.engine.now + seed_delay
+        for i, ep in enumerate(self.endpoints):
+            start_at = None
+            if i:
+                start_at = joiners_at + (rng.random() * stagger if stagger else 0.0)
+            self.add_node(ep, start_at=start_at, seeds=seeds, **agent_kw)
+        return self.endpoints
 
     # ---------------------------------------------------------------- driving
 
     def run_for(self, duration: float) -> None:
-        """Advance virtual time by ``duration`` seconds."""
-        self.engine.run_for(duration)
+        """Advance the run's clock by ``duration`` seconds."""
+        self.engine.run(until=self.engine.now + duration)
 
-    def run_until_converged(
-        self, size: int, timeout: float = 600.0, check_interval: float = 1.0
-    ) -> Optional[float]:
-        """Advance time until every live node reports ``size`` members.
+    def run_until_converged(self, size: int, timeout: float = 600.0) -> Optional[float]:
+        """Advance time until every live process reports ``size`` members.
 
-        Returns the convergence time, or ``None`` on timeout.  "Live" means
-        not crashed and not kicked; the caller is responsible for the target
+        Returns the convergence time (to the poll after it happened), or
+        ``None`` on timeout.  The caller is responsible for the target
         size matching the scenario.
         """
-        deadline = self.engine.now + timeout
-        while self.engine.now < deadline:
-            self.engine.run(until=min(self.engine.now + check_interval, deadline))
+        engine = self.engine
+        deadline = engine.now + timeout
+        while engine.now < deadline:
+            engine.run(until=min(engine.now + self.poll_interval, deadline))
             if self.converged(size):
-                return self.engine.now
+                return engine.now
         return None
 
     def converged(self, size: int) -> bool:
-        """True when every live node is active and reports ``size``."""
+        """True when there is a live process and every one reports ``size``."""
         # Single pass, no intermediate lists: run_until_converged polls
         # this every virtual second, which at n=1000 adds up.
         runtimes = self.runtimes
         found = False
-        for ep, node in self.nodes.items():
+        for ep, agent in self.agents.items():
             if runtimes[ep].crashed:
                 continue
             found = True
-            if node.status != NodeStatus.ACTIVE or node.size != size:
+            if agent.view_size != size:
                 return False
         return found
-
-    # ----------------------------------------------------------------- faults
 
     def crash(self, endpoints: Iterable[Endpoint]) -> None:
         """Fail-stop the given processes immediately."""
         for ep in endpoints:
             self.runtimes[ep].crash()
 
-    def crash_at(self, time: float, endpoints: Iterable[Endpoint]) -> None:
-        """Schedule a simultaneous crash at absolute virtual ``time``."""
-        eps = tuple(endpoints)
-        self.engine.schedule_at(time, lambda: self.crash(eps))
-
-    def recover(self, endpoints: Iterable[Endpoint]) -> None:
-        """Un-crash the given processes (state intact).
-
-        Periodic timers whose reschedule was skipped while crashed stay
-        dead, so a fail-stopped Rapid node does not resume protocol
-        participation — use network-level crash/recover
-        (:meth:`Network.crash`/``recover``) for flip-flopping processes
-        that must come back talking.
-        """
-        for ep in endpoints:
-            self.runtimes[ep].recover()
-
-    def recover_at(self, time: float, endpoints: Iterable[Endpoint]) -> None:
-        """Schedule a simultaneous recovery at absolute virtual ``time``."""
-        eps = tuple(endpoints)
-        self.engine.schedule_at(time, lambda: self.recover(eps))
-
-    # ---------------------------------------------------------------- queries
-
     def live_endpoints(self) -> list:
-        """Endpoints of processes that have a node and are not crashed."""
-        return [
-            ep
-            for ep, runtime in self.runtimes.items()
-            if ep in self.nodes and not runtime.crashed
-        ]
-
-    def live_nodes(self) -> list:
-        """Node objects of every live endpoint."""
-        return [self.nodes[ep] for ep in self.live_endpoints()]
-
-    def active_view_sizes(self) -> list:
-        """View sizes reported by live nodes that are ACTIVE."""
-        return [
-            node.size
-            for node in self.live_nodes()
-            if node.status == NodeStatus.ACTIVE
-        ]
-
-    def distinct_views(self) -> set:
-        """Distinct config ids currently installed across live nodes."""
-        return {
-            node.config.config_id
-            for node in self.live_nodes()
-            if node.status == NodeStatus.ACTIVE and node.config is not None
-        }
+        """Endpoints of every process added so far that has not crashed."""
+        runtimes = self.runtimes
+        return [ep for ep in self.agents if not runtimes[ep].crashed]

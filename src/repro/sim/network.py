@@ -339,10 +339,6 @@ class Network:
         self._handlers[addr] = handler
         self._crashed.discard(addr)
 
-    def deregister(self, addr: Endpoint) -> None:
-        """Detach ``addr``; in-flight messages to it are dropped on arrival."""
-        self._handlers.pop(addr, None)
-
     def add_rule(self, rule: FaultRule) -> FaultRule:
         """Install a fault rule; returns it so callers can remove it later.
 
@@ -384,10 +380,6 @@ class Network:
     def recover(self, addr: Endpoint) -> None:
         """Undo a crash (the process resumes with whatever state it had)."""
         self._crashed.discard(addr)
-
-    def is_crashed(self, addr: Endpoint) -> bool:
-        """Whether ``addr`` is currently fail-stopped."""
-        return addr in self._crashed
 
     # -------------------------------------------------------------- messaging
 

@@ -134,7 +134,7 @@ def run_point(point: SweepPoint) -> list:
             f"{sorted(scenarios.SCENARIO_FUNCTIONS)}"
         )
     result = fn(point.system, point.n, seed=point.seed, **point.call_kwargs())
-    ledger = getattr(result.get("harness"), "ledger", None)
+    ledger = result["harness"].ledger
     if ledger is not None and "invariant_checks" not in result:
         result = dict(result)
         result["invariant_checks"] = ledger.records

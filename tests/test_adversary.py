@@ -11,7 +11,7 @@ paper's headline: Rapid holds its view while the baselines flap.
 
 import pytest
 
-from repro.experiments.scenarios import adversary_experiment
+from repro.experiments.scenarios import adversary_experiment, sensitivity_experiment
 from repro.obs.scorecard import StabilityScorecard
 from repro.sim.engine import Engine
 from repro.sim.fault_profiles import compile_profile, profile_names
@@ -204,6 +204,23 @@ STABILITY_GAP_GRID = [
         },
     },
 ]
+
+
+class TestWatermarkSensitivity:
+    def test_high_watermark_buys_almost_everywhere_agreement(self):
+        """Figure 11's shape at a size tier-1 can afford: raising H from 6
+        to 9 never raises the conflict rate, and the paper's operating
+        point (H=9, L=3) sees no conflicting first proposal at all."""
+        rates = sensitivity_experiment(
+            n=200, repetitions=3, observers_sampled=40,
+            h_values=(6, 9), f_values=(2, 8),
+        )["conflict_rates"]
+        assert len(rates) == 2 * 4 * 2
+        for (h, l, f), rate in rates.items():
+            if h == 6:
+                assert rates[(9, l, f)] <= rate, (l, f)
+        assert rates[(9, 3, 2)] == rates[(9, 3, 8)] == 0.0
+        assert max(rates.values()) > 10.0  # a low H, high L corner does conflict
 
 
 @pytest.mark.slow

@@ -1,6 +1,8 @@
 """Tests for the repro.bench benchmark subsystem."""
 
 import json
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +441,54 @@ class TestCompare:
             )
             == 0
         )
+
+
+class TestCommittedNumbers:
+    """No stale committed numbers: a baseline is recorded from a clean tree."""
+
+    def test_no_committed_report_is_stamped_dirty(self):
+        root = Path(__file__).resolve().parent.parent
+        try:  # tracked files only; every BENCH_*.json when this is no checkout
+            listed = subprocess.run(
+                ["git", "ls-files", "BENCH_*.json"],
+                cwd=root, check=True, capture_output=True, text=True,
+            ).stdout.split()
+        except (OSError, subprocess.CalledProcessError):
+            listed = []
+        names = listed or [path.name for path in root.glob("BENCH_*.json")]
+        assert "BENCH_quick.json" in names
+        for name in names:
+            stamp = json.loads((root / name).read_text())["config"]["git"]
+            assert stamp and not stamp.endswith("-dirty"), (name, stamp)
+
+    @pytest.fixture
+    def committed(self, tmp_path):
+        """A report file tracked by a throwaway git repository."""
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        path = tmp_path / "BENCH_quick.json"
+        path.write_text("{}\n")
+        try:
+            git("init", "-q")
+            git("add", ".")
+            git("commit", "-q", "-m", "baseline")
+        except (OSError, subprocess.CalledProcessError) as exc:
+            pytest.skip(f"git unavailable: {exc}")
+        return path
+
+    def test_dirty_tree_cannot_overwrite_a_tracked_report(self, committed):
+        report = build_report("quick", 1.0, [])
+        report["config"]["git"] = "abc1234-dirty"
+        with pytest.raises(ValueError, match="refusing to overwrite"):
+            write_report(report, committed)
+        assert committed.read_text() == "{}\n"
+        # Elsewhere is fine, and so is a clean tree.
+        write_report(report, committed.with_name("BENCH_quick_local.json"))
+        report["config"]["git"] = "abc1234"
+        write_report(report, committed)
+        assert json.loads(committed.read_text())["suite"] == "quick"

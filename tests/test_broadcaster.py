@@ -6,7 +6,8 @@ from repro.core.broadcaster import Broadcaster
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
-from repro.sim.cluster import SimCluster, endpoint_for
+from repro.experiments.harness import RapidHarness
+from repro.sim.cluster import endpoint_for
 
 
 class FakeRuntime:
@@ -216,14 +217,14 @@ class TestNodeWiring:
     def test_one_threshold_decision_drives_alerts_and_votes(self):
         """A node evaluates ``n >= gossip_threshold`` once per installed
         view and hands the answer to its broadcaster and its consensus."""
-        cluster = SimCluster(seed=1, settings=RapidSettings(gossip_threshold=4))
+        cluster = RapidHarness(seed=1, settings=RapidSettings(gossip_threshold=4))
         cluster.bootstrap(3, seed_delay=1.0)
         assert cluster.run_until_converged(3, timeout=60) is not None
-        for node in cluster.nodes.values():
+        for node in cluster.agents.values():
             assert not node.broadcaster.gossip
             assert not node.consensus.gossip_mode
         cluster.add_node(endpoint_for(3), seeds=(endpoint_for(0),))
         assert cluster.run_until_converged(4, timeout=60) is not None
-        for node in cluster.nodes.values():
+        for node in cluster.agents.values():
             assert node.broadcaster.gossip
             assert node.consensus.gossip_mode

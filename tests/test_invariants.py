@@ -16,7 +16,6 @@ from repro.experiments.scenarios import (
     partition_heal_experiment,
 )
 from repro.obs.invariants import InvariantViolation, ViewLedger
-from repro.sim.cluster import SimCluster
 from repro.sim.faults import Duplicate, Reorder
 
 
@@ -185,7 +184,7 @@ class TestSyntheticTraces:
 
 class TestLedgerWiring:
     def test_sim_cluster_bootstrap_runs_clean(self):
-        cluster = SimCluster(seed=3)
+        cluster = harness_for("rapid", seed=3)
         cluster.bootstrap(8)
         assert cluster.run_until_converged(8, timeout=300.0) is not None
         assert cluster.ledger.records > 0
@@ -194,7 +193,7 @@ class TestLedgerWiring:
         assert report["ok"] is True and report["max_seq"] >= 1
 
     def test_crash_and_reconfigure_runs_clean(self):
-        cluster = SimCluster(seed=5)
+        cluster = harness_for("rapid", seed=5)
         endpoints = cluster.bootstrap(12)
         assert cluster.run_until_converged(12, timeout=300.0) is not None
         cluster.crash(endpoints[-3:])
@@ -204,7 +203,7 @@ class TestLedgerWiring:
 
     def test_harnesses_expose_ledger(self):
         rapid = harness_for("rapid", seed=1)
-        assert rapid.ledger is rapid.cluster.ledger
+        assert rapid.trace.ledger is rapid.ledger
         assert rapid.ledger.allow_member_gaps is False
         rapid_c = harness_for("rapid-c", seed=1)
         assert rapid_c.ledger.allow_member_gaps is True
@@ -224,11 +223,11 @@ class TestLedgerWiring:
         report = result["harness"].ledger.report()
         assert report["ok"] is True and report["nodes"] == 40
 
-    def test_event_log_carries_members(self):
-        cluster = SimCluster(seed=3)
+    def test_install_records_carry_members(self):
+        cluster = harness_for("rapid", seed=3)
         cluster.bootstrap(4)
         cluster.run_until_converged(4, timeout=300.0)
-        final = cluster.event_log.records[-1]
+        final = cluster.trace.records[-1]
         assert final.seq >= 1
         assert len(final.members) == final.size
 
@@ -254,7 +253,7 @@ class TestSafetyAtScale:
         assert harness.run_until_converged(255, timeout=300.0) is not None
         survivors = set(endpoints) - {victim}
         for member in harness.live_endpoints():
-            assert set(harness.cluster.nodes[member].membership) == survivors
+            assert set(harness.agents[member].membership) == survivors
         assert sum(harness.network.duplicate_counts.values()) > 0
         assert sum(harness.network.reorder_counts.values()) > 0
         report = harness.ledger.report()

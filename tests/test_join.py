@@ -21,7 +21,8 @@ from repro.core.events import NodeStatus
 from repro.core.messages import JoinResponse, JoinStatus, ViewDelta
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
-from repro.sim.cluster import SimCluster, endpoint_for
+from repro.experiments.harness import RapidHarness
+from repro.sim.cluster import endpoint_for
 from repro.sim.network import Network, wire_size
 
 
@@ -31,17 +32,23 @@ def settings_for_tests(**overrides) -> RapidSettings:
     return RapidSettings(**defaults)
 
 
-def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> SimCluster:
-    cluster = SimCluster(seed=seed, settings=settings_for_tests(**setting_overrides))
+def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> RapidHarness:
+    cluster = RapidHarness(seed=seed, settings=settings_for_tests(**setting_overrides))
     cluster.bootstrap(n, seed_delay=2.0, stagger=1.0)
     assert cluster.run_until_converged(n, timeout=120.0) is not None
     return cluster
 
 
+def distinct_views(cluster: RapidHarness) -> set:
+    """Config ids installed across the live, active processes."""
+    nodes = (cluster.agents[ep] for ep in cluster.live_endpoints())
+    return {node.config.config_id for node in nodes if node.view_size}
+
+
 class RecordingNetwork:
     """Wraps a cluster's network send/broadcast to log JoinResponses."""
 
-    def __init__(self, cluster: SimCluster) -> None:
+    def __init__(self, cluster: RapidHarness) -> None:
         self.responses: list = []  # (sender, dst, status, seq, kind)
         network = cluster.network
         orig_send, orig_broadcast = network.send, network.broadcast
@@ -149,12 +156,12 @@ class TestDeltaRoundTrip:
 
 class TestRejoinPaths:
     def _leave_and_rejoin(self, keep_base: bool, rejoin_after: float = 8.0):
-        cluster = SimCluster(seed=3, settings=settings_for_tests())
+        cluster = RapidHarness(seed=3, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(10, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         recorder.responses.clear()
         node.leave()
 
@@ -176,7 +183,7 @@ class TestRejoinPaths:
         # show up as a second, "view"-kind response here).
         cluster, node, recorder = self._leave_and_rejoin(keep_base=True)
         assert node.status == NodeStatus.ACTIVE
-        assert cluster.distinct_views() == {node.config.config_id}
+        assert distinct_views(cluster) == {node.config.config_id}
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
         assert kinds == ["delta"]
 
@@ -188,7 +195,7 @@ class TestRejoinPaths:
             cluster, node, recorder = self._leave_and_rejoin(keep_base)
             kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
             assert kinds == [kind]
-            views = cluster.distinct_views()
+            views = distinct_views(cluster)
             assert views == {node.config.config_id}, kind
             assert node.config.size == 10
 
@@ -197,7 +204,7 @@ class TestRejoinPaths:
         # view, so the seed answers UUID_IN_USE until the removal lands.
         cluster = converged_cluster(8, seed=2)
         victim = endpoint_for(3)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.leave()
         original_uuid = node.node_id.uuid
         node.rejoin()
@@ -207,7 +214,7 @@ class TestRejoinPaths:
         assert node.status == NodeStatus.ACTIVE
         # UUID_IN_USE forced at least one further fresh identity.
         assert node.node_id.uuid != original_uuid
-        assert cluster.distinct_views() == {node.config.config_id}
+        assert distinct_views(cluster) == {node.config.config_id}
 
     def test_silent_leaver_fails_out_via_bootstrap_budget(self):
         # A leaver whose LeaveNotification is lost (here: suppressed
@@ -216,9 +223,9 @@ class TestRejoinPaths:
         # member is removed instead of lingering in the view forever.
         cluster = converged_cluster(10, seed=6, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.status = NodeStatus.LEFT  # silent leave: no notification
-        survivors = [n for ep, n in cluster.nodes.items() if ep != victim]
+        survivors = [n for ep, n in cluster.agents.items() if ep != victim]
         deadline = cluster.engine.now + 60.0
         while cluster.engine.now < deadline:
             cluster.run_for(1.0)
@@ -232,12 +239,12 @@ class TestRejoinPaths:
         # acks are budget-limited) and the rejoin must then complete.
         cluster = converged_cluster(10, seed=7, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
-        node = cluster.nodes[victim]
+        node = cluster.agents[victim]
         node.status = NodeStatus.LEFT
         cluster.engine.schedule(2.0, node.rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         assert node.status == NodeStatus.ACTIVE
-        assert cluster.distinct_views() == {node.config.config_id}
+        assert distinct_views(cluster) == {node.config.config_id}
 
     def test_config_changed_restart_still_completes(self):
         # Two staggered joiners: the second's first attempt can be
@@ -248,13 +255,13 @@ class TestRejoinPaths:
         cluster.add_node(endpoint_for(50), seeds=(seed_ep,), start_at=cluster.engine.now + 0.1)
         cluster.add_node(endpoint_for(51), seeds=(seed_ep,), start_at=cluster.engine.now + 0.6)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
-        assert len(cluster.distinct_views()) == 1
+        assert len(distinct_views(cluster)) == 1
 
 
 class TestSingleResponder:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_exactly_one_safe_to_join_per_admission(self, seed):
-        cluster = SimCluster(seed=seed, settings=settings_for_tests())
+        cluster = RapidHarness(seed=seed, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
         assert cluster.run_until_converged(12, timeout=120.0) is not None
@@ -267,7 +274,7 @@ class TestSingleResponder:
 
     def test_replay_assigns_identical_responders(self):
         def responder_map(seed):
-            cluster = SimCluster(seed=seed, settings=settings_for_tests())
+            cluster = RapidHarness(seed=seed, settings=settings_for_tests())
             recorder = RecordingNetwork(cluster)
             cluster.bootstrap(12, seed_delay=2.0, stagger=1.0)
             assert cluster.run_until_converged(12, timeout=120.0) is not None
@@ -348,7 +355,7 @@ class TestDuplicateIdempotency:
         # topology (others answer CONFIG_CHANGED and never alert).
         node = next(
             n
-            for n in cluster.nodes.values()
+            for n in cluster.agents.values()
             if tuple(n.topology.observer_rings(n.addr, joiner))
         )
         msg = JoinRequest(
@@ -434,3 +441,33 @@ class TestSnapshotSizing:
             view=snapshot,
         )
         assert wire_size(response) > first
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,  # an InvariantViolation (safety) is a real failure
+    reason="stranded-member liveness bug (ROADMAP item 4)",
+)
+def test_stranded_members_rejoin_the_running_cluster():
+    """Known liveness failure, recorded so the correctness PR flips it.
+
+    ``join_churn`` at n=128 with 16 joiners and 8 rejoins, seed 6, never
+    re-converges within its 180 s churn timeout; the safety ledger stays
+    clean.  Diagnosis: three members install seq 5 at t=12.86, 40 ms
+    *after* the rest of the cluster decided seq 6 (t=12.82).  The seq-6
+    votes and ``Decision`` reached them while they were still on seq 4
+    and were dropped as foreign-configuration traffic.  They stay ACTIVE
+    on the 127-member view for the whole 180 s — still listed in the final
+    144-member view and still acking probes, because nobody compares a
+    ``ProbeAck``'s ``config_id`` — while the cluster runs on to seq 16.
+    When ``_reannounce_scan`` finally speaks for them (after 30 s),
+    ``_recent_decisions`` (depth 4) has already dropped the cut that
+    ``_config_chain`` (depth 32) still holds, so no laggard repair
+    arrives.  Expected end state once fixed: all 144 on one view.
+    """
+    from repro.experiments.scenarios import join_churn_experiment
+
+    result = join_churn_experiment("rapid", 128, joiners=16, rejoins=8, seed=6)
+    assert result["harness"].ledger.report()["ok"] is True
+    assert result["churn_convergence"] is not None

@@ -31,7 +31,6 @@ enough that a broken live scheduler (or a sim model drifting from
 reality) still fails.
 """
 
-import asyncio
 import dataclasses
 import os
 
@@ -40,7 +39,7 @@ import pytest
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.runtime import codec
-from repro.runtime.asyncio_transport import AsyncioRuntime, run_local_cluster
+from repro.runtime.asyncio_transport import AsyncioRuntime
 from repro.runtime.conformance import (
     parity_rows,
     render_parity_table,
@@ -48,7 +47,7 @@ from repro.runtime.conformance import (
 )
 from repro.runtime.live_net import LiveRuntime, LiveWire
 from repro.sim import network
-from repro.sim.faults import Blackhole, EgressLoss, LinkDelay
+from repro.sim.faults import Blackhole, Duplicate, EgressLoss, LinkDelay, Reorder
 
 live = pytest.mark.live
 
@@ -273,6 +272,27 @@ def test_live_wire_delay_rules_are_kept_separate():
     assert wire.added_delay(_SRC, _DST) == 0.0
 
 
+@pytest.mark.parametrize(
+    "rule", [Duplicate(probability=0.5), Reorder(probability=0.5, delay=0.1)]
+)
+def test_live_wire_refuses_rules_it_cannot_apply(rule):
+    """A message-adversary rule on real sockets used to land among the
+    drop rules, where it never fires — the run passed vacuously."""
+    wire = LiveWire(seed=7, clock=_FakeClock())
+    with pytest.raises(ValueError, match=type(rule).__name__):
+        wire.add_rule(rule)
+    assert not wire.should_drop(_SRC, _DST)
+    # The contract's adversary counters exist, and stay empty.
+    assert wire.duplicate_counts == {} and wire.reorder_counts == {}
+
+
+def test_live_wire_stagger_stream_keeps_its_label():
+    from repro.sim.rng import child_rng
+
+    drawn = LiveWire(seed=1).rng_for("bootstrap", "stagger").random()
+    assert drawn == child_rng(1, "live", "stagger").random()
+
+
 def test_live_bootstrap_scenario_is_registered():
     from repro.bench.specs import SCENARIOS, suite_specs
     from repro.experiments.scenarios import SCENARIO_FUNCTIONS
@@ -295,40 +315,36 @@ def _open_fds() -> int:
 
 
 @live
-def test_run_local_cluster_converges_on_ephemeral_ports():
-    async def drive():
-        nodes, runtimes = await run_local_cluster(8, converge_timeout=30.0)
-        try:
-            ports = [runtime.addr.port for runtime in runtimes]
-            assert len(set(ports)) == 8  # all distinct, OS-assigned
-            assert all(port != 0 for port in ports)
-            assert [node.size for node in nodes] == [8] * 8
-        finally:
-            for runtime in runtimes:
-                runtime.close()
+def test_live_harness_converges_on_ephemeral_ports():
+    from repro.experiments.live import LiveHarness
 
-    asyncio.run(drive())
+    with LiveHarness(seed=2, settings=RapidSettings(**FAST)) as harness:
+        endpoints = harness.bootstrap(8, seed_delay=0.2)
+        assert harness.run_until_converged(8, timeout=30.0) is not None
+        ports = [ep.port for ep in endpoints]
+        assert len(set(ports)) == 8  # all distinct, OS-assigned
+        assert all(port != 0 for port in ports)
+        assert [harness.agents[ep].size for ep in endpoints] == [8] * 8
 
 
 @live
-def test_run_local_cluster_timeout_closes_every_socket():
-    """A failed bootstrap must not leak sockets: ``TimeoutError`` is
-    raised only after every runtime is closed.  Repeating the failure
+def test_live_harness_timeout_closes_every_socket():
+    """A failed bootstrap must not leak sockets: leaving the harness
+    closes every one it bound, converged or not.  Repeating the failure
     must not grow the process's open-fd count."""
+    from repro.experiments.live import LiveHarness
 
-    async def doomed():
+    def doomed():
         # join_timeout longer than the converge budget: can't finish.
-        with pytest.raises(TimeoutError):
-            await run_local_cluster(
-                6,
-                converge_timeout=0.5,
-                settings=RapidSettings(join_timeout=30.0),
-            )
+        settings = RapidSettings(**{**FAST, "join_timeout": 30.0})
+        with LiveHarness(settings=settings) as harness:
+            harness.bootstrap(6, seed_delay=0.2)
+            assert harness.run_until_converged(6, timeout=0.5) is None
 
-    asyncio.run(doomed())
+    doomed()
     before = _open_fds()
     for _ in range(3):
-        asyncio.run(doomed())
+        doomed()
     assert _open_fds() <= before
 
 
@@ -349,7 +365,7 @@ def test_live_harness_blackhole_evicts_the_partitioned_node():
         victim = endpoints[-1]
         survivors = endpoints[:-1]
         for other in survivors:
-            harness.wire.add_rule(Blackhole(victim, other))
+            harness.network.add_rule(Blackhole(victim, other))
 
         def evicted() -> bool:
             return all(
@@ -363,7 +379,7 @@ def test_live_harness_blackhole_evicts_the_partitioned_node():
             if evicted():
                 break
         assert evicted(), [harness.agents[ep].size for ep in survivors]
-        assert harness.wire.dropped_messages > 0
+        assert harness.network.dropped_messages > 0
 
 
 @live

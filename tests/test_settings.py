@@ -61,4 +61,16 @@ def test_unknown_settings_key_is_diagnosed():
 
 def test_known_settings_dict_still_builds():
     harness = harness_for("rapid", seed=1, settings={"gossip_threshold": 1})
-    assert harness.cluster.settings.gossip_threshold == 1
+    assert harness.settings.gossip_threshold == 1
+
+
+def test_report_interval_must_ride_the_probe_wheel():
+    """View reports have no timer of their own: the wheel ticks twice per
+    ``probe_interval``, and a report period off that grid is refused with
+    the nearest period on it."""
+    with pytest.raises(ValueError, match="report_interval.*nearest valid value: 0.5"):
+        RapidSettings(report_interval=0.7)
+    with pytest.raises(ValueError, match="nearest valid value: 0.5"):
+        RapidSettings(report_interval=0.1)  # below one tick
+    assert RapidSettings(probe_interval=0.2, report_interval=0.5).report_interval == 0.5
+    assert RapidSettings(k=1, h=1, l=1, report_interval=3.0).report_interval == 3.0
