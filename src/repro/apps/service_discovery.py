@@ -45,7 +45,6 @@ from repro.obs.app_scorecard import AppScorecard
 from repro.runtime import codec as wire_codec
 from repro.runtime.base import Runtime
 from repro.runtime.dispatch import TypeDispatcher
-from repro.sim.network import register_message_classes
 
 __all__ = [
     "Backend",
@@ -71,11 +70,10 @@ class HttpResponse:
     request_id: int
 
 
-# Registered with both the simulator's sizer and the live wire codec, so
-# the app runs over real sockets (and its traffic is sized) unchanged.
-register_message_classes(HttpRequest, HttpResponse)
-wire_codec.register(HttpRequest)
-wire_codec.register(HttpResponse)
+# One registration covers the live wire codec and the simulator's sizer,
+# so the app runs over real sockets (and its traffic is sized) unchanged.
+wire_codec.register(HttpRequest, tag=0x40)
+wire_codec.register(HttpResponse, tag=0x41)
 
 
 @dataclass

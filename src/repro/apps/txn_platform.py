@@ -46,7 +46,6 @@ from repro.obs.app_scorecard import AppScorecard
 from repro.runtime import codec as wire_codec
 from repro.runtime.base import Runtime
 from repro.runtime.dispatch import TypeDispatcher
-from repro.sim.network import register_message_classes
 
 __all__ = [
     "DataServer",
@@ -113,31 +112,18 @@ class ViewRequest:
 @dataclass(frozen=True)
 class ViewResponse:
     sender: Endpoint
-    members: tuple = ()
+    members: tuple[Endpoint, ...] = ()
 
 
-# Registered with both the simulator's sizer and the live wire codec, so
-# the app runs over real sockets (and its traffic is sized) unchanged.
-register_message_classes(
-    TsRequest,
-    TsResponse,
-    NotSerializer,
-    WriteRequest,
-    WriteAck,
-    ViewRequest,
-    ViewResponse,
-)
-for _cls in (
-    TsRequest,
-    TsResponse,
-    NotSerializer,
-    WriteRequest,
-    WriteAck,
-    ViewRequest,
-    ViewResponse,
-):
-    wire_codec.register(_cls)
-del _cls
+# One registration covers the live wire codec and the simulator's sizer,
+# so the app runs over real sockets (and its traffic is sized) unchanged.
+wire_codec.register(TsRequest, tag=0x48)
+wire_codec.register(TsResponse, tag=0x49)
+wire_codec.register(NotSerializer, tag=0x4A)
+wire_codec.register(WriteRequest, tag=0x4B)
+wire_codec.register(WriteAck, tag=0x4C)
+wire_codec.register(ViewRequest, tag=0x4D)
+wire_codec.register(ViewResponse, tag=0x4E)
 
 
 @dataclass

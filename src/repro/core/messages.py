@@ -5,12 +5,17 @@ safe to share between simulated processes.  ``config_id`` fields scope every
 message to one configuration: each configuration is logically a fresh
 instance of the protocol (virtual synchrony, paper section 4), so nodes
 discard messages tagged with a configuration other than their current one.
+
+The field annotations are the wire schema: :mod:`repro.runtime.codec`
+compiles each class's encoder and decoder from them, so a field's type
+says exactly how it crosses a real socket (the aliases below name the
+encodings that a bare ``int`` / ``str`` / ``tuple`` cannot).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Annotated, Optional, Union
 
 from repro.core.node_id import Endpoint
 
@@ -61,17 +66,33 @@ class JoinStatus:
     NOT_IN_RING = "not-in-ring"
 
 
+#: A full-width 64-bit identifier (``config_id``, ``uuid``): 8 fixed bytes
+#: on the wire.  A plain ``int`` is a small count, sent as a varint.
+U64 = Annotated[int, "u64"]
+#: A vote bitmap, one bit per membership index: as wide as the view.
+Bitmap = Annotated[int, "bitmap"]
+#: One of the :class:`AlertKind` / :class:`JoinStatus` constants: one byte.
+Kind = Annotated[str, AlertKind]
+Status = Annotated[str, JoinStatus]
+#: Join-time application metadata, ``((key, value), ...)`` sorted by key.
+Metadata = tuple[tuple[str, str], ...]
+#: Metadata of several members, ``((endpoint, metadata), ...)`` by endpoint.
+MetadataTable = tuple[tuple[Endpoint, Metadata], ...]
+#: A classical-Paxos rank, ``(round, node_index)``.
+Rank = tuple[int, int]
+
+
 @dataclass(frozen=True, order=True)
 class Change:
     """One element of a multi-process cut: add or remove one endpoint."""
 
     endpoint: Endpoint
-    kind: str  # AlertKind.JOIN or AlertKind.REMOVE
-    uuid: int = 0  # logical id of the joiner (0 for removals)
+    kind: Kind
+    uuid: U64 = 0  # logical id of the joiner (0 for removals)
 
 
 # A consensus value: the sorted tuple of changes forming one cut.
-Proposal = tuple  # tuple[Change, ...]
+Proposal = tuple[Change, ...]
 
 
 def proposal_sort_key(change: Change) -> tuple:
@@ -98,7 +119,7 @@ class Probe:
     """
 
     sender: Endpoint
-    config_id: int
+    config_id: U64
     seq: int
 
 
@@ -121,7 +142,7 @@ class ProbeAck:
     """
 
     sender: Endpoint
-    config_id: int
+    config_id: U64
     bootstrapping: bool = False
 
 
@@ -136,11 +157,11 @@ class Alert:
 
     observer: Endpoint
     subject: Endpoint
-    kind: str
-    config_id: int
-    ring_numbers: tuple = ()
-    joiner_uuid: int = 0
-    metadata: tuple = ()  # ((key, value), ...) for JOIN alerts
+    kind: Kind
+    config_id: U64
+    ring_numbers: tuple[int, ...] = ()
+    joiner_uuid: U64 = 0
+    metadata: Metadata = ()  # for JOIN alerts
 
 
 @dataclass(frozen=True)
@@ -148,7 +169,7 @@ class BatchedAlerts:
     """Alerts buffered over the batching window and sent as one message."""
 
     sender: Endpoint
-    alerts: tuple = ()
+    alerts: tuple[Alert, ...] = ()
 
 
 # --------------------------------------------------------------------- join
@@ -159,7 +180,7 @@ class PreJoinRequest:
     """Joiner -> seed: discover configuration and temporary observers."""
 
     sender: Endpoint
-    uuid: int
+    uuid: U64
 
 
 @dataclass(frozen=True)
@@ -175,10 +196,10 @@ class PreJoinResponse:
     """
 
     sender: Endpoint
-    status: str
-    config_id: int
-    observers: tuple = ()
-    conflict_uuid: int = 0
+    status: Status
+    config_id: U64
+    observers: tuple[Endpoint, ...] = ()
+    conflict_uuid: U64 = 0
 
 
 @dataclass(frozen=True)
@@ -193,11 +214,11 @@ class JoinRequest:
     """
 
     sender: Endpoint
-    uuid: int
-    config_id: int
-    ring_numbers: tuple = ()
-    metadata: tuple = ()  # ((key, value), ...)
-    base_config_id: int = 0
+    uuid: U64
+    config_id: U64
+    ring_numbers: tuple[int, ...] = ()
+    metadata: Metadata = ()
+    base_config_id: U64 = 0
 
 
 @dataclass(frozen=True)
@@ -216,10 +237,10 @@ class ViewSnapshot:
     only members that advertised a non-empty table.
     """
 
-    members: tuple = ()  # tuple[Endpoint, ...], sorted
-    uuids: tuple = ()  # tuple[int, ...], aligned with members
+    members: tuple[Endpoint, ...] = ()  # sorted
+    uuids: tuple[U64, ...] = ()  # aligned with members
     seq: int = 0
-    metadata: tuple = ()  # ((endpoint, ((k, v), ...)), ...)
+    metadata: MetadataTable = ()
 
 
 @dataclass(frozen=True)
@@ -237,11 +258,11 @@ class ViewDelta:
     sequence number, and therefore the same ``config_id``.
     """
 
-    base_config_id: int
+    base_config_id: U64
     seq: int  # sequence number of the *resulting* configuration
-    adds: tuple = ()  # ((endpoint, uuid), ...), sorted by endpoint
-    removes: tuple = ()  # (endpoint, ...), sorted
-    metadata: tuple = ()  # ((endpoint, ((k, v), ...)), ...) for adds
+    adds: tuple[tuple[Endpoint, U64], ...] = ()  # sorted by endpoint
+    removes: tuple[Endpoint, ...] = ()  # sorted
+    metadata: MetadataTable = ()  # for adds
 
 
 @dataclass(frozen=True)
@@ -257,8 +278,8 @@ class JoinResponse:
     """
 
     sender: Endpoint
-    status: str
-    config_id: int
+    status: Status
+    config_id: U64
     view: Optional[ViewSnapshot] = None
     delta: Optional[ViewDelta] = None
 
@@ -269,8 +290,8 @@ class LeaveNotification:
     REMOVE alerts on its behalf (graceful leave)."""
 
     sender: Endpoint
-    config_id: int
-    ring_numbers: tuple = ()
+    config_id: U64
+    ring_numbers: tuple[int, ...] = ()
 
 
 # ---------------------------------------------------------------- consensus
@@ -293,9 +314,9 @@ class VoteBundle:
     """
 
     sender: Endpoint
-    config_id: int
-    proposals: tuple = ()  # tuple[Proposal, ...]
-    bitmaps: tuple = ()  # tuple[int, ...]
+    config_id: U64
+    proposals: tuple[Proposal, ...] = ()
+    bitmaps: tuple[Bitmap, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -311,9 +332,9 @@ class VotePull:
     """
 
     sender: Endpoint
-    config_id: int
-    proposals: tuple = ()  # tuple[Proposal, ...]
-    bitmaps: tuple = ()  # tuple[int, ...]
+    config_id: U64
+    proposals: tuple[Proposal, ...] = ()
+    bitmaps: tuple[Bitmap, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -322,7 +343,7 @@ class Decision:
     laggards adopt the decided view change without re-counting votes."""
 
     sender: Endpoint
-    config_id: int
+    config_id: U64
     value: Proposal = ()
 
 
@@ -331,8 +352,8 @@ class Phase1a:
     """Classical Paxos prepare from a recovery coordinator."""
 
     sender: Endpoint
-    config_id: int
-    rank: tuple  # (round, node_index)
+    config_id: U64
+    rank: Rank
 
 
 @dataclass(frozen=True)
@@ -341,9 +362,9 @@ class Phase1b:
     be the node's fast-round vote (rank ``(1, 0)``)."""
 
     sender: Endpoint
-    config_id: int
-    rank: tuple
-    vrank: Optional[tuple] = None
+    config_id: U64
+    rank: Rank
+    vrank: Optional[Rank] = None
     vvalue: Optional[Proposal] = None
 
 
@@ -353,8 +374,8 @@ class Phase2a:
     value-picking rule."""
 
     sender: Endpoint
-    config_id: int
-    rank: tuple
+    config_id: U64
+    rank: Rank
     value: Proposal = ()
 
 
@@ -364,12 +385,17 @@ class Phase2b:
     decides."""
 
     sender: Endpoint
-    config_id: int
-    rank: tuple
+    config_id: U64
+    rank: Rank
     value: Proposal = ()
 
 
 # ----------------------------------------------------------------- gossip
+
+#: What the broadcaster wraps for epidemic dissemination: alert batches,
+#: vote aggregates and the classical-Paxos rounds.  On the wire the
+#: payload is the class's tag byte followed by its fields.
+GossipPayload = Union[BatchedAlerts, VoteBundle, Phase1a, Phase2a, Phase2b]
 
 
 @dataclass(frozen=True)
@@ -385,7 +411,7 @@ class GossipEnvelope:
     sender: Endpoint
     message_id: int
     hops_left: int
-    payload: object = None
+    payload: GossipPayload = None
 
 
 @dataclass(frozen=True)
@@ -400,7 +426,7 @@ class GossipBundle:
     """
 
     sender: Endpoint
-    envelopes: tuple = ()  # tuple[GossipEnvelope, ...]
+    envelopes: tuple[GossipEnvelope, ...] = ()
 
 
 # ------------------------------------------------- logically centralized
@@ -411,7 +437,7 @@ class ViewProbe:
     """Cluster member -> ensemble: "is there a view newer than mine?"."""
 
     sender: Endpoint
-    config_id: int
+    config_id: U64
 
 
 @dataclass(frozen=True)
@@ -419,7 +445,7 @@ class ViewUpdate:
     """Ensemble -> cluster member: the authoritative membership view."""
 
     sender: Endpoint
-    config_id: int
-    members: tuple = ()
-    uuids: tuple = ()
+    config_id: U64
+    members: tuple[Endpoint, ...] = ()
+    uuids: tuple[U64, ...] = ()
     seq: int = 0

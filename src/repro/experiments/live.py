@@ -291,6 +291,7 @@ def live_bootstrap_experiment(
         "estimated_bytes_sent": estimated,
         "sim_estimate_ratio": (real / estimated) if estimated else None,
         "decode_errors": wire.decode_errors,
+        "send_errors": wire.send_errors,
         "wire_parity": wire.parity_by_class(),
         "invariant_checks": harness.ledger.records,
         "harness": harness,

@@ -2,14 +2,12 @@
 
 from repro.runtime.base import Runtime
 from repro.runtime.dispatch import TypeDispatcher
-from repro.runtime.codec import decode, decode_bytes, encode, encode_bytes, register
+from repro.runtime.codec import decode_bytes, encode_bytes, register
 
 __all__ = [
     "Runtime",
     "TypeDispatcher",
-    "decode",
     "decode_bytes",
-    "encode",
     "encode_bytes",
     "register",
 ]

@@ -26,7 +26,12 @@ import socket
 from typing import Any, Callable, Optional
 
 from repro.core.node_id import Endpoint
-from repro.runtime.codec import CodecError, decode_bytes, encode_bytes
+from repro.runtime.codec import (
+    MAX_DATAGRAM_BYTES,
+    CodecError,
+    decode_bytes,
+    encode_bytes,
+)
 
 __all__ = ["AsyncioRuntime", "open_local_socket"]
 
@@ -71,8 +76,10 @@ class _Protocol(asyncio.DatagramProtocol):
     def datagram_received(self, data: bytes, addr) -> None:
         self.runtime._datagram_received(data, addr)
 
-    def error_received(self, exc: Exception) -> None:  # pragma: no cover
-        pass  # UDP send errors (e.g. ICMP unreachable) are expected noise
+    def error_received(self, exc: Exception) -> None:
+        # ICMP unreachable after a peer died is expected; a climbing count
+        # with every peer alive is not, so it is a gauge rather than noise.
+        self.runtime._send_failed()
 
 
 class AsyncioRuntime:
@@ -90,7 +97,11 @@ class AsyncioRuntime:
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._handler: Optional[Callable[[Endpoint, Any], None]] = None
         self._closed = False
+        #: Received datagrams the codec refused.
         self.decode_errors = 0
+        #: Datagrams that did not leave: the socket reported an error, or
+        #: the encoded message exceeds one UDP payload and was dropped.
+        self.send_errors = 0
 
     async def start(self, sock: Optional[socket.socket] = None) -> None:
         """Bind the UDP socket; must be called inside a running loop.
@@ -131,20 +142,34 @@ class AsyncioRuntime:
     def send(self, dst: Endpoint, msg: Any) -> None:
         if self._transport is None or self._closed:
             return
-        self._transport.sendto(encode_bytes(msg), (dst.host, dst.port))
+        payload = self._payload(msg)
+        if payload is not None:
+            self._transport.sendto(payload, (dst.host, dst.port))
 
     def broadcast(self, dsts, msg: Any) -> None:
         """Unicast ``msg`` to each destination, encoding the payload once."""
         if self._transport is None or self._closed:
             return
-        payload = encode_bytes(msg)
-        for dst in dsts:
-            self._transport.sendto(payload, (dst.host, dst.port))
+        payload = self._payload(msg)
+        if payload is not None:
+            for dst in dsts:
+                self._transport.sendto(payload, (dst.host, dst.port))
 
     def attach(self, handler: Callable[[Endpoint, Any], None]) -> None:
         self._handler = handler
 
     # --------------------------------------------------------------- internal
+
+    def _payload(self, msg: Any) -> Optional[bytes]:
+        """Encode ``msg``; ``None``, counted, if no datagram can carry it."""
+        payload = encode_bytes(msg)
+        if len(payload) > MAX_DATAGRAM_BYTES:
+            self._send_failed()
+            return None
+        return payload
+
+    def _send_failed(self) -> None:
+        self.send_errors += 1
 
     def _guarded(self, fn: Callable[..., None], args: tuple) -> None:
         if not self._closed:

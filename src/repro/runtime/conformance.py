@@ -2,26 +2,28 @@
 
 Every dataclass registered with :mod:`repro.runtime.codec` gets a
 representative sample instance here.  The conformance suite
-(``tests/test_live.py``) round-trips each sample through
-``encode_bytes``/``decode_bytes`` and compares its real encoded size
-against the simulator's structural estimate
+(``tests/test_live.py``, ``tests/test_codec.py``) round-trips each sample
+through ``encode_bytes``/``decode_bytes`` and compares its real encoded
+size against the simulator's structural estimate
 (:func:`repro.sim.network.wire_size`), producing the per-class parity
-table that keeps the simulator's byte model honest.
+table that keeps the simulator's byte model honest: the estimate is an
+upper bound on what the binary codec really sends.
 
-Run ``python -m repro.runtime.conformance`` to print the table.
+``python -m repro.runtime.conformance`` prints the parity table and exits
+non-zero if any class fails its round trip or outgrows its estimate;
+``--layout`` prints the compiled wire layout of every class instead.
 
 Importing this module pulls in the app modules
 (:mod:`repro.apps.service_discovery`, :mod:`repro.apps.txn_platform`) so
 their message classes are registered before the registry is walked.
-Classes without an explicit sample fall back to a field-heuristic
-constructor, so a newly registered message is covered (roughly) the
-moment it exists — and fails the conformance test loudly if the
-heuristics cannot build it, which is the cue to add a real sample.
+A class without an explicit sample gets the one its compiled schema
+carries (required fields at small well-typed values), so a newly
+registered message is covered the moment it exists.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -35,7 +37,13 @@ from repro.runtime import codec
 from repro.runtime.live_net import UDP_OVERHEAD_BYTES
 from repro.sim.network import wire_size
 
-__all__ = ["ParityRow", "sample_message", "parity_rows", "render_parity_table"]
+__all__ = [
+    "ParityRow",
+    "sample_message",
+    "parity_rows",
+    "render_parity_table",
+    "render_layout_table",
+]
 
 _A = Endpoint("127.0.0.1", 4001)
 _B = Endpoint("127.0.0.1", 4002)
@@ -155,57 +163,22 @@ def _app(name: str, *args, **kwargs):
     return codec.registered_classes()[name](*args, **kwargs)
 
 
-def _heuristic_sample(cls: type) -> Any:
-    """Best-effort exemplar for a registered class without an explicit one.
-
-    Endpoint-typed fields get an address, numbers get small constants,
-    strings and tuples get empties.  Raises if a field's type cannot be
-    guessed — the signal to add the class to ``_SAMPLES``.
-    """
-    values: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if (
-            f.default is not dataclasses.MISSING
-            or f.default_factory is not dataclasses.MISSING  # type: ignore[misc]
-        ):
-            continue
-        annotation = str(f.type)
-        if "Endpoint" in annotation or f.name in ("sender", "observer", "subject"):
-            values[f.name] = _A
-        elif "int" in annotation:
-            values[f.name] = 1
-        elif "float" in annotation:
-            values[f.name] = 1.0
-        elif "bool" in annotation:
-            values[f.name] = False
-        elif "str" in annotation:
-            values[f.name] = "x"
-        elif "tuple" in annotation:
-            values[f.name] = ()
-        else:
-            raise TypeError(
-                f"no conformance sample for {cls.__name__}.{f.name} "
-                f"({f.type!r}); add one to repro.runtime.conformance._SAMPLES"
-            )
-    return cls(**values)
-
-
 def sample_message(name: str) -> Any:
     """A representative instance of the registered class called ``name``."""
     factory = _SAMPLES.get(name)
     if factory is not None:
         return factory()
-    return _heuristic_sample(codec.registered_classes()[name])
+    return codec.wire_classes()[name].sample
 
 
 @dataclass
 class ParityRow:
     """One class's codec round-trip result and sim-vs-real size comparison.
 
-    ``real_bytes`` is the encoded JSON payload plus the real UDP+IP header
-    cost; ``estimated_bytes`` is the simulator's :func:`wire_size` for the
-    identical message, which includes the same 28-byte header constant —
-    the two are directly comparable.
+    ``real_bytes`` is the binary-encoded payload plus the real UDP+IP
+    header cost; ``estimated_bytes`` is the simulator's :func:`wire_size`
+    for the identical message, which includes the same 28-byte header
+    constant — the two are directly comparable.
     """
 
     name: str
@@ -215,7 +188,7 @@ class ParityRow:
 
     @property
     def ratio(self) -> float:
-        """Real over estimated size (JSON verbosity factor per class)."""
+        """Real over estimated size; the estimate is an upper bound."""
         return self.real_bytes / self.estimated_bytes if self.estimated_bytes else 0.0
 
 
@@ -251,9 +224,35 @@ def render_parity_table(rows: list[ParityRow]) -> str:
             ]
             for row in rows
         ],
-        title="Wire-size parity: JSON codec vs sim estimate (per exemplar message)",
+        title="Wire-size parity: binary codec vs sim estimate (per exemplar message)",
     )
 
 
+def render_layout_table() -> str:
+    """Markdown table of every class's tag, field order and encodings.
+
+    Embedded in ``docs/ARCHITECTURE.md``; ``tests/test_docs.py`` fails
+    when the two drift apart.
+    """
+    lines = ["| tag | class | fields, in wire order |", "|---|---|---|"]
+    for entry in sorted(codec.wire_classes().values(), key=lambda entry: entry.tag):
+        fields = "; ".join(f"`{name}` {label}" for name, label in entry.layout)
+        lines.append(f"| `0x{entry.tag:02X}` | `{entry.name}` | {fields} |")
+    return "\n".join(lines)
+
+
+def main(argv: list[str]) -> int:
+    """Print the layout or the parity table; non-zero on a failed gate."""
+    if argv == ["--layout"]:
+        print(render_layout_table())
+        return 0
+    rows = parity_rows()
+    print(render_parity_table(rows))
+    failed = [row.name for row in rows if not row.roundtrip_ok or row.ratio > 1.0]
+    if failed:
+        print(f"FAIL (round trip, or real/est > 1.0): {', '.join(failed)}")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
-    print(render_parity_table(parity_rows()))
+    sys.exit(main(sys.argv[1:]))

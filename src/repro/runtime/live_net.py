@@ -15,7 +15,9 @@ roles back as a thin layer over :class:`AsyncioRuntime`:
   (``sent_messages``, ``sent_bytes``, ``class_counts``, ...).
   For every datagram it records both the **real** encoded size and the
   simulator's :func:`~repro.sim.network.wire_size` estimate, so a run
-  yields a per-class sim-vs-real parity table for free.
+  yields a per-class sim-vs-real parity table for free.  Datagrams that
+  failed in either direction are gauges beside them (``decode_errors``,
+  ``send_errors``).
 * :class:`LiveRuntime` routes ``send``/``broadcast`` through the fabric:
   matching drop rules discard the datagram before it reaches the socket,
   matching delay rules defer the ``sendto`` with ``loop.call_later`` —
@@ -33,7 +35,7 @@ from typing import Any, Optional
 
 from repro.core.node_id import Endpoint
 from repro.runtime.asyncio_transport import AsyncioRuntime
-from repro.runtime.codec import CodecError, decode_bytes, encode_bytes
+from repro.runtime.codec import CodecError, decode_bytes
 from repro.sim.faults import FaultRule
 from repro.sim.network import _class_key, wire_size
 from repro.sim.rng import child_rng
@@ -70,6 +72,7 @@ class LiveWire:
         self.sent_bytes = 0
         self.received_bytes = 0
         self.decode_errors = 0
+        self.send_errors = 0
         #: Per-class datagram counts and *real* byte totals (encoded
         #: payload plus :data:`UDP_OVERHEAD_BYTES`) — the same shape as
         #: ``Network.class_counts`` / ``class_bytes``, so bench reports
@@ -167,6 +170,10 @@ class LiveWire:
         """Record a received datagram the codec rejected."""
         self.decode_errors += 1
 
+    def account_send_error(self) -> None:
+        """Record a datagram that was too large or that the socket refused."""
+        self.send_errors += 1
+
     # --------------------------------------------------------------- parity
 
     @property
@@ -178,9 +185,10 @@ class LiveWire:
         """Per-class sim-vs-real byte comparison for this run's traffic.
 
         Returns ``{class: {"messages", "real_bytes", "estimated_bytes",
-        "ratio"}}`` where ``ratio`` is real/estimated — the factor by which
-        the JSON wire format exceeds (or undercuts) the simulator's
-        structural estimate for that class's actual traffic mix.
+        "ratio"}}`` where ``ratio`` is real/estimated — the share of the
+        simulator's structural estimate that the binary wire format really
+        spends on that class's actual traffic mix.  The estimate is an
+        upper bound: a ratio above 1.0 means the sizer undercounts.
         """
         rows: dict[str, dict] = {}
         for key in sorted(self.class_counts):
@@ -223,15 +231,22 @@ class LiveRuntime(AsyncioRuntime):
     def send(self, dst: Endpoint, msg: Any) -> None:
         if self._transport is None or self._closed:
             return
-        self._send_payload(dst, msg, encode_bytes(msg))
+        payload = self._payload(msg)
+        if payload is not None:
+            self._send_payload(dst, msg, payload)
 
     def broadcast(self, dsts, msg: Any) -> None:
         """Unicast ``msg`` to each destination, encoding the payload once."""
         if self._transport is None or self._closed:
             return
-        payload = encode_bytes(msg)
-        for dst in dsts:
-            self._send_payload(dst, msg, payload)
+        payload = self._payload(msg)
+        if payload is not None:
+            for dst in dsts:
+                self._send_payload(dst, msg, payload)
+
+    def _send_failed(self) -> None:
+        super()._send_failed()
+        self.wire.account_send_error()
 
     def _send_payload(self, dst: Endpoint, msg: Any, payload: bytes) -> None:
         wire = self.wire

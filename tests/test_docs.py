@@ -9,7 +9,9 @@ CLI flags dropped.  This test walks ``README.md`` and every page under
 * dotted ``repro.*`` module references import, and a trailing attribute
   (``repro.bench.runner.NONDETERMINISTIC_FIELDS``) resolves on the
   module;
-* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers.
+* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers;
+* the wire-layout table in ``docs/ARCHITECTURE.md`` is the one the codec's
+  compiled schema prints.
 
 Run as part of tier-1 (and as a dedicated CI step), so a PR that renames
 something the docs point at fails until the docs follow.
@@ -163,3 +165,14 @@ def test_bench_cli_flags_in_docs_exist():
 def test_committed_baseline_exists():
     """README/docs tell users to compare against the committed baseline."""
     assert (REPO / "BENCH_quick.json").exists()
+
+
+def test_wire_layout_table_in_docs_is_the_compiled_schema():
+    """Tag, field order and encoding per class: docs == register()."""
+    from repro.runtime.conformance import render_layout_table
+
+    documented = (REPO / "docs" / "ARCHITECTURE.md").read_text()
+    assert render_layout_table() in documented, (
+        "docs/ARCHITECTURE.md's wire-layout table is stale; paste the output "
+        "of `python -m repro.runtime.conformance --layout`"
+    )

@@ -4,10 +4,11 @@ Two layers:
 
 * Socket-free tests (always run, tier-1): codec conformance — every
   wire-registered message class round-trips through the byte codec and
-  its real encoded size stays within a bounded factor of the simulator's
-  structural estimate — plus registry agreement, codec robustness, and
+  its real encoded size stays under the simulator's structural estimate
+  — plus registry agreement, the runtimes' error counters, and
   :class:`~repro.runtime.live_net.LiveWire` fault-rule semantics driven
-  by a fake clock.
+  by a fake clock.  The codec's own fuzz and format fences are in
+  ``tests/test_codec.py``.
 * ``--live`` tests (opt-in, the CI ``live`` job): real localhost UDP
   clusters multiplexed on one event loop.  These bind sockets and
   measure wall-clock behaviour, so they are never part of a determinism
@@ -36,10 +37,11 @@ import os
 
 import pytest
 
+from repro.core import messages
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.runtime import codec
-from repro.runtime.asyncio_transport import AsyncioRuntime
+from repro.runtime.asyncio_transport import AsyncioRuntime, _Protocol
 from repro.runtime.conformance import (
     parity_rows,
     render_parity_table,
@@ -47,6 +49,7 @@ from repro.runtime.conformance import (
 )
 from repro.runtime.live_net import LiveRuntime, LiveWire
 from repro.sim import network
+from repro.sim.cluster import endpoint_for
 from repro.sim.faults import Blackhole, Duplicate, EgressLoss, LinkDelay, Reorder
 
 live = pytest.mark.live
@@ -83,16 +86,17 @@ def test_every_registered_class_round_trips():
 
 
 def test_wire_size_parity_ratio_bounded():
-    """Real JSON bytes exceed the structural estimate, but boundedly.
+    """The structural estimate is an upper bound on the real bytes.
 
-    The simulator's ``wire_size`` counts field payloads plus a header;
-    JSON adds key names, quoting, and framing, so real/estimated stays
-    above 1.  A ratio drifting past ~6 means the sim's byte model has
-    stopped tracking the real wire format for that class.
+    The simulator's ``wire_size`` charges 8 bytes a number and 2 bytes of
+    framing per container; the binary codec sends varints, one-byte enums
+    and 7-byte addresses, so real/estimated stays at or below 1.  Above 1
+    the sizer undercounts a class; below ~0.25 it has stopped tracking
+    the real wire format for it.
     """
     for row in parity_rows():
         assert row.estimated_bytes > 0, row.name
-        assert 1.0 <= row.ratio <= 6.0, (
+        assert 0.25 <= row.ratio <= 1.0, (
             f"{row.name}: real {row.real_bytes} B vs estimated "
             f"{row.estimated_bytes} B (ratio {row.ratio:.2f})"
         )
@@ -150,8 +154,8 @@ def test_app_message_classes_registered_in_both_registries():
 
 
 def test_tuple_fields_survive_round_trip():
-    """JSON has no tuple type; the codec must restore sequence fields as
-    tuples so decoded messages stay hashable and ``==`` their originals."""
+    """Sequence fields decode as tuples, so decoded messages stay hashable
+    and ``==`` their originals."""
     checked = 0
     for name in codec.registered_classes():
         msg = sample_message(name)
@@ -173,17 +177,29 @@ def test_unregistered_dataclass_raises_codec_error():
 
     with pytest.raises(codec.CodecError):
         codec.encode_bytes(Unregistered())
+    unassigned_tag = bytes((codec.WIRE_VERSION, 0xEE))
     with pytest.raises(codec.CodecError):
-        codec.decode_bytes(b'{"__dc__": "NoSuchMessageClass", "f": {}}')
+        codec.decode_bytes(unassigned_tag + b"\x01")
 
 
 def test_malformed_datagrams_count_decode_errors_without_crashing():
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
-    for payload in (b"", b"not json", b"\xff\xfe\x00", b'{"no": "marker"}'):
+    probe = codec.encode_bytes(sample_message("Probe"))
+    malformed = (
+        b"",
+        b"\xff\xfe\x00",  # no such wire version
+        probe[:-1],  # truncated
+        probe + b"\x00",  # trailing byte
+        bytes((codec.WIRE_VERSION, 0xEE)) + probe[2:],  # no such class
+        # What a pre-binary peer would send: counted, not raised, and
+        # never handed to the protocol as a type-confused Probe.
+        b'{"__dc__":"Probe","f":{"sender":1,"config_id":"x","seq":null}}',
+    )
+    for payload in malformed:
         runtime._datagram_received(payload, ("127.0.0.1", 2))
-    assert runtime.decode_errors == 4
+    assert runtime.decode_errors == len(malformed)
     assert received == []
     # A valid datagram still gets through afterwards.
     runtime._datagram_received(
@@ -200,6 +216,47 @@ def test_live_runtime_accounts_decode_errors_on_the_wire():
     assert wire.decode_errors == 1
     assert wire.delivered_messages == 1  # arrival is accounted pre-decode
     assert runtime.decode_errors == 1
+
+
+class _RecordingTransport:
+    """Stands in for the asyncio datagram transport: remembers sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def sendto(self, payload, addr):
+        self.sent.append((payload, addr))
+
+
+def _oversized_join_response():
+    members = tuple(endpoint_for(i) for i in range(5000))
+    view = messages.ViewSnapshot(members=members, uuids=(1,) * len(members))
+    return messages.JoinResponse(
+        members[0], messages.JoinStatus.SAFE_TO_JOIN, config_id=1, view=view
+    )
+
+
+def test_outbound_failures_are_counted_not_swallowed():
+    wire = LiveWire(seed=0)
+    plain = AsyncioRuntime(Endpoint("127.0.0.1", 1))
+    fabric = LiveRuntime(Endpoint("127.0.0.1", 2), wire)
+    too_big = _oversized_join_response()
+    assert len(codec.encode_bytes(too_big)) > codec.MAX_DATAGRAM_BYTES
+    for runtime in (plain, fabric):
+        runtime._transport = transport = _RecordingTransport()
+        # A message no datagram can carry is dropped before the socket.
+        runtime.send(_DST, too_big)
+        runtime.broadcast([_SRC, _DST], too_big)
+        assert transport.sent == []
+        assert runtime.send_errors == 2
+        # What the socket reports back (ICMP unreachable, EMSGSIZE) counts too.
+        _Protocol(runtime).error_received(OSError("unreachable"))
+        assert runtime.send_errors == 3
+        # Ordinary traffic still flows.
+        runtime.send(_DST, sample_message("Probe"))
+        assert len(transport.sent) == 1
+    assert wire.send_errors == 3
+    assert wire.sent_messages == 1  # the dropped ones never reached the fabric
 
 
 # =====================================================================
@@ -438,9 +495,11 @@ def _bootstrap_parity(n: int) -> None:
     # Wire accounting: real bytes measured, sim estimate alongside.
     assert real["real_bytes_sent"] > 0
     assert real["decode_errors"] == 0
-    assert 1.0 <= real["sim_estimate_ratio"] <= 6.0
-    for row in real["wire_parity"].values():
+    assert real["send_errors"] == 0
+    assert 0.25 <= real["sim_estimate_ratio"] <= 1.0
+    for name, row in real["wire_parity"].items():
         assert row["real_bytes"] >= row["messages"]
+        assert 0.25 <= row["ratio"] <= 1.0, (name, row)
 
 
 @live
@@ -474,6 +533,8 @@ def test_live_bench_case_records_wire_parity():
     assert case.result["convergence_time"] is not None
     assert case.result["real_bytes_sent"] > 0
     assert case.result["estimated_bytes_sent"] > 0
-    assert 1.0 <= case.result["sim_estimate_ratio"] <= 6.0
+    assert 0.25 <= case.result["sim_estimate_ratio"] <= 1.0
+    assert case.result["decode_errors"] == 0
+    assert case.result["send_errors"] == 0
     assert case.messages["sent"] > 0
     assert case.wall_s > 0
