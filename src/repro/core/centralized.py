@@ -30,7 +30,7 @@ from typing import Any, Iterable, Optional
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
 from repro.core.events import NodeStatus, ViewChangeEvent
-from repro.core.fast_paxos import FastPaxos
+from repro.core.fast_paxos import DecisionLog, FastPaxos
 from repro.core.membership import RapidNode
 from repro.core.messages import (
     Alert,
@@ -85,7 +85,7 @@ class EnsembleNode:
         self.cut_detector: Optional[MultiNodeCutDetector] = None
         self.consensus: Optional[FastPaxos] = None
         self._pending_joiners: dict[Endpoint, int] = {}
-        self._recent_decisions: dict[int, Proposal] = {}
+        self._config_chain = DecisionLog()
         self.view_changes_decided = 0
         runtime.attach(self.on_message)
         self._reset_round()
@@ -155,21 +155,18 @@ class EnsembleNode:
         if msg.config_id == self.config.config_id:
             self.consensus.handle(src, msg)
             return
-        decided = self._recent_decisions.get(msg.config_id)
-        if decided is not None and not isinstance(msg, Decision):
-            self.runtime.send(
-                src, Decision(sender=self.addr, config_id=msg.config_id, value=decided)
-            )
+        if not isinstance(msg, Decision):
+            decision = self._config_chain.learn(self.addr, msg.config_id)
+            if decision is not None:
+                self.runtime.send(src, decision)
 
     def _on_decide(self, proposal: Proposal) -> None:
         old = self.config
-        self._recent_decisions[old.config_id] = proposal
-        if len(self._recent_decisions) > 4:
-            self._recent_decisions.pop(next(iter(self._recent_decisions)))
         try:
             self.config = old.apply(proposal)
         except ValueError:
             return
+        self._config_chain.record(old.config_id, self.config.config_id, proposal)
         self.view_changes_decided += 1
         self._reset_round()
         joined = tuple(c.endpoint for c in proposal if c.kind == AlertKind.JOIN)

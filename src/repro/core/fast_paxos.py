@@ -74,7 +74,39 @@ from repro.core.settings import RapidSettings
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.runtime.base import Runtime
 
-__all__ = ["FastPaxos"]
+__all__ = ["DecisionLog", "FastPaxos"]
+
+
+class DecisionLog:
+    """The cuts that closed a process's recent configurations.
+
+    One link per decided view change, ``{old_config_id: (new_config_id,
+    body)}``, oldest first.  It serves both readers of "what came after
+    configuration X": laggard repair hands a process still deciding X the
+    :class:`~repro.core.messages.Decision` that closed it, and a rejoiner's
+    :class:`~repro.core.messages.ViewDelta` is composed by walking the
+    links from its advertised base.  A link is O(cut) bytes, so the log
+    reaches ``DEPTH`` view changes back — far further than whole
+    configurations could be kept.
+    """
+
+    DEPTH = 32
+
+    def __init__(self) -> None:
+        self.links: dict[int, tuple] = {}
+
+    def record(self, old_id: int, new_id: int, body: Proposal) -> None:
+        """Append the link ``old_id -> new_id``; the oldest falls off."""
+        self.links[old_id] = (new_id, body)
+        if len(self.links) > self.DEPTH:
+            del self.links[next(iter(self.links))]
+
+    def learn(self, sender: Endpoint, config_id: int) -> Optional[Decision]:
+        """The learn message that closed ``config_id``, if still held."""
+        link = self.links.get(config_id)
+        if link is None:
+            return None
+        return Decision(sender=sender, config_id=config_id, value=link[1])
 
 
 class FastPaxos:

@@ -29,7 +29,7 @@ from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
 from repro.core.broadcaster import Broadcaster, make_fanout
 from repro.core.events import NodeStatus, ViewChangeEvent
-from repro.core.fast_paxos import FastPaxos
+from repro.core.fast_paxos import DecisionLog, FastPaxos
 from repro.core.join import JoinProtocol
 from repro.core.messages import (
     Alert,
@@ -205,15 +205,11 @@ class RapidNode:
         self._pending_joiners: dict[Endpoint, tuple] = {}
         self._joiner_metadata: dict[Endpoint, tuple] = {}
 
-        # Decisions of recent configurations, to repair laggards.
-        self._recent_decisions: dict[int, Proposal] = {}
-        # Configuration transition chain: {old_config_id: (new_config_id,
-        # ((endpoint, uuid), ...) adds, (endpoint, ...) removes)}.  Each
-        # decided cut appends one link; composing links from a rejoiner's
-        # advertised base to the current view yields the ViewDelta without
-        # retaining whole configurations — links are O(cut) bytes, so the
-        # chain reaches much further back than a config cache could.
-        self._config_chain: dict[int, tuple] = {}
+        # Configuration transition chain: one link per decided cut, read
+        # by laggard repair (the Decision that closed a past view) and by
+        # the rejoin path (links composed from a rejoiner's advertised
+        # base to the current view yield its ViewDelta).
+        self._config_chain = DecisionLog()
         # Join-response interning (reset per install): the
         # membership-filtered metadata table backing the view snapshot
         # (itself cached on the Configuration) and the deltas computed
@@ -346,12 +342,9 @@ class RapidNode:
 
     def _repair_laggard(self, src: Endpoint, config_id: int) -> None:
         """Send ``src`` the cached Decision that closed ``config_id``, if any."""
-        decided = self._recent_decisions.get(config_id)
-        if decided is not None:
-            self.runtime.send(
-                src,
-                Decision(sender=self.addr, config_id=config_id, value=decided),
-            )
+        decision = self._config_chain.learn(self.addr, config_id)
+        if decision is not None:
+            self.runtime.send(src, decision)
 
     def _on_pre_join_response(self, src: Endpoint, msg: PreJoinResponse) -> None:
         if self._join_protocol is not None:
@@ -713,22 +706,15 @@ class RapidNode:
         if self.config is None:
             return
         old_config = self.config
-        self._recent_decisions[old_config.config_id] = proposal
-        if len(self._recent_decisions) > 4:
-            self._recent_decisions.pop(next(iter(self._recent_decisions)))
         try:
             new_config = old_config.apply(proposal)
         except ValueError:
             return  # malformed proposal cannot install; should not happen
         joined = tuple(c.endpoint for c in proposal if c.kind == AlertKind.JOIN)
         removed = tuple(c.endpoint for c in proposal if c.kind == AlertKind.REMOVE)
-        self._config_chain[old_config.config_id] = (
-            new_config.config_id,
-            tuple((c.endpoint, c.uuid) for c in proposal if c.kind == AlertKind.JOIN),
-            removed,
+        self._config_chain.record(
+            old_config.config_id, new_config.config_id, proposal
         )
-        if len(self._config_chain) > self._CHAIN_DEPTH:
-            self._config_chain.pop(next(iter(self._config_chain)))
         for endpoint in joined:
             meta = self._joiner_metadata.pop(endpoint, None)
             if meta:
@@ -917,11 +903,6 @@ class RapidNode:
             self._meta_entries = entries
         return entries
 
-    #: Links retained in the configuration transition chain.  Each link is
-    #: O(cut-size) bytes, so depth is cheap; it bounds how far back a
-    #: rejoiner's base may lie before it falls back to a full snapshot.
-    _CHAIN_DEPTH = 32
-
     def _view_delta(self, base_id: int) -> Optional[ViewDelta]:
         """The delta response payload for a joiner holding ``base_id``.
 
@@ -944,7 +925,7 @@ class RapidNode:
         config = self.config
         delta: Optional[ViewDelta] = None
         net: dict[Endpoint, Optional[int]] = {}
-        chain = self._config_chain
+        chain = self._config_chain.links
         cursor = base_id
         for _ in range(len(chain) + 1):
             if cursor == config.config_id:
@@ -977,11 +958,10 @@ class RapidNode:
             link = chain.get(cursor)
             if link is None:
                 break
-            cursor, link_adds, link_removes = link
-            for endpoint in link_removes:
-                net[endpoint] = None
-            for endpoint, uuid in link_adds:
-                net[endpoint] = uuid
+            cursor, cut = link
+            for change in cut:
+                joins = change.kind == AlertKind.JOIN
+                net[change.endpoint] = change.uuid if joins else None
         self._delta_cache[base_id] = delta
         return delta
 

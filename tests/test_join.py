@@ -461,10 +461,15 @@ def test_stranded_members_rejoin_the_running_cluster():
     on the 127-member view for the whole 180 s — still listed in the final
     144-member view and still acking probes, because nobody compares a
     ``ProbeAck``'s ``config_id`` — while the cluster runs on to seq 16.
-    When ``_reannounce_scan`` finally speaks for them (after 30 s),
-    ``_recent_decisions`` (depth 4) has already dropped the cut that
-    ``_config_chain`` (depth 32) still holds, so no laggard repair
-    arrives.  Expected end state once fixed: all 144 on one view.
+    One decision cache of one depth (PR 17: laggard repair now reads the
+    32-link ``_config_chain``) is not enough on its own: two of the three
+    do earn the seq-5 ``Decision`` (t=32.8 and t=37.0, when a JOIN alert
+    they vouch for reaches members that moved on) and install seq 6 —
+    then go silent again, since a fresh view has nothing alerted to
+    re-announce and every subject still acks; the third never speaks.
+    Final state: 141 on seq 17, two on seq 6, one on seq 5.  What is
+    missing is stale-configuration detection on the probe path.
+    Expected end state once fixed: all 144 on one view.
     """
     from repro.experiments.scenarios import join_churn_experiment
 
