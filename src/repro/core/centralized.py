@@ -156,7 +156,8 @@ class EnsembleNode:
             self.consensus.handle(src, msg)
             return
         if not isinstance(msg, Decision):
-            decision = self._config_chain.learn(self.addr, msg.config_id)
+            want = msg.want if isinstance(msg, VotePull) else ()
+            decision = self._config_chain.learn(self.addr, msg.config_id, want)
             if decision is not None:
                 self.runtime.send(src, decision)
 

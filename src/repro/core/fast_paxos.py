@@ -15,7 +15,7 @@ message delay in the common case, O(N) messages per voter.  At or above the
 threshold the gossip counting step *is* the dissemination path, as in the
 paper's large deployments: no initial broadcast storm, only periodic pushes
 of **delta bundles** — each peer is
-sent only the proposals/bitmap bits it has not been shown yet — to
+sent only the cut ids/bitmap bits it has not been shown yet — to
 ``gossip_fanout`` random peers.  Aggregates compound bitwise-OR along the
 way, so every vote reaches every node in O(log N) rounds and a view change
 costs O(N · log N · fanout) VoteBundle deliveries instead of the O(N²) an
@@ -40,6 +40,15 @@ Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
 is O(changed bits) per merge rather than an O(N-bit) popcount scan of every
 bitmap on every message.
+
+Votes name a cut by its 64-bit :func:`~repro.core.messages.cut_id`; its
+*body* (the changes) stays home.  Every voter computed the body itself, so a
+vote is a few dozen bytes however large the cut, and merging hashes an
+``int``.  A body crosses the wire only on request: a node that counts a
+quorum for (or is handed a ``Decision`` naming) a cut it never computed sends
+one voter a ``VotePull`` whose ``want`` names the id, asks another on every
+gossip tick until answered — the fallback timer stays armed meanwhile — and
+installs only a body that hashes back to that id.
 
 Because cut detection agrees almost everywhere, the fast path is the common
 case.  If votes conflict or too many are lost, a staggered timeout sends
@@ -67,6 +76,7 @@ from repro.core.messages import (
     Proposal,
     VoteBundle,
     VotePull,
+    cut_id,
 )
 from repro.core.node_id import Endpoint
 from repro.core.paxos import PaxosInstance, fast_quorum_size
@@ -77,36 +87,35 @@ from repro.runtime.base import Runtime
 __all__ = ["DecisionLog", "FastPaxos"]
 
 
-class DecisionLog:
+class DecisionLog(dict):
     """The cuts that closed a process's recent configurations.
 
-    One link per decided view change, ``{old_config_id: (new_config_id,
-    body)}``, oldest first.  It serves both readers of "what came after
-    configuration X": laggard repair hands a process still deciding X the
-    :class:`~repro.core.messages.Decision` that closed it, and a rejoiner's
-    :class:`~repro.core.messages.ViewDelta` is composed by walking the
-    links from its advertised base.  A link is O(cut) bytes, so the log
-    reaches ``DEPTH`` view changes back — far further than whole
-    configurations could be kept.
+    ``{old_config_id: (new_config_id, cut_id, body)}``, oldest first, one
+    link per decided view change.  Laggard repair reads it for the
+    :class:`~repro.core.messages.Decision` that closed a past view, the
+    rejoin path walks it from a rejoiner's base to compose its
+    :class:`~repro.core.messages.ViewDelta`.  A link is O(cut) bytes, so it
+    reaches further back than whole configurations could be kept.
     """
 
     DEPTH = 32
 
-    def __init__(self) -> None:
-        self.links: dict[int, tuple] = {}
-
     def record(self, old_id: int, new_id: int, body: Proposal) -> None:
         """Append the link ``old_id -> new_id``; the oldest falls off."""
-        self.links[old_id] = (new_id, body)
-        if len(self.links) > self.DEPTH:
-            del self.links[next(iter(self.links))]
+        self[old_id] = (new_id, cut_id(body), body)
+        if len(self) > self.DEPTH:
+            del self[next(iter(self))]
 
-    def learn(self, sender: Endpoint, config_id: int) -> Optional[Decision]:
-        """The learn message that closed ``config_id``, if still held."""
-        link = self.links.get(config_id)
+    def learn(
+        self, sender: Endpoint, config_id: int, want: tuple = ()
+    ) -> Optional[Decision]:
+        """The learn message that closed ``config_id`` (``None`` if it fell
+        off); the body rides along only when ``want`` asks for that cut."""
+        link = self.get(config_id)
         if link is None:
             return None
-        return Decision(sender=sender, config_id=config_id, value=link[1])
+        _, cid, body = link
+        return Decision(sender, config_id, cid, body if cid in want else ())
 
 
 class FastPaxos:
@@ -165,22 +174,36 @@ class FastPaxos:
         self._peers = tuple(m for m in self.members if m != runtime.addr)
         self._fanout = make_fanout(runtime)
         self.my_vote: Optional[Proposal] = None
-        self.votes: dict[Proposal, int] = {}
+        #: The vote aggregate: one bitmap of voters per cut id.
+        self.votes: dict[int, int] = {}
         # Incremental popcounts of `votes` bitmaps: maintained by _merge so
         # quorum checks never rescan an N-bit bitmap.
-        self._counts: dict[Proposal, int] = {}
+        self._counts: dict[int, int] = {}
+        #: Bodies of the cuts this node can spell out, by id: its own
+        #: vote, values met in classical rounds, bodies it asked for.
+        self._bodies: dict[int, Proposal] = {}
+        #: Id of the cut known to be chosen whose body is still missing,
+        #: and the last process that told us so (it holds the body).
+        self._want: Optional[int] = None
+        self._want_from: Optional[Endpoint] = None
         self.gossip_mode = gossip
         # Per-peer dissemination ledger (gossip mode): bits each peer has
         # been shown by us or has shown us, so pushes carry only deltas.
-        self._shown: dict[Endpoint, dict[Proposal, int]] = {}
+        self._shown: dict[Endpoint, dict[int, int]] = {}
         self._stale_ticks = 0
         self._learned_since_tick = False
-        self._m_bundles_tx = self.metrics.counter("consensus.vote_bundles_sent")
-        self._m_bundles_rx = self.metrics.counter("consensus.vote_bundles_received")
-        self._m_pulls_tx = self.metrics.counter("consensus.vote_pulls_sent")
-        self._m_pull_replies = self.metrics.counter("consensus.vote_pull_replies")
+        counter = self.metrics.counter
+        self._m_bundles_tx = counter("consensus.vote_bundles_sent")
+        self._m_bundles_rx = counter("consensus.vote_bundles_received")
+        self._m_pulls_tx = counter("consensus.vote_pulls_sent")
+        self._m_pull_replies = counter("consensus.vote_pull_replies")
+        self._m_body_pulls = counter("consensus.body_pulls_sent")
+        self._m_bodies_tx = counter("consensus.bodies_sent")
+        self._m_bodies_rejected = counter("consensus.bodies_rejected")
+        self._m_wants_unanswered = counter("consensus.wants_unanswered")
         self.decided = False
         self.decision: Optional[Proposal] = None
+        self.decision_id = 0
         self._fallback_timer = None
         self._gossip_timer = None
         self._fallback_attempts = 0
@@ -212,11 +235,14 @@ class FastPaxos:
             return
         if self.runtime.addr not in self._index:
             return  # joiners do not vote
+        cid = self._hold(proposal)
+        if self.decided:
+            return  # it was the body a counted quorum was waiting for
         self.my_vote = proposal
         self._voted_at = self.runtime.now()
         self.metrics.counter("consensus.votes_cast").inc()
         self.paxos.register_fast_round_vote(proposal)
-        self._merge(proposal, 1 << self._index[self.runtime.addr])
+        self._merge(cid, 1 << self._index[self.runtime.addr])
         if self.gossip_mode:
             # No broadcast storm at scale: push a first round of deltas
             # now, then let the gossip ticks carry the counting step.
@@ -238,14 +264,22 @@ class FastPaxos:
                 self._on_pull(msg)
         elif isinstance(msg, Decision):
             if msg.config_id == self.config_id:
-                self._decide(msg.value)
+                self._on_decision(msg)
         elif isinstance(msg, (Phase1a, Phase1b, Phase2a, Phase2b)):
             if msg.config_id == self.config_id:
                 self.used_fallback = True
+                # Classical rounds carry whole values; file them, so a
+                # quorum counted for a cut we never computed can decide.
+                if isinstance(msg, Phase1b) and msg.vvalue:
+                    self._hold(msg.vvalue)
+                elif isinstance(msg, Phase2a):
+                    self._hold(msg.value)
                 self.paxos.handle(src, msg)
 
     def _on_votes(self, msg: VoteBundle) -> None:
         if msg.config_id != self.config_id:
+            if msg.bodies:
+                self._m_bodies_rejected.inc(len(msg.bodies))
             return
         if msg.sender != self.runtime.addr:
             # Own broadcasts are delivered locally too; only bundles that
@@ -258,31 +292,15 @@ class FastPaxos:
                 # message RapidNode uses to repair laggards of *past*
                 # configurations).  One small reply per incoming bundle,
                 # and the sender stops gossiping the moment it adopts it.
-                self.runtime.send(
-                    msg.sender,
-                    Decision(
-                        sender=self.runtime.addr,
-                        config_id=self.config_id,
-                        value=self.decision,
-                    ),
-                )
+                self.runtime.send(msg.sender, self._learn_message())
             return
-        learned = 0
-        if self.gossip_mode:
-            # Whatever the sender shows us, it evidently has: fold it into
-            # the per-peer ledger so we never push those bits back.
-            shown = self._shown.get(msg.sender)
-            if shown is None:
-                shown = self._shown[msg.sender] = {}
-            for proposal, bitmap in zip(msg.proposals, msg.bitmaps):
-                learned |= self._merge(proposal, bitmap)
-                shown[proposal] = shown.get(proposal, 0) | bitmap
-        else:
-            for proposal, bitmap in zip(msg.proposals, msg.bitmaps):
-                learned |= self._merge(proposal, bitmap)
-        if learned:
-            self._learned_since_tick = True
-            self._stale_ticks = 0
+        for body in msg.bodies:
+            cid = cut_id(body)
+            if cid == self._want:
+                self._decide(body, cid)
+                return
+            self._m_bodies_rejected.inc()  # not one we asked for
+        learned = self._absorb(msg)
         self._arm_fallback()
         self._arm_gossip()
         self._check_quorum()
@@ -299,32 +317,16 @@ class FastPaxos:
         """Serve a pull: merge the digest, reply with the bits it lacks.
 
         A digest is also information — the requester's whole aggregate —
-        so it is OR-merged like any bundle and folded into the per-peer
-        ledger before computing the reply delta.  A decided node replies
-        with the decision instead (the requester is by definition
-        behind).
+        so it is absorbed like any bundle before computing the reply
+        delta.  A decided node replies with the decision instead (the
+        requester is by definition behind).  Either reply carries the
+        bodies ``msg.want`` names, as far as this node holds them.
         """
         if self.decided:
-            self.runtime.send(
-                msg.sender,
-                Decision(
-                    sender=self.runtime.addr,
-                    config_id=self.config_id,
-                    value=self.decision,
-                ),
-            )
+            self.runtime.send(msg.sender, self._learn_message(msg.want))
             return
-        shown = self._shown.get(msg.sender)
-        if shown is None:
-            shown = self._shown[msg.sender] = {}
-        learned = 0
-        for proposal, bitmap in zip(msg.proposals, msg.bitmaps):
-            learned |= self._merge(proposal, bitmap)
-            shown[proposal] = shown.get(proposal, 0) | bitmap
-        if learned:
-            self._learned_since_tick = True
-            self._stale_ticks = 0
-        reply = self._delta_for(msg.sender)
+        self._absorb(msg)
+        reply = self._delta_for(msg.sender, msg.want)
         if reply is not None:
             self.runtime.send(msg.sender, reply)
             self._m_bundles_tx.inc()
@@ -333,28 +335,117 @@ class FastPaxos:
         self._arm_gossip()
         self._check_quorum()
 
-    def _merge(self, proposal: Proposal, bitmap: int) -> int:
-        """OR ``bitmap`` into the aggregate; returns the newly set bits.
+    def _on_decision(self, msg: Decision) -> None:
+        """Adopt a decision we can spell out; ask for the body otherwise."""
+        if self.decided:
+            return
+        if msg.body:
+            if cut_id(msg.body) != msg.cut_id:
+                self._m_bodies_rejected.inc()
+                return
+            self._bodies[msg.cut_id] = msg.body
+        self._want_from = msg.sender
+        self._chosen(msg.cut_id)
+
+    def _learn_message(self, want: tuple = ()) -> Decision:
+        """This decided node's learn message, with the body if wanted."""
+        wanted = self.decision_id in want
+        if want:
+            (self._m_bodies_tx if wanted else self._m_wants_unanswered).inc()
+        return Decision(
+            self.runtime.addr,
+            self.config_id,
+            self.decision_id,
+            self.decision if wanted else (),
+        )
+
+    def _absorb(self, msg) -> int:
+        """OR a peer's bitmaps into the aggregate; returns the new bits.
+
+        Whatever the sender shows us, it evidently has: in gossip mode the
+        bits also go into its row of the dissemination ledger, so we never
+        push them back (a unicast view pushes no deltas, and a row per
+        peer per node is megabytes it would never read).
+        """
+        shown = self._ledger(msg.sender) if self.gossip_mode else None
+        learned = 0
+        for cid, bitmap in zip(msg.ids, msg.bitmaps):
+            learned |= self._merge(cid, bitmap)
+            if shown is not None:
+                shown[cid] = shown.get(cid, 0) | bitmap
+        if learned:
+            self._learned_since_tick = True
+            self._stale_ticks = 0
+        return learned
+
+    def _ledger(self, peer: Endpoint) -> dict:
+        """Bits ``peer`` has been shown by us or has shown us, per cut."""
+        shown = self._shown.get(peer)
+        if shown is None:
+            shown = self._shown[peer] = {}
+        return shown
+
+    def _merge(self, cid: int, bitmap: int) -> int:
+        """OR ``bitmap`` into cut ``cid``'s aggregate; returns the new bits.
 
         The endorsement count is maintained incrementally from the new
         bits, so callers (and :meth:`_check_quorum`) never popcount a full
         N-bit bitmap on the hot path.
         """
-        old = self.votes.get(proposal, 0)
+        old = self.votes.get(cid, 0)
         new = bitmap & ~old
         if new:
-            self.votes[proposal] = old | bitmap
-            self._counts[proposal] = self._counts.get(proposal, 0) + new.bit_count()
+            self.votes[cid] = old | bitmap
+            self._counts[cid] = self._counts.get(cid, 0) + new.bit_count()
         return new
 
     def _check_quorum(self) -> None:
         if self.decided:
             return
         quorum = self.fast_quorum
-        for proposal, count in self._counts.items():
+        for cid, count in self._counts.items():
             if count >= quorum:
-                self._decide(proposal)
+                self._chosen(cid)
                 return
+
+    # ---------------------------------------------------------------- bodies
+
+    def _hold(self, body: Proposal) -> int:
+        """File ``body`` under its id, deciding if it is the one awaited."""
+        cid = cut_id(body)
+        self._bodies[cid] = body
+        if cid == self._want:
+            self._decide(body, cid)
+        return cid
+
+    def _chosen(self, cid: int) -> None:
+        """Cut ``cid`` is the decision: adopt it, or fetch its body first."""
+        body = self._bodies.get(cid)
+        if body is not None:
+            self._decide(body, cid)
+        elif self._want != cid:
+            self._want = cid
+            self._pull_body()
+            self._arm_fallback()
+            self._arm_gossip()
+
+    def _pull_body(self) -> None:
+        """Ask one holder of the wanted cut's body for it.
+
+        Any voter of the cut holds it; one is drawn at random, so the
+        retry on the next gossip tick reaches another.  With no voter on
+        record (the id came in a ``Decision``) its sender is asked.
+        """
+        bits = self.votes.get(self._want, 0) & ~(
+            1 << self._index.get(self.runtime.addr, self.n)
+        )
+        voters = [m for i, m in enumerate(self.members) if bits >> i & 1]
+        holder = self.runtime.rng.choice(voters) if voters else self._want_from
+        if holder is not None:
+            self.runtime.send(
+                holder, VotePull(self.runtime.addr, self.config_id, want=(self._want,))
+            )
+            self._m_body_pulls.inc()
 
     # ------------------------------------------------------------ fallback
 
@@ -392,9 +483,13 @@ class FastPaxos:
         )
 
     def _most_endorsed(self) -> Optional[Proposal]:
-        if not self._counts:
-            return None
-        return max(self._counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        """The most voted-for cut among those whose body this node holds."""
+        held = [
+            (count, self._bodies[cid])
+            for cid, count in self._counts.items()
+            if cid in self._bodies
+        ]
+        return max(held)[1] if held else None
 
     # --------------------------------------------------------------- gossip
 
@@ -411,7 +506,13 @@ class FastPaxos:
 
     def _gossip_tick(self) -> None:
         self._gossip_timer = None
-        if self.decided or not self.votes:
+        if self.decided:
+            return
+        if self._want is not None:
+            self._pull_body()  # the last one went unanswered: try another
+        if not self.votes:
+            if self._want is not None:
+                self._arm_gossip()
             return
         if self.gossip_mode:
             if self._learned_since_tick:
@@ -472,51 +573,53 @@ class FastPaxos:
         digest = VotePull(
             sender=self.runtime.addr,
             config_id=self.config_id,
-            proposals=tuple(self.votes.keys()),
+            ids=tuple(self.votes.keys()),
             bitmaps=tuple(self.votes.values()),
         )
         for peer in self.runtime.rng.sample(peers, count):
-            shown = self._shown.get(peer)
-            if shown is None:
-                shown = self._shown[peer] = {}
-            for proposal, bitmap in zip(digest.proposals, digest.bitmaps):
-                shown[proposal] = shown.get(proposal, 0) | bitmap
+            shown = self._ledger(peer)
+            for cid, bitmap in zip(digest.ids, digest.bitmaps):
+                shown[cid] = shown.get(cid, 0) | bitmap
             self.runtime.send(peer, digest)
         self._m_pulls_tx.inc(count)
 
-    def _delta_for(self, peer: Endpoint) -> Optional[VoteBundle]:
+    def _delta_for(self, peer: Endpoint, want: tuple = ()) -> Optional[VoteBundle]:
         """Bundle of vote bits ``peer`` has not been shown, or ``None``.
 
         Marks the bits as shown optimistically; if the datagram is lost the
-        peer still converges through other gossip partners.
+        peer still converges through other gossip partners.  ``want`` is
+        the peer's request for bodies: those held here ride along.
         """
-        shown = self._shown.get(peer)
-        if shown is None:
-            shown = self._shown[peer] = {}
-        proposals = []
+        shown = self._ledger(peer)
+        ids = []
         deltas = []
-        for proposal, bitmap in self.votes.items():
-            new = bitmap & ~shown.get(proposal, 0)
+        for cid, bitmap in self.votes.items():
+            new = bitmap & ~shown.get(cid, 0)
             if new:
-                proposals.append(proposal)
+                ids.append(cid)
                 deltas.append(new)
-                shown[proposal] = shown.get(proposal, 0) | bitmap
-        if not proposals:
+                shown[cid] = shown.get(cid, 0) | bitmap
+        bodies = ()
+        if want:
+            bodies = tuple(self._bodies[cid] for cid in want if cid in self._bodies)
+            self._m_bodies_tx.inc(len(bodies))
+            self._m_wants_unanswered.inc(len(want) - len(bodies))
+        if not ids and not bodies:
             return None
         return VoteBundle(
             sender=self.runtime.addr,
             config_id=self.config_id,
-            proposals=tuple(proposals),
+            ids=tuple(ids),
             bitmaps=tuple(deltas),
+            bodies=bodies,
         )
 
     def _aggregate(self) -> VoteBundle:
-        proposals = tuple(self.votes.keys())
         return VoteBundle(
             sender=self.runtime.addr,
             config_id=self.config_id,
-            proposals=proposals,
-            bitmaps=tuple(self.votes[p] for p in proposals),
+            ids=tuple(self.votes.keys()),
+            bitmaps=tuple(self.votes.values()),
         )
 
     def _send_aggregate(self) -> None:
@@ -525,11 +628,12 @@ class FastPaxos:
 
     # --------------------------------------------------------------- decide
 
-    def _decide(self, value: Proposal) -> None:
+    def _decide(self, value: Proposal, cid: Optional[int] = None) -> None:
         if self.decided:
             return
         self.decided = True
         self.decision = value
+        self.decision_id = cid if cid is not None else cut_id(value)
         if self.metrics.enabled:
             path = "fallback" if self.used_fallback else "fast_path"
             self.metrics.counter(f"consensus.decisions_{path}").inc()

@@ -340,11 +340,19 @@ class RapidNode:
         ):
             self._repair_laggard(src, msg.alerts[0].config_id)
 
-    def _repair_laggard(self, src: Endpoint, config_id: int) -> None:
-        """Send ``src`` the cached Decision that closed ``config_id``, if any."""
-        decision = self._config_chain.learn(self.addr, config_id)
+    def _repair_laggard(self, src: Endpoint, config_id: int, want: tuple = ()) -> None:
+        """Send ``src`` the cached Decision that closed ``config_id``, if any.
+
+        The Decision names the cut; its body goes along only when the
+        laggard asked for it (``want``, from a :class:`VotePull`).
+        """
+        decision = self._config_chain.learn(self.addr, config_id, want)
         if decision is not None:
             self.runtime.send(src, decision)
+        if want:
+            answered = decision is not None and decision.body
+            name = "bodies_sent" if answered else "wants_unanswered"
+            self.metrics.counter(f"consensus.{name}").inc()
 
     def _on_pre_join_response(self, src: Endpoint, msg: PreJoinResponse) -> None:
         if self._join_protocol is not None:
@@ -698,9 +706,14 @@ class RapidNode:
             self.consensus.handle(src, msg)
             return
         # Repair: a laggard is still deciding a configuration we already
-        # moved past — hand it the decision directly.
-        if not isinstance(msg, Decision):
-            self._repair_laggard(src, msg.config_id)
+        # moved past — hand it the decision directly.  Whatever else the
+        # message carried for that configuration is dropped.
+        if isinstance(msg, Decision):
+            return
+        want = msg.want if isinstance(msg, VotePull) else ()
+        self._repair_laggard(src, msg.config_id, want)
+        if isinstance(msg, VoteBundle) and msg.bodies:
+            self.metrics.counter("consensus.bodies_rejected").inc(len(msg.bodies))
 
     def _on_decide(self, proposal: Proposal) -> None:
         if self.config is None:
@@ -925,7 +938,7 @@ class RapidNode:
         config = self.config
         delta: Optional[ViewDelta] = None
         net: dict[Endpoint, Optional[int]] = {}
-        chain = self._config_chain.links
+        chain = self._config_chain
         cursor = base_id
         for _ in range(len(chain) + 1):
             if cursor == config.config_id:
@@ -958,7 +971,7 @@ class RapidNode:
             link = chain.get(cursor)
             if link is None:
                 break
-            cursor, cut = link
+            cursor, _, cut = link
             for change in cut:
                 joins = change.kind == AlertKind.JOIN
                 net[change.endpoint] = change.uuid if joins else None

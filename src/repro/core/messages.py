@@ -17,13 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Annotated, Optional, Union
 
-from repro.core.node_id import Endpoint
+from repro.core.node_id import Endpoint, stable_hash64
 
 __all__ = [
     "AlertKind",
     "Change",
     "Proposal",
     "proposal_sort_key",
+    "make_proposal",
+    "cut_id",
     "Alert",
     "BatchedAlerts",
     "Probe",
@@ -103,6 +105,18 @@ def proposal_sort_key(change: Change) -> tuple:
 def make_proposal(changes) -> Proposal:
     """Canonicalize an iterable of changes into a hashable proposal."""
     return tuple(sorted(changes, key=proposal_sort_key))
+
+
+def cut_id(proposal: Proposal) -> int:
+    """Deterministic 64-bit id of a cut: a digest of its canonical changes.
+
+    Votes, pulls and decisions name a cut by it instead of carrying the
+    changes, with the trust every message already places in ``config_id``.
+    """
+    return stable_hash64(
+        "cut",
+        tuple((c.endpoint.host, c.endpoint.port, c.kind, c.uuid) for c in proposal),
+    )
 
 
 # --------------------------------------------------------------- monitoring
@@ -301,50 +315,61 @@ class LeaveNotification:
 class VoteBundle:
     """Aggregated fast-path votes, gossiped until a quorum is observed.
 
-    ``proposals`` and ``bitmaps`` are parallel tuples: ``bitmaps[i]`` is an
+    ``ids`` and ``bitmaps`` are parallel tuples: ``bitmaps[i]`` is an
     integer whose set bits are the membership indices of nodes known to have
-    voted for ``proposals[i]``.  Merging bundles is a bitwise OR, so the
-    aggregate only grows — exactly the paper's "gossip to disseminate and
-    aggregate a bitmap of votes for each unique proposal".
+    voted for the cut whose :func:`cut_id` is ``ids[i]``.  Merging bundles
+    is a bitwise OR, so the aggregate only grows — exactly the paper's
+    "gossip to disseminate and aggregate a bitmap of votes for each unique
+    proposal".  Every voter computed its cut itself, so naming it is enough.
 
     A bundle need not carry a node's whole aggregate: in gossip mode the
     sender transmits **delta bundles** holding only the bits the recipient
     has not been shown yet (see :mod:`repro.core.fast_paxos`).  OR-merge
     semantics make full and delta bundles indistinguishable to a receiver.
+
+    ``bodies`` is empty except in the reply to a :class:`VotePull` whose
+    ``want`` asked for some: the one place a vote message spells a cut out.
     """
 
     sender: Endpoint
     config_id: U64
-    proposals: tuple[Proposal, ...] = ()
+    ids: tuple[U64, ...] = ()
     bitmaps: tuple[Bitmap, ...] = ()
+    bodies: tuple[Proposal, ...] = ()
 
 
 @dataclass(frozen=True)
 class VotePull:
     """Pull-gossip digest request: "here is my aggregate — what am I missing?".
 
-    ``proposals``/``bitmaps`` carry the requester's full vote aggregate
-    (the digest).  The receiver OR-merges it like any bundle — a pull is
-    also information — and replies with a :class:`VoteBundle` containing
+    ``ids``/``bitmaps`` carry the requester's full vote aggregate (the
+    digest).  The receiver OR-merges it like any bundle — a pull is also
+    information — and replies with a :class:`VoteBundle` containing
     exactly the bits the digest lacks, or a :class:`Decision` once one is
     known.  Stale nodes use this to fetch the convergence tail instead of
-    sitting silent until the classical-Paxos fallback timer.
+    sitting silent until the classical-Paxos fallback timer.  ``want``
+    lists cuts the requester must decide but never computed; the reply
+    carries their bodies.
     """
 
     sender: Endpoint
     config_id: U64
-    proposals: tuple[Proposal, ...] = ()
+    ids: tuple[U64, ...] = ()
     bitmaps: tuple[Bitmap, ...] = ()
+    want: tuple[U64, ...] = ()
 
 
 @dataclass(frozen=True)
 class Decision:
-    """Learn message: broadcast by a node once it observes a quorum, so
-    laggards adopt the decided view change without re-counting votes."""
+    """Learn message: tells a process still counting votes for
+    ``config_id`` which cut closed it, so the laggard adopts the view change
+    without re-counting.  ``body`` is empty unless the laggard asked for it
+    (a :class:`VotePull` whose ``want`` names ``cut_id``)."""
 
     sender: Endpoint
     config_id: U64
-    value: Proposal = ()
+    cut_id: U64
+    body: Proposal = ()
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ _PROPOSAL = (
     m.Change(_B, m.AlertKind.JOIN, uuid=7),
     m.Change(_C, m.AlertKind.REMOVE),
 )
+_CUT = m.cut_id(_PROPOSAL)
 _ALERT = m.Alert(
     observer=_A,
     subject=_B,
@@ -71,7 +72,7 @@ _ENVELOPE = m.GossipEnvelope(
     sender=_A,
     message_id=5,
     hops_left=3,
-    payload=m.VoteBundle(_B, _CID, proposals=(_PROPOSAL,), bitmaps=(0b1011,)),
+    payload=m.VoteBundle(_B, _CID, ids=(_CUT,), bitmaps=(0b1011,)),
 )
 
 #: Explicit exemplars for every registered wire class.  Values are chosen
@@ -125,13 +126,11 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
     "LeaveNotification": lambda: m.LeaveNotification(
         _A, config_id=_CID, ring_numbers=(0, 1)
     ),
-    "VoteBundle": lambda: m.VoteBundle(
-        _A, _CID, proposals=(_PROPOSAL,), bitmaps=(0b1011,)
-    ),
+    "VoteBundle": lambda: m.VoteBundle(_A, _CID, ids=(_CUT,), bitmaps=(0b1011,)),
     "VotePull": lambda: m.VotePull(
-        _A, _CID, proposals=(_PROPOSAL,), bitmaps=(0b0100,)
+        _A, _CID, ids=(_CUT,), bitmaps=(0b0100,), want=(_CUT,)
     ),
-    "Decision": lambda: m.Decision(_A, _CID, value=_PROPOSAL),
+    "Decision": lambda: m.Decision(_A, _CID, cut_id=_CUT),
     "Phase1a": lambda: m.Phase1a(_A, _CID, rank=(2, 1)),
     "Phase1b": lambda: m.Phase1b(
         _A, _CID, rank=(2, 1), vrank=(1, 0), vvalue=_PROPOSAL

@@ -73,24 +73,26 @@ _SIZERS: dict[type, Callable[[Any], int]] = {
 
 
 def _vote_bundle_size(value) -> int:
-    """Size a VoteBundle/VotePull with width-aware bitmap encoding.
+    """Size the fields a VoteBundle and a VotePull share, bitmaps by width.
 
     Vote bitmaps are arbitrary-precision integers — one bit per membership
     index — so at n=2000 a dense bitmap is ~250 wire bytes, not the flat 8
     the generic number rule would charge.  Delta bundles (sparse bitmaps)
     correspondingly shrink with their true bit width.  Small-cluster
-    bundles (bit_length <= 64) size identically to the generic rule, so
-    existing small-N traces are unaffected.  Pull digests share the field
-    layout (sender, config_id, proposals, bitmaps) and the same rule.
+    bundles (bit_length <= 64) size identically to the generic rule.  A
+    cut is named by its 8-byte id, so the rest is independent of cut size.
     """
     total = 2 + _payload_size(value.sender) + 8  # fields + config_id
-    total += 2 + sum(_payload_size(p) for p in value.proposals)
+    total += 2 + 8 * len(value.ids)
     total += 2 + sum(max(8, (b.bit_length() + 7) // 8) for b in value.bitmaps)
     return total
 
 
-_SIZERS[VoteBundle] = _vote_bundle_size
-_SIZERS[VotePull] = _vote_bundle_size
+# Each class adds its on-request field: the bodies shipped, the ids wanted.
+_SIZERS[VoteBundle] = lambda value: (
+    _vote_bundle_size(value) + _container_size(value.bodies)
+)
+_SIZERS[VotePull] = lambda value: _vote_bundle_size(value) + 2 + 8 * len(value.want)
 
 
 def _view_snapshot_size(value) -> int:

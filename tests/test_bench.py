@@ -437,6 +437,9 @@ class TestCompare:
                     str(tmp_path / "old.json"),
                     str(tmp_path / "new.json"),
                     "--require-determinism",
+                    # Two 10 ms runs: their wall times say nothing.
+                    "--threshold",
+                    "1.0",
                 ]
             )
             == 0
@@ -444,7 +447,7 @@ class TestCompare:
 
 
 class TestCommittedNumbers:
-    """No stale committed numbers: a baseline is recorded from a clean tree."""
+    """No stale committed numbers: a baseline names the code that produced it."""
 
     def test_no_committed_report_is_stamped_dirty(self):
         root = Path(__file__).resolve().parent.parent
@@ -462,33 +465,40 @@ class TestCommittedNumbers:
             assert stamp and not stamp.endswith("-dirty"), (name, stamp)
 
     @pytest.fixture
-    def committed(self, tmp_path):
-        """A report file tracked by a throwaway git repository."""
+    def git(self, tmp_path):
+        """Run git in a throwaway repository with one committed source file."""
 
         def git(*args):
-            subprocess.run(
+            return subprocess.run(
                 ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
-                cwd=tmp_path, check=True, capture_output=True,
-            )
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
 
-        path = tmp_path / "BENCH_quick.json"
-        path.write_text("{}\n")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "code.py").write_text("x = 1\n")
         try:
             git("init", "-q")
             git("add", ".")
             git("commit", "-q", "-m", "baseline")
         except (OSError, subprocess.CalledProcessError) as exc:
             pytest.skip(f"git unavailable: {exc}")
-        return path
+        return git
 
-    def test_dirty_tree_cannot_overwrite_a_tracked_report(self, committed):
-        report = build_report("quick", 1.0, [])
-        report["config"]["git"] = "abc1234-dirty"
-        with pytest.raises(ValueError, match="refusing to overwrite"):
-            write_report(report, committed)
-        assert committed.read_text() == "{}\n"
-        # Elsewhere is fine, and so is a clean tree.
-        write_report(report, committed.with_name("BENCH_quick_local.json"))
-        report["config"]["git"] = "abc1234"
-        write_report(report, committed)
-        assert json.loads(committed.read_text())["suite"] == "quick"
+    def test_stamp_is_the_commit_plus_the_source_tree_once_it_moves(self, git, tmp_path):
+        """Numbers taken before committing name the parent commit and the
+        ``src/`` tree that produced them — the tree a later commit records,
+        however it is squashed — not a scratch commit or ``-dirty``."""
+        from repro.bench.runner import _git_describe
+
+        head = git("rev-parse", "--short", "HEAD")
+        assert _git_describe(cwd=tmp_path) == head
+        (tmp_path / "notes.txt").write_text("outside src: not the code measured\n")
+        assert _git_describe(cwd=tmp_path) == head
+        (tmp_path / "src" / "code.py").write_text("x = 2\n")
+        (tmp_path / "src" / "new.py").write_text("y = 3\n")
+        stamp = _git_describe(cwd=tmp_path)
+        assert stamp.startswith(f"{head}+src:") and not stamp.endswith("-dirty")
+        assert git("status", "--short", "src") != ""  # the real index is untouched
+        git("add", ".")
+        git("commit", "-q", "-m", "the change")
+        assert git("rev-parse", "HEAD:src").startswith(stamp.split("+src:")[1])

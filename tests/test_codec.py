@@ -149,7 +149,8 @@ def test_non_canonical_encodings_are_refused():
         body("Change") + _A_WIRE + b"\x02" + _CID,  # AlertKind index 2
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01\x02\x01\x00",  # bitmap 0x0001
         body("GossipEnvelope") + _A_WIRE + b"\x01\x01\x03",  # a Probe as payload
-        b"\x02" + probe[1:] + b"\x01",  # a future wire version
+        b"\x03" + probe[1:] + b"\x01",  # a future wire version
+        b"\x01" + probe[1:] + b"\x01",  # the retired one (full-body votes)
         HEADER + b"\xee",  # no such class
         HEADER + b"\x00",  # tag 0 is never assigned
     ):
@@ -187,9 +188,8 @@ def test_a_2048_member_join_response_fits_one_datagram():
 
 
 def test_bitmaps_are_as_wide_as_the_view_and_floats_are_lossless():
-    proposal = (m.Change(_A, m.AlertKind.REMOVE),)
     for bitmap in (0, 1, 255, 256, (1 << 2048) - 1, 1 << 4095):
-        bundle = m.VoteBundle(_A, 5, proposals=(proposal,), bitmaps=(bitmap,))
+        bundle = m.VoteBundle(_A, 5, ids=(2**64 - 1,), bitmaps=(bitmap,))
         assert decode_or_refuse(codec.encode_bytes(bundle)) == bundle
     request = codec.registered_classes()["TsRequest"]
     for deadline in (0.1, -0.0, 5e-324, 1.7976931348623157e308, math.inf, 12):
@@ -197,6 +197,18 @@ def test_bitmaps_are_as_wide_as_the_view_and_floats_are_lossless():
         assert decoded.deadline == deadline
         assert math.copysign(1.0, decoded.deadline) == math.copysign(1.0, deadline)
         assert type(decoded.deadline) is float
+
+
+def test_cut_bodies_round_trip_where_a_vote_message_can_hold_them():
+    """The exemplars are id-only (the common case); the on-request
+    ``bodies`` / ``body`` fields cross the wire too."""
+    cut = (m.Change(_A, m.AlertKind.JOIN, uuid=2**64 - 1), m.Change(_A, m.AlertKind.REMOVE))
+    for msg in (
+        m.VoteBundle(_A, 5, bodies=(cut, cut[:1])),
+        m.VoteBundle(_A, 5, ids=(1, 2), bitmaps=(1, 0), bodies=(cut,)),
+        m.Decision(_A, 5, cut_id=m.cut_id(cut), body=cut),
+    ):
+        assert decode_or_refuse(codec.encode_bytes(msg)) == msg
 
 
 def test_host_names_travel_and_dotted_quads_pack_to_seven_bytes():

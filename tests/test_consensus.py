@@ -10,23 +10,34 @@ time.  Pins the properties the dissemination overhaul claims:
 * the fast path decides under message loss with gossip-only dissemination;
 * classical recovery still decides when gossip cannot converge;
 * a view change at n=1000 costs O(N·log N·fanout) VoteBundle deliveries,
-  not the O(N²) (~1M) of an all-to-all aggregate broadcast.
+  not the O(N²) (~1M) of an all-to-all aggregate broadcast;
+* votes, pulls and decisions name a cut by its 64-bit id; a cut's body
+  crosses the wire only in answer to a ``want``, is installed only if it
+  hashes back to the id, and nothing malformed raises.
 """
 
 import math
 import random
 
+import pytest
+
+from repro.core.events import NodeStatus
 from repro.core.fast_paxos import FastPaxos
 from repro.core.messages import (
     AlertKind,
     Change,
+    Decision,
     VoteBundle,
     VotePull,
+    cut_id,
     make_proposal,
 )
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
+from repro.experiments.harness import harness_for
+from repro.experiments.scenarios import partition_heal_experiment
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime import codec
 from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
 from repro.sim.faults import AmbientLoss
@@ -97,46 +108,59 @@ def gossip_settings(**overrides):
     return RapidSettings(gossip_threshold=1, **overrides)
 
 
+def unicast_settings(**overrides):
+    """One aggregate broadcast per voter at any view size."""
+    return RapidSettings(gossip_threshold=1_000_000, **overrides)
+
+
+#: Both dissemination paths of a view, for tests of what they share.
+BOTH_MODES = pytest.mark.parametrize(
+    "settings_for", [unicast_settings, gossip_settings], ids=["unicast", "gossip"]
+)
+
+
 class TestIncrementalQuorum:
     def test_counts_match_full_bitmap_scan(self):
         """The incremental popcount ledger equals bit_count() at all times."""
         harness = ConsensusHarness(8, RapidSettings())
         node = harness.nodes[harness.members[0]]
         rng = random.Random(42)
-        proposals = [proposal_for(i) for i in range(3)]
+        cuts = [cut_id(proposal_for(i)) for i in range(3)]
         for _ in range(200):
-            proposal = rng.choice(proposals)
+            cid = rng.choice(cuts)
             bitmap = rng.getrandbits(node.n)
-            node._merge(proposal, bitmap)
-            for p, bits in node.votes.items():
-                assert node._counts[p] == bits.bit_count()
+            node._merge(cid, bitmap)
+            for c, bits in node.votes.items():
+                assert node._counts[c] == bits.bit_count()
 
     def test_quorum_decision_equivalent_to_full_scan(self):
         """_check_quorum fires exactly when a full scan would."""
         harness = ConsensusHarness(16, RapidSettings())
         node = harness.nodes[harness.members[0]]
         proposal = proposal_for(0)
+        cid = node._hold(proposal)
         for i in range(node.n):
             assert not node.decided
             full_scan = any(
                 bits.bit_count() >= node.fast_quorum for bits in node.votes.values()
             )
             assert full_scan == node.decided
-            node._merge(proposal, 1 << i)
+            node._merge(cid, 1 << i)
             node._check_quorum()
             if node.decided:
                 break
         assert node.decided
-        assert node.votes[proposal].bit_count() == node.fast_quorum
+        assert node.decision == proposal and node.decision_id == cid
+        assert node.votes[cid].bit_count() == node.fast_quorum
 
     def test_merge_returns_only_new_bits(self):
         harness = ConsensusHarness(8, RapidSettings())
         node = harness.nodes[harness.members[0]]
-        proposal = proposal_for(0)
-        assert node._merge(proposal, 0b0110) == 0b0110
-        assert node._merge(proposal, 0b0011) == 0b0001
-        assert node._merge(proposal, 0b0110) == 0
-        assert node._counts[proposal] == 3
+        cid = cut_id(proposal_for(0))
+        assert node._merge(cid, 0b0110) == 0b0110
+        assert node._merge(cid, 0b0011) == 0b0001
+        assert node._merge(cid, 0b0110) == 0
+        assert node._counts[cid] == 3
 
 
 class TestDeltaBundles:
@@ -144,14 +168,15 @@ class TestDeltaBundles:
         harness = ConsensusHarness(32, gossip_settings())
         node = harness.nodes[harness.members[0]]
         peer = harness.members[1]
-        proposal = proposal_for(0)
-        node._merge(proposal, 0b111)
+        cid = cut_id(proposal_for(0))
+        node._merge(cid, 0b111)
         first = node._delta_for(peer)
-        assert first.proposals == (proposal,)
+        assert first.ids == (cid,)
         assert first.bitmaps == (0b111,)
+        assert first.bodies == ()  # a push never spells the cut out
         # Nothing new: no bundle at all.
         assert node._delta_for(peer) is None
-        node._merge(proposal, 0b1111)
+        node._merge(cid, 0b1111)
         second = node._delta_for(peer)
         assert second.bitmaps == (0b1000,)
 
@@ -159,11 +184,9 @@ class TestDeltaBundles:
         harness = ConsensusHarness(32, gossip_settings())
         a, b = harness.members[0], harness.members[1]
         node = harness.nodes[a]
-        proposal = proposal_for(0)
-        node._merge(proposal, 1 << 5)
-        node._on_votes(
-            VoteBundle(sender=b, config_id=1, proposals=(proposal,), bitmaps=(0b11,))
-        )
+        cid = cut_id(proposal_for(0))
+        node._merge(cid, 1 << 5)
+        node._on_votes(VoteBundle(sender=b, config_id=1, ids=(cid,), bitmaps=(0b11,)))
         delta = node._delta_for(b)
         assert delta is not None
         assert delta.bitmaps == (1 << 5,)  # the peer's own bits are excluded
@@ -192,7 +215,16 @@ class TestGossipDissemination:
 
     def test_fallback_decides_when_gossip_converges_slowly(self):
         """Conflicting votes never reach a fast quorum; recovery decides."""
-        settings = gossip_settings(
+        self.split_vote_decides_by_fallback(gossip_settings)
+
+    def test_split_vote_in_a_unicast_view_falls_back_too(self):
+        self.split_vote_decides_by_fallback(unicast_settings)
+
+    def split_vote_decides_by_fallback(self, settings_for):
+        """A 50/50 split: the half that voted for the other cut learns the
+        decided body from ``Phase1b``/``Phase2a`` — nobody counted a
+        quorum, so nobody pulls."""
+        settings = settings_for(
             gossip_interval=5.0,  # gossip too slow to matter
             consensus_fallback_timeout=0.5,
             consensus_rank_delay=0.05,
@@ -206,6 +238,12 @@ class TestGossipDissemination:
         assert len(decisions) == 1
         assert decisions <= {a, b}
         assert any(node.used_fallback for node in harness.nodes.values())
+        (decided,) = decisions
+        for node in harness.nodes.values():
+            assert node.decision_id == cut_id(decided)
+            assert node._bodies[node.decision_id] == decided
+        assert counter_value(harness, "consensus.body_pulls_sent") == 0
+        assert counter_value(harness, "consensus.bodies_sent") == 0
 
     def test_pull_heartbeat_is_bounded_after_convergence(self):
         """In gossip mode undecided nodes keep a slow pull heartbeat after push gossip converges — bounded by
@@ -230,7 +268,7 @@ class TestGossipDissemination:
         for addr in harness.members[:8]:
             node = harness.nodes[addr]
             assert not node.decided
-            assert node.votes[proposal].bit_count() == 8
+            assert node.votes[cut_id(proposal)].bit_count() == 8
 
 
 class TestPullGossip:
@@ -239,18 +277,16 @@ class TestPullGossip:
         harness = ConsensusHarness(32, gossip_settings(), seed=7)
         a, b = harness.members[0], harness.members[1]
         node = harness.nodes[a]
-        proposal = proposal_for(0)
-        node._merge(proposal, 0b1111)
-        node._on_pull(
-            VotePull(sender=b, config_id=1, proposals=(proposal,), bitmaps=(0b10001,))
-        )
+        cid = cut_id(proposal_for(0))
+        node._merge(cid, 0b1111)
+        node._on_pull(VotePull(sender=b, config_id=1, ids=(cid,), bitmaps=(0b10001,)))
         # The digest's bit 4 was merged locally...
-        assert node.votes[proposal] == 0b11111
+        assert node.votes[cid] == 0b11111
         # ...and the reply (delivered to b after the wire delay) carries
         # exactly the bits b was missing.
         harness.engine.run(until=1.0)
         peer = harness.nodes[b]
-        assert peer.votes[proposal] == 0b1110 | 0b10001 | 0b1111
+        assert peer.votes[cid] == 0b1110 | 0b10001 | 0b1111
 
     def test_pull_to_decided_node_earns_decision(self):
         """Pulling a decided peer repairs the straggler with the decision."""
@@ -258,13 +294,17 @@ class TestPullGossip:
         a, b = harness.members[0], harness.members[1]
         node = harness.nodes[a]
         proposal = proposal_for(0)
-        node._merge(proposal, (1 << node.fast_quorum) - 1)
+        for addr in (a, b):  # both computed the cut; only a counted the quorum
+            harness.nodes[addr]._hold(proposal)
+        node._merge(cut_id(proposal), (1 << node.fast_quorum) - 1)
         node._check_quorum()
         assert node.decided
-        node._on_pull(VotePull(sender=b, config_id=1, proposals=(), bitmaps=()))
+        node._on_pull(VotePull(sender=b, config_id=1))
         harness.engine.run(until=1.0)
         assert harness.nodes[b].decided
         assert harness.nodes[b].decision == proposal
+        # The decision named the cut; b spelled it out from its own table.
+        assert counter_value(harness, "consensus.bodies_sent") == 0
 
     def test_stale_tick_sends_pulls(self):
         """A tick that learned nothing sends gossip_pull_fanout digests."""
@@ -290,6 +330,223 @@ class TestPullGossip:
         harness.engine.run(until=2.0)
         assert counter_value(harness, "consensus.vote_pulls_sent") == 0
         assert counter_value(harness, "consensus.vote_bundles_sent") > 0
+
+
+def drop_first_body(harness, addr, count=1):
+    """Lose the first ``count`` messages that carry a cut body to ``addr``."""
+    node, dropped = harness.nodes[addr], []
+
+    def handler(src, msg):
+        carried = msg.bodies if isinstance(msg, VoteBundle) else (
+            msg.body if isinstance(msg, Decision) else ()
+        )
+        if carried and len(dropped) < count:
+            dropped.append(msg)
+            return
+        node.handle(src, msg)
+
+    harness.network.register(addr, handler)
+    return dropped
+
+
+class TestBodiesOnDemand:
+    """A cut's body crosses the wire only in answer to a ``want``."""
+
+    @BOTH_MODES
+    @pytest.mark.parametrize("lose_first_reply", [False, True], ids=["", "reply-lost"])
+    def test_quorum_for_an_unknown_cut_is_pulled_verified_and_decided(
+        self, settings_for, lose_first_reply
+    ):
+        """A node whose cut detector never fired counts a fast quorum for
+        an id it cannot spell out, asks a voter, and decides on the fast
+        path — one gossip tick later when the first reply is lost."""
+        settings = settings_for(consensus_fallback_timeout=30.0)
+        harness = ConsensusHarness(16, settings, seed=11)
+        proposal = proposal_for(0)
+        silent = harness.members[-1]
+        dropped = drop_first_body(harness, silent) if lose_first_reply else None
+        for addr in harness.members[:-1]:
+            harness.engine.schedule(0.0, harness.nodes[addr].propose, proposal)
+        decided_at = harness.run_until_decided(timeout=10.0)
+        assert decided_at is not None and decided_at < settings.consensus_fallback_timeout
+        node = harness.nodes[silent]
+        assert node.my_vote is None
+        assert node.decision == proposal and node.decision_id == cut_id(proposal)
+        assert not any(n.used_fallback for n in harness.nodes.values())
+        pulls = counter_value(harness, "consensus.body_pulls_sent")
+        bodies = counter_value(harness, "consensus.bodies_sent")
+        if lose_first_reply:
+            assert len(dropped) == 1
+            assert pulls == bodies >= 2
+        else:
+            assert pulls == bodies == 1
+        assert counter_value(harness, "consensus.bodies_rejected") == 0
+
+    @BOTH_MODES
+    def test_decision_naming_an_unknown_cut_is_pulled_from_its_sender(
+        self, settings_for
+    ):
+        """``Decision(id)`` -> ``want`` -> ``Decision(id, body)``: a laggard
+        with no vote on record asks the process that told it, and keeps
+        asking every gossip tick while the answers get lost."""
+        harness = ConsensusHarness(8, settings_for(), seed=12)
+        a, b = harness.members[0], harness.members[1]
+        proposal = proposal_for(0)
+        decided = harness.nodes[a]
+        decided._decide(proposal)
+        laggard = harness.nodes[b]
+        dropped = drop_first_body(harness, b, count=2)
+        laggard.handle(a, decided._learn_message())
+        assert not laggard.decided and laggard._want == cut_id(proposal)
+        # The same decision from elsewhere is not a reason to ask twice.
+        laggard.handle(a, decided._learn_message())
+        assert counter_value(harness, "consensus.body_pulls_sent") == 1
+        harness.engine.run(until=1.0)
+        assert len(dropped) == 2
+        assert laggard.decided and laggard.decision == proposal
+        assert counter_value(harness, "consensus.body_pulls_sent") == 3
+        assert counter_value(harness, "consensus.bodies_sent") == 3
+
+    def test_a_body_is_installed_only_under_the_id_it_hashes_to(self):
+        harness = ConsensusHarness(8, unicast_settings(), seed=13)
+        a, b = harness.members[0], harness.members[1]
+        node = harness.nodes[a]
+        wanted, other = proposal_for(0), proposal_for(1)
+        node._merge(cut_id(wanted), (1 << node.fast_quorum) - 1 << 1)
+        node._check_quorum()
+        assert not node.decided and node._want == cut_id(wanted)
+        # Not the body asked for, a decision whose body is another cut's,
+        # bodies scoped to a configuration this instance is not deciding.
+        node.handle(b, VoteBundle(b, 1, bodies=(other,)))
+        node.handle(b, Decision(b, 1, cut_id(wanted), body=other))
+        node.handle(b, VoteBundle(b, 2, bodies=(wanted,)))
+        assert not node.decided
+        assert counter_value(harness, "consensus.bodies_rejected") == 3
+        node.handle(b, VoteBundle(b, 1, bodies=(other, wanted)))
+        assert node.decided and node.decision == wanted
+        assert counter_value(harness, "consensus.bodies_rejected") == 4
+
+    def test_a_want_for_a_cut_never_held_is_dropped_and_counted(self):
+        harness = ConsensusHarness(8, unicast_settings(), seed=14)
+        a, b = harness.members[0], harness.members[1]
+        node = harness.nodes[a]
+        sent = harness.network.sent_messages
+        node.handle(b, VotePull(b, 1, want=(12345,)))
+        assert harness.network.sent_messages == sent  # nothing to say
+        assert counter_value(harness, "consensus.wants_unanswered") == 1
+        node._decide(proposal_for(0))
+        node.handle(b, VotePull(b, 1, want=(12345,)))
+        assert counter_value(harness, "consensus.wants_unanswered") == 2
+        assert counter_value(harness, "consensus.bodies_sent") == 0
+        # The decision still went back, by id — which b then asks about.
+        harness.engine.run(until=1.0)
+        assert harness.nodes[b].decision == proposal_for(0)
+        assert counter_value(harness, "consensus.bodies_sent") == 1
+
+    @BOTH_MODES
+    def test_healed_partition_laggards_fetch_the_cut_that_removed_them(
+        self, settings_for
+    ):
+        """After the heal a minority member is told ``Decision(id)`` for a
+        cut it never saw a vote for, asks for the body, learns it was
+        removed, and rejoins — with a clean ledger, as before."""
+        result = partition_heal_experiment(
+            "rapid", 16, fraction=0.2, partition_for=30.0, seed=1,
+            settings=settings_for(),
+        )
+        harness = result["harness"]
+        assert result["minority_installs_during_partition"] == 0
+        assert result["majority_converged_during_partition"] is True
+        assert result["rejoined"] == result["minority"] > 0
+        assert result["reconverge_time"] is not None
+        assert harness.ledger.report()["ok"] is True
+        snapshot = harness.metrics.snapshot()
+        # One body per laggard, not one per Decision it was sent.
+        assert snapshot["consensus.body_pulls_sent"] >= result["minority"]
+        assert 0 < snapshot["consensus.bodies_sent"] <= 2 * result["minority"]
+        assert harness.network.class_counts["Decision"] > snapshot["consensus.bodies_sent"]
+
+    def test_one_vote_is_one_mtu_however_large_the_cut(self):
+        """A 1,024-change cut in a 2,048-member view: every fast-path
+        message names it by id, so the real encoding of each fits one
+        1,400 B frame where shipping the body (as wire version 1 did in
+        every vote) takes more than 16 KB."""
+        members = tuple(sorted(endpoint_for(i) for i in range(2048)))
+        uuids = random.Random(7)
+        cut = make_proposal(
+            Change(endpoint_for(i), AlertKind.JOIN, uuid=uuids.getrandbits(64))
+            for i in range(2048, 3072)
+        )
+        cid, everyone, config_id = cut_id(cut), (1 << 2048) - 1, 2**64 - 1
+        for msg in (
+            VoteBundle(members[0], config_id, ids=(cid,), bitmaps=(everyone,)),
+            VotePull(members[0], config_id, ids=(cid,), bitmaps=(everyone,), want=(cid,)),
+            Decision(members[0], config_id, cut_id=cid),
+        ):
+            data = codec.encode_bytes(msg)
+            assert len(data) <= 1400, (type(msg).__name__, len(data))
+            assert codec.decode_bytes(data) == msg
+        # The body travels only on request, and then it is this large.
+        answered = Decision(members[0], config_id, cut_id=cid, body=cut)
+        assert len(codec.encode_bytes(answered)) > 16 * 1024
+
+
+class TestMalformedConsensusTraffic:
+    """Whatever names a cut wrongly is dropped or pulled, and counted."""
+
+    @BOTH_MODES
+    def test_seeded_fuzz_never_raises_in_on_message(self, settings_for):
+        harness = harness_for("rapid", seed=21, settings=settings_for())
+        endpoints = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(8, timeout=120.0) is not None
+        harness.run_for(2.0)
+        rng = random.Random(21)
+        node = harness.agents[endpoints[3]]
+        current = node.config.config_id
+        past = next(iter(node._config_chain))
+        views = {ep: harness.agents[ep].config.config_id for ep in endpoints}
+        before = harness.metrics.snapshot()
+
+        def some_id():
+            # Ids of cuts nobody can spell out: no body below hashes to one.
+            return rng.choice((0, 1, rng.getrandbits(64), cut_id(proposal_for(9))))
+
+        def some_ids():
+            return tuple(some_id() for _ in range(rng.randrange(3)))
+
+        def some_cut():
+            return tuple(proposal_for(rng.randrange(4)) for _ in range(rng.randrange(3)))
+
+        for _ in range(600):
+            src = rng.choice(endpoints)
+            config_id = rng.choice((current, past, rng.getrandbits(64)))
+            ids = some_ids()
+            # Fewer bitmaps than ids, more, wider than the view: all fine.
+            bitmaps = tuple(rng.getrandbits(12) for _ in range(rng.randrange(4)))
+            msg = rng.choice(
+                (
+                    VoteBundle(src, config_id, ids, bitmaps, bodies=some_cut()),
+                    VotePull(src, config_id, ids, bitmaps, want=some_ids()),
+                    # Never a body under the id it hashes to: that would be
+                    # a decision, and the protocol trusts its members.
+                    Decision(src, config_id, rng.getrandbits(64), rng.choice(some_cut() + ((),))),
+                )
+            )
+            node.on_message(src, msg)
+        harness.run_for(5.0)
+        # Nobody installed anything on the strength of it.
+        assert {ep: harness.agents[ep].config.config_id for ep in endpoints} == views
+        assert all(harness.agents[ep].status == NodeStatus.ACTIVE for ep in endpoints)
+        assert harness.ledger.report()["ok"] is True
+        after = harness.metrics.snapshot()
+
+        def counted(name):
+            name = f"consensus.{name}"
+            return after.get(name, 0) - before.get(name, 0)
+
+        for name in ("bodies_rejected", "wants_unanswered", "body_pulls_sent"):
+            assert counted(name) > 0, name
+        assert counted("bodies_sent") == 0
 
 
 class TestScale:

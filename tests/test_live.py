@@ -208,6 +208,27 @@ def test_malformed_datagrams_count_decode_errors_without_crashing():
     assert len(received) == 1
 
 
+def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
+    """Wire version 1 put whole proposals where version 2 puts 8-byte cut
+    ids; a peer still speaking it is counted and ignored, never read as
+    a vote for ids made of its proposal bytes."""
+    received = []
+    runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
+    runtime.attach(lambda src, msg: received.append(msg))
+    version_1 = (
+        # The committed version-1 vectors of a VoteBundle and a Decision.
+        "010e007f000001a10f88796a5b4c3d2e1f0102007f000001a20f00070000000000"
+        "0000007f000001a30f01000000000000000001010b",
+        "0110007f000001a10f88796a5b4c3d2e1f02007f000001a20f0007000000000000"
+        "00007f000001a30f010000000000000000",
+    )
+    for hexed in version_1:
+        runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
+    assert runtime.decode_errors == len(version_1)
+    assert received == []
+    assert codec.WIRE_VERSION == 2
+
+
 def test_live_runtime_accounts_decode_errors_on_the_wire():
     wire = LiveWire(seed=0)
     runtime = LiveRuntime(Endpoint("127.0.0.1", 1), wire)

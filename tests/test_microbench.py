@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.core.fast_paxos import FastPaxos
-from repro.core.messages import Alert, AlertKind, BatchedAlerts, Change, Probe
+from repro.core.messages import Alert, AlertKind, BatchedAlerts, Change, Probe, cut_id
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.sim.cluster import endpoint_for
@@ -105,19 +105,17 @@ class TestConsensus:
             on_decide=lambda value: None,
             gossip=True,
         )
-        proposals = [
-            (Change(endpoint=Endpoint(f"10.99.0.{i}", 1), kind=AlertKind.REMOVE),)
+        cuts = [
+            cut_id((Change(endpoint=Endpoint(f"10.99.0.{i}", 1), kind=AlertKind.REMOVE),))
             for i in range(4)
         ]
         rng = random.Random(7)
         # Bit positions capped below the fast quorum so no proposal ever
         # decides: every iteration exercises the undecided hot path.
-        merges = [
-            (proposals[i % 4], 1 << rng.randrange(n // 2)) for i in range(40_000)
-        ]
+        merges = [(cuts[i % 4], 1 << rng.randrange(n // 2)) for i in range(40_000)]
         start = time.perf_counter()
-        for proposal, bitmap in merges:
-            node._merge(proposal, bitmap)
+        for cid, bitmap in merges:
+            node._merge(cid, bitmap)
             node._check_quorum()
         per_s = rate(len(merges), time.perf_counter() - start)
         assert per_s > 100_000, f"merge+quorum too slow: {per_s:.0f}/s"
