@@ -28,6 +28,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = {
     "bootstrap_rapid_n8_s1": BenchSpec("bootstrap", "rapid", 8, seed=1),
     "crash_rapid_n8_s5": BenchSpec("crash", "rapid", 8, seed=5, params={"failures": 2}),
+    "bootstrap_rapidc_n8_s1": BenchSpec("bootstrap", "rapid-c", 8, seed=1),
+    "crash_rapidc_n8_s5": BenchSpec("crash", "rapid-c", 8, seed=5, params={"failures": 2}),
 }
 
 
