@@ -27,42 +27,16 @@ from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = ["Broadcaster", "make_fanout"]
+__all__ = ["Broadcaster"]
 
 Deliver = Callable[[Endpoint, Any], None]
-
-Fanout = Callable[[Sequence[Endpoint], Any], None]
-
-
-def make_fanout(runtime: Runtime) -> Fanout:
-    """Resolve a runtime's fan-out capability once, at construction time.
-
-    Returns ``runtime.broadcast`` when the runtime provides one (the
-    simulated network sizes and delays the message once for the whole
-    storm) and an equivalent ``send``-loop fallback otherwise.  Every
-    caller that fans one payload out to many peers (the broadcasters
-    here, consensus vote gossip) goes through this single helper so the
-    capability probe and the fallback semantics live in one place.
-    """
-    broadcast = getattr(runtime, "broadcast", None)
-    if broadcast is not None:
-        return broadcast
-
-    def fanout(dsts: Sequence[Endpoint], msg: Any) -> None:
-        """Send-loop fallback for runtimes without a broadcast fast path."""
-        send = runtime.send
-        for dst in dsts:
-            send(dst, msg)
-
-    return fanout
 
 
 class Broadcaster:
     """Deliver a payload to every member of the current view.
 
     Unicast views fan the bare payload out to the precomputed peer list
-    through the runtime's ``broadcast`` fast path when one exists (see
-    :func:`make_fanout`).  Gossip views wrap it in a
+    through the runtime's ``broadcast``.  Gossip views wrap it in a
     :class:`~repro.core.messages.GossipEnvelope` and relay epidemically
     with duplicate suppression and relay batching.  Inbound envelopes are
     relayed whichever way this node currently originates: during a view
@@ -106,7 +80,6 @@ class Broadcaster:
         self._peers: tuple = ()
         self._seen: set = set()
         self._next_id = 0
-        self._fanout = make_fanout(runtime)
         self._relay_buf: list = []
         self._relay_timer = None
 
@@ -135,7 +108,7 @@ class Broadcaster:
     def broadcast(self, payload: Any) -> None:
         """Disseminate ``payload`` to every member, self included."""
         if not self.gossip:
-            self._fanout(self._peers, payload)
+            self.runtime.broadcast(self._peers, payload)
             self.deliver(self.runtime.addr, payload)
             return
         # The counter is never reset (not even on view changes) so the
@@ -200,5 +173,5 @@ class Broadcaster:
         if not peers:
             return
         count = min(self.fanout, len(peers))
-        self._fanout(self.runtime.rng.sample(peers, count), message)
+        self.runtime.broadcast(self.runtime.rng.sample(peers, count), message)
 

@@ -23,9 +23,9 @@ Two liveness aids keep subjects from lingering in the unstable region:
   ``o`` about ``s`` is applied: faulty observers cannot be expected to
   report their subjects;
 * **reinforcement** — handled by the membership layer: after a timeout,
-  every observer of a still-unstable subject echoes a REMOVE (see
-  :meth:`repro.core.membership.RapidNode`); the detector exposes the
-  timestamps needed to drive it.
+  every observer of a still-unstable subject echoes the alert (see
+  :meth:`repro.core.membership.ViewChanger.overdue`); the detector
+  exposes the timestamps needed to drive it.
 
 State is all integer counters keyed by subject; it is reset wholesale after
 each configuration change by discarding the instance.
@@ -70,7 +70,6 @@ class MultiNodeCutDetector:
         # Subjects already emitted in a proposal (awaiting consensus); they
         # no longer count as unstable and are not re-proposed.
         self._proposed: set = set()
-        self.proposals_emitted = 0
         # Incremental aggregation-rule state, so the per-alert check is
         # O(1) instead of a scan over every reported subject: the number
         # of subjects at/above the high watermark, the number of
@@ -124,7 +123,6 @@ class MultiNodeCutDetector:
         h = self.h
         stable = [s for s, rings in self._reports.items() if len(rings) >= h]
         self._proposed.update(stable)
-        self.proposals_emitted += 1
         return make_proposal(
             Change(endpoint=s, kind=self._kinds[s][0], uuid=self._kinds[s][1])
             for s in stable
@@ -191,10 +189,6 @@ class MultiNodeCutDetector:
 
     def _tally(self, subject: Endpoint) -> int:
         return len(self._reports.get(subject, ()))
-
-    def tally(self, subject: Endpoint) -> int:
-        """Number of distinct rings that reported ``subject``."""
-        return self._tally(subject)
 
     def unstable_subjects(self) -> list:
         """Subjects in the blocking region ``L <= tally < H``."""

@@ -59,14 +59,13 @@ fast-quorum decision.
 Laggards whose vote messages were lost are repaired reactively: a process
 that keeps gossiping votes for a configuration its peers already moved past
 receives a :class:`~repro.core.messages.Decision` learn message back (see
-``RapidNode._on_consensus``), which this instance adopts directly.
+``ViewChanger.on_consensus``), which this instance adopts directly.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.core.broadcaster import make_fanout
 from repro.core.messages import (
     Decision,
     Phase1a,
@@ -85,6 +84,18 @@ from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.runtime.base import Runtime
 
 __all__ = ["DecisionLog", "FastPaxos"]
+
+#: Always-reported counters, in the order ``FastPaxos.__init__`` unpacks them.
+_COUNTERS = (
+    "consensus.vote_bundles_sent",
+    "consensus.vote_bundles_received",
+    "consensus.vote_pulls_sent",
+    "consensus.vote_pull_replies",
+    "consensus.body_pulls_sent",
+    "consensus.bodies_sent",
+    "consensus.bodies_rejected",
+    "consensus.wants_unanswered",
+)
 
 
 class DecisionLog(dict):
@@ -172,7 +183,6 @@ class FastPaxos:
             m: i for i, m in enumerate(self.members)
         }
         self._peers = tuple(m for m in self.members if m != runtime.addr)
-        self._fanout = make_fanout(runtime)
         self.my_vote: Optional[Proposal] = None
         #: The vote aggregate: one bitmap of voters per cut id.
         self.votes: dict[int, int] = {}
@@ -192,15 +202,16 @@ class FastPaxos:
         self._shown: dict[Endpoint, dict[int, int]] = {}
         self._stale_ticks = 0
         self._learned_since_tick = False
-        counter = self.metrics.counter
-        self._m_bundles_tx = counter("consensus.vote_bundles_sent")
-        self._m_bundles_rx = counter("consensus.vote_bundles_received")
-        self._m_pulls_tx = counter("consensus.vote_pulls_sent")
-        self._m_pull_replies = counter("consensus.vote_pull_replies")
-        self._m_body_pulls = counter("consensus.body_pulls_sent")
-        self._m_bodies_tx = counter("consensus.bodies_sent")
-        self._m_bodies_rejected = counter("consensus.bodies_rejected")
-        self._m_wants_unanswered = counter("consensus.wants_unanswered")
+        (
+            self._m_bundles_tx,
+            self._m_bundles_rx,
+            self._m_pulls_tx,
+            self._m_pull_replies,
+            self._m_body_pulls,
+            self._m_bodies_tx,
+            self._m_bodies_rejected,
+            self._m_wants_unanswered,
+        ) = self.instruments(self.metrics)
         self.decided = False
         self.decision: Optional[Proposal] = None
         self.decision_id = 0
@@ -216,6 +227,11 @@ class FastPaxos:
             broadcast=broadcast,
             on_decide=self._decide,
         )
+
+    @staticmethod
+    def instruments(metrics: MetricsRegistry) -> tuple:
+        """The counters every instance reports, resolved from ``metrics``."""
+        return tuple(map(metrics.counter, _COUNTERS))
 
     # ---------------------------------------------------------------- voting
 
@@ -539,7 +555,7 @@ class FastPaxos:
             peers = self._peers
             if peers:
                 count = min(self.settings.gossip_fanout, len(peers))
-                self._fanout(self.runtime.rng.sample(peers, count), bundle)
+                self.runtime.broadcast(self.runtime.rng.sample(peers, count), bundle)
                 self._m_bundles_tx.inc(count)
         self._gossip_timer = self.runtime.schedule(
             self.settings.gossip_interval, self._gossip_tick

@@ -21,12 +21,16 @@ Retries rotate through the seed list with a jittered timeout (simultaneous
 rejoiners must not re-stampede the same seed in lockstep); a
 ``CONFIG_CHANGED`` response restarts the handshake promptly against the new
 configuration, and ``UUID_IN_USE`` mints a fresh logical identity.
+
+The responder side (who answers these requests, and when) is
+:class:`repro.core.membership.AdmissionDesk`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Callable, Optional, Sequence
 
+from repro.core.configuration import Configuration
 from repro.core.messages import (
     JoinRequest,
     JoinResponse,
@@ -34,20 +38,55 @@ from repro.core.messages import (
     PreJoinRequest,
     PreJoinResponse,
 )
-from repro.core.node_id import NodeId
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.configuration import Configuration
-    from repro.core.membership import RapidNode
+from repro.core.node_id import Endpoint, NodeId
+from repro.core.settings import RapidSettings
+from repro.runtime.base import Runtime
 
 __all__ = ["JoinProtocol"]
 
 
 class JoinProtocol:
-    """State machine run by a joining node until it becomes a member."""
+    """State machine run by a joining process until it becomes a member.
 
-    def __init__(self, node: "RapidNode") -> None:
-        self.node = node
+    Parameters
+    ----------
+    runtime, settings:
+        Messaging, timers and jitter; ``join_timeout``/``join_retry_jitter``.
+    seeds:
+        Contact list, tried in rotation.
+    node_id:
+        The logical identity to join under; re-minted here when a view
+        reports it in use, and handed back on admission.
+    metadata:
+        The joiner's role metadata in canonical (sorted, hashable) form.
+    base:
+        The last configuration this process was a member of, advertised
+        so the admitting view can arrive as a delta; dropped the moment a
+        delta against it proves unusable.
+    on_admitted:
+        ``on_admitted(node_id, config, metadata, removed, partial)``, called
+        once with the admitting view.  ``partial`` marks a delta, whose
+        ``metadata`` adds to and whose ``removed`` trims what the joiner
+        already holds for ``base``; a snapshot's replaces it.
+    """
+
+    def __init__(
+        self,
+        runtime: Runtime,
+        settings: RapidSettings,
+        seeds: Sequence[Endpoint],
+        node_id: NodeId,
+        metadata: tuple,
+        base: Optional[Configuration],
+        on_admitted: Callable[..., None],
+    ) -> None:
+        self.runtime = runtime
+        self.settings = settings
+        self.seeds = seeds
+        self.node_id = node_id
+        self.metadata = metadata
+        self.base = base
+        self._on_admitted = on_admitted
         self.attempts = 0
         self.completed = False
         self._config_id: Optional[int] = None
@@ -55,7 +94,7 @@ class JoinProtocol:
         #: Logical ids this protocol instance has joined under.  If a
         #: UUID_IN_USE conflict names one of them, our own earlier
         #: attempt was admitted and only the response went missing.
-        self._attempt_uuids = {node.node_id.uuid}
+        self._attempt_uuids = {node_id.uuid}
 
     # ---------------------------------------------------------------- driving
 
@@ -63,17 +102,15 @@ class JoinProtocol:
         """Start (or restart) the join handshake."""
         if self.completed:
             return
-        seeds = self.node.seeds or ()
-        if not seeds:
+        if not self.seeds:
             raise RuntimeError("cannot join without seeds")
-        seed = seeds[self.attempts % len(seeds)]
+        seed = self.seeds[self.attempts % len(self.seeds)]
         self.attempts += 1
         self._config_id = None
-        self.node.runtime.send(
-            seed,
-            PreJoinRequest(sender=self.node.addr, uuid=self.node.node_id.uuid),
+        self.runtime.send(
+            seed, PreJoinRequest(sender=self.runtime.addr, uuid=self.node_id.uuid)
         )
-        self._arm_timeout(self.node.settings.join_timeout)
+        self._arm_timeout(self.settings.join_timeout)
 
     def _restart(self, delay: float) -> None:
         """Abandon the current handshake attempt and retry after ``delay``.
@@ -95,10 +132,10 @@ class JoinProtocol:
         at the same instant.
         """
         self._cancel_timeout()
-        jitter = self.node.settings.join_retry_jitter
+        jitter = self.settings.join_retry_jitter
         if jitter:
-            delay += self.node.runtime.rng.uniform(0.0, jitter * delay)
-        self._timeout_handle = self.node.runtime.schedule(delay, self._on_timeout)
+            delay += self.runtime.rng.uniform(0.0, jitter * delay)
+        self._timeout_handle = self.runtime.schedule(delay, self._on_timeout)
 
     def _cancel_timeout(self) -> None:
         if self._timeout_handle is not None:
@@ -112,7 +149,7 @@ class JoinProtocol:
 
     # --------------------------------------------------------------- messages
 
-    def on_pre_join_response(self, msg: PreJoinResponse) -> None:
+    def on_pre_join_response(self, src: Endpoint, msg: PreJoinResponse) -> None:
         """Phase 2: ask every temporary observer to vouch for the join."""
         if self.completed:
             return
@@ -126,19 +163,19 @@ class JoinProtocol:
                 # another identity would deadlock against our own
                 # admission (it keeps acking probes, so it never fails
                 # out of the view).
-                self.node.node_id = NodeId(
-                    endpoint=self.node.addr, uuid=msg.conflict_uuid
+                self.node_id = NodeId(
+                    endpoint=self.runtime.addr, uuid=msg.conflict_uuid
                 )
-                self._restart(min(0.5, self.node.settings.join_timeout))
+                self._restart(min(0.5, self.settings.join_timeout))
                 return
             # A stale incarnation of us is still in the view; retry with a
             # fresh logical identity once failure detection clears it.
-            self.node.node_id = NodeId.fresh(self.node.addr)
-            self._attempt_uuids.add(self.node.node_id.uuid)
-            self._restart(self.node.settings.join_timeout)
+            self.node_id = NodeId.fresh(self.runtime.addr)
+            self._attempt_uuids.add(self.node_id.uuid)
+            self._restart(self.settings.join_timeout)
             return
         if msg.status != JoinStatus.SAFE_TO_JOIN:
-            self._restart(self.node.settings.join_timeout / 2)
+            self._restart(self.settings.join_timeout / 2)
             return
         if self._config_id == msg.config_id:
             # A duplicate SAFE_TO_JOIN for the attempt already in flight
@@ -149,47 +186,42 @@ class JoinProtocol:
             # through begin()/_restart, which clear the in-flight id.
             return
         self._config_id = msg.config_id
-        base = self.node._delta_base
         request = JoinRequest(
-            sender=self.node.addr,
-            uuid=self.node.node_id.uuid,
+            sender=self.runtime.addr,
+            uuid=self.node_id.uuid,
             config_id=msg.config_id,
-            metadata=self.node.metadata_tuple(),
-            base_config_id=base.config_id if base is not None else 0,
+            metadata=self.metadata,
+            base_config_id=self.base.config_id if self.base is not None else 0,
         )
-        seen = set()
-        for observer in msg.observers:
-            if observer in seen:
-                continue
-            seen.add(observer)
-            self.node.runtime.send(observer, request)
-        self._arm_timeout(self.node.settings.join_timeout)
+        for observer in dict.fromkeys(msg.observers):
+            self.runtime.send(observer, request)
+        self._arm_timeout(self.settings.join_timeout)
 
-    def on_join_response(self, msg: JoinResponse) -> None:
-        """Completion: install the admitting view, or restart/retry."""
+    def on_join_response(self, src: Endpoint, msg: JoinResponse) -> None:
+        """Completion: hand over the admitting view, or restart/retry."""
         if self.completed:
             return
         if msg.status == JoinStatus.SAFE_TO_JOIN:
             config = self._materialize(msg)
             if config is None:
                 return
-            if self.node.addr not in config:
+            if self.runtime.addr not in config:
                 return  # stale or malformed; keep waiting
             self.completed = True
             self._cancel_timeout()
             if msg.delta is not None:
-                self.node._install_joined_view(
-                    config, msg.delta.metadata, msg.delta.removes, partial=True
+                self._on_admitted(
+                    self.node_id, config, msg.delta.metadata, msg.delta.removes, True
                 )
             else:
-                self.node._install_joined_view(config, msg.view.metadata)
+                self._on_admitted(self.node_id, config, msg.view.metadata)
         elif msg.status == JoinStatus.CONFIG_CHANGED:
             # The view changed under us; restart quickly against the new one.
-            self._restart(min(0.5, self.node.settings.join_timeout))
+            self._restart(min(0.5, self.settings.join_timeout))
 
     # -------------------------------------------------------------- materialize
 
-    def _materialize(self, msg: JoinResponse) -> Optional["Configuration"]:
+    def _materialize(self, msg: JoinResponse) -> Optional[Configuration]:
         """Reconstruct the admitting configuration from a SAFE_TO_JOIN reply.
 
         Full snapshots construct it directly; deltas are applied to the
@@ -198,8 +230,6 @@ class JoinProtocol:
         drops the base and restarts the handshake so the next attempt asks
         for (and gets) a full snapshot.
         """
-        from repro.core.configuration import Configuration
-
         if msg.view is not None:
             config = Configuration(
                 members=msg.view.members, uuids=msg.view.uuids, seq=msg.view.seq
@@ -209,7 +239,7 @@ class JoinProtocol:
             return config
         if msg.delta is None:
             return None
-        base = self.node._delta_base
+        base = self.base
         if base is None or base.config_id != msg.delta.base_config_id:
             self._drop_base_and_restart()
             return None
@@ -225,5 +255,5 @@ class JoinProtocol:
 
     def _drop_base_and_restart(self) -> None:
         """Fall back to the full-snapshot path on an unusable delta."""
-        self.node._delta_base = None
-        self._restart(min(0.5, self.node.settings.join_timeout))
+        self.base = None
+        self._restart(min(0.5, self.settings.join_timeout))

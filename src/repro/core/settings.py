@@ -34,7 +34,7 @@ class RapidSettings:
         subject is probed exactly once per interval; *when* within the
         interval is decided by the probe wheel, which strides subjects
         over ``min(2, k)`` sub-intervals (see
-        :class:`~repro.core.membership.RapidNode`).
+        :class:`~repro.core.membership.EdgeMonitor`).
     probe_timeout:
         Seconds an observer waits before counting a probe as failed.
         Expiry is checked on wheel ticks, so the effective timeout is
@@ -174,7 +174,7 @@ class RapidSettings:
         if self.join_retry_jitter < 0:
             raise ValueError("join_retry_jitter must be >= 0 (0 = none)")
         # View reports ride the probe wheel, which ticks min(2, k) times
-        # per probe_interval (see RapidNode._wheel_tick).
+        # per probe_interval (see EdgeMonitor._tick).
         tick = self.probe_interval / min(2, self.k)
         ticks = self.report_interval / tick
         if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:

@@ -23,7 +23,7 @@ from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
 from repro.baselines.swim import SwimConfig, SwimNode
 from repro.baselines.zookeeper import ZkClient, ZkConfig, build_ensemble
 from repro.core.centralized import CentralizedClusterNode, EnsembleNode
-from repro.core.membership import RapidNode
+from repro.core.membership import RapidNode, ViewChanger
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.obs.invariants import ViewLedger
@@ -170,6 +170,10 @@ class RapidCHarness(RapidHarness):
 
     def __init__(self, seed: int = 0, **kw) -> None:
         super().__init__(seed=seed, **kw)
+        # ``metrics`` instruments the cluster members, not the ensemble; the
+        # members decide nothing, and their report keeps Rapid's columns for
+        # the deciding role (at zero) so the two systems' rows line up.
+        ViewChanger.instruments(self.metrics)
         self.ensemble_endpoints = tuple(
             Endpoint(host=f"10.255.255.{i + 1}", port=9000) for i in range(3)
         )

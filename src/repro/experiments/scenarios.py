@@ -140,8 +140,8 @@ def crash_experiment(
     """Bootstrap, then crash ``failures`` processes simultaneously.
 
     Reports the view-size timeseries around the crash (Figure 8), the time
-    for all survivors to converge to ``n - failures``, and the per-process
-    bandwidth statistics over the run (Table 2).
+    for all survivors to converge to ``n - failures``; Table 2's per-process
+    bandwidth summaries are :func:`bandwidth_stats` over the returned harness.
     """
     harness, endpoints, _ = _settled(
         system, n, seed, settle_timeout, harness_kwargs, rest=10.0

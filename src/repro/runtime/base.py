@@ -16,7 +16,7 @@ Two runtimes are provided:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from repro.core.node_id import Endpoint
 
@@ -58,4 +58,12 @@ class Runtime(Protocol):
 
     def send(self, dst: Endpoint, msg: Any) -> None:
         """Fire-and-forget a message to ``dst`` (datagram semantics)."""
+        ...
+
+    def broadcast(self, dsts: Sequence[Endpoint], msg: Any) -> None:
+        """Fan one message out to every endpoint in ``dsts``.
+
+        ``send`` in a loop as far as the protocol can tell; a runtime may
+        size, delay and account the copies as one batch.
+        """
         ...

@@ -99,7 +99,7 @@ def _view_snapshot_size(value) -> int:
     """Size a ViewSnapshot once and memoize the result on the object.
 
     Join responses intern one snapshot per configuration (see
-    :meth:`repro.core.membership.RapidNode._join_response`): during a mass
+    :meth:`repro.core.membership.AdmissionDesk.join_response`): during a mass
     bootstrap the same O(N)-sized snapshot is sent to every joiner admitted
     in the view, so walking its members tuple per response would make
     wire sizing the dominant cost of the join path (~10k responses × ~25 KB

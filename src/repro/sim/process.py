@@ -60,12 +60,8 @@ class SimRuntime:
             self.network.send(self.addr, dst, msg)
 
     def broadcast(self, dsts, msg: Any) -> None:
-        """Fan ``msg`` out to every endpoint in ``dsts`` (fast path).
-
-        Optional runtime capability: callers discover it with ``getattr``
-        and fall back to a ``send`` loop (see
-        :func:`repro.core.broadcaster.make_fanout`).
-        """
+        """Fan ``msg`` out to every endpoint in ``dsts`` (sized and
+        delayed once, see :meth:`repro.sim.network.Network.broadcast`)."""
         if not self._crashed:
             self.network.broadcast(self.addr, dsts, msg)
 

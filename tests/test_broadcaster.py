@@ -11,7 +11,7 @@ from repro.sim.cluster import endpoint_for
 
 
 class FakeRuntime:
-    """Captures sends; no broadcast capability, so fan-outs loop over send.
+    """Captures sends, fan-outs as one send per destination.
 
     Timers are collected and fired on demand (``fire_timers``) so tests
     can step the relay-batching window deterministically.
@@ -25,6 +25,10 @@ class FakeRuntime:
 
     def send(self, dst, msg):
         self.sent.append((dst, msg))
+
+    def broadcast(self, dsts, msg):
+        for dst in dsts:
+            self.send(dst, msg)
 
     class _Timer:
         """Cancellable stand-in for an engine event handle."""
@@ -222,9 +226,9 @@ class TestNodeWiring:
         assert cluster.run_until_converged(3, timeout=60) is not None
         for node in cluster.agents.values():
             assert not node.broadcaster.gossip
-            assert not node.consensus.gossip_mode
+            assert not node.decider.consensus.gossip_mode
         cluster.add_node(endpoint_for(3), seeds=(endpoint_for(0),))
         assert cluster.run_until_converged(4, timeout=60) is not None
         for node in cluster.agents.values():
             assert node.broadcaster.gossip
-            assert node.consensus.gossip_mode
+            assert node.decider.consensus.gossip_mode

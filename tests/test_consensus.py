@@ -503,7 +503,7 @@ class TestMalformedConsensusTraffic:
         rng = random.Random(21)
         node = harness.agents[endpoints[3]]
         current = node.config.config_id
-        past = next(iter(node._config_chain))
+        past = next(iter(node.decider.log))
         views = {ep: harness.agents[ep].config.config_id for ep in endpoints}
         before = harness.metrics.snapshot()
 

@@ -19,7 +19,8 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.core.events import NodeStatus
 from repro.core.messages import JoinResponse, JoinStatus, ViewDelta
-from repro.core.node_id import Endpoint
+from repro.core.join import JoinProtocol
+from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidHarness
 from repro.sim.cluster import endpoint_for
@@ -37,6 +38,30 @@ def converged_cluster(n: int, seed: int = 1, **setting_overrides) -> RapidHarnes
     cluster.bootstrap(n, seed_delay=2.0, stagger=1.0)
     assert cluster.run_until_converged(n, timeout=120.0) is not None
     return cluster
+
+
+def leave_silently(cluster: RapidHarness, node) -> None:
+    """A graceful leave whose every LeaveNotification is lost."""
+    network = cluster.network
+    send = network.send
+    network.send = lambda src, dst, msg: None
+    try:
+        node.leave()
+    finally:
+        network.send = send
+
+
+def joiner_on(runtime, on_admitted=lambda *args: None) -> JoinProtocol:
+    """A bare joiner-side state machine: no node, one seed."""
+    return JoinProtocol(
+        runtime,
+        RapidSettings(),
+        (endpoint_for(99),),
+        NodeId.fresh(runtime.addr),
+        (),
+        None,
+        on_admitted,
+    )
 
 
 def distinct_views(cluster: RapidHarness) -> set:
@@ -170,7 +195,7 @@ class TestRejoinPaths:
             if not keep_base:
                 # A rejoiner that no longer holds its departed view
                 # advertises no base and must be sent the full snapshot.
-                node._delta_base = None
+                node._joiner.base = None
 
         cluster.engine.schedule(rejoin_after, rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
@@ -224,7 +249,7 @@ class TestRejoinPaths:
         cluster = converged_cluster(10, seed=6, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
         node = cluster.agents[victim]
-        node.status = NodeStatus.LEFT  # silent leave: no notification
+        leave_silently(cluster, node)
         survivors = [n for ep, n in cluster.agents.items() if ep != victim]
         deadline = cluster.engine.now + 60.0
         while cluster.engine.now < deadline:
@@ -240,7 +265,7 @@ class TestRejoinPaths:
         cluster = converged_cluster(10, seed=7, probe_bootstrap_budget=5)
         victim = endpoint_for(4)
         node = cluster.agents[victim]
-        node.status = NodeStatus.LEFT
+        leave_silently(cluster, node)
         cluster.engine.schedule(2.0, node.rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         assert node.status == NodeStatus.ACTIVE
@@ -286,28 +311,10 @@ class TestSingleResponder:
         assert responder_map(5) == responder_map(5)
 
 
-class _FakeJoiner:
-    """Just enough of a RapidNode for JoinProtocol unit tests."""
-
-    def __init__(self, runtime):
-        from repro.core.node_id import NodeId
-
-        self.runtime = runtime
-        self.addr = runtime.addr
-        self.node_id = NodeId.fresh(self.addr)
-        self.settings = RapidSettings()
-        self.seeds = (endpoint_for(99),)
-        self._delta_base = None
-
-    def metadata_tuple(self):
-        return ()
-
-
 class TestRetryBehavior:
     def test_retry_jitter_spreads_timeouts(self):
         # Two nodes arming the same nominal delay must not collide on the
         # same instant (their per-process RNG streams differ).
-        from repro.core.join import JoinProtocol
         from repro.sim.engine import Engine
         from repro.sim.process import SimRuntime
 
@@ -316,30 +323,35 @@ class TestRetryBehavior:
         fire_times = []
         for i in range(4):
             runtime = SimRuntime(engine, network, endpoint_for(i), seed=1)
-            protocol = JoinProtocol(_FakeJoiner(runtime))
+            protocol = joiner_on(runtime)
             protocol.begin()
             fire_times.append(protocol._timeout_handle._event.time)
         assert len(set(fire_times)) == len(fire_times)
 
     def test_restart_clears_inflight_config_id(self):
-        from repro.core.join import JoinProtocol
         from repro.sim.engine import Engine
         from repro.sim.process import SimRuntime
 
         engine = Engine()
         network = Network(engine, seed=1)
         runtime = SimRuntime(engine, network, endpoint_for(0), seed=1)
-        protocol = JoinProtocol(_FakeJoiner(runtime))
+        protocol = joiner_on(runtime)
         protocol.begin()
         protocol._config_id = 1234
         protocol.on_join_response(
+            endpoint_for(99),
             JoinResponse(
                 sender=endpoint_for(99),
                 status=JoinStatus.CONFIG_CHANGED,
                 config_id=5678,
-            )
+            ),
         )
         assert protocol._config_id is None
+
+
+def harness_alerts(cluster: RapidHarness) -> int:
+    """Alerts every node of the cluster has enqueued so far."""
+    return cluster.metrics.snapshot()["cluster.alerts_enqueued"]
 
 
 class TestDuplicateIdempotency:
@@ -365,12 +377,12 @@ class TestDuplicateIdempotency:
             metadata=(),
             base_config_id=0,
         )
-        node._on_join_request(joiner, msg)
-        batched = len(node._alert_batch)
-        assert batched >= 1
-        node._on_join_request(joiner, msg)  # network duplicate
-        assert len(node._alert_batch) == batched
-        assert node._pending_joiners[joiner] == (123456, 0)
+        alerts = harness_alerts(cluster)
+        node.on_message(joiner, msg)
+        assert node.desk.pending[joiner] == (123456, 0)
+        node.on_message(joiner, msg)  # network duplicate
+        assert node.desk.pending[joiner] == (123456, 0)
+        assert harness_alerts(cluster) == alerts + 1
         # A genuinely new incarnation (fresh uuid) must still re-alert.
         fresh = JoinRequest(
             sender=joiner,
@@ -379,12 +391,11 @@ class TestDuplicateIdempotency:
             metadata=(),
             base_config_id=0,
         )
-        node._on_join_request(joiner, fresh)
-        assert len(node._alert_batch) == batched + 1
-        assert node._pending_joiners[joiner] == (999999, 0)
+        node.on_message(joiner, fresh)
+        assert node.desk.pending[joiner] == (999999, 0)
+        assert harness_alerts(cluster) == alerts + 2
 
     def test_duplicate_safe_to_join_fans_requests_once(self):
-        from repro.core.join import JoinProtocol
         from repro.core.messages import PreJoinResponse
         from repro.sim.engine import Engine
         from repro.sim.process import SimRuntime
@@ -400,7 +411,7 @@ class TestDuplicateIdempotency:
 
         network.send = send
         runtime = SimRuntime(engine, network, endpoint_for(0), seed=1)
-        protocol = JoinProtocol(_FakeJoiner(runtime))
+        protocol = joiner_on(runtime)
         protocol.begin()
         msg = PreJoinResponse(
             sender=endpoint_for(99),
@@ -408,16 +419,16 @@ class TestDuplicateIdempotency:
             config_id=42,
             observers=tuple(endpoint_for(i) for i in (10, 11, 12)),
         )
-        protocol.on_pre_join_response(msg)
+        protocol.on_pre_join_response(msg.sender, msg)
         assert sent.count("JoinRequest") == 3
         deadline = protocol._timeout_handle._event.time
-        protocol.on_pre_join_response(msg)  # network duplicate
+        protocol.on_pre_join_response(msg.sender, msg)  # network duplicate
         assert sent.count("JoinRequest") == 3  # not re-fanned
         assert protocol._timeout_handle._event.time == deadline  # not re-armed
         # A later attempt (the in-flight id was cleared by a restart)
         # fans out again.
         protocol._config_id = None
-        protocol.on_pre_join_response(msg)
+        protocol.on_pre_join_response(msg.sender, msg)
         assert sent.count("JoinRequest") == 6
 
 
@@ -462,7 +473,7 @@ def test_stranded_members_rejoin_the_running_cluster():
     144-member view and still acking probes, because nobody compares a
     ``ProbeAck``'s ``config_id`` — while the cluster runs on to seq 16.
     One decision cache of one depth (PR 17: laggard repair now reads the
-    32-link ``_config_chain``) is not enough on its own: two of the three
+    32-link ``DecisionLog``) is not enough on its own: two of the three
     do earn the seq-5 ``Decision`` (t=32.8 and t=37.0, when a JOIN alert
     they vouch for reaches members that moved on) and install seq 6 —
     then go silent again, since a fresh view has nothing alerted to

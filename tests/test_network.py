@@ -163,3 +163,21 @@ class TestPerSecondRates:
         tx, _ = network.per_second_rates(a, end=3.0)
         assert len(tx) == 3
         assert tx[0] > 0 and tx[1] == 0 and tx[2] == 0
+
+
+def test_bandwidth_stats_summarise_per_second_rates_as_table_2():
+    """Paper Table 2: mean/p99/max of per-process KB/s over a crash run."""
+    from repro.experiments.scenarios import bandwidth_stats, crash_experiment
+
+    harness = crash_experiment("rapid", 16, failures=2, seed=1)["harness"]
+    stats = bandwidth_stats(harness, harness.live_endpoints())
+    for direction in ("tx", "rx"):
+        summary = stats[direction]
+        assert 0 < summary["mean"] <= summary["p99"] <= summary["max"]
+    # Everyone sends probes and acks every second: about 1 KB/s each way.
+    assert stats["tx"]["mean"] == pytest.approx(0.93, abs=0.05)
+    late = bandwidth_stats(harness, harness.live_endpoints(), start=harness.engine.now + 1)
+    assert late == {
+        "tx": {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0},
+        "rx": {"mean": 0.0, "p50": 0.0, "p99": 0.0, "max": 0.0},
+    }

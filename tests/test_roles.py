@@ -1,0 +1,363 @@
+"""The three roles at their seams, and the three ways they are composed.
+
+``EdgeMonitor`` (watch), ``ViewChanger`` (decide) and ``AdmissionDesk``
+(admit) take a runtime and plain callables, so each is driven here with a
+fake runtime and no node or cluster — behaviour that otherwise only shows
+through a whole ``SimCluster``.  The last class checks the compositions:
+Rapid, a Rapid-C cluster member, an ensemble member.
+"""
+
+import heapq
+import random
+
+import pytest
+
+from repro.core.centralized import CentralizedClusterNode, EnsembleNode
+from repro.core.configuration import Configuration
+from repro.core.cut_detector import MultiNodeCutDetector
+from repro.core.fast_paxos import FastPaxos
+from repro.core.membership import EdgeMonitor, RapidNode, ViewChanger
+from repro.core.messages import (
+    Alert,
+    AlertKind,
+    Change,
+    Decision,
+    PreJoinRequest,
+    Probe,
+    ProbeAck,
+    VoteBundle,
+    VotePull,
+    cut_id,
+    make_proposal,
+)
+from repro.core.ring import KRingTopology
+from repro.core.settings import RapidSettings
+from repro.experiments.harness import harness_for
+from repro.sim.cluster import endpoint_for
+
+
+class SteppingRuntime:
+    """A runtime whose clock moves only when the test steps it."""
+
+    def __init__(self, addr):
+        self.addr = addr
+        self.rng = random.Random(0)
+        self.time = 0.0
+        self.sent = []  # (time, dst, msg)
+        self._timers = []
+        self._seq = 0
+
+    class _Timer:
+        def __init__(self, fn, args):
+            self.fn, self.args, self.cancelled = fn, args, False
+
+        def cancel(self):
+            self.cancelled = True
+
+    def now(self):
+        return self.time
+
+    def schedule(self, delay, fn, *args):
+        timer = self._Timer(fn, args)
+        self._seq += 1
+        heapq.heappush(self._timers, (self.time + delay, self._seq, timer))
+        return timer
+
+    def send(self, dst, msg):
+        self.sent.append((self.time, dst, msg))
+
+    def broadcast(self, dsts, msg):
+        for dst in dsts:
+            self.send(dst, msg)
+
+    def run_until(self, deadline):
+        while self._timers and self._timers[0][0] <= deadline:
+            self.time, _, timer = heapq.heappop(self._timers)
+            if not timer.cancelled:
+                timer.fn(*timer.args)
+        self.time = deadline
+
+
+class OneStrike:
+    """An edge detector that fails on the first lost probe, and keeps score."""
+
+    def __init__(self, log):
+        self.outcomes = []
+        self.failed_at = None
+        log.append(self)
+
+    def on_probe_success(self, now, rtt):
+        self.outcomes.append(True)
+
+    def on_probe_failure(self, now):
+        self.outcomes.append(False)
+        if self.failed_at is None:
+            self.failed_at = now
+
+    def failed(self):
+        return self.failed_at is not None
+
+
+ME = endpoint_for(0)
+SUBJECTS = [endpoint_for(i) for i in range(1, 5)]  # wheel slots: 1,3 | 2,4
+
+
+class MonitorBench:
+    """One EdgeMonitor, its fake runtime, and subjects that ack on cue."""
+
+    def __init__(self, **settings):
+        self.runtime = SteppingRuntime(ME)
+        self.settings = RapidSettings(**settings)
+        self.detectors = []
+        self.reports = []  # (time, subjects)
+        self.rotations = []
+        self.monitor = EdgeMonitor(
+            self.runtime,
+            self.settings,
+            lambda: OneStrike(self.detectors),
+            on_failed=lambda subjects: self.reports.append(
+                (self.runtime.time, list(subjects))
+            ),
+            on_rotation=self.rotations.append,
+        )
+        self._answered = 0
+
+    def probes(self):
+        return [(t, dst) for t, dst, msg in self.runtime.sent if isinstance(msg, Probe)]
+
+    def run(self, until, silent=(), silent_from=0.0, bootstrapping=()):
+        """Step the clock; every probe is acked within 50 ms unless its
+        subject is ``silent`` (from ``silent_from`` on)."""
+        runtime = self.runtime
+        while runtime.time < until:
+            runtime.run_until(runtime.time + 0.05)
+            probes = self.probes()
+            for _, dst in probes[self._answered:]:
+                if dst in silent and runtime.time >= silent_from:
+                    continue
+                self.monitor.on_probe_ack(
+                    dst, ProbeAck(dst, config_id=7, bootstrapping=dst in bootstrapping)
+                )
+            self._answered = len(probes)
+
+    def detector_of(self, subject):
+        """The current view's detector for ``subject``."""
+        return self.detectors[-len(SUBJECTS):][SUBJECTS.index(subject)]
+
+
+class TestEdgeMonitor:
+    def test_silent_subject_is_reported_once_after_one_rotation(self):
+        bench = MonitorBench()
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        victim = SUBJECTS[0]
+        bench.run(30.0, silent={victim})
+        assert [subjects for _, subjects in bench.reports] == [[victim]]
+        reported_at = bench.reports[0][0]
+        failed_at = bench.detector_of(victim).failed_at
+        # The verdict waited out one full rotation before it was reported.
+        assert reported_at - failed_at == pytest.approx(bench.settings.probe_interval)
+        assert victim in bench.monitor.alerted
+        # An alerted subject is no longer probed.
+        assert all(dst != victim for t, dst in bench.probes() if t > reported_at)
+
+    def test_co_victims_in_different_slots_arrive_in_one_report(self):
+        bench = MonitorBench()
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        victims = {SUBJECTS[0], SUBJECTS[1]}  # one per wheel slot
+        # Go silent between two ticks of one rotation: the two edges cross
+        # their thresholds in different rotations.
+        first_tick = bench.runtime._timers[0][0]
+        bench.run(30.0, silent=victims, silent_from=first_tick + 1.25)
+        verdicts = sorted(bench.detector_of(v).failed_at for v in victims)
+        rotation = bench.settings.probe_interval
+        assert 0 < verdicts[1] - verdicts[0] < rotation
+        rotations_between = [t for t in bench.rotations if verdicts[0] <= t < verdicts[1]]
+        assert len(rotations_between) == 1
+        assert len(bench.reports) == 1
+        assert set(bench.reports[0][1]) == victims
+
+    def test_acked_probe_never_expires(self):
+        bench = MonitorBench()
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        bench.run(20.0)
+        assert bench.reports == []
+        outcomes = [o for d in bench.detectors for o in d.outcomes]
+        assert outcomes and all(outcomes)
+        # One probe per subject per interval, each credited exactly once.
+        assert len(outcomes) == len(bench.probes())
+        assert len(bench.rotations) == pytest.approx(20, abs=1)
+
+    def test_bootstrapping_acks_past_the_budget_count_as_failures(self):
+        bench = MonitorBench(probe_bootstrap_budget=3)
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        zombie = SUBJECTS[2]
+        bench.run(30.0, bootstrapping={zombie})
+        assert bench.detector_of(zombie).outcomes[:4] == [True, True, True, False]
+        assert [subjects for _, subjects in bench.reports] == [[zombie]]
+
+    def test_new_view_forgets_outstanding_probes_but_keeps_owed_acks(self):
+        bench = MonitorBench()
+        runtime, monitor = bench.runtime, bench.monitor
+        monitor.watch(7, SUBJECTS)
+        monitor.start()
+        first_tick = runtime._timers[0][0]
+        runtime.run_until(first_tick + 0.6)  # both slots probed, nothing acked
+        assert len(bench.probes()) == len(SUBJECTS)
+        observer = endpoint_for(9)
+        monitor.on_probe(observer, Probe(observer, config_id=7, seq=1))
+        monitor.watch(8, SUBJECTS)
+        # The old view's probes are nobody's business any more: a late ack
+        # finds nothing outstanding, an unanswered one never expires into
+        # a verdict.
+        for subject in SUBJECTS[:2]:
+            monitor.on_probe_ack(subject, ProbeAck(subject, config_id=7))
+        assert all(bench.detector_of(subject).outcomes == [] for subject in SUBJECTS)
+        bench._answered = len(bench.probes())
+        bench.run(10.0)
+        assert all(all(d.outcomes) for d in bench.detectors)
+        assert bench.reports == []
+        # The ack owed from before the view change still went out, under
+        # the new configuration id, batched onto the next tick.
+        acks = [(dst, msg) for _, dst, msg in runtime.sent if isinstance(msg, ProbeAck)]
+        assert acks == [(observer, ProbeAck(ME, config_id=8))]
+
+    def test_outside_a_view_probes_are_acked_at_once_as_bootstrapping(self):
+        bench = MonitorBench()
+        observer = endpoint_for(9)
+        bench.monitor.on_probe(observer, Probe(observer, config_id=3, seq=1))
+        assert bench.runtime.sent == [
+            (0.0, observer, ProbeAck(ME, config_id=0, bootstrapping=True))
+        ]
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.stop()
+        bench.monitor.on_probe(observer, Probe(observer, config_id=7, seq=2))
+        assert bench.runtime.sent[-1][2] == ProbeAck(ME, config_id=7, bootstrapping=True)
+
+
+MEMBERS = tuple(sorted(endpoint_for(i) for i in range(8)))
+ENSEMBLE = tuple(sorted(endpoint_for(i) for i in (100, 101, 102)))
+
+
+@pytest.fixture(params=["members", "ensemble"])
+def changer(request):
+    """A ViewChanger deciding for an 8-member view, voting either among
+    the members themselves (Rapid) or among a 3-node ensemble (Rapid-C)."""
+    acceptors = None if request.param == "members" else ENSEMBLE
+    runtime = SteppingRuntime(MEMBERS[0] if acceptors is None else ENSEMBLE[0])
+    settings = RapidSettings()
+    config = Configuration.of(MEMBERS)
+    changer = ViewChanger(runtime, settings, lambda payload: None, lambda *args: None)
+    topology = KRingTopology.for_configuration(config, settings.k)
+    changer.reset(config, topology, gossip=False, acceptors=acceptors)
+    return changer
+
+
+def alert(changer, subject, kind, config_id=None, uuid=0):
+    return Alert(
+        observer=MEMBERS[1],
+        subject=subject,
+        kind=kind,
+        config_id=changer.config.config_id if config_id is None else config_id,
+        ring_numbers=(0,),
+        joiner_uuid=uuid,
+    )
+
+
+class TestViewChanger:
+    def test_alert_filter(self, changer):
+        config, detector = changer.config, changer.cut_detector
+        member, stranger = MEMBERS[3], endpoint_for(50)
+        dropped = [
+            alert(changer, member, AlertKind.REMOVE, config_id=config.config_id ^ 1),
+            alert(changer, stranger, AlertKind.REMOVE),
+            alert(changer, member, AlertKind.JOIN, uuid=12345),
+            alert(changer, stranger, AlertKind.JOIN, uuid=config.uuid_of(member)),
+        ]
+        for each in dropped:
+            changer.on_alert(each)
+            assert detector.kind_of(each.subject) is None
+        changer.on_alert(alert(changer, member, AlertKind.REMOVE))
+        assert detector.kind_of(member) == AlertKind.REMOVE
+        changer.on_alert(alert(changer, stranger, AlertKind.JOIN, uuid=12345))
+        assert detector.kind_of(stranger) == AlertKind.JOIN
+
+    def test_foreign_configuration_is_answered_from_the_decision_log(self, changer):
+        runtime = changer.runtime
+        laggard = MEMBERS[5]
+        cut = make_proposal([Change(MEMBERS[7], AlertKind.REMOVE)])
+        left, cid = 4242, cut_id(cut)
+        changer.log.record(left, changer.config.config_id, cut)
+
+        changer.on_consensus(laggard, VoteBundle(laggard, left, ids=(cid,), bitmaps=(1,)))
+        changer.on_consensus(laggard, VotePull(laggard, left, want=(cid,)))
+        changer.repair(laggard, left)
+        assert [(dst, msg) for _, dst, msg in runtime.sent] == [
+            (laggard, Decision(runtime.addr, left, cid)),
+            (laggard, Decision(runtime.addr, left, cid, cut)),  # body only on want
+            (laggard, Decision(runtime.addr, left, cid)),
+        ]
+        del runtime.sent[:]
+        # A Decision is never answered, nor is a configuration off the log.
+        changer.on_consensus(laggard, Decision(laggard, left, cid))
+        changer.on_consensus(laggard, VoteBundle(laggard, 777, ids=(cid,), bitmaps=(1,)))
+        assert runtime.sent == []
+
+    def test_stopped_changer_still_repairs_but_tallies_nothing(self, changer):
+        member = MEMBERS[3]
+        stale = alert(changer, member, AlertKind.REMOVE)
+        left = changer.config.config_id
+        cut = make_proposal([Change(member, AlertKind.REMOVE)])
+        changer.log.record(left, 99, cut)
+        changer.stop()
+        changer.on_alert(stale)
+        assert changer.cut_detector.kind_of(member) is None
+        changer.on_consensus(MEMBERS[5], VotePull(MEMBERS[5], left))
+        assert [msg for _, _, msg in changer.runtime.sent] == [
+            Decision(changer.runtime.addr, left, cut_id(cut))
+        ]
+
+
+class TestCompositions:
+    def test_rapid_c_members_watch_and_vouch_but_decide_nothing(self, monkeypatch):
+        built = {FastPaxos: [], MultiNodeCutDetector: []}
+        for cls, log in built.items():
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _log=log, **kwargs):
+                _log.append(kwargs.get("runtime"))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        harness = harness_for("rapid-c", seed=1)
+        endpoints = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(8, timeout=120.0) is not None
+        # Every consensus instance and cut detector of the run was built by
+        # an ensemble member: one of each per view it served.
+        ensemble = set(harness.ensemble_endpoints)
+        assert built[FastPaxos] and {rt.addr for rt in built[FastPaxos]} <= ensemble
+        assert len(built[MultiNodeCutDetector]) == len(built[FastPaxos])
+        for ep in endpoints:
+            member = harness.agents[ep]
+            assert type(member) is CentralizedClusterNode
+            assert not isinstance(member, RapidNode)
+            parts = [member, member.monitor, member.desk]
+            held = [value for part in parts for value in vars(part).values()]
+            assert not any(
+                isinstance(value, (ViewChanger, FastPaxos, MultiNodeCutDetector))
+                for value in held
+            )
+            # It vouches for joiners its ensemble sends to it; it is nobody's seed.
+            assert PreJoinRequest not in member._dispatch
+            assert member.desk.pending == {}
+        rapid = harness_for("rapid", seed=1)
+        rapid.bootstrap(1)
+        (node,) = rapid.agents.values()
+        for server in harness.ensemble:
+            assert type(server) is EnsembleNode
+            assert type(server.decider) is type(node.decider) is ViewChanger
+            assert type(server.desk) is type(node.desk)
+            assert server.config.config_id == harness.agents[endpoints[0]].config.config_id
