@@ -21,15 +21,59 @@ else's.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Sequence
+from collections.abc import Sequence
+from itertools import chain, islice
+from typing import Any, Callable, Iterator, Optional
 
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = ["Broadcaster"]
+__all__ = ["Broadcaster", "Peers"]
 
 Deliver = Callable[[Endpoint, Any], None]
+
+
+class Peers(Sequence):
+    """A view's members minus one process, without copying the membership.
+
+    Stands in for ``tuple(m for m in members if m != me)`` — same length,
+    same order, so ``rng.sample`` draws the same peers — but holds only the
+    (shared) ``members`` tuple and the position to skip, where the tuple
+    cost every node 8 bytes per member per disseminator.  ``index`` is an
+    optional ``{endpoint: position}`` map over ``members``; without it the
+    position is found by a scan.
+    """
+
+    __slots__ = ("_members", "_skip", "_len")
+
+    def __init__(
+        self, members: tuple, me: Endpoint, index: Optional[dict] = None
+    ) -> None:
+        self._members = members
+        if index is not None:
+            skip = index.get(me)
+        elif me in members:
+            skip = members.index(me)
+        else:
+            skip = None
+        # A position past the end skips nothing.
+        self._skip = len(members) if skip is None else skip
+        self._len = len(members) - (skip is not None)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i: int) -> Endpoint:
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(i)
+        return self._members[i if i < self._skip else i + 1]
+
+    def __iter__(self) -> Iterator[Endpoint]:
+        members, skip = self._members, self._skip
+        return chain(islice(members, skip), islice(members, skip + 1, None))
 
 
 class Broadcaster:
@@ -77,24 +121,27 @@ class Broadcaster:
         #: True when the current view originates broadcasts epidemically.
         self.gossip = False
         self._members: tuple = ()
-        self._peers: tuple = ()
+        self._peers: Sequence = ()
         self._seen: set = set()
         self._next_id = 0
         self._relay_buf: list = []
         self._relay_timer = None
 
-    def set_membership(self, members: Sequence[Endpoint], gossip: bool) -> None:
+    def set_membership(
+        self, members: Sequence, gossip: bool, index: Optional[dict] = None
+    ) -> None:
         """Adopt a new view and its dissemination mode.
 
-        Recomputes the peer list (members minus self) and forgets the
-        dedup history.  Envelopes still buffered for relay belong to the
-        old view and are dropped with it — relaying them after ``_seen``
-        was wiped would make every receiver treat them as first-seen and
-        re-start an epidemic of already-disseminated, now-stale traffic.
+        Takes the peer list (members minus self, as a :class:`Peers` view;
+        ``index`` as there) and forgets the dedup history.  Envelopes
+        still buffered for relay belong to the old view and are dropped
+        with it — relaying them after ``_seen`` was wiped would make every
+        receiver treat them as first-seen and re-start an epidemic of
+        already-disseminated, now-stale traffic.
         """
         self.gossip = gossip
         self._members = tuple(members)
-        self._peers = tuple(m for m in self._members if m != self.runtime.addr)
+        self._peers = Peers(self._members, self.runtime.addr, index)
         self._seen.clear()
         self._relay_buf.clear()
         if self._relay_timer is not None:

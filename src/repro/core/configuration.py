@@ -10,33 +10,90 @@ The identifier folds in the sorted endpoints, their logical ids, and the
 sequence number, so any two processes holding the same identifier hold the
 same membership view, and a rejoined process (same address, new uuid)
 yields a different identifier.
+
+**One object per view per process.**  Immutability is what makes a view
+safe to share, so constructing a :class:`Configuration` *is* the lookup:
+the class keeps every configuration alive in the process in one weak
+table keyed by content, and hands back the instance some other node
+already holds.  The N nodes of a simulated cluster therefore share one
+member tuple, one member set, one index, one uuid set, one identifier
+hash and one :class:`ViewSnapshot` per view instead of N; a live process
+running one node sees a one-entry table.  Everything reachable from a
+configuration is read-only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from functools import cached_property
+from itertools import islice
+from operator import lt
 from typing import Iterable, Optional
 
-from repro.core.messages import AlertKind, Change, Proposal, ViewDelta, ViewSnapshot
+from repro.core.messages import AlertKind, Proposal, ViewDelta, ViewSnapshot
 from repro.core.node_id import Endpoint, stable_hash64
 
 __all__ = ["Configuration"]
 
+#: ``{(seq, members, uuids): Configuration}`` for every configuration some
+#: node (or message, or test) in this process still holds.  Weak, so a soak
+#: run's table tracks the views still installed somewhere, not the views
+#: ever decided; keyed by content rather than by ``config_id`` so that a
+#: lookup costs a tuple hash, not the identifier's string digest, and a hit
+#: is an exact comparison.
+_HELD: "weakref.WeakValueDictionary[tuple, Configuration]" = (
+    weakref.WeakValueDictionary()
+)
 
-@dataclass(frozen=True)
+
 class Configuration:
-    """An immutable membership view.
+    """An immutable membership view, interned per process.
 
-    ``members`` is always sorted; ``uuids`` is aligned with ``members`` and
-    holds each member's logical identifier.  ``seq`` counts view changes
-    since bootstrap.
+    ``members`` is always sorted and free of duplicates; ``uuids`` is
+    aligned with ``members`` and holds each member's logical identifier.
+    ``seq`` counts view changes since bootstrap.  Two constructions with
+    equal content return the same object, so equality is identity.
     """
 
-    members: tuple = ()  # tuple[Endpoint, ...], sorted
-    uuids: tuple = ()  # tuple[int, ...], aligned with members
-    seq: int = 0
+    members: tuple  # tuple[Endpoint, ...], strictly increasing
+    uuids: tuple  # tuple[int, ...], aligned with members
+    seq: int
 
     # ------------------------------------------------------------ construction
+
+    def __new__(
+        cls, members: Iterable[Endpoint] = (), uuids: Iterable[int] = (), seq: int = 0
+    ) -> "Configuration":
+        """The process's one configuration with this content.
+
+        Content is validated once, when a view is first seen; every later
+        construction of it is a table hit.
+        """
+        members, uuids = tuple(members), tuple(uuids)
+        key = (seq, members, uuids)
+        held = _HELD.get(key)
+        if held is None:
+            if len(members) != len(uuids):
+                raise ValueError("members and uuids must be aligned")
+            if not all(map(lt, members, islice(members, 1, None))):
+                raise ValueError("members must be sorted and distinct")
+            held = super().__new__(cls)
+            held.__dict__.update(members=members, uuids=uuids, seq=seq)
+            _HELD[key] = held
+        return held
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Configuration is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Configuration is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Copies and unpickles come back through the table too.
+        return (Configuration, (self.members, self.uuids, self.seq))
+
+    def __repr__(self) -> str:
+        return f"Configuration({self.describe()})"
 
     @classmethod
     def bootstrap(cls, seed: Endpoint, uuid: int = 0) -> "Configuration":
@@ -47,30 +104,23 @@ class Configuration:
     def of(cls, members: Iterable[Endpoint], seq: int = 0) -> "Configuration":
         """Build a configuration with zeroed uuids (tests, baselines)."""
         ordered = tuple(sorted(members))
-        return cls(members=ordered, uuids=tuple(0 for _ in ordered), seq=seq)
-
-    def __post_init__(self) -> None:
-        if len(self.members) != len(self.uuids):
-            raise ValueError("members and uuids must be aligned")
-        if tuple(sorted(self.members)) != self.members:
-            raise ValueError("members must be sorted")
+        return cls(members=ordered, uuids=(0,) * len(ordered), seq=seq)
 
     # ----------------------------------------------------------------- queries
+    #
+    # Derived state is built on first use and kept on the (shared)
+    # instance: once per view, whoever asks first.
 
-    @property
+    @cached_property
     def config_id(self) -> int:
         """Deterministic 64-bit identifier of this view.
 
-        Computed once and cached on the instance: every inbound message is
-        scoped by config id, so this is read on the simulator's hot path.
+        Every inbound message is scoped by config id, so this is read on
+        the simulator's hot path.
         """
-        cached = self.__dict__.get("_config_id")
-        if cached is None:
-            cached = stable_hash64(
-                "config", self.seq, tuple(str(m) for m in self.members), self.uuids
-            )
-            object.__setattr__(self, "_config_id", cached)
-        return cached
+        return stable_hash64(
+            "config", self.seq, tuple(str(m) for m in self.members), self.uuids
+        )
 
     @property
     def size(self) -> int:
@@ -78,43 +128,42 @@ class Configuration:
         return len(self.members)
 
     def __contains__(self, endpoint: Endpoint) -> bool:
-        return endpoint in self._member_set()
+        return endpoint in self._members_frozen
 
-    def _member_set(self) -> frozenset:
-        # Cached lazily on the instance despite frozen-ness.
-        cached = self.__dict__.get("_members_frozen")
-        if cached is None:
-            cached = frozenset(self.members)
-            object.__setattr__(self, "_members_frozen", cached)
-        return cached
+    @cached_property
+    def _members_frozen(self) -> frozenset:
+        return frozenset(self.members)
+
+    @cached_property
+    def _index(self) -> dict:
+        return {m: i for i, m in enumerate(self.members)}
+
+    @cached_property
+    def _uuids_frozen(self) -> frozenset:
+        return frozenset(self.uuids)
 
     def member_index(self) -> dict:
         """The ``{endpoint: position}`` map over the sorted membership.
 
-        Built lazily once per configuration and shared — consensus
-        instances reuse it instead of rebuilding an O(N) dict per node per
-        view change.  Treat the returned dict as read-only.
+        Shared by every consensus instance of the view; treat the
+        returned dict as read-only.
         """
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = {m: i for i, m in enumerate(self.members)}
-            object.__setattr__(self, "_index", index)
-        return index
+        return self._index
 
     def index_of(self, endpoint: Endpoint) -> int:
         """Position of ``endpoint`` in the sorted membership (vote bitmaps)."""
-        return self.member_index()[endpoint]
+        return self._index[endpoint]
 
     def uuid_of(self, endpoint: Endpoint) -> Optional[int]:
         """Logical id of ``endpoint`` in this view (``None`` if absent)."""
         try:
-            return self.uuids[self.index_of(endpoint)]
+            return self.uuids[self._index[endpoint]]
         except KeyError:
             return None
 
     def has_uuid(self, uuid: int) -> bool:
         """Whether any member of this view carries logical id ``uuid``."""
-        return uuid in self.uuids
+        return uuid in self._uuids_frozen
 
     # ------------------------------------------------------------- transitions
 
@@ -145,26 +194,43 @@ class Configuration:
             seq=self.seq + 1,
         )
 
-    def view_snapshot(self, metadata: tuple = ()) -> ViewSnapshot:
-        """The interned join-response snapshot of this configuration.
+    def successor(self, cut: Proposal, cut_id: int) -> "Configuration":
+        """:meth:`apply` for the cut consensus decided here, computed once.
 
-        Built on the first call — with the caller's canonical metadata
-        table — and cached on the instance, so every join response of a
-        view shares one frozen :class:`ViewSnapshot` object (whose wire
-        size the simulated network memoizes in turn).  Configuration
-        instances are per-node, and a node's metadata table is fixed for
-        the lifetime of an installed view, so later calls ignore the
-        argument and return the cached snapshot.
+        Every member of this view decides the same cut, and in one process
+        they all hold this object — so the first to decide computes the
+        transition and the rest reuse it instead of each sorting and
+        hashing the membership.  ``cut_id`` is the id ``cut`` was decided
+        under (:func:`repro.core.messages.cut_id`), trusted as consensus
+        trusts it; the successor is held weakly, so keeping an old view
+        alive does not keep its descendants.
         """
-        snapshot = self.__dict__.get("_snapshot")
+        memo = self.__dict__.get("_successor")
+        if memo is not None and memo[0] == cut_id:
+            new = memo[1]()
+            if new is not None:
+                return new
+        new = self.apply(cut)
+        self.__dict__["_successor"] = (cut_id, weakref.ref(new))
+        return new
+
+    def view_snapshot(self, metadata: tuple = ()) -> ViewSnapshot:
+        """The interned join-response snapshot of this view with ``metadata``.
+
+        One frozen :class:`ViewSnapshot` (whose wire size the simulated
+        network memoizes in turn) per distinct canonical metadata table:
+        responders that agree on the table — the normal case — share one
+        object, and one that holds a different table answers with its own.
+        """
+        snapshots = self.__dict__.setdefault("_snapshots", {})
+        snapshot = snapshots.get(metadata)
         if snapshot is None:
-            snapshot = ViewSnapshot(
+            snapshot = snapshots[metadata] = ViewSnapshot(
                 members=self.members,
                 uuids=self.uuids,
                 seq=self.seq,
                 metadata=metadata,
             )
-            object.__setattr__(self, "_snapshot", snapshot)
         return snapshot
 
     def apply_delta(self, delta: ViewDelta) -> "Configuration":
@@ -173,7 +239,8 @@ class Configuration:
         The delta must have been encoded against *this* configuration
         (``delta.base_config_id == self.config_id``); the result is
         bit-identical to the responder's view — same sorted members,
-        aligned uuids, and sequence number, hence the same ``config_id``.
+        aligned uuids, and sequence number, hence the same ``config_id``
+        (and, in the responder's process, the same object).
         Raises ``ValueError`` on a base mismatch, so a joiner can fall
         back to requesting a full snapshot instead of installing a
         corrupted view.  Removes of unknown endpoints are skipped, not

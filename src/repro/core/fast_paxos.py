@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+from repro.core.broadcaster import Peers
 from repro.core.messages import (
     Decision,
     Phase1a,
@@ -182,7 +183,7 @@ class FastPaxos:
         self._index = index if index is not None else {
             m: i for i, m in enumerate(self.members)
         }
-        self._peers = tuple(m for m in self.members if m != runtime.addr)
+        self._peers = Peers(self.members, runtime.addr, self._index)
         self.my_vote: Optional[Proposal] = None
         #: The vote aggregate: one bitmap of voters per cut id.
         self.votes: dict[int, int] = {}

@@ -225,15 +225,21 @@ class JoinProtocol:
         """Reconstruct the admitting configuration from a SAFE_TO_JOIN reply.
 
         Full snapshots construct it directly; deltas are applied to the
-        advertised base.  A delta that cannot be applied — the base is gone,
-        or the reconstruction does not hash to the response's config id —
-        drops the base and restarts the handshake so the next attempt asks
-        for (and gets) a full snapshot.
+        advertised base.  Either way the result is the process's one
+        object for that content (see :class:`Configuration`), and it is
+        installed only if that content hashes to the response's config id.
+        A delta that cannot be applied — the base is gone, or the
+        reconstruction does not hash to the response's config id — drops
+        the base and restarts the handshake so the next attempt asks for
+        (and gets) a full snapshot.
         """
         if msg.view is not None:
-            config = Configuration(
-                members=msg.view.members, uuids=msg.view.uuids, seq=msg.view.seq
-            )
+            try:
+                config = Configuration(
+                    members=msg.view.members, uuids=msg.view.uuids, seq=msg.view.seq
+                )
+            except ValueError:
+                return None  # malformed: unsorted, duplicated or misaligned
             if config.config_id != msg.config_id:
                 return None  # corrupt or stale; keep waiting for a clean one
             return config

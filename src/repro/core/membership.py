@@ -597,7 +597,10 @@ class ViewChanger:
         if old is None:
             return
         try:
-            new = old.apply(cut)
+            # Every decider of this view holds the same ``old`` and decides
+            # the same cut: the first computes the transition, the rest
+            # reuse it.
+            new = old.successor(cut, self.consensus.decision_id)
         except ValueError:
             return  # malformed proposal cannot install; should not happen
         self.log.record(old.config_id, new.config_id, cut)
@@ -804,12 +807,12 @@ class AdmissionDesk:
         An admitted joiner gets SAFE_TO_JOIN carrying the view: as a
         delta against the ``base_id`` it advertised when one beats the
         snapshot (:meth:`_view_delta`), else as the interned snapshot.
-        The :class:`ViewSnapshot` is built once per installed view
-        (:meth:`Configuration.view_snapshot`) and shared by every
-        response (and every admitted joiner) of that view; the simulated
-        network memoizes its wire size on the object, so constructing
-        and sizing the N-th response is O(1).  A joiner the view moved
-        past gets a bare CONFIG_CHANGED.
+        The :class:`ViewSnapshot` is built once per view and metadata
+        table (:meth:`Configuration.view_snapshot`) and shared by every
+        response, responder and admitted joiner of that view in the
+        process; the simulated network memoizes its wire size on the
+        object, so constructing and sizing the N-th response is O(1).
+        A joiner the view moved past gets a bare CONFIG_CHANGED.
         """
         config = self.config
         view = delta = None
@@ -1356,7 +1359,9 @@ class RapidNode(ClusterMember):
         # One decision per view, shared by both disseminators: alerts and
         # votes travel by gossip in views at or above the threshold.
         gossip = self.settings.use_gossip(config.size)
-        self.broadcaster.set_membership(config.members, gossip)
+        self.broadcaster.set_membership(
+            config.members, gossip, config.member_index()
+        )
         self.decider.reset(config, topology, gossip)
 
     def _on_batched_alerts(self, src: Endpoint, msg: BatchedAlerts) -> None:

@@ -90,6 +90,13 @@ class KRingTopology:
 
     # ------------------------------------------------------------------ cache
 
+    # Deliberately still a bounded strong LRU, not a weak table like
+    # ``Configuration``'s.  A topology is already one per view — every
+    # node installing a view gets it from here — and the key is the
+    # config *id*, so the cache keeps no Configuration alive.  Held
+    # weakly it would save nothing per member, and a laggard installing a
+    # view its peers have already left would pay the O(NK log N) rebuild
+    # the cache exists to share.
     _cache: "OrderedDict[tuple, KRingTopology]" = OrderedDict()
     _CACHE_SIZE = 128
 

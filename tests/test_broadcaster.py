@@ -2,7 +2,9 @@
 
 import random
 
-from repro.core.broadcaster import Broadcaster
+import pytest
+
+from repro.core.broadcaster import Broadcaster, Peers
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
@@ -53,6 +55,36 @@ class FakeRuntime:
 
 def members(n):
     return tuple(endpoint_for(i) for i in range(n))
+
+
+class TestPeers:
+    """The skip-self view must be indistinguishable from the per-node
+    ``members minus me`` tuple it replaced — same-seed runs sample peers
+    from it, so length and order are behaviour."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 200])  # sample() copies small pools, indexes large
+    def test_equals_the_filtered_tuple_wherever_self_sits(self, n):
+        view = members(n)
+        index = {m: i for i, m in enumerate(view)}
+        for me in (view[0], view[n // 2], view[-1], endpoint_for(9999)):
+            expected = tuple(m for m in view if m != me)
+            for peers in (Peers(view, me), Peers(view, me, index)):
+                assert len(peers) == len(expected)
+                assert tuple(peers) == expected
+                assert tuple(peers[i] for i in range(len(peers))) == expected
+                assert not expected or peers[-1] == expected[-1]
+                with pytest.raises(IndexError):
+                    peers[len(expected)]
+                count = min(8, len(expected))
+                assert random.Random(5).sample(peers, count) == random.Random(
+                    5
+                ).sample(expected, count)
+
+    def test_holds_no_copy_of_the_membership(self):
+        view = members(64)
+        bcast = Broadcaster(FakeRuntime(view[3]), lambda src, msg: None)
+        bcast.set_membership(view, gossip=True)
+        assert bcast._peers._members is view
 
 
 class TestGossipMessageIds:

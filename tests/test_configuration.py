@@ -1,0 +1,119 @@
+"""One ``Configuration`` object per view per process.
+
+A configuration is immutable (paper section 3), so every node of a
+simulated cluster that installs a view holds the *same* object — member
+tuple, member set, index, uuid set, identifier and all — however it learned
+of it: deciding the cut, a full snapshot, a delta, a Rapid-C push.  The
+class is its own weak intern table; these tests pin the door, the sharing
+and the weakness.
+"""
+
+import copy
+import gc
+import pickle
+
+import pytest
+
+from repro.core import configuration
+from repro.core.configuration import Configuration
+from repro.core.messages import AlertKind, Change, cut_id, make_proposal
+from repro.core.settings import RapidSettings
+from repro.experiments.harness import RapidCHarness, RapidHarness
+from repro.sim.cluster import endpoint_for
+
+MEMBERS = tuple(sorted(endpoint_for(i) for i in range(6)))
+UUIDS = tuple(range(100, 106))
+
+
+def small_settings() -> RapidSettings:
+    return RapidSettings(k=4, h=3, l=1, join_timeout=2.0)
+
+
+def installed(harness) -> set:
+    """``id`` of the configuration object each live, active agent holds."""
+    agents = (harness.agents[ep] for ep in harness.live_endpoints())
+    return {id(agent.config) for agent in agents if agent.view_size}
+
+
+class TestTheDoor:
+    def test_equal_content_is_one_object(self):
+        first = Configuration(MEMBERS, UUIDS, seq=3)
+        assert Configuration(members=list(MEMBERS), uuids=list(UUIDS), seq=3) is first
+        assert Configuration(MEMBERS, UUIDS, seq=4) is not first
+        assert Configuration(MEMBERS, UUIDS[::-1], seq=3) is not first
+        assert Configuration.of(reversed(MEMBERS)) is Configuration.of(MEMBERS)
+
+    def test_transitions_land_on_the_held_object(self):
+        base = Configuration(MEMBERS, UUIDS)
+        cut = make_proposal([Change(MEMBERS[2], AlertKind.REMOVE)])
+        new = base.apply(cut)
+        assert base.apply(cut) is new
+        assert base.successor(cut, cut_id(cut)) is new
+        other = make_proposal([Change(MEMBERS[3], AlertKind.REMOVE)])
+        assert base.successor(other, cut_id(other)) is base.apply(other)
+
+    @pytest.mark.parametrize(
+        "members, uuids",
+        [
+            ((MEMBERS[1], MEMBERS[0]), (1, 2)),  # unsorted
+            ((MEMBERS[0], MEMBERS[0]), (1, 2)),  # duplicated: sorted, not distinct
+            (MEMBERS[:2], (1,)),  # misaligned
+        ],
+    )
+    def test_malformed_content_is_rejected(self, members, uuids):
+        with pytest.raises(ValueError):
+            Configuration(members, uuids)
+
+    def test_shared_means_read_only(self):
+        config = Configuration(MEMBERS, UUIDS)
+        with pytest.raises(AttributeError):
+            config.seq = 9
+        with pytest.raises(AttributeError):
+            del config.members
+        assert copy.deepcopy(config) is config
+        assert pickle.loads(pickle.dumps(config)) is config
+
+    def test_uuid_lookup(self):
+        config = Configuration(MEMBERS, UUIDS)
+        assert config.has_uuid(103) and not config.has_uuid(7)
+        assert config.uuid_of(MEMBERS[3]) == 103
+        assert config.uuid_of(endpoint_for(50)) is None
+
+
+@pytest.mark.parametrize("harness_cls", [RapidHarness, RapidCHarness])
+def test_converged_cluster_holds_one_configuration_object(harness_cls):
+    harness = harness_cls(seed=3, settings=small_settings())
+    endpoints = harness.bootstrap(32, seed_delay=2.0, stagger=1.0)
+    assert harness.run_until_converged(32, timeout=120.0) is not None
+    assert len(installed(harness)) == 1
+    harness.crash(endpoints[10:12])
+    assert harness.run_until_converged(30, timeout=120.0) is not None
+    assert len(installed(harness)) == 1
+    # The deciders and the desks serve that same object too.
+    live = [harness.agents[ep] for ep in harness.live_endpoints()]
+    config = live[0].config
+    deciders = getattr(harness, "ensemble", None) or live
+    assert all(node.decider.config is config for node in deciders)
+    assert all(node.desk.config is config for node in deciders)
+
+
+def test_table_tracks_installed_views_not_decided_ones():
+    gc.collect()
+    held_before = len(configuration._HELD)
+    harness = RapidHarness(seed=5, settings=small_settings())
+    endpoints = harness.bootstrap(16, seed_delay=2.0, stagger=8.0)
+    assert harness.run_until_converged(16, timeout=120.0) is not None
+    for i in range(8):  # one view change per joiner, then one per crash
+        harness.add_node(endpoint_for(100 + i), seeds=(endpoints[0],))
+        assert harness.run_until_converged(17 + i, timeout=120.0) is not None
+    for i in range(8):
+        harness.crash([endpoint_for(100 + i)])
+        assert harness.run_until_converged(23 - i, timeout=120.0) is not None
+    decided = {record.config_id for record in harness.trace.records}
+    assert len(decided) >= 30
+    # Converged: the one installed view (crashed processes keep their last).
+    assert len(configuration._HELD) - held_before <= 1 + 8
+    assert len(installed(harness)) == 1
+    del harness
+    gc.collect()
+    assert len(configuration._HELD) == held_before

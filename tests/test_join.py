@@ -211,6 +211,8 @@ class TestRejoinPaths:
         assert distinct_views(cluster) == {node.config.config_id}
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
         assert kinds == ["delta"]
+        # ... and what it reconstructed is the object everyone else holds.
+        assert all(agent.config is node.config for agent in cluster.agents.values())
 
     def test_delta_and_snapshot_paths_install_identical_views(self):
         # Fallback equivalence: the same churn, answered with a delta
@@ -223,6 +225,9 @@ class TestRejoinPaths:
             views = distinct_views(cluster)
             assert views == {node.config.config_id}, kind
             assert node.config.size == 10
+            assert {id(agent.config) for agent in cluster.agents.values()} == {
+                id(node.config)
+            }, kind
 
     def test_uuid_in_use_mints_fresh_identity(self):
         # Rejoin immediately: the old incarnation is still in everyone's
@@ -281,6 +286,78 @@ class TestRejoinPaths:
         cluster.add_node(endpoint_for(51), seeds=(seed_ep,), start_at=cluster.engine.now + 0.6)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         assert len(distinct_views(cluster)) == 1
+
+
+class TestTamperedResponses:
+    """The view a joiner installs is the process-wide shared object, so the
+    integrity check guards everyone: content that does not hash to the
+    response's ``config_id`` must never be installed under it."""
+
+    MEMBERS = tuple(sorted(endpoint_for(i) for i in range(6)))
+    UUIDS = tuple(range(200, 206))
+
+    def _joiner(self, base=None):
+        from repro.sim.engine import Engine
+        from repro.sim.process import SimRuntime
+
+        engine = Engine()
+        runtime = SimRuntime(engine, Network(engine, seed=1), self.MEMBERS[2], seed=1)
+        admitted = []
+        protocol = joiner_on(runtime, lambda *args: admitted.append(args))
+        protocol.base = base
+        protocol.begin()
+        return protocol, admitted
+
+    def _answer(self, protocol, config_id, view=None, delta=None):
+        protocol.on_join_response(
+            endpoint_for(99),
+            JoinResponse(
+                sender=endpoint_for(99),
+                status=JoinStatus.SAFE_TO_JOIN,
+                config_id=config_id,
+                view=view,
+                delta=delta,
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "members, uuids",
+        [
+            (MEMBERS[:5], UUIDS[:5]),  # a member dropped
+            (MEMBERS, UUIDS[:5] + (999,)),  # an incarnation swapped
+            (MEMBERS[:4] + (MEMBERS[5], MEMBERS[4]), UUIDS),  # unsorted
+            (MEMBERS[:5] + (MEMBERS[4],), UUIDS),  # duplicated
+            (MEMBERS, UUIDS[:5]),  # misaligned
+        ],
+    )
+    def test_snapshot_not_matching_its_config_id_is_refused(self, members, uuids):
+        from repro.core.messages import ViewSnapshot
+
+        held = Configuration(self.MEMBERS, self.UUIDS, seq=7)  # someone's view
+        protocol, admitted = self._joiner()
+        forged = ViewSnapshot(members=members, uuids=uuids, seq=7)
+        self._answer(protocol, held.config_id, view=forged)
+        assert not protocol.completed and not admitted
+        # The honest answer still goes through, onto the held object.
+        self._answer(protocol, held.config_id, view=held.view_snapshot())
+        assert protocol.completed and admitted[0][1] is held
+
+    def test_delta_not_matching_its_config_id_is_refused(self):
+        base = Configuration(self.MEMBERS[:5], self.UUIDS[:5], seq=6)
+        held = Configuration(self.MEMBERS, self.UUIDS, seq=7)
+        honest = ViewDelta(
+            base_config_id=base.config_id, seq=7, adds=((self.MEMBERS[5], 205),)
+        )
+        forged = ViewDelta(
+            base_config_id=base.config_id, seq=7, adds=((self.MEMBERS[5], 999),)
+        )
+        protocol, admitted = self._joiner(base)
+        self._answer(protocol, held.config_id, delta=forged)
+        assert not protocol.completed and not admitted
+        assert protocol.base is None  # next attempt asks for the snapshot
+        protocol, admitted = self._joiner(base)
+        self._answer(protocol, held.config_id, delta=honest)
+        assert protocol.completed and admitted[0][1] is held
 
 
 class TestSingleResponder:
@@ -458,7 +535,7 @@ class TestSnapshotSizing:
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,  # an InvariantViolation (safety) is a real failure
-    reason="stranded-member liveness bug (ROADMAP item 4)",
+    reason="stranded-member liveness bug (ROADMAP item 1)",
 )
 def test_stranded_members_rejoin_the_running_cluster():
     """Known liveness failure, recorded so the correctness PR flips it.

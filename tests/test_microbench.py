@@ -9,10 +9,15 @@ kernel in ``benchmarks/kernels.py`` belong here: ``wire_size``, the engine
 and ``Network.send``/``broadcast`` are measured there
 (``sim.network.ns_per_wire_size``, ``sim.engine.ns_per_event`` /
 ``ns_per_timer``, ``sim.network.ns_per_send`` / ``ns_per_broadcast_dst``).
+
+One memory floor rides along under the same opt-in (``tracemalloc`` makes
+it a ~20 s test): live heap per member must not grow with N.
 """
 
+import gc
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -20,6 +25,7 @@ from repro.core.fast_paxos import FastPaxos
 from repro.core.messages import AlertKind, Change, cut_id
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
+from repro.experiments.harness import RapidHarness
 from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
 from repro.sim.latency import ConstantLatency
@@ -67,3 +73,38 @@ class TestConsensus:
         per_s = rate(len(merges), time.perf_counter() - start)
         assert per_s > 100_000, f"merge+quorum too slow: {per_s:.0f}/s"
 
+
+def live_heap_per_member(n: int, core: int = 64) -> float:
+    """Traced bytes per member still live after a converged ``core`` grew
+    to ``n`` in one mass join (the ``bootstrap_n512`` benchmark's shape)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        harness = RapidHarness(seed=1)
+        endpoints = harness.bootstrap(core, seed_delay=5.0, stagger=8.0)
+        assert harness.run_until_converged(core) is not None
+        harness.run_for(2.0)
+        for i in range(core, n):
+            harness.add_node(endpoint_for(i), seeds=(endpoints[0],))
+        assert harness.run_until_converged(n) is not None
+        harness.run_for(2.0)
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return live / n
+
+
+class TestMemory:
+    def test_live_heap_per_member_is_flat_in_n(self):
+        """Per-view state (the ``Configuration``, its member set, index and
+        uuid set, the peer lists) is shared by every node of the process,
+        so what a member costs must not depend on how many others there
+        are.  With one private copy per node the heap is O(N^2) and this
+        ratio is ~1.65 (60 -> 99 KB/member); shared it is ~0.93 (37 -> 35)."""
+        small, large = live_heap_per_member(256), live_heap_per_member(512)
+        growth = large / small
+        assert growth < 1.25, (
+            f"heap per member grew {growth:.2f}x from n=256 to n=512 "
+            f"({small / 1e3:.1f} -> {large / 1e3:.1f} KB)"
+        )

@@ -15,8 +15,8 @@ import pytest
 from repro.core.centralized import CentralizedClusterNode, EnsembleNode
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
-from repro.core.fast_paxos import FastPaxos
-from repro.core.membership import EdgeMonitor, RapidNode, ViewChanger
+from repro.core.fast_paxos import DecisionLog, FastPaxos
+from repro.core.membership import AdmissionDesk, EdgeMonitor, RapidNode, ViewChanger
 from repro.core.messages import (
     Alert,
     AlertKind,
@@ -319,6 +319,31 @@ class TestViewChanger:
         assert [msg for _, _, msg in changer.runtime.sent] == [
             Decision(changer.runtime.addr, left, cut_id(cut))
         ]
+
+
+class TestAdmissionDesk:
+    def test_responders_of_one_view_answer_with_their_own_metadata(self):
+        """A view's responders share one Configuration object, so its
+        snapshot memo must not hand one responder's metadata table to the
+        next; responders that agree on the table share the snapshot."""
+        settings = RapidSettings()
+        config = Configuration.of(MEMBERS)
+        topology = KRingTopology.for_configuration(config, settings.k)
+        roles = ["backend", "frontend", "backend"]
+        desks = []
+        for addr, role in zip(MEMBERS, roles):
+            store = {MEMBERS[1]: {"role": role}, endpoint_for(77): {"role": "gone"}}
+            desk = AdmissionDesk(
+                SteppingRuntime(addr), settings, store, DecisionLog(), lambda alert: None
+            )
+            desk.reset(config, topology, ())
+            desks.append(desk)
+        views = [desk.join_response().view for desk in desks]
+        assert [view.metadata for view in views] == [
+            ((MEMBERS[1], (("role", role),)),) for role in roles
+        ]
+        assert views[2] is views[0] and views[1] is not views[0]
+        assert all(view.members is config.members for view in views)
 
 
 class TestCompositions:
