@@ -82,11 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="only run cases whose name contains this substring",
     )
     parser.add_argument(
-        "--per-node",
-        action="store_true",
-        help="keep per-node metrics (node.<ep>.*) in case snapshots",
-    )
-    parser.add_argument(
         "--mem",
         action="store_true",
         help="trace python allocations (tracemalloc) and record each "
@@ -148,7 +143,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     runner = BenchRunner(
-        include_per_node=args.per_node,
         track_alloc=args.mem,
         check_invariants=args.check_invariants,
         log=None if args.quiet else print,

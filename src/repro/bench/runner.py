@@ -173,9 +173,6 @@ class BenchRunner:
 
     Parameters
     ----------
-    include_per_node:
-        Whether ``node.<ep>.*`` metrics are kept in case snapshots
-        (dropped by default: they grow linearly with cluster size).
     track_alloc:
         Trace python allocations with ``tracemalloc`` and record each
         case's peak (``alloc_peak_bytes``).  Off by default: tracing
@@ -194,12 +191,10 @@ class BenchRunner:
 
     def __init__(
         self,
-        include_per_node: bool = False,
         track_alloc: bool = False,
         check_invariants: bool = True,
         log: Optional[Callable[[str], None]] = print,
     ) -> None:
-        self.include_per_node = include_per_node
         self.track_alloc = track_alloc
         self.check_invariants = check_invariants
         self._log = log or (lambda message: None)
@@ -230,11 +225,6 @@ class BenchRunner:
         invariants = (
             ledger.report() if self.check_invariants and ledger is not None else None
         )
-        snapshot = harness.metrics.snapshot()
-        if not self.include_per_node:
-            snapshot = {
-                k: v for k, v in snapshot.items() if not k.startswith("node.")
-            }
         return CaseResult(
             spec=spec,
             wall_s=wall_s,
@@ -264,7 +254,7 @@ class BenchRunner:
                     for key, count in sorted(network.class_counts.items())
                 },
             },
-            metrics=snapshot,
+            metrics=harness.metrics.snapshot(),
             result=_scalars(outcome),
             peak_rss_kb=peak_rss_kb,
             alloc_peak_bytes=alloc_peak,

@@ -205,9 +205,7 @@ class Broadcaster:
     def _flush_relays(self) -> None:
         """Forward everything buffered during the window as one bundle."""
         self._relay_timer = None
-        buf = self._relay_buf
-        if not buf:
-            return
+        buf = self._relay_buf  # never empty: filled when the timer is armed
         if len(buf) == 1:
             message: Any = buf[0]
         else:

@@ -150,10 +150,6 @@ class Configuration:
         """
         return self._index
 
-    def index_of(self, endpoint: Endpoint) -> int:
-        """Position of ``endpoint`` in the sorted membership (vote bitmaps)."""
-        return self._index[endpoint]
-
     def uuid_of(self, endpoint: Endpoint) -> Optional[int]:
         """Logical id of ``endpoint`` in this view (``None`` if absent)."""
         try:

@@ -220,9 +220,11 @@ class FastPaxos:
         self._gossip_timer = None
         self._fallback_attempts = 0
         self.used_fallback = False
+        # Only an acceptor has an instance (``KeyError`` otherwise); its
+        # position there is also its vote bit and its fallback stagger.
         self.paxos = PaxosInstance(
             addr=runtime.addr,
-            members=self.members,
+            index=self._index,
             config_id=config_id,
             send=runtime.send,
             broadcast=broadcast,
@@ -250,8 +252,6 @@ class FastPaxos:
         """
         if self.decided or self.my_vote is not None:
             return
-        if self.runtime.addr not in self._index:
-            return  # joiners do not vote
         cid = self._hold(proposal)
         if self.decided:
             return  # it was the body a counted quorum was waiting for
@@ -259,7 +259,7 @@ class FastPaxos:
         self._voted_at = self.runtime.now()
         self.metrics.counter("consensus.votes_cast").inc()
         self.paxos.register_fast_round_vote(proposal)
-        self._merge(cid, 1 << self._index[self.runtime.addr])
+        self._merge(cid, 1 << self.paxos.my_index)
         if self.gossip_mode:
             # No broadcast storm at scale: push a first round of deltas
             # now, then let the gossip ticks carry the counting step.
@@ -453,9 +453,7 @@ class FastPaxos:
         retry on the next gossip tick reaches another.  With no voter on
         record (the id came in a ``Decision``) its sender is asked.
         """
-        bits = self.votes.get(self._want, 0) & ~(
-            1 << self._index.get(self.runtime.addr, self.n)
-        )
+        bits = self.votes.get(self._want, 0) & ~(1 << self.paxos.my_index)
         voters = [m for i, m in enumerate(self.members) if bits >> i & 1]
         holder = self.runtime.rng.choice(voters) if voters else self._want_from
         if holder is not None:
@@ -469,17 +467,16 @@ class FastPaxos:
     def _arm_fallback(self) -> None:
         if self.decided or self._fallback_timer is not None:
             return
-        rank_index = self._index.get(self.runtime.addr, self.n)
         delay = (
             self.settings.consensus_fallback_timeout
-            + self.settings.consensus_rank_delay * rank_index
+            + self.settings.consensus_rank_delay * self.paxos.my_index
         )
         self._fallback_timer = self.runtime.schedule(delay, self._fallback)
 
     def _fallback(self) -> None:
         """Fast path timed out: coordinate a classical recovery round."""
         self._fallback_timer = None
-        if self.decided or self.runtime.addr not in self._index:
+        if self.decided:
             return
         self.used_fallback = True
         self._fallback_attempts += 1
@@ -495,7 +492,7 @@ class FastPaxos:
         self.paxos.start_round(1 + self._fallback_attempts)
         self._fallback_timer = self.runtime.schedule(
             self.settings.consensus_fallback_timeout
-            + self.settings.consensus_rank_delay * self._index.get(self.runtime.addr, 0),
+            + self.settings.consensus_rank_delay * self.paxos.my_index,
             self._fallback,
         )
 
@@ -576,7 +573,8 @@ class FastPaxos:
                 self._m_bundles_tx.inc()
 
     def _send_pulls(self) -> None:
-        """Send our aggregate as a digest to ``gossip_pull_fanout`` peers.
+        """Send our aggregate as a digest to ``gossip_pull_fanout`` peers
+        (from a gossip tick, which has established there are votes to show).
 
         The digest doubles as a push (receivers merge it), so the bits it
         carries are optimistically marked shown for each pulled peer —
@@ -584,8 +582,6 @@ class FastPaxos:
         pushes; a lost datagram is repaired through other partners.
         """
         peers = self._peers
-        if not peers or not self.votes:
-            return
         count = min(self.settings.gossip_pull_fanout, len(peers))
         digest = VotePull(
             sender=self.runtime.addr,

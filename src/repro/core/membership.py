@@ -937,9 +937,9 @@ class ClusterMember:
         receives this node's view size every ``report_interval`` and
         every view it installs.
     metrics:
-        Registry receiving ``cluster.*`` aggregates, per-node
-        ``node.<ep>.*`` counters, and the consensus instruments (shared
-        across every node of a harness; disabled by default).
+        Registry receiving ``cluster.*`` aggregates and the consensus
+        instruments (shared across every node of a harness; disabled by
+        default).
     publish:
         Where a flushed :class:`BatchedAlerts` goes.
     on_install:
@@ -982,11 +982,8 @@ class ClusterMember:
         # Hot-path instruments are resolved once; with a disabled registry
         # these are shared no-op singletons.
         cluster = metrics.scope("cluster")
-        node = metrics.scope("node", runtime.addr)
         self._m_alerts_enqueued = cluster.counter("alerts_enqueued")
-        self._m_node_alerts = node.counter("alerts_sent")
         self._m_view_changes = cluster.counter("view_changes")
-        self._m_node_views = node.counter("view_changes")
         self._m_view_size = cluster.gauge("view_size")
 
         self.status = NodeStatus.INIT
@@ -1178,7 +1175,6 @@ class ClusterMember:
     def _enqueue_alert(self, alert: Alert) -> None:
         """Buffer an alert; the batch flushes after the batching window."""
         self._m_alerts_enqueued.inc()
-        self._m_node_alerts.inc()
         self._alert_batch.append(alert)
         if self._batch_timer is None:
             self._batch_timer = self.runtime.schedule(
@@ -1235,7 +1231,6 @@ class ClusterMember:
         self.config = config
         self.status = NodeStatus.ACTIVE
         self._m_view_changes.inc()
-        self._m_node_views.inc()
         self._m_view_size.set(config.size)
         self.topology = topology = KRingTopology.for_configuration(
             config, self.settings.k

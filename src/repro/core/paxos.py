@@ -82,8 +82,10 @@ def select_recovery_value(
 class PaxosInstance:
     """One classical Paxos instance (proposer + acceptor + learner roles).
 
-    The instance is scoped to a single configuration: ``members`` is the
-    acceptor set, ``my_index`` this node's position in it.  The owner wires
+    The instance is scoped to a single configuration: ``index`` is the
+    acceptor set as the view's shared ``{endpoint: position}`` map (read
+    only), ``my_index`` this node's position in it — constructing an
+    instance for a non-acceptor raises ``KeyError``.  The owner wires
     ``send`` / ``broadcast`` to the transport and receives the decision via
     ``on_decide`` exactly once.
 
@@ -94,28 +96,27 @@ class PaxosInstance:
     def __init__(
         self,
         addr: Endpoint,
-        members: Sequence[Endpoint],
+        index: dict,
         config_id: int,
         send: Callable[[Endpoint, object], None],
         broadcast: Callable[[object], None],
         on_decide: Callable[[Proposal], None],
-        my_proposal: Optional[Proposal] = None,
     ) -> None:
         self.addr = addr
-        self.members = tuple(members)
-        self.n = len(self.members)
-        self.my_index = self.members.index(addr)
+        self.n = len(index)
+        self.my_index: int = index[addr]
         self.config_id = config_id
         self._send = send
         self._broadcast = broadcast
         self._on_decide = on_decide
-        self.my_proposal: Proposal = my_proposal if my_proposal is not None else ()
+        #: What this node proposes when a recovery finds nothing chosen:
+        #: its fast-round vote, else whatever its owner sets.
+        self.my_proposal: Proposal = ()
         # Acceptor state.
         self.promised_rank: tuple = (0, 0)
         self.accepted_rank: Optional[tuple] = None
         self.accepted_value: Optional[Proposal] = None
         # Coordinator state.
-        self._round = 1
         self._phase1b: dict[tuple, list] = {}
         self._phase1b_senders: dict[tuple, set] = {}
         self._phase2b: dict[tuple, dict] = {}
@@ -141,11 +142,9 @@ class PaxosInstance:
 
     # ------------------------------------------------------------- coordinator
 
-    def start_round(self, round_number: Optional[int] = None) -> tuple:
-        """Begin coordinating a recovery round; returns the rank used."""
-        if round_number is None:
-            round_number = max(self._round + 1, self.promised_rank[0] + 1, 2)
-        self._round = round_number
+    def start_round(self, round_number: int) -> tuple:
+        """Begin coordinating recovery round ``round_number`` (2 or later);
+        returns the rank used."""
         rank = (round_number, self.my_index)
         self._phase1b.setdefault(rank, [])
         self._phase1b_senders.setdefault(rank, set())
@@ -230,8 +229,7 @@ class PaxosInstance:
             self._decide(msg.value)
 
     def _decide(self, value: Proposal) -> None:
-        if self.decided:
-            return
+        # Reached once: ``handle`` drops everything after a decision.
         self.decided = True
         self.decision = value
         self._on_decide(value)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import OrderedDict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.core.configuration import Configuration
 from repro.core.node_id import Endpoint, stable_hash64
@@ -60,7 +60,6 @@ class KRingTopology:
         # (for bisect-based insertion of prospective joiners).
         self._rings: list[list[Endpoint]] = []
         self._keys: list[list[int]] = []
-        self._pos: list[dict[Endpoint, int]] = []
         # Per-member neighbor rows, indexed by ring number: the protocol
         # layer asks "who observes s?" / "whom does o monitor?" on every
         # alert and probe tick, so both directions are precomputed here in
@@ -75,7 +74,6 @@ class KRingTopology:
             order = [m for _, m in keyed]
             self._rings.append(order)
             self._keys.append([key for key, _ in keyed])
-            self._pos.append({m: i for i, m in enumerate(order)})
             n = len(order)
             for i, member in enumerate(order):
                 successor = order[(i + 1) % n]
@@ -116,10 +114,6 @@ class KRingTopology:
 
     # ---------------------------------------------------------------- queries
 
-    def ring(self, index: int) -> Sequence[Endpoint]:
-        """The membership ordered along ring ``index``."""
-        return tuple(self._rings[index])
-
     def observers_of(self, subject: Endpoint) -> list:
         """The ``K`` observers of ``subject`` (one per ring, duplicates kept).
 
@@ -131,7 +125,7 @@ class KRingTopology:
         row = self._observer_rows.get(subject)
         if row is not None:
             return list(row)
-        return [self._neighbor(ring, subject, -1) for ring in range(self.k)]
+        return [self._expected_observer(ring, subject) for ring in range(self.k)]
 
     def observer_row(self, subject: Endpoint) -> Optional[tuple]:
         """Zero-copy variant of :meth:`observers_of` for member subjects.
@@ -162,34 +156,17 @@ class KRingTopology:
         return [
             ring
             for ring in range(self.k)
-            if self._neighbor(ring, subject, -1) == observer
+            if self._expected_observer(ring, subject) == observer
         ]
 
     def unique_observers_of(self, subject: Endpoint) -> list:
         """Deduplicated observers, order-preserving by ring number."""
         return list(dict.fromkeys(self.observers_of(subject)))
 
-    def edges(self) -> list:
-        """All (observer, subject, ring) monitoring edges."""
-        out = []
-        for ring in range(self.k):
-            order = self._rings[ring]
-            n = len(order)
-            for i, observer in enumerate(order):
-                out.append((observer, order[(i + 1) % n], ring))
-        return out
-
     # --------------------------------------------------------------- internal
 
-    def _neighbor(self, ring: int, endpoint: Endpoint, direction: int) -> Endpoint:
-        order = self._rings[ring]
-        n = len(order)
-        pos = self._pos[ring].get(endpoint)
-        if pos is not None:
-            return order[(pos + direction) % n]
-        # Prospective member: find where it would be inserted on this ring.
-        key = _ring_key(ring, endpoint)
-        idx = bisect.bisect_left(self._keys[ring], key)
-        if direction < 0:
-            return order[(idx - 1) % n]
-        return order[idx % n]
+    def _expected_observer(self, ring: int, joiner: Endpoint) -> Endpoint:
+        """Who would precede the non-member ``joiner`` on ``ring``."""
+        idx = bisect.bisect_left(self._keys[ring], _ring_key(ring, joiner))
+        # Index -1 wraps: a key below every member's follows the last one.
+        return self._rings[ring][idx - 1]

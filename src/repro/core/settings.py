@@ -8,7 +8,7 @@ Fast Paxos quorum of three quarters of the membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 __all__ = ["RapidSettings"]
@@ -220,7 +220,3 @@ class RapidSettings:
         per convergence window.
         """
         return self.gossip_interval * self.gossip_convergence_ticks
-
-    def scaled(self, **overrides) -> "RapidSettings":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)

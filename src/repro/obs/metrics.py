@@ -17,7 +17,7 @@ order:
   no-op method call.
 
 Names are hierarchical, dot-separated (``net.messages_sent``,
-``node.10.0.0.1:5000.alerts_sent``, ``cluster.view_changes``); use
+``cluster.view_changes``, ``consensus.votes_cast``); use
 :meth:`MetricsRegistry.scope` to build prefixed families without string
 concatenation at every call site.
 """
@@ -25,7 +25,7 @@ concatenation at every call site.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Union
+from typing import Union
 
 __all__ = [
     "Counter",
@@ -198,8 +198,8 @@ class MetricsRegistry:
         """A view that prefixes every instrument name with ``parts``.
 
         >>> m = MetricsRegistry()
-        >>> m.scope("node", "10.0.0.1:5000").counter("alerts_sent").name
-        'node.10.0.0.1:5000.alerts_sent'
+        >>> m.scope("net").counter("messages_sent").name
+        'net.messages_sent'
         """
         return MetricsScope(self, ".".join(str(p) for p in parts))
 
@@ -219,9 +219,6 @@ class MetricsRegistry:
         for name, histogram in self._histograms.items():
             out[name] = histogram.summary()
         return dict(sorted(out.items()))
-
-    def counters(self) -> Iterator[Counter]:
-        return iter(self._counters.values())
 
     def reset(self) -> None:
         """Drop all instruments (call sites holding references keep theirs)."""

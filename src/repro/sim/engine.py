@@ -11,25 +11,27 @@ Times are floats in (virtual) seconds.
 Hot-path design (the engine executes tens of millions of events in a full
 benchmark run, so constant factors dominate):
 
-* Heap entries are plain ``(time, seq, event)`` tuples.  Tuple comparison
-  resolves on the two leading numbers — ``seq`` is unique — so the heap
-  never falls through to comparing event objects, and events themselves
+* One queue.  Heap entries are plain ``(time, seq, event)`` tuples and
+  ``seq`` is unique, so tuple comparison resolves on the two leading
+  numbers, never falls through to comparing event objects, and *is* the
+  ordering contract: same-instant events fire in scheduling order.  Events
   are ``__slots__`` records rather than ``@dataclass(order=True)``
   instances with generated ``__lt__``.
-* Events scheduled for the *current* instant bypass the heap entirely:
-  they go to an O(1) FIFO run queue.  Zero-delay scheduling (message
-  handlers posting follow-up work) is extremely common in protocol code
-  and would otherwise pay two O(log n) heap operations per event.
+* One insertion routine (:meth:`Engine._push`) behind ``schedule``,
+  ``schedule_at`` and ``post``, and one dispatch loop (:meth:`Engine.run`).
+  Zero-delay events take the heap like any other: measured, they are 0 %
+  of the membership workloads' events and 7 % of the app tier's (see
+  "Forks on the per-event path" in ``docs/ARCHITECTURE.md``).
 * Cancelled events are tombstones swept in batch: a counter tracks them,
   and when tombstones outnumber live heap entries the heap is compacted
   in one O(n) pass instead of churning through lazy pops.  This keeps
-  probe-timeout storms (schedule + cancel per probe) cheap.
+  cancel-heavy phases (a view change cancels every node's consensus
+  timers at once) cheap.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
@@ -45,11 +47,10 @@ _COMPACT_MIN = 256
 class _Event:
     """One scheduled callback; mutable only through cancellation."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired")
 
-    def __init__(self, when: float, seq: int, fn: Callable[..., None], args: tuple):
+    def __init__(self, when: float, fn: Callable[..., None], args: tuple):
         self.time = when
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -95,8 +96,6 @@ class Engine:
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, _Event]] = []
-        #: Run queue for events scheduled at exactly the current instant.
-        self._fifo: deque[_Event] = deque()
         self._seq = 0
         self._tombstones = 0
         self._events_processed = 0
@@ -119,12 +118,19 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of events still queued (including cancelled ones)."""
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap)
 
     @property
     def pending_live(self) -> int:
         """Number of queued events that are not cancelled tombstones."""
-        return len(self._heap) + len(self._fifo) - self._tombstones
+        return len(self._heap) - self._tombstones
+
+    def _push(self, when: float, fn: Callable[..., None], args: tuple) -> _Event:
+        """Queue ``fn(*args)`` for virtual time ``when``: the one way in."""
+        self._seq = seq = self._seq + 1
+        event = _Event(when, fn, args)
+        heappush(self._heap, (when, seq, event))
+        return event
 
     def schedule(self, delay: float, fn: Callable[..., None], *args) -> EventHandle:
         """Run ``fn(*args)`` after ``delay`` virtual seconds.
@@ -134,28 +140,13 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self._now
-        when = now + delay
-        self._seq = seq = self._seq + 1
-        event = _Event(when, seq, fn, args)
-        if when == now:
-            self._fifo.append(event)
-        else:
-            heappush(self._heap, (when, seq, event))
-        return EventHandle(event, self)
+        return EventHandle(self._push(self._now + delay, fn, args), self)
 
     def schedule_at(self, when: float, fn: Callable[..., None], *args) -> EventHandle:
         """Run ``fn(*args)`` at absolute virtual time ``when``."""
-        now = self._now
-        if when < now:
-            raise ValueError(f"cannot schedule in the past: {when} < {now}")
-        self._seq = seq = self._seq + 1
-        event = _Event(when, seq, fn, args)
-        if when == now:
-            self._fifo.append(event)
-        else:
-            heappush(self._heap, (when, seq, event))
-        return EventHandle(event, self)
+        if when < self._now:
+            raise ValueError(f"cannot schedule in the past: {when} < {self._now}")
+        return EventHandle(self._push(when, fn, args), self)
 
     def post(self, delay: float, fn: Callable[..., None], *args) -> None:
         """Like :meth:`schedule` but returns no handle (not cancellable).
@@ -165,62 +156,15 @@ class Engine:
         """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self._now
-        when = now + delay
-        self._seq = seq = self._seq + 1
-        event = _Event(when, seq, fn, args)
-        if when == now:
-            self._fifo.append(event)
-        else:
-            heappush(self._heap, (when, seq, event))
+        self._push(self._now + delay, fn, args)
 
     # ------------------------------------------------------------- execution
 
-    def _next_live(self) -> Optional[_Event]:
-        """Peek the next runnable event without popping it.
-
-        Discards cancelled tombstones from both queue heads.  FIFO entries
-        always carry ``time == now`` while heap entries carry
-        ``time >= now``, so the heap only goes first when it holds a
-        same-time event with a smaller sequence number (scheduled earlier).
-        """
-        heap = self._heap
-        fifo = self._fifo
-        while True:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-                self._tombstones -= 1
-            while fifo and fifo[0].cancelled:
-                fifo.popleft()
-                self._tombstones -= 1
-            if fifo:
-                event = fifo[0]
-                if heap and heap[0][0] == event.time and heap[0][1] < event.seq:
-                    return heap[0][2]
-                return event
-            if heap:
-                return heap[0][2]
-            return None
-
-    def _pop(self, event: _Event) -> None:
-        """Remove a just-peeked live event from its queue."""
-        fifo = self._fifo
-        if fifo and fifo[0] is event:
-            fifo.popleft()
-        else:
-            heappop(self._heap)
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns ``False`` when idle."""
-        event = self._next_live()
-        if event is None:
-            return False
-        self._pop(event)
-        self._now = event.time
-        self._events_processed += 1
-        event.fired = True
-        event.fn(*event.args)
-        return True
+        before = self._events_processed
+        self.run(max_events=1)
+        return self._events_processed != before
 
     def run(
         self,
@@ -237,50 +181,29 @@ class Engine:
         if until is not None and until < self._now:
             return  # the window is already in the past; nothing can fire
         started = time.perf_counter()
-        executed = 0
-        # Local aliases for the hot loop; both containers are only ever
-        # mutated in place (see _compact), so they cannot go stale.
+        # Events left in the budget; counting down from -1 never reaches zero.
+        budget = -1 if max_events is None else max_events
+        # Aliased for the hot loop; the list is only ever mutated in place
+        # (see _compact), so the alias cannot go stale.
         heap = self._heap
-        fifo = self._fifo
+        horizon = float("inf") if until is None else until
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
-                    return
-                # Discard cancelled tombstones at both queue heads, then
-                # pick whichever head comes first in (time, seq) order.
-                # FIFO events always carry ``time == now <= until``, so
-                # only heap pops need the window check.
-                while heap and heap[0][2].cancelled:
+            while heap and budget:
+                when, _, event = heap[0]
+                if event.cancelled:
                     heappop(heap)
                     self._tombstones -= 1
-                while fifo and fifo[0].cancelled:
-                    fifo.popleft()
-                    self._tombstones -= 1
-                if fifo:
-                    event = fifo[0]
-                    head = heap[0] if heap else None
-                    if (
-                        head is not None
-                        and head[0] == event.time
-                        and head[1] < event.seq
-                    ):
-                        event = head[2]
-                        heappop(heap)
-                    else:
-                        fifo.popleft()
-                elif heap:
-                    event = heap[0][2]
-                    if until is not None and event.time > until:
-                        break
-                    heappop(heap)
-                else:
+                    continue
+                if when > horizon:
                     break
-                self._now = event.time
+                heappop(heap)
+                self._now = when
                 self._events_processed += 1
                 event.fired = True
                 event.fn(*event.args)
-                executed += 1
-            if until is not None and self._now < until:
+                budget -= 1
+            # The window elapsed unless the event budget ended the run.
+            if until is not None and budget and self._now < until:
                 self._now = until
         finally:
             self.wall_time_s += time.perf_counter() - started
@@ -307,22 +230,13 @@ class Engine:
             self._compact()
 
     def _compact(self) -> None:
-        """Batch-sweep cancelled tombstones out of both queues in one pass.
+        """Batch-sweep cancelled tombstones out of the heap in one pass.
 
-        Mutates the containers in place: :meth:`run` holds local aliases
-        to them across event execution, and cancellation (hence
-        compaction) can happen inside an event callback.  The FIFO is
-        swept too — leaving its tombstones counted would keep the
-        compaction trigger armed and turn every subsequent cancel into
-        another O(n) sweep.
+        Mutates the list in place: :meth:`run` holds a local alias to it
+        across event execution, and cancellation (hence compaction) can
+        happen inside an event callback.
         """
         heap = self._heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapify(heap)
-        fifo = self._fifo
-        if fifo:
-            live = [event for event in fifo if not event.cancelled]
-            if len(live) != len(fifo):
-                fifo.clear()
-                fifo.extend(live)
         self._tombstones = 0

@@ -54,7 +54,7 @@ def _container_size(value) -> int:
 #: Exact-type sizing dispatch.  Message sizing walks the same dozen types
 #: millions of times per run; one dict lookup replaces an isinstance
 #: chain, and dataclass types get a compiled walker on first sight (see
-#: :func:`_payload_size_slow`).
+#: :func:`_compile_sizer`).
 _SIZERS: dict[type, Callable[[Any], int]] = {
     type(None): lambda value: 1,
     bool: lambda value: 1,
@@ -126,13 +126,22 @@ _SIZERS[ViewSnapshot] = _view_snapshot_size
 
 def _payload_size(value: Any) -> int:
     sizer = _SIZERS.get(value.__class__)
-    if sizer is not None:
-        return sizer(value)
-    return _payload_size_slow(value)
+    if sizer is None:
+        sizer = _compile_sizer(value.__class__)
+    return sizer(value)
 
 
-def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
-    """Compile a field-walking sizer for a dataclass message type."""
+def _compile_sizer(cls: type) -> Callable[[Any], int]:
+    """Compile, register and return the field-walking sizer of a dataclass.
+
+    Runs once per class: from :func:`register_message_classes` for the wire
+    vocabulary, on first sight for the dataclasses nested inside it.  Any
+    other type (subclasses of the builtins included, which exact-type
+    dispatch deliberately misses) has no wire form and is refused rather
+    than charged a guess.
+    """
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"only dataclass message types can be sized, got {cls!r}")
     names = tuple(f.name for f in dataclasses.fields(cls))
 
     def sizer(v, _names=names) -> int:
@@ -141,6 +150,7 @@ def _dataclass_sizer(cls: type) -> Callable[[Any], int]:
             total += _payload_size(getattr(v, name))
         return total
 
+    _SIZERS[cls] = sizer
     return sizer
 
 
@@ -155,41 +165,8 @@ def register_message_classes(*classes: type) -> None:
     with hand-tuned sizers like ``VoteBundle``) are left untouched.
     """
     for cls in classes:
-        if cls in _SIZERS:
-            continue
-        if not dataclasses.is_dataclass(cls):
-            raise TypeError(
-                f"register_message_classes takes dataclass message types, "
-                f"got {cls!r}"
-            )
-        _SIZERS[cls] = _dataclass_sizer(cls)
-
-
-def _payload_size_slow(value: Any) -> int:
-    """Sizing fallback for types outside the dispatch table.
-
-    Dataclass message types get a field-walking sizer compiled and
-    registered on first encounter; anything else (including subclasses of
-    the builtin types, which exact-type dispatch deliberately misses)
-    takes the original structural-estimate chain.
-    """
-    cls = value.__class__
-    if dataclasses.is_dataclass(cls) and not isinstance(value, type):
-        sizer = _SIZERS[cls] = _dataclass_sizer(cls)
-        return sizer(value)
-    if value is None or isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return 2 + len(value)
-    if isinstance(value, bytes):
-        return 2 + len(value)
-    if isinstance(value, dict):
-        return 2 + sum(_payload_size(k) + _payload_size(v) for k, v in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 2 + sum(_payload_size(item) for item in value)
-    return 8
+        if cls not in _SIZERS:
+            _compile_sizer(cls)
 
 
 #: Interned message-class labels for the per-class traffic breakdown.

@@ -55,15 +55,14 @@ class SimRuntime:
         return self.engine.schedule(delay, self._guarded, fn, args)
 
     def send(self, dst: Endpoint, msg: Any) -> None:
-        """Fire-and-forget ``msg`` to ``dst`` (dropped if crashed)."""
-        if not self._crashed:
-            self.network.send(self.addr, dst, msg)
+        """Fire-and-forget ``msg`` to ``dst`` (the network drops it if this
+        process has crashed)."""
+        self.network.send(self.addr, dst, msg)
 
     def broadcast(self, dsts, msg: Any) -> None:
         """Fan ``msg`` out to every endpoint in ``dsts`` (sized and
         delayed once, see :meth:`repro.sim.network.Network.broadcast`)."""
-        if not self._crashed:
-            self.network.broadcast(self.addr, dsts, msg)
+        self.network.broadcast(self.addr, dsts, msg)
 
     # ----------------------------------------------------------------- wiring
 
@@ -104,6 +103,6 @@ class SimRuntime:
             fn(*args)
 
     def _dispatch(self, src: Endpoint, msg: Any) -> None:
-        if self._crashed or self._handler is None:
-            return
+        # The network delivers nothing to a crashed endpoint; what it does
+        # deliver goes to whichever handler is attached by now.
         self._handler(src, msg)

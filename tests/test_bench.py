@@ -1,5 +1,6 @@
 """Tests for the repro.bench benchmark subsystem."""
 
+import csv
 import json
 import subprocess
 from pathlib import Path
@@ -175,6 +176,72 @@ class TestJsonOutput:
             "result",
         ):
             assert key in case
+
+
+class TestTimeseriesExport:
+    """``--timeseries``: the documented Fig. 5-10 / 12-13 export."""
+
+    VIEW_SIZES = {"view_size_min", "view_size_med", "view_size_max"}
+
+    def export(self, tmp_path, name, *selection):
+        from repro.bench.__main__ import main
+
+        out, series = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        args = ["--suite", "quick", "--quiet", "--out", str(out), *selection]
+        assert main(args + ["--timeseries", str(series)]) == 0
+        with series.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["case", "series", "time", "value"]
+        (case,) = json.loads(out.read_text())["cases"]
+        assert {row[0] for row in rows} == {case["name"]}
+        return series.read_bytes(), rows
+
+    def test_bootstrap_exports_view_sizes_and_the_convergence_ecdf(self, tmp_path):
+        selection = ("--scale", "0.5", "--filter", "bootstrap/rapid/")  # n=8
+        data, rows = self.export(tmp_path, "a", *selection)
+        assert {row[1] for row in rows} == self.VIEW_SIZES | {"node_convergence_ecdf"}
+        ecdf = [
+            (float(t), float(share))
+            for _, series, t, share in rows
+            if series == "node_convergence_ecdf"
+        ]
+        assert ecdf == sorted(ecdf)
+        assert [share for _, share in ecdf] == [(i + 1) / 8 for i in range(8)]
+        spread: dict = {}
+        for _, series, t, value in rows:
+            if series in self.VIEW_SIZES:
+                spread.setdefault(float(t), {})[series] = int(value)
+        assert list(spread) == sorted(spread)
+        for sizes in spread.values():
+            assert (
+                1
+                <= sizes["view_size_min"]
+                <= sizes["view_size_med"]
+                <= sizes["view_size_max"]
+                <= 8
+            )
+        assert sizes["view_size_max"] == 8  # the last sample
+        assert self.export(tmp_path, "b", *selection)[0] == data
+
+    def test_app_case_exports_latency_and_goodput_buckets(self, tmp_path):
+        selection = ("--filter", "service_discovery/")
+        data, rows = self.export(tmp_path, "a", *selection)
+        latency = {"app_latency_p50", "app_latency_p99", "app_latency_max"}
+        assert {row[1] for row in rows} == self.VIEW_SIZES | latency | {"app_goodput"}
+        by_bucket: dict = {}
+        for _, series, t, value in rows:
+            if series in latency:
+                by_bucket.setdefault(t, {})[series] = float(value)
+        assert by_bucket
+        for bucket in by_bucket.values():
+            assert (
+                0
+                < bucket["app_latency_p50"]
+                <= bucket["app_latency_p99"]
+                <= bucket["app_latency_max"]
+            )
+        assert all(float(v) > 0 for _, series, _, v in rows if series == "app_goodput")
+        assert self.export(tmp_path, "b", *selection)[0] == data
 
 
 class TestCli:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import configuration
 from repro.core.configuration import Configuration
-from repro.core.messages import AlertKind, Change, cut_id, make_proposal
+from repro.core.messages import AlertKind, Change, ViewDelta, cut_id, make_proposal
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidCHarness, RapidHarness
 from repro.sim.cluster import endpoint_for
@@ -78,6 +78,52 @@ class TestTheDoor:
         assert config.has_uuid(103) and not config.has_uuid(7)
         assert config.uuid_of(MEMBERS[3]) == 103
         assert config.uuid_of(endpoint_for(50)) is None
+
+
+class TestTransitions:
+    """``apply`` is the step that changes who is a member: it re-validates
+    what consensus hands it, and a wrong cut raises instead of installing."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            Change(MEMBERS[2], AlertKind.JOIN, uuid=7),  # join of a member
+            Change(endpoint_for(50), AlertKind.REMOVE),  # removal of a non-member
+            Change(MEMBERS[2], "EVICT"),  # a kind this version does not know
+        ],
+        ids=["join-of-member", "remove-of-non-member", "unknown-kind"],
+    )
+    def test_apply_refuses_a_cut_that_does_not_fit_the_view(self, change):
+        base = Configuration(MEMBERS, UUIDS)
+        good = Change(MEMBERS[4], AlertKind.REMOVE)
+        with pytest.raises(ValueError):
+            base.apply((good, change))
+        with pytest.raises(ValueError):
+            base.successor((good, change), cut_id((good, change)))
+        assert base.apply((good,)).members == MEMBERS[:4] + MEMBERS[5:]
+
+    def test_delta_applies_to_its_base_only_and_skips_unseen_removes(self):
+        base = Configuration(MEMBERS, UUIDS, seq=2)
+        joiner, transient = endpoint_for(50), endpoint_for(51)
+        delta = ViewDelta(
+            base_config_id=base.config_id,
+            seq=5,
+            adds=((joiner, 9),),
+            # MEMBERS[1] left; `transient` joined and left in between, so
+            # this base never saw it.
+            removes=(MEMBERS[1], transient),
+        )
+        new = base.apply_delta(delta)
+        assert new is Configuration(
+            MEMBERS[:1] + MEMBERS[2:] + (joiner,), UUIDS[:1] + UUIDS[2:] + (9,), seq=5
+        )
+        with pytest.raises(ValueError):
+            new.apply_delta(delta)
+
+    def test_one_liner_names_the_view(self):
+        config = Configuration(MEMBERS, UUIDS, seq=3)
+        assert config.describe() == f"view#3 id={config.config_id & 0xFFFFFF:06x} n=6"
+        assert repr(config) == f"Configuration({config.describe()})"
 
 
 @pytest.mark.parametrize("harness_cls", [RapidHarness, RapidCHarness])

@@ -27,12 +27,17 @@ from repro.core.messages import (
     AlertKind,
     Change,
     Decision,
+    Phase1a,
+    Phase1b,
+    Phase2a,
+    Phase2b,
     VoteBundle,
     VotePull,
     cut_id,
     make_proposal,
 )
 from repro.core.node_id import Endpoint
+from repro.core.paxos import PaxosInstance, recovery_threshold, select_recovery_value
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import harness_for
 from repro.experiments.scenarios import partition_heal_experiment
@@ -407,6 +412,22 @@ class TestBodiesOnDemand:
         assert counter_value(harness, "consensus.body_pulls_sent") == 3
         assert counter_value(harness, "consensus.bodies_sent") == 3
 
+    def test_its_own_late_cut_detection_can_supply_the_awaited_body(self):
+        """The laggard's cut detector fires after it counted the quorum:
+        proposing the cut it is waiting for decides it, and casts no vote."""
+        harness = ConsensusHarness(8, unicast_settings(), seed=14)
+        a, b = harness.members[0], harness.members[1]
+        proposal = proposal_for(0)
+        decided = harness.nodes[a]
+        decided._decide(proposal)
+        laggard = harness.nodes[b]
+        laggard.handle(a, decided._learn_message())
+        assert not laggard.decided and laggard._want == cut_id(proposal)
+        laggard.propose(proposal)
+        assert laggard.decided and laggard.decision == proposal
+        assert laggard.my_vote is None
+        assert counter_value(harness, "consensus.votes_cast") == 0
+
     def test_a_body_is_installed_only_under_the_id_it_hashes_to(self):
         harness = ConsensusHarness(8, unicast_settings(), seed=13)
         a, b = harness.members[0], harness.members[1]
@@ -573,6 +594,136 @@ class TestScale:
         bound = 2 * n * settings.gossip_fanout * rounds
         assert delivered <= bound, (delivered, bound)
         assert delivered < n * n / 8  # far from the O(N^2) regime
+
+
+FAST = (1, 0)  # the rank every fast-round vote is accepted at
+
+
+def promise(i, vrank=None, vvalue=None, rank=(2, 0)):
+    """Acceptor ``i``'s Phase1b for ``rank``, reporting what it last accepted."""
+    return Phase1b(endpoint_for(i), 1, rank, vrank, vvalue)
+
+
+class TestCoordinatorRule:
+    """``select_recovery_value``: a wrong pick here forks the cluster — it
+    is the only thing standing between a recovery round and a value some
+    quorum it cannot fully see has already chosen."""
+
+    n = 8  # classical quorum 5, fast quorum 6, recovery threshold 3
+    a, b, own = proposal_for(0), proposal_for(1), proposal_for(2)
+
+    def test_nobody_voted_frees_the_coordinators_own_value(self):
+        responses = [promise(i) for i in range(5)]
+        assert select_recovery_value(responses, self.n, self.own) == self.own
+
+    def test_a_classical_round_outranks_any_number_of_fast_votes(self):
+        responses = [promise(i, FAST, self.a) for i in range(4)]
+        responses.append(promise(4, (2, 3), self.b))
+        assert select_recovery_value(responses, self.n, self.own) == self.b
+        responses.append(promise(5, (3, 1), self.own))
+        assert select_recovery_value(responses, self.n, self.a) == self.own
+
+    def test_a_fast_value_at_the_threshold_may_be_chosen_and_is_kept(self):
+        threshold = recovery_threshold(self.n)
+        assert threshold == 3
+        voted = [promise(i, FAST, self.a) for i in range(threshold)]
+        rest = [promise(i, FAST, self.b) for i in range(threshold, 5)]
+        assert select_recovery_value(voted + rest, self.n, self.own) == self.a
+        # One short of it no fast quorum can have formed: nothing to keep.
+        assert select_recovery_value(voted[1:] + rest, self.n, self.own) == self.own
+
+
+class BarePaxos:
+    """One :class:`PaxosInstance` over ``n`` acceptors, wired to lists."""
+
+    def __init__(self, n=5, me=0):
+        members = tuple(endpoint_for(i) for i in range(n))
+        self.broadcasts, self.decided = [], []
+        self.instance = PaxosInstance(
+            endpoint_for(me),
+            {m: i for i, m in enumerate(members)},
+            config_id=1,
+            send=lambda dst, msg: None,
+            broadcast=self.broadcasts.append,
+            on_decide=self.decided.append,
+        )
+
+    def accept(self, i, value, rank=(2, 0)):
+        self.instance.handle(endpoint_for(i), Phase2b(endpoint_for(i), 1, rank, value))
+
+
+class TestClassicalRounds:
+    a, b = proposal_for(0), proposal_for(1)
+
+    def test_only_an_acceptor_has_an_instance(self):
+        with pytest.raises(KeyError):
+            BarePaxos(n=5, me=5)
+        harness = ConsensusHarness(4, unicast_settings())
+        outsider = SimRuntime(harness.engine, harness.network, endpoint_for(9), seed=1)
+        with pytest.raises(KeyError):
+            FastPaxos(
+                outsider, harness.members, 1, unicast_settings(), print, print, False
+            )
+
+    def test_an_acceptor_changing_its_vote_moves_the_count_a_duplicate_does_not(self):
+        paxos = BarePaxos(n=5)  # three identical accepts decide
+        paxos.accept(1, self.a)
+        paxos.accept(1, self.a)  # duplicated datagram
+        paxos.accept(2, self.a)
+        assert not paxos.decided, "a duplicate was counted as a third acceptor"
+        paxos.accept(1, self.b)  # acceptor 1 now backs b: a is down to one
+        paxos.accept(3, self.a)
+        assert not paxos.decided, "a vote that moved away was still counted"
+        paxos.accept(1, self.b, rank=(3, 1))  # another round counts apart
+        paxos.accept(4, self.a)
+        assert paxos.decided == [self.a]
+        paxos.accept(1, self.a)  # after the decision nothing is handled
+        assert paxos.decided == [self.a] and paxos.instance.decision == self.a
+
+    def test_a_phase1b_quorum_counts_distinct_acceptors_of_the_coordinated_rank(self):
+        paxos = BarePaxos(n=5, me=2)
+        instance = paxos.instance
+        instance.my_proposal = self.b
+        assert instance.start_round(2) == (2, 2)
+        assert paxos.broadcasts == [Phase1a(endpoint_for(2), 1, (2, 2))]
+        for response in (
+            promise(0, FAST, self.a, rank=(2, 2)),
+            promise(0, FAST, self.a, rank=(2, 2)),  # duplicate
+            promise(1, FAST, self.a, rank=(2, 1)),  # somebody else's round
+            promise(1, FAST, self.a, rank=(2, 2)),
+        ):
+            instance.handle(response.sender, response)
+        assert len(paxos.broadcasts) == 1, "two distinct promises are no quorum"
+        instance.handle(endpoint_for(3), promise(3, rank=(2, 2)))
+        # Two of five saw a: recovery_threshold(5) == 2, so a may be chosen.
+        assert paxos.broadcasts[1] == Phase2a(endpoint_for(2), 1, (2, 2), self.a)
+
+    def test_a_voteless_node_falls_back_on_the_most_endorsed_body_it_holds(self):
+        settings = unicast_settings(
+            gossip_interval=1_000.0,
+            consensus_fallback_timeout=0.5,
+            consensus_rank_delay=10.0,  # only the first member's timer fires
+        )
+        harness = ConsensusHarness(5, settings, seed=2)
+        first = harness.members[0]
+        node = harness.nodes[first]
+        peer = harness.members[1]
+        # Nobody here cast a vote.  The first member is shown a 1:2 split it
+        # cannot spell out: no body held, so its timeout proposes nothing.
+        votes = VoteBundle(
+            peer, 1, ids=(cut_id(self.a), cut_id(self.b)), bitmaps=(0b00010, 0b01100)
+        )
+        node.handle(peer, votes)
+        harness.engine.run(until=0.75)
+        assert counter_value(harness, "consensus.fallback_rounds") == 1
+        assert harness.network.class_counts.get("Phase1a", 0) == 0
+        # It then meets both bodies in another coordinator's recovery round.
+        for i, body in ((1, self.a), (2, self.b)):
+            node.handle(peer, promise(i, FAST, body, rank=(2, 4)))
+        assert harness.run_until_decided(timeout=5.0) is not None
+        assert node.paxos.my_proposal == self.b
+        assert {n.decision for n in harness.nodes.values()} == {self.b}
+        assert all(n.used_fallback for n in harness.nodes.values())
 
 
 def counter_value(harness, name):

@@ -288,6 +288,53 @@ class TestRejoinPaths:
         assert len(distinct_views(cluster)) == 1
 
 
+class TestRoleMetadata:
+    """``metadata={"role": ...}`` travels with membership: in the JOIN
+    alerts to every decider's table, from there in snapshots to later
+    joiners and in deltas to rejoiners whose base predates the member."""
+
+    def test_a_joiners_role_reaches_members_later_joiners_and_rejoiners(self):
+        cluster = converged_cluster(8, seed=2)
+        recorder = RecordingNetwork(cluster)
+        seed, away, backend, late = (endpoint_for(i) for i in (0, 5, 20, 21))
+        role = {"role": "backend"}
+
+        def everyone_else_sees(size):
+            def reached():
+                rest = (a for ep, a in cluster.agents.items() if ep != away)
+                return all(agent.view_size == size for agent in rest)
+
+            deadline = cluster.engine.now + 60.0
+            while not reached() and cluster.engine.now < deadline:
+                cluster.run_for(0.5)
+            return reached()
+
+        rejoiner = cluster.agents[away]
+        rejoiner.leave()  # its base is the 8-view, which has no backend
+        assert everyone_else_sees(7)
+        cluster.add_node(backend, seeds=(seed,), metadata=role)
+        assert everyone_else_sees(8)
+        members = [a for ep, a in cluster.agents.items() if ep not in (away, backend)]
+        assert all(agent.metadata_store.get(backend) == role for agent in members)
+        assert backend not in rejoiner.metadata_store
+
+        rejoiner.rejoin()
+        assert cluster.run_until_converged(9, timeout=60.0) is not None
+        kinds = [r[4] for r in recorder.safe_to_join() if r[1] == away]
+        assert kinds == ["delta"]
+        assert rejoiner.metadata_store.get(backend) == role
+
+        newcomer = cluster.add_node(late, seeds=(seed,))
+        assert cluster.run_until_converged(10, timeout=60.0) is not None
+        kinds = [r[4] for r in recorder.safe_to_join() if r[1] == late]
+        assert kinds == ["view"]
+        assert newcomer.metadata_store.get(backend) == role
+        # Nobody else announced a role, and nobody invented one.
+        for agent in cluster.agents.values():
+            roles = {ep: meta for ep, meta in agent.metadata_store.items() if meta}
+            assert roles == {backend: role}, agent.addr
+
+
 class TestTamperedResponses:
     """The view a joiner installs is the process-wide shared object, so the
     integrity check guards everyone: content that does not hash to the

@@ -1,5 +1,7 @@
 """Tests for the simulated network fabric: accounting, broadcast, rates."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.messages import Probe
@@ -58,6 +60,64 @@ class TestSend:
         engine.run()
         assert network.dropped_messages == 1
         assert network.sent_messages == 1  # tx accounted before the drop
+
+
+class TestFailStop:
+    """``Network.crash``: the endpoint neither sends nor receives from then
+    on.  The fabric is the one place that says so for traffic — the
+    simulated runtime only silences timers — so it is pinned here."""
+
+    def test_send_from_crashed_source_is_silent(self):
+        engine, network = make_network()
+        a, b = endpoints(2)
+        network.register(a, lambda src, msg: None)
+        network.register(b, lambda src, msg: None)
+        network.crash(a)
+        network.send(a, b, Probe(sender=a, config_id=1, seq=1))
+        engine.run()
+        assert network.sent_messages == network.dropped_messages == 0
+        assert not network.class_counts and engine.events_processed == 0
+
+    def test_copies_in_flight_to_an_endpoint_that_then_crashes_are_dropped(self):
+        engine, network = make_network()
+        src, victim, peer, nobody = endpoints(4)
+        delivered = []
+        for ep in (src, victim, peer):
+            network.register(ep, lambda s, m, _ep=ep: delivered.append(_ep))
+        msg = Probe(sender=src, config_id=1, seq=1)
+        network.send(src, victim, msg)
+        network.broadcast(src, [victim, peer, nobody], msg)
+        network.send(src, nobody, msg)  # nothing listens there at all
+        network.crash(victim)  # its two copies are already on the wire
+        engine.run()
+        assert delivered == [peer]
+        assert network.sent_messages == 5
+        assert network.dropped_messages == 4
+        assert network.delivered_messages == 1
+        assert network.received_bytes == wire_size(msg)
+        assert network.stats[victim].rx_messages == 0
+        assert network.stats[nobody].rx_messages == 0
+
+
+class TestSizing:
+    def test_a_dataclass_is_sized_on_first_sight_and_nothing_else_is(self):
+        @dataclass(frozen=True)
+        class Ping:
+            sender: Endpoint
+            note: str
+
+        class Label(str):
+            pass
+
+        (a,) = endpoints(1)
+        header, fields = 28, 2
+        assert wire_size(Ping(a, "hi")) == header + fields + (4 + len(a.host)) + (2 + 2)
+        # Exact-type dispatch: a subclass of a builtin has no wire form, and
+        # is refused rather than charged a guess.
+        with pytest.raises(TypeError):
+            wire_size(Ping(a, Label("hi")))
+        with pytest.raises(TypeError):
+            wire_size(object())
 
 
 class TestBroadcast:
