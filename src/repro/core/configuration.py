@@ -229,6 +229,17 @@ class Configuration:
             )
         return snapshot
 
+    def cut(self, proposal: Proposal) -> Proposal:
+        """The process's one tuple for the cut ``proposal`` of this view.
+
+        Canonical the way :meth:`view_snapshot` is: the first emitter's
+        tuple is kept, equal content gets it back.  Cut detection agrees
+        almost everywhere, so the deciders of a view vote, file and log
+        one shared cut instead of a private copy each; one whose proposal
+        differs holds its own.
+        """
+        return self.__dict__.setdefault("_cuts", {}).setdefault(proposal, proposal)
+
     def apply_delta(self, delta: ViewDelta) -> "Configuration":
         """Reconstruct the configuration a :class:`ViewDelta` describes.
 

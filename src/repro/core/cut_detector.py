@@ -27,8 +27,13 @@ Two liveness aids keep subjects from lingering in the unstable region:
   :meth:`repro.core.membership.ViewChanger.overdue`); the detector
   exposes the timestamps needed to drive it.
 
-State is all integer counters keyed by subject; it is reset wholesale after
-each configuration change by discarding the instance.
+State is O(1) machine words per subject — one ``int`` of ring bits, a
+reference to the first alert about it (whose kind and joiner uuid are the
+subject's) and the time of that alert — plus four counters per detector;
+no container is allocated per subject.  *Which* observer reported a ring is
+not kept: the tally counts rings, the implicit rule asks the topology who
+observes a ring, and nothing else ever read it.  All of it is reset
+wholesale after each configuration change by discarding the instance.
 """
 
 from __future__ import annotations
@@ -61,15 +66,19 @@ class MultiNodeCutDetector:
         self.h = h
         self.l = l
         self.topology = topology
-        # subject -> ring number -> observer that reported on that ring.
-        self._reports: dict[Endpoint, dict[int, Endpoint]] = {}
-        # subject -> (kind, joiner uuid) from the first alert about it.
-        self._kinds: dict[Endpoint, tuple] = {}
+        # subject -> bitmask, in first-report order: bit r (r < K) is set
+        # once ring r has reported the subject, so the tally is the
+        # popcount; bit K marks a subject already emitted in a proposal
+        # (awaiting consensus), which no longer counts as unstable and
+        # takes no further alerts.  A proposed subject is past H, so the
+        # extra bit never moves a popcount across a watermark.
+        self._reports: dict[Endpoint, int] = {}
+        # subject -> the first alert about it: its kind and joiner uuid
+        # are the subject's (the alert object is shared by every receiver
+        # of the batch it came in).
+        self._first: dict[Endpoint, Alert] = {}
         # subject -> time of first alert (drives reinforcement timeouts).
         self._first_seen: dict[Endpoint, float] = {}
-        # Subjects already emitted in a proposal (awaiting consensus); they
-        # no longer count as unstable and are not re-proposed.
-        self._proposed: set = set()
         # Incremental aggregation-rule state, so the per-alert check is
         # O(1) instead of a scan over every reported subject: the number
         # of subjects at/above the high watermark, the number of
@@ -80,6 +89,9 @@ class MultiNodeCutDetector:
         self._stable_count = 0
         self._unstable_count = 0
         self._remove_count = 0
+        # Whether some tally has reached L since the last implicit-alert
+        # pass: the only event that gives a pass work (see there).
+        self._crossed_low = False
 
     # ---------------------------------------------------------------- feeding
 
@@ -90,113 +102,112 @@ class MultiNodeCutDetector:
         not move the tally.  Conflicting kinds for the same subject are
         impossible in the protocol (JOIN alerts are only about non-members,
         REMOVE only about members); if one arrives anyway it is ignored.
+        Ring numbers outside ``[0, K)`` are ignored too.
         """
         subject = alert.subject
-        if subject in self._proposed:
-            return None
-        kind = self._kinds.get(subject)
-        if kind is None:
-            self._kinds[subject] = (alert.kind, alert.joiner_uuid)
+        reports = self._reports
+        k = self.k
+        before = reports.get(subject)
+        if before is None:
+            before = reports[subject] = 0
+            self._first[subject] = alert
             self._first_seen[subject] = now
             if alert.kind == AlertKind.REMOVE:
                 self._remove_count += 1
-        elif kind[0] != alert.kind:
-            return None  # conflicting kind: drop (cannot happen in-protocol)
-        rings = self._reports.get(subject)
-        if rings is None:
-            rings = self._reports[subject] = {}
-        before = len(rings)
-        k = self.k
+        elif before >> k or self._first[subject].kind != alert.kind:
+            return None  # already proposed, or a conflicting kind
+        after = before
         for ring in alert.ring_numbers:
             if 0 <= ring < k:
-                rings.setdefault(ring, alert.observer)
-        after = len(rings)
+                after |= 1 << ring
         if after != before:
-            self._rezone(before, after)
-        return self.check_proposal(now)
-
-    def check_proposal(self, now: float = 0.0) -> Optional[Proposal]:
-        """Re-evaluate the aggregation rule (after implicit alerts etc.)."""
-        self._apply_implicit_alerts()
-        if self._stable_count == 0 or self._unstable_count > 0:
-            return None
-        h = self.h
-        stable = [s for s, rings in self._reports.items() if len(rings) >= h]
-        self._proposed.update(stable)
-        return make_proposal(
-            Change(endpoint=s, kind=self._kinds[s][0], uuid=self._kinds[s][1])
-            for s in stable
-        )
-
-    def _rezone(self, before: int, after: int) -> None:
-        """Maintain the stable/unstable counters across a tally change.
-
-        Only unproposed subjects ever change tally (proposed subjects are
-        filtered at ingest and are past ``H`` for the implicit rule), so
-        the blocking-region count needs no membership test here.
-        """
-        if before < self.l:
-            if after >= self.h:
-                self._stable_count += 1
-            elif after >= self.l:
-                self._unstable_count += 1
-        elif before < self.h:
-            if after >= self.h:
+            reports[subject] = after
+            # Move the subject between zones.  Only unproposed subjects
+            # ever change tally, so the blocking-region count needs no
+            # membership test.
+            low, high = self.l, self.h
+            was, tally = before.bit_count(), after.bit_count()
+            if was < low:
+                if tally >= low:
+                    self._crossed_low = True
+                    if tally >= high:
+                        self._stable_count += 1
+                    else:
+                        self._unstable_count += 1
+            elif was < high <= tally:
                 self._unstable_count -= 1
                 self._stable_count += 1
+        if (
+            self._crossed_low
+            and self._unstable_count
+            and self._remove_count
+            and self.topology is not None
+        ):
+            self._apply_implicit_alerts()
+        if self._stable_count == 0 or self._unstable_count:
+            return None
+        h = self.h
+        first = self._first
+        stable = [s for s, rings in reports.items() if rings.bit_count() >= h]
+        proposed = 1 << k
+        for s in stable:
+            reports[s] |= proposed
+        return make_proposal(
+            Change(endpoint=s, kind=first[s].kind, uuid=first[s].joiner_uuid)
+            for s in stable
+        )
 
     # ------------------------------------------------------- implicit alerts
 
     def _apply_implicit_alerts(self) -> None:
         """Paper section 4.2: if observer ``o`` of an unstable subject ``s``
-        is itself failing (unstable, stable, or already proposed for
-        removal), count an implicit alert from ``o`` about ``s``."""
-        if self.topology is None or self._unstable_count == 0:
-            return
-        if self._remove_count == 0:
-            # No REMOVE-kind subject has ever been reported, so no
-            # observer can qualify as failing — common during mass
-            # bootstraps, where every subject is a joiner.
-            return
+        is itself failing (a REMOVE-kind subject at or past ``L``, proposed
+        or not), count an implicit alert from ``o`` about ``s``.
+
+        A pass only lifts subjects that are already at or past ``L``, so
+        it makes nobody newly failing and nobody newly blocked: run twice
+        in a row, the second pass finds nothing.  New work appears only
+        when a tally reaches ``L`` — a new failing observer, or a new
+        blocked subject to check against the failing ones — so the caller
+        runs a pass only after such a crossing, and a crossing seen while
+        no pass can apply (nothing blocked, no REMOVE-kind subject) stays
+        on record for the first pass that can.  (Without that gate a
+        detector scans every reported subject on every alert of a failure
+        wave.)
+        """
+        self._crossed_low = False
+        topology = self.topology
         h = self.h
         l = self.l
-        topology = self.topology
-        for subject, rings in self._reports.items():
-            before = len(rings)
-            if not (l <= before < h):
+        reports = self._reports
+        first = self._first
+        for subject, before in reports.items():
+            if not (l <= before.bit_count() < h):
                 continue
-            observers = topology.observer_row(subject)
-            if observers is None:
-                observers = topology.observers_of(subject)
-            for ring, observer in enumerate(observers):
-                if ring in rings:
+            after = before
+            for ring, observer in enumerate(topology.observers_of(subject)):
+                if after >> ring & 1:
                     continue
-                if self._failing(observer):
-                    rings[ring] = observer
-            after = len(rings)
+                seen = reports.get(observer)
+                if (
+                    seen is not None
+                    and seen.bit_count() >= l
+                    and first[observer].kind == AlertKind.REMOVE
+                ):
+                    after |= 1 << ring
             if after != before:
-                self._rezone(before, after)
-
-    def _failing(self, endpoint: Endpoint) -> bool:
-        if endpoint in self._proposed and self._kinds.get(endpoint, ("",))[0] == AlertKind.REMOVE:
-            return True
-        kind = self._kinds.get(endpoint)
-        if kind is None or kind[0] != AlertKind.REMOVE:
-            return False
-        return self._tally(endpoint) >= self.l
+                reports[subject] = after
+                if after.bit_count() >= h:
+                    self._unstable_count -= 1
+                    self._stable_count += 1
 
     # ---------------------------------------------------------------- queries
 
-    def _tally(self, subject: Endpoint) -> int:
-        return len(self._reports.get(subject, ()))
-
     def unstable_subjects(self) -> list:
-        """Subjects in the blocking region ``L <= tally < H``."""
-        return [
-            s
-            for s in self._reports
-            if self.l <= self._tally(s) < self.h and s not in self._proposed
-        ]
+        """Subjects in the blocking region ``L <= tally < H``, in the order
+        they were first reported."""
+        l, h = self.l, self.h
+        return [s for s, rings in self._reports.items() if l <= rings.bit_count() < h]
 
     def first_seen(self, subject: Endpoint) -> Optional[float]:
         """Time of the first alert about ``subject`` (for reinforcement)."""
@@ -204,5 +215,5 @@ class MultiNodeCutDetector:
 
     def kind_of(self, subject: Endpoint) -> Optional[str]:
         """The alert kind (JOIN/REMOVE) first reported for ``subject``."""
-        entry = self._kinds.get(subject)
-        return entry[0] if entry else None
+        alert = self._first.get(subject)
+        return alert.kind if alert is not None else None

@@ -521,31 +521,52 @@ class ViewChanger:
     # ------------------------------------------------------------------ alerts
 
     def on_alerts(self, src: Endpoint, msg: BatchedAlerts) -> None:
-        """Feed a batch of alerts through the filter into cut detection."""
+        """Tally each alert of a batch that can still matter; vote when a
+        cut forms.
+
+        The aggregation rule is evaluated after every alert (it is per
+        alert in the paper: a cut forms the moment no subject is left
+        unstable), but what it is evaluated *against* is fixed for the
+        batch, so it is bound once.  A vote can decide on the spot and
+        re-enter :meth:`reset`; the rest of the batch was addressed to the
+        view that just closed and is dropped, uncounted.
+        """
+        config = self.config
+        if config is None:
+            return
+        config_id = config.config_id
+        members = config.member_index()
+        detector = self.cut_detector
+        now = self.runtime.now()
+        received = 0
         for alert in msg.alerts:
-            self.on_alert(alert)
+            if alert.config_id != config_id:
+                continue
+            received += 1
+            subject = alert.subject
+            in_view = subject in members
+            if alert.kind == AlertKind.REMOVE and not in_view:
+                continue
+            if alert.kind == AlertKind.JOIN:
+                if in_view or config.has_uuid(alert.joiner_uuid):
+                    continue
+                if alert.metadata:
+                    self.joiner_metadata[subject] = alert.metadata
+            proposal = detector.receive_alert(alert, now)
+            if proposal:
+                if self.metrics.enabled:
+                    first = min(detector.first_seen(c.endpoint) for c in proposal)
+                    self._m_cut_latency.observe(now - first)
+                # Every decider of this view that detects the same cut
+                # votes, files and logs one tuple.
+                self.consensus.propose(config.cut(proposal))
+                if self.config is not config:
+                    break
+        self._m_alerts_received.inc(received)
 
     def on_alert(self, alert: Alert) -> None:
-        """Tally one alert if it can still matter; vote when a cut forms."""
-        config = self.config
-        if config is None or alert.config_id != config.config_id:
-            return
-        self._m_alerts_received.inc()
-        in_view = alert.subject in config
-        if alert.kind == AlertKind.REMOVE and not in_view:
-            return
-        if alert.kind == AlertKind.JOIN:
-            if in_view or config.has_uuid(alert.joiner_uuid):
-                return
-            if alert.metadata:
-                self.joiner_metadata[alert.subject] = alert.metadata
-        now = self.runtime.now()
-        proposal = self.cut_detector.receive_alert(alert, now)
-        if proposal:
-            if self.metrics.enabled:
-                first = min(self.cut_detector.first_seen(c.endpoint) for c in proposal)
-                self._m_cut_latency.observe(now - first)
-            self.consensus.propose(proposal)
+        """:meth:`on_alerts` for a batch of one."""
+        self.on_alerts(alert.observer, BatchedAlerts(alert.observer, (alert,)))
 
     def overdue(self, now: float) -> list:
         """``(subject, kind)`` of every subject that has lingered in the
