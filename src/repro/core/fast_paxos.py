@@ -176,6 +176,8 @@ class FastPaxos:
         self._voted_at: Optional[float] = None
         self.members = tuple(members)
         self.n = len(self.members)
+        #: Votes required to decide in the fast round: N - floor(N/4).
+        self.fast_quorum = fast_quorum_size(self.n)
         self.config_id = config_id
         self.settings = settings
         self._broadcast = broadcast
@@ -237,11 +239,6 @@ class FastPaxos:
         return tuple(map(metrics.counter, _COUNTERS))
 
     # ---------------------------------------------------------------- voting
-
-    @property
-    def fast_quorum(self) -> int:
-        """Votes required to decide in the fast round: N - floor(N/4)."""
-        return fast_quorum_size(self.n)
 
     def propose(self, proposal: Proposal) -> None:
         """Cast this node's fast-round vote (its CD output).
