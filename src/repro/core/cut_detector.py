@@ -81,11 +81,10 @@ class MultiNodeCutDetector:
         self._first_seen: dict[Endpoint, float] = {}
         # Incremental aggregation-rule state, so the per-alert check is
         # O(1) instead of a scan over every reported subject: the number
-        # of subjects at/above the high watermark, the number of
-        # *unproposed* subjects in the blocking region [L, H), and the
-        # number of REMOVE-kind subjects (when zero — e.g. during mass
-        # bootstraps — the implicit-alert rule cannot apply and is
-        # skipped wholesale).
+        # of *unproposed* subjects at/above the high watermark and in the
+        # blocking region [L, H), and the number of REMOVE-kind subjects
+        # (when zero — e.g. during mass bootstraps — the implicit-alert
+        # rule cannot apply and is skipped wholesale).
         self._stable_count = 0
         self._unstable_count = 0
         self._remove_count = 0
@@ -97,6 +96,10 @@ class MultiNodeCutDetector:
 
     def receive_alert(self, alert: Alert, now: float = 0.0) -> Optional[Proposal]:
         """Ingest one alert; returns a cut proposal when one stabilizes.
+
+        The proposal is every stable subject, returned by the alert that
+        leaves no subject unstable and at least one stable subject not
+        proposed before.
 
         Alerts are idempotent: a duplicate (same subject, same ring) does
         not move the tally.  Conflicting kinds for the same subject are
@@ -146,6 +149,10 @@ class MultiNodeCutDetector:
             self._apply_implicit_alerts()
         if self._stable_count == 0 or self._unstable_count:
             return None
+        # Every stable subject, the ones proposed before included — but
+        # only when there is a new one among them: consensus takes one
+        # vote per view, so repeating a cut tells it nothing.
+        self._stable_count = 0
         h = self.h
         first = self._first
         stable = [s for s, rings in reports.items() if rings.bit_count() >= h]

@@ -247,6 +247,19 @@ class TestImplicitAlerts:
 
 
 class TestRepeatProposals:
+    def test_a_cut_is_proposed_once_and_grows_only_by_new_subjects(self):
+        """Consensus takes one vote per view, and every proposal is a
+        latency sample: an alert that adds nothing stable returns nothing."""
+        detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
+        first, second, noise = MEMBERS[7], MEMBERS[3], MEMBERS[20]
+        assert subjects_of(detector.receive_alert(report(first, *range(H)))) == [first]
+        assert detector.receive_alert(report(noise, 0)) is None
+        assert detector.receive_alert(report(noise, 0)) is None
+        assert detector.receive_alert(report(second, *range(L))) is None
+        later = detector.receive_alert(report(second, *range(H)))
+        assert subjects_of(later) == [second, first]  # every stable subject
+        assert detector.receive_alert(report(noise, 1)) is None
+
     def test_proposed_subjects_take_no_more_alerts(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
         victim = MEMBERS[7]
@@ -296,22 +309,31 @@ def random_stream(rng):
 
 def test_bitmask_detector_agrees_with_the_reference_on_random_streams():
     rng = random.Random(20181)
-    proposals = 0
+    proposals = repeats = 0
     for number in range(STREAMS):
         k, h, l, topology, alerts = random_stream(rng)
         new = MultiNodeCutDetector(k, h, l, topology)
         old = ReferenceCutDetector(k, h, l, topology)
         where = f"stream {number} (K={k} H={h} L={l})"
+        returned = set()  # subjects the reference has proposed so far
         for step, alert in enumerate(alerts):
             now = float(step)
             expected = old.receive_alert(alert, now)
+            # The reference returns the whole stable set again whenever
+            # nothing is unstable; the detector only when it has grown.
+            if expected is not None:
+                repeat = returned.issuperset(subjects_of(expected))
+                returned.update(subjects_of(expected))
+                repeats += repeat
+                if repeat:
+                    expected = None
             assert new.receive_alert(alert, now) == expected, where
             proposals += expected is not None
             assert new.unstable_subjects() == old.unstable_subjects(), where
             subject = alert.subject
             assert new.kind_of(subject) == old.kind_of(subject), where
             assert new.first_seen(subject) == old.first_seen(subject), where
-    assert proposals > STREAMS  # the streams do reach the rule
+    assert proposals > STREAMS and repeats > STREAMS  # the streams do reach both
 
 
 # ------------------------------------------------------------- ViewChanger
