@@ -112,6 +112,12 @@ class JoinProtocol:
         )
         self._arm_timeout(self.settings.join_timeout)
 
+    def stop(self) -> None:
+        """Abandon the handshake for good: no retry is pending and whatever
+        answer is still in flight is ignored."""
+        self.completed = True
+        self._cancel_timeout()
+
     def _restart(self, delay: float) -> None:
         """Abandon the current handshake attempt and retry after ``delay``.
 

@@ -514,9 +514,12 @@ class ViewChanger:
         )
 
     def stop(self) -> None:
-        """Stop deciding (the owner left its view): alerts are dropped and
-        consensus traffic is treated as foreign until the next reset."""
+        """Stop deciding (the owner left its view): alerts are dropped,
+        consensus traffic is treated as foreign and the abandoned round's
+        timers are cancelled, until the next reset."""
         self.config = None
+        if self.consensus is not None:
+            self.consensus.cancel_timers()
 
     # ------------------------------------------------------------------ alerts
 
@@ -1291,6 +1294,8 @@ class ClusterMember:
         self.status = status
         for part in self._parts:
             part.stop()
+        if self._joiner is not None:
+            self._joiner.stop()  # left mid-handshake; rejoin() reads its base
         if kicked_from is not None and self.on_view_change is not None:
             self.on_view_change(
                 ViewChangeEvent(

@@ -16,13 +16,17 @@ from repro.core.centralized import CentralizedClusterNode, EnsembleNode
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
 from repro.core.fast_paxos import DecisionLog, FastPaxos
+from repro.core.join import JoinProtocol
 from repro.core.membership import AdmissionDesk, EdgeMonitor, RapidNode, ViewChanger
 from repro.core.messages import (
     Alert,
     AlertKind,
     Change,
     Decision,
+    JoinResponse,
+    JoinStatus,
     PreJoinRequest,
+    PreJoinResponse,
     Probe,
     ProbeAck,
     VoteBundle,
@@ -30,6 +34,7 @@ from repro.core.messages import (
     cut_id,
     make_proposal,
 )
+from repro.core.node_id import NodeId
 from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import harness_for
@@ -70,12 +75,21 @@ class SteppingRuntime:
         for dst in dsts:
             self.send(dst, msg)
 
+    def attach(self, handler):
+        self.handler = handler
+
     def run_until(self, deadline):
         while self._timers and self._timers[0][0] <= deadline:
             self.time, _, timer = heapq.heappop(self._timers)
             if not timer.cancelled:
                 timer.fn(*timer.args)
         self.time = deadline
+
+    def live_timers(self):
+        """What is still scheduled to run, by the name of what it runs."""
+        return sorted(
+            timer.fn.__name__ for _, _, timer in self._timers if not timer.cancelled
+        )
 
 
 class OneStrike:
@@ -238,6 +252,17 @@ class TestEdgeMonitor:
         assert bench.runtime.sent[-1][2] == ProbeAck(ME, config_id=7, bootstrapping=True)
 
 
+    def test_stopped_wheel_dies_at_its_next_tick(self):
+        bench = MonitorBench()
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        bench.run(3.0)
+        bench.monitor.stop()
+        assert bench.runtime.live_timers() == ["_tick"]
+        bench.run(3.0 + bench.settings.probe_interval)
+        assert bench.runtime.live_timers() == []
+
+
 MEMBERS = tuple(sorted(endpoint_for(i) for i in range(8)))
 ENSEMBLE = tuple(sorted(endpoint_for(i) for i in (100, 101, 102)))
 
@@ -321,6 +346,54 @@ class TestViewChanger:
         ]
 
 
+    def test_stopped_changer_has_no_timer_pending(self, changer):
+        """A vote short of its quorum arms the fallback and gossip timers;
+        a process that left its view must not keep running that round."""
+        runtime = changer.runtime
+        changer.on_alert(
+            Alert(MEMBERS[1], MEMBERS[3], AlertKind.REMOVE, changer.config.config_id,
+                  tuple(range(changer.settings.k)))
+        )
+        assert changer.consensus.my_vote and not changer.consensus.decided
+        assert runtime.live_timers() == ["_fallback", "_gossip_tick"]
+        changer.stop()
+        assert runtime.live_timers() == []
+        del runtime.sent[:]
+        runtime.run_until(10 * changer.settings.consensus_fallback_timeout)
+        assert runtime.sent == []
+
+
+class TestJoinProtocol:
+    def test_stopped_handshake_neither_retries_nor_completes(self):
+        runtime = SteppingRuntime(endpoint_for(9))
+        settings = RapidSettings()
+        admitted = []
+        joiner = JoinProtocol(
+            runtime, settings, (MEMBERS[0],), NodeId.fresh(runtime.addr), (), None,
+            lambda *args: admitted.append(args),
+        )
+        joiner.begin()
+        assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest]
+        assert runtime.live_timers() == ["_on_timeout"]
+        joiner.stop()
+        assert runtime.live_timers() == []
+        # Answers to the abandoned attempt change nothing and re-arm nothing.
+        config = Configuration.of(MEMBERS + (runtime.addr,))
+        joiner.on_pre_join_response(
+            MEMBERS[0],
+            PreJoinResponse(MEMBERS[0], JoinStatus.SAFE_TO_JOIN, 7, observers=MEMBERS[:3]),
+        )
+        joiner.on_join_response(
+            MEMBERS[0],
+            JoinResponse(
+                MEMBERS[0], JoinStatus.SAFE_TO_JOIN, config.config_id, config.view_snapshot()
+            ),
+        )
+        runtime.run_until(10 * settings.join_timeout)
+        assert len(runtime.sent) == 1 and admitted == []
+        assert runtime.live_timers() == []
+
+
 class TestAdmissionDesk:
     def test_responders_of_one_view_answer_with_their_own_metadata(self):
         """A view's responders share one Configuration object, so its
@@ -346,7 +419,36 @@ class TestAdmissionDesk:
         assert all(view.members is config.members for view in views)
 
 
+    def test_desk_schedules_nothing(self):
+        settings = RapidSettings()
+        config = Configuration.of(MEMBERS)
+        runtime = SteppingRuntime(MEMBERS[0])
+        desk = AdmissionDesk(runtime, settings, {}, DecisionLog(), lambda alert: None)
+        desk.reset(config, KRingTopology.for_configuration(config, settings.k), ())
+        joiner = endpoint_for(9)
+        desk.on_pre_join_request(joiner, PreJoinRequest(joiner, uuid=5))
+        desk.stop()
+        assert runtime.live_timers() == []
+
+
 class TestCompositions:
+    def test_leaving_mid_handshake_abandons_the_join(self):
+        """``leave()`` stops every part, the join protocol included: the
+        node's only timer left is the wheel tick it dies on."""
+        runtime = SteppingRuntime(endpoint_for(9))
+        node = RapidNode(runtime, seeds=(MEMBERS[0],))
+        node.start()
+        assert runtime.live_timers() == ["_on_timeout", "_tick"]
+        node.leave()
+        assert runtime.live_timers() == ["_tick"]
+        runtime.run_until(10 * node.settings.join_timeout)
+        assert runtime.live_timers() == []
+        assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest]
+        # Rejoining starts a fresh handshake.
+        node.rejoin()
+        assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest] * 2
+        assert runtime.live_timers() == ["_on_timeout"]
+
     def test_rapid_c_members_watch_and_vouch_but_decide_nothing(self, monkeypatch):
         built = {FastPaxos: [], MultiNodeCutDetector: []}
         for cls, log in built.items():
