@@ -10,8 +10,9 @@ and ``Network.send``/``broadcast`` are measured there
 (``sim.network.ns_per_wire_size``, ``sim.engine.ns_per_event`` /
 ``ns_per_timer``, ``sim.network.ns_per_send`` / ``ns_per_broadcast_dst``).
 
-One memory floor rides along under the same opt-in (``tracemalloc`` makes
-it a ~20 s test): live heap per member must not grow with N.
+Two memory floors ride along under the same opt-in (``tracemalloc`` makes
+them ~10 s per mass join): live heap per member must not grow with N, and
+what a decider holds per joiner while admitting stays a few machine words.
 """
 
 import gc
@@ -74,9 +75,11 @@ class TestConsensus:
         assert per_s > 100_000, f"merge+quorum too slow: {per_s:.0f}/s"
 
 
-def live_heap_per_member(n: int, core: int = 64) -> float:
-    """Traced bytes per member still live after a converged ``core`` grew
-    to ``n`` in one mass join (the ``bootstrap_n512`` benchmark's shape)."""
+def mass_join_heap(n: int, core: int = 64) -> tuple:
+    """Traced bytes around one mass join, a converged ``core`` growing to
+    ``n`` (the ``bootstrap_n512`` benchmark's shape): the peak while the
+    core admits the joiners, and what is still live two virtual seconds
+    after the view is installed."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -86,13 +89,19 @@ def live_heap_per_member(n: int, core: int = 64) -> float:
         harness.run_for(2.0)
         for i in range(core, n):
             harness.add_node(endpoint_for(i), seeds=(endpoints[0],))
+        tracemalloc.reset_peak()
         assert harness.run_until_converged(n) is not None
         harness.run_for(2.0)
+        _, peak = tracemalloc.get_traced_memory()
         gc.collect()
         live, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return live / n
+    return peak, live
+
+
+def live_heap_per_member(n: int) -> float:
+    return mass_join_heap(n)[1] / n
 
 
 class TestMemory:
@@ -107,4 +116,19 @@ class TestMemory:
         assert growth < 1.25, (
             f"heap per member grew {growth:.2f}x from n=256 to n=512 "
             f"({small / 1e3:.1f} -> {large / 1e3:.1f} KB)"
+        )
+
+    def test_admission_transient_per_decider_per_joiner(self):
+        """What 64 deciders hold while 448 joiners are being admitted is
+        detector state and votes: a few machine words per (decider, joiner)
+        — ring bits, a first-alert reference, a timestamp — and one shared
+        cut.  A ring dict, a kind tuple and a proposed-set entry per pair,
+        plus a private 448-change cut per decider, were ~510 B; this is
+        ~90 B."""
+        core, n = 64, 512
+        peak, live = mass_join_heap(n, core)
+        transient = (peak - live) / (core * (n - core))
+        assert transient < 250, (
+            f"{transient:.0f} B per decider per joiner "
+            f"(peak {peak / 1e6:.1f} MB, settled {live / 1e6:.1f} MB)"
         )
