@@ -153,9 +153,9 @@ class MultiNodeCutDetector:
         # only when there is a new one among them: consensus takes one
         # vote per view, so repeating a cut tells it nothing.
         self._stable_count = 0
-        h = self.h
+        high = self.h
         first = self._first
-        stable = [s for s, rings in reports.items() if rings.bit_count() >= h]
+        stable = [s for s, rings in reports.items() if rings.bit_count() >= high]
         proposed = 1 << k
         for s in stable:
             reports[s] |= proposed

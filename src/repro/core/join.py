@@ -113,8 +113,9 @@ class JoinProtocol:
         self._arm_timeout(self.settings.join_timeout)
 
     def stop(self) -> None:
-        """Abandon the handshake for good: no retry is pending and whatever
-        answer is still in flight is ignored."""
+        """End the handshake, admitted or abandoned by an owner that left:
+        no retry is pending and whatever answer is still in flight is
+        ignored."""
         self.completed = True
         self._cancel_timeout()
 
@@ -213,8 +214,7 @@ class JoinProtocol:
                 return
             if self.runtime.addr not in config:
                 return  # stale or malformed; keep waiting
-            self.completed = True
-            self._cancel_timeout()
+            self.stop()
             if msg.delta is not None:
                 self._on_admitted(
                     self.node_id, config, msg.delta.metadata, msg.delta.removes, True

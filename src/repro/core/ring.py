@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import functools
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.core.configuration import Configuration
 from repro.core.node_id import Endpoint, stable_hash64
@@ -126,16 +126,6 @@ class KRingTopology:
         if row is not None:
             return list(row)
         return [self._expected_observer(ring, subject) for ring in range(self.k)]
-
-    def observer_row(self, subject: Endpoint) -> Optional[tuple]:
-        """Zero-copy variant of :meth:`observers_of` for member subjects.
-
-        Returns the precomputed ring-indexed observer tuple, or ``None``
-        when ``subject`` is not a member (prospective joiners take the
-        bisect path via :meth:`observers_of`).  Hot paths use this to
-        avoid a list allocation per query.
-        """
-        return self._observer_rows.get(subject)
 
     def subjects_of(self, observer: Endpoint) -> list:
         """The ``K`` subjects monitored by ``observer``."""

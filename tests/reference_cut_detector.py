@@ -2,7 +2,9 @@
 
 ``src/repro/core/cut_detector.py`` was rebuilt on ring bitmasks, one ingest
 path and an implicit-alert pass that runs only after a tally reaches ``L``;
-this is the implementation it replaced, verbatim but for the class name:
+this is the implementation it replaced, verbatim but for the class name
+(and ``KRingTopology.observer_row``, deleted with this last caller, spelled
+``observers_of``):
 one ``{ring: observer}`` dict per subject, the implicit pass attempted on
 every alert, and — the one behaviour the rebuild changed on purpose — the
 whole stable set returned again by every later alert that leaves nothing
@@ -144,10 +146,7 @@ class ReferenceCutDetector:
             before = len(rings)
             if not (l <= before < h):
                 continue
-            observers = topology.observer_row(subject)
-            if observers is None:
-                observers = topology.observers_of(subject)
-            for ring, observer in enumerate(observers):
+            for ring, observer in enumerate(topology.observers_of(subject)):
                 if ring in rings:
                     continue
                 if self._failing(observer):

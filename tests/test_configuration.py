@@ -120,6 +120,19 @@ class TestTransitions:
         with pytest.raises(ValueError):
             new.apply_delta(delta)
 
+    def test_equal_cuts_of_one_view_are_one_tuple(self):
+        """Deciders that detect the same cut get the first emitter's tuple
+        back; a different cut, or the same cut of another view, is its own."""
+        base = Configuration(MEMBERS, UUIDS)
+        first = make_proposal([Change(MEMBERS[4], AlertKind.REMOVE)])
+        again = make_proposal([Change(MEMBERS[4], AlertKind.REMOVE)])
+        other = make_proposal([Change(MEMBERS[3], AlertKind.REMOVE)])
+        assert again is not first
+        assert base.cut(first) is first
+        assert base.cut(again) is first
+        assert base.cut(other) is other
+        assert Configuration(MEMBERS, UUIDS, seq=1).cut(again) is again
+
     def test_one_liner_names_the_view(self):
         config = Configuration(MEMBERS, UUIDS, seq=3)
         assert config.describe() == f"view#3 id={config.config_id & 0xFFFFFF:06x} n=6"
