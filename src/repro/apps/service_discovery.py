@@ -109,14 +109,12 @@ class Backend:
         self.addr = self.runtime.addr
         self.config = config or ServiceDiscoveryConfig()
         self._busy_until = 0.0
-        self.served = 0
         dispatcher.add(self._on_request, HttpRequest)
 
     def _on_request(self, src: Endpoint, msg: HttpRequest) -> None:
         now = self.runtime.now()
         start = max(now, self._busy_until)
         self._busy_until = start + self.config.backend_service_time
-        self.served += 1
         self.runtime.schedule(
             self._busy_until - now,
             self.runtime.send,

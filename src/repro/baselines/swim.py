@@ -109,7 +109,6 @@ class SwimConfig:
 class _Member:
     status: str
     incarnation: int
-    status_time: float
 
 
 class SwimNode(MembershipAgent):
@@ -128,9 +127,7 @@ class SwimNode(MembershipAgent):
         self.seeds = tuple(seeds)
         self.on_view_change = on_view_change
         self.incarnation = 0
-        self.members: dict[Endpoint, _Member] = {
-            self.addr: _Member(ALIVE, 0, 0.0)
-        }
+        self.members: dict[Endpoint, _Member] = {self.addr: _Member(ALIVE, 0)}
         self._probe_order: list[Endpoint] = []
         self._probe_seq = 0
         self._pending_acks: set[int] = set()
@@ -352,7 +349,7 @@ class SwimNode(MembershipAgent):
         if update.endpoint == self.addr:
             if update.status in (SUSPECT, DEAD) and update.incarnation >= self.incarnation:
                 self.incarnation = update.incarnation + 1
-                self.members[self.addr] = _Member(ALIVE, self.incarnation, self.runtime.now())
+                self.members[self.addr] = _Member(ALIVE, self.incarnation)
                 self._view_cache = None
                 self._queue_update(Update(self.addr, ALIVE, self.incarnation))
             return
@@ -360,9 +357,7 @@ class SwimNode(MembershipAgent):
         if member is None:
             if update.status == DEAD:
                 return  # don't learn about members via their obituary
-            self.members[update.endpoint] = _Member(
-                update.status, update.incarnation, self.runtime.now()
-            )
+            self.members[update.endpoint] = _Member(update.status, update.incarnation)
             self._view_cache = None
             self._queue_update(update)
             self._after_change(update, before)
@@ -371,7 +366,6 @@ class SwimNode(MembershipAgent):
             return
         member.status = update.status
         member.incarnation = update.incarnation
-        member.status_time = self.runtime.now()
         self._view_cache = None
         self._queue_update(update)
         self._after_change(update, before)

@@ -1246,7 +1246,7 @@ class ClusterMember:
             self._alert([s for s in sorted(alerted) if s in self.config])
 
     def _sample(self, now: float) -> None:
-        self.trace.sample(self.addr, now, self.config.size, self.config.config_id)
+        self.trace.sample(self.addr, now, self.config.size)
 
     # ----------------------------------------------------------- installation
 
@@ -1272,8 +1272,6 @@ class ClusterMember:
                 self.addr,
                 config.config_id,
                 config.size,
-                joins=len(joined),
-                removes=len(removed),
                 seq=config.seq,
                 members=config.members,
                 uuids=config.uuids,

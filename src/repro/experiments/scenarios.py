@@ -302,7 +302,7 @@ def packet_loss_experiment(
     healthy = [ep for ep in endpoints if ep not in faulty]
     sizes_after = set()
     for ep in healthy:
-        for t, s, _ in harness.trace.samples.get(ep, ()):
+        for t, s in harness.trace.samples.get(ep, ()):
             if t >= fault_start:
                 sizes_after.add(s)
     final_sizes = set(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import defaultdict
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.messages import GossipEnvelope, ViewSnapshot, VoteBundle, VotePull
@@ -26,7 +25,7 @@ from repro.sim.faults import FaultRule
 from repro.sim.rng import child_rng
 from repro.sim.latency import LanLatency, LatencyModel
 
-__all__ = ["Network", "wire_size", "register_message_classes", "BandwidthStats"]
+__all__ = ["Network", "wire_size", "register_message_classes"]
 
 _HEADER_BYTES = 28  # IP + UDP header estimate applied to every message.
 
@@ -192,16 +191,6 @@ def _class_key(msg: Any) -> str:
     return key
 
 
-@dataclasses.dataclass
-class BandwidthStats:
-    """Per-endpoint traffic summary over an experiment."""
-
-    rx_bytes: int = 0
-    tx_bytes: int = 0
-    rx_messages: int = 0
-    tx_messages: int = 0
-
-
 class Network:
     """Message fabric connecting simulated processes.
 
@@ -246,7 +235,6 @@ class Network:
         self._loss_rng = child_rng(seed, "network", "loss")
         self._delay_rng = child_rng(seed, "network", "delay")
         self._adversary_rng = child_rng(seed, "network", "adversary")
-        self.stats: dict[Endpoint, BandwidthStats] = defaultdict(BandwidthStats)
         # Per-second buckets: {endpoint: {second: [tx_bytes, rx_bytes]}}.
         # Plain nested dicts with int keys — this is touched on every
         # send/deliver, so no defaultdict factories on the hot path.
@@ -532,11 +520,10 @@ class Network:
         self, src: Endpoint, dsts: list, msg: Any, size: int
     ) -> None:
         # Receive accounting is inlined and the fabric-wide counters are
-        # batched across the fan-out; per-endpoint stats/buckets still
-        # update individually (they key Table 2).
+        # batched across the fan-out; per-endpoint buckets still update
+        # individually (they key Table 2).
         handlers = self._handlers
         crashed = self._crashed
-        stats_map = self.stats
         buckets_map = self.buckets
         second = int(self.engine.now)
         delivered = 0
@@ -546,9 +533,6 @@ class Network:
             if handler is None or dst in crashed:
                 dropped += 1
                 continue
-            stats = stats_map[dst]
-            stats.rx_bytes += size
-            stats.rx_messages += 1
             buckets = buckets_map.get(dst)
             if buckets is None:
                 buckets = buckets_map[dst] = {}
@@ -566,9 +550,6 @@ class Network:
             self._rx_bytes_counter.inc(size * delivered)
 
     def _account_tx(self, addr: Endpoint, size: int, messages: int) -> None:
-        stats = self.stats[addr]
-        stats.tx_bytes += size
-        stats.tx_messages += messages
         buckets = self.buckets.get(addr)
         if buckets is None:
             buckets = self.buckets[addr] = {}
@@ -582,9 +563,6 @@ class Network:
         self._tx_bytes_counter.inc(size)
 
     def _account_rx(self, addr: Endpoint, size: int) -> None:
-        stats = self.stats[addr]
-        stats.rx_bytes += size
-        stats.rx_messages += 1
         buckets = self.buckets.get(addr)
         if buckets is None:
             buckets = self.buckets[addr] = {}

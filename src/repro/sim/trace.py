@@ -35,8 +35,6 @@ class ViewChangeRecord:
     endpoint: Endpoint
     config_id: int
     size: int
-    joins: int
-    removes: int
     seq: int = 0
     members: tuple = ()
 
@@ -52,14 +50,14 @@ class ViewTrace:
 
     def __init__(self, ledger=None) -> None:
         self.ledger = ledger
-        #: ``{endpoint: [(time, size, config_id), ...]}``, one per report tick.
-        self.samples: dict[Endpoint, list[tuple[float, int, int]]] = defaultdict(list)
+        #: ``{endpoint: [(time, size), ...]}``, one per report tick.
+        self.samples: dict[Endpoint, list[tuple[float, int]]] = defaultdict(list)
         #: Every view installation across the cluster, in time order.
         self.records: list[ViewChangeRecord] = []
 
-    def sample(self, endpoint: Endpoint, time: float, size: int, config_id: int = 0) -> None:
+    def sample(self, endpoint: Endpoint, time: float, size: int) -> None:
         """Log that ``endpoint`` saw a cluster of ``size`` at ``time``."""
-        self.samples[endpoint].append((time, size, config_id))
+        self.samples[endpoint].append((time, size))
 
     def record(
         self,
@@ -67,8 +65,6 @@ class ViewTrace:
         endpoint: Endpoint,
         config_id: int,
         size: int,
-        joins: int = 0,
-        removes: int = 0,
         seq: int = 0,
         members: tuple = (),
         uuids: tuple = (),
@@ -80,9 +76,7 @@ class ViewTrace:
         apart.
         """
         self.records.append(
-            ViewChangeRecord(
-                time, endpoint, config_id, size, joins, removes, seq, members
-            )
+            ViewChangeRecord(time, endpoint, config_id, size, seq, members)
         )
         if self.ledger is not None and members:
             self.ledger.observe(time, endpoint, config_id, seq, members, size, uuids)
@@ -100,7 +94,7 @@ class ViewTrace:
         """
         return {
             node: next(
-                (t for t, s, _ in self.samples.get(node, ()) if s == size), None
+                (t for t, s in self.samples.get(node, ()) if s == size), None
             )
             for node in nodes
         }
@@ -110,7 +104,7 @@ class ViewTrace:
         keys = list(nodes) if nodes is not None else list(self.samples)
         out: set[int] = set()
         for node in keys:
-            out.update(s for _, s, _ in self.samples.get(node, ()))
+            out.update(s for _, s in self.samples.get(node, ()))
         return out
 
     def sizes_at(self, time: float, nodes: Optional[Iterable[Endpoint]] = None) -> list[int]:
@@ -119,7 +113,7 @@ class ViewTrace:
         out = []
         for node in keys:
             last = None
-            for t, s, _ in self.samples.get(node, ()):
+            for t, s in self.samples.get(node, ()):
                 if t > time:
                     break
                 last = s
@@ -140,7 +134,7 @@ class ViewTrace:
         keys = set(nodes) if nodes is not None else set(self.samples)
         by_step: dict[int, list[int]] = defaultdict(list)
         for node in keys:
-            for t, s, _ in self.samples.get(node, ()):
+            for t, s in self.samples.get(node, ()):
                 by_step[int(t / step)].append(s)
         out = []
         for bucket in sorted(by_step):

@@ -21,6 +21,12 @@ def endpoints(n: int):
     return [Endpoint(f"10.0.0.{i + 1}", 5000) for i in range(n)]
 
 
+def byte_totals(network, ep):
+    """``(tx, rx)`` bytes of ``ep``, summed over its per-second buckets."""
+    rows = network.buckets.get(ep, {}).values()
+    return sum(row[0] for row in rows), sum(row[1] for row in rows)
+
+
 class TestSend:
     def test_delivery_and_accounting(self):
         engine, network = make_network()
@@ -33,8 +39,8 @@ class TestSend:
         engine.run()
         assert received == [(a, msg)]
         size = wire_size(msg)
-        assert network.stats[a].tx_bytes == size
-        assert network.stats[b].rx_bytes == size
+        assert byte_totals(network, a) == (size, 0)
+        assert byte_totals(network, b) == (0, size)
         assert network.sent_messages == network.delivered_messages == 1
 
     def test_per_class_counts_and_bytes(self):
@@ -95,8 +101,8 @@ class TestFailStop:
         assert network.dropped_messages == 4
         assert network.delivered_messages == 1
         assert network.received_bytes == wire_size(msg)
-        assert network.stats[victim].rx_messages == 0
-        assert network.stats[nobody].rx_messages == 0
+        assert byte_totals(network, victim) == (0, 0)
+        assert byte_totals(network, nobody) == (0, 0)
 
 
 class TestSizing:
@@ -149,11 +155,10 @@ class TestBroadcast:
         network.broadcast(src, peers, msg)
         engine.run()
         size = wire_size(msg)
-        assert network.stats[src].tx_bytes == size * len(peers)
-        assert network.stats[src].tx_messages == len(peers)
+        assert byte_totals(network, src) == (size * len(peers), 0)
         for ep in peers:
-            assert network.stats[ep].rx_bytes == size
-            assert network.stats[ep].rx_messages == 1
+            assert byte_totals(network, ep) == (0, size)
+        assert network.sent_messages == network.delivered_messages == len(peers)
         assert network.sent_bytes == size * len(peers)
         assert network.received_bytes == size * len(peers)
 
