@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["Endpoint", "NodeId", "stable_hash64"]
 
@@ -33,56 +34,23 @@ def stable_hash64(*parts: object) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    """A ``host:port`` listen address.
-
-    Endpoints are ordered and hashable so they can be used as dictionary keys
-    and sorted into deterministic membership lists.
-
-    The comparison key and hash are computed once at construction:
-    endpoints key every hot dictionary in the simulator (handlers,
-    buckets, stats, pending probes) and membership lists are sorted on
-    every view change, so the generated dataclass ``__hash__``/``__lt__``
-    — a tuple allocation per call — showed up in profiles.  Semantics are
-    identical to the generated methods (field-tuple ordering).
-    """
-
+class _HostPort(NamedTuple):
     host: str
     port: int = 1
 
-    def __post_init__(self) -> None:
-        key = (self.host, self.port)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Endpoint(_HostPort):
+    """A ``host:port`` listen address.
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is Endpoint:
-            return self._key == other._key
-        return NotImplemented
+    An endpoint *is* its ``(host, port)`` tuple: hashing, equality and
+    ordering are the tuple's own, in C, which is what every dictionary and
+    set keyed by an endpoint, every membership sort and
+    ``Configuration``'s content key run on.  Consequently
+    ``Endpoint(h, p) == (h, p)`` and the two hash alike.
 
-    def __lt__(self, other) -> bool:
-        if other.__class__ is Endpoint:
-            return self._key < other._key
-        return NotImplemented
-
-    def __le__(self, other) -> bool:
-        if other.__class__ is Endpoint:
-            return self._key <= other._key
-        return NotImplemented
-
-    def __gt__(self, other) -> bool:
-        if other.__class__ is Endpoint:
-            return self._key > other._key
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if other.__class__ is Endpoint:
-            return self._key >= other._key
-        return NotImplemented
+    Deliberately no ``__slots__``: the wire codec memoises an endpoint's
+    encoded bytes on the instance.
+    """
 
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"

@@ -228,7 +228,7 @@ def _endpoint_wire(endpoint) -> bytes:
         wire = bytes(out)
     else:
         raise CodecError(f"no wire form for {endpoint!r}")
-    object.__setattr__(endpoint, "_wire", wire)
+    endpoint._wire = wire
     return wire
 
 
@@ -260,7 +260,7 @@ def _get_endpoint(data, pos):
         if len(wire) != 7:
             raise CodecError("truncated endpoint")
         endpoint = Endpoint(socket.inet_ntoa(wire[1:5]), _U16.unpack_from(wire, 5)[0])
-        object.__setattr__(endpoint, "_wire", wire)
+        endpoint._wire = wire
         if len(_ENDPOINTS) >= _ENDPOINTS_MAX:
             _ENDPOINTS.clear()
         _ENDPOINTS[wire] = endpoint
@@ -525,7 +525,9 @@ def register(cls: type, tag: int) -> type:
     simulator sizer, so one call covers the live and the simulated wire.
     Re-registering the same class under the same tag is a no-op.
     """
-    if not (dataclasses.is_dataclass(cls) and isinstance(cls, type)):
+    if cls is not Endpoint and not (
+        dataclasses.is_dataclass(cls) and isinstance(cls, type)
+    ):
         raise CodecError(f"{cls!r} is not a dataclass")
     known = _BY_CLASS.get(cls)
     if known is not None and known.tag == tag:

@@ -1,5 +1,8 @@
 """Unit tests for process identity types."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core.node_id import Endpoint, NodeId, stable_hash64
@@ -57,6 +60,38 @@ class TestEndpoint:
 
     def test_default_port(self):
         assert Endpoint("h").port == 1
+
+    def test_is_its_field_tuple(self):
+        ep = Endpoint("10.0.0.1", 5000)
+        assert ep == ("10.0.0.1", 5000)
+        # Same hash as the tuple: set and dict iteration orders, hence the
+        # goldens, do not depend on which of the two a key was built as.
+        assert hash(ep) == hash(("10.0.0.1", 5000))
+        assert {("10.0.0.1", 5000): "x"}[ep] == "x"
+        assert ep != Endpoint("10.0.0.1", 5001)
+
+    def test_repr_is_stable(self):
+        # repr feeds stable_hash64, i.e. ring orders and cut ids.
+        assert repr(Endpoint("10.0.0.1", 5000)) == "Endpoint(host='10.0.0.1', port=5000)"
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            Endpoint("h", 1).port = 2
+
+    def test_survives_copy_and_pickle_with_the_codecs_memo(self):
+        from repro.runtime import codec
+
+        ep = Endpoint("10.0.0.1", 5000)
+        wire = codec.encode_bytes(ep)
+        assert ep._wire in wire  # memoised on the instance by the codec
+        for clone in (
+            copy.copy(ep),
+            copy.deepcopy(ep),
+            pickle.loads(pickle.dumps(ep)),
+        ):
+            assert type(clone) is Endpoint
+            assert clone == ep and clone._wire == ep._wire
+            assert codec.encode_bytes(clone) == wire
 
 
 class TestNodeId:
