@@ -5,7 +5,9 @@ simulated cluster that installs a view holds the *same* object — member
 tuple, member set, index, uuid set, identifier and all — however it learned
 of it: deciding the cut, a full snapshot, a delta, a Rapid-C push.  The
 class is its own weak intern table; these tests pin the door, the sharing
-and the weakness.
+and the weakness.  The K-ring topology derived from a view is shared the
+same way (a bounded cache keyed by view id); its edge branches are pinned
+at the end.
 """
 
 import copy
@@ -17,6 +19,7 @@ import pytest
 from repro.core import configuration
 from repro.core.configuration import Configuration
 from repro.core.messages import AlertKind, Change, ViewDelta, cut_id, make_proposal
+from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidCHarness, RapidHarness
 from repro.sim.cluster import endpoint_for
@@ -176,3 +179,44 @@ def test_table_tracks_installed_views_not_decided_ones():
     del harness
     gc.collect()
     assert len(configuration._HELD) == held_before
+
+
+class TestTheTopologyOfAView:
+    """The branches of ``core/ring.py`` no cluster run reaches."""
+
+    def test_a_topology_needs_at_least_one_ring(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            KRingTopology(MEMBERS, 0)
+
+    def test_a_topology_needs_at_least_one_member(self):
+        with pytest.raises(ValueError, match="at least one member"):
+            KRingTopology((), 4)
+
+    def test_the_shared_cache_is_bounded_and_evicts_the_oldest_view(self):
+        configs = [
+            Configuration(MEMBERS, UUIDS, seq)
+            for seq in range(1000, 1001 + KRingTopology._CACHE_SIZE)
+        ]
+        first = KRingTopology.for_configuration(configs[0], 4)
+        assert KRingTopology.for_configuration(configs[0], 4) is first
+        for config in configs[1:]:
+            KRingTopology.for_configuration(config, 4)
+        assert len(KRingTopology._cache) == KRingTopology._CACHE_SIZE
+        assert (configs[0].config_id, 4) not in KRingTopology._cache
+        assert KRingTopology.for_configuration(configs[0], 4) is not first
+
+    def test_only_a_member_monitors_subjects(self):
+        topology = KRingTopology(MEMBERS, 4)
+        assert len(topology.subjects_of(MEMBERS[0])) == 4
+        with pytest.raises(KeyError, match="not a member"):
+            topology.subjects_of(endpoint_for(99))
+
+    def test_unique_observers_keep_ring_order_without_repeats(self):
+        # Three members, four rings: some observer repeats on some ring.
+        topology = KRingTopology(MEMBERS[:3], 4)
+        subject = MEMBERS[0]
+        observers = topology.observers_of(subject)
+        unique = topology.unique_observers_of(subject)
+        assert len(observers) == 4 and len(unique) < 4
+        assert unique == list(dict.fromkeys(observers))
+        assert subject not in unique
