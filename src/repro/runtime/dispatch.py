@@ -51,15 +51,6 @@ class TypeDispatcher:
             dispatcher.set_default(previous)
         return dispatcher
 
-    def route(self, *message_types: type) -> Callable[[Handler], Handler]:
-        """Decorator form: ``@dispatcher.route(MsgA, MsgB)``."""
-
-        def register(handler: Handler) -> Handler:
-            self.add(handler, *message_types)
-            return handler
-
-        return register
-
     def add(self, handler: Handler, *message_types: type) -> None:
         for message_type in message_types:
             if message_type in self._routes:

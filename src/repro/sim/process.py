@@ -26,6 +26,12 @@ class SimRuntime:
     The runtime must be given a message handler via :meth:`attach` before
     messages arrive; :class:`~repro.sim.cluster` harnesses do this when they
     construct protocol nodes.
+
+    Fail-stop is final: a timer that fires while the process is down is
+    discarded, not deferred, so a crashed process cannot be brought back.
+    Schedules that take an endpoint off the network and return it (the
+    flip-flop profiles) use ``Network.crash`` / ``Network.recover``, which
+    leave the process and its timers running.
     """
 
     def __init__(
@@ -86,14 +92,9 @@ class SimRuntime:
         self._crashed = True
         self.network.crash(self.addr)
 
-    def recover(self) -> None:
-        """Bring the process back (state intact; pending timers resume)."""
-        self._crashed = False
-        self.network.recover(self.addr)
-
     @property
     def crashed(self) -> bool:
-        """Whether this process is currently fail-stopped."""
+        """Whether this process has fail-stopped."""
         return self._crashed
 
     # --------------------------------------------------------------- internal
