@@ -16,9 +16,9 @@ Usage::
 By default nodes bind OS-assigned ephemeral ports so concurrent runs
 never collide; ``--base-port`` pins the classic ``base+i`` layout
 instead.  Large clusters (say 100+) should use the low-rate live
-settings profile (``--profile live``) — a single event loop saturates
-near a thousand decoded datagrams per second, and the default timers
-are tuned for small clusters (see ``repro.experiments.live``).
+settings profile (``--profile live``): at faster rates a join storm on
+one shared event loop occasionally tips into a consensus-fallback storm
+that never converges (see ``repro.experiments.live`` for the numbers).
 """
 
 import argparse

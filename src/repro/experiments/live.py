@@ -61,23 +61,25 @@ __all__ = [
 
 #: Protocol timers for live runs, as plain overrides so sim-side parity
 #: runs can build the identical :class:`RapidSettings`.  The profile is
-#: deliberately *low-rate*: one Python event loop multiplexing hundreds
-#: of nodes sustains roughly a thousand decoded datagrams per second, so
-#: the aggregate message rate — not packet loss — is the live binding
-#: constraint (kernel counters during saturated runs show the IP path
-#: delivering everything; the "lost" datagrams were sitting unread in
-#: socket receive queues).  When the offered rate exceeds loop capacity,
-#: queueing delay makes probes time out, false alerts feed conflicting
-#: proposals, fast Paxos falls back to classical rounds, and the extra
-#: traffic saturates the loop it is already losing to.  Hence: seconds-
-#: scale probe timers (queueing delay must never look like failure), a
-#: one-second batching window (one consensus round admits many joiners),
-#: and gossip slowed to 0.5 s x fanout 4 (during consensus *every* node
-#: sends ``gossip_fanout`` vote bundles per ``gossip_interval``, which at
-#: the defaults would be ~6000 msg/s for 150 nodes).  With this profile a
-#: 150-node localhost cluster bootstraps in under a minute on ~33 k
-#: datagrams.  Both sides of a parity comparison must use the same values
-#: for latencies to be comparable.
+#: deliberately *low-rate*.  Decode throughput is not what it protects:
+#: since the binary codec one loop handles ~79 k datagrams/s
+#: (``wire_loopback``), and a 150-node cluster on default settings
+#: sustains 12 k/s (median; up to 20 k/s).  It protects against the
+#: classical-fallback storm a join storm on one shared loop can tip into
+#: at default rates: conflicting cut proposals, fallback rounds whose
+#: traffic delays the next round further, joiners never admitted (the
+#: undiagnosed hang of ROADMAP item 1(b)).
+#: Measured for PR 24 (n=150, one run per seed; ``CHANGES.md`` lists every
+#: run): on the defaults with the simulator's 2 s stagger, 31 of 35
+#: bootstraps converge in 3-22 s (simulated: 10 s), two take 45 and 63 s,
+#: and two never converge within 120 s (174 and 210 fallback rounds,
+#: joiners left JOINING); with two CPU hogs none of three does.  On this
+#: profile 29 of 29 converge in 22-44 s, and all three runs under the
+#: hogs.  Hence: seconds-scale probe timers (queueing delay must never
+#: look like failure), a one-second batching window (one consensus round
+#: admits many joiners) and gossip slowed to 0.5 s x fanout 4.  Both sides
+#: of a parity comparison must use the same values for latencies to be
+#: comparable.
 LIVE_SETTINGS: dict = {
     "probe_interval": 2.0,
     "probe_timeout": 2.0,

@@ -23,9 +23,14 @@ Live and sim runs share identical ``RapidSettings``
 shape (``seed_delay`` + uniform stagger), so their convergence times are
 directly comparable.  They are *not* expected to be equal: the live side
 pays real scheduling latency and CPU contention, the sim side quantizes
-probe rounds to its virtual clock.  Measured on one CI-class host,
-matched bootstraps land within ~25% of each other (n=150: sim 34 s vs
-live ~29 s).  The documented tolerance is a factor of
+probe rounds to its virtual clock.  Measured for PR 24 on a 2-core
+host, n=150 on ``LIVE_SETTINGS``: 33.0 s simulated against 22.1-44.3 s
+live (29 runs, median 24.7 s).  On the *default* settings with the
+simulator's 2 s stagger the median is as close (10.0 s simulated, 9.4 s
+live) but 4 of 35 runs fall outside the tolerance and two of those never
+converge, which is why these tests keep the profile (numbers in
+``repro.experiments.live`` and ``docs/ARCHITECTURE.md``).  The documented
+tolerance is a factor of
 :data:`PARITY_FACTOR` plus :data:`PARITY_SLACK_S` seconds of absolute
 slack, in both directions — wide enough for noisy shared runners, tight
 enough that a broken live scheduler (or a sim model drifting from
