@@ -68,18 +68,17 @@ __all__ = [
 #: classical-fallback storm a join storm on one shared loop can tip into
 #: at default rates: conflicting cut proposals, fallback rounds whose
 #: traffic delays the next round further, joiners never admitted (the
-#: undiagnosed hang of ROADMAP item 1(b)).
-#: Measured for PR 24 (n=150, one run per seed; ``CHANGES.md`` lists every
-#: run): on the defaults with the simulator's 2 s stagger, 31 of 35
-#: bootstraps converge in 3-22 s (simulated: 10 s), two take 45 and 63 s,
-#: and two never converge within 120 s (174 and 210 fallback rounds,
-#: joiners left JOINING); with two CPU hogs none of three does.  On this
-#: profile 29 of 29 converge in 22-44 s, and all three runs under the
-#: hogs.  Hence: seconds-scale probe timers (queueing delay must never
-#: look like failure), a one-second batching window (one consensus round
-#: admits many joiners) and gossip slowed to 0.5 s x fanout 4.  Both sides
-#: of a parity comparison must use the same values for latencies to be
-#: comparable.
+#: undiagnosed hang of ROADMAP item 1(b)).  Measured at n=150, one run
+#: per seed (``CHANGES.md``, PR 24, lists every run): on the defaults with
+#: the simulator's 2 s stagger, 31 of 35 bootstraps converge in 3-22 s
+#: (simulated: 10 s), two take 45 and 63 s, and two never converge within
+#: 120 s (174 and 210 fallback rounds, joiners left JOINING); with two
+#: CPU hogs none of three does.  On this profile 29 of 29 converge in
+#: 22-44 s, and all three runs under the hogs.  Hence: seconds-scale probe
+#: timers (queueing delay must never look like failure), a one-second
+#: batching window (one consensus round admits many joiners) and gossip
+#: slowed to 0.5 s x fanout 4.  Both sides of a parity comparison must use
+#: the same values for latencies to be comparable.
 LIVE_SETTINGS: dict = {
     "probe_interval": 2.0,
     "probe_timeout": 2.0,
