@@ -56,10 +56,7 @@ class OpenLoopSource:
     source starts, independent of how long earlier requests take.  The
     callback receives that intended time so downstream latency accounting
     (see :class:`repro.apps.resilience.ResilientCall`) measures from the
-    schedule.  ``duration`` bounds the offered window; ``jitter`` (a
-    fraction of the inter-arrival gap) optionally de-phases sources from
-    each other and from periodic protocol timers without changing the
-    offered rate.
+    schedule.  ``duration`` bounds the offered window.
     """
 
     def __init__(
@@ -68,7 +65,6 @@ class OpenLoopSource:
         rate: float,
         issue: Callable[[float, int], None],
         duration: Optional[float] = None,
-        jitter: float = 0.0,
     ) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
@@ -76,7 +72,6 @@ class OpenLoopSource:
         self.rate = rate
         self.issue = issue
         self.duration = duration
-        self.jitter = jitter
         self.offered = 0
         self._start = 0.0
         self._stopped = False
@@ -89,11 +84,6 @@ class OpenLoopSource:
     def stop(self) -> None:
         """Stop offering load (the pending arrival becomes a no-op)."""
         self._stopped = True
-
-    def _intended(self, index: int) -> float:
-        gap = 1.0 / self.rate
-        jitter = self.runtime.rng.random() * self.jitter * gap if self.jitter else 0.0
-        return self._start + index * gap + jitter
 
     def _fire(self, index: int) -> None:
         if self._stopped:
@@ -108,7 +98,4 @@ class OpenLoopSource:
         # backlog of arrivals as soon as it can, with *old* intended
         # times — the load the system failed to absorb stays visible.
         next_at = self._start + (index + 1) / self.rate
-        if self.jitter:
-            gap = 1.0 / self.rate
-            next_at += self.runtime.rng.random() * self.jitter * gap
         self.runtime.schedule(max(next_at - now, 0.0), self._fire, index + 1)

@@ -1,15 +1,16 @@
 """Benchmark execution, measurement capture, and BENCH_*.json output.
 
 :class:`BenchRunner` executes :class:`~repro.bench.specs.BenchSpec` cases
-through the experiment scenario functions, timing each with the wall
-clock and harvesting the deterministic measurement substrate afterwards:
-virtual duration, events processed, the network's ``net.*`` counters, and
-the full metrics snapshot of the harness registry.
+through the experiment scenario functions and harvests what the run
+replays from its seed: virtual duration, events processed, the network's
+``net.*`` counters, and the full metrics snapshot of the harness
+registry.  Host time and memory are measured by ``benchmarks/``, not
+here.
 
-The report schema (``repro.bench/v2``)::
+The report schema (``repro.bench/v3``)::
 
     {
-      "schema": "repro.bench/v2",
+      "schema": "repro.bench/v3",
       "suite": "quick",
       "scale": 1.0,
       "config": {"python": ..., "platform": ..., "git": ...},
@@ -17,11 +18,8 @@ The report schema (``repro.bench/v2``)::
         {
           "name": "bootstrap/rapid/n16/s1",
           "scenario": ..., "system": ..., "n": ..., "seed": ..., "params": {...},
-          "wall_s": 0.13,                  # nondeterministic (machine-local)
-          "engine_wall_s": 0.11,           # wall time inside the event loop
-          "virtual_s": 15.0,               # deterministic given the seed
-          "events_processed": 5921,        # deterministic
-          "events_per_wall_s": 45547.3,
+          "virtual_s": 15.0,
+          "events_processed": 5921,
           "events_per_virtual_s": 394.7,
           "messages": {"sent": ..., "delivered": ..., "dropped": ...,
                         "bytes_sent": ..., "bytes_received": ...},
@@ -29,19 +27,16 @@ The report schema (``repro.bench/v2``)::
                        histogram quantile summaries>},
           "result": {<scenario scalars: convergence_time, ...>},
           "invariants": {"checked": 412, "nodes": 16, "configs": 4,
-                         "max_seq": 4, "ok": true},  # ViewLedger summary
+                         "max_seq": 4, "ok": true}  # ViewLedger summary
                                         # (absent for harnesses without a
-                                        # ledger or with --no-check-invariants)
-          "peak_rss_kb": 48560,            # nondeterministic (machine-local)
-          "alloc_peak_bytes": null         # set when run with --mem
+                                        # ledger)
         }, ...
       ]
     }
 
-Everything except the fields named in :data:`NONDETERMINISTIC_FIELDS`
-(wall-clock timings and memory measurements) is derived from virtual
-time and counters, so two same-seed runs produce identical values — the
-property the regression tests and ``python -m repro.bench compare`` pin.
+Every case field is derived from virtual time and counters, so two
+same-seed simulator runs produce identical cases — the property the
+regression tests and ``python -m repro.bench compare`` pin.
 """
 
 from __future__ import annotations
@@ -51,42 +46,24 @@ import json
 import os
 import platform
 import subprocess
-import sys
 import tempfile
-import time
-import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.analysis.report import render_table
 from repro.bench.specs import BenchSpec
-from repro.experiments import scenarios
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    resource = None  # type: ignore[assignment]
+from repro.experiments.scenarios import scenario_function
 
 __all__ = [
     "BenchRunner",
     "CaseResult",
-    "NONDETERMINISTIC_FIELDS",
     "write_report",
     "render_report",
     "write_timeseries_csv",
 ]
 
-SCHEMA = "repro.bench/v2"
-
-#: Case fields that legitimately differ between two same-seed runs:
-#: wall-clock timings and machine-local memory measurements.  Everything
-#: else in a case is derived from virtual time and counters and must be
-#: byte-identical across runs — the property ``repro.bench compare``
-#: and the determinism tests check.
-NONDETERMINISTIC_FIELDS = frozenset(
-    {"wall_s", "engine_wall_s", "events_per_wall_s", "peak_rss_kb", "alloc_peak_bytes"}
-)
+SCHEMA = "repro.bench/v3"
 
 # Result keys that are either unserializable or too bulky for BENCH files.
 _RESULT_EXCLUDE = {
@@ -100,34 +77,19 @@ _RESULT_EXCLUDE = {
 
 @dataclass
 class CaseResult:
-    """Measurements for one executed benchmark case.
-
-    ``wall_s`` covers the whole case (harness construction included);
-    ``engine_wall_s`` is the time spent inside the event loop proper and
-    is the denominator for ``events_per_wall_s`` — the number to regress
-    when optimizing the simulator's hot paths.
-    """
+    """Measurements for one executed benchmark case."""
 
     spec: BenchSpec
-    wall_s: float
-    engine_wall_s: float
     virtual_s: float
     events_processed: int
     messages: dict
     metrics: dict
     result: dict
-    #: Process high-water RSS (KB) sampled after the case; monotone over a
-    #: suite run, so only growth between cases is attributable to a case.
-    peak_rss_kb: Optional[int] = None
-    #: Peak python-allocated bytes during the case, via ``tracemalloc``
-    #: (only when the runner was built with ``track_alloc=True`` — tracing
-    #: roughly doubles wall time, so it is off by default).
-    alloc_peak_bytes: Optional[int] = None
     #: :meth:`~repro.obs.invariants.ViewLedger.report` summary of the
     #: harness's safety-invariant ledger: how many view installations were
     #: checked (each one passed, or the case would have aborted with an
     #: ``InvariantViolation``).  ``None`` when the harness has no ledger
-    #: (baseline agent systems) or invariant harvesting was disabled.
+    #: (baseline agent systems).
     invariants: Optional[dict] = None
     #: Plot-ready series harvested from the scenario outcome (the
     #: Figure 5-10 inputs: the view-size timeseries and the per-node
@@ -135,11 +97,6 @@ class CaseResult:
     #: derivable — and exported on demand via :func:`write_timeseries_csv`
     #: (``python -m repro.bench --timeseries out.csv``).
     series: dict = field(default_factory=dict)
-
-    @property
-    def events_per_wall_s(self) -> float:
-        denominator = self.engine_wall_s or self.wall_s
-        return self.events_processed / denominator if denominator > 0 else 0.0
 
     def to_json(self) -> dict:
         payload = {
@@ -149,19 +106,14 @@ class CaseResult:
             "n": self.spec.n,
             "seed": self.spec.seed,
             "params": dict(self.spec.params),
-            "wall_s": self.wall_s,
-            "engine_wall_s": self.engine_wall_s,
             "virtual_s": self.virtual_s,
             "events_processed": self.events_processed,
-            "events_per_wall_s": self.events_per_wall_s,
             "events_per_virtual_s": (
                 self.events_processed / self.virtual_s if self.virtual_s > 0 else 0.0
             ),
             "messages": self.messages,
             "metrics": self.metrics,
             "result": self.result,
-            "peak_rss_kb": self.peak_rss_kb,
-            "alloc_peak_bytes": self.alloc_peak_bytes,
         }
         if self.invariants is not None:
             payload["invariants"] = self.invariants
@@ -171,64 +123,27 @@ class CaseResult:
 class BenchRunner:
     """Executes benchmark specs and assembles the report.
 
-    Parameters
-    ----------
-    track_alloc:
-        Trace python allocations with ``tracemalloc`` and record each
-        case's peak (``alloc_peak_bytes``).  Off by default: tracing
-        roughly doubles wall time, which would poison the
-        ``events_per_wall_s`` regression signal.
-    check_invariants:
-        Harvest the harness's :class:`~repro.obs.invariants.ViewLedger`
-        summary into each case (``invariants`` block).  The safety checks
-        themselves are always on inside the harness — a violation aborts
-        the case regardless — so disabling this only drops the per-case
-        certification block from the report (e.g. to compare against
-        pre-ledger baselines).
-    log:
-        Progress sink (``None`` silences it).
+    ``log`` is the progress sink (``None`` silences it).  Each case's
+    ``invariants`` block is the harness's
+    :class:`~repro.obs.invariants.ViewLedger` summary; the safety checks
+    themselves run inside the harness and abort a violating case.
     """
 
-    def __init__(
-        self,
-        track_alloc: bool = False,
-        check_invariants: bool = True,
-        log: Optional[Callable[[str], None]] = print,
-    ) -> None:
-        self.track_alloc = track_alloc
-        self.check_invariants = check_invariants
+    def __init__(self, log: Optional[Callable[[str], None]] = print) -> None:
         self._log = log or (lambda message: None)
 
     # -------------------------------------------------------------- execution
 
     def run_case(self, spec: BenchSpec) -> CaseResult:
         """Execute one spec and harvest its measurements."""
-        alloc_peak: Optional[int] = None
-        if self.track_alloc:
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-        started = time.perf_counter()
-        outcome = self._execute(spec)
-        wall_s = time.perf_counter() - started
-        if self.track_alloc:
-            _, alloc_peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-        peak_rss_kb: Optional[int] = None
-        if resource is not None:
-            peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            if sys.platform == "darwin":
-                peak_rss_kb //= 1024  # ru_maxrss is bytes on macOS, KB on Linux
+        run = scenario_function(spec.scenario)
+        outcome = run(spec.system, spec.n, seed=spec.seed, **dict(spec.params))
         harness = outcome["harness"]
         engine = harness.engine
         network = harness.network
         ledger = harness.ledger
-        invariants = (
-            ledger.report() if self.check_invariants and ledger is not None else None
-        )
         return CaseResult(
             spec=spec,
-            wall_s=wall_s,
-            engine_wall_s=engine.wall_time_s,
             virtual_s=engine.now,
             events_processed=engine.events_processed,
             messages={
@@ -256,9 +171,7 @@ class BenchRunner:
             },
             metrics=harness.metrics.snapshot(),
             result=_scalars(outcome),
-            peak_rss_kb=peak_rss_kb,
-            alloc_peak_bytes=alloc_peak,
-            invariants=invariants,
+            invariants=None if ledger is None else ledger.report(),
             series=_series(outcome),
         )
 
@@ -268,18 +181,10 @@ class BenchRunner:
             self._log(f"running {spec.name} ...")
             case = self.run_case(spec)
             self._log(
-                f"  {case.wall_s:.2f}s wall, {case.virtual_s:.0f}s virtual, "
-                f"{case.events_processed} events"
+                f"  {case.virtual_s:.0f}s virtual, {case.events_processed} events"
             )
             results.append(case)
         return results
-
-    def _execute(self, spec: BenchSpec) -> dict:
-        try:
-            fn = scenarios.SCENARIO_FUNCTIONS[spec.scenario]
-        except KeyError:
-            raise ValueError(f"unknown scenario {spec.scenario!r}")
-        return fn(spec.system, spec.n, seed=spec.seed, **dict(spec.params))
 
 
 def _class_row(count: int, byte_total: int, duplicates: int, reordered: int) -> dict:
@@ -324,10 +229,8 @@ def render_report(cases: Sequence[CaseResult]) -> str:
         rows.append(
             [
                 case.spec.name,
-                f"{case.wall_s:.2f}",
                 f"{case.virtual_s:.0f}",
                 case.events_processed,
-                f"{case.events_per_wall_s:.0f}",
                 msgs["sent"],
                 msgs["dropped"],
                 f"{msgs['bytes_sent'] / 1024.0:.0f}",
@@ -337,10 +240,8 @@ def render_report(cases: Sequence[CaseResult]) -> str:
     return render_table(
         [
             "case",
-            "wall_s",
             "virt_s",
             "events",
-            "ev/wall_s",
             "msgs",
             "dropped",
             "KB tx",

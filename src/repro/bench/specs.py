@@ -15,19 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-__all__ = ["BenchSpec", "SUITES", "suite_specs"]
+from repro.experiments.scenarios import scenario_function
 
-SCENARIOS = (
-    "bootstrap",
-    "crash",
-    "join_churn",
-    "packet_loss",
-    "adversary",
-    "partition_heal",
-    "service_discovery",
-    "txn_platform",
-    "live_bootstrap",
-)
+__all__ = ["BenchSpec", "SUITES", "suite_specs"]
 
 
 def _format_param(value) -> str:
@@ -49,8 +39,8 @@ class BenchSpec:
     Parameters
     ----------
     scenario:
-        One of ``bootstrap``, ``crash``, ``packet_loss`` — dispatched to
-        the matching :mod:`repro.experiments.scenarios` function.
+        A key of :data:`repro.experiments.scenarios.SCENARIO_FUNCTIONS`,
+        the scenario function the case runs.
     system:
         Harness name from :data:`repro.experiments.harness.SYSTEMS`.
     n:
@@ -69,10 +59,7 @@ class BenchSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
-            )
+        scenario_function(self.scenario)  # raises on an unknown name
 
     @property
     def name(self) -> str:
@@ -231,7 +218,7 @@ def full_suite() -> list:
         # split (no split-brain; the always-on ViewLedger enforces it),
         # the majority reconfigures it out, and after the heal every
         # minority member rejoins through the delta path.  CI boxes this
-        # case with --budget (see ci.yml).
+        # case with `timeout` (see ci.yml).
         BenchSpec(
             "partition_heal",
             "rapid",

@@ -49,7 +49,8 @@ class PhiAccrualDetector(EdgeFailureDetector):
 
     Probe successes feed the inter-arrival history.  A probe failure means
     no ack arrived for a full probe interval; we evaluate phi at the time of
-    the failure against the history and latch when it crosses ``threshold``.
+    the failure (:meth:`current_phi`, which owns the short-history
+    fallback) and latch when it crosses ``threshold``.
     """
 
     def __init__(
@@ -76,26 +77,22 @@ class PhiAccrualDetector(EdgeFailureDetector):
 
     def on_probe_failure(self, now: float) -> None:
         """Evaluate suspicion at ``now``; latch when phi >= threshold."""
-        if self._failed:
-            return
-        if len(self._intervals) < self.min_samples or self._last_ack < 0:
-            # Without history, fall back to a fixed multiple of the expected
-            # probe interval: three consecutive silent intervals.
-            if self._last_ack >= 0 and now - self._last_ack > 3 * self.expected_interval:
-                self._failed = True
-            return
-        mean = sum(self._intervals) / len(self._intervals)
-        var = sum((x - mean) ** 2 for x in self._intervals) / len(self._intervals)
-        suspicion = phi(now - self._last_ack, mean, math.sqrt(var))
-        if suspicion >= self.threshold:
+        if not self._failed and self.current_phi(now) >= self.threshold:
             self._failed = True
 
     def current_phi(self, now: float) -> float:
-        """Expose the suspicion level (used by the Akka-like baseline)."""
+        """Suspicion level at ``now`` (also read by the Akka-like baseline).
+
+        Never-acked edges have no baseline and stay at 0.  With fewer than
+        ``min_samples`` intervals of history the level is all or nothing:
+        infinite once the edge has been silent for more than three expected
+        intervals, 0 before that.
+        """
         if self._last_ack < 0:
             return 0.0
         if len(self._intervals) < self.min_samples:
-            return 0.0
+            silent = now - self._last_ack > 3 * self.expected_interval
+            return math.inf if silent else 0.0
         mean = sum(self._intervals) / len(self._intervals)
         var = sum((x - mean) ** 2 for x in self._intervals) / len(self._intervals)
         return phi(now - self._last_ack, mean, math.sqrt(var))

@@ -42,7 +42,6 @@ manager): every socket it bound is released, converged or not.
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Optional
 
 from repro.core.node_id import Endpoint, stable_hash64
@@ -100,8 +99,7 @@ class _LiveEngine:
     """Engine-shaped facade over a live run's clocks and counters.
 
     ``now`` is harness-relative wall time (the live analogue of virtual
-    time), ``wall_time_s`` is the time actually spent driving the event
-    loop, and ``events_processed`` counts delivered datagrams — the
+    time) and ``events_processed`` counts delivered datagrams — the
     closest live analogue of the simulator's delivery events.  ``run``
     and ``schedule_at`` are the two calls the cluster driver makes on an
     engine.
@@ -116,25 +114,14 @@ class _LiveEngine:
         return self._harness._now()
 
     @property
-    def wall_time_s(self) -> float:
-        """Cumulative wall seconds spent inside the event loop."""
-        return self._harness._run_wall_s
-
-    @property
     def events_processed(self) -> int:
         """Datagrams delivered to node handlers so far."""
         return self._harness.network.delivered_messages
 
     def run(self, until: float) -> None:
         """Drive the event loop until harness time ``until``."""
-        harness = self._harness
-        started = time.perf_counter()
-        try:
-            harness.loop.run_until_complete(
-                asyncio.sleep(max(0.0, until - self.now))
-            )
-        finally:
-            harness._run_wall_s += time.perf_counter() - started
+        delay = max(0.0, until - self.now)
+        self._harness.loop.run_until_complete(asyncio.sleep(delay))
 
     def schedule_at(self, when: float, fn, *args) -> None:
         """Call ``fn(*args)`` at harness time ``when``."""
@@ -168,7 +155,6 @@ class LiveHarness(RapidHarness):
         self.loop = asyncio.new_event_loop()
         self._epoch = self.loop.time()
         self._final_now: Optional[float] = None
-        self._run_wall_s = 0.0
         #: Pre-bound sockets of bootstrap-cohort addresses not yet started.
         self._sockets: dict = {}
         super().__init__(seed=seed, settings=settings or live_settings())

@@ -54,6 +54,7 @@ __all__ = [
     "bandwidth_stats",
     "install_profile",
     "SCENARIO_FUNCTIONS",
+    "scenario_function",
 ]
 
 
@@ -838,3 +839,14 @@ SCENARIO_FUNCTIONS = {
     "txn_platform": txn_platform_experiment,
     "live_bootstrap": live_bootstrap_experiment,
 }
+
+
+def scenario_function(scenario: str) -> Callable[..., dict]:
+    """The :data:`SCENARIO_FUNCTIONS` entry for ``scenario``; an unknown
+    name raises ``ValueError`` listing the known ones."""
+    try:
+        return SCENARIO_FUNCTIONS[scenario]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; choose from {sorted(SCENARIO_FUNCTIONS)}"
+        ) from None

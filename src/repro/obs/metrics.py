@@ -6,9 +6,8 @@ order:
 
 * **deterministic** — every instrument records *virtual-time* or count
   data only, so two same-seed simulation runs produce byte-identical
-  snapshots.  Wall-clock timing lives outside the registry (see
-  :attr:`repro.sim.engine.Engine.wall_time_s`), keeping snapshots safe to
-  diff across runs and machines.
+  snapshots.  Host time is not recorded here (``benchmarks/`` measures
+  it), keeping snapshots safe to diff across runs and machines.
 * **cheap** — counters are a single attribute add; histograms are O(1)
   per observation with bounded memory (log-spaced buckets, no sample
   retention).

@@ -31,7 +31,6 @@ benchmark run, so constant factors dominate):
 
 from __future__ import annotations
 
-import time
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
@@ -99,10 +98,6 @@ class Engine:
         self._seq = 0
         self._tombstones = 0
         self._events_processed = 0
-        #: Wall-clock seconds spent inside :meth:`run` (real time, not
-        #: virtual).  Tracked outside the metrics registry on purpose:
-        #: registry snapshots hold only deterministic virtual-time data.
-        self.wall_time_s = 0.0
         self.metrics = metrics if metrics is not None else NULL_METRICS
 
     @property
@@ -180,7 +175,6 @@ class Engine:
         """
         if until is not None and until < self._now:
             return  # the window is already in the past; nothing can fire
-        started = time.perf_counter()
         # Events left in the budget; counting down from -1 never reaches zero.
         budget = -1 if max_events is None else max_events
         # Aliased for the hot loop; the list is only ever mutated in place
@@ -206,7 +200,6 @@ class Engine:
             if until is not None and budget and self._now < until:
                 self._now = until
         finally:
-            self.wall_time_s += time.perf_counter() - started
             if self.metrics.enabled:
                 self.metrics.gauge("engine.virtual_s").set(self._now)
                 self.metrics.gauge("engine.events_processed").set(

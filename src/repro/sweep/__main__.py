@@ -7,9 +7,7 @@ simulation-derived, the hash is a determinism fingerprint:
 
 * ``--hash-out PATH`` writes it to a file (CI artifact);
 * ``--expect-hash HEX`` fails the run when the fingerprint differs —
-  the same-grid-twice regression gate;
-* ``--budget SECONDS`` fails the run when total wall time exceeds the
-  box (keeps CI smoke grids honest about their size).
+  the same-grid-twice regression gate.
 
 A point whose scenario raises — including a safety
 :class:`~repro.obs.invariants.InvariantViolation` — lands in the CSV as an
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro.analysis.stats import load_sweep_csv, summarize_sweep
@@ -107,13 +104,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="fail unless the determinism hash equals HEX",
     )
     parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fail when total wall time exceeds this many seconds",
-    )
-    parser.add_argument(
         "--keep-going",
         action="store_true",
         help="run the remaining points after a point fails (every failure "
@@ -138,7 +128,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for point in points:
             print(point.name)
         return 0
-    started = time.perf_counter()
     try:
         rows = run_sweep(
             points, log=None if args.quiet else print, keep_going=args.keep_going
@@ -146,13 +135,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:  # a grid mistake, caught before any point ran
         print(exc, file=sys.stderr)
         return 2
-    wall = time.perf_counter() - started
     out = write_sweep_csv(rows, args.out)
     digest = sweep_hash(rows)
-    print(
-        f"wrote {len(rows)} rows from {len(points)} runs to {out} "
-        f"in {wall:.1f}s"
-    )
+    print(f"wrote {len(rows)} rows from {len(points)} runs to {out}")
     print(f"sweep sha256: {digest}")
     if args.hash_out:
         with open(args.hash_out, "w", encoding="utf-8") as fh:
@@ -168,12 +153,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.expect_hash and digest != args.expect_hash.strip():
         print(
             f"FAIL: hash mismatch (expected {args.expect_hash.strip()})",
-            file=sys.stderr,
-        )
-        status = 1
-    if args.budget is not None and wall > args.budget:
-        print(
-            f"FAIL: sweep took {wall:.1f}s, budget {args.budget:.1f}s",
             file=sys.stderr,
         )
         status = 1

@@ -25,11 +25,10 @@ other row.
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.settings import RapidSettings
-from repro.experiments import scenarios
+from repro.experiments.scenarios import scenario_function
 from repro.sweep.grid import SweepPoint
 
 __all__ = [
@@ -126,14 +125,8 @@ def run_point(point: SweepPoint) -> list:
     did not already report one, so every sweep row set certifies how many
     view installations the monitor validated for that run.
     """
-    try:
-        fn = scenarios.SCENARIO_FUNCTIONS[point.scenario]
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {point.scenario!r}; choose from "
-            f"{sorted(scenarios.SCENARIO_FUNCTIONS)}"
-        )
-    result = fn(point.system, point.n, seed=point.seed, **point.call_kwargs())
+    run = scenario_function(point.scenario)
+    result = run(point.system, point.n, seed=point.seed, **point.call_kwargs())
     ledger = result["harness"].ledger
     if ledger is not None and "invariant_checks" not in result:
         result = dict(result)
@@ -159,18 +152,13 @@ def run_sweep(
     ``ValueError`` before any point runs.
     """
     for point in points:
-        if point.scenario not in scenarios.SCENARIO_FUNCTIONS:
-            # Grid mistakes are usage errors, not per-point failures.
-            raise ValueError(
-                f"unknown scenario {point.scenario!r}; choose from "
-                f"{sorted(scenarios.SCENARIO_FUNCTIONS)}"
-            )
+        # Grid mistakes are usage errors, not per-point failures.
+        scenario_function(point.scenario)
         settings = point.call_kwargs().get("settings")
         if isinstance(settings, dict):
             RapidSettings.from_overrides(settings)  # raises on unknown fields
     rows: list = []
     for i, point in enumerate(points):
-        started = time.perf_counter()
         try:
             point_result = run_point(point)
         except Exception as exc:
@@ -185,11 +173,7 @@ def run_sweep(
             continue
         rows.extend(point_result)
         if log is not None:
-            wall = time.perf_counter() - started
-            log(
-                f"[{i + 1}/{len(points)}] {point.name}: "
-                f"{len(point_result)} metrics in {wall:.1f}s"
-            )
+            log(f"[{i + 1}/{len(points)}] {point.name}: {len(point_result)} metrics")
     return rows
 
 

@@ -32,6 +32,7 @@ from repro.experiments.scenarios import (
     txn_platform_experiment,
 )
 from repro.obs.app_scorecard import AppScorecard
+from repro.runtime.dispatch import TypeDispatcher
 from repro.sim import network as network_mod
 from repro.sim.engine import Engine
 from repro.sim.network import Network
@@ -80,6 +81,12 @@ class TestOpenLoopSource:
         engine.run(until=5.0)
         assert len(seen) == 6  # t = 0.0 .. 0.5
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_a_rate_that_offers_nothing_is_refused(self, rate):
+        _, runtime = _runtime()
+        with pytest.raises(ValueError, match="rate must be positive"):
+            OpenLoopSource(runtime, rate=rate, issue=lambda t, i: None)
+
 
 class TestZipfKeys:
     def test_samples_stay_in_range_and_skew_low(self):
@@ -96,6 +103,28 @@ class TestZipfKeys:
         a = [keys.sample(random.Random(5)) for _ in range(10)]
         b = [keys.sample(random.Random(5)) for _ in range(10)]
         assert a == b
+
+    def test_an_empty_key_space_is_refused(self):
+        with pytest.raises(ValueError, match="n_keys must be >= 1"):
+            ZipfKeys(n_keys=0)
+        assert ZipfKeys(n_keys=1).sample(random.Random(3)) == 0
+
+
+class TestTypeDispatcher:
+    def test_one_route_per_class_and_the_rest_to_the_default(self):
+        """An app co-hosted with a membership agent claims its classes;
+        claiming one twice is a wiring mistake, refused on the spot."""
+        _, runtime = _runtime()
+        got = []
+        dispatcher = TypeDispatcher(runtime)
+        dispatcher.set_default(lambda src, msg: got.append(("agent", msg)))
+        dispatcher.add(lambda src, msg: got.append(("app", msg)), HttpRequest)
+        with pytest.raises(ValueError, match="duplicate route for HttpRequest"):
+            dispatcher.add(lambda src, msg: got.append(("other", msg)), HttpRequest)
+        request = HttpRequest(sender=runtime.addr, request_id=1, key=3, deadline=9.0)
+        dispatcher.dispatch(runtime.addr, request)
+        dispatcher.dispatch(runtime.addr, "probe")
+        assert got == [("app", request), ("agent", "probe")]
 
 
 class TestAppScorecard:

@@ -232,6 +232,16 @@ class TestModePerView:
         bcast.broadcast("small again")
         assert all(not isinstance(m, GossipEnvelope) for _, m in runtime.sent)
 
+    def test_a_lone_member_delivers_to_itself_and_sends_nothing(self):
+        me = members(1)[0]
+        delivered = []
+        runtime = FakeRuntime(me)
+        bcast = Broadcaster(runtime, lambda src, msg: delivered.append((src, msg)))
+        bcast.set_membership((me,), gossip=True)
+        bcast.broadcast("solo")
+        assert delivered == [(me, "solo")]
+        assert runtime.sent == [] and runtime.timers == []
+
     def test_envelopes_relayed_regardless_of_mode(self):
         """During a mode disagreement a unicast-side node must still relay
         gossip envelopes."""

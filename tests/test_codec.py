@@ -220,6 +220,19 @@ def test_host_names_travel_and_dotted_quads_pack_to_seven_bytes():
         assert decode_or_refuse(codec.encode_bytes(Endpoint(host, 9))).host == host
 
 
+def test_the_decoded_endpoint_memo_is_emptied_when_full(monkeypatch):
+    """Traffic naming ever-new addresses cannot grow the memo past its
+    bound, and decoding stays exact across the reset."""
+    monkeypatch.setattr(codec, "_ENDPOINTS", {})
+    monkeypatch.setattr(codec, "_ENDPOINTS_MAX", 4)
+    sizes = []
+    for port in range(6):
+        endpoint = Endpoint("10.1.2.3", 7000 + port)
+        assert decode_or_refuse(codec.encode_bytes(endpoint)) == endpoint
+        sizes.append(len(codec._ENDPOINTS))
+    assert sizes == [1, 2, 3, 4, 1, 2]
+
+
 @pytest.mark.parametrize(
     "broken",
     [

@@ -135,6 +135,19 @@ class TestPhiAccrual:
         d.on_probe_failure(3.5)
         assert d.failed()  # 3.5s > 3 * expected_interval since last ack
 
+    def test_short_history_silence_is_full_suspicion(self):
+        """The Akka-like baseline reads only ``current_phi``: with fewer than
+        min_samples intervals it must still see a member that went silent
+        right after its first ack, and agree with ``on_probe_failure``."""
+        d = PhiAccrualDetector(threshold=8.0, min_samples=3, expected_interval=1.0)
+        d.on_probe_success(0.0, 0.001)
+        assert d.current_phi(3.0) == 0.0
+        assert d.current_phi(3.5) >= d.threshold
+        d.on_probe_failure(3.5)
+        assert d.failed()
+        d.on_probe_success(4.0, 0.001)  # an ack is back: no longer suspect
+        assert d.current_phi(4.5) == 0.0
+
     def test_never_acked_edge_does_not_fail(self):
         """With no ack ever, there is no baseline to accrue against."""
         d = PhiAccrualDetector()

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.runner import BenchRunner, NONDETERMINISTIC_FIELDS
+from repro.bench.runner import BenchRunner
 from repro.bench.specs import BenchSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -33,17 +33,8 @@ GOLDEN_SPECS = {
 }
 
 
-def deterministic_view(case_json: dict) -> dict:
-    """A case's JSON with machine-local (wall/memory) fields removed."""
-    return {
-        key: value
-        for key, value in case_json.items()
-        if key not in NONDETERMINISTIC_FIELDS
-    }
-
-
 def run_case(spec: BenchSpec) -> dict:
-    return deterministic_view(BenchRunner(log=None).run_case(spec).to_json())
+    return BenchRunner(log=None).run_case(spec).to_json()
 
 
 class TestReplayIdentity:

@@ -7,7 +7,7 @@ CLI flags dropped.  This test walks ``README.md`` and every page under
 * repository paths named in backticks or markdown links resolve to real
   files/directories in the tree;
 * dotted ``repro.*`` module references import, and a trailing attribute
-  (``repro.bench.runner.NONDETERMINISTIC_FIELDS``) resolves on the
+  (``repro.experiments.scenarios.SCENARIO_FUNCTIONS``) resolves on the
   module;
 * ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers;
 * the wire-layout table in ``docs/ARCHITECTURE.md`` is the one the codec's
@@ -99,8 +99,6 @@ def test_paths_in_docs_resolve(doc, token):
     "doc,token", sorted(set(_tokens(_MODULE_RE))), ids=lambda v: str(v)
 )
 def test_module_references_in_docs_resolve(doc, token):
-    if token == "repro.bench/v2":  # report schema id, not a module
-        pytest.skip("schema identifier")
     parts = token.split(".")
     module = None
     attrs = []

@@ -377,15 +377,14 @@ def test_live_wire_stagger_stream_keeps_its_label():
 
 
 def test_live_bootstrap_scenario_is_registered():
-    from repro.bench.specs import SCENARIOS, suite_specs
-    from repro.experiments.scenarios import SCENARIO_FUNCTIONS
+    from repro.bench.specs import suite_specs
+    from repro.experiments.scenarios import scenario_function
 
-    assert "live_bootstrap" in SCENARIO_FUNCTIONS
-    assert "live_bootstrap" in SCENARIOS
+    live_bootstrap = scenario_function("live_bootstrap")
     specs = suite_specs("live")
     assert [spec.n for spec in specs] == [50, 150]
     with pytest.raises(ValueError):
-        SCENARIO_FUNCTIONS["live_bootstrap"]("memberlist", 8)
+        live_bootstrap("memberlist", 8)
 
 
 # =====================================================================
@@ -563,4 +562,4 @@ def test_live_bench_case_records_wire_parity():
     assert case.result["decode_errors"] == 0
     assert case.result["send_errors"] == 0
     assert case.messages["sent"] > 0
-    assert case.wall_s > 0
+    assert case.virtual_s > 0

@@ -449,6 +449,26 @@ class TestCompositions:
         assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest] * 2
         assert runtime.live_timers() == ["_on_timeout"]
 
+    def test_the_view_change_callback_gets_each_installed_view(self):
+        """The paper's VIEW-CHANGE-CALLBACK (section 3): one event per
+        installed view, carrying the view, its size and the delta."""
+        harness = harness_for("rapid", seed=1)
+        endpoints = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
+        events = {ep: [] for ep in endpoints}
+        for ep in endpoints:
+            harness.agents[ep].on_view_change = events[ep].append
+        assert harness.run_until_converged(8, timeout=120.0) is not None
+        victim = endpoints[3]
+        harness.crash([victim])
+        assert harness.run_until_converged(7, timeout=120.0) is not None
+        for ep in endpoints:
+            if ep == victim:
+                continue
+            assert [e.size for e in events[ep]][-2:] == [8, 7]
+            last = events[ep][-1]
+            assert last.configuration is harness.agents[ep].config
+            assert last.removed == (victim,) and not last.joined and not last.kicked
+
     def test_rapid_c_members_watch_and_vouch_but_decide_nothing(self, monkeypatch):
         built = {FastPaxos: [], MultiNodeCutDetector: []}
         for cls, log in built.items():
