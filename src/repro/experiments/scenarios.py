@@ -444,7 +444,7 @@ def partition_heal_experiment(
 ) -> dict:
     """Split off a minority slice, hold the partition, heal, and rejoin.
 
-    Compiles the ``partition_heal`` fault profile (a bounded-window
+    Installs the ``partition_heal`` fault profile (a bounded-window
     :class:`~repro.sim.faults.Partition` between a ``fraction`` minority and
     the rest) against a settled cluster and asserts the safety story end to
     end: during the partition the minority — below the classical majority,
@@ -460,7 +460,8 @@ def partition_heal_experiment(
     Requires a Rapid harness (node-level status/rejoin and the trace's
     install records).  Returns flat scalars — minority install count during
     the partition, whether the majority converged while split, rejoin and
-    re-convergence progress, and the ledger's check count — plus the usual
+    re-convergence progress, the ledger's check count, and the scorecard's
+    healthy evictions and detection latency — plus the usual
     ``timeseries``/``harness`` payloads.
     """
     _require_rapid(
@@ -470,17 +471,11 @@ def partition_heal_experiment(
         system, n, seed, settle_timeout, harness_kwargs
     )
     fault_start = harness.engine.now + fault_at
-    compiled = compile_profile(
-        "partition_heal",
-        endpoints,
-        seed,
-        fault_start,
-        overrides={"fraction": fraction, "duration": partition_for},
+    compiled, majority, scorecard = install_profile(
+        harness, endpoints, "partition_heal", seed, fault_start,
+        {"fraction": fraction, "duration": partition_for},
     )
-    for rule in compiled.rules:
-        harness.network.add_rule(rule)
     minority = compiled.faulty
-    majority = [ep for ep in endpoints if ep not in minority]
     heal_time = fault_start + partition_for
     harness.run_for(fault_at + partition_for)
     minority_installs = sum(
@@ -507,6 +502,7 @@ def partition_heal_experiment(
             reconverged_at = harness.engine.now
             break
     harness.run_for(2.0)
+    card = scorecard.report()
     return {
         "system": system,
         "n": n,
@@ -521,6 +517,10 @@ def partition_heal_experiment(
             reconverged_at - heal_time if reconverged_at is not None else None
         ),
         "invariant_checks": harness.ledger.records,
+        # The minority is meant to come back, so the scorecard's flap and
+        # removal verdicts say nothing here; its safety numbers do.
+        "healthy_evicted_nodes": card["healthy_evicted_nodes"],
+        "detection_latency": card["detection_latency"],
         "timeseries": harness.trace.aggregate_series(list(endpoints), step=5.0),
         "harness": harness,
     }

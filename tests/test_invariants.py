@@ -273,3 +273,6 @@ class TestSafetyAtScale:
         assert result["reconverge_time"] is not None
         assert result["invariant_checks"] > 0
         assert result["harness"].ledger.report()["ok"] is True
+        # The majority removes exactly the minority, and all of it.
+        assert result["healthy_evicted_nodes"] == 0
+        assert result["detection_latency"] is not None
