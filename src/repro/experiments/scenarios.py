@@ -490,7 +490,7 @@ def partition_heal_experiment(
     deadline = harness.engine.now + heal_observe
     while harness.engine.now < deadline:
         harness.run_for(rejoin_poll)
-        for ep in minority:
+        for ep in sorted(minority):  # a set's order follows the hash seed
             node = harness.agents[ep]
             if ep not in rejoined and node.status in (
                 NodeStatus.KICKED,

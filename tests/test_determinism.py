@@ -14,6 +14,9 @@ computes — only how fast.  Two layers of protection:
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from repro.bench.runner import BenchRunner
 from repro.bench.specs import BenchSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 #: Scenarios pinned by committed golden files.  Kept small: goldens must
 #: stay cheap enough for tier-1.
@@ -49,6 +53,35 @@ class TestReplayIdentity:
         base = GOLDEN_SPECS["bootstrap_rapid_n8_s1"]
         other = BenchSpec(base.scenario, base.system, base.n, seed=base.seed + 1)
         assert run_case(base) != run_case(other)
+
+
+#: Prints a digest of a partition-and-heal run's install records.
+_RECORD_DIGEST = """
+import hashlib
+from repro.experiments.scenarios import partition_heal_experiment
+result = partition_heal_experiment("rapid", 24, partition_for=30.0, seed=1)
+records = [(r.time, str(r.endpoint), r.config_id)
+           for r in result["harness"].trace.records]
+print(hashlib.sha256(repr(records).encode()).hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_partition_heal_replays_under_any_hash_seed(self):
+        """String hashing is salted per interpreter; a scenario that
+        iterates a set of endpoints while scheduling work replays only
+        under one ``PYTHONHASHSEED``."""
+        digests = {
+            subprocess.run(
+                [sys.executable, "-c", _RECORD_DIGEST],
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(digests) == 1, digests
 
 
 class TestGoldenSnapshots:
