@@ -37,7 +37,7 @@ from repro.obs.scorecard import StabilityScorecard
 from repro.runtime.dispatch import TypeDispatcher
 from repro.sim.cluster import endpoint_for
 from repro.sim.fault_profiles import compile_profile
-from repro.sim.faults import EgressLoss, IngressLoss
+from repro.sim.faults import EgressLoss, IngressLoss, ScheduledAction
 from repro.sim.process import SimRuntime
 from repro.sim.rng import child_rng
 
@@ -86,6 +86,70 @@ def _require_rapid(scenario: str, system: str, needs: str) -> None:
         raise ValueError(
             f"{scenario} requires a Rapid harness, not {system!r} ({needs})"
         )
+
+
+# --------------------------------------------------------- the one install
+# path: fault rules, then timed process actions, then the scorecard
+
+
+def _apply_action(harness, action) -> None:
+    """Execute one scheduled fault or churn action against a harness."""
+    verb = action.action
+    if verb == "crash":
+        harness.crash(action.nodes)
+        return
+    for ep in action.nodes:
+        if verb == "netdown":
+            harness.network.crash(ep)
+        elif verb == "netup":
+            harness.network.recover(ep)
+        elif verb == "join":
+            harness.add_node(ep, seeds=(harness.endpoints[0],))
+        elif verb == "leave":
+            harness.agents[ep].leave()
+        else:  # rejoin
+            harness.agents[ep].rejoin()
+
+
+def _schedule(harness, actions) -> None:
+    """Put each :class:`~repro.sim.faults.ScheduledAction` on the clock."""
+    for action in actions:
+        harness.engine.schedule_at(action.time, _apply_action, harness, action)
+
+
+def install_profile(
+    harness,
+    endpoints: Sequence[Endpoint],
+    profile: str,
+    seed: int,
+    fault_start: float,
+    profile_overrides: Optional[dict] = None,
+    scorecard_interval: float = 1.0,
+) -> tuple:
+    """Compile and install a fault profile: ``(compiled, healthy, scorecard)``.
+
+    The one fault-install path of every profile-driven scenario: network
+    rules installed, process actions scheduled, and a membership
+    :class:`~repro.obs.scorecard.StabilityScorecard` started over the
+    ``healthy`` observers (the endpoints the profile leaves alone).
+    """
+    compiled = compile_profile(
+        profile, endpoints, seed, fault_start, overrides=profile_overrides
+    )
+    for rule in compiled.rules:
+        harness.network.add_rule(rule)
+    _schedule(harness, compiled.actions)
+    healthy = [ep for ep in endpoints if ep not in compiled.faulty]
+    scorecard = StabilityScorecard(
+        engine=harness.engine,
+        views={ep: harness.agents[ep].view for ep in healthy},
+        faulty=compiled.faulty,
+        fault_start=fault_start,
+        interval=scorecard_interval,
+        crashed=lambda ep: harness.runtimes[ep].crashed,
+    )
+    scorecard.start()
+    return compiled, healthy, scorecard
 
 
 # ------------------------------------------------------------- Figures 5-7,
@@ -210,17 +274,17 @@ def join_churn_experiment(
     harness, endpoints, _ = _settled(system, n, seed, settle_timeout, harness_kwargs)
     churn_start = harness.engine.now
     rng = harness.network.rng_for("join_churn")
+    actions = []
     for ep in endpoints[1 : 1 + max(0, min(rejoins, n - 1))]:
-        node = harness.agents[ep]
         leave_at = churn_start + rng.random() * join_stagger
-        harness.engine.schedule_at(leave_at, node.leave)
-        harness.engine.schedule_at(leave_at + rejoin_delay, node.rejoin)
+        actions += [
+            ScheduledAction(leave_at, "leave", (ep,)),
+            ScheduledAction(leave_at + rejoin_delay, "rejoin", (ep,)),
+        ]
     for i in range(joiners):
-        harness.add_node(
-            endpoint_for(n + i),
-            seeds=(endpoints[0],),
-            start_at=churn_start + rng.random() * join_stagger,
-        )
+        join_at = churn_start + rng.random() * join_stagger
+        actions.append(ScheduledAction(join_at, "join", (endpoint_for(n + i),)))
+    _schedule(harness, actions)
     converged_at = harness.run_until_converged(n + joiners, timeout=churn_timeout)
     harness.run_for(2.0)
     network = harness.network
@@ -327,54 +391,6 @@ def packet_loss_experiment(
 
 # ----------------------------------------------------- Figures 9-12 matrix:
 # named fault profiles scored against ground truth
-
-
-def _apply_action(harness, action) -> None:
-    """Execute one scheduled fault action against a harness."""
-    if action.action == "crash":
-        harness.crash(action.nodes)
-    elif action.action == "netdown":
-        for ep in action.nodes:
-            harness.network.crash(ep)
-    else:  # netup
-        for ep in action.nodes:
-            harness.network.recover(ep)
-
-
-def install_profile(
-    harness,
-    endpoints: Sequence[Endpoint],
-    profile: str,
-    seed: int,
-    fault_start: float,
-    profile_overrides: Optional[dict] = None,
-    scorecard_interval: float = 1.0,
-) -> tuple:
-    """Compile and install a fault profile: ``(compiled, healthy, scorecard)``.
-
-    The one fault-install path of every profile-driven scenario: network
-    rules installed, crash/recover actions scheduled, and a membership
-    :class:`~repro.obs.scorecard.StabilityScorecard` started over the
-    ``healthy`` observers (the endpoints the profile leaves alone).
-    """
-    compiled = compile_profile(
-        profile, endpoints, seed, fault_start, overrides=profile_overrides
-    )
-    for rule in compiled.rules:
-        harness.network.add_rule(rule)
-    for action in compiled.actions:
-        harness.engine.schedule_at(action.time, _apply_action, harness, action)
-    healthy = [ep for ep in endpoints if ep not in compiled.faulty]
-    scorecard = StabilityScorecard(
-        engine=harness.engine,
-        views={ep: harness.agents[ep].view for ep in healthy},
-        faulty=compiled.faulty,
-        fault_start=fault_start,
-        interval=scorecard_interval,
-        crashed=lambda ep: harness.runtimes[ep].crashed,
-    )
-    scorecard.start()
-    return compiled, healthy, scorecard
 
 
 def adversary_experiment(

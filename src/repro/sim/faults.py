@@ -18,9 +18,10 @@ Two fault families extend the drop rules:
   The network consults them separately from drop rules (see
   ``Network._delay_rules``) so installing one never perturbs loss sampling.
 * Process *schedules* (:class:`ScheduledAction`, :class:`FlipFlopCrash`,
-  :class:`CrashSchedule`) describe crash/recover timelines that the
-  experiment layer applies through ``Network.crash``/``recover`` or the
-  fail-stop runtime crash.  A network-level crash silences a process while
+  :class:`CrashSchedule`) describe crash/recover and join/leave/rejoin
+  timelines that the experiment layer applies through
+  ``Network.crash``/``recover``, the fail-stop runtime crash, or the
+  harness's node API.  A network-level crash silences a process while
   its timers keep running, so it resumes participating on recovery —
   exactly the paper's flip-flopping-node scenario.
 
@@ -487,20 +488,23 @@ class Reorder(AdversaryRule):
 
 @dataclass(frozen=True)
 class ScheduledAction:
-    """One timed step of a process-fault schedule.
+    """One timed step of a process-fault or churn schedule.
 
     ``action`` is one of ``"netdown"``/``"netup"`` (network-level crash and
     recovery via ``Network.crash``/``recover`` — the process keeps running
-    but is unreachable, and resumes participating on recovery) or
+    but is unreachable, and resumes participating on recovery),
     ``"crash"`` (fail-stop through the runtime: timers die with the
-    process).  The experiment layer translates actions into engine events.
+    process), ``"join"`` (start a new process at each endpoint, seeded
+    with the cluster's first member), or ``"leave"``/``"rejoin"`` (a
+    member's graceful departure, and its return under a fresh identity).
+    The experiment layer translates actions into engine events.
     """
 
     time: float
     action: str
     nodes: tuple[Endpoint, ...]
 
-    _ACTIONS = ("netdown", "netup", "crash")
+    _ACTIONS = ("netdown", "netup", "crash", "join", "leave", "rejoin")
 
     def __post_init__(self) -> None:
         """Reject unknown action verbs at construction time."""

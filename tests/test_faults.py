@@ -12,6 +12,9 @@ import pytest
 
 from repro.core.messages import Probe
 from repro.core.node_id import Endpoint
+from repro.experiments.harness import harness_for
+from repro.experiments.scenarios import _schedule
+from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     AmbientLoss,
@@ -91,8 +94,11 @@ class TestValidation:
             Reorder(probability=0.5, delay=0.5, jitter=-0.1)
 
     def test_scheduled_action_verb_checked(self):
+        nodes = tuple(endpoints(1))
         with pytest.raises(ValueError, match="unknown action"):
-            ScheduledAction(1.0, "reboot", tuple(endpoints(1)))
+            ScheduledAction(1.0, "reboot", nodes)
+        for verb in ("netdown", "netup", "crash", "join", "leave", "rejoin"):
+            assert ScheduledAction(1.0, verb, nodes).action == verb
 
     def test_flip_flop_crash_validation(self):
         nodes = tuple(endpoints(1))
@@ -580,3 +586,22 @@ class TestSchedules:
         rack0 = rack_members(assignment, 0)
         assert rack0 == frozenset({eps[0], eps[3], eps[6]})
         assert rack_members(assignment, 5) == frozenset()
+
+
+class TestChurnActions:
+    def test_leave_rejoin_and_join_run_through_the_schedule(self):
+        harness = harness_for("rapid", seed=1)
+        cohort = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(8, timeout=120.0) is not None
+
+        def step(verb, ep, members):
+            _schedule(harness, [ScheduledAction(harness.engine.now + 1.0, verb, (ep,))])
+            harness.run_for(30.0)
+            for other in members:
+                assert set(harness.agents[other].view()) == set(members), verb
+
+        leaver, joiner = cohort[3], endpoint_for(8)
+        step("leave", leaver, [ep for ep in cohort if ep != leaver])
+        step("rejoin", leaver, cohort)
+        step("join", joiner, [*cohort, joiner])
+        assert harness.ledger.report()["ok"] is True
