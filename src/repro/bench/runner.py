@@ -263,11 +263,6 @@ def _headline(case: CaseResult) -> str:
     if case.spec.scenario == "join_churn":
         t = result.get("churn_convergence")
         return f"churned@{t:.1f}s" if t is not None else "no convergence"
-    if case.spec.scenario == "packet_loss":
-        return (
-            f"stability={result.get('stability_score')}"
-            f" removed={result.get('removed_faulty')}"
-        )
     if case.spec.scenario == "adversary":
         return (
             f"evictions={result.get('healthy_evicted_nodes')}"

@@ -49,7 +49,7 @@ class BenchSpec:
         Root seed; every random stream of the run derives from it.
     params:
         Extra keyword arguments for the scenario function (fault profile:
-        failure counts, loss rates, directions, observation windows).
+        failure counts, profile names, observation windows).
     """
 
     scenario: str
@@ -113,11 +113,11 @@ def quick_suite() -> list:
             params={"joiners": 6, "rejoins": 4},
         ),
         BenchSpec(
-            "packet_loss",
+            "adversary",
             "rapid",
             16,
             seed=1,
-            params={"loss": 0.8, "direction": "egress", "observe_for": 60.0},
+            params={"profile": "egress_loss", "observe_for": 60.0},
         ),
         # Message-adversary gate: duplicated and reordered (but never
         # dropped) traffic on every CI run.  The handlers must be
@@ -188,11 +188,11 @@ def full_suite() -> list:
         # probe wheel's target workload.  20 lossy processes (1%), 80%
         # egress loss, 90 s observed after the fault.
         BenchSpec(
-            "packet_loss",
+            "adversary",
             "rapid",
             2000,
             seed=1,
-            params={"loss": 0.8, "direction": "egress", "observe_for": 90.0},
+            params={"profile": "egress_loss", "observe_for": 90.0},
         ),
         # Stability-under-adversity end points: the Figure 9 flip-flop
         # profile and its steady asymmetric variant at the paper's n=1000
@@ -272,25 +272,13 @@ def full_suite() -> list:
         BenchSpec("crash", "rapid", 32, seed=1, params={"failures": 8}),
         BenchSpec("crash", "memberlist", 32, seed=1, params={"failures": 8}),
         BenchSpec(
-            "packet_loss",
-            "rapid",
-            32,
-            seed=1,
-            params={"loss": 0.8, "direction": "egress"},
+            "adversary", "rapid", 32, seed=1, params={"profile": "egress_loss"}
         ),
         BenchSpec(
-            "packet_loss",
-            "rapid",
-            32,
-            seed=1,
-            params={"loss": 0.8, "direction": "ingress"},
+            "adversary", "rapid", 32, seed=1, params={"profile": "ingress_loss"}
         ),
         BenchSpec(
-            "packet_loss",
-            "memberlist",
-            32,
-            seed=1,
-            params={"loss": 0.8, "direction": "egress"},
+            "adversary", "memberlist", 32, seed=1, params={"profile": "egress_loss"}
         ),
     ]
     return specs

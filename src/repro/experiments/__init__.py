@@ -5,7 +5,6 @@ from repro.experiments.scenarios import (
     bandwidth_stats,
     bootstrap_experiment,
     crash_experiment,
-    packet_loss_experiment,
     sensitivity_experiment,
     service_discovery_experiment,
     txn_platform_experiment,
@@ -17,7 +16,6 @@ __all__ = [
     "bandwidth_stats",
     "bootstrap_experiment",
     "crash_experiment",
-    "packet_loss_experiment",
     "sensitivity_experiment",
     "service_discovery_experiment",
     "txn_platform_experiment",

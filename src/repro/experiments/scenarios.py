@@ -37,7 +37,7 @@ from repro.obs.scorecard import StabilityScorecard
 from repro.runtime.dispatch import TypeDispatcher
 from repro.sim.cluster import endpoint_for
 from repro.sim.fault_profiles import compile_profile
-from repro.sim.faults import EgressLoss, IngressLoss, ScheduledAction
+from repro.sim.faults import ScheduledAction
 from repro.sim.process import SimRuntime
 from repro.sim.rng import child_rng
 
@@ -45,7 +45,6 @@ __all__ = [
     "bootstrap_experiment",
     "crash_experiment",
     "join_churn_experiment",
-    "packet_loss_experiment",
     "adversary_experiment",
     "partition_heal_experiment",
     "sensitivity_experiment",
@@ -325,71 +324,7 @@ def bandwidth_stats(harness, endpoints: Sequence[Endpoint], start: float = 0.0) 
     return {"tx": summarize(tx_all), "rx": summarize(rx_all)}
 
 
-# ------------------------------------------------------- Figures 1, 9, 10:
-# asymmetric and lossy-network faults
-
-
-def packet_loss_experiment(
-    system: str,
-    n: int,
-    faulty_fraction: float = 0.01,
-    loss: float = 0.8,
-    direction: str = "egress",
-    flip_flop: Optional[tuple] = None,
-    seed: int = 0,
-    fault_at: float = 30.0,
-    observe_for: float = 150.0,
-    settle_timeout: float = 600.0,
-    **harness_kwargs,
-) -> dict:
-    """Subject a fraction of processes to packet loss and watch the views.
-
-    * Figure 1:  ``direction="ingress"``, ``loss=0.8`` (80% loss at 1%);
-    * Figure 9:  ``direction="ingress"``, ``loss=1.0``,
-      ``flip_flop=(20, 20)`` (one-way connectivity flapping);
-    * Figure 10: ``direction="egress"``, ``loss=0.8``.
-
-    Returns per-second view statistics for healthy processes, whether the
-    faulty set was removed, and a **stability score**: the total number of
-    distinct view sizes healthy processes reported after the fault (a stable
-    system reports at most two — before and after removal).
-    """
-    harness, endpoints, _ = _settled(system, n, seed, settle_timeout, harness_kwargs)
-    fault_start = harness.engine.now + fault_at
-    faulty_count = max(1, int(n * faulty_fraction))
-    faulty = frozenset(endpoints[n // 3 : n // 3 + faulty_count])
-    rule_cls = IngressLoss if direction == "ingress" else EgressLoss
-    rule_kwargs = dict(nodes=faulty, probability=loss, start=fault_start)
-    if flip_flop is not None:
-        rule_kwargs.update(period_on=flip_flop[0], period_off=flip_flop[1])
-    harness.network.add_rule(rule_cls(**rule_kwargs))
-    harness.run_for(fault_at + observe_for)
-    healthy = [ep for ep in endpoints if ep not in faulty]
-    sizes_after = set()
-    for ep in healthy:
-        for t, s in harness.trace.samples.get(ep, ()):
-            if t >= fault_start:
-                sizes_after.add(s)
-    final_sizes = set(
-        harness.trace.sizes_at(harness.engine.now - 1.0, healthy)
-    )
-    expected = n - faulty_count
-    return {
-        "system": system,
-        "n": n,
-        "faulty": sorted(str(e) for e in faulty),
-        "fault_start": fault_start,
-        "sizes_after_fault": sorted(sizes_after),
-        "stability_score": len(sizes_after),
-        "final_sizes": sorted(final_sizes),
-        "removed_faulty": final_sizes == {expected},
-        "reacted": any(s != n for s in sizes_after),
-        "timeseries": harness.trace.aggregate_series(healthy, step=5.0),
-        "harness": harness,
-    }
-
-
-# ----------------------------------------------------- Figures 9-12 matrix:
+# -------------------------------------------------- Figures 1, 9-12 matrix:
 # named fault profiles scored against ground truth
 
 
@@ -413,7 +348,9 @@ def adversary_experiment(
     actions, and samples every healthy process's view through a
     :class:`~repro.obs.scorecard.StabilityScorecard` for ``observe_for``
     seconds.  The returned dict is flat scalars (sweep-CSV friendly) plus
-    the usual ``timeseries``/``harness`` keys.
+    the usual ``timeseries``/``harness`` keys.  Figure 1 is
+    ``profile="ingress_loss"``, Figure 9 ``"flip_flop"`` and Figure 10
+    ``"egress_loss"``.
     """
     harness, endpoints, settled = _settled(
         system, n, seed, settle_timeout, harness_kwargs
@@ -848,7 +785,6 @@ SCENARIO_FUNCTIONS = {
     "bootstrap": bootstrap_experiment,
     "crash": crash_experiment,
     "join_churn": join_churn_experiment,
-    "packet_loss": packet_loss_experiment,
     "adversary": adversary_experiment,
     "partition_heal": partition_heal_experiment,
     "service_discovery": service_discovery_experiment,

@@ -107,20 +107,6 @@ class ViewTrace:
             out.update(s for _, s in self.samples.get(node, ()))
         return out
 
-    def sizes_at(self, time: float, nodes: Optional[Iterable[Endpoint]] = None) -> list[int]:
-        """Most recent size reported by each node at or before ``time``."""
-        keys = list(nodes) if nodes is not None else list(self.samples)
-        out = []
-        for node in keys:
-            last = None
-            for t, s in self.samples.get(node, ()):
-                if t > time:
-                    break
-                last = s
-            if last is not None:
-                out.append(last)
-        return out
-
     def aggregate_series(
         self, nodes: Optional[Iterable[Endpoint]] = None, step: float = 1.0
     ) -> list[tuple[float, int, int, int]]:

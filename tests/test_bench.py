@@ -24,7 +24,6 @@ class TestSpecs:
             "bootstrap",
             "crash",
             "join_churn",
-            "packet_loss",
             "adversary",
             "service_discovery",
             "txn_platform",
@@ -48,8 +47,10 @@ class TestSpecs:
         assert shrunk.params["failures"] == 1
 
     def test_name_encodes_fault_profile(self):
-        spec = BenchSpec("packet_loss", "rapid", 8, seed=2, params={"loss": 0.8})
-        assert spec.name == "packet_loss/rapid/n8/s2/loss=0.8"
+        spec = BenchSpec(
+            "adversary", "rapid", 8, seed=2, params={"profile": "egress_loss"}
+        )
+        assert spec.name == "adversary/rapid/n8/s2/profile=egress_loss"
 
 
 class TestRunner:
