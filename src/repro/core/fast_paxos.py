@@ -10,8 +10,13 @@ the number of identical CD proposals".
 
 Dissemination is scale-adaptive, chosen per view by the instance's owner
 (``RapidSettings.use_gossip``).  Below the gossip threshold each voter
-broadcasts its aggregate once and repairs loss with periodic gossip — one
-message delay in the common case, O(N) messages per voter.  At or above the
+broadcasts its aggregate once — one message delay in the common case, O(N)
+messages per voter, and every member counts every vote, so nobody needs to
+be told the outcome.  Loss is repaired by pulling: every gossip interval an
+undecided voter sends its whole aggregate as a
+:class:`~repro.core.messages.VotePull` digest to ``gossip_fanout`` random
+peers, each of which replies with only the bits the digest lacks (or the
+decision, see below).  At or above the
 threshold the gossip counting step *is* the dissemination path, as in the
 paper's large deployments: no initial broadcast storm, only periodic pushes
 of **delta bundles** — each peer is
@@ -33,8 +38,7 @@ to ``gossip_pull_fanout`` random peers, and the receiver — after OR-merging
 the digest like any bundle — replies with exactly the bits the digest
 lacks, or the :class:`~repro.core.messages.Decision` once one is known.
 After local convergence an undecided node drops to a slow pull heartbeat
-(``RapidSettings.pull_interval``) instead of going fully quiet.  Pulls ride
-the gossip counting step, so they run exactly when it does.
+(``RapidSettings.pull_interval``) instead of going fully quiet.
 
 Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
@@ -56,10 +60,14 @@ nodes into the classical Paxos recovery path (:mod:`repro.core.paxos`),
 seeded with their fast-round votes so the recovery cannot contradict a
 fast-quorum decision.
 
-Laggards whose vote messages were lost are repaired reactively: a process
-that keeps gossiping votes for a configuration its peers already moved past
-receives a :class:`~repro.core.messages.Decision` learn message back (see
-``ViewChanger.on_consensus``), which this instance adopts directly.
+Laggards whose vote messages were lost are repaired reactively with a
+:class:`~repro.core.messages.Decision` learn message, which this instance
+adopts directly.  A decided process (or one that has moved past the
+configuration, see ``ViewChanger.repair``) answers every pull, but a pushed
+``VoteBundle`` only in a gossip view: there a push from a process still
+voting means it is behind, while in a unicast view it is the broadcast of a
+voter that counts every other vote itself — its own stale tick pulls if it
+really lags.
 """
 
 from __future__ import annotations
@@ -102,32 +110,24 @@ _COUNTERS = (
 class DecisionLog(dict):
     """The cuts that closed a process's recent configurations.
 
-    ``{old_config_id: (new_config_id, cut_id, body)}``, oldest first, one
-    link per decided view change.  Laggard repair reads it for the
-    :class:`~repro.core.messages.Decision` that closed a past view, the
-    rejoin path walks it from a rejoiner's base to compose its
+    ``{old_config_id: (new_config_id, cut_id, body, gossip)}``, oldest
+    first, one link per decided view change; ``gossip`` is whether the
+    closed view disseminated its votes by gossip.  Laggard repair reads it
+    for the :class:`~repro.core.messages.Decision` that closed a past view,
+    the rejoin path walks it from a rejoiner's base to compose its
     :class:`~repro.core.messages.ViewDelta`.  A link is O(cut) bytes, so it
     reaches further back than whole configurations could be kept.
     """
 
     DEPTH = 32
 
-    def record(self, old_id: int, new_id: int, body: Proposal) -> None:
+    def record(
+        self, old_id: int, new_id: int, cid: int, body: Proposal, gossip: bool
+    ) -> None:
         """Append the link ``old_id -> new_id``; the oldest falls off."""
-        self[old_id] = (new_id, cut_id(body), body)
+        self[old_id] = (new_id, cid, body, gossip)
         if len(self) > self.DEPTH:
             del self[next(iter(self))]
-
-    def learn(
-        self, sender: Endpoint, config_id: int, want: tuple = ()
-    ) -> Optional[Decision]:
-        """The learn message that closed ``config_id`` (``None`` if it fell
-        off); the body rides along only when ``want`` asks for that cut."""
-        link = self.get(config_id)
-        if link is None:
-            return None
-        _, cid, body = link
-        return Decision(sender, config_id, cid, body if cid in want else ())
 
 
 class FastPaxos:
@@ -322,7 +322,7 @@ class FastPaxos:
             # The sender is behind us (its push taught us nothing).  Repair
             # it reactively with exactly the bits it is missing; the ledger
             # update above makes this a one-shot reply, not a ping-pong.
-            reply = self._delta_for(msg.sender)
+            reply = self._delta_for(self._ledger(msg.sender))
             if reply is not None:
                 self.runtime.send(msg.sender, reply)
                 self._m_bundles_tx.inc()
@@ -332,15 +332,22 @@ class FastPaxos:
 
         A digest is also information — the requester's whole aggregate —
         so it is absorbed like any bundle before computing the reply
-        delta.  A decided node replies with the decision instead (the
-        requester is by definition behind).  Either reply carries the
-        bodies ``msg.want`` names, as far as this node holds them.
+        delta: against the requester's ledger row in a gossip view, which
+        the digest has just joined, and against the digest itself in a
+        unicast view, which keeps no rows.  A decided node replies with
+        the decision instead (the requester is by definition behind).
+        Either reply carries the bodies ``msg.want`` names, as far as this
+        node holds them.
         """
         if self.decided:
             self.runtime.send(msg.sender, self._learn_message(msg.want))
             return
         self._absorb(msg)
-        reply = self._delta_for(msg.sender, msg.want)
+        if self.gossip_mode:
+            shown = self._ledger(msg.sender)
+        else:
+            shown = dict(zip(msg.ids, msg.bitmaps))
+        reply = self._delta_for(shown, msg.want)
         if reply is not None:
             self.runtime.send(msg.sender, reply)
             self._m_bundles_tx.inc()
@@ -471,10 +478,12 @@ class FastPaxos:
         self._fallback_timer = self.runtime.schedule(delay, self._fallback)
 
     def _fallback(self) -> None:
-        """Fast path timed out: coordinate a classical recovery round."""
+        """Fast path timed out: coordinate a classical recovery round.
+
+        Only the timer runs this, and deciding cancels the timer, so the
+        instance is undecided here.
+        """
         self._fallback_timer = None
-        if self.decided:
-            return
         self.used_fallback = True
         self._fallback_attempts += 1
         self.metrics.counter("consensus.fallback_rounds").inc()
@@ -505,10 +514,11 @@ class FastPaxos:
     # --------------------------------------------------------------- gossip
 
     def _arm_gossip(self) -> None:
-        """Periodically push votes to a few random peers until the round
-        decides; this is the paper's gossip-based counting step.  In gossip
-        mode it is the *primary* dissemination path (delta bundles); in
-        unicast mode it only repairs vote loss under UDP semantics."""
+        """Periodically exchange votes with a few random peers until the
+        round decides; this is the paper's gossip-based counting step.  In
+        gossip mode it is the *primary* dissemination path (delta
+        bundles); in unicast mode it only repairs vote loss under UDP
+        semantics, by pulling."""
         if self.decided or self._gossip_timer is not None:
             return
         self._gossip_timer = self.runtime.schedule(
@@ -516,9 +526,9 @@ class FastPaxos:
         )
 
     def _gossip_tick(self) -> None:
+        """One gossip interval of an undecided instance (deciding cancels
+        the timer that runs this)."""
         self._gossip_timer = None
-        if self.decided:
-            return
         if self._want is not None:
             self._pull_body()  # the last one went unanswered: try another
         if not self.votes:
@@ -546,12 +556,16 @@ class FastPaxos:
                     return
             self._push_deltas()
         else:
-            bundle = self._aggregate()
+            # Every vote of a unicast view went to every member once, so
+            # re-pushing would only repeat it.  Ask instead: a peer still
+            # deciding replies with the bits the digest lacks, one that
+            # moved on with the Decision (``ViewChanger.repair``).
             peers = self._peers
-            if peers:
-                count = min(self.settings.gossip_fanout, len(peers))
-                self.runtime.broadcast(self.runtime.rng.sample(peers, count), bundle)
-                self._m_bundles_tx.inc(count)
+            count = min(self.settings.gossip_fanout, len(peers))
+            self.runtime.broadcast(
+                self.runtime.rng.sample(peers, count), self._aggregate(VotePull)
+            )
+            self._m_pulls_tx.inc(count)
         self._gossip_timer = self.runtime.schedule(
             self.settings.gossip_interval, self._gossip_tick
         )
@@ -564,7 +578,7 @@ class FastPaxos:
         count = min(self.settings.gossip_fanout, len(peers))
         send = self.runtime.send
         for peer in self.runtime.rng.sample(peers, count):
-            bundle = self._delta_for(peer)
+            bundle = self._delta_for(self._ledger(peer))
             if bundle is not None:
                 send(peer, bundle)
                 self._m_bundles_tx.inc()
@@ -580,12 +594,7 @@ class FastPaxos:
         """
         peers = self._peers
         count = min(self.settings.gossip_pull_fanout, len(peers))
-        digest = VotePull(
-            sender=self.runtime.addr,
-            config_id=self.config_id,
-            ids=tuple(self.votes.keys()),
-            bitmaps=tuple(self.votes.values()),
-        )
+        digest = self._aggregate(VotePull)
         for peer in self.runtime.rng.sample(peers, count):
             shown = self._ledger(peer)
             for cid, bitmap in zip(digest.ids, digest.bitmaps):
@@ -593,14 +602,15 @@ class FastPaxos:
             self.runtime.send(peer, digest)
         self._m_pulls_tx.inc(count)
 
-    def _delta_for(self, peer: Endpoint, want: tuple = ()) -> Optional[VoteBundle]:
-        """Bundle of vote bits ``peer`` has not been shown, or ``None``.
+    def _delta_for(self, shown: dict, want: tuple = ()) -> Optional[VoteBundle]:
+        """Bundle of the vote bits a peer has not been ``shown``, or ``None``.
 
-        Marks the bits as shown optimistically; if the datagram is lost the
-        peer still converges through other gossip partners.  ``want`` is
-        the peer's request for bodies: those held here ride along.
+        ``shown`` is what the peer holds per cut (its ledger row, or the
+        digest it pulled with).  Marks the bits as shown optimistically;
+        if the datagram is lost the peer still converges through other
+        gossip partners.  ``want`` is the peer's request for bodies: those
+        held here ride along.
         """
-        shown = self._ledger(peer)
         ids = []
         deltas = []
         for cid, bitmap in self.votes.items():
@@ -624,8 +634,10 @@ class FastPaxos:
             bodies=bodies,
         )
 
-    def _aggregate(self) -> VoteBundle:
-        return VoteBundle(
+    def _aggregate(self, kind: type = VoteBundle):
+        """The whole vote aggregate as a push (``VoteBundle``) or as a
+        pull digest (``VotePull``)."""
+        return kind(
             sender=self.runtime.addr,
             config_id=self.config_id,
             ids=tuple(self.votes.keys()),

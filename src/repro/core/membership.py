@@ -13,7 +13,9 @@ constructor-injected callables — never through a reference to a node:
 :class:`ViewChanger`
     alert filter → ``multi-process cut detection`` → ``leaderless
     view-change consensus`` → ``on_decide(old, new, cut)``; traffic from a
-    configuration it has left is answered with the Decision that closed it.
+    configuration it has left is answered with the Decision that closed it,
+    except votes pushed in a view that did not gossip (their sender counts
+    every vote itself, and pulls if it lags).
 :class:`AdmissionDesk`
     the responder side of the join protocol: vouches for joiners with JOIN
     alerts and answers them once a view admits (or passes over) them.
@@ -591,28 +593,45 @@ class ViewChanger:
         if config is not None and msg.config_id == config.config_id:
             self.consensus.handle(src, msg)
             return
-        # A laggard is still deciding a configuration we already moved
-        # past — hand it the decision directly.  Whatever else the message
-        # carried for that configuration is dropped.
-        if isinstance(msg, Decision):
-            return
-        self.repair(src, msg.config_id, msg.want if isinstance(msg, VotePull) else ())
-        if isinstance(msg, VoteBundle) and msg.bodies:
-            self.metrics.counter("consensus.bodies_rejected").inc(len(msg.bodies))
+        # The sender is still deciding a configuration we already moved
+        # past.  Whatever the message carried for it is dropped.
+        kind = type(msg)
+        if kind is VoteBundle:
+            if msg.bodies:
+                self.metrics.counter("consensus.bodies_rejected").inc(len(msg.bodies))
+            self.repair(src, msg.config_id, pushed=True)
+        elif kind is not Decision:
+            self.repair(src, msg.config_id, msg.want if kind is VotePull else ())
 
-    def repair(self, src: Endpoint, config_id: int, want: tuple = ()) -> None:
+    def repair(
+        self, src: Endpoint, config_id: int, want: tuple = (), pushed: bool = False
+    ) -> None:
         """Send ``src`` the logged Decision that closed ``config_id``, if any.
 
         The one foreign-configuration rule: whatever names a configuration
-        this process has left is answered with the cut that closed it.
+        this process has left is answered with the cut that closed it —
+        a pull, a classical-round message, an alert batch — except a
+        ``pushed`` :class:`VoteBundle` from a view that did not gossip.
+        There every voter broadcast its vote to every member and counts
+        every vote itself, so a bundle arriving after the decision is a
+        concurrent voter's, not a laggard's; a real laggard's stale tick
+        sends a :class:`VotePull`, which is answered.  In a gossip view
+        a push is how a laggard asks, and it is answered here just as a
+        decided round of the same view answers it.
         The Decision names the cut; its body goes along only when the
         laggard asked for it (``want``, from a :class:`VotePull`).
         """
-        decision = self.log.learn(self.runtime.addr, config_id, want)
-        if decision is not None:
-            self.runtime.send(src, decision)
+        link = self.log.get(config_id)
+        answered = False
+        if link is not None:
+            _, cid, body, gossip = link
+            if gossip or not pushed:
+                answered = cid in want
+                decision = Decision(
+                    self.runtime.addr, config_id, cid, body if answered else ()
+                )
+                self.runtime.send(src, decision)
         if want:
-            answered = decision is not None and decision.body
             name = "bodies_sent" if answered else "wants_unanswered"
             self.metrics.counter(f"consensus.{name}").inc()
 
@@ -620,14 +639,17 @@ class ViewChanger:
         old = self.config
         if old is None:
             return
+        cid = self.consensus.decision_id
         try:
             # Every decider of this view holds the same ``old`` and decides
             # the same cut: the first computes the transition, the rest
             # reuse it.
-            new = old.successor(cut, self.consensus.decision_id)
+            new = old.successor(cut, cid)
         except ValueError:
             return  # malformed proposal cannot install; should not happen
-        self.log.record(old.config_id, new.config_id, cut)
+        self.log.record(
+            old.config_id, new.config_id, cid, cut, self.consensus.gossip_mode
+        )
         self._on_decide(old, new, cut)
 
 
@@ -818,7 +840,7 @@ class AdmissionDesk:
             link = self._log.get(cursor)
             if link is None:
                 break
-            cursor, _, cut = link
+            cursor, _, cut, _ = link
             for change in cut:
                 joins = change.kind == AlertKind.JOIN
                 net[change.endpoint] = change.uuid if joins else None

@@ -79,7 +79,8 @@ class RapidSettings:
     gossip_interval / gossip_fanout:
         Parameters of the epidemic broadcast used for alert dissemination
         and consensus vote counting when gossip is active (views of at
-        least ``gossip_threshold`` members).
+        least ``gossip_threshold`` members).  In smaller views they are
+        the period and fan-out of the pull an undecided voter sends.
     gossip_relay_window:
         Epidemic *relay batching*: a node buffers envelopes it owes a
         forward for this many seconds and relays them as one bundle to

@@ -175,14 +175,15 @@ class TestDeltaBundles:
         peer = harness.members[1]
         cid = cut_id(proposal_for(0))
         node._merge(cid, 0b111)
-        first = node._delta_for(peer)
+        shown = node._ledger(peer)
+        first = node._delta_for(shown)
         assert first.ids == (cid,)
         assert first.bitmaps == (0b111,)
         assert first.bodies == ()  # a push never spells the cut out
         # Nothing new: no bundle at all.
-        assert node._delta_for(peer) is None
+        assert node._delta_for(shown) is None
         node._merge(cid, 0b1111)
-        second = node._delta_for(peer)
+        second = node._delta_for(shown)
         assert second.bitmaps == (0b1000,)
 
     def test_bits_learned_from_peer_are_never_pushed_back(self):
@@ -192,7 +193,7 @@ class TestDeltaBundles:
         cid = cut_id(proposal_for(0))
         node._merge(cid, 1 << 5)
         node._on_votes(VoteBundle(sender=b, config_id=1, ids=(cid,), bitmaps=(0b11,)))
-        delta = node._delta_for(b)
+        delta = node._delta_for(node._ledger(b))
         assert delta is not None
         assert delta.bitmaps == (1 << 5,)  # the peer's own bits are excluded
 
@@ -325,16 +326,92 @@ class TestPullGossip:
         pulls = counter_value(harness, "consensus.vote_pulls_sent")
         assert pulls > 0
 
-    def test_unicast_views_never_pull(self):
-        """Pulls ride the gossip counting step: below the threshold a
-        stale tick re-pushes the aggregate and sends no digest."""
+    def test_stale_unicast_tick_pulls_with_its_whole_aggregate(self):
+        """Below the threshold a vote is broadcast once; every later tick
+        of the undecided voter sends its whole aggregate as a ``VotePull``
+        digest to ``gossip_fanout`` peers.  Peers that hold no bit the
+        digest lacks stay silent."""
         settings = RapidSettings(consensus_fallback_timeout=10_000.0)
         harness = ConsensusHarness(16, settings, seed=9)
         node = harness.nodes[harness.members[0]]
+        sent, broadcast = [], node.runtime.broadcast
+
+        def spy(dsts, msg):
+            sent.append((tuple(dsts), msg))
+            broadcast(dsts, msg)
+
+        node.runtime.broadcast = spy
         harness.engine.schedule(0.0, node.propose, proposal_for(0))
-        harness.engine.run(until=2.0)
-        assert counter_value(harness, "consensus.vote_pulls_sent") == 0
-        assert counter_value(harness, "consensus.vote_bundles_sent") > 0
+        harness.engine.run(until=1.9)
+        (everyone, vote), *ticks = sent
+        assert len(everyone) == 15 and type(vote) is VoteBundle
+        assert len(ticks) == int(1.9 / settings.gossip_interval)
+        for dsts, msg in ticks:
+            assert type(msg) is VotePull and msg.want == ()
+            assert (msg.ids, msg.bitmaps) == (tuple(node.votes), tuple(node.votes.values()))
+            assert len(set(dsts)) == settings.gossip_fanout
+        assert counter_value(harness, "consensus.vote_bundles_sent") == 15
+        assert counter_value(harness, "consensus.vote_pull_replies") == 0
+
+    def test_unicast_pull_is_answered_with_only_the_bits_it_lacks(self):
+        """A unicast view keeps no ledger rows: the reply to a pull is
+        computed against the digest itself."""
+        harness = ConsensusHarness(16, unicast_settings(), seed=7)
+        a, b = harness.members[0], harness.members[1]
+        node = harness.nodes[a]
+        cid = cut_id(proposal_for(0))
+        node._merge(cid, 0b1111)
+        node._on_pull(VotePull(sender=b, config_id=1, ids=(cid,), bitmaps=(0b10011,)))
+        assert node.votes[cid] == 0b11111 and node._shown == {}
+        harness.engine.run(until=0.1)  # before a's first tick
+        assert harness.nodes[b].votes[cid] == 0b1100
+        # A digest that holds everything earns no reply.
+        node._on_pull(VotePull(sender=b, config_id=1, ids=(cid,), bitmaps=(0b11111,)))
+        assert counter_value(harness, "consensus.vote_pull_replies") == 1
+
+
+class TestLaggardRepair:
+    """In a unicast view every member counts every vote: the ``Decision``
+    learn message goes only to a process that pulls for it."""
+
+    def converged(self, n, seed=1):
+        harness = harness_for("rapid", seed=seed)
+        endpoints = harness.bootstrap(n, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(n, timeout=120.0) is not None
+        harness.run_for(2.0)
+        assert not harness.settings.use_gossip(n)
+        return harness, endpoints
+
+    def test_a_lossless_view_change_sends_no_decision(self):
+        """The last quarter of the voters vote after the rest decided;
+        their bundles are not answered, because they count the others'."""
+        harness, endpoints = self.converged(8)
+        before = harness.network.class_counts.get("Decision", 0)
+        harness.crash([endpoints[3]])
+        assert harness.run_until_converged(7, timeout=120.0) is not None
+        harness.run_for(2.0)
+        assert harness.network.class_counts.get("Decision", 0) == before
+        assert harness.ledger.report()["ok"] is True
+
+    def test_a_member_that_loses_every_vote_bundle_installs_on_its_next_tick(self):
+        """Its stale tick pulls; the peers that moved on answer with the
+        Decision, so it installs within one ``gossip_interval`` (plus a
+        LAN round trip) of the rest, and not at the fallback timeout."""
+        harness, endpoints = self.converged(16)
+        deaf = harness.agents[endpoints[5]]
+
+        def handler(src, msg, deliver=deaf.on_message):
+            if type(msg) is not VoteBundle:
+                deliver(src, msg)
+
+        deaf.runtime.attach(handler)
+        start = len(harness.trace.records)
+        harness.crash([endpoints[9]])
+        assert harness.run_until_converged(15, timeout=120.0) is not None
+        installs = {r.endpoint: r.time for r in harness.trace.records[start:]}
+        rest = max(t for ep, t in installs.items() if ep != deaf.addr)
+        assert installs[deaf.addr] - rest <= harness.settings.gossip_interval + 0.01
+        assert harness.ledger.report()["ok"] is True
 
 
 def drop_first_body(harness, addr, count=1):
@@ -697,6 +774,20 @@ class TestClassicalRounds:
         instance.handle(endpoint_for(3), promise(3, rank=(2, 2)))
         # Two of five saw a: recovery_threshold(5) == 2, so a may be chosen.
         assert paxos.broadcasts[1] == Phase2a(endpoint_for(2), 1, (2, 2), self.a)
+
+    def test_a_classical_round_completing_after_a_fast_decision_decides_nothing(self):
+        """``on_decide`` runs exactly once: acceptors' ``Phase2b``s still
+        in flight when the fast quorum formed complete the classical round
+        into a decided instance."""
+        harness = ConsensusHarness(5, unicast_settings(), seed=3)
+        node, decided = harness.nodes[harness.members[0]], []
+        node._on_decide = decided.append
+        node._merge(node._hold(self.a), 0b01111)
+        node._check_quorum()
+        assert decided == [self.a]
+        for i in range(1, 4):  # a classical quorum of accepts
+            node.handle(endpoint_for(i), Phase2b(endpoint_for(i), 1, (2, 1), self.a))
+        assert node.paxos.decided and decided == [self.a]
 
     def test_a_voteless_node_falls_back_on_the_most_endorsed_body_it_holds(self):
         settings = unicast_settings(

@@ -25,6 +25,7 @@ from repro.core.messages import (
     Decision,
     JoinResponse,
     JoinStatus,
+    Phase1a,
     PreJoinRequest,
     PreJoinResponse,
     Probe,
@@ -311,11 +312,12 @@ class TestViewChanger:
         assert detector.kind_of(stranger) == AlertKind.JOIN
 
     def test_foreign_configuration_is_answered_from_the_decision_log(self, changer):
+        """A link whose view gossiped: everything foreign is answered."""
         runtime = changer.runtime
         laggard = MEMBERS[5]
         cut = make_proposal([Change(MEMBERS[7], AlertKind.REMOVE)])
         left, cid = 4242, cut_id(cut)
-        changer.log.record(left, changer.config.config_id, cut)
+        changer.log.record(left, changer.config.config_id, cid, cut, gossip=True)
 
         changer.on_consensus(laggard, VoteBundle(laggard, left, ids=(cid,), bitmaps=(1,)))
         changer.on_consensus(laggard, VotePull(laggard, left, want=(cid,)))
@@ -331,12 +333,38 @@ class TestViewChanger:
         changer.on_consensus(laggard, VoteBundle(laggard, 777, ids=(cid,), bitmaps=(1,)))
         assert runtime.sent == []
 
+    def test_a_unicast_link_answers_everything_but_pushed_votes(self, changer):
+        """In a view that did not gossip every voter counted every vote:
+        its late bundle earns nothing, its pull and everything else the
+        Decision."""
+        runtime = changer.runtime
+        laggard = MEMBERS[5]
+        cut = make_proposal([Change(MEMBERS[7], AlertKind.REMOVE)])
+        left, cid = 4242, cut_id(cut)
+        changer.log.record(left, changer.config.config_id, cid, cut, gossip=False)
+
+        changer.on_consensus(laggard, VoteBundle(laggard, left, ids=(cid,), bitmaps=(1,)))
+        assert runtime.sent == []
+        changer.on_consensus(laggard, VotePull(laggard, left, ids=(cid,), bitmaps=(1,)))
+        changer.on_consensus(laggard, Phase1a(laggard, left, (2, 5)))
+        changer.repair(laggard, left)  # an alert batch
+        assert [(dst, msg) for _, dst, msg in runtime.sent] == [
+            (laggard, Decision(runtime.addr, left, cid))
+        ] * 3
+
+    def test_the_log_keeps_the_newest_links(self):
+        log = DecisionLog()
+        cut = make_proposal([Change(MEMBERS[7], AlertKind.REMOVE)])
+        for old in range(log.DEPTH + 1):
+            log.record(old, old + 1, cut_id(cut), cut, gossip=False)
+        assert list(log) == list(range(1, log.DEPTH + 1))
+
     def test_stopped_changer_still_repairs_but_tallies_nothing(self, changer):
         member = MEMBERS[3]
         stale = alert(changer, member, AlertKind.REMOVE)
         left = changer.config.config_id
         cut = make_proposal([Change(member, AlertKind.REMOVE)])
-        changer.log.record(left, 99, cut)
+        changer.log.record(left, 99, cut_id(cut), cut, gossip=False)
         changer.stop()
         changer.on_alert(stale)
         assert changer.cut_detector.kind_of(member) is None
