@@ -1,6 +1,6 @@
 """Baseline membership systems the paper compares against."""
 
-from repro.baselines.common import MembershipAgent, ViewReporter
+from repro.baselines.common import MembershipAgent
 from repro.baselines.swim import SwimConfig, SwimNode
 from repro.baselines.zookeeper import ZkClient, ZkConfig, ZkServer, build_ensemble
 from repro.baselines.akka import AkkaConfig, AkkaNode
@@ -8,7 +8,6 @@ from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
 
 __all__ = [
     "MembershipAgent",
-    "ViewReporter",
     "SwimConfig",
     "SwimNode",
     "ZkClient",

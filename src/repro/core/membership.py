@@ -28,7 +28,9 @@ installation`` + application callback — over a monitor and a desk.
 Rapid); :mod:`repro.core.centralized` composes the same parts twice more.
 
 Nodes are sans-io, so the same classes run inside the deterministic
-simulator and over real asyncio UDP sockets.
+simulator and over real asyncio UDP sockets.  Nor do they know they are
+measured: an experiment driver reads ``view_size`` and subscribes to
+``on_view_change`` as any application does.
 
 Typical use (mirrors the paper's ``JOIN(HOST:PORT, SEEDS, CALLBACK)`` API)::
 
@@ -105,9 +107,7 @@ class EdgeMonitor:
     The wheel is the process's *single* recurring schedule: one tick per
     sub-interval drives probe sends (strided across slots), probe expiry
     (the shared ring), batched ack flushes, and — once per full rotation —
-    the failed-edge report and the owner's rotation callback.  Report
-    sampling rides the wheel too: ``report_interval`` is a whole number of
-    sub-intervals (``RapidSettings`` rejects anything else).
+    the failed-edge report and the owner's rotation callback.
 
     Parameters
     ----------
@@ -121,9 +121,6 @@ class EdgeMonitor:
         subject per view, one rotation after the first verdict of a wave.
     on_rotation:
         Called with the current time at the end of every full rotation.
-    on_sample:
-        Optional; called with the current time every ``report_interval``
-        while watching.
     metrics:
         Registry receiving ``cluster.probes_sent``.
     """
@@ -135,7 +132,6 @@ class EdgeMonitor:
         detector_factory: Optional[DetectorFactory],
         on_failed: Callable[[list], None],
         on_rotation: Callable[[float], None],
-        on_sample: Optional[Callable[[float], None]] = None,
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.runtime = runtime
@@ -149,7 +145,6 @@ class EdgeMonitor:
         self._detector_factory = detector_factory
         self._on_failed = on_failed
         self._on_rotation = on_rotation
-        self._on_sample = on_sample
         self._m_probes_sent = metrics.counter("cluster.probes_sent")
         #: Subjects this process has raised an alert about in the current
         #: view.  Alerts are irrevocable, so these are neither probed nor
@@ -199,9 +194,6 @@ class EdgeMonitor:
         #: view with fewer subjects than slots would tick empty slots.
         self._slots = min(2, settings.k)
         self._sub_interval = settings.probe_interval / self._slots
-        self._report_every = (
-            round(settings.report_interval / self._sub_interval) if on_sample else 0
-        )
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -314,7 +306,7 @@ class EdgeMonitor:
     # -------------------------------------------------------------------- wheel
 
     def _tick(self) -> None:
-        """One probe-wheel sub-interval: expire, ack, probe, report.
+        """One probe-wheel sub-interval: expire, ack, probe, report failures.
 
         Runs ``_slots`` times per ``probe_interval``.  Every subject is
         probed exactly once per interval (in its assigned slot); expiry of
@@ -416,8 +408,6 @@ class EdgeMonitor:
                     alerted.update(failed)
                     self._on_failed(failed)
             self._on_rotation(now)
-        if self._report_every and tick % self._report_every == 0:
-            self._on_sample(now)
         self._timer = self.runtime.schedule(self._sub_interval, self._tick)
 
 
@@ -978,10 +968,6 @@ class ClusterMember:
         Application callback invoked on every installed view change.
     metadata:
         Application-supplied role metadata, e.g. ``{"role": "backend"}``.
-    trace:
-        Optional experiment hook (a :class:`repro.sim.trace.ViewTrace`):
-        receives this node's view size every ``report_interval`` and
-        every view it installs.
     metrics:
         Registry receiving ``cluster.*`` aggregates and the consensus
         instruments (shared across every node of a harness; disabled by
@@ -1007,7 +993,6 @@ class ClusterMember:
         detector_factory: Optional[DetectorFactory] = None,
         on_view_change: Optional[ViewChangeCallback] = None,
         metadata: Optional[dict] = None,
-        trace=None,
         metrics: Optional[MetricsRegistry] = None,
         *,
         publish: Callable[[BatchedAlerts], None],
@@ -1023,7 +1008,6 @@ class ClusterMember:
         self.on_view_change = on_view_change
         self.metadata = dict(metadata or {})
         self.metadata_store: dict[Endpoint, dict] = {}
-        self.trace = trace
         self.metrics = metrics = metrics if metrics is not None else NULL_METRICS
         # Hot-path instruments are resolved once; with a disabled registry
         # these are shared no-op singletons.
@@ -1053,7 +1037,6 @@ class ClusterMember:
             detector_factory,
             on_failed=self._alert,
             on_rotation=self._on_rotation,
-            on_sample=self._sample if trace is not None else None,
             metrics=metrics,
         )
         self.desk = AdmissionDesk(
@@ -1267,9 +1250,6 @@ class ClusterMember:
             self._last_progress = now
             self._alert([s for s in sorted(alerted) if s in self.config])
 
-    def _sample(self, now: float) -> None:
-        self.trace.sample(self.addr, now, self.config.size)
-
     # ----------------------------------------------------------- installation
 
     def _install(self, config: Configuration, joined: tuple, removed: tuple) -> None:
@@ -1288,16 +1268,6 @@ class ClusterMember:
         self._alert_batch.clear()
         self._last_progress = now
         self.desk.reset(config, topology, joined)
-        if self.trace is not None:
-            self.trace.record(
-                now,
-                self.addr,
-                config.config_id,
-                config.size,
-                seq=config.seq,
-                members=config.members,
-                uuids=config.uuids,
-            )
         if self.on_view_change is not None:
             self.on_view_change(
                 ViewChangeEvent(
@@ -1350,7 +1320,6 @@ class RapidNode(ClusterMember):
         detector_factory: Optional[DetectorFactory] = None,
         on_view_change: Optional[ViewChangeCallback] = None,
         metadata: Optional[dict] = None,
-        trace=None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         settings = settings or RapidSettings()
@@ -1370,7 +1339,6 @@ class RapidNode(ClusterMember):
             detector_factory,
             on_view_change,
             metadata,
-            trace,
             metrics,
             publish=self.broadcaster.broadcast,
             on_install=self._on_install_view,

@@ -149,11 +149,6 @@ class RapidSettings:
     join_retry_jitter: float = 0.25
     view_probe_interval: float = 5.0
 
-    # View-size sampling period used by experiment traces (the paper's
-    # agents log their view once per second); a whole number of probe
-    # wheel ticks.
-    report_interval: float = 1.0
-
     def __post_init__(self) -> None:
         if not (1 <= self.l <= self.h <= self.k):
             raise ValueError(
@@ -174,17 +169,6 @@ class RapidSettings:
             raise ValueError("gossip_relay_window must be >= 0 (0 = immediate)")
         if self.join_retry_jitter < 0:
             raise ValueError("join_retry_jitter must be >= 0 (0 = none)")
-        # View reports ride the probe wheel, which ticks min(2, k) times
-        # per probe_interval (see EdgeMonitor._tick).
-        tick = self.probe_interval / min(2, self.k)
-        ticks = self.report_interval / tick
-        if round(ticks) < 1 or abs(ticks - round(ticks)) > 1e-9:
-            raise ValueError(
-                f"report_interval must be a whole multiple of the probe wheel "
-                f"tick ({tick:g} s at probe_interval={self.probe_interval:g}), "
-                f"got {self.report_interval:g}; nearest valid value: "
-                f"{max(1, round(ticks)) * tick:g}"
-            )
 
     @classmethod
     def from_overrides(cls, overrides: Mapping) -> "RapidSettings":

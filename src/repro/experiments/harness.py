@@ -11,6 +11,12 @@ Rapid, Rapid-C, Memberlist/SWIM, ZooKeeper, and Akka with identical
 drivers.  A class here adds only its agent factory and its configuration:
 a config dataclass for the baselines; settings, the safety ledger and (for
 Rapid-C) the ensemble for Rapid.
+
+Every system is observed from outside: the driver samples each agent's
+``view_size`` itself, and a Rapid process reports the views it installs
+through the application callback of the paper's API
+(``on_view_change``), which the harness composes with any callback the
+caller passes.  No protocol class knows it is in an experiment.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.akka import AkkaConfig, AkkaNode
-from repro.baselines.common import ViewReporter
 from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
 from repro.baselines.swim import SwimConfig, SwimNode
 from repro.baselines.zookeeper import ZkClient, ZkConfig, build_ensemble
@@ -43,7 +48,7 @@ __all__ = [
 
 
 class _BaselineHarness(SimCluster):
-    """A baseline: ``agent_cls(runtime, contacts, config)`` plus a reporter.
+    """A baseline: ``agent_cls(runtime, contacts, config)``.
 
     Baselines report opaque views (no config ids or membership hashes),
     so the safety-invariant ledger does not apply: ``ledger`` is ``None``.
@@ -63,11 +68,9 @@ class _BaselineHarness(SimCluster):
         return tuple(seed for seed in seeds if seed != addr)
 
     def make_agent(self, runtime, seeds: tuple = (), **agent_kw):
-        agent = self.agent_cls(
+        return self.agent_cls(
             runtime, self._contacts(runtime.addr, seeds), self.config, **agent_kw
         )
-        ViewReporter(agent, self.trace).start()
-        return agent
 
 
 class SwimHarness(_BaselineHarness):
@@ -126,8 +129,8 @@ class ZooKeeperHarness(_BaselineHarness):
 class RapidHarness(SimCluster):
     """Rapid: shared settings, and a ledger checking every view install.
 
-    Nodes sample their own view size into ``trace`` (no reporter) and
-    record every installation there, which feeds ``ledger`` on the spot.
+    Every installation a process reports to its view-change callback is
+    recorded in ``trace``, which feeds ``ledger`` on the spot.
     """
 
     name = "rapid"
@@ -146,13 +149,23 @@ class RapidHarness(SimCluster):
 
     def make_agent(self, runtime, seeds: tuple = (), **agent_kw):
         return RapidNode(
-            runtime,
-            self.settings,
-            seeds=seeds,
-            trace=self.trace,
-            metrics=self.metrics,
-            **agent_kw,
+            runtime, self.settings, seeds=seeds, **self._observed(runtime, agent_kw)
         )
+
+    def _observed(self, runtime, agent_kw: dict) -> dict:
+        """``agent_kw`` plus the shared metrics and a view-change callback
+        that records each install in ``trace`` before calling the
+        caller's own ``on_view_change``, if any."""
+        addr, record = runtime.addr, self.trace.record
+        forward = agent_kw.get("on_view_change")
+
+        def on_view_change(event) -> None:
+            if not event.kicked:
+                record(event.time, addr, event.configuration)
+            if forward is not None:
+                forward(event)
+
+        return {**agent_kw, "metrics": self.metrics, "on_view_change": on_view_change}
 
     # benchmarks/workloads.py (frozen) reaches late joins and the install
     # records through these two names; nothing else may.
@@ -187,9 +200,7 @@ class RapidCHarness(RapidHarness):
             runtime,
             self.ensemble_endpoints,
             self.settings,
-            trace=self.trace,
-            metrics=self.metrics,
-            **agent_kw,
+            **self._observed(runtime, agent_kw),
         )
 
 

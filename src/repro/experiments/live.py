@@ -86,7 +86,6 @@ LIVE_SETTINGS: dict = {
     "consensus_fallback_timeout": 8.0,
     "gossip_interval": 0.5,
     "gossip_fanout": 4,
-    "report_interval": 1.0,
 }
 
 
@@ -140,8 +139,8 @@ class LiveHarness(RapidHarness):
     """
 
     name = "live-rapid"
-    #: Wall seconds are what a live run measures, so poll finely.
-    poll_interval = 0.25
+    #: Wall seconds are what a live run measures, so sample finely.
+    sample_interval = 0.25
 
     def __init__(
         self,
@@ -258,8 +257,7 @@ def live_bootstrap_experiment(
     try:
         endpoints = harness.bootstrap(n, seed_delay=seed_delay, stagger=stagger)
         convergence = harness.run_until_converged(n, timeout=timeout)
-        # Let reporting ticks observe the final state.
-        harness.run_for(2 * harness.settings.report_interval)
+        harness.run_for(2.0)  # as bootstrap_experiment holds the final view
     finally:
         harness.close()
     trace = harness.trace

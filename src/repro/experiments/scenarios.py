@@ -174,7 +174,7 @@ def bootstrap_experiment(
     harness = harness_for(system, seed=seed, **harness_kwargs)
     endpoints = harness.bootstrap(n, seed_delay=seed_delay, stagger=stagger)
     convergence = harness.run_until_converged(n, timeout=timeout)
-    # Let reporting ticks observe the final state.
+    # Hold the converged view for two more samples.
     harness.run_for(2.0)
     trace = harness.trace
     return {

@@ -9,6 +9,12 @@ one run of it.  A system plugs in by subclassing it with an agent factory
 runtime swaps the clock and the sockets underneath and inherits the rest
 (:class:`repro.experiments.live.LiveHarness`).  ``docs/ARCHITECTURE.md``
 tabulates the contract.
+
+The per-second view log is the driver's, not the processes': as it runs
+the clock forward, :class:`SimCluster` stops at every multiple of
+``sample_interval`` and logs the view size of every live process into
+``trace``, and convergence is read off those same samples.  The protocol
+stack carries no experiment hook and the engine no sampling event.
 """
 
 from __future__ import annotations
@@ -53,8 +59,9 @@ class SimCluster:
     that grows the cluster by hand.
     """
 
-    #: Seconds of the run's clock between two convergence polls.
-    poll_interval = 1.0
+    #: Seconds of the run's clock between two view samples: the driver
+    #: samples at every multiple of it that it runs the clock to.
+    sample_interval = 1.0
 
     def __init__(
         self, seed: int = 0, latency: Optional[LatencyModel] = None, ledger=None
@@ -67,6 +74,8 @@ class SimCluster:
         self.agents: dict[Endpoint, object] = {}
         self.runtimes: dict[Endpoint, object] = {}
         self.endpoints: list[Endpoint] = []
+        #: The next sample is taken at ``_next_sample * sample_interval``.
+        self._next_sample = 1
 
     # ------------------------------------------- what a system or a clock swaps
 
@@ -140,28 +149,58 @@ class SimCluster:
     # ---------------------------------------------------------------- driving
 
     def run_for(self, duration: float) -> None:
-        """Advance the run's clock by ``duration`` seconds."""
-        self.engine.run(until=self.engine.now + duration)
+        """Advance the run's clock by ``duration`` seconds, sampling on the way."""
+        self._advance(self.engine.now + duration)
 
     def run_until_converged(self, size: int, timeout: float = 600.0) -> Optional[float]:
         """Advance time until every live process reports ``size`` members.
 
-        Returns the convergence time (to the poll after it happened), or
-        ``None`` on timeout.  The caller is responsible for the target
-        size matching the scenario.
+        Convergence is checked on the view samples, so the returned time is
+        that of the first sample at which it held; ``None`` on timeout.
+        The caller is responsible for the target size matching the
+        scenario.
+        """
+        return self._advance(self.engine.now + timeout, size)
+
+    def _advance(self, until: float, size: Optional[int] = None) -> Optional[float]:
+        """Run the clock to ``until``, sampling every live view on the way.
+
+        A sample is due at every multiple of ``sample_interval``; one the
+        clock already passed (someone ran the engine directly) is skipped.
+        With ``size``, stop at the first sample at which the cluster has
+        :meth:`converged` to it and return that time.
         """
         engine = self.engine
-        deadline = engine.now + timeout
-        while engine.now < deadline:
-            engine.run(until=min(engine.now + self.poll_interval, deadline))
-            if self.converged(size):
-                return engine.now
-        return None
+        interval = self.sample_interval
+        while True:
+            at = self._next_sample * interval
+            if at <= engine.now:
+                self._next_sample = int(engine.now // interval) + 1
+                continue
+            if at > until:
+                engine.run(until=until)
+                return None
+            engine.run(until=at)
+            self._next_sample += 1
+            now = engine.now
+            self._sample(now)
+            if size is not None and self.converged(size):
+                return now
+
+    def _sample(self, now: float) -> None:
+        """Log the view size of every live process that reports one."""
+        sample = self.trace.sample
+        runtimes = self.runtimes
+        for ep, agent in self.agents.items():
+            if not runtimes[ep].crashed:
+                size = agent.view_size
+                if size:
+                    sample(ep, now, size)
 
     def converged(self, size: int) -> bool:
         """True when there is a live process and every one reports ``size``."""
-        # Single pass, no intermediate lists: run_until_converged polls
-        # this every virtual second, which at n=1000 adds up.
+        # Single pass, no intermediate lists: run_until_converged checks
+        # this at every sample, which at n=1000 adds up.
         runtimes = self.runtimes
         found = False
         for ep, agent in self.agents.items():

