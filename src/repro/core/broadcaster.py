@@ -33,6 +33,10 @@ __all__ = ["Broadcaster", "Peers"]
 
 Deliver = Callable[[Endpoint, Any], None]
 
+#: Seconds a node buffers the envelopes it owes a forward before relaying
+#: them as one bundle (see :class:`Broadcaster`, "relay batching").
+GOSSIP_RELAY_WINDOW = 0.05
+
 
 class Peers(Sequence):
     """A view's members minus one process, without copying the membership.
@@ -96,28 +100,21 @@ class Broadcaster:
     interpreter invocations, so nothing derived from the builtin
     ``hash()`` (which varies with ``PYTHONHASHSEED``) may reach the wire.
 
-    **Relay batching** (``relay_window`` > 0): envelopes awaiting a
-    forward are buffered for the window and then relayed together as one
+    **Relay batching**: envelopes awaiting a forward are buffered for
+    ``GOSSIP_RELAY_WINDOW`` seconds and then relayed together as one
     :class:`~repro.core.messages.GossipBundle` to a single random peer
     sample.  During broadcast storms — a mass bootstrap emits dozens of
     alert-batch broadcasts per second, each of which every node forwards
     once — this collapses k per-envelope relay fan-outs into one timer
-    plus one fan-out, at the cost of up to ``relay_window`` seconds of
-    added latency per hop.  A node's *own* broadcasts are never delayed.
+    plus one fan-out, at the cost of up to ``GOSSIP_RELAY_WINDOW`` seconds
+    of added latency per hop.  A node's *own* broadcasts are never delayed.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        deliver: Deliver,
-        fanout: int = 8,
-        relay_window: float = 0.05,
-    ) -> None:
+    def __init__(self, runtime: Runtime, deliver: Deliver, fanout: int = 8) -> None:
         """Bind the substrate to ``runtime`` and its delivery callback."""
         self.runtime = runtime
         self.deliver = deliver
         self.fanout = fanout
-        self.relay_window = relay_window
         #: True when the current view originates broadcasts epidemically.
         self.gossip = False
         self._members: tuple = ()
@@ -187,20 +184,18 @@ class Broadcaster:
         self._seen.add(key)
         self.deliver(envelope.sender, envelope.payload)
         if envelope.hops_left > 0:
-            forward = GossipEnvelope(
-                sender=envelope.sender,
-                message_id=envelope.message_id,
-                hops_left=envelope.hops_left - 1,
-                payload=envelope.payload,
+            self._relay_buf.append(
+                GossipEnvelope(
+                    sender=envelope.sender,
+                    message_id=envelope.message_id,
+                    hops_left=envelope.hops_left - 1,
+                    payload=envelope.payload,
+                )
             )
-            if self.relay_window > 0:
-                self._relay_buf.append(forward)
-                if self._relay_timer is None:
-                    self._relay_timer = self.runtime.schedule(
-                        self.relay_window, self._flush_relays
-                    )
-            else:
-                self._relay(forward)
+            if self._relay_timer is None:
+                self._relay_timer = self.runtime.schedule(
+                    GOSSIP_RELAY_WINDOW, self._flush_relays
+                )
 
     def _flush_relays(self) -> None:
         """Forward everything buffered during the window as one bundle."""

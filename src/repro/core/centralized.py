@@ -53,6 +53,10 @@ from repro.runtime.base import Runtime
 
 __all__ = ["EnsembleNode", "CentralizedClusterNode"]
 
+#: Seconds between a cluster member's polls of the ensemble for view
+#: updates (the paper uses 5 s to mirror its ZooKeeper setup).
+VIEW_PROBE_INTERVAL = 5.0
+
 
 def _view_update(sender: Endpoint, config: Configuration) -> ViewUpdate:
     return ViewUpdate(
@@ -173,9 +177,7 @@ class CentralizedClusterNode(ClusterMember):
             raise RuntimeError("start() called twice")
         self._join()
         self.monitor.start()
-        self.runtime.schedule(
-            self.settings.view_probe_interval, self._view_probe_tick
-        )
+        self.runtime.schedule(VIEW_PROBE_INTERVAL, self._view_probe_tick)
 
     def _publish(self, batch: BatchedAlerts) -> None:
         for ensemble_node in self.ensemble:
@@ -189,7 +191,7 @@ class CentralizedClusterNode(ClusterMember):
             self.runtime.send(
                 target, ViewProbe(sender=self.addr, config_id=self.config.config_id)
             )
-        self.runtime.schedule(self.settings.view_probe_interval, self._view_probe_tick)
+        self.runtime.schedule(VIEW_PROBE_INTERVAL, self._view_probe_tick)
 
     def _on_view_update(self, src: Endpoint, msg: ViewUpdate) -> None:
         if self.status != NodeStatus.ACTIVE or msg.seq <= self.config.seq:

@@ -25,7 +25,7 @@ sent only the cut ids/bitmap bits it has not been shown yet — to
 way, so every vote reaches every node in O(log N) rounds and a view change
 costs O(N · log N · fanout) VoteBundle deliveries instead of the O(N²) an
 all-to-all broadcast would take.  Ticking stops once the local aggregate has
-converged (no new bits learned for ``gossip_convergence_ticks`` intervals,
+converged (no new bits learned for ``GOSSIP_CONVERGENCE_TICKS`` intervals,
 or a quorum reached); a straggler whose push teaches us nothing is repaired
 reactively with a delta of the bits it is missing.
 
@@ -34,11 +34,12 @@ but has nothing new to push goes silent and can only wait for a random
 push to find it (or, worst case, the classical-Paxos fallback timer).  The
 **pull-gossip round** closes it: a stale tick sends a
 :class:`~repro.core.messages.VotePull` digest (the node's full aggregate)
-to ``gossip_pull_fanout`` random peers, and the receiver — after OR-merging
+to ``GOSSIP_PULL_FANOUT`` random peers, and the receiver — after OR-merging
 the digest like any bundle — replies with exactly the bits the digest
 lacks, or the :class:`~repro.core.messages.Decision` once one is known.
-After local convergence an undecided node drops to a slow pull heartbeat
-(``RapidSettings.pull_interval``) instead of going fully quiet.
+After local convergence an undecided node drops to a slow pull heartbeat,
+one pull per convergence window (``gossip_interval ×
+GOSSIP_CONVERGENCE_TICKS``), instead of going fully quiet.
 
 Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
@@ -105,6 +106,17 @@ _COUNTERS = (
     "consensus.bodies_rejected",
     "consensus.wants_unanswered",
 )
+
+#: Consecutive gossip intervals without a new vote bit after which push
+#: gossip stops ticking (the aggregate has converged); a later bundle that
+#: teaches new bits re-arms it, and an undecided instance keeps pulling
+#: once per ``gossip_interval * GOSSIP_CONVERGENCE_TICKS``.
+GOSSIP_CONVERGENCE_TICKS = 5
+
+#: Peers sent a pull digest per stale gossip tick (and per heartbeat after
+#: local convergence); each replies with exactly the vote bits the digest
+#: lacks, or the decision once known.
+GOSSIP_PULL_FANOUT = 1
 
 
 class DecisionLog(dict):
@@ -544,14 +556,15 @@ class FastPaxos:
                 # A quiet interval means pushes stopped teaching us;
                 # actively fetch what we might be missing.
                 self._send_pulls()
-                if self._stale_ticks >= self.settings.gossip_convergence_ticks:
+                if self._stale_ticks >= GOSSIP_CONVERGENCE_TICKS:
                     # Converged: nothing new learned for k intervals.  Push
                     # gossip goes quiet — an incoming bundle with new bits
                     # re-arms it — but an undecided node keeps a slow pull
                     # heartbeat so the tail is fetched rather than waited
                     # out until the fallback timer.
                     self._gossip_timer = self.runtime.schedule(
-                        self.settings.pull_interval(), self._gossip_tick
+                        self.settings.gossip_interval * GOSSIP_CONVERGENCE_TICKS,
+                        self._gossip_tick,
                     )
                     return
             self._push_deltas()
@@ -584,7 +597,7 @@ class FastPaxos:
                 self._m_bundles_tx.inc()
 
     def _send_pulls(self) -> None:
-        """Send our aggregate as a digest to ``gossip_pull_fanout`` peers
+        """Send our aggregate as a digest to ``GOSSIP_PULL_FANOUT`` peers
         (from a gossip tick, which has established there are votes to show).
 
         The digest doubles as a push (receivers merge it), so the bits it
@@ -593,7 +606,7 @@ class FastPaxos:
         pushes; a lost datagram is repaired through other partners.
         """
         peers = self._peers
-        count = min(self.settings.gossip_pull_fanout, len(peers))
+        count = min(GOSSIP_PULL_FANOUT, len(peers))
         digest = self._aggregate(VotePull)
         for peer in self.runtime.rng.sample(peers, count):
             shown = self._ledger(peer)

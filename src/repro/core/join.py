@@ -44,6 +44,11 @@ from repro.runtime.base import Runtime
 
 __all__ = ["JoinProtocol"]
 
+#: Fraction of a join retry delay added as uniform random jitter (drawn
+#: from the process's deterministic stream), so simultaneous rejoiners do
+#: not re-stampede the same seed.
+JOIN_RETRY_JITTER = 0.25
+
 
 class JoinProtocol:
     """State machine run by a joining process until it becomes a member.
@@ -51,7 +56,7 @@ class JoinProtocol:
     Parameters
     ----------
     runtime, settings:
-        Messaging, timers and jitter; ``join_timeout``/``join_retry_jitter``.
+        Messaging, timers and jitter; ``join_timeout``.
     seeds:
         Contact list, tried in rotation.
     node_id:
@@ -132,16 +137,14 @@ class JoinProtocol:
     def _arm_timeout(self, delay: float) -> None:
         """(Re)arm the retry timer for ``delay`` seconds, plus jitter.
 
-        The jitter (``settings.join_retry_jitter`` as a fraction of the
+        The jitter (``JOIN_RETRY_JITTER`` as a fraction of the
         delay, drawn from the node's deterministic per-process stream)
         de-synchronizes retries: a view change that turns away hundreds of
         waiting joiners at once must not have them all re-contact the seed
         at the same instant.
         """
         self._cancel_timeout()
-        jitter = self.settings.join_retry_jitter
-        if jitter:
-            delay += self.runtime.rng.uniform(0.0, jitter * delay)
+        delay += self.runtime.rng.uniform(0.0, JOIN_RETRY_JITTER * delay)
         self._timeout_handle = self.runtime.schedule(delay, self._on_timeout)
 
     def _cancel_timeout(self) -> None:

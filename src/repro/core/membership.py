@@ -96,6 +96,20 @@ ViewChangeCallback = Callable[[ViewChangeEvent], None]
 #: Every message class a :class:`ViewChanger` takes through ``on_consensus``.
 CONSENSUS_MESSAGES = (VoteBundle, VotePull, Decision, Phase1a, Phase1b, Phase2a, Phase2b)
 
+#: Consecutive *bootstrapping* probe acks an observer honors per subject
+#: (per view) before counting further ones as probe failures — the
+#: reference implementation's "has bootstrapped" rule (see
+#: :meth:`EdgeMonitor.on_probe_ack`).
+PROBE_BOOTSTRAP_BUDGET = 15
+
+#: Seconds a subject may linger in the unstable region before its
+#: observers echo REMOVE alerts (section 4.2, "reinforcements").
+REINFORCEMENT_TIMEOUT = 10.0
+
+#: Seconds without a view change before a member re-broadcasts its
+#: alerted-but-unremoved subjects (see :meth:`ClusterMember._on_rotation`).
+REANNOUNCE_INTERVAL = 30.0
+
 # EdgeMonitor phases: before the first view (and while rejoining), as a
 # member of a view, after leaving or being kicked.
 _IDLE, _WATCHING, _STOPPED = range(3)
@@ -115,7 +129,7 @@ class EdgeMonitor:
         Timers, messaging and randomness; probe timing parameters.
     detector_factory:
         Factory for per-edge failure detectors; defaults to the paper's
-        40%-of-last-10 probe detector.
+        40%-of-last-10 probe detector (:class:`PingTimeoutDetector`).
     on_failed:
         Called with the list of subjects whose detectors failed — once per
         subject per view, one rotation after the first verdict of a wave.
@@ -136,13 +150,7 @@ class EdgeMonitor:
     ) -> None:
         self.runtime = runtime
         self.settings = settings
-        if detector_factory is None:
-            window, threshold = settings.detector_window, settings.failure_threshold
-
-            def detector_factory():
-                return PingTimeoutDetector(window=window, threshold=threshold)
-
-        self._detector_factory = detector_factory
+        self._detector_factory = detector_factory or PingTimeoutDetector
         self._on_failed = on_failed
         self._on_rotation = on_rotation
         self._m_probes_sent = metrics.counter("cluster.probes_sent")
@@ -164,7 +172,7 @@ class EdgeMonitor:
         self._outstanding: list[int] = []
         self._sent_at: list[float] = []
         #: Consecutive bootstrapping acks per subject (see
-        #: ``probe_bootstrap_budget``).
+        #: ``PROBE_BOOTSTRAP_BUDGET``).
         self._bootstrap_acks: list[int] = []
         #: Subject indices assigned to each wheel slot (round-robin).
         self._slot_indices: list[list[int]] = []
@@ -296,7 +304,7 @@ class EdgeMonitor:
             # lingering as an immortal member.
             count = self._bootstrap_acks[idx] + 1
             self._bootstrap_acks[idx] = count
-            if count > self.settings.probe_bootstrap_budget:
+            if count > PROBE_BOOTSTRAP_BUDGET:
                 self._detectors[idx].on_probe_failure(now)
                 return
         else:
@@ -565,13 +573,12 @@ class ViewChanger:
 
     def overdue(self, now: float) -> list:
         """``(subject, kind)`` of every subject that has lingered in the
-        unstable region past ``reinforcement_timeout`` (section 4.2)."""
+        unstable region past ``REINFORCEMENT_TIMEOUT`` (section 4.2)."""
         detector = self.cut_detector
-        timeout = self.settings.reinforcement_timeout
         return [
             (subject, detector.kind_of(subject))
             for subject in detector.unstable_subjects()
-            if now - detector.first_seen(subject) >= timeout
+            if now - detector.first_seen(subject) >= REINFORCEMENT_TIMEOUT
         ]
 
     # --------------------------------------------------------------- consensus
@@ -1235,7 +1242,7 @@ class ClusterMember:
         the minority goes silent — and once the partition heals, nothing
         would ever cross the old partition line again: both sides probe
         only their own members.  Re-publishing the alerted-but-still-
-        in-view subjects after ``reannounce_interval`` seconds without a
+        in-view subjects after ``REANNOUNCE_INTERVAL`` seconds without a
         view change breaks that silence.  Deciders that moved past our
         configuration answer with the logged removal Decision (see
         :meth:`ViewChanger.repair`), which tells this stranded process it
@@ -1246,7 +1253,7 @@ class ClusterMember:
         if self._reinforce is not None:
             self._reinforce(now)
         alerted = self.monitor.alerted
-        if alerted and now - self._last_progress >= self.settings.reannounce_interval:
+        if alerted and now - self._last_progress >= REANNOUNCE_INTERVAL:
             self._last_progress = now
             self._alert([s for s in sorted(alerted) if s in self.config])
 
@@ -1324,10 +1331,7 @@ class RapidNode(ClusterMember):
     ) -> None:
         settings = settings or RapidSettings()
         self.broadcaster = Broadcaster(
-            runtime,
-            self.on_message,
-            fanout=settings.gossip_fanout,
-            relay_window=settings.gossip_relay_window,
+            runtime, self.on_message, fanout=settings.gossip_fanout
         )
         self.decider = ViewChanger(
             runtime, settings, self.broadcaster.broadcast, self._on_decide, metrics

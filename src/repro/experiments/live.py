@@ -82,8 +82,6 @@ LIVE_SETTINGS: dict = {
     "probe_interval": 2.0,
     "probe_timeout": 2.0,
     "batching_window": 1.0,
-    "join_timeout": 5.0,
-    "consensus_fallback_timeout": 8.0,
     "gossip_interval": 0.5,
     "gossip_fanout": 4,
 }

@@ -123,7 +123,6 @@ def install_profile(
     seed: int,
     fault_start: float,
     profile_overrides: Optional[dict] = None,
-    scorecard_interval: float = 1.0,
 ) -> tuple:
     """Compile and install a fault profile: ``(compiled, healthy, scorecard)``.
 
@@ -144,7 +143,6 @@ def install_profile(
         views={ep: harness.agents[ep].view for ep in healthy},
         faulty=compiled.faulty,
         fault_start=fault_start,
-        interval=scorecard_interval,
         crashed=lambda ep: harness.runtimes[ep].crashed,
     )
     scorecard.start()
@@ -237,25 +235,28 @@ def crash_experiment(
 # ------------------------------------------------------------- join churn:
 # late joins and rejoins against a steady cluster (join-path benchmarks)
 
+#: Seconds over which join_churn's joins and leaves start, seconds from a
+#: leave to its rejoin, and the deadline for re-converging afterwards.
+_CHURN_WINDOW = 5.0
+_REJOIN_DELAY = 8.0
+_CHURN_TIMEOUT = 180.0
+
 
 def join_churn_experiment(
     system: str,
     n: int,
     joiners: int = 8,
     rejoins: int = 0,
-    join_stagger: float = 5.0,
-    rejoin_delay: float = 8.0,
     seed: int = 0,
     settle_timeout: float = 600.0,
-    churn_timeout: float = 180.0,
     **harness_kwargs,
 ) -> dict:
     """Bootstrap ``n`` processes, then churn the membership via the join path.
 
     After the cluster reaches a steady state, ``joiners`` fresh processes
-    start staggered over ``join_stagger`` seconds, and ``rejoins`` existing
+    start staggered over ``_CHURN_WINDOW`` seconds, and ``rejoins`` existing
     members gracefully leave (staggered over the same window) and rejoin
-    ``rejoin_delay`` seconds later with fresh logical identities.  This is
+    ``_REJOIN_DELAY`` seconds later with fresh logical identities.  This is
     the join-dissemination workload: late joins exercise the full
     view-snapshot responses (deduplicated to the designated observer), and
     rejoins exercise delta-encoded responses against the base configuration
@@ -275,16 +276,16 @@ def join_churn_experiment(
     rng = harness.network.rng_for("join_churn")
     actions = []
     for ep in endpoints[1 : 1 + max(0, min(rejoins, n - 1))]:
-        leave_at = churn_start + rng.random() * join_stagger
+        leave_at = churn_start + rng.random() * _CHURN_WINDOW
         actions += [
             ScheduledAction(leave_at, "leave", (ep,)),
-            ScheduledAction(leave_at + rejoin_delay, "rejoin", (ep,)),
+            ScheduledAction(leave_at + _REJOIN_DELAY, "rejoin", (ep,)),
         ]
     for i in range(joiners):
-        join_at = churn_start + rng.random() * join_stagger
+        join_at = churn_start + rng.random() * _CHURN_WINDOW
         actions.append(ScheduledAction(join_at, "join", (endpoint_for(n + i),)))
     _schedule(harness, actions)
-    converged_at = harness.run_until_converged(n + joiners, timeout=churn_timeout)
+    converged_at = harness.run_until_converged(n + joiners, timeout=_CHURN_TIMEOUT)
     harness.run_for(2.0)
     network = harness.network
     join_messages = sum(
@@ -336,7 +337,6 @@ def adversary_experiment(
     fault_at: float = 30.0,
     observe_for: float = 120.0,
     settle_timeout: float = 600.0,
-    scorecard_interval: float = 1.0,
     profile_overrides: Optional[dict] = None,
     **harness_kwargs,
 ) -> dict:
@@ -357,8 +357,7 @@ def adversary_experiment(
     )
     fault_start = harness.engine.now + fault_at
     compiled, healthy, scorecard = install_profile(
-        harness, endpoints, profile, seed, fault_start,
-        profile_overrides, scorecard_interval,
+        harness, endpoints, profile, seed, fault_start, profile_overrides
     )
     harness.run_for(fault_at + observe_for)
     report = {
@@ -382,6 +381,12 @@ def adversary_experiment(
 # ------------------------------------------------------- partition and heal:
 # no split-brain while split, delta rejoin after
 
+#: Seconds partition_heal watches the healed cluster for re-convergence, and
+#: the period at which it rejoins minority members that learned of their
+#: removal.
+_HEAL_OBSERVE = 240.0
+_REJOIN_POLL = 5.0
+
 
 def partition_heal_experiment(
     system: str,
@@ -390,9 +395,7 @@ def partition_heal_experiment(
     partition_for: float = 60.0,
     seed: int = 0,
     fault_at: float = 10.0,
-    heal_observe: float = 240.0,
     settle_timeout: float = 600.0,
-    rejoin_poll: float = 5.0,
     **harness_kwargs,
 ) -> dict:
     """Split off a minority slice, hold the partition, heal, and rejoin.
@@ -440,9 +443,9 @@ def partition_heal_experiment(
     majority_converged = majority_sizes == {n - len(minority)}
     rejoined: set = set()
     reconverged_at = None
-    deadline = harness.engine.now + heal_observe
+    deadline = harness.engine.now + _HEAL_OBSERVE
     while harness.engine.now < deadline:
-        harness.run_for(rejoin_poll)
+        harness.run_for(_REJOIN_POLL)
         for ep in sorted(minority):  # a set's order follows the hash seed
             node = harness.agents[ep]
             if ep not in rejoined and node.status in (
@@ -570,7 +573,6 @@ def _app_experiment(
     fault_at: float,
     observe_for: float,
     settle_timeout: float,
-    scorecard_interval: float,
     profile_overrides: Optional[dict],
     harness_kwargs: dict,
     deploy: Callable,
@@ -601,8 +603,7 @@ def _app_experiment(
     healthy: Sequence[Endpoint] = endpoints
     if profile is not None:
         compiled, healthy, mem_card = install_profile(
-            harness, endpoints, profile, seed, fault_start,
-            profile_overrides, scorecard_interval,
+            harness, endpoints, profile, seed, fault_start, profile_overrides
         )
     harness.run_for(duration + drain + 1.0)
     for worker in (*sources, *watchers):
@@ -637,7 +638,6 @@ def service_discovery_experiment(
     fault_at: float = 10.0,
     observe_for: float = 40.0,
     settle_timeout: float = 600.0,
-    scorecard_interval: float = 1.0,
     profile_overrides: Optional[dict] = None,
     app_config=None,
     **harness_kwargs,
@@ -694,21 +694,23 @@ def service_discovery_experiment(
 
     return _app_experiment(
         system, n, profile, seed, fault_at, observe_for, settle_timeout,
-        scorecard_interval, profile_overrides, harness_kwargs,
+        profile_overrides, harness_kwargs,
         deploy, config.request_deadline,
     )
+
+
+#: External clients offering the txn platform's load.
+_TXN_CLIENTS = 2
 
 
 def txn_platform_experiment(
     system: str,
     n: int,
     profile: Optional[str] = None,
-    n_clients: int = 2,
     seed: int = 0,
     fault_at: float = 10.0,
     observe_for: float = 40.0,
     settle_timeout: float = 600.0,
-    scorecard_interval: float = 1.0,
     profile_overrides: Optional[dict] = None,
     app_config=None,
     **harness_kwargs,
@@ -716,8 +718,8 @@ def txn_platform_experiment(
     """Figure 12 end-to-end: txn platform served through a fault profile.
 
     Every member is a :class:`~repro.apps.txn_platform.DataServer`
-    (co-hosted with its membership agent); ``n_clients`` external clients
-    offer open-loop transactions for ``fault_at + observe_for`` seconds.
+    (co-hosted with its membership agent); ``_TXN_CLIENTS`` external
+    clients offer open-loop transactions for ``fault_at + observe_for`` seconds.
     ``profile="blackhole"`` defaults its pair to ``"edge"`` — the
     serializer (lowest-addressed member) against the highest-addressed
     one, the paper's Figure 12 fault — unless the caller overrides
@@ -764,7 +766,7 @@ def txn_platform_experiment(
                 stats,
                 config,
             )
-            for i in range(n_clients)
+            for i in range(_TXN_CLIENTS)
         ]
         return clients, watchers, lambda: {
             "failovers": max(s.failovers_observed for s in servers)
@@ -772,7 +774,7 @@ def txn_platform_experiment(
 
     return _app_experiment(
         system, n, profile, seed, fault_at, observe_for, settle_timeout,
-        scorecard_interval, profile_overrides, harness_kwargs,
+        profile_overrides, harness_kwargs,
         deploy, config.txn_deadline,
     )
 

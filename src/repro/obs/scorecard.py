@@ -31,6 +31,9 @@ from repro.core.node_id import Endpoint
 
 __all__ = ["StabilityScorecard"]
 
+#: Sampling period in virtual seconds.
+SAMPLE_INTERVAL = 1.0
+
 
 class StabilityScorecard:
     """Samples healthy processes' views and scores membership stability.
@@ -49,8 +52,6 @@ class StabilityScorecard:
     fault_start:
         Virtual time of fault onset; the baseline snapshot and the first
         sample are taken there.
-    interval:
-        Sampling period in virtual seconds.
     crashed:
         Optional predicate excluding observers that are currently
         fail-stopped (their frozen views would otherwise read as stale).
@@ -62,14 +63,12 @@ class StabilityScorecard:
         views: Mapping[Endpoint, Callable[[], Iterable[Endpoint]]],
         faulty: Iterable[Endpoint],
         fault_start: float,
-        interval: float = 1.0,
         crashed: Optional[Callable[[Endpoint], bool]] = None,
     ) -> None:
         self.engine = engine
         self.views = dict(views)
         self.faulty = frozenset(faulty)
         self.fault_start = fault_start
-        self.interval = interval
         self._crashed = crashed or (lambda ep: False)
         self._prev_raw: dict[Endpoint, tuple] = {}
         self._prev_set: dict[Endpoint, frozenset] = {}
@@ -139,7 +138,7 @@ class StabilityScorecard:
             and self._has_faulty
         ):
             self.faulty_detected_at = now
-        self.engine.schedule(self.interval, self._sample)
+        self.engine.schedule(SAMPLE_INTERVAL, self._sample)
 
     # ------------------------------------------------------------ reporting
 

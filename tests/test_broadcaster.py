@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.broadcaster import Broadcaster, Peers
+from repro.core.broadcaster import GOSSIP_RELAY_WINDOW, Broadcaster, Peers
 from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
@@ -142,9 +142,7 @@ class TestRelayBatching:
         """k first-seen envelopes within the window → one bundle per peer."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = Broadcaster(
-            runtime, lambda src, msg: None, fanout=3, relay_window=0.05
-        )
+        bcast = Broadcaster(runtime, lambda src, msg: None, fanout=3)
         bcast.set_membership(view, gossip=True)
         for i in range(4):
             bcast.handle(
@@ -154,6 +152,7 @@ class TestRelayBatching:
                 ),
             )
         assert runtime.sent == []  # buffered, not yet relayed
+        assert [delay for delay, _ in runtime.timers] == [GOSSIP_RELAY_WINDOW]
         runtime.fire_timers()
         assert len(runtime.sent) == 3  # one message per sampled peer
         for _, msg in runtime.sent:
@@ -165,9 +164,7 @@ class TestRelayBatching:
         """No bundle overhead when the window caught only one envelope."""
         view = members(8)
         runtime = FakeRuntime(view[0])
-        bcast = Broadcaster(
-            runtime, lambda src, msg: None, fanout=2, relay_window=0.05
-        )
+        bcast = Broadcaster(runtime, lambda src, msg: None, fanout=2)
         bcast.set_membership(view, gossip=True)
         bcast.handle(
             view[1],
@@ -196,20 +193,6 @@ class TestRelayBatching:
         assert all(src == view[1] for src, _ in delivered)
         bcast.handle(view[3], bundle)  # replay: every envelope already seen
         assert len(delivered) == 3
-
-    def test_window_zero_relays_immediately(self):
-        view = members(8)
-        runtime = FakeRuntime(view[0])
-        bcast = Broadcaster(
-            runtime, lambda src, msg: None, fanout=2, relay_window=0.0
-        )
-        bcast.set_membership(view, gossip=True)
-        bcast.handle(
-            view[1],
-            GossipEnvelope(sender=view[1], message_id=1, hops_left=1, payload="p"),
-        )
-        assert len(runtime.sent) == 2
-        assert runtime.timers == []
 
 
 class TestModePerView:

@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.core.events import NodeStatus
-from repro.core.fast_paxos import FastPaxos
+from repro.core.fast_paxos import GOSSIP_CONVERGENCE_TICKS, GOSSIP_PULL_FANOUT, FastPaxos
 from repro.core.messages import (
     AlertKind,
     Change,
@@ -253,11 +253,9 @@ class TestGossipDissemination:
 
     def test_pull_heartbeat_is_bounded_after_convergence(self):
         """In gossip mode undecided nodes keep a slow pull heartbeat after push gossip converges — bounded by
-        ``gossip_pull_fanout`` digests per ``pull_interval()`` per node
+        ``GOSSIP_PULL_FANOUT`` digests per convergence window per node
         (each earning at most one reply)."""
-        settings = gossip_settings(
-            gossip_convergence_ticks=3, consensus_fallback_timeout=10_000.0
-        )
+        settings = gossip_settings(consensus_fallback_timeout=10_000.0)
         n = 32
         harness = ConsensusHarness(n, settings, seed=5)
         proposal = proposal_for(0)
@@ -268,7 +266,8 @@ class TestGossipDissemination:
         window = 30.0
         harness.engine.run(until=30.0 + window)
         sent = harness.network.sent_messages - sent_before
-        per_node = settings.gossip_pull_fanout * (window / settings.pull_interval())
+        pull_interval = settings.gossip_interval * GOSSIP_CONVERGENCE_TICKS
+        per_node = GOSSIP_PULL_FANOUT * (window / pull_interval)
         assert 0 < sent <= 2 * n * per_node, (sent, per_node)
         # The aggregate is still fully converged and undecided.
         for addr in harness.members[:8]:
@@ -313,10 +312,8 @@ class TestPullGossip:
         assert counter_value(harness, "consensus.bodies_sent") == 0
 
     def test_stale_tick_sends_pulls(self):
-        """A tick that learned nothing sends gossip_pull_fanout digests."""
-        settings = gossip_settings(
-            gossip_pull_fanout=2, consensus_fallback_timeout=10_000.0
-        )
+        """A tick that learned nothing sends GOSSIP_PULL_FANOUT digests."""
+        settings = gossip_settings(consensus_fallback_timeout=10_000.0)
         harness = ConsensusHarness(16, settings, seed=9)
         node = harness.nodes[harness.members[0]]
         harness.engine.schedule(0.0, node.propose, proposal_for(0))
@@ -665,9 +662,9 @@ class TestScale:
         delivered = counter_value(harness, "consensus.vote_bundles_received")
         # Dissemination bound: every node pushes at most fanout deltas per
         # tick and gossip converges in ~log2(N) rounds, with at most
-        # gossip_convergence_ticks quiet rounds before stopping; reactive
+        # GOSSIP_CONVERGENCE_TICKS quiet rounds before stopping; reactive
         # repair replies can at most double it.
-        rounds = math.ceil(math.log2(n)) + settings.gossip_convergence_ticks
+        rounds = math.ceil(math.log2(n)) + GOSSIP_CONVERGENCE_TICKS
         bound = 2 * n * settings.gossip_fanout * rounds
         assert delivered <= bound, (delivered, bound)
         assert delivered < n * n / 8  # far from the O(N^2) regime

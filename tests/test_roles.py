@@ -17,7 +17,13 @@ from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
 from repro.core.fast_paxos import DecisionLog, FastPaxos
 from repro.core.join import JoinProtocol
-from repro.core.membership import AdmissionDesk, EdgeMonitor, RapidNode, ViewChanger
+from repro.core.membership import (
+    PROBE_BOOTSTRAP_BUDGET,
+    AdmissionDesk,
+    EdgeMonitor,
+    RapidNode,
+    ViewChanger,
+)
 from repro.core.messages import (
     Alert,
     AlertKind,
@@ -206,12 +212,14 @@ class TestEdgeMonitor:
         assert len(bench.rotations) == pytest.approx(20, abs=1)
 
     def test_bootstrapping_acks_past_the_budget_count_as_failures(self):
-        bench = MonitorBench(probe_bootstrap_budget=3)
+        bench = MonitorBench()
         bench.monitor.watch(7, SUBJECTS)
         bench.monitor.start()
         zombie = SUBJECTS[2]
-        bench.run(30.0, bootstrapping={zombie})
-        assert bench.detector_of(zombie).outcomes[:4] == [True, True, True, False]
+        bench.run(40.0, bootstrapping={zombie})
+        budget = PROBE_BOOTSTRAP_BUDGET
+        outcomes = bench.detector_of(zombie).outcomes
+        assert outcomes[: budget + 1] == [True] * budget + [False]
         assert [subjects for _, subjects in bench.reports] == [[zombie]]
 
     def test_new_view_forgets_outstanding_probes_but_keeps_owed_acks(self):

@@ -2,8 +2,9 @@
 
 ``RapidSettings`` is the paper's K/H/L plus timing and fan-out numbers.
 Mode switches and ``0 = auto`` sentinels were swept, found dominated by
-their defaults and deleted (docs/ARCHITECTURE.md, "Why there is no knob
-for X"); the census below makes the next knob a deliberate diff.
+their defaults and deleted, and a value nobody set to a second one is a
+constant of the module that reads it (docs/ARCHITECTURE.md, "Why there is
+no knob for X"); the census below makes the next knob a deliberate diff.
 """
 
 import dataclasses
@@ -19,23 +20,13 @@ FIELDS = [
     "l",
     "probe_interval",
     "probe_timeout",
-    "failure_threshold",
-    "detector_window",
-    "probe_bootstrap_budget",
     "batching_window",
     "consensus_fallback_timeout",
     "consensus_rank_delay",
-    "reinforcement_timeout",
-    "reannounce_interval",
     "gossip_interval",
     "gossip_fanout",
-    "gossip_relay_window",
     "gossip_threshold",
-    "gossip_convergence_ticks",
-    "gossip_pull_fanout",
     "join_timeout",
-    "join_retry_jitter",
-    "view_probe_interval",
 ]
 
 #: A knob deleted in PR 14 that stale grids may still pass.  Spelled in
@@ -43,6 +34,8 @@ FIELDS = [
 STALE_KEY = "broadcast" + "_mode"
 #: The view-sampling period, a setting until the driver took the samples.
 STALE_SAMPLING_KEY = "report" + "_interval"
+#: A value with one setting in use, now a constant of the module reading it.
+STALE_CONSTANT_KEY = "gossip_relay" + "_window"
 
 
 def test_field_census_is_pinned():
@@ -53,11 +46,27 @@ def test_field_census_is_pinned():
 
 
 def test_unknown_settings_key_is_diagnosed():
-    with pytest.raises(ValueError) as excinfo:
-        harness_for("rapid", seed=1, settings={STALE_KEY: "gossip", "k": 4})
-    message = str(excinfo.value)
-    assert STALE_KEY in message
-    assert "gossip_threshold" in message  # the valid fields are listed
+    for stale in (STALE_KEY, STALE_CONSTANT_KEY):
+        with pytest.raises(ValueError) as excinfo:
+            harness_for("rapid", seed=1, settings={stale: 0.0, "k": 4})
+        message = str(excinfo.value)
+        assert stale in message
+        assert "gossip_threshold" in message  # the valid fields are listed
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"k": 4, "h": 5}, {"h": 2, "l": 3}, {"l": 0}],
+    ids=["h_above_k", "l_above_h", "l_zero"],
+)
+def test_watermarks_out_of_order_are_rejected(overrides):
+    with pytest.raises(ValueError, match="1 <= L <= H <= K"):
+        RapidSettings.from_overrides(overrides)
+
+
+def test_gossip_threshold_must_be_positive():
+    with pytest.raises(ValueError, match="gossip_threshold"):
+        RapidSettings.from_overrides({"gossip_threshold": 0})
 
 
 def test_known_settings_dict_still_builds():
