@@ -1354,8 +1354,10 @@ class RapidNode(ClusterMember):
         self._dispatch[GossipBundle] = self.broadcaster.handle
         self._dispatch[BatchedAlerts] = self._on_batched_alerts
         self._dispatch[PreJoinRequest] = self.desk.on_pre_join_request
-        for message in CONSENSUS_MESSAGES:
-            self._dispatch[message] = self.decider.on_consensus
+        # One bound method shared by every consensus message class.
+        self._dispatch.update(
+            dict.fromkeys(CONSENSUS_MESSAGES, self.decider.on_consensus)
+        )
 
     def start(self) -> None:
         """Boot the node: become a fresh cluster seed, or join via seeds."""

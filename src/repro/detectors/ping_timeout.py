@@ -18,10 +18,11 @@ __all__ = ["PingTimeoutDetector"]
 class PingTimeoutDetector(EdgeFailureDetector):
     """Sliding-window failure-fraction detector.
 
-    The window is a fixed-size ring buffer of booleans (array-backed, no
-    per-outcome allocation) with an incrementally maintained failure
-    count: the membership layer's probe wheel feeds one outcome per
-    subject per ``probe_interval``, so updates must be O(1).
+    The window is one ``int`` bit history (bit 0 the newest outcome, a set
+    bit a failure) with an incrementally maintained failure count: the
+    membership layer's probe wheel feeds one outcome per subject per
+    ``probe_interval``, so updates must be O(1); and every observer keeps
+    K detectors, so the window is one small int rather than a list.
 
     Parameters
     ----------
@@ -36,13 +37,13 @@ class PingTimeoutDetector(EdgeFailureDetector):
         ``window``.
     """
 
-    __slots__ = ("window", "threshold", "min_samples", "_ring", "_pos",
+    __slots__ = ("window", "threshold", "min_samples", "_history",
                  "_count", "_failures", "_failed")
 
     def __init__(
         self, window: int = 10, threshold: float = 0.4, min_samples: int = 4
     ) -> None:
-        """Validate parameters and allocate the outcome ring."""
+        """Validate parameters and start an empty window."""
         if window < 1:
             raise ValueError("window must be positive")
         if not 0.0 < threshold <= 1.0:
@@ -50,27 +51,27 @@ class PingTimeoutDetector(EdgeFailureDetector):
         self.window = window
         self.threshold = threshold
         self.min_samples = min(min_samples, window)
-        # Ring of the last `window` outcomes (True = success); `_count`
-        # grows to `window` then sticks, `_failures` tracks False entries.
-        self._ring: list[bool] = [True] * window
-        self._pos = 0
+        # The last `window` outcomes as bits (1 = failure, newest lowest);
+        # `_count` grows to `window` then sticks, `_failures` counts set bits.
+        self._history = 0
         self._count = 0
         self._failures = 0
         self._failed = False
 
     def _observe(self, ok: bool) -> None:
-        """Record one outcome: O(1) ring overwrite + count maintenance."""
-        ring = self._ring
-        pos = self._pos
-        if self._count == self.window:
-            if not ring[pos]:
+        """Record one outcome: O(1) shift-in, shift-out + count maintenance."""
+        window = self.window
+        history = self._history << 1
+        if not ok:
+            history |= 1
+            self._failures += 1
+        if self._count == window:
+            if history >> window:  # the oldest outcome, shifted out, failed
                 self._failures -= 1
+                history &= (1 << window) - 1
         else:
             self._count += 1
-        ring[pos] = ok
-        if not ok:
-            self._failures += 1
-        self._pos = (pos + 1) % self.window
+        self._history = history
         if self._failed or self._count < self.min_samples:
             return
         if self._failures / self._count >= self.threshold:

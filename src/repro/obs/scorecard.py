@@ -20,7 +20,12 @@ second after fault onset, scoring:
 
 Sampling is identity-aware: agents whose ``view()`` returns a cached tuple
 (Rapid's config members, SWIM's view cache) skip the set-diff entirely on
-quiet seconds, so the scorecard adds negligible cost at n=1000.
+quiet seconds, so the scorecard adds negligible cost at n=1000.  When a
+sample finds a new view, the member set is built once per view *object*
+and shared by every observer that reports that object: in a Rapid
+cluster every observer holds the same interned ``Configuration.members``
+tuple, so the scorecard holds one set per view and per sample that first
+saw it, not one per observer.
 """
 
 from __future__ import annotations
@@ -102,12 +107,18 @@ class StabilityScorecard:
     def _sample(self) -> None:
         now = self.engine.now
         faulty = self.faulty
+        # This sample's member sets, by id of the view object each was
+        # built from; that object stays in _prev_raw for the rest of the
+        # sample, so its id cannot be reused before the sample ends.
+        sets: dict[int, frozenset] = {}
         for ep, view_fn in self._observers():
             raw = tuple(view_fn())
             prev_raw = self._prev_raw.get(ep)
             if prev_raw is not None and (raw is prev_raw or raw == prev_raw):
                 continue
-            view = frozenset(raw)
+            view = sets.get(id(raw))
+            if view is None:
+                view = sets[id(raw)] = frozenset(raw)
             self._prev_raw[ep] = raw
             prev = self._prev_set.get(ep)
             self._prev_set[ep] = view

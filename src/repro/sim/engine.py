@@ -26,7 +26,10 @@ benchmark run, so constant factors dominate):
   and when tombstones outnumber live heap entries the heap is compacted
   in one O(n) pass instead of churning through lazy pops.  This keeps
   cancel-heavy phases (a view change cancels every node's consensus
-  timers at once) cheap.
+  timers at once) cheap.  Cancelling drops the callback and its
+  arguments, so a tombstone pins nothing: a replaced consensus instance
+  whose fallback timer was due minutes later is freed at once, not when
+  the heap reaches that timer.
 """
 
 from __future__ import annotations
@@ -66,10 +69,15 @@ class EventHandle:
         self._engine = engine
 
     def cancel(self) -> None:
-        """Cancel the event if it has not fired yet (idempotent)."""
+        """Cancel the event if it has not fired yet (idempotent).
+
+        The callback and its arguments are dropped: neither :meth:`Engine.run`
+        nor compaction reads them from a tombstone.
+        """
         event = self._event
         if not event.cancelled:
             event.cancelled = True
+            event.fn = event.args = None
             if not event.fired:
                 self._engine._note_cancel()
 

@@ -2,9 +2,9 @@
 
 The network delivers messages between registered endpoints with a sampled
 one-way latency, subject to the fault rules installed (see
-:mod:`repro.sim.faults`).  Every send/receive is accounted in per-second
-buckets per endpoint, which is how the Table 2 bandwidth reproduction
-measures mean/p99/max KB/s per process.
+:mod:`repro.sim.faults`).  Every send/receive is accounted per endpoint in
+a packed series of bytes per whole second, which is how the Table 2
+bandwidth reproduction measures mean/p99/max KB/s per process.
 
 Semantics are datagram-like (no connections, no delivery guarantee, no
 ordering guarantee across messages — latency sampling can reorder), matching
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from array import array
 from typing import Any, Callable, Optional, Sequence
 
 from repro.core.messages import GossipEnvelope, ViewSnapshot, VoteBundle, VotePull
@@ -235,10 +236,13 @@ class Network:
         self._loss_rng = child_rng(seed, "network", "loss")
         self._delay_rng = child_rng(seed, "network", "delay")
         self._adversary_rng = child_rng(seed, "network", "adversary")
-        # Per-second buckets: {endpoint: {second: [tx_bytes, rx_bytes]}}.
-        # Plain nested dicts with int keys — this is touched on every
-        # send/deliver, so no defaultdict factories on the hot path.
-        self.buckets: dict[Endpoint, dict[int, list[int]]] = {}
+        #: Bytes sent / received per whole virtual second: one packed
+        #: ``array('q')`` per endpoint and direction, indexed by the
+        #: second (8 B per endpoint-second; seconds before the first
+        #: traffic read as zero).  Touched on every send and delivery, so
+        #: an update is one dict lookup and one indexed add.
+        self.tx_per_second: dict[Endpoint, array] = {}
+        self.rx_per_second: dict[Endpoint, array] = {}
         #: Messages accepted for transmission per message class (gossip
         #: envelopes keyed by payload class); deterministic, harvested
         #: into benchmark reports as ``messages.by_class``.
@@ -385,7 +389,7 @@ class Network:
         fault-rule drops still apply — but the O(N) unicast storm a
         cluster-wide broadcast produces is collapsed onto the fast path:
         the message is sized once, transmit accounting is batched into a
-        single bucket update, the one-way latency is sampled once, and
+        single per-second update, the one-way latency is sampled once, and
         all surviving copies are delivered by a single engine event
         instead of N heap entries.
 
@@ -520,11 +524,11 @@ class Network:
         self, src: Endpoint, dsts: list, msg: Any, size: int
     ) -> None:
         # Receive accounting is inlined and the fabric-wide counters are
-        # batched across the fan-out; per-endpoint buckets still update
+        # batched across the fan-out; per-endpoint series still update
         # individually (they key Table 2).
         handlers = self._handlers
         crashed = self._crashed
-        buckets_map = self.buckets
+        rx_map = self.rx_per_second
         second = int(self.engine.now)
         delivered = 0
         dropped = 0
@@ -533,14 +537,10 @@ class Network:
             if handler is None or dst in crashed:
                 dropped += 1
                 continue
-            buckets = buckets_map.get(dst)
-            if buckets is None:
-                buckets = buckets_map[dst] = {}
-            bucket = buckets.get(second)
-            if bucket is None:
-                buckets[second] = [0, size]
-            else:
-                bucket[1] += size
+            series = rx_map.get(dst)
+            if series is None or len(series) <= second:
+                series = _series_through(rx_map, dst, second)
+            series[second] += size
             delivered += 1
             handler(src, msg)
         if dropped:
@@ -550,28 +550,20 @@ class Network:
             self._rx_bytes_counter.inc(size * delivered)
 
     def _account_tx(self, addr: Endpoint, size: int, messages: int) -> None:
-        buckets = self.buckets.get(addr)
-        if buckets is None:
-            buckets = self.buckets[addr] = {}
         second = int(self.engine.now)
-        bucket = buckets.get(second)
-        if bucket is None:
-            buckets[second] = [size, 0]
-        else:
-            bucket[0] += size
+        series = self.tx_per_second.get(addr)
+        if series is None or len(series) <= second:
+            series = _series_through(self.tx_per_second, addr, second)
+        series[second] += size
         self._sent_counter.inc(messages)
         self._tx_bytes_counter.inc(size)
 
     def _account_rx(self, addr: Endpoint, size: int) -> None:
-        buckets = self.buckets.get(addr)
-        if buckets is None:
-            buckets = self.buckets[addr] = {}
         second = int(self.engine.now)
-        bucket = buckets.get(second)
-        if bucket is None:
-            buckets[second] = [0, size]
-        else:
-            bucket[1] += size
+        series = self.rx_per_second.get(addr)
+        if series is None or len(series) <= second:
+            series = _series_through(self.rx_per_second, addr, second)
+        series[second] += size
         self._rx_bytes_counter.inc(size)
 
     # -------------------------------------------------------------- reporting
@@ -590,7 +582,24 @@ class Network:
         """
         stop = math.ceil(end if end is not None else self.engine.now)
         begin = int(start)
-        buckets = self.buckets.get(addr, {})
-        tx = [buckets.get(s, (0, 0))[0] / 1024.0 for s in range(begin, stop)]
-        rx = [buckets.get(s, (0, 0))[1] / 1024.0 for s in range(begin, stop)]
-        return tx, rx
+        return (
+            _kb_per_second(self.tx_per_second.get(addr, ()), begin, stop),
+            _kb_per_second(self.rx_per_second.get(addr, ()), begin, stop),
+        )
+
+
+def _series_through(series_map: dict, addr: Endpoint, second: int) -> array:
+    """``addr``'s per-second series, zero-extended to cover ``second``."""
+    series = series_map.get(addr)
+    if series is None:
+        series = series_map[addr] = array("q")
+    series.frombytes(bytes(series.itemsize * (second + 1 - len(series))))
+    return series
+
+
+def _kb_per_second(series, begin: int, stop: int) -> list[float]:
+    """KB in each second of ``[begin, stop)``; zero outside the series."""
+    known = len(series)
+    return [
+        (series[s] if 0 <= s < known else 0) / 1024.0 for s in range(begin, stop)
+    ]

@@ -16,8 +16,10 @@ time.  Pins the properties the dissemination overhaul claims:
   hashes back to the id, and nothing malformed raises.
 """
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -408,6 +410,32 @@ class TestLaggardRepair:
         installs = {r.endpoint: r.time for r in harness.trace.records[start:]}
         rest = max(t for ep, t in installs.items() if ep != deaf.addr)
         assert installs[deaf.addr] - rest <= harness.settings.gossip_interval + 0.01
+        assert harness.ledger.report()["ok"] is True
+
+
+class TestReplacedInstances:
+    def test_no_replaced_instance_survives_a_gossip_view_change(self):
+        """Installing a view cancels the old instance's gossip timer and
+        its fallback timer, due up to ``consensus_fallback_timeout +
+        consensus_rank_delay * index`` later; nothing else holds the
+        instance, so it is garbage as soon as the new view is in."""
+        harness = harness_for("rapid", seed=1, settings=gossip_settings())
+        endpoints = harness.bootstrap(16, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(16, timeout=120.0) is not None
+        harness.run_for(2.0)
+        assert harness.settings.use_gossip(16)
+        survivors = [ep for ep in endpoints if ep != endpoints[3]]
+        replaced = {
+            ep: weakref.ref(harness.agents[ep].decider.consensus) for ep in survivors
+        }
+        harness.crash([endpoints[3]])
+        assert harness.run_until_converged(15, timeout=120.0) is not None
+        assert all(
+            harness.agents[ep].decider.consensus is not ref()
+            for ep, ref in replaced.items()
+        )
+        gc.collect()
+        assert [ep for ep, ref in replaced.items() if ref() is not None] == []
         assert harness.ledger.report()["ok"] is True
 
 

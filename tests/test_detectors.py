@@ -9,6 +9,7 @@ detectors standalone, the way a custom ``detector_factory`` consumer would.
 """
 
 import math
+import random
 
 import pytest
 
@@ -98,6 +99,69 @@ class TestPingTimeoutWindow:
         for i in range(3):
             d.on_probe_failure(float(i))
         assert d.failed()  # min_samples acts as 3, not 10
+
+
+class ListWindowDetector:
+    """The list-backed window :class:`PingTimeoutDetector` kept before its
+    window became one int: a ring of ``window`` booleans, an incremental
+    failure count and a latch.  The reference the differential runs
+    against."""
+
+    def __init__(self, window=10, threshold=0.4, min_samples=4):
+        self.window = window
+        self.threshold = threshold
+        self.min_samples = min(min_samples, window)
+        self.ring = [True] * window
+        self.pos = 0
+        self.count = 0
+        self.failures = 0
+        self.verdict = False
+
+    def observe(self, ok):
+        if self.count == self.window:
+            if not self.ring[self.pos]:
+                self.failures -= 1
+        else:
+            self.count += 1
+        self.ring[self.pos] = ok
+        if not ok:
+            self.failures += 1
+        self.pos = (self.pos + 1) % self.window
+        if self.verdict or self.count < self.min_samples:
+            return
+        if self.failures / self.count >= self.threshold:
+            self.verdict = True
+
+
+class TestPingTimeoutBitHistory:
+    def test_matches_the_list_window_on_1000_seeded_streams(self):
+        """Same verdict after every outcome, and the same failure count,
+        for random parameters and failure rates."""
+        for seed in range(1000):
+            rng = random.Random(seed)
+            params = dict(
+                window=rng.randint(1, 70),
+                threshold=rng.choice((0.1, 0.25, 0.4, 0.5, 0.75, 1.0)),
+                min_samples=rng.randint(0, 20),
+            )
+            loss = rng.random()
+            d, ref = PingTimeoutDetector(**params), ListWindowDetector(**params)
+            for i in range(rng.randint(1, 200)):
+                ok = rng.random() >= loss
+                if ok:
+                    d.on_probe_success(float(i), 0.001)
+                else:
+                    d.on_probe_failure(float(i))
+                ref.observe(ok)
+                assert d.failed() == ref.verdict, (seed, params, i)
+                assert d._failures == ref.failures, (seed, params, i)
+
+    def test_history_holds_only_the_window(self):
+        d = PingTimeoutDetector(window=10, threshold=1.0, min_samples=10)
+        for i in range(1000):
+            d.on_probe_failure(float(i))
+        assert d._history == (1 << 10) - 1
+        assert d._failures == 10
 
 
 class TestPhiAccrual:

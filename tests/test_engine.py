@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Engine
@@ -329,6 +332,26 @@ class TestTombstones:
         handle.cancel()
         assert engine.pending == 0
         assert engine.pending_live == 0
+
+    def test_a_tombstone_pins_neither_callback_owner_nor_arguments(self):
+        """A consensus instance cancels its own far-off fallback timer when
+        a view replaces it; the queued tombstone must not keep it alive."""
+
+        class Owner:
+            def fire(self, payload):
+                raise AssertionError("cancelled")
+
+        engine = Engine()
+        owner, payload = Owner(), Owner()
+        owner.timer = engine.schedule(300.0, owner.fire, payload)
+        refs = weakref.ref(owner), weakref.ref(payload)
+        owner.timer.cancel()
+        del owner, payload
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert engine.pending == 1  # still queued, below the compaction floor
+        engine.run()
+        assert engine.pending == 0 and engine.events_processed == 0
 
 
 class TestRunUntilClock:

@@ -10,9 +10,10 @@ and ``Network.send``/``broadcast`` are measured there
 (``sim.network.ns_per_wire_size``, ``sim.engine.ns_per_event`` /
 ``ns_per_timer``, ``sim.network.ns_per_send`` / ``ns_per_broadcast_dst``).
 
-Two memory floors ride along under the same opt-in (``tracemalloc`` makes
-them ~10 s per mass join): live heap per member must not grow with N, and
-what a decider holds per joiner while admitting stays a few machine words.
+Three memory floors ride along under the same opt-in (``tracemalloc`` makes
+them ~10 s per mass join): live heap per member must not grow with N, what
+a decider holds per joiner while admitting stays a few machine words, and
+a view change leaves no replaced consensus instance behind.
 """
 
 import gc
@@ -104,6 +105,31 @@ def live_heap_per_member(n: int) -> float:
     return mass_join_heap(n)[1] / n
 
 
+def view_change_residue_per_member(n: int) -> float:
+    """Traced bytes per survivor that one gossip-mode view change (one
+    crash) leaves live, measured from a heap settled past every bootstrap
+    fallback timer to the moment the last survivor installs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        harness = RapidHarness(seed=1, settings=RapidSettings(gossip_threshold=1))
+        endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=8.0)
+        assert harness.run_until_converged(n) is not None
+        settings = harness.settings
+        harness.run_for(
+            settings.consensus_fallback_timeout + settings.consensus_rank_delay * n
+        )
+        gc.collect()
+        before, _ = tracemalloc.get_traced_memory()
+        harness.crash(endpoints[-1:])
+        assert harness.run_until_converged(n - 1) is not None
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (after - before) / (n - 1)
+
+
 class TestMemory:
     def test_live_heap_per_member_is_flat_in_n(self):
         """Per-view state (the ``Configuration``, its member set, index and
@@ -132,3 +158,13 @@ class TestMemory:
             f"{transient:.0f} B per decider per joiner "
             f"(peak {peak / 1e6:.1f} MB, settled {live / 1e6:.1f} MB)"
         )
+
+    def test_a_view_change_leaves_no_replaced_instance_live(self):
+        """Installing a view cancels the old consensus instance's timers;
+        the fallback one is due up to ``consensus_fallback_timeout +
+        consensus_rank_delay * index`` later.  A tombstone that kept its
+        callback pinned the whole instance (votes, bodies, per-peer gossip
+        ledger) until then: ~11 KB per member at n=64.  Released, what is
+        left is ~0.5 KB."""
+        residue = view_change_residue_per_member(64)
+        assert residue < 2000, f"{residue:.0f} B per member left by one view change"

@@ -1,5 +1,6 @@
 """Tests for the simulated network fabric: accounting, broadcast, rates."""
 
+from array import array
 from dataclasses import dataclass
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from repro.core.messages import Probe
 from repro.core.node_id import Endpoint
 from repro.sim.engine import Engine
-from repro.sim.faults import EgressLoss, IngressLoss
+from repro.sim.faults import Duplicate, EgressDelay, EgressLoss, IngressLoss
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, wire_size
 
@@ -22,9 +23,11 @@ def endpoints(n: int):
 
 
 def byte_totals(network, ep):
-    """``(tx, rx)`` bytes of ``ep``, summed over its per-second buckets."""
-    rows = network.buckets.get(ep, {}).values()
-    return sum(row[0] for row in rows), sum(row[1] for row in rows)
+    """``(tx, rx)`` bytes of ``ep``, summed over its per-second series."""
+    return (
+        sum(network.tx_per_second.get(ep, ())),
+        sum(network.rx_per_second.get(ep, ())),
+    )
 
 
 class TestSend:
@@ -103,6 +106,27 @@ class TestFailStop:
         assert network.received_bytes == wire_size(msg)
         assert byte_totals(network, victim) == (0, 0)
         assert byte_totals(network, nobody) == (0, 0)
+
+
+class TestRules:
+    def test_remove_rule_uninstalls_each_kind(self):
+        """Drop, delay and adversary rules live on three lists; removing
+        one takes it off its own list and leaves traffic untouched."""
+        engine, network = make_network()
+        a, b = endpoints(2)
+        got = []
+        network.register(a, lambda s, m: None)
+        network.register(b, lambda s, m: got.append(engine.now))
+        for rule in (
+            EgressLoss(nodes=frozenset({a}), probability=1.0),
+            EgressDelay(nodes=frozenset({a}), delay=5.0),
+            Duplicate(probability=1.0),
+        ):
+            network.remove_rule(network.add_rule(rule))
+        network.send(a, b, Probe(sender=a, config_id=1, seq=1))
+        engine.run()
+        assert got == [pytest.approx(0.001)]
+        assert network.dropped_messages == 0
 
 
 class TestSizing:
@@ -216,6 +240,29 @@ class TestPerSecondRates:
         tx, rx = network.per_second_rates(a, end=engine.now)
         assert len(tx) == 3  # seconds 0, 1, and the partial 2.x
         assert tx[2] == pytest.approx(wire_size(msg) / 1024.0)
+
+    def test_series_are_packed_bytes_per_whole_second(self):
+        engine, network = make_network()
+        a, b, c = endpoints(3)
+        for ep in (a, b, c):
+            network.register(ep, lambda s, m: None)
+        msg = Probe(sender=a, config_id=1, seq=1)
+        size = wire_size(msg)
+        engine.run(until=0.5)
+        network.send(a, b, msg)
+        engine.run(until=3.2)
+        network.broadcast(a, [b, c], msg)
+        engine.run()
+        assert network.tx_per_second[a] == array("q", [size, 0, 0, 2 * size])
+        assert network.rx_per_second[b] == array("q", [size, 0, 0, size])
+        assert network.rx_per_second[c] == array("q", [0, 0, 0, size])
+        assert a not in network.rx_per_second
+        tx, rx = network.per_second_rates(a, start=1.0, end=5.0)
+        assert tx == [0.0, 0.0, 2 * size / 1024.0, 0.0]  # past the series: zero
+        assert rx == [0.0] * 4
+        assert network.per_second_rates(b, start=-1.0, end=1.0)[1] == [
+            0.0, size / 1024.0,
+        ]
 
     def test_whole_second_window_unchanged(self):
         engine, network = make_network()

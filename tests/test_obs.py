@@ -1,10 +1,11 @@
-"""Unit tests for the repro.obs metrics layer."""
+"""Unit tests for the repro.obs metrics layer and stability scorecard."""
 
 import random
 
 import pytest
 
 from repro.analysis.stats import percentile as exact_percentile
+from repro.experiments import scenarios
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -12,6 +13,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRICS,
 )
+from repro.obs.scorecard import StabilityScorecard
+from repro.sim.engine import Engine
 
 
 class TestCounterGauge:
@@ -159,7 +162,7 @@ class TestSimulationDeterminism:
 
     def test_network_counters_match_legacy_accounting(self):
         # The id is historical: the per-endpoint stats it once compared
-        # against are gone; the per-second buckets (Table 2) are the
+        # against are gone; the per-second series (Table 2) are the
         # per-endpoint record the fabric-wide counters must add up to.
         from repro.experiments.scenarios import bootstrap_experiment
 
@@ -168,7 +171,87 @@ class TestSimulationDeterminism:
         snap = harness.metrics.snapshot()
         assert snap["net.messages_delivered"] == network.delivered_messages
         assert snap["net.messages_dropped"] == network.dropped_messages
-        total_tx = sum(
-            tx for seconds in network.buckets.values() for tx, _ in seconds.values()
-        )
+        total_tx = sum(sum(series) for series in network.tx_per_second.values())
         assert snap["net.bytes_sent"] == total_tx
+
+
+class TestScorecardViewSets:
+    """The scorecard keeps one member set per view object a sample finds,
+    shared by every observer reporting that object."""
+
+    def test_one_set_per_distinct_view_object(self):
+        engine = Engine()
+        old, new = ("a", "b", "f"), ("a", "b")
+        state = {"o1": old, "o2": old, "o3": old, "o4": ("f", "b", "a")}
+        card = StabilityScorecard(
+            engine,
+            {ep: (lambda ep=ep: state[ep]) for ep in state},
+            faulty=("f",),
+            fault_start=0.0,
+        )
+        assert not card.faulty_absent_everywhere()  # no sample yet
+        card.start()
+        card.start()  # a second start schedules nothing more
+        engine.run(until=0.5)
+        assert card._prev_set["o1"] is card._prev_set["o2"] is card._prev_set["o3"]
+        assert card._prev_set["o4"] is not card._prev_set["o1"]
+        state.update(o1=new, o2=new, o4=("b", "a", "f"))  # o4: same set, reordered
+        engine.run(until=1.5)
+        assert card._prev_set["o1"] is card._prev_set["o2"]
+        assert card._prev_set["o1"] == frozenset(new)
+        assert card.view_change_events == 2  # o1 and o2; o4's reorder is no change
+        assert len({id(view) for view in card._prev_set.values()}) == 3
+        assert card.faulty_detected_at is None
+
+    def test_a_shared_set_is_scored_once_per_observer(self):
+        """Two observers reporting one view object share its set but each
+        scores its own removals and flaps."""
+        engine = Engine()
+        full, without_b = ("a", "b", "f"), ("a", "f")
+        state = {"view": full}
+        card = StabilityScorecard(
+            engine,
+            {ep: (lambda: state["view"]) for ep in ("o1", "o2")},
+            faulty=("f",),
+            fault_start=0.0,
+        )
+        card.start()
+        for when, view in ((0.5, without_b), (1.5, full), (2.5, without_b)):
+            engine.schedule_at(when, state.update, {"view": view})
+        engine.run(until=3.5)
+        assert card._prev_set["o1"] is card._prev_set["o2"]
+        assert card.healthy_eviction_events == 2  # b, once per observer
+        assert card.flap_events == 4  # back, then gone again, per observer
+        assert card.view_change_events == 6
+
+    @staticmethod
+    def _flip_flop(monkeypatch, per_observer):
+        """The scorecard of a Rapid flip-flop run; ``per_observer`` hands
+        each observer a private copy of its view every sample, so no set
+        can be shared (the computation before sets were shared)."""
+        cards = []
+
+        class Recorded(StabilityScorecard):
+            def __init__(self, engine, views, *args, **kwargs):
+                if per_observer:
+                    views = {ep: (lambda fn=fn: list(fn())) for ep, fn in views.items()}
+                super().__init__(engine, views, *args, **kwargs)
+                cards.append(self)
+
+        monkeypatch.setattr(scenarios, "StabilityScorecard", Recorded)
+        result = scenarios.adversary_experiment(
+            "rapid", 24, profile="flip_flop", seed=1,
+            fault_at=5.0, observe_for=20.0, settle_timeout=60.0,
+        )
+        (card,) = cards
+        return card, result
+
+    def test_shared_sets_report_what_per_observer_sets_report(self, monkeypatch):
+        shared, result = self._flip_flop(monkeypatch, per_observer=False)
+        private, _ = self._flip_flop(monkeypatch, per_observer=True)
+        assert shared.view_change_events > 0 and shared.healthy_eviction_events > 0
+        assert shared.report() == private.report()
+        observers = len(shared._prev_set)
+        assert len({id(view) for view in private._prev_set.values()}) == observers
+        assert len({id(view) for view in shared._prev_set.values()}) < observers
+        assert result["view_change_events"] == shared.view_change_events
