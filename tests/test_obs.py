@@ -192,6 +192,7 @@ class TestScorecardViewSets:
         assert not card.faulty_absent_everywhere()  # no sample yet
         card.start()
         card.start()  # a second start schedules nothing more
+        assert engine.pending == 1
         engine.run(until=0.5)
         assert card._prev_set["o1"] is card._prev_set["o2"] is card._prev_set["o3"]
         assert card._prev_set["o4"] is not card._prev_set["o1"]
