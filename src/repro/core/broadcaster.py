@@ -1,17 +1,22 @@
 """Cluster-wide dissemination substrate.
 
-Rapid broadcasts two kinds of payloads: batched edge alerts and consensus
-vote bundles.  The paper performs both over UDP, with gossip used for the
-counting step.  :class:`Broadcaster` disseminates a payload one of two
-ways, chosen per installed view by its owner (see
+Rapid broadcasts two kinds of payloads: batched edge alerts (paper
+section 4.2) and consensus traffic (section 4.3).  An alert batch must
+reach every member whole and cannot be merged with another in transit,
+so :meth:`Broadcaster.unicast` sends it straight to every member at every
+view size: one message delay and one copy per member, matching the
+reference implementation's default broadcaster.  Consensus traffic goes
+through :meth:`Broadcaster.broadcast`, which disseminates one of two ways,
+chosen per installed view by its owner (see
 :meth:`repro.core.settings.RapidSettings.use_gossip`):
 
-* **unicast** — the sender unicasts the payload to every member.  One
-  message delay, O(N) messages per broadcast from one node, matching the
-  reference implementation's default broadcaster; cheap at small N.
+* **unicast** — the same fan-out to every member; cheap at small N.
 * **gossip** — epidemic "infect and die" relay: the originator sends to
   ``fanout`` random peers; every first-time receiver relays onward while a
   hop budget lasts.  O(log N) latency, per-node fan-out bounded at large N.
+  Vote aggregates merge by OR, and in a gossip view
+  :class:`~repro.core.fast_paxos.FastPaxos` counts them by its own delta
+  gossip, so there the epidemic carries a classical recovery round.
 
 Either way the payload is delivered locally as well, so a node always
 processes its own broadcasts through the same code path as everyone
@@ -83,8 +88,9 @@ class Peers(Sequence):
 class Broadcaster:
     """Deliver a payload to every member of the current view.
 
-    Unicast views fan the bare payload out to the precomputed peer list
-    through the runtime's ``broadcast``.  Gossip views wrap it in a
+    :meth:`unicast` fans the bare payload out to the precomputed peer list
+    through the runtime's ``broadcast``, in every view; :meth:`broadcast`
+    does the same in unicast views.  Gossip views wrap it in a
     :class:`~repro.core.messages.GossipEnvelope` and relay epidemically
     with duplicate suppression and relay batching.  Inbound envelopes are
     relayed whichever way this node currently originates: during a view
@@ -103,11 +109,11 @@ class Broadcaster:
     **Relay batching**: envelopes awaiting a forward are buffered for
     ``GOSSIP_RELAY_WINDOW`` seconds and then relayed together as one
     :class:`~repro.core.messages.GossipBundle` to a single random peer
-    sample.  During broadcast storms — a mass bootstrap emits dozens of
-    alert-batch broadcasts per second, each of which every node forwards
-    once — this collapses k per-envelope relay fan-outs into one timer
-    plus one fan-out, at the cost of up to ``GOSSIP_RELAY_WINDOW`` seconds
-    of added latency per hop.  A node's *own* broadcasts are never delayed.
+    sample.  When several envelopes arrive in one window — the rounds of
+    a classical recovery, or several origins' envelopes at once — this
+    collapses k per-envelope relay fan-outs into one timer plus one
+    fan-out, at the cost of up to ``GOSSIP_RELAY_WINDOW`` seconds of added
+    latency per hop.  A node's *own* broadcasts are never delayed.
     """
 
     def __init__(self, runtime: Runtime, deliver: Deliver, fanout: int = 8) -> None:
@@ -149,11 +155,15 @@ class Broadcaster:
         n = max(2, len(self._members))
         return int(math.ceil(math.log2(n))) + 3
 
+    def unicast(self, payload: Any) -> None:
+        """Send ``payload`` straight to every member, self included."""
+        self.runtime.broadcast(self._peers, payload)
+        self.deliver(self.runtime.addr, payload)
+
     def broadcast(self, payload: Any) -> None:
         """Disseminate ``payload`` to every member, self included."""
         if not self.gossip:
-            self.runtime.broadcast(self._peers, payload)
-            self.deliver(self.runtime.addr, payload)
+            self.unicast(payload)
             return
         # The counter is never reset (not even on view changes) so the
         # (origin, id) dedup key stays unique for the broadcaster's

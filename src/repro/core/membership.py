@@ -929,8 +929,8 @@ class AdmissionDesk:
         # Duplicate JoinRequests (network-level duplication, or a joiner
         # retry racing its own admission) must not re-broadcast the JOIN
         # alert: the cut detector is idempotent per (subject, ring) so
-        # tallies would not move, but every duplicate would trigger a
-        # full gossip storm.  Refresh the pending entry and stop.
+        # tallies would not move, but every duplicate would cost a
+        # fan-out to the whole view.  Refresh the pending entry and stop.
         if self.pending.get(msg.sender) == (msg.uuid, msg.base_config_id):
             return
         self.pending[msg.sender] = (msg.uuid, msg.base_config_id)
@@ -1309,7 +1309,7 @@ class RapidNode(ClusterMember):
     """A member of a decentralized Rapid cluster: the members decide.
 
     A :class:`ClusterMember` plus the deciding role: every alert batch is
-    broadcast to every member, and each member runs cut detection and
+    unicast to every member, and each member runs cut detection and
     votes in the view-change consensus (a :class:`ViewChanger` whose
     acceptors are the members themselves).
 
@@ -1344,7 +1344,7 @@ class RapidNode(ClusterMember):
             on_view_change,
             metadata,
             metrics,
-            publish=self.broadcaster.broadcast,
+            publish=self.broadcaster.unicast,
             on_install=self._on_install_view,
             reinforce=self._reinforce_scan,
             log=self.decider.log,
@@ -1371,8 +1371,9 @@ class RapidNode(ClusterMember):
         self.monitor.start()
 
     def _on_install_view(self, config: Configuration, topology: KRingTopology) -> None:
-        # One decision per view, shared by both disseminators: alerts and
-        # votes travel by gossip in views at or above the threshold.
+        # One decision per view, shared by consensus and the broadcaster
+        # that carries its broadcasts: votes travel by gossip in views at
+        # or above the threshold.  Alert batches are unicast at any size.
         gossip = self.settings.use_gossip(config.size)
         self.broadcaster.set_membership(
             config.members, gossip, config.member_index()

@@ -53,16 +53,17 @@ class RapidSettings:
         Extra per-rank stagger before a node tries to coordinate a classical
         round, so that the lowest-ranked live node usually runs it alone.
     gossip_interval / gossip_fanout:
-        Parameters of the epidemic broadcast used for alert dissemination
-        and consensus vote counting when gossip is active (views of at
-        least ``gossip_threshold`` members).  In smaller views they are
-        the period and fan-out of the pull an undecided voter sends.
+        Parameters of consensus dissemination when gossip is active
+        (views of at least ``gossip_threshold`` members): the period and
+        fan-out of vote counting, and the fan-out of the epidemic relay
+        that carries classical rounds.  In smaller views they are the
+        period and fan-out of the pull an undecided voter sends.
     gossip_threshold:
-        View size at which dissemination switches from unicast broadcast
-        — one message delay, O(N) messages per broadcast — to epidemic
-        gossip, for both alerts and consensus vote counting (see
-        :meth:`use_gossip`).  ``1`` gossips at any size; a threshold above
-        the largest view never does.
+        View size at which consensus dissemination switches from unicast
+        broadcast — one message delay, O(N) messages per broadcast — to
+        gossip (see :meth:`use_gossip`).  ``1`` gossips at any size; a
+        threshold above the largest view never does.  Alert batches are
+        unicast to every member at every size.
     join_timeout:
         Seconds a joiner waits for a join to complete before retrying.
     """
@@ -116,8 +117,9 @@ class RapidSettings:
         """Whether a view of ``n`` members disseminates by gossip.
 
         The one definition of the switch: a node evaluates it once per
-        installed view and hands the answer to both its alert broadcaster
-        and its consensus instance (which also pulls exactly when it
-        gossips).
+        installed view and hands the answer to its consensus instance
+        (which also pulls exactly when it gossips) and to the broadcaster
+        that carries that instance's broadcasts.  Alert batches do not
+        read it: they are unicast to every member at every size.
         """
         return n >= self.gossip_threshold

@@ -8,7 +8,7 @@ bandwidth reproduction measures mean/p99/max KB/s per process.
 
 Semantics are datagram-like (no connections, no delivery guarantee, no
 ordering guarantee across messages — latency sampling can reorder), matching
-the UDP paths Rapid uses for alert gossip and consensus vote counting.
+the UDP paths Rapid uses for alert fan-outs and consensus vote counting.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.broadcaster import GOSSIP_RELAY_WINDOW, Broadcaster, Peers
-from repro.core.messages import GossipBundle, GossipEnvelope
+from repro.core.messages import BatchedAlerts, GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidHarness
@@ -194,6 +194,23 @@ class TestRelayBatching:
         bcast.handle(view[3], bundle)  # replay: every envelope already seen
         assert len(delivered) == 3
 
+    def test_a_view_change_drops_what_is_still_buffered(self):
+        """Buffered envelopes belong to the old view: relaying them after
+        the dedup history is wiped would restart a stale epidemic."""
+        view = members(8)
+        runtime = FakeRuntime(view[0])
+        bcast = Broadcaster(runtime, lambda src, msg: None, fanout=3)
+        bcast.set_membership(view, gossip=True)
+        bcast.handle(
+            view[1],
+            GossipEnvelope(sender=view[1], message_id=1, hops_left=2, payload="p"),
+        )
+        [(_, timer)] = runtime.timers
+        bcast.set_membership(view[:7], gossip=True)
+        assert timer.cancelled
+        runtime.fire_timers()
+        assert runtime.sent == []
+
 
 class TestModePerView:
     def test_mode_follows_each_installed_view(self):
@@ -243,9 +260,10 @@ class TestModePerView:
 
 
 class TestNodeWiring:
-    def test_one_threshold_decision_drives_alerts_and_votes(self):
+    def test_one_threshold_decision_drives_consensus_dissemination(self):
         """A node evaluates ``n >= gossip_threshold`` once per installed
-        view and hands the answer to its broadcaster and its consensus."""
+        view and hands the answer to its consensus instance and to the
+        broadcaster that carries that instance's broadcasts."""
         cluster = RapidHarness(seed=1, settings=RapidSettings(gossip_threshold=4))
         cluster.bootstrap(3, seed_delay=1.0)
         assert cluster.run_until_converged(3, timeout=60) is not None
@@ -257,3 +275,36 @@ class TestNodeWiring:
         for node in cluster.agents.values():
             assert node.broadcaster.gossip
             assert node.decider.consensus.gossip_mode
+
+    def test_alert_batches_are_unicast_in_a_gossip_view(self):
+        """Alert batches leave their announcer as one fan-out to the whole
+        view at every size; the epidemic carries only consensus traffic."""
+        cluster = RapidHarness(seed=1, settings=RapidSettings(gossip_threshold=4))
+        cluster.bootstrap(6, seed_delay=1.0)
+        assert cluster.run_until_converged(6, timeout=60) is not None
+        fan_outs = []
+        network = cluster.network
+        fan_out = network.broadcast
+
+        def spy(src, dsts, msg):
+            if isinstance(msg, BatchedAlerts):
+                fan_outs.append((len(dsts), cluster.agents[src].view_size))
+            fan_out(src, dsts, msg)
+
+        network.broadcast = spy
+        before = network.class_counts["BatchedAlerts"]
+        cluster.crash(cluster.endpoints[-1:])
+        assert cluster.run_until_converged(5, timeout=60) is not None
+        assert fan_outs
+        assert all(sent == size - 1 for sent, size in fan_outs)
+        assert network.class_counts["BatchedAlerts"] - before == sum(
+            sent for sent, _ in fan_outs
+        )
+        assert "GossipEnvelope[BatchedAlerts]" not in network.class_counts
+        live = [cluster.agents[ep] for ep in cluster.live_endpoints()]
+        assert all(node.decider.consensus.gossip_mode for node in live)
+        # A classical round still travels by the epidemic.
+        counts = dict(network.class_counts)
+        live[0].decider.consensus.paxos.start_round(2)
+        assert network.class_counts["GossipEnvelope[Phase1a]"] == len(live) - 1
+        assert network.class_counts.get("Phase1a") == counts.get("Phase1a")

@@ -277,6 +277,20 @@ class TestGossipDissemination:
             assert not node.decided
             assert node.votes[cut_id(proposal)].bit_count() == 8
 
+    def test_voters_of_one_instant_start_counting_at_random_phases(self):
+        """One alert batch reaches a gossip view's members in the same
+        delivery, so they vote in the same instant; their first ticks
+        fall at random phases of the interval, not in lock-step."""
+        settings = gossip_settings()
+        harness = ConsensusHarness(16, settings)
+        now = harness.engine.now
+        proposal = proposal_for(0)
+        for node in harness.nodes.values():
+            node.propose(proposal)
+        ticks = {node._gossip_timer.time for node in harness.nodes.values()}
+        assert len(ticks) > 1
+        assert all(now < t < now + settings.gossip_interval for t in ticks)
+
 
 class TestPullGossip:
     def test_pull_merges_digest_and_replies_with_missing_bits(self):

@@ -24,6 +24,7 @@ from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidHarness
 from repro.sim.cluster import endpoint_for
+from repro.sim.faults import IngressLoss
 from repro.sim.network import Network, wire_size
 
 
@@ -574,6 +575,64 @@ class TestSnapshotSizing:
         assert wire_size(response) > first
 
 
+def strand_one_member(n: int = 16):
+    """A converged cluster that decides one join while a member hears nothing.
+
+    Everything sent to the last member is dropped for one second, which
+    covers the whole view change (the join installs 0.1 s after it
+    starts) but is too short for any detector to suspect an edge.  The
+    member misses the JOIN alerts, the votes and the decision, so it is
+    left ACTIVE on the configuration the others closed, with no vote and
+    nothing alerted, yet still listed in their view.  Returns the harness
+    and the stranded member's endpoint.
+    """
+    cluster = RapidHarness(seed=1)
+    members = cluster.bootstrap(n, seed_delay=1.0)
+    assert cluster.run_until_converged(n, timeout=120.0) is not None
+    cluster.run_for(10.0)
+    stranded = members[-1]
+    now = cluster.engine.now
+    cluster.network.add_rule(
+        IngressLoss(nodes=frozenset({stranded}), start=now, end=now + 1.0)
+    )
+    cluster.add_node(endpoint_for(n), seeds=(members[0],))
+    cluster.run_for(1.0)
+    return cluster, stranded
+
+
+def test_a_member_cut_off_from_one_view_change_is_left_behind_silently():
+    """The state of the stranded-member hole (ROADMAP item 1), reached
+    without a timing race: ACTIVE on a closed configuration, no vote, no
+    pending alert, and still a member of everyone else's view."""
+    cluster, stranded = strand_one_member()
+    node = cluster.agents[stranded]
+    ahead = cluster.agents[cluster.endpoints[0]]
+    assert node.status == NodeStatus.ACTIVE
+    assert node.config.seq == ahead.config.seq - 1
+    assert node.decider.consensus.my_vote is None
+    assert not node.monitor.alerted
+    assert stranded in ahead.config.members
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,  # an InvariantViolation (safety) is a real failure
+    reason="stranded-member liveness bug (ROADMAP item 1)",
+)
+def test_a_stranded_member_catches_up_with_the_cluster():
+    """Known liveness failure, recorded so the correctness PR flips it.
+
+    The stranded member keeps probing and acking the members around it,
+    but nothing on the probe path reads a ``Probe``'s or ``ProbeAck``'s
+    ``config_id``, it has nothing to alert and no vote to pull for, and
+    nobody sends a ``Decision`` where there is silence: it stays on the
+    old view for good.  Expected once fixed: all 17 on one view.
+    """
+    cluster, _ = strand_one_member()
+    assert cluster.run_until_converged(17, timeout=120.0) is not None
+    assert cluster.ledger.report()["ok"] is True
+
+
 @pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
@@ -581,29 +640,27 @@ class TestSnapshotSizing:
     reason="stranded-member liveness bug (ROADMAP item 1)",
 )
 def test_stranded_members_rejoin_the_running_cluster():
-    """Known liveness failure, recorded so the correctness PR flips it.
+    """Known liveness failure at scale, recorded so the correctness PR flips it.
 
-    ``join_churn`` at n=128 with 16 joiners and 8 rejoins, seed 6, never
+    ``join_churn`` at n=128 with 16 joiners and 8 rejoins, seed 11, never
     re-converges within its 180 s churn timeout; the safety ledger stays
-    clean.  Diagnosis: three members install seq 5 at t=12.86, 40 ms
-    *after* the rest of the cluster decided seq 6 (t=12.82).  The seq-6
-    votes and ``Decision`` reached them while they were still on seq 4
-    and were dropped as foreign-configuration traffic.  They stay ACTIVE
-    on the 127-member view for the whole 180 s — still listed in the final
-    144-member view and still acking probes, because nobody compares a
-    ``ProbeAck``'s ``config_id`` — while the cluster runs on to seq 16.
-    One decision cache of one depth (PR 17: laggard repair now reads the
-    32-link ``DecisionLog``) is not enough on its own: two of the three
-    do earn the seq-5 ``Decision`` (t=32.8 and t=37.0, when a JOIN alert
-    they vouch for reaches members that moved on) and install seq 6 —
-    then go silent again, since a fresh view has nothing alerted to
-    re-announce and every subject still acks; the third never speaks.
-    Final state: 141 on seq 17, two on seq 6, one on seq 5.  What is
-    missing is stale-configuration detection on the probe path.
-    Expected end state once fixed: all 144 on one view.
+    clean.  Two members install seq 5 at t=34.06, after the rest of the
+    cluster began installing seq 6 (t=33.98): the seq-6 votes and
+    ``Decision`` reached them while they were still on seq 4 and were
+    dropped as foreign-configuration traffic.  They stay ACTIVE on the
+    136-member seq-5 view, with no vote and nothing alerted, for the whole
+    run — still listed in the final 144-member view and still acking
+    probes — while the cluster runs on to seq 13.  Final state: 142 on
+    seq 13, two on seq 5.  Which seeds strand members moves with any
+    change to dissemination timing: before alert batches were unicast at
+    every view size it was seeds 6 and 14 (seed 6 ended with 142 on seq 15
+    and two on seq 5), and seed 11 converged.
+    ``test_a_stranded_member_catches_up_with_the_cluster`` reaches the
+    same state without a timing race.  Expected end state once fixed: all
+    144 on one view.
     """
     from repro.experiments.scenarios import join_churn_experiment
 
-    result = join_churn_experiment("rapid", 128, joiners=16, rejoins=8, seed=6)
+    result = join_churn_experiment("rapid", 128, joiners=16, rejoins=8, seed=11)
     assert result["harness"].ledger.report()["ok"] is True
     assert result["churn_convergence"] is not None
