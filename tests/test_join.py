@@ -575,17 +575,18 @@ class TestSnapshotSizing:
         assert wire_size(response) > first
 
 
-def strand_one_member(n: int = 16):
+def strand_one_member():
     """A converged cluster that decides one join while a member hears nothing.
 
-    Everything sent to the last member is dropped for one second, which
-    covers the whole view change (the join installs 0.1 s after it
+    Of 16 members, everything sent to the last is dropped for one second,
+    which covers the whole view change (the join installs 0.1 s after it
     starts) but is too short for any detector to suspect an edge.  The
     member misses the JOIN alerts, the votes and the decision, so it is
     left ACTIVE on the configuration the others closed, with no vote and
     nothing alerted, yet still listed in their view.  Returns the harness
     and the stranded member's endpoint.
     """
+    n = 16
     cluster = RapidHarness(seed=1)
     members = cluster.bootstrap(n, seed_delay=1.0)
     assert cluster.run_until_converged(n, timeout=120.0) is not None
@@ -620,7 +621,7 @@ def test_a_member_cut_off_from_one_view_change_is_left_behind_silently():
     reason="stranded-member liveness bug (ROADMAP item 1)",
 )
 def test_a_stranded_member_catches_up_with_the_cluster():
-    """Known liveness failure, recorded so the correctness PR flips it.
+    """Known liveness failure, recorded so that the fix flips it.
 
     The stranded member keeps probing and acking the members around it,
     but nothing on the probe path reads a ``Probe``'s or ``ProbeAck``'s
@@ -629,7 +630,7 @@ def test_a_stranded_member_catches_up_with_the_cluster():
     old view for good.  Expected once fixed: all 17 on one view.
     """
     cluster, _ = strand_one_member()
-    assert cluster.run_until_converged(17, timeout=120.0) is not None
+    assert cluster.run_until_converged(len(cluster.agents), timeout=120.0) is not None
     assert cluster.ledger.report()["ok"] is True
 
 
