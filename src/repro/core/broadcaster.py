@@ -5,9 +5,14 @@ section 4.2) and consensus traffic (section 4.3).  An alert batch must
 reach every member whole and cannot be merged with another in transit,
 so :meth:`Broadcaster.unicast` sends it straight to every member at every
 view size: one message delay and one copy per member, matching the
-reference implementation's default broadcaster.  Consensus traffic goes
-through :meth:`Broadcaster.broadcast`, which disseminates one of two ways,
-chosen per installed view by its owner (see
+reference implementation's default broadcaster.  When hundreds of
+observers announce at once (a healed partition's removals and rejoins)
+this sends more datagrams than the epidemic would, whose relays pack many
+origins' batches into one, but a fraction of the bytes, and no datagram
+is larger than one observer's batch (``docs/ARCHITECTURE.md``, "Alert
+fan-outs at scale").  Consensus traffic goes through
+:meth:`Broadcaster.broadcast`, which disseminates one of two ways, chosen
+per installed view by its owner (see
 :meth:`repro.core.settings.RapidSettings.use_gossip`):
 
 * **unicast** — the same fan-out to every member; cheap at small N.
@@ -113,7 +118,10 @@ class Broadcaster:
     a classical recovery, or several origins' envelopes at once — this
     collapses k per-envelope relay fan-outs into one timer plus one
     fan-out, at the cost of up to ``GOSSIP_RELAY_WINDOW`` seconds of added
-    latency per hop.  A node's *own* broadcasts are never delayed.
+    latency per hop.  A node's *own* broadcasts are never delayed.  A
+    bundle's size is not bounded: a classical round at n=1000 relays every
+    acceptor's ``Phase2b`` and can build bundles past the 65,507-byte
+    datagram limit (ROADMAP item 5).
     """
 
     def __init__(self, runtime: Runtime, deliver: Deliver, fanout: int = 8) -> None:

@@ -653,9 +653,9 @@ def test_stranded_members_rejoin_the_running_cluster():
     run — still listed in the final 144-member view and still acking
     probes — while the cluster runs on to seq 13.  Final state: 142 on
     seq 13, two on seq 5.  Which seeds strand members moves with any
-    change to dissemination timing: before alert batches were unicast at
-    every view size it was seeds 6 and 14 (seed 6 ended with 142 on seq 15
-    and two on seq 5), and seed 11 converged.
+    change to dissemination timing, since the race is between one view
+    change's last deliveries and the next one's first; rescan seeds 1-40
+    after such a change.
     ``test_a_stranded_member_catches_up_with_the_cluster`` reaches the
     same state without a timing race.  Expected end state once fixed: all
     144 on one view.
