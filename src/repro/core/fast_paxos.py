@@ -249,7 +249,6 @@ class FastPaxos:
             config_id=config_id,
             send=runtime.send,
             broadcast=broadcast,
-            on_decide=self._decide,
         )
 
     @staticmethod
@@ -307,7 +306,10 @@ class FastPaxos:
                     self._hold(msg.vvalue)
                 elif isinstance(msg, Phase2a):
                     self._hold(msg.value)
-                self.paxos.handle(src, msg)
+                paxos = self.paxos
+                paxos.handle(src, msg)
+                if paxos.decided:
+                    self._decide(paxos.decision)
 
     def _on_votes(self, msg: VoteBundle) -> None:
         if msg.config_id != self.config_id:

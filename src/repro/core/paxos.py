@@ -86,8 +86,10 @@ class PaxosInstance:
     acceptor set as the view's shared ``{endpoint: position}`` map (read
     only), ``my_index`` this node's position in it — constructing an
     instance for a non-acceptor raises ``KeyError``.  The owner wires
-    ``send`` / ``broadcast`` to the transport and receives the decision via
-    ``on_decide`` exactly once.
+    ``send`` / ``broadcast`` to the transport and, after each
+    :meth:`handle`, reads ``decided`` / ``decision``: the instance holds no
+    reference back to its owner, so a replaced round is freed the moment
+    its owner drops it.
 
     A node's fast-round vote is registered with
     :meth:`register_fast_round_vote` so that Phase1b responses expose it.
@@ -100,7 +102,6 @@ class PaxosInstance:
         config_id: int,
         send: Callable[[Endpoint, object], None],
         broadcast: Callable[[object], None],
-        on_decide: Callable[[Proposal], None],
     ) -> None:
         self.addr = addr
         self.n = len(index)
@@ -108,7 +109,6 @@ class PaxosInstance:
         self.config_id = config_id
         self._send = send
         self._broadcast = broadcast
-        self._on_decide = on_decide
         #: What this node proposes when a recovery finds nothing chosen:
         #: its fast-round vote, else whatever its owner sets.
         self.my_proposal: Proposal = ()
@@ -226,10 +226,6 @@ class PaxosInstance:
         count = counts.get(msg.value, 0) + 1
         counts[msg.value] = count
         if count >= classic_quorum_size(self.n):
-            self._decide(msg.value)
-
-    def _decide(self, value: Proposal) -> None:
-        # Reached once: ``handle`` drops everything after a decision.
-        self.decided = True
-        self.decision = value
-        self._on_decide(value)
+            # Reached once: ``handle`` drops everything after a decision.
+            self.decided = True
+            self.decision = msg.value

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from collections import OrderedDict
+import weakref
 from typing import Iterable
 
 from repro.core.configuration import Configuration
@@ -88,15 +88,17 @@ class KRingTopology:
 
     # ------------------------------------------------------------------ cache
 
-    # Deliberately still a bounded strong LRU, not a weak table like
-    # ``Configuration``'s.  A topology is already one per view — every
-    # node installing a view gets it from here — and the key is the
-    # config *id*, so the cache keeps no Configuration alive.  Held
-    # weakly it would save nothing per member, and a laggard installing a
-    # view its peers have already left would pay the O(NK log N) rebuild
-    # the cache exists to share.
-    _cache: "OrderedDict[tuple, KRingTopology]" = OrderedDict()
-    _CACHE_SIZE = 128
+    # A weak table, like ``Configuration``'s: a topology lives exactly as
+    # long as some process's edge monitor, decider or admission desk holds
+    # it, i.e. while its view is installed somewhere, and dies with the
+    # last install of the next view.  A laggard installs a view its peers
+    # are still leaving, so it finds the topology held.  One ``crash_n256``
+    # repetition builds 38 (37 while the 64-member core grows to 256, one
+    # for the crash's view) and ends holding 2: the 36 views the core grew
+    # through die as they close.
+    _cache: "weakref.WeakValueDictionary[tuple, KRingTopology]" = (
+        weakref.WeakValueDictionary()
+    )
 
     @classmethod
     def for_configuration(cls, config: Configuration, k: int) -> "KRingTopology":
@@ -104,12 +106,7 @@ class KRingTopology:
         key = (config.config_id, k)
         topo = cls._cache.get(key)
         if topo is None:
-            topo = cls(config.members, k)
-            cls._cache[key] = topo
-            if len(cls._cache) > cls._CACHE_SIZE:
-                cls._cache.popitem(last=False)
-        else:
-            cls._cache.move_to_end(key)
+            topo = cls._cache[key] = cls(config.members, k)
         return topo
 
     # ---------------------------------------------------------------- queries

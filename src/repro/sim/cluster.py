@@ -189,13 +189,15 @@ class SimCluster:
 
     def _sample(self, now: float) -> None:
         """Log the view size of every live process that reports one."""
-        sample = self.trace.sample
         runtimes = self.runtimes
-        for ep, agent in self.agents.items():
-            if not runtimes[ep].crashed:
-                size = agent.view_size
-                if size:
-                    sample(ep, now, size)
+        self.trace.sample_all(
+            now,
+            (
+                (ep, size)
+                for ep, agent in self.agents.items()
+                if not runtimes[ep].crashed and (size := agent.view_size)
+            ),
+        )
 
     def converged(self, size: int) -> bool:
         """True when there is a live process and every one reports ``size``."""

@@ -57,9 +57,20 @@ class ViewTrace:
         #: Every view installation across the cluster, in time order.
         self.records: list[ViewChangeRecord] = []
 
-    def sample(self, endpoint: Endpoint, time: float, size: int) -> None:
-        """Log that ``endpoint`` saw a cluster of ``size`` at ``time``."""
-        self.samples[endpoint].append((time, size))
+    def sample_all(self, time: float, sizes: Iterable[tuple[Endpoint, int]]) -> None:
+        """Log that each ``(endpoint, size)`` of ``sizes`` saw a cluster of
+        ``size`` at ``time``.
+
+        The processes reporting one size at one instant share one
+        ``(time, size)`` tuple: a sample costs each of them a list slot.
+        """
+        samples = self.samples
+        shared: dict[int, tuple[float, int]] = {}
+        for endpoint, size in sizes:
+            entry = shared.get(size)
+            if entry is None:
+                entry = shared[size] = (time, size)
+            samples[endpoint].append(entry)
 
     def record(self, time: float, endpoint: Endpoint, config) -> None:
         """Log that ``endpoint`` installed the configuration ``config``.

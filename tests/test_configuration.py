@@ -6,13 +6,14 @@ tuple, member set, index, uuid set, identifier and all — however it learned
 of it: deciding the cut, a full snapshot, a delta, a Rapid-C push.  The
 class is its own weak intern table; these tests pin the door, the sharing
 and the weakness.  The K-ring topology derived from a view is shared the
-same way (a bounded cache keyed by view id); its edge branches are pinned
-at the end.
+same way (a weak table keyed by view id); its lifetime and edge branches
+are pinned at the end.
 """
 
 import copy
 import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -192,18 +193,20 @@ class TestTheTopologyOfAView:
         with pytest.raises(ValueError, match="at least one member"):
             KRingTopology((), 4)
 
-    def test_the_shared_cache_is_bounded_and_evicts_the_oldest_view(self):
-        configs = [
-            Configuration(MEMBERS, UUIDS, seq)
-            for seq in range(1000, 1001 + KRingTopology._CACHE_SIZE)
-        ]
-        first = KRingTopology.for_configuration(configs[0], 4)
-        assert KRingTopology.for_configuration(configs[0], 4) is first
-        for config in configs[1:]:
-            KRingTopology.for_configuration(config, 4)
-        assert len(KRingTopology._cache) == KRingTopology._CACHE_SIZE
-        assert (configs[0].config_id, 4) not in KRingTopology._cache
-        assert KRingTopology.for_configuration(configs[0], 4) is not first
+    def test_a_topology_lives_while_held_and_is_rebuilt(self):
+        config = Configuration(MEMBERS, UUIDS, seq=1000)
+        key = (config.config_id, 4)
+        first = KRingTopology.for_configuration(config, 4)
+        assert KRingTopology.for_configuration(config, 4) is first
+        assert KRingTopology._cache[key] is first
+        dead = weakref.ref(first)
+        del first  # the last holder: freed at once, no collection needed
+        assert dead() is None and key not in KRingTopology._cache
+        rebuilt = KRingTopology.for_configuration(config, 4)
+        assert KRingTopology._cache[key] is rebuilt
+        assert rebuilt.observers_of(MEMBERS[0]) == KRingTopology(
+            MEMBERS, 4
+        ).observers_of(MEMBERS[0])
 
     def test_only_a_member_monitors_subjects(self):
         topology = KRingTopology(MEMBERS, 4)

@@ -23,9 +23,12 @@ import weakref
 
 import pytest
 
+from repro.core.configuration import Configuration
 from repro.core.events import NodeStatus
 from repro.core.fast_paxos import GOSSIP_CONVERGENCE_TICKS, GOSSIP_PULL_FANOUT, FastPaxos
+from repro.core.membership import ViewChanger
 from repro.core.messages import (
+    Alert,
     AlertKind,
     Change,
     Decision,
@@ -40,6 +43,7 @@ from repro.core.messages import (
 )
 from repro.core.node_id import Endpoint
 from repro.core.paxos import PaxosInstance, recovery_threshold, select_recovery_value
+from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import harness_for
 from repro.experiments.scenarios import partition_heal_experiment
@@ -452,6 +456,66 @@ class TestReplacedInstances:
         assert [ep for ep, ref in replaced.items() if ref() is not None] == []
         assert harness.ledger.report()["ok"] is True
 
+    def test_a_replaced_round_is_freed_by_the_reset_that_replaces_it(self):
+        """A round that voted, armed both timers, pushed deltas and answered
+        a classical ``Phase1a`` holds no reference back to itself: the
+        ``reset`` that drops the decider's last reference frees it, with
+        the collector off."""
+        engine = Engine()
+        network = Network(engine, seed=1, latency=ConstantLatency(0.001))
+        members = tuple(endpoint_for(i) for i in range(8))
+        runtime = SimRuntime(engine, network, members[0], seed=1)
+        settings = gossip_settings()
+        changer = ViewChanger(runtime, settings, lambda payload: None, print)
+        config = Configuration.of(members)
+        topology = KRingTopology.for_configuration(config, settings.k)
+        changer.reset(config, topology, gossip=True)
+        changer.on_alert(
+            Alert(members[1], members[3], AlertKind.REMOVE, config.config_id,
+                  tuple(range(settings.k)))
+        )
+        round_ = changer.consensus
+        changer.on_consensus(members[2], Phase1a(members[2], config.config_id, (2, 2)))
+        assert round_.my_vote and round_.paxos.promised_rank == (2, 2)
+        assert not round_.decided
+        replaced = weakref.ref(round_)
+        del round_
+        gc.disable()
+        try:
+            changer.reset(config.apply(make_proposal(
+                [Change(members[3], AlertKind.REMOVE)]
+            )), topology, gossip=True)
+            assert replaced() is None
+        finally:
+            gc.enable()
+
+    def test_a_gossip_run_through_a_join_a_leave_and_a_crash_makes_no_cyclic_garbage(
+        self,
+    ):
+        """Every per-view object dies by reference counting: nothing is
+        left for the collector after views are installed by gossip."""
+        gc.collect()
+        gc.disable()
+        try:
+            harness = harness_for(
+                "rapid", seed=3, settings=RapidSettings(gossip_threshold=8)
+            )
+            endpoints = harness.bootstrap(48, seed_delay=2.0, stagger=8.0)
+            assert harness.run_until_converged(48, timeout=120.0) is not None
+            harness.add_node(endpoint_for(100), seeds=(endpoints[0],))
+            assert harness.run_until_converged(49, timeout=120.0) is not None
+            leaver = harness.agents[endpoints[5]]
+            leaver.leave()
+            harness.run_for(3.0)
+            assert leaver.status == NodeStatus.LEFT
+            assert {harness.agents[ep].view_size for ep in endpoints[:5]} == {48}
+            harness.crash([endpoints[5], endpoints[9]])
+            assert harness.run_until_converged(47, timeout=120.0) is not None
+            assert harness.ledger.report()["ok"] is True
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def drop_first_body(harness, addr, count=1):
     """Lose the first ``count`` messages that carry a cut body to ``addr``."""
@@ -750,19 +814,24 @@ class TestCoordinatorRule:
 
 
 class BarePaxos:
-    """One :class:`PaxosInstance` over ``n`` acceptors, wired to lists."""
+    """One :class:`PaxosInstance` over ``n`` acceptors, its broadcasts
+    wired to a list."""
 
     def __init__(self, n=5, me=0):
         members = tuple(endpoint_for(i) for i in range(n))
-        self.broadcasts, self.decided = [], []
+        self.broadcasts = []
         self.instance = PaxosInstance(
             endpoint_for(me),
             {m: i for i, m in enumerate(members)},
             config_id=1,
             send=lambda dst, msg: None,
             broadcast=self.broadcasts.append,
-            on_decide=self.decided.append,
         )
+
+    @property
+    def decided(self):
+        """The decision read off the instance, as a list of at most one."""
+        return [self.instance.decision] if self.instance.decided else []
 
     def accept(self, i, value, rank=(2, 0)):
         self.instance.handle(endpoint_for(i), Phase2b(endpoint_for(i), 1, rank, value))
