@@ -91,11 +91,13 @@ class KRingTopology:
     # A weak table, like ``Configuration``'s: a topology lives exactly as
     # long as some process's edge monitor, decider or admission desk holds
     # it, i.e. while its view is installed somewhere, and dies with the
-    # last install of the next view.  A laggard installs a view its peers
-    # are still leaving, so it finds the topology held.  One ``crash_n256``
-    # repetition builds 38 (37 while the 64-member core grows to 256, one
-    # for the crash's view) and ends holding 2: the 36 views the core grew
-    # through die as they close.
+    # last install of the next view.  A laggard that installs a view every
+    # other holder has already left rebuilds it; a laggard installing a
+    # view its peers are still leaving finds it held, and every benchmark
+    # workload builds as many topologies as a table that never forgets.
+    # One ``crash_n256`` repetition builds 38 (37 while the 64-member core
+    # grows to 256, one for the crash's view) and ends holding 2: the 36
+    # views the core grew through die as they close.
     _cache: "weakref.WeakValueDictionary[tuple, KRingTopology]" = (
         weakref.WeakValueDictionary()
     )
