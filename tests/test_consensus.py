@@ -466,7 +466,9 @@ class TestReplacedInstances:
         members = tuple(endpoint_for(i) for i in range(8))
         runtime = SimRuntime(engine, network, members[0], seed=1)
         settings = gossip_settings()
-        changer = ViewChanger(runtime, settings, lambda payload: None, print)
+        changer = ViewChanger(
+            runtime, settings, lambda payload: None, lambda *args: None
+        )
         config = Configuration.of(members)
         topology = KRingTopology.for_configuration(config, settings.k)
         changer.reset(config, topology, gossip=True)
@@ -480,11 +482,12 @@ class TestReplacedInstances:
         assert not round_.decided
         replaced = weakref.ref(round_)
         del round_
+        closed = config.apply(make_proposal([Change(members[3], AlertKind.REMOVE)]))
         gc.disable()
         try:
-            changer.reset(config.apply(make_proposal(
-                [Change(members[3], AlertKind.REMOVE)]
-            )), topology, gossip=True)
+            changer.reset(
+                closed, KRingTopology.for_configuration(closed, settings.k), gossip=True
+            )
             assert replaced() is None
         finally:
             gc.enable()

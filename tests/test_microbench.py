@@ -200,4 +200,3 @@ class TestMemory:
         residue, live = one_gossip_view_change(64, collect=False)
         assert live == 0, f"{live} replaced consensus instances still live"
         assert residue < 6000, f"{residue:.0f} B per member left by one view change"
-
