@@ -85,7 +85,11 @@ def test_an_hour_of_churn_keeps_only_what_live_views_hold():
             harness.run_for(checkpoint - harness.engine.now)
             agents = harness.agents.values()
             current = sum(agent.decider.consensus is not None for agent in agents)
-            rounds = sum(isinstance(obj, FastPaxos) for obj in gc.get_objects())
+            ours = {id(runtime) for runtime in harness.runtimes.values()}
+            rounds = sum(
+                isinstance(obj, FastPaxos) and id(obj.runtime) in ours
+                for obj in gc.get_objects()
+            )
             gc.collect()
             heap, _ = tracemalloc.get_traced_memory()
             table = [t for key, t in KRingTopology._cache.items() if key not in elsewhere]
