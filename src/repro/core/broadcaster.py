@@ -1,51 +1,34 @@
-"""Cluster-wide dissemination substrate.
+"""Cluster-wide dissemination: one unicast fan-out.
 
-Rapid broadcasts two kinds of payloads: batched edge alerts (paper
-section 4.2) and consensus traffic (section 4.3).  An alert batch must
-reach every member whole and cannot be merged with another in transit,
-so :meth:`Broadcaster.unicast` sends it straight to every member at every
-view size: one message delay and one copy per member, matching the
-reference implementation's default broadcaster.  When hundreds of
-observers announce at once (a healed partition's removals and rejoins)
-this sends more datagrams than the epidemic would, whose relays pack many
-origins' batches into one, but a fraction of the bytes, and no datagram
-is larger than one observer's batch (``docs/ARCHITECTURE.md``, "Alert
-fan-outs at scale").  Consensus traffic goes through
-:meth:`Broadcaster.broadcast`, which disseminates one of two ways, chosen
-per installed view by its owner (see
-:meth:`repro.core.settings.RapidSettings.use_gossip`):
+Rapid broadcasts two kinds of payloads: batched edge alerts (paper section
+4.2) and consensus traffic (section 4.3).  Both leave the same way at every
+view size: :meth:`Broadcaster.broadcast` hands the payload to the runtime's
+``broadcast`` for every other member — one message delay and one copy per
+member, matching the reference implementation's default broadcaster — and
+then delivers it locally, so a node processes its own broadcasts through
+the same code path as everyone else's.
 
-* **unicast** — the same fan-out to every member; cheap at small N.
-* **gossip** — epidemic "infect and die" relay: the originator sends to
-  ``fanout`` random peers; every first-time receiver relays onward while a
-  hop budget lasts.  O(log N) latency, per-node fan-out bounded at large N.
-  Vote aggregates merge by OR, and in a gossip view
-  :class:`~repro.core.fast_paxos.FastPaxos` counts them by its own delta
-  gossip, so there the epidemic carries a classical recovery round.
-
-Either way the payload is delivered locally as well, so a node always
-processes its own broadcasts through the same code path as everyone
-else's.
+Nothing relays.  How votes travel in a large view is consensus's own
+business: there :class:`~repro.core.fast_paxos.FastPaxos` counts them by
+delta gossip, point to point (``RapidSettings.use_gossip``), and hands this
+fan-out only its classical recovery rounds.  Every datagram is one sender's
+message, so none outgrows what one process composes: an observer's alert
+batch, or a ``Phase2a`` / ``Phase1b`` carrying one cut
+(``docs/ARCHITECTURE.md``, "Alert fan-outs at scale").
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, Optional
 
-from repro.core.messages import GossipBundle, GossipEnvelope
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
 __all__ = ["Broadcaster", "Peers"]
 
 Deliver = Callable[[Endpoint, Any], None]
-
-#: Seconds a node buffers the envelopes it owes a forward before relaying
-#: them as one bundle (see :class:`Broadcaster`, "relay batching").
-GOSSIP_RELAY_WINDOW = 0.05
 
 
 class Peers(Sequence):
@@ -91,145 +74,20 @@ class Peers(Sequence):
 
 
 class Broadcaster:
-    """Deliver a payload to every member of the current view.
+    """Deliver a payload to every member of the current view, self included."""
 
-    :meth:`unicast` fans the bare payload out to the precomputed peer list
-    through the runtime's ``broadcast``, in every view; :meth:`broadcast`
-    does the same in unicast views.  Gossip views wrap it in a
-    :class:`~repro.core.messages.GossipEnvelope` and relay epidemically
-    with duplicate suppression and relay batching.  Inbound envelopes are
-    relayed whichever way this node currently originates: during a view
-    change peers may disagree about the mode for a moment, and an
-    envelope must travel on no matter which side of the threshold this
-    node sits on.
-
-    An envelope lives for ``ceil(log2(N)) + 3`` relays, enough for an
-    epidemic with the default fanout to reach all members with high
-    probability; duplicates are dropped on the ``(origin, message_id)``
-    key, where ``message_id`` is a per-origin sequence number.  The id is
-    deterministic — same-seed runs must replay identically across
-    interpreter invocations, so nothing derived from the builtin
-    ``hash()`` (which varies with ``PYTHONHASHSEED``) may reach the wire.
-
-    **Relay batching**: envelopes awaiting a forward are buffered for
-    ``GOSSIP_RELAY_WINDOW`` seconds and then relayed together as one
-    :class:`~repro.core.messages.GossipBundle` to a single random peer
-    sample.  When several envelopes arrive in one window — the rounds of
-    a classical recovery, or several origins' envelopes at once — this
-    collapses k per-envelope relay fan-outs into one timer plus one
-    fan-out, at the cost of up to ``GOSSIP_RELAY_WINDOW`` seconds of added
-    latency per hop.  A node's *own* broadcasts are never delayed.  A
-    bundle's size is not bounded: a classical round at n=1000 relays every
-    acceptor's ``Phase2b`` and can build bundles past the 65,507-byte
-    datagram limit (ROADMAP item 5).
-    """
-
-    def __init__(self, runtime: Runtime, deliver: Deliver, fanout: int = 8) -> None:
-        """Bind the substrate to ``runtime`` and its delivery callback."""
+    def __init__(self, runtime: Runtime, deliver: Deliver) -> None:
+        """Bind the fan-out to ``runtime`` and its delivery callback."""
         self.runtime = runtime
         self.deliver = deliver
-        self.fanout = fanout
-        #: True when the current view originates broadcasts epidemically.
-        self.gossip = False
-        self._members: tuple = ()
         self._peers: Sequence = ()
-        self._seen: set = set()
-        self._next_id = 0
-        self._relay_buf: list = []
-        self._relay_timer = None
 
-    def set_membership(
-        self, members: Sequence, gossip: bool, index: Optional[dict] = None
-    ) -> None:
-        """Adopt a new view and its dissemination mode.
-
-        Takes the peer list (members minus self, as a :class:`Peers` view;
-        ``index`` as there) and forgets the dedup history.  Envelopes
-        still buffered for relay belong to the old view and are dropped
-        with it — relaying them after ``_seen`` was wiped would make every
-        receiver treat them as first-seen and re-start an epidemic of
-        already-disseminated, now-stale traffic.
-        """
-        self.gossip = gossip
-        self._members = tuple(members)
-        self._peers = Peers(self._members, self.runtime.addr, index)
-        self._seen.clear()
-        self._relay_buf.clear()
-        if self._relay_timer is not None:
-            self._relay_timer.cancel()
-            self._relay_timer = None
-
-    def _hops(self) -> int:
-        n = max(2, len(self._members))
-        return int(math.ceil(math.log2(n))) + 3
-
-    def unicast(self, payload: Any) -> None:
-        """Send ``payload`` straight to every member, self included."""
-        self.runtime.broadcast(self._peers, payload)
-        self.deliver(self.runtime.addr, payload)
+    def set_membership(self, members: tuple, index: Optional[dict] = None) -> None:
+        """Adopt a new view: its members minus this process, as a
+        :class:`Peers` view (``index`` as there)."""
+        self._peers = Peers(members, self.runtime.addr, index)
 
     def broadcast(self, payload: Any) -> None:
-        """Disseminate ``payload`` to every member, self included."""
-        if not self.gossip:
-            self.unicast(payload)
-            return
-        # The counter is never reset (not even on view changes) so the
-        # (origin, id) dedup key stays unique for the broadcaster's
-        # lifetime.
-        self._next_id += 1
-        envelope = GossipEnvelope(
-            sender=self.runtime.addr,
-            message_id=self._next_id,
-            hops_left=self._hops(),
-            payload=payload,
-        )
-        self._seen.add((self.runtime.addr, self._next_id))
+        """Send ``payload`` straight to every member, then deliver it here."""
+        self.runtime.broadcast(self._peers, payload)
         self.deliver(self.runtime.addr, payload)
-        self._relay(envelope)
-
-    def handle(self, src: Endpoint, envelope: Any) -> None:
-        """Process an inbound envelope or relay bundle (dedup + forward)."""
-        if isinstance(envelope, GossipBundle):
-            for inner in envelope.envelopes:
-                self._handle_envelope(inner)
-        else:
-            self._handle_envelope(envelope)
-
-    def _handle_envelope(self, envelope: GossipEnvelope) -> None:
-        key = (envelope.sender, envelope.message_id)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        self.deliver(envelope.sender, envelope.payload)
-        if envelope.hops_left > 0:
-            self._relay_buf.append(
-                GossipEnvelope(
-                    sender=envelope.sender,
-                    message_id=envelope.message_id,
-                    hops_left=envelope.hops_left - 1,
-                    payload=envelope.payload,
-                )
-            )
-            if self._relay_timer is None:
-                self._relay_timer = self.runtime.schedule(
-                    GOSSIP_RELAY_WINDOW, self._flush_relays
-                )
-
-    def _flush_relays(self) -> None:
-        """Forward everything buffered during the window as one bundle."""
-        self._relay_timer = None
-        buf = self._relay_buf  # never empty: filled when the timer is armed
-        if len(buf) == 1:
-            message: Any = buf[0]
-        else:
-            message = GossipBundle(sender=self.runtime.addr, envelopes=tuple(buf))
-        buf.clear()
-        self._relay(message)
-
-    def _relay(self, message: Any) -> None:
-        peers = self._peers
-        if not peers:
-            return
-        count = min(self.fanout, len(peers))
-        self.runtime.broadcast(self.runtime.rng.sample(peers, count), message)
-

@@ -61,10 +61,15 @@ gossip tick until answered — the fallback timer stays armed meanwhile — and
 installs only a body that hashes back to that id.
 
 Because cut detection agrees almost everywhere, the fast path is the common
-case.  If votes conflict or too many are lost, a staggered timeout sends
-nodes into the classical Paxos recovery path (:mod:`repro.core.paxos`),
-seeded with their fast-round votes so the recovery cannot contradict a
-fast-quorum decision.
+case.  If votes conflict or too many are lost, a timeout staggered by
+``CONSENSUS_RANK_DELAY`` per membership index sends nodes into the
+classical Paxos recovery path (:mod:`repro.core.paxos`), seeded with their
+fast-round votes so the recovery cannot contradict a fast-quorum decision.
+Its rounds leave by the owner's ``broadcast``, one unicast fan-out in every
+view, gossip or not.  ``Phase2a`` and ``Phase1b`` carry a whole cut, one
+coordinator's worth per round; the all-to-all ``Phase2b`` names it by id,
+so a majority counted for a cut this node never held is a ``want`` like
+any other.
 
 Laggards whose vote messages were lost are repaired reactively with a
 :class:`~repro.core.messages.Decision` learn message, which this instance
@@ -118,6 +123,11 @@ _COUNTERS = (
 #: once per ``gossip_interval * GOSSIP_CONVERGENCE_TICKS``.
 GOSSIP_CONVERGENCE_TICKS = 5
 
+#: Seconds between the fallback timers of consecutive membership indices:
+#: index ``i`` first coordinates a recovery ``consensus_fallback_timeout +
+#: CONSENSUS_RANK_DELAY * i`` after it voted, so recoveries rarely duel.
+CONSENSUS_RANK_DELAY = 1.0
+
 #: Peers sent a pull digest per stale gossip tick (and per heartbeat after
 #: local convergence); each replies with exactly the vote bits the digest
 #: lacks, or the decision once known.
@@ -160,8 +170,8 @@ class FastPaxos:
         Identifier of the configuration this instance decides for.
     broadcast:
         Cluster-wide dissemination callable (the node's
-        ``Broadcaster.broadcast``): unicast-view aggregates and classical
-        rounds.
+        ``Broadcaster.broadcast``, one unicast fan-out): unicast-view
+        aggregates and classical rounds.
     on_decide:
         Invoked exactly once with the decided proposal.
     gossip:
@@ -307,9 +317,13 @@ class FastPaxos:
                 elif isinstance(msg, Phase2a):
                     self._hold(msg.value)
                 paxos = self.paxos
-                paxos.handle(src, msg)
-                if paxos.decided:
-                    self._decide(paxos.decision)
+                if not paxos.decided:
+                    paxos.handle(src, msg)
+                    if paxos.decided:
+                        # The accept that completed the majority came from
+                        # an acceptor that filed the body from Phase2a.
+                        self._want_from = msg.sender
+                        self._chosen(paxos.decision)
 
     def _on_votes(self, msg: VoteBundle) -> None:
         if msg.config_id != self.config_id:
@@ -476,7 +490,8 @@ class FastPaxos:
 
         Any voter of the cut holds it; one is drawn at random, so the
         retry on the next gossip tick reaches another.  With no voter on
-        record (the id came in a ``Decision``) its sender is asked.
+        record (the id came in a ``Decision`` or a ``Phase2b`` majority) its
+        sender is asked.
         """
         bits = self.votes.get(self._want, 0) & ~(1 << self.paxos.my_index)
         voters = [m for i, m in enumerate(self.members) if bits >> i & 1]
@@ -494,7 +509,7 @@ class FastPaxos:
             return
         delay = (
             self.settings.consensus_fallback_timeout
-            + self.settings.consensus_rank_delay * self.paxos.my_index
+            + CONSENSUS_RANK_DELAY * self.paxos.my_index
         )
         self._fallback_timer = self.runtime.schedule(delay, self._fallback)
 
@@ -519,7 +534,7 @@ class FastPaxos:
         self.paxos.start_round(1 + self._fallback_attempts)
         self._fallback_timer = self.runtime.schedule(
             self.settings.consensus_fallback_timeout
-            + self.settings.consensus_rank_delay * self.paxos.my_index,
+            + CONSENSUS_RANK_DELAY * self.paxos.my_index,
             self._fallback,
         )
 

@@ -55,8 +55,6 @@ from repro.core.messages import (
     AlertKind,
     BatchedAlerts,
     Decision,
-    GossipBundle,
-    GossipEnvelope,
     JoinRequest,
     JoinResponse,
     JoinStatus,
@@ -1127,8 +1125,8 @@ class ClusterMember:
     def on_message(self, src: Endpoint, msg: Any) -> None:
         """Entry point for every inbound message.
 
-        Payloads a broadcaster unwraps (or a node's own broadcasts,
-        delivered locally) come back through here too.
+        A node's own broadcasts, delivered locally, come back through
+        here too.
         """
         handler = self._dispatch.get(type(msg))
         if handler is not None:
@@ -1330,11 +1328,10 @@ class RapidNode(ClusterMember):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         settings = settings or RapidSettings()
-        self.broadcaster = Broadcaster(
-            runtime, self.on_message, fanout=settings.gossip_fanout
-        )
+        self.broadcaster = Broadcaster(runtime, self.on_message)
+        broadcast = self.broadcaster.broadcast
         self.decider = ViewChanger(
-            runtime, settings, self.broadcaster.broadcast, self._on_decide, metrics
+            runtime, settings, broadcast, self._on_decide, metrics
         )
         super().__init__(
             runtime,
@@ -1344,14 +1341,12 @@ class RapidNode(ClusterMember):
             on_view_change,
             metadata,
             metrics,
-            publish=self.broadcaster.unicast,
+            publish=broadcast,
             on_install=self._on_install_view,
             reinforce=self._reinforce_scan,
             log=self.decider.log,
         )
         self._parts.append(self.decider)
-        self._dispatch[GossipEnvelope] = self.broadcaster.handle
-        self._dispatch[GossipBundle] = self.broadcaster.handle
         self._dispatch[BatchedAlerts] = self._on_batched_alerts
         self._dispatch[PreJoinRequest] = self.desk.on_pre_join_request
         # One bound method shared by every consensus message class.
@@ -1371,14 +1366,11 @@ class RapidNode(ClusterMember):
         self.monitor.start()
 
     def _on_install_view(self, config: Configuration, topology: KRingTopology) -> None:
-        # One decision per view, shared by consensus and the broadcaster
-        # that carries its broadcasts: votes travel by gossip in views at
-        # or above the threshold.  Alert batches are unicast at any size.
-        gossip = self.settings.use_gossip(config.size)
-        self.broadcaster.set_membership(
-            config.members, gossip, config.member_index()
-        )
-        self.decider.reset(config, topology, gossip)
+        # Votes travel by gossip in views at or above the threshold;
+        # everything broadcast (alert batches, classical rounds) is one
+        # unicast fan-out at any size.
+        self.broadcaster.set_membership(config.members, config.member_index())
+        self.decider.reset(config, topology, self.settings.use_gossip(config.size))
 
     def _on_batched_alerts(self, src: Endpoint, msg: BatchedAlerts) -> None:
         self.decider.on_alerts(src, msg)

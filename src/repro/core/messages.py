@@ -15,7 +15,7 @@ encodings that a bare ``int`` / ``str`` / ``tuple`` cannot).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Annotated, Optional, Union
+from typing import Annotated, Optional
 
 from repro.core.node_id import Endpoint, stable_hash64
 
@@ -44,8 +44,6 @@ __all__ = [
     "Phase1b",
     "Phase2a",
     "Phase2b",
-    "GossipEnvelope",
-    "GossipBundle",
     "ViewProbe",
     "ViewUpdate",
     "JoinStatus",
@@ -406,52 +404,15 @@ class Phase2a:
 
 @dataclass(frozen=True)
 class Phase2b:
-    """Acceptor accept acknowledgement; a majority of identical ranks
-    decides."""
+    """Acceptor accept acknowledgement; a majority naming one cut at one
+    rank decides.  The cut goes by its :func:`cut_id`, like a vote: every
+    acceptor filed the body from the :class:`Phase2a`, so an all-to-all
+    accept round is fixed-size datagrams however large the cut."""
 
     sender: Endpoint
     config_id: U64
     rank: Rank
-    value: Proposal = ()
-
-
-# ----------------------------------------------------------------- gossip
-
-#: What the broadcaster wraps for epidemic dissemination: alert batches,
-#: vote aggregates and the classical-Paxos rounds.  On the wire the
-#: payload is the class's tag byte followed by its fields.
-GossipPayload = Union[BatchedAlerts, VoteBundle, Phase1a, Phase2a, Phase2b]
-
-
-@dataclass(frozen=True)
-class GossipEnvelope:
-    """Epidemic broadcast wrapper: payload plus dedup id and hop budget.
-
-    ``message_id`` is a per-origin sequence number; receivers deduplicate
-    on ``(sender, message_id)``.  It is deterministic by construction so
-    same-seed simulations replay identically regardless of
-    ``PYTHONHASHSEED``.
-    """
-
-    sender: Endpoint
-    message_id: int
-    hops_left: int
-    payload: GossipPayload = None
-
-
-@dataclass(frozen=True)
-class GossipBundle:
-    """Several relayed envelopes coalesced into one datagram.
-
-    A relaying node that received multiple first-seen envelopes within
-    its relay window forwards them together — one message (and one
-    delivery event) per peer instead of one per envelope.  ``sender`` is
-    the relayer; each inner envelope keeps its own origin, dedup id, and
-    hop budget, so bundling is invisible to the epidemic's semantics.
-    """
-
-    sender: Endpoint
-    envelopes: tuple[GossipEnvelope, ...] = ()
+    cut_id: U64
 
 
 # ------------------------------------------------- logically centralized

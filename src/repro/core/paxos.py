@@ -23,6 +23,7 @@ from repro.core.messages import (
     Phase2a,
     Phase2b,
     Proposal,
+    cut_id,
 )
 from repro.core.node_id import Endpoint
 
@@ -89,7 +90,9 @@ class PaxosInstance:
     ``send`` / ``broadcast`` to the transport and, after each
     :meth:`handle`, reads ``decided`` / ``decision``: the instance holds no
     reference back to its owner, so a replaced round is freed the moment
-    its owner drops it.
+    its owner drops it.  Accepts name their value by its
+    :func:`~repro.core.messages.cut_id`, so ``decision`` is an id; the body
+    is what the owner filed from ``Phase2a`` / ``Phase1b``, or fetches.
 
     A node's fast-round vote is registered with
     :meth:`register_fast_round_vote` so that Phase1b responses expose it.
@@ -120,11 +123,12 @@ class PaxosInstance:
         self._phase1b: dict[tuple, list] = {}
         self._phase1b_senders: dict[tuple, set] = {}
         self._phase2b: dict[tuple, dict] = {}
-        # Per-rank {value: acceptor count}, maintained incrementally so a
+        # Per-rank {cut id: acceptor count}, maintained incrementally so a
         # recovery at large N never rescans the acceptor map per message.
         self._phase2b_counts: dict[tuple, dict] = {}
         self.decided = False
-        self.decision: Optional[Proposal] = None
+        #: The id of the decided cut.
+        self.decision: Optional[int] = None
 
     # -------------------------------------------------------------- fast link
 
@@ -210,22 +214,23 @@ class PaxosInstance:
                     sender=self.addr,
                     config_id=self.config_id,
                     rank=msg.rank,
-                    value=msg.value,
+                    cut_id=cut_id(msg.value),
                 )
             )
 
     def _on_phase2b(self, src: Endpoint, msg: Phase2b) -> None:
         votes = self._phase2b.setdefault(msg.rank, {})
         counts = self._phase2b_counts.setdefault(msg.rank, {})
+        cid = msg.cut_id
         previous = votes.get(msg.sender)
         if previous is not None:
-            if previous == msg.value:
+            if previous == cid:
                 return  # duplicate accept; the count already includes it
             counts[previous] -= 1
-        votes[msg.sender] = msg.value
-        count = counts.get(msg.value, 0) + 1
-        counts[msg.value] = count
+        votes[msg.sender] = cid
+        count = counts.get(cid, 0) + 1
+        counts[cid] = count
         if count >= classic_quorum_size(self.n):
             # Reached once: ``handle`` drops everything after a decision.
             self.decided = True
-            self.decision = msg.value
+            self.decision = cid

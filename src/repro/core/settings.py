@@ -48,22 +48,20 @@ class RapidSettings:
         message, like the reference implementation.
     consensus_fallback_timeout:
         Base seconds to wait for a fast-path decision before falling back to
-        classical Paxos.
-    consensus_rank_delay:
-        Extra per-rank stagger before a node tries to coordinate a classical
-        round, so that the lowest-ranked live node usually runs it alone.
+        classical Paxos; each membership index waits
+        :data:`~repro.core.fast_paxos.CONSENSUS_RANK_DELAY` longer than the
+        one before, so the lowest-ranked live node usually runs it alone.
     gossip_interval / gossip_fanout:
-        Parameters of consensus dissemination when gossip is active
-        (views of at least ``gossip_threshold`` members): the period and
-        fan-out of vote counting, and the fan-out of the epidemic relay
-        that carries classical rounds.  In smaller views they are the
-        period and fan-out of the pull an undecided voter sends.
+        Parameters of vote counting when gossip is active (views of at
+        least ``gossip_threshold`` members): the period and fan-out of
+        delta pushes.  In smaller views they are the period and fan-out of
+        the pull an undecided voter sends.
     gossip_threshold:
-        View size at which consensus dissemination switches from unicast
-        broadcast — one message delay, O(N) messages per broadcast — to
+        View size at which votes switch from one aggregate broadcast per
+        voter — one message delay, O(N) messages per voter — to delta
         gossip (see :meth:`use_gossip`).  ``1`` gossips at any size; a
-        threshold above the largest view never does.  Alert batches are
-        unicast to every member at every size.
+        threshold above the largest view never does.  Alert batches and
+        classical rounds are unicast to every member at every size.
     join_timeout:
         Seconds a joiner waits for a join to complete before retrying.
     """
@@ -78,7 +76,6 @@ class RapidSettings:
     batching_window: float = 0.1
 
     consensus_fallback_timeout: float = 8.0
-    consensus_rank_delay: float = 1.0
 
     gossip_interval: float = 0.2
     gossip_fanout: int = 8
@@ -117,9 +114,9 @@ class RapidSettings:
         """Whether a view of ``n`` members disseminates by gossip.
 
         The one definition of the switch: a node evaluates it once per
-        installed view and hands the answer to its consensus instance
-        (which also pulls exactly when it gossips) and to the broadcaster
-        that carries that instance's broadcasts.  Alert batches do not
-        read it: they are unicast to every member at every size.
+        installed view and hands the answer to its consensus instance,
+        which then counts votes by delta gossip rather than one aggregate
+        broadcast per voter.  Nothing else reads it: alert batches and
+        classical rounds are unicast to every member at every size.
         """
         return n >= self.gossip_threshold

@@ -26,7 +26,6 @@ annotation             wire form
 ``tuple[A, B]``        the parts, back to back
 ``Optional[T]``        1 B presence, then ``T`` if present
 a registered class     its fields, back to back
-``Union[A, B, ...]``   the member's class tag, then its fields
 =====================  ====================================================
 
 Every value has exactly one encoding and the decoder refuses the others
@@ -72,7 +71,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class CodecError(ValueError):
@@ -445,31 +444,6 @@ def _nested(entry: WireClass) -> WireType:
     return WireType(name, enc, dec, entry.sample)
 
 
-def _union(members: tuple) -> WireType:
-    """One of several registered classes, told apart by its class tag."""
-    label = "tag + " + " / ".join(entry.name for entry in members)
-    by_class = {entry.cls: entry for entry in members}
-    by_tag = {entry.tag: entry.dec for entry in members}
-
-    def put(value, out) -> None:
-        entry = by_class.get(value.__class__)
-        if entry is None:
-            raise CodecError(f"{type(value).__name__} is not one of {label}")
-        out.append(entry.tag)
-        entry.enc(value, out)
-
-    def get(data, pos):
-        dec = by_tag.get(data[pos])
-        if dec is None:
-            raise CodecError(f"tag {data[pos]} is not one of {label}")
-        return dec(data, pos + 1)
-
-    helper = "_or_".join(entry.name for entry in members)
-    _GENERATED[f"put_{helper}"] = put
-    _GENERATED[f"get_{helper}"] = get
-    return _call(label, helper, members[0].sample)
-
-
 def _wire_type(annotation: Any) -> WireType:
     """The wire type of one resolved field annotation."""
     scalar = _SCALARS.get(annotation)
@@ -489,8 +463,6 @@ def _wire_type(annotation: Any) -> WireType:
         members = tuple(arg for arg in args if arg is not type(None))
         if len(members) == 1:
             return _optional(_wire_type(members[0]))
-        if len(members) == len(args) and all(arg in _BY_CLASS for arg in args):
-            return _union(tuple(_BY_CLASS[arg] for arg in args))
     raise CodecError(f"no wire encoding for annotation {annotation!r}")
 
 
@@ -582,6 +554,7 @@ def wire_classes() -> dict[str, WireClass]:
 #: Tags of the protocol vocabulary.  A tag is forever: retire one with its
 #: class, never reuse it.  Applications register from 0x40 upwards.
 #: A class used as a field type comes before the class that holds it.
+#: Retired: 0x15 and 0x16, the epidemic relay's envelope and bundle.
 _CORE_TAGS = (
     (0x01, Endpoint),
     (0x02, m.Change),
@@ -603,8 +576,6 @@ _CORE_TAGS = (
     (0x12, m.Phase1b),
     (0x13, m.Phase2a),
     (0x14, m.Phase2b),
-    (0x15, m.GossipEnvelope),
-    (0x16, m.GossipBundle),
     (0x17, m.ViewProbe),
     (0x18, m.ViewUpdate),
 )

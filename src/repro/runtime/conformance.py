@@ -68,13 +68,6 @@ _SNAPSHOT = m.ViewSnapshot(
     seq=4,
     metadata=((_B, (("zone", "a"),)),),
 )
-_ENVELOPE = m.GossipEnvelope(
-    sender=_A,
-    message_id=5,
-    hops_left=3,
-    payload=m.VoteBundle(_B, _CID, ids=(_CUT,), bitmaps=(0b1011,)),
-)
-
 #: Explicit exemplars for every registered wire class.  Values are chosen
 #: to exercise the interesting structure: nested dataclasses, parallel
 #: tuples, optional fields both set and defaulted, metadata tables.
@@ -136,9 +129,7 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
         _A, _CID, rank=(2, 1), vrank=(1, 0), vvalue=_PROPOSAL
     ),
     "Phase2a": lambda: m.Phase2a(_A, _CID, rank=(2, 1), value=_PROPOSAL),
-    "Phase2b": lambda: m.Phase2b(_A, _CID, rank=(2, 1), value=_PROPOSAL),
-    "GossipEnvelope": lambda: _ENVELOPE,
-    "GossipBundle": lambda: m.GossipBundle(sender=_B, envelopes=(_ENVELOPE,)),
+    "Phase2b": lambda: m.Phase2b(_A, _CID, rank=(2, 1), cut_id=_CUT),
     "ViewProbe": lambda: m.ViewProbe(_A, config_id=_CID),
     "ViewUpdate": lambda: m.ViewUpdate(
         _A, config_id=_CID, members=(_A, _B), uuids=(11, 22), seq=3

@@ -37,7 +37,7 @@ from repro.core.node_id import Endpoint
 from repro.runtime.asyncio_transport import AsyncioRuntime
 from repro.runtime.codec import CodecError, decode_bytes
 from repro.sim.faults import FaultRule
-from repro.sim.network import _class_key, wire_size
+from repro.sim.network import wire_size
 from repro.sim.rng import child_rng
 
 __all__ = ["UDP_OVERHEAD_BYTES", "LiveWire", "LiveRuntime"]
@@ -149,7 +149,7 @@ class LiveWire:
 
     def account_send(self, msg: Any, payload_len: int) -> None:
         """Record one outbound datagram's real and estimated sizes."""
-        key = _class_key(msg)
+        key = msg.__class__.__name__
         real = payload_len + UDP_OVERHEAD_BYTES
         self.sent_messages += 1
         self.sent_bytes += real

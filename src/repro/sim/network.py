@@ -18,7 +18,7 @@ import math
 from array import array
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.messages import GossipEnvelope, ViewSnapshot, VoteBundle, VotePull
+from repro.core.messages import ViewSnapshot, VoteBundle, VotePull
 from repro.core.node_id import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
@@ -169,29 +169,6 @@ def register_message_classes(*classes: type) -> None:
             _compile_sizer(cls)
 
 
-#: Interned message-class labels for the per-class traffic breakdown.
-#: Gossip envelopes are labelled by their payload class too — the
-#: envelope is transport framing; what the cluster is *talking about* is
-#: the payload.
-_CLASS_KEYS: dict[type, str] = {}
-_ENVELOPE_KEYS: dict[type, str] = {}
-
-
-def _class_key(msg: Any) -> str:
-    """Stable label for the message-class traffic breakdown."""
-    cls = msg.__class__
-    if cls is GossipEnvelope:
-        pcls = msg.payload.__class__
-        key = _ENVELOPE_KEYS.get(pcls)
-        if key is None:
-            key = _ENVELOPE_KEYS[pcls] = f"GossipEnvelope[{pcls.__name__}]"
-        return key
-    key = _CLASS_KEYS.get(cls)
-    if key is None:
-        key = _CLASS_KEYS[cls] = cls.__name__
-    return key
-
-
 class Network:
     """Message fabric connecting simulated processes.
 
@@ -243,9 +220,9 @@ class Network:
         #: an update is one dict lookup and one indexed add.
         self.tx_per_second: dict[Endpoint, array] = {}
         self.rx_per_second: dict[Endpoint, array] = {}
-        #: Messages accepted for transmission per message class (gossip
-        #: envelopes keyed by payload class); deterministic, harvested
-        #: into benchmark reports as ``messages.by_class``.
+        #: Messages accepted for transmission per message class name;
+        #: deterministic, harvested into benchmark reports as
+        #: ``messages.by_class``.
         self.class_counts: dict[str, int] = {}
         #: Wire bytes accepted for transmission per message class, the
         #: byte-weighted companion of :attr:`class_counts` — how wins
@@ -359,7 +336,7 @@ class Network:
         if src in self._crashed:
             return
         size = wire_size(msg)
-        key = _class_key(msg)
+        key = msg.__class__.__name__
         self.class_counts[key] = self.class_counts.get(key, 0) + 1
         self.class_bytes[key] = self.class_bytes.get(key, 0) + size
         self._account_tx(src, size, 1)
@@ -410,7 +387,7 @@ class Network:
         if n == 0:
             return
         size = wire_size(msg)
-        key = _class_key(msg)
+        key = msg.__class__.__name__
         self.class_counts[key] = self.class_counts.get(key, 0) + n
         self.class_bytes[key] = self.class_bytes.get(key, 0) + size * n
         self._account_tx(src, size * n, n)

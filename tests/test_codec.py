@@ -148,9 +148,11 @@ def test_non_canonical_encodings_are_refused():
         body("NotSerializer") + _A_WIRE + b"\x01\x02",  # presence byte 2
         body("Change") + _A_WIRE + b"\x02" + _CID,  # AlertKind index 2
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01\x02\x01\x00",  # bitmap 0x0001
-        body("GossipEnvelope") + _A_WIRE + b"\x01\x01\x03",  # a Probe as payload
-        b"\x03" + probe[1:] + b"\x01",  # a future wire version
-        b"\x01" + probe[1:] + b"\x01",  # the retired one (full-body votes)
+        b"\x04" + probe[1:] + b"\x01",  # a future wire version
+        b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
+        b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
+        HEADER + b"\x15",  # the epidemic's envelope, retired with its class
+        HEADER + b"\x16",  # and its relay bundle
         HEADER + b"\xee",  # no such class
         HEADER + b"\x00",  # tag 0 is never assigned
     ):
@@ -246,8 +248,8 @@ def test_the_decoded_endpoint_memo_is_emptied_when_full(monkeypatch):
         m.Change(_A, kind="evict"),
         m.Phase1a(_A, 1, rank=(1, 2, 3)),
         m.VoteBundle(_A, 1, bitmaps=(-1,)),
-        m.GossipEnvelope(_A, 1, 1),  # no payload
-        m.GossipEnvelope(_A, 1, 1, payload=m.Probe(_A, 1, 1)),
+        m.Phase2a(_A, 1, (2, 1), value=(_CID,)),  # a value is Changes
+        m.Phase2b(_A, 1, (2, 1), cut_id=(m.Change(_A, m.AlertKind.JOIN),)),
         m.JoinRequest(_A, 1, 1, metadata=(("zone", 3),)),
     ],
 )

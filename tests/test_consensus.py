@@ -64,7 +64,12 @@ def proposal_for(index: int):
 
 
 class ConsensusHarness:
-    """N bare FastPaxos instances sharing an engine/network pair."""
+    """N bare FastPaxos instances sharing an engine/network pair.
+
+    Their ``broadcast`` is one unicast fan-out plus local delivery, which
+    is what a node hands its consensus in both modes, so the split-vote
+    tests cover the classical recovery a gossip view really runs.
+    """
 
     def __init__(self, n, settings, seed=1, latency=None):
         self.engine = Engine()
@@ -239,7 +244,6 @@ class TestGossipDissemination:
         settings = settings_for(
             gossip_interval=5.0,  # gossip too slow to matter
             consensus_fallback_timeout=0.5,
-            consensus_rank_delay=0.05,
         )
         harness = ConsensusHarness(12, settings, seed=4)
         a, b = proposal_for(0), proposal_for(1)
@@ -435,7 +439,7 @@ class TestReplacedInstances:
     def test_no_replaced_instance_survives_a_gossip_view_change(self):
         """Installing a view cancels the old instance's gossip timer and
         its fallback timer, due up to ``consensus_fallback_timeout +
-        consensus_rank_delay * index`` later; nothing else holds the
+        CONSENSUS_RANK_DELAY * index`` later; nothing else holds the
         instance, so it is garbage as soon as the new view is in."""
         harness = harness_for("rapid", seed=1, settings=gossip_settings())
         endpoints = harness.bootstrap(16, seed_delay=2.0, stagger=1.0)
@@ -837,7 +841,9 @@ class BarePaxos:
         return [self.instance.decision] if self.instance.decided else []
 
     def accept(self, i, value, rank=(2, 0)):
-        self.instance.handle(endpoint_for(i), Phase2b(endpoint_for(i), 1, rank, value))
+        """Acceptor ``i`` accepts ``value``, named by its id."""
+        accept = Phase2b(endpoint_for(i), 1, rank, cut_id(value))
+        self.instance.handle(endpoint_for(i), accept)
 
 
 class TestClassicalRounds:
@@ -864,9 +870,9 @@ class TestClassicalRounds:
         assert not paxos.decided, "a vote that moved away was still counted"
         paxos.accept(1, self.b, rank=(3, 1))  # another round counts apart
         paxos.accept(4, self.a)
-        assert paxos.decided == [self.a]
+        assert paxos.decided == [cut_id(self.a)]
         paxos.accept(1, self.a)  # after the decision nothing is handled
-        assert paxos.decided == [self.a] and paxos.instance.decision == self.a
+        assert paxos.decided == [cut_id(self.a)]
 
     def test_a_phase1b_quorum_counts_distinct_acceptors_of_the_coordinated_rank(self):
         paxos = BarePaxos(n=5, me=2)
@@ -897,14 +903,67 @@ class TestClassicalRounds:
         node._check_quorum()
         assert decided == [self.a]
         for i in range(1, 4):  # a classical quorum of accepts
-            node.handle(endpoint_for(i), Phase2b(endpoint_for(i), 1, (2, 1), self.a))
+            accept = Phase2b(endpoint_for(i), 1, (2, 1), cut_id(self.a))
+            node.handle(endpoint_for(i), accept)
         assert node.paxos.decided and decided == [self.a]
+
+    def test_an_accept_is_the_same_size_however_large_the_cut(self):
+        """``Phase2b`` names its cut by id, so every datagram of an
+        all-to-all accept round is fixed-size, like a body-less
+        ``Decision``."""
+        sizes = set()
+        for changes in (1, 1_000):
+            cut = make_proposal(
+                Change(endpoint_for(i), AlertKind.JOIN, uuid=i) for i in range(changes)
+            )
+            accept = Phase2b(endpoint_for(0), 2**64 - 1, (2, 999), cut_id=cut_id(cut))
+            sizes.add(len(codec.encode_bytes(accept)))
+        assert len(sizes) == 1, sizes
+
+    def test_an_accept_majority_for_a_cut_never_held_pulls_it_then_decides_once(self):
+        """A node that lost the ``Phase2a`` counts a classical majority of
+        ``Phase2b`` for a cut it cannot spell out: it asks the acceptor
+        whose accept completed the majority (that acceptor filed the body
+        from ``Phase2a``), drops a body that does not hash to the id, and
+        decides once on the one that does."""
+        harness = ConsensusHarness(5, unicast_settings(), seed=15)
+        ends = harness.members
+        node, decided = harness.nodes[ends[0]], []
+        node._on_decide = decided.append
+        pulls = []
+        send = harness.network.send
+
+        def spy(src, dst, msg):
+            if isinstance(msg, VotePull):
+                pulls.append((src, dst, msg.want))
+            send(src, dst, msg)
+
+        harness.network.send = spy
+        cid, rank = cut_id(self.a), (2, 4)
+        for i in (1, 2):
+            node.handle(ends[i], Phase2b(ends[i], 1, rank, cid))
+        # The coordinator's Phase2a reaches acceptor 3, which broadcasts
+        # its Phase2b: the third accept of a majority of five.
+        harness.nodes[ends[3]].handle(ends[4], Phase2a(ends[4], 1, rank, self.a))
+        harness.engine.run(until=0.0015)
+        assert node.paxos.decided and node.paxos.decision == cid
+        assert not decided and node._want == cid
+        assert pulls == [(ends[0], ends[3], (cid,))]
+        node.handle(ends[2], Decision(ends[2], 1, cid, body=self.b))
+        assert not decided
+        assert counter_value(harness, "consensus.bodies_rejected") == 1
+        harness.engine.run(until=1.0)
+        assert decided == [self.a] and node.decision_id == cid
+        assert counter_value(harness, "consensus.body_pulls_sent") == 1
+        assert counter_value(harness, "consensus.bodies_sent") == 1
+        node.handle(ends[1], Phase2b(ends[1], 1, (3, 1), cid))
+        node.handle(ends[3], Decision(ends[3], 1, cid, body=self.a))
+        assert decided == [self.a]
 
     def test_a_voteless_node_falls_back_on_the_most_endorsed_body_it_holds(self):
         settings = unicast_settings(
             gossip_interval=1_000.0,
             consensus_fallback_timeout=0.5,
-            consensus_rank_delay=10.0,  # only the first member's timer fires
         )
         harness = ConsensusHarness(5, settings, seed=2)
         first = harness.members[0]

@@ -215,7 +215,8 @@ def test_malformed_datagrams_count_decode_errors_without_crashing():
 def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     """Wire version 1 put whole proposals where version 2 puts 8-byte cut
     ids; a peer still speaking it is counted and ignored, never read as
-    a vote for ids made of its proposal bytes."""
+    a vote for ids made of its proposal bytes.  Version 2 did the same in
+    ``Phase2b``, which version 3 also names by id."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -225,12 +226,15 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         "0000007f000001a30f01000000000000000001010b",
         "0110007f000001a10f88796a5b4c3d2e1f02007f000001a20f0007000000000000"
         "00007f000001a30f010000000000000000",
+        # The committed version-2 vector of a Phase2b, whole cut included.
+        "0214007f000001a10f88796a5b4c3d2e1f020102007f000001a20f000700000000"
+        "000000007f000001a30f010000000000000000",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 2
+    assert codec.WIRE_VERSION == 3
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():

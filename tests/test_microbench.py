@@ -25,7 +25,7 @@ import weakref
 
 import pytest
 
-from repro.core.fast_paxos import FastPaxos
+from repro.core.fast_paxos import CONSENSUS_RANK_DELAY, FastPaxos
 from repro.core.messages import AlertKind, Change, cut_id
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
@@ -127,9 +127,8 @@ def one_gossip_view_change(n: int, collect: bool) -> tuple:
         harness = RapidHarness(seed=1, settings=RapidSettings(gossip_threshold=1))
         endpoints = harness.bootstrap(n, seed_delay=5.0, stagger=8.0)
         assert harness.run_until_converged(n) is not None
-        settings = harness.settings
         harness.run_for(
-            settings.consensus_fallback_timeout + settings.consensus_rank_delay * n
+            harness.settings.consensus_fallback_timeout + CONSENSUS_RANK_DELAY * n
         )
         survivors = endpoints[:-1]
         replaced = [weakref.ref(harness.agents[ep].decider.consensus) for ep in survivors]
@@ -181,7 +180,7 @@ class TestMemory:
     def test_a_view_change_leaves_no_replaced_instance_live(self):
         """Installing a view cancels the old consensus instance's timers;
         the fallback one is due up to ``consensus_fallback_timeout +
-        consensus_rank_delay * index`` later.  A tombstone that kept its
+        CONSENSUS_RANK_DELAY * index`` later.  A tombstone that kept its
         callback pinned the whole instance (votes, bodies, per-peer gossip
         ledger) until then: ~11 KB per member at n=64.  Released, what is
         left is ~0.5 KB."""

@@ -22,7 +22,6 @@ FIELDS = [
     "probe_timeout",
     "batching_window",
     "consensus_fallback_timeout",
-    "consensus_rank_delay",
     "gossip_interval",
     "gossip_fanout",
     "gossip_threshold",
@@ -34,8 +33,9 @@ FIELDS = [
 STALE_KEY = "broadcast" + "_mode"
 #: The view-sampling period, a setting until the driver took the samples.
 STALE_SAMPLING_KEY = "report" + "_interval"
-#: A value with one setting in use, now a constant of the module reading it.
+#: Values with one setting in use, now constants of the modules reading them.
 STALE_CONSTANT_KEY = "gossip_relay" + "_window"
+STALE_RANK_DELAY_KEY = "consensus_rank" + "_delay"
 
 
 def test_field_census_is_pinned():
@@ -46,7 +46,7 @@ def test_field_census_is_pinned():
 
 
 def test_unknown_settings_key_is_diagnosed():
-    for stale in (STALE_KEY, STALE_CONSTANT_KEY):
+    for stale in (STALE_KEY, STALE_CONSTANT_KEY, STALE_RANK_DELAY_KEY):
         with pytest.raises(ValueError) as excinfo:
             harness_for("rapid", seed=1, settings={stale: 0.0, "k": 4})
         message = str(excinfo.value)
