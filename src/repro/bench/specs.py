@@ -90,8 +90,8 @@ def quick_suite() -> list:
         BenchSpec("bootstrap", "memberlist", 16, seed=1),
         BenchSpec("crash", "rapid", 16, seed=1, params={"failures": 3}),
         # Consensus-heavy gate for the gossip dissemination path: forcing
-        # gossip mode at small N exercises delta vote bundles, convergence
-        # stop, and the epidemic alert relay on every CI run.
+        # gossip mode at small N exercises delta vote bundles, vote pulls
+        # and the convergence stop on every CI run.
         BenchSpec(
             "crash",
             "rapid",
@@ -102,8 +102,8 @@ def quick_suite() -> list:
         BenchSpec("crash", "memberlist", 16, seed=1, params={"failures": 3}),
         # Join-dissemination gate: staggered late joins plus graceful
         # leave/rejoin churn, so the CI run exercises single-responder
-        # dedup, delta-encoded rejoin responses, and the UUID_IN_USE
-        # retry on every change (Join* traffic shows up in
+        # dedup, snapshot answers to joiners and rejoiners alike, and the
+        # UUID_IN_USE retry on every change (Join* traffic shows up in
         # messages.by_class).
         BenchSpec(
             "join_churn",
@@ -174,8 +174,8 @@ def full_suite() -> list:
         BenchSpec("crash", "rapid", 1000, seed=1, params={"failures": 16}),
         BenchSpec("crash", "rapid", 2000, seed=1, params={"failures": 16}),
         # Join-path end point: rapid staggered joins and rejoins against a
-        # steady n=1000 cluster — the delta/dedup dissemination workload at
-        # the paper's operating scale.
+        # steady n=1000 cluster — the deduplicated snapshot dissemination
+        # workload at the paper's operating scale.
         BenchSpec(
             "join_churn",
             "rapid",
@@ -217,7 +217,7 @@ def full_suite() -> list:
         # point: the minority slice must make zero view progress while
         # split (no split-brain; the always-on ViewLedger enforces it),
         # the majority reconfigures it out, and after the heal every
-        # minority member rejoins through the delta path.  CI boxes this
+        # minority member rejoins through the join protocol.  CI boxes this
         # case with `timeout` (see ci.yml).
         BenchSpec(
             "partition_heal",

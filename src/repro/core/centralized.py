@@ -92,9 +92,7 @@ class EnsembleNode:
         if self.addr not in self.ensemble:
             raise ValueError("ensemble node address must be in the ensemble list")
         self.decider = ViewChanger(runtime, settings, self._broadcast, self._on_decide)
-        self.desk = AdmissionDesk(
-            runtime, settings, {}, self.decider.log, self.decider.on_alert
-        )
+        self.desk = AdmissionDesk(runtime, settings, {}, self.decider.on_alert)
         self._dispatch = {
             BatchedAlerts: self.decider.on_alerts,
             PreJoinRequest: self.desk.on_pre_join_request,

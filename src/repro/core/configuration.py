@@ -30,7 +30,7 @@ from itertools import islice
 from operator import lt
 from typing import Iterable, Optional
 
-from repro.core.messages import AlertKind, Proposal, ViewDelta, ViewSnapshot
+from repro.core.messages import AlertKind, Proposal, ViewSnapshot
 from repro.core.node_id import Endpoint, stable_hash64
 
 __all__ = ["Configuration"]
@@ -239,39 +239,6 @@ class Configuration:
         differs holds its own.
         """
         return self.__dict__.setdefault("_cuts", {}).setdefault(proposal, proposal)
-
-    def apply_delta(self, delta: ViewDelta) -> "Configuration":
-        """Reconstruct the configuration a :class:`ViewDelta` describes.
-
-        The delta must have been encoded against *this* configuration
-        (``delta.base_config_id == self.config_id``); the result is
-        bit-identical to the responder's view — same sorted members,
-        aligned uuids, and sequence number, hence the same ``config_id``
-        (and, in the responder's process, the same object).
-        Raises ``ValueError`` on a base mismatch, so a joiner can fall
-        back to requesting a full snapshot instead of installing a
-        corrupted view.  Removes of unknown endpoints are skipped, not
-        rejected: a delta composed across several view changes can remove
-        a transient member this base never saw.  The end-to-end integrity
-        check is the ``config_id`` comparison the join protocol performs
-        on the reconstruction.
-        """
-        if delta.base_config_id != self.config_id:
-            raise ValueError(
-                f"delta base {delta.base_config_id:#x} does not match "
-                f"configuration {self.config_id:#x}"
-            )
-        current = dict(zip(self.members, self.uuids))
-        for endpoint in delta.removes:
-            current.pop(endpoint, None)
-        for endpoint, uuid in delta.adds:
-            current[endpoint] = uuid
-        ordered = tuple(sorted(current))
-        return Configuration(
-            members=ordered,
-            uuids=tuple(current[m] for m in ordered),
-            seq=delta.seq,
-        )
 
     def describe(self) -> str:
         """Human-readable one-liner for logs and examples."""

@@ -139,11 +139,11 @@ class DecisionLog(dict):
 
     ``{old_config_id: (new_config_id, cut_id, body, gossip)}``, oldest
     first, one link per decided view change; ``gossip`` is whether the
-    closed view disseminated its votes by gossip.  Laggard repair reads it
-    for the :class:`~repro.core.messages.Decision` that closed a past view,
-    the rejoin path walks it from a rejoiner's base to compose its
-    :class:`~repro.core.messages.ViewDelta`.  A link is O(cut) bytes, so it
-    reaches further back than whole configurations could be kept.
+    closed view disseminated its votes by gossip.  Laggard repair
+    (:meth:`repro.core.membership.ViewChanger.repair`) is its one reader:
+    it answers with the :class:`~repro.core.messages.Decision` that closed
+    a past view.  A link is O(cut) bytes, so it reaches further back than
+    whole configurations could be kept.
     """
 
     DEPTH = 32

@@ -12,10 +12,9 @@ A joining process:
 3. waits for a ``JoinResponse`` carrying the new configuration once the
    view change admitting it is decided.
 
-The admitting view arrives either as a full :class:`ViewSnapshot` or — when
-this process advertised a configuration it still holds from a previous
-membership — as a :class:`ViewDelta` against that base; both reconstruct a
-bit-identical :class:`~repro.core.configuration.Configuration`.
+The admitting view arrives as the view's one :class:`ViewSnapshot`, for a
+first-time joiner and a rejoiner alike, and is installed only if it hashes
+to the response's configuration id.
 
 Retries rotate through the seed list with a jittered timeout (simultaneous
 rejoiners must not re-stampede the same seed in lockstep); a
@@ -64,15 +63,9 @@ class JoinProtocol:
         reports it in use, and handed back on admission.
     metadata:
         The joiner's role metadata in canonical (sorted, hashable) form.
-    base:
-        The last configuration this process was a member of, advertised
-        so the admitting view can arrive as a delta; dropped the moment a
-        delta against it proves unusable.
     on_admitted:
-        ``on_admitted(node_id, config, metadata, removed, partial)``, called
-        once with the admitting view.  ``partial`` marks a delta, whose
-        ``metadata`` adds to and whose ``removed`` trims what the joiner
-        already holds for ``base``; a snapshot's replaces it.
+        ``on_admitted(node_id, config, metadata)``, called once with the
+        admitting view and the snapshot's metadata table.
     """
 
     def __init__(
@@ -82,7 +75,6 @@ class JoinProtocol:
         seeds: Sequence[Endpoint],
         node_id: NodeId,
         metadata: tuple,
-        base: Optional[Configuration],
         on_admitted: Callable[..., None],
     ) -> None:
         self.runtime = runtime
@@ -90,7 +82,6 @@ class JoinProtocol:
         self.seeds = seeds
         self.node_id = node_id
         self.metadata = metadata
-        self.base = base
         self._on_admitted = on_admitted
         self.attempts = 0
         self.completed = False
@@ -201,7 +192,6 @@ class JoinProtocol:
             uuid=self.node_id.uuid,
             config_id=msg.config_id,
             metadata=self.metadata,
-            base_config_id=self.base.config_id if self.base is not None else 0,
         )
         for observer in dict.fromkeys(msg.observers):
             self.runtime.send(observer, request)
@@ -218,12 +208,7 @@ class JoinProtocol:
             if self.runtime.addr not in config:
                 return  # stale or malformed; keep waiting
             self.stop()
-            if msg.delta is not None:
-                self._on_admitted(
-                    self.node_id, config, msg.delta.metadata, msg.delta.removes, True
-                )
-            else:
-                self._on_admitted(self.node_id, config, msg.view.metadata)
+            self._on_admitted(self.node_id, config, msg.view.metadata)
         elif msg.status == JoinStatus.CONFIG_CHANGED:
             # The view changed under us; restart quickly against the new one.
             self._restart(min(0.5, self.settings.join_timeout))
@@ -231,44 +216,20 @@ class JoinProtocol:
     # -------------------------------------------------------------- materialize
 
     def _materialize(self, msg: JoinResponse) -> Optional[Configuration]:
-        """Reconstruct the admitting configuration from a SAFE_TO_JOIN reply.
+        """The admitting configuration a SAFE_TO_JOIN reply carries.
 
-        Full snapshots construct it directly; deltas are applied to the
-        advertised base.  Either way the result is the process's one
-        object for that content (see :class:`Configuration`), and it is
-        installed only if that content hashes to the response's config id.
-        A delta that cannot be applied — the base is gone, or the
-        reconstruction does not hash to the response's config id — drops
-        the base and restarts the handshake so the next attempt asks for
-        (and gets) a full snapshot.
+        The snapshot constructs the process's one object for that content
+        (see :class:`Configuration`), which is installed only if it hashes
+        to the response's config id.
         """
-        if msg.view is not None:
-            try:
-                config = Configuration(
-                    members=msg.view.members, uuids=msg.view.uuids, seq=msg.view.seq
-                )
-            except ValueError:
-                return None  # malformed: unsorted, duplicated or misaligned
-            if config.config_id != msg.config_id:
-                return None  # corrupt or stale; keep waiting for a clean one
-            return config
-        if msg.delta is None:
-            return None
-        base = self.base
-        if base is None or base.config_id != msg.delta.base_config_id:
-            self._drop_base_and_restart()
+        if msg.view is None:
             return None
         try:
-            config = base.apply_delta(msg.delta)
+            config = Configuration(
+                members=msg.view.members, uuids=msg.view.uuids, seq=msg.view.seq
+            )
         except ValueError:
-            self._drop_base_and_restart()
-            return None
+            return None  # malformed: unsorted, duplicated or misaligned
         if config.config_id != msg.config_id:
-            self._drop_base_and_restart()
-            return None
+            return None  # corrupt or stale; keep waiting for a clean one
         return config
-
-    def _drop_base_and_restart(self) -> None:
-        """Fall back to the full-snapshot path on an unusable delta."""
-        self.base = None
-        self._restart(min(0.5, self.settings.join_timeout))

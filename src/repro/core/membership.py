@@ -68,7 +68,6 @@ from repro.core.messages import (
     Probe,
     ProbeAck,
     Proposal,
-    ViewDelta,
     VoteBundle,
     VotePull,
 )
@@ -462,8 +461,7 @@ class ViewChanger:
         self.cut_detector: Optional[MultiNodeCutDetector] = None
         self.consensus: Optional[FastPaxos] = None
         #: One link per decided cut, read by :meth:`repair` (the Decision
-        #: that closed a past view) and by the admission desk (links
-        #: composed from a rejoiner's advertised base yield its ViewDelta).
+        #: that closed a past view).
         self.log = DecisionLog()
         #: Role metadata the current view's JOIN alerts carried, by joiner.
         self.joiner_metadata: dict[Endpoint, tuple] = {}
@@ -663,8 +661,6 @@ class AdmissionDesk:
     metadata_store:
         The owner's ``{endpoint: role metadata}`` table (read-only here),
         shipped with view snapshots.
-    log:
-        The :class:`DecisionLog` deltas for rejoiners are composed from.
     raise_alert:
         Called with each JOIN alert this desk vouches with.
     """
@@ -674,28 +670,21 @@ class AdmissionDesk:
         runtime: Runtime,
         settings: RapidSettings,
         metadata_store: dict,
-        log: DecisionLog,
         raise_alert: Callable[[Alert], None],
     ) -> None:
         self.runtime = runtime
         self.settings = settings
         self._metadata_store = metadata_store
-        self._log = log
         self._raise_alert = raise_alert
         #: The view being served; ``None`` while its owner is not a member.
         self.config: Optional[Configuration] = None
         self.topology: Optional[KRingTopology] = None
         #: Joiners waiting for a view change that admits them:
-        #: ``{endpoint: (uuid, base_config_id)}`` — the base is the
-        #: configuration the joiner said it still holds (0 for none), used
-        #: for delta-encoded join responses.
-        self.pending: dict[Endpoint, tuple] = {}
-        # Join-response interning (reset per view): the
-        # membership-filtered metadata table backing the view snapshot
-        # (itself cached on the Configuration) and the deltas computed
-        # per advertised base.  Mass admissions build each once.
+        #: ``{endpoint: uuid}``.
+        self.pending: dict[Endpoint, int] = {}
+        # The membership-filtered metadata table backing the view snapshot
+        # (itself cached on the Configuration), built once per view.
         self._meta_entries: Optional[tuple] = None
-        self._delta_cache: dict[int, Optional[ViewDelta]] = {}
 
     def reset(
         self, config: Configuration, topology: Optional[KRingTopology], joined: tuple
@@ -707,9 +696,9 @@ class AdmissionDesk:
         promptly against the new configuration (otherwise they would idle
         out their join timeout, which cascades badly during mass
         bootstraps).  Responses are deduplicated — only the designated
-        observer of each joiner answers — and batched: every joiner
-        receiving the same payload (the interned view snapshot, one delta
-        per base, the CONFIG_CHANGED notice) shares one fanned-out message.
+        observer of each joiner answers — and batched: the admitted share
+        one fanned-out message carrying the interned view snapshot, then
+        the passed-over share one CONFIG_CHANGED notice.
         """
         # The outgoing view is what pending JoinRequests were scoped to:
         # its topology designates the (single) join responder per joiner.
@@ -717,28 +706,23 @@ class AdmissionDesk:
         self.config = config
         self.topology = topology
         self._meta_entries = None
-        self._delta_cache = {}
         pending = self.pending
-        # {base_config_id: joiners}; base 0 is the full snapshot, sent first.
-        admitted: dict[int, list] = {0: []}
-        for joiner in joined:
-            uuid, base_id = pending.pop(joiner, (None, 0))
-            if config.uuid_of(joiner) != uuid:
-                continue
-            if not self._designated(old_topology, joiner):
-                continue
-            if self._view_delta(base_id) is None:
-                base_id = 0
-            admitted.setdefault(base_id, []).append(joiner)
+        # Every joiner this view admits leaves ``pending`` (the pop), so
+        # none of them is also told CONFIG_CHANGED below.
+        admitted = [
+            joiner
+            for joiner in joined
+            if config.uuid_of(joiner) == pending.pop(joiner, None)
+            and self._designated(old_topology, joiner)
+        ]
         changed = [
             joiner
             for joiner in pending
             if joiner not in config and self._designated(old_topology, joiner)
         ]
         pending.clear()
-        for base_id, targets in admitted.items():
-            if targets:
-                self.runtime.broadcast(targets, self.join_response(base_id))
+        if admitted:
+            self.runtime.broadcast(admitted, self.join_response())
         if changed:
             self.runtime.broadcast(changed, self.join_response(admitted=False))
 
@@ -781,73 +765,11 @@ class AdmissionDesk:
             )
         return entries
 
-    def _view_delta(self, base_id: int) -> Optional[ViewDelta]:
-        """The delta response payload for a joiner holding ``base_id``.
-
-        Composes the decision-log links from the advertised base to the
-        current configuration into one net add/remove set (last write per
-        endpoint wins: a member removed and re-admitted along the way
-        nets to an add with its final uuid; a transient member both added
-        and removed nets to a remove the base never saw — appliers skip
-        those).  ``None`` when the base fell off the log (or 0 =
-        first-time joiner), or the composed delta would not encode fewer
-        entries (adds plus removes) than the full snapshot has members —
-        the byte cost of either encoding is proportional to its entry
-        count.  Memoized per (view, base): a wave of rejoiners sharing a
-        base costs one composition.
-        """
-        if base_id == 0:
-            return None
-        if base_id in self._delta_cache:
-            return self._delta_cache[base_id]
-        config = self.config
-        delta: Optional[ViewDelta] = None
-        net: dict[Endpoint, Optional[int]] = {}
-        cursor = base_id
-        for _ in range(len(self._log) + 1):
-            if cursor == config.config_id:
-                adds = tuple(
-                    sorted(
-                        (endpoint, uuid)
-                        for endpoint, uuid in net.items()
-                        if uuid is not None
-                    )
-                )
-                removes = tuple(
-                    sorted(
-                        endpoint for endpoint, uuid in net.items() if uuid is None
-                    )
-                )
-                if len(adds) + len(removes) < config.size:
-                    added = {endpoint for endpoint, _ in adds}
-                    delta = ViewDelta(
-                        base_config_id=base_id,
-                        seq=config.seq,
-                        adds=adds,
-                        removes=removes,
-                        metadata=tuple(
-                            entry
-                            for entry in self._metadata_entries()
-                            if entry[0] in added
-                        ),
-                    )
-                break
-            link = self._log.get(cursor)
-            if link is None:
-                break
-            cursor, _, cut, _ = link
-            for change in cut:
-                joins = change.kind == AlertKind.JOIN
-                net[change.endpoint] = change.uuid if joins else None
-        self._delta_cache[base_id] = delta
-        return delta
-
-    def join_response(self, base_id: int = 0, admitted: bool = True) -> JoinResponse:
+    def join_response(self, admitted: bool = True) -> JoinResponse:
         """This process's answer to a joiner, scoped to the current view.
 
-        An admitted joiner gets SAFE_TO_JOIN carrying the view: as a
-        delta against the ``base_id`` it advertised when one beats the
-        snapshot (:meth:`_view_delta`), else as the interned snapshot.
+        An admitted joiner, first-time or rejoining, gets SAFE_TO_JOIN
+        carrying the view's snapshot.
         The :class:`ViewSnapshot` is built once per view and metadata
         table (:meth:`Configuration.view_snapshot`) and shared by every
         response, responder and admitted joiner of that view in the
@@ -856,17 +778,11 @@ class AdmissionDesk:
         A joiner the view moved past gets a bare CONFIG_CHANGED.
         """
         config = self.config
-        view = delta = None
-        if admitted:
-            delta = self._view_delta(base_id)
-            if delta is None:
-                view = config.view_snapshot(self._metadata_entries())
         return JoinResponse(
             sender=self.runtime.addr,
             status=JoinStatus.SAFE_TO_JOIN if admitted else JoinStatus.CONFIG_CHANGED,
             config_id=config.config_id,
-            view=view,
-            delta=delta,
+            view=config.view_snapshot(self._metadata_entries()) if admitted else None,
         )
 
     # ----------------------------------------------------------------- requests
@@ -912,13 +828,10 @@ class AdmissionDesk:
         if config is None:
             return
         if msg.config_id != config.config_id:
-            # Either the join already succeeded — re-send the view (as a
-            # delta against the joiner's advertised base when possible) —
-            # or the view moved on without it.
-            admitted = msg.sender in config and config.uuid_of(msg.sender) == msg.uuid
-            self.runtime.send(
-                msg.sender, self.join_response(msg.base_config_id, admitted)
-            )
+            # Either the join already succeeded — re-send the view — or
+            # the view moved on without it.
+            admitted = config.uuid_of(msg.sender) == msg.uuid
+            self.runtime.send(msg.sender, self.join_response(admitted))
             return
         rings = tuple(self.topology.observer_rings(self.runtime.addr, msg.sender))
         if not rings:
@@ -929,9 +842,9 @@ class AdmissionDesk:
         # alert: the cut detector is idempotent per (subject, ring) so
         # tallies would not move, but every duplicate would cost a
         # fan-out to the whole view.  Refresh the pending entry and stop.
-        if self.pending.get(msg.sender) == (msg.uuid, msg.base_config_id):
+        if self.pending.get(msg.sender) == msg.uuid:
             return
-        self.pending[msg.sender] = (msg.uuid, msg.base_config_id)
+        self.pending[msg.sender] = msg.uuid
         self._vouch(msg.sender, msg.uuid, rings, msg.metadata)
 
     def _vouch(self, joiner: Endpoint, uuid: int, rings: tuple, metadata: tuple = ()) -> None:
@@ -985,9 +898,6 @@ class ClusterMember:
     reinforce:
         Optional; called with the current time once per wheel rotation,
         ahead of the stale-view re-announce scan.
-    log:
-        The :class:`DecisionLog` rejoiners' deltas are composed from
-        (empty unless somebody records into it).
     """
 
     def __init__(
@@ -1003,7 +913,6 @@ class ClusterMember:
         publish: Callable[[BatchedAlerts], None],
         on_install: Optional[Callable[[Configuration, KRingTopology], None]] = None,
         reinforce: Optional[Callable[[float], None]] = None,
-        log: Optional[DecisionLog] = None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
@@ -1045,11 +954,7 @@ class ClusterMember:
             metrics=metrics,
         )
         self.desk = AdmissionDesk(
-            runtime,
-            settings,
-            self.metadata_store,
-            log if log is not None else DecisionLog(),
-            self._enqueue_alert,
+            runtime, settings, self.metadata_store, self._enqueue_alert
         )
         #: Everything that goes quiet when this process leaves its view.
         self._parts: list = [self.monitor, self.desk]
@@ -1073,14 +978,9 @@ class ClusterMember:
             for observer in self.topology.unique_observers_of(self.addr):
                 if observer == self.addr:
                     continue
-                rings = tuple(self.topology.observer_rings(observer, self.addr))
                 self.runtime.send(
                     observer,
-                    LeaveNotification(
-                        sender=self.addr,
-                        config_id=self.config.config_id,
-                        ring_numbers=rings,
-                    ),
+                    LeaveNotification(sender=self.addr, config_id=self.config.config_id),
                 )
         self._depart(NodeStatus.LEFT)
 
@@ -1089,16 +989,9 @@ class ClusterMember:
         if self.status not in (NodeStatus.KICKED, NodeStatus.LEFT):
             raise RuntimeError("rejoin() only valid after leaving or being kicked")
         self.node_id = NodeId.fresh(self.addr)
-        # Keep the departed view as a delta base: responders that still
-        # retain it can answer our rejoin with a ViewDelta instead of
-        # re-shipping the whole membership.  (No view since the last
-        # rejoin: whatever base that handshake still holds stands.)
-        if self.config is not None:
-            base, self.config = self.config, None
-        else:
-            base = self._joiner.base if self._joiner is not None else None
+        self.config = None
         self.monitor.standby()
-        self._join(base)
+        self._join()
 
     @property
     def membership(self) -> tuple:
@@ -1134,7 +1027,7 @@ class ClusterMember:
 
     # ------------------------------------------------------------------- join
 
-    def _join(self, base: Optional[Configuration] = None) -> None:
+    def _join(self) -> None:
         """Run the joiner side until some view admits this process."""
         self.status = NodeStatus.JOINING
         self._joiner = joiner = JoinProtocol(
@@ -1143,7 +1036,6 @@ class ClusterMember:
             self.seeds,
             self.node_id,
             tuple(sorted(self.metadata.items())),
-            base,
             self._on_admitted,
         )
         self._dispatch[PreJoinResponse] = joiner.on_pre_join_response
@@ -1151,26 +1043,16 @@ class ClusterMember:
         joiner.begin()
 
     def _on_admitted(
-        self,
-        node_id: NodeId,
-        config: Configuration,
-        metadata: tuple = (),
-        removed: tuple = (),
-        partial: bool = False,
+        self, node_id: NodeId, config: Configuration, metadata: tuple
     ) -> None:
         """Called by the join protocol when our admission is confirmed.
 
         ``node_id`` is the identity admitted (the handshake may have had
-        to re-mint it).  ``partial`` distinguishes the two response
-        encodings: a full snapshot replaces the metadata store wholesale,
-        while a delta applies its removals and additions on top of the
-        store carried over from the base configuration.
+        to re-mint it).  The snapshot's metadata table, plus this
+        process's own entry, replaces the metadata store wholesale.
         """
         self.node_id = node_id
-        if not partial:
-            self.metadata_store.clear()
-        for endpoint in removed:
-            self.metadata_store.pop(endpoint, None)
+        self.metadata_store.clear()
         for endpoint, meta in metadata:
             self.metadata_store[endpoint] = dict(meta)
         self.metadata_store[self.addr] = dict(self.metadata)
@@ -1193,7 +1075,7 @@ class ClusterMember:
                 continue
             uuid = 0
             if kind == AlertKind.JOIN:
-                uuid = self.desk.pending.get(subject, (0,))[0]
+                uuid = self.desk.pending.get(subject, 0)
             self.monitor.alerted.add(subject)
             self._enqueue_alert(
                 Alert(
@@ -1290,7 +1172,7 @@ class ClusterMember:
         for part in self._parts:
             part.stop()
         if self._joiner is not None:
-            self._joiner.stop()  # left mid-handshake; rejoin() reads its base
+            self._joiner.stop()  # left mid-handshake
         if kicked_from is not None and self.on_view_change is not None:
             self.on_view_change(
                 ViewChangeEvent(
@@ -1344,7 +1226,6 @@ class RapidNode(ClusterMember):
             publish=broadcast,
             on_install=self._on_install_view,
             reinforce=self._reinforce_scan,
-            log=self.decider.log,
         )
         self._parts.append(self.decider)
         self._dispatch[BatchedAlerts] = self._on_batched_alerts

@@ -35,7 +35,6 @@ __all__ = [
     "JoinRequest",
     "JoinResponse",
     "ViewSnapshot",
-    "ViewDelta",
     "LeaveNotification",
     "VoteBundle",
     "VotePull",
@@ -218,19 +217,15 @@ class PreJoinResponse:
 class JoinRequest:
     """Joiner -> temporary observer: please broadcast a JOIN alert.
 
-    ``base_config_id`` names a configuration the joiner still holds from a
-    previous membership (a rejoin after being kicked or leaving, or a
-    CONFIG_CHANGED restart after a completed join): the responder may then
-    answer with a :class:`ViewDelta` against that base instead of a full
-    view snapshot.  ``0`` means "no base" (first-time joins).
+    The observer works out its own rings from the topology of
+    ``config_id``; ``metadata`` is the joiner's role table, carried in the
+    JOIN alert to every decider.
     """
 
     sender: Endpoint
     uuid: U64
     config_id: U64
-    ring_numbers: tuple[int, ...] = ()
     metadata: Metadata = ()
-    base_config_id: U64 = 0
 
 
 @dataclass(frozen=True)
@@ -256,54 +251,29 @@ class ViewSnapshot:
 
 
 @dataclass(frozen=True)
-class ViewDelta:
-    """Changes from a base configuration to the responder's current view.
-
-    Sent instead of a :class:`ViewSnapshot` when the joiner advertised a
-    ``base_config_id`` the responder still retains and the delta encoding
-    is smaller: ``adds`` lists ``(endpoint, uuid)`` pairs new or re-keyed
-    since the base (a rejoined endpoint appears here with its fresh uuid),
-    ``removes`` lists departed endpoints, and ``metadata`` carries the
-    metadata table entries of added members only.  Applying the delta to
-    the base (:meth:`repro.core.configuration.Configuration.apply_delta`)
-    reconstructs a bit-identical configuration — same members, uuids,
-    sequence number, and therefore the same ``config_id``.
-    """
-
-    base_config_id: U64
-    seq: int  # sequence number of the *resulting* configuration
-    adds: tuple[tuple[Endpoint, U64], ...] = ()  # sorted by endpoint
-    removes: tuple[Endpoint, ...] = ()  # sorted
-    metadata: MetadataTable = ()  # for adds
-
-
-@dataclass(frozen=True)
 class JoinResponse:
     """Member -> joiner after the view change admitting it was decided.
 
-    Exactly one of ``view`` / ``delta`` is set on ``SAFE_TO_JOIN``
-    responses: ``view`` carries the full membership snapshot, ``delta``
-    the changes against a base configuration the joiner said it holds.
-    Either way the joiner reconstructs a bit-identical
-    :class:`~repro.core.configuration.Configuration`.  CONFIG_CHANGED and
-    other non-admission statuses carry neither.
+    A ``SAFE_TO_JOIN`` response carries the admitting view as its
+    :class:`ViewSnapshot`, the same one for a first-time joiner and a
+    rejoiner; the joiner installs it only if it hashes to ``config_id``.
+    CONFIG_CHANGED and other non-admission statuses carry none.
     """
 
     sender: Endpoint
     status: Status
     config_id: U64
     view: Optional[ViewSnapshot] = None
-    delta: Optional[ViewDelta] = None
 
 
 @dataclass(frozen=True)
 class LeaveNotification:
     """Voluntarily departing node -> its observers, who then broadcast
-    REMOVE alerts on its behalf (graceful leave)."""
+    REMOVE alerts on its behalf (graceful leave); each observer works out
+    its own rings."""
 
     sender: Endpoint
     config_id: U64
-    ring_numbers: tuple[int, ...] = ()
 
 
 # ---------------------------------------------------------------- consensus

@@ -257,11 +257,10 @@ def join_churn_experiment(
     start staggered over ``_CHURN_WINDOW`` seconds, and ``rejoins`` existing
     members gracefully leave (staggered over the same window) and rejoin
     ``_REJOIN_DELAY`` seconds later with fresh logical identities.  This is
-    the join-dissemination workload: late joins exercise the full
-    view-snapshot responses (deduplicated to the designated observer), and
-    rejoins exercise delta-encoded responses against the base configuration
-    each leaver still holds — plus the UUID_IN_USE retry when a rejoin
-    races its own removal.
+    the join-dissemination workload: joiners and rejoiners alike are
+    answered with the view's snapshot (deduplicated to the designated
+    observer), and rejoins add the UUID_IN_USE retry when a rejoin races
+    its own removal.
 
     Requires a Rapid harness (node-level ``leave``/``rejoin`` and late
     ``add_node``).  Returns the time for the cluster to re-converge to
@@ -379,7 +378,7 @@ def adversary_experiment(
 
 
 # ------------------------------------------------------- partition and heal:
-# no split-brain while split, delta rejoin after
+# no split-brain while split, rejoin after
 
 #: Seconds partition_heal watches the healed cluster for re-convergence, and
 #: the period at which it rejoins minority members that learned of their
@@ -410,8 +409,8 @@ def partition_heal_experiment(
     reconfigures it out.  After the window closes, the majority's decision
     gossip tells the stale minority members they were removed; as each one
     reaches ``KICKED`` the experiment calls
-    :meth:`~repro.core.membership.RapidNode.rejoin`, exercising the
-    delta-encoded rejoin path back to a full ``n``-member view.
+    :meth:`~repro.core.membership.RapidNode.rejoin`, whose join is answered
+    with the view's snapshot, back to a full ``n``-member view.
 
     Requires a Rapid harness (node-level status/rejoin and the trace's
     install records).  Returns flat scalars — minority install count during

@@ -71,7 +71,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 3
+WIRE_VERSION = 4
 
 
 class CodecError(ValueError):
@@ -554,7 +554,8 @@ def wire_classes() -> dict[str, WireClass]:
 #: Tags of the protocol vocabulary.  A tag is forever: retire one with its
 #: class, never reuse it.  Applications register from 0x40 upwards.
 #: A class used as a field type comes before the class that holds it.
-#: Retired: 0x15 and 0x16, the epidemic relay's envelope and bundle.
+#: Retired: 0x0B, the delta-encoded join answer; 0x15 and 0x16, the
+#: epidemic relay's envelope and bundle.
 _CORE_TAGS = (
     (0x01, Endpoint),
     (0x02, m.Change),
@@ -566,7 +567,6 @@ _CORE_TAGS = (
     (0x08, m.PreJoinResponse),
     (0x09, m.JoinRequest),
     (0x0A, m.ViewSnapshot),
-    (0x0B, m.ViewDelta),
     (0x0C, m.JoinResponse),
     (0x0D, m.LeaveNotification),
     (0x0E, m.VoteBundle),

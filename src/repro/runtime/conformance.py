@@ -99,26 +99,13 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
         observers=(_B, _C),
     ),
     "JoinRequest": lambda: m.JoinRequest(
-        _A,
-        uuid=99,
-        config_id=_CID,
-        ring_numbers=(1, 2),
-        metadata=(("zone", "a"),),
+        _A, uuid=99, config_id=_CID, metadata=(("zone", "a"),)
     ),
     "ViewSnapshot": lambda: _SNAPSHOT,
-    "ViewDelta": lambda: m.ViewDelta(
-        base_config_id=_CID,
-        seq=5,
-        adds=((_C, 9),),
-        removes=(_B,),
-        metadata=((_C, (("zone", "b"),)),),
-    ),
     "JoinResponse": lambda: m.JoinResponse(
         _A, status=m.JoinStatus.SAFE_TO_JOIN, config_id=_CID, view=_SNAPSHOT
     ),
-    "LeaveNotification": lambda: m.LeaveNotification(
-        _A, config_id=_CID, ring_numbers=(0, 1)
-    ),
+    "LeaveNotification": lambda: m.LeaveNotification(_A, config_id=_CID),
     "VoteBundle": lambda: m.VoteBundle(_A, _CID, ids=(_CUT,), bitmaps=(0b1011,)),
     "VotePull": lambda: m.VotePull(
         _A, _CID, ids=(_CUT,), bitmaps=(0b0100,), want=(_CUT,)

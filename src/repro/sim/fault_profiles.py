@@ -386,7 +386,7 @@ PROFILES: dict[str, FaultProfile] = {
         FaultProfile(
             name="partition_heal",
             description="A minority slice split off for a bounded window, "
-            "then healed; kicked members rejoin via the delta path.",
+            "then healed; kicked members rejoin through the join protocol.",
             figure="section 7.2 (partitions)",
             expect_eviction=True,
             defaults={"fraction": 0.2, "loss": 1.0, "duration": 60.0},

@@ -125,7 +125,7 @@ def test_hostile_lengths_are_refused_before_any_allocation():
     huge = b"\xff\xff\xff\xff\x0f"  # 2**32 - 1 as a varint
     for data in (
         body("ViewSnapshot") + huge,  # member count
-        body("JoinRequest") + _A_WIRE + _CID + _CID + b"\x00" + huge,  # metadata
+        body("JoinRequest") + _A_WIRE + _CID + _CID + huge,  # metadata
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01" + huge,  # bitmap bytes
         body("Endpoint") + huge,  # host name bytes
     ):
@@ -148,9 +148,16 @@ def test_non_canonical_encodings_are_refused():
         body("NotSerializer") + _A_WIRE + b"\x01\x02",  # presence byte 2
         body("Change") + _A_WIRE + b"\x02" + _CID,  # AlertKind index 2
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01\x02\x01\x00",  # bitmap 0x0001
-        b"\x04" + probe[1:] + b"\x01",  # a future wire version
+        b"\x05" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
+        # retired: delta-encoded join answers (the committed version-3
+        # JoinRequest, its ring numbers and base config id included)
+        bytes.fromhex(
+            "0309007f000001a10f630000000000000088796a5b4c3d2e1f02010201047a6f"
+            "6e6501610000000000000000"
+        ),
+        HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
         HEADER + b"\xee",  # no such class

@@ -3,7 +3,7 @@
 A configuration is immutable (paper section 3), so every node of a
 simulated cluster that installs a view holds the *same* object — member
 tuple, member set, index, uuid set, identifier and all — however it learned
-of it: deciding the cut, a full snapshot, a delta, a Rapid-C push.  The
+of it: deciding the cut, a join snapshot, a Rapid-C push.  The
 class is its own weak intern table; these tests pin the door, the sharing
 and the weakness.  The K-ring topology derived from a view is shared the
 same way (a weak table keyed by view id); its lifetime and edge branches
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import configuration
 from repro.core.configuration import Configuration
-from repro.core.messages import AlertKind, Change, ViewDelta, cut_id, make_proposal
+from repro.core.messages import AlertKind, Change, cut_id, make_proposal
 from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidCHarness, RapidHarness
@@ -105,24 +105,6 @@ class TestTransitions:
         with pytest.raises(ValueError):
             base.successor((good, change), cut_id((good, change)))
         assert base.apply((good,)).members == MEMBERS[:4] + MEMBERS[5:]
-
-    def test_delta_applies_to_its_base_only_and_skips_unseen_removes(self):
-        base = Configuration(MEMBERS, UUIDS, seq=2)
-        joiner, transient = endpoint_for(50), endpoint_for(51)
-        delta = ViewDelta(
-            base_config_id=base.config_id,
-            seq=5,
-            adds=((joiner, 9),),
-            # MEMBERS[1] left; `transient` joined and left in between, so
-            # this base never saw it.
-            removes=(MEMBERS[1], transient),
-        )
-        new = base.apply_delta(delta)
-        assert new is Configuration(
-            MEMBERS[:1] + MEMBERS[2:] + (joiner,), UUIDS[:1] + UUIDS[2:] + (9,), seq=5
-        )
-        with pytest.raises(ValueError):
-            new.apply_delta(delta)
 
     def test_equal_cuts_of_one_view_are_one_tuple(self):
         """Deciders that detect the same cut get the first emitter's tuple

@@ -263,7 +263,7 @@ class TestSafetyAtScale:
         # Split off a 20% minority for 60 s: the minority must make zero
         # view progress while split (no split-brain), the majority must
         # reconfigure it out, and after the heal every minority member
-        # must learn of its removal and rejoin through the delta path.
+        # must learn of its removal and rejoin through the join protocol.
         result = partition_heal_experiment("rapid", 256, seed=1)
         assert result["settled"]
         assert result["minority"] > 0

@@ -1,12 +1,11 @@
-"""Join-path edge cases: delta encoding, responder dedup, retry identity.
+"""Join-path edge cases: one answer shape, responder dedup, retry identity.
 
-Pins the properties of the join/bootstrap dissemination overhaul:
+Pins the properties of the join/bootstrap dissemination path:
 
-* ``Configuration.apply_delta`` reconstructs the responder's view
-  bit-identically (same ``config_id``) from a :class:`ViewDelta`, for
-  plain diffs, uuid re-keys (rejoins), and composed multi-hop deltas;
-* a joiner and a rejoiner install the same view whether they were
-  answered with a full snapshot or a delta (fallback equivalence);
+* a rejoiner is answered with the view's snapshot, exactly as a
+  first-time joiner is, and installs the object every member holds;
+* a snapshot that does not hash to its response's ``config_id`` is
+  never installed;
 * ``UUID_IN_USE`` makes a rejoiner mint a fresh logical identity and
   still complete the join;
 * exactly one SAFE_TO_JOIN responder answers each admitted joiner,
@@ -18,7 +17,7 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.events import NodeStatus
-from repro.core.messages import JoinResponse, JoinStatus, ViewDelta
+from repro.core.messages import JoinResponse, JoinStatus
 from repro.core.join import JoinProtocol
 from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
@@ -60,7 +59,6 @@ def joiner_on(runtime, on_admitted=lambda *args: None) -> JoinProtocol:
         (endpoint_for(99),),
         NodeId.fresh(runtime.addr),
         (),
-        None,
         on_admitted,
     )
 
@@ -81,18 +79,11 @@ class RecordingNetwork:
 
         def record(src, dst, msg):
             if isinstance(msg, JoinResponse):
-                kind = "delta" if msg.delta is not None else (
-                    "view" if msg.view is not None else "bare"
-                )
+                kind = "view" if msg.view is not None else "bare"
                 # Keyed by view *seq*, not config_id: logical uuids come
                 # from a process-wide counter, so config ids are not
                 # stable across two runs in one process (seqs are).
-                if msg.delta is not None:
-                    seq = msg.delta.seq
-                elif msg.view is not None:
-                    seq = msg.view.seq
-                else:
-                    seq = -1
+                seq = msg.view.seq if msg.view is not None else -1
                 self.responses.append((src, dst, msg.status, seq, kind))
 
         def send(src, dst, msg):
@@ -111,73 +102,8 @@ class RecordingNetwork:
         return [r for r in self.responses if r[2] == JoinStatus.SAFE_TO_JOIN]
 
 
-class TestDeltaRoundTrip:
-    def _config(self, indices, seq=0):
-        members = tuple(sorted(endpoint_for(i) for i in indices))
-        return Configuration(
-            members=members,
-            uuids=tuple(100 + i for i, _ in enumerate(members)),
-            seq=seq,
-        )
-
-    def test_delta_reconstructs_bit_identical_view(self):
-        base = self._config(range(8))
-        # Drop two members, add one, keep aligned uuids for sorted order.
-        uuid_map = dict(zip(base.members, base.uuids))
-        uuid_map.pop(base.members[6]), uuid_map.pop(base.members[7])
-        uuid_map[endpoint_for(20)] = 999
-        ordered = tuple(sorted(uuid_map))
-        new = Configuration(
-            members=ordered, uuids=tuple(uuid_map[m] for m in ordered), seq=3
-        )
-        delta = ViewDelta(
-            base_config_id=base.config_id,
-            seq=3,
-            adds=((endpoint_for(20), 999),),
-            removes=(base.members[6], base.members[7]),
-        )
-        rebuilt = base.apply_delta(delta)
-        assert rebuilt == new
-        assert rebuilt.config_id == new.config_id
-
-    def test_delta_applies_uuid_rekey_as_add(self):
-        # A rejoined endpoint travels as an add with its fresh uuid; the
-        # apply must replace the old incarnation in place.
-        base = self._config(range(4))
-        uuid_map = dict(zip(base.members, base.uuids))
-        uuid_map[base.members[0]] = 777  # same endpoint, fresh incarnation
-        ordered = tuple(sorted(uuid_map))
-        new = Configuration(
-            members=ordered, uuids=tuple(uuid_map[m] for m in ordered), seq=1
-        )
-        delta = ViewDelta(
-            base_config_id=base.config_id,
-            seq=1,
-            adds=((base.members[0], 777),),
-        )
-        assert base.apply_delta(delta).config_id == new.config_id
-
-    def test_transient_member_remove_is_skipped(self):
-        # A composed delta can remove an endpoint the base never saw.
-        base = self._config(range(4))
-        delta = ViewDelta(
-            base_config_id=base.config_id,
-            seq=1,
-            adds=(),
-            removes=(endpoint_for(99),),
-        )
-        rebuilt = base.apply_delta(delta)
-        assert rebuilt.members == base.members
-
-    def test_base_mismatch_raises(self):
-        base = self._config(range(4))
-        delta = ViewDelta(base_config_id=base.config_id ^ 1, seq=1)
-        with pytest.raises(ValueError):
-            base.apply_delta(delta)
-
-
 class TestRejoinPaths:
-    def _leave_and_rejoin(self, keep_base: bool, rejoin_after: float = 8.0):
+    def _leave_and_rejoin(self, rejoin_after: float = 8.0):
         cluster = RapidHarness(seed=3, settings=settings_for_tests())
         recorder = RecordingNetwork(cluster)
         cluster.bootstrap(10, seed_delay=2.0, stagger=1.0)
@@ -186,45 +112,20 @@ class TestRejoinPaths:
         node = cluster.agents[victim]
         recorder.responses.clear()
         node.leave()
-
-        def rejoin():
-            node.rejoin()
-            if not keep_base:
-                # A rejoiner that no longer holds its departed view
-                # advertises no base and must be sent the full snapshot.
-                node._joiner.base = None
-
-        cluster.engine.schedule(rejoin_after, rejoin)
+        cluster.engine.schedule(rejoin_after, node.rejoin)
         assert cluster.run_until_converged(10, timeout=120.0) is not None
         return cluster, node, recorder
 
-    def test_rejoin_via_delta_installs_cluster_view(self):
-        # The wire path: the readmission answer must actually be a
-        # ViewDelta, and the rejoiner must complete from it (a failed
-        # apply would fall back to a full-snapshot retry, which would
-        # show up as a second, "view"-kind response here).
-        cluster, node, recorder = self._leave_and_rejoin(keep_base=True)
+    def test_a_rejoiner_is_answered_with_the_views_snapshot(self):
+        # The one answer shape: a rejoiner gets the view's snapshot, once,
+        # and what it installs is the object everyone else holds.
+        cluster, node, recorder = self._leave_and_rejoin()
         assert node.status == NodeStatus.ACTIVE
         assert distinct_views(cluster) == {node.config.config_id}
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
-        assert kinds == ["delta"]
-        # ... and what it reconstructed is the object everyone else holds.
+        assert kinds == ["view"]
+        assert node.config.size == 10
         assert all(agent.config is node.config for agent in cluster.agents.values())
-
-    def test_delta_and_snapshot_paths_install_identical_views(self):
-        # Fallback equivalence: the same churn, answered with a delta
-        # and with the full snapshot, must converge on the same installed
-        # configuration id for the rejoiner as for everyone else.
-        for keep_base, kind in ((True, "delta"), (False, "view")):
-            cluster, node, recorder = self._leave_and_rejoin(keep_base)
-            kinds = [r[4] for r in recorder.safe_to_join() if r[1] == node.addr]
-            assert kinds == [kind]
-            views = distinct_views(cluster)
-            assert views == {node.config.config_id}, kind
-            assert node.config.size == 10
-            assert {id(agent.config) for agent in cluster.agents.values()} == {
-                id(node.config)
-            }, kind
 
     def test_uuid_in_use_mints_fresh_identity(self):
         # Rejoin immediately: the old incarnation is still in everyone's
@@ -288,7 +189,7 @@ class TestRejoinPaths:
 class TestRoleMetadata:
     """``metadata={"role": ...}`` travels with membership: in the JOIN
     alerts to every decider's table, from there in snapshots to later
-    joiners and in deltas to rejoiners whose base predates the member."""
+    joiners and to rejoiners whose last view predates the member."""
 
     def test_a_joiners_role_reaches_members_later_joiners_and_rejoiners(self):
         cluster = converged_cluster(8, seed=2)
@@ -307,7 +208,7 @@ class TestRoleMetadata:
             return reached()
 
         rejoiner = cluster.agents[away]
-        rejoiner.leave()  # its base is the 8-view, which has no backend
+        rejoiner.leave()  # its last view is the 8-view, which has no backend
         assert everyone_else_sees(7)
         cluster.add_node(backend, seeds=(seed,), metadata=role)
         assert everyone_else_sees(8)
@@ -318,7 +219,7 @@ class TestRoleMetadata:
         rejoiner.rejoin()
         assert cluster.run_until_converged(9, timeout=60.0) is not None
         kinds = [r[4] for r in recorder.safe_to_join() if r[1] == away]
-        assert kinds == ["delta"]
+        assert kinds == ["view"]
         assert rejoiner.metadata_store.get(backend) == role
 
         newcomer = cluster.add_node(late, seeds=(seed,))
@@ -340,7 +241,7 @@ class TestTamperedResponses:
     MEMBERS = tuple(sorted(endpoint_for(i) for i in range(6)))
     UUIDS = tuple(range(200, 206))
 
-    def _joiner(self, base=None):
+    def _joiner(self):
         from repro.sim.engine import Engine
         from repro.sim.process import SimRuntime
 
@@ -348,11 +249,10 @@ class TestTamperedResponses:
         runtime = SimRuntime(engine, Network(engine, seed=1), self.MEMBERS[2], seed=1)
         admitted = []
         protocol = joiner_on(runtime, lambda *args: admitted.append(args))
-        protocol.base = base
         protocol.begin()
         return protocol, admitted
 
-    def _answer(self, protocol, config_id, view=None, delta=None):
+    def _answer(self, protocol, config_id, view=None):
         protocol.on_join_response(
             endpoint_for(99),
             JoinResponse(
@@ -360,7 +260,6 @@ class TestTamperedResponses:
                 status=JoinStatus.SAFE_TO_JOIN,
                 config_id=config_id,
                 view=view,
-                delta=delta,
             ),
         )
 
@@ -384,23 +283,6 @@ class TestTamperedResponses:
         assert not protocol.completed and not admitted
         # The honest answer still goes through, onto the held object.
         self._answer(protocol, held.config_id, view=held.view_snapshot())
-        assert protocol.completed and admitted[0][1] is held
-
-    def test_delta_not_matching_its_config_id_is_refused(self):
-        base = Configuration(self.MEMBERS[:5], self.UUIDS[:5], seq=6)
-        held = Configuration(self.MEMBERS, self.UUIDS, seq=7)
-        honest = ViewDelta(
-            base_config_id=base.config_id, seq=7, adds=((self.MEMBERS[5], 205),)
-        )
-        forged = ViewDelta(
-            base_config_id=base.config_id, seq=7, adds=((self.MEMBERS[5], 999),)
-        )
-        protocol, admitted = self._joiner(base)
-        self._answer(protocol, held.config_id, delta=forged)
-        assert not protocol.completed and not admitted
-        assert protocol.base is None  # next attempt asks for the snapshot
-        protocol, admitted = self._joiner(base)
-        self._answer(protocol, held.config_id, delta=honest)
         assert protocol.completed and admitted[0][1] is held
 
 
@@ -492,28 +374,20 @@ class TestDuplicateIdempotency:
             if tuple(n.topology.observer_rings(n.addr, joiner))
         )
         msg = JoinRequest(
-            sender=joiner,
-            uuid=123456,
-            config_id=node.config.config_id,
-            metadata=(),
-            base_config_id=0,
+            sender=joiner, uuid=123456, config_id=node.config.config_id, metadata=()
         )
         alerts = harness_alerts(cluster)
         node.on_message(joiner, msg)
-        assert node.desk.pending[joiner] == (123456, 0)
+        assert node.desk.pending[joiner] == 123456
         node.on_message(joiner, msg)  # network duplicate
-        assert node.desk.pending[joiner] == (123456, 0)
+        assert node.desk.pending[joiner] == 123456
         assert harness_alerts(cluster) == alerts + 1
         # A genuinely new incarnation (fresh uuid) must still re-alert.
         fresh = JoinRequest(
-            sender=joiner,
-            uuid=999999,
-            config_id=node.config.config_id,
-            metadata=(),
-            base_config_id=0,
+            sender=joiner, uuid=999999, config_id=node.config.config_id, metadata=()
         )
         node.on_message(joiner, fresh)
-        assert node.desk.pending[joiner] == (999999, 0)
+        assert node.desk.pending[joiner] == 999999
         assert harness_alerts(cluster) == alerts + 2
 
     def test_duplicate_safe_to_join_fans_requests_once(self):

@@ -234,7 +234,7 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 3
+    assert codec.WIRE_VERSION == 4
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():

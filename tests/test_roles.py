@@ -399,15 +399,25 @@ class TestViewChanger:
         assert runtime.sent == []
 
 
+def bare_joiner(seeds=(MEMBERS[0],)):
+    """A joiner-side state machine on a stepping runtime, and its admissions."""
+    runtime = SteppingRuntime(endpoint_for(9))
+    admitted = []
+    joiner = JoinProtocol(
+        runtime, RapidSettings(), seeds, NodeId.fresh(runtime.addr), (),
+        lambda *args: admitted.append(args),
+    )
+    return runtime, joiner, admitted
+
+
+def pre_join(status, **fields):
+    return PreJoinResponse(MEMBERS[0], status, 7, **fields)
+
+
 class TestJoinProtocol:
     def test_stopped_handshake_neither_retries_nor_completes(self):
-        runtime = SteppingRuntime(endpoint_for(9))
-        settings = RapidSettings()
-        admitted = []
-        joiner = JoinProtocol(
-            runtime, settings, (MEMBERS[0],), NodeId.fresh(runtime.addr), (), None,
-            lambda *args: admitted.append(args),
-        )
+        runtime, joiner, admitted = bare_joiner()
+        settings = joiner.settings
         joiner.begin()
         assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest]
         assert runtime.live_timers() == ["_on_timeout"]
@@ -428,6 +438,59 @@ class TestJoinProtocol:
         runtime.run_until(10 * settings.join_timeout)
         assert len(runtime.sent) == 1 and admitted == []
         assert runtime.live_timers() == []
+        joiner.begin()  # a finished handshake does not start again
+        assert len(runtime.sent) == 1 and runtime.live_timers() == []
+
+    def test_a_joiner_without_seeds_cannot_begin(self):
+        _, joiner, _ = bare_joiner(seeds=())
+        with pytest.raises(RuntimeError):
+            joiner.begin()
+
+    def test_a_conflict_naming_an_earlier_attempt_adopts_that_identity(self):
+        """Our first attempt was admitted but its answer was lost; a retry
+        under a fresh uuid is told the view holds the first one for our
+        endpoint.  The joiner takes that identity back and asks again
+        promptly, instead of minting identities against its own
+        admission."""
+        runtime, joiner, _ = bare_joiner()
+        first = joiner.node_id.uuid
+        joiner.begin()
+        joiner.on_pre_join_response(MEMBERS[0], pre_join(JoinStatus.UUID_IN_USE))
+        second = joiner.node_id.uuid
+        assert second != first
+        joiner.on_pre_join_response(
+            MEMBERS[0], pre_join(JoinStatus.UUID_IN_USE, conflict_uuid=first)
+        )
+        assert joiner.node_id.uuid == first
+        runtime.run_until(0.5 * 1.25)  # the prompt retry, jitter included
+        uuids = [msg.uuid for _, _, msg in runtime.sent if isinstance(msg, PreJoinRequest)]
+        assert uuids == [first, first]
+
+    def test_an_unexpected_status_retries_after_half_the_timeout(self):
+        runtime, joiner, _ = bare_joiner()
+        joiner.begin()
+        joiner.on_pre_join_response(MEMBERS[0], pre_join(JoinStatus.NOT_IN_RING))
+        half = joiner.settings.join_timeout / 2
+        runtime.run_until(half * 1.25)
+        assert [type(msg) for _, _, msg in runtime.sent] == [PreJoinRequest] * 2
+
+    def test_only_a_view_that_lists_the_joiner_is_installed(self):
+        runtime, joiner, admitted = bare_joiner()
+        joiner.begin()
+        outside, inside = Configuration.of(MEMBERS), Configuration.of(MEMBERS + (runtime.addr,))
+        for config, view in ((inside, None), (outside, outside.view_snapshot())):
+            joiner.on_join_response(
+                MEMBERS[0],
+                JoinResponse(MEMBERS[0], JoinStatus.SAFE_TO_JOIN, config.config_id, view),
+            )
+            assert not joiner.completed
+        joiner.on_join_response(
+            MEMBERS[0],
+            JoinResponse(
+                MEMBERS[0], JoinStatus.SAFE_TO_JOIN, inside.config_id, inside.view_snapshot()
+            ),
+        )
+        assert joiner.completed and [args[1] for args in admitted] == [inside]
 
 
 class TestAdmissionDesk:
@@ -442,9 +505,7 @@ class TestAdmissionDesk:
         desks = []
         for addr, role in zip(MEMBERS, roles):
             store = {MEMBERS[1]: {"role": role}, endpoint_for(77): {"role": "gone"}}
-            desk = AdmissionDesk(
-                SteppingRuntime(addr), settings, store, DecisionLog(), lambda alert: None
-            )
+            desk = AdmissionDesk(SteppingRuntime(addr), settings, store, lambda alert: None)
             desk.reset(config, topology, ())
             desks.append(desk)
         views = [desk.join_response().view for desk in desks]
@@ -459,7 +520,7 @@ class TestAdmissionDesk:
         settings = RapidSettings()
         config = Configuration.of(MEMBERS)
         runtime = SteppingRuntime(MEMBERS[0])
-        desk = AdmissionDesk(runtime, settings, {}, DecisionLog(), lambda alert: None)
+        desk = AdmissionDesk(runtime, settings, {}, lambda alert: None)
         desk.reset(config, KRingTopology.for_configuration(config, settings.k), ())
         joiner = endpoint_for(9)
         desk.on_pre_join_request(joiner, PreJoinRequest(joiner, uuid=5))
