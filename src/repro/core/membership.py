@@ -9,13 +9,16 @@ constructor-injected callables — never through a reference to a node:
 
 :class:`EdgeMonitor`
     ``edge monitoring`` (K-ring probes + pluggable detector) → "these
-    subjects failed".
+    subjects failed"; a probe or ack naming another configuration → "this
+    peer is on another view".  Every member is probed by K observers every
+    interval, so this is how a process that missed a view change hears of
+    it.
 :class:`ViewChanger`
     alert filter → ``multi-process cut detection`` → ``leaderless
     view-change consensus`` → ``on_decide(old, new, cut)``; traffic from a
-    configuration it has left is answered with the Decision that closed it,
-    except votes pushed in a view that did not gossip (their sender counts
-    every vote itself, and pulls if it lags).
+    configuration it has left, probes included, is answered with the
+    Decision that closed it, except votes pushed in a view that did not
+    gossip (their sender counts every vote itself, and pulls if it lags).
 :class:`AdmissionDesk`
     the responder side of the join protocol: vouches for joiners with JOIN
     alerts and answers them once a view admits (or passes over) them.
@@ -103,10 +106,6 @@ PROBE_BOOTSTRAP_BUDGET = 15
 #: observers echo REMOVE alerts (section 4.2, "reinforcements").
 REINFORCEMENT_TIMEOUT = 10.0
 
-#: Seconds without a view change before a member re-broadcasts its
-#: alerted-but-unremoved subjects (see :meth:`ClusterMember._on_rotation`).
-REANNOUNCE_INTERVAL = 30.0
-
 # EdgeMonitor phases: before the first view (and while rejoining), as a
 # member of a view, after leaving or being kicked.
 _IDLE, _WATCHING, _STOPPED = range(3)
@@ -132,6 +131,11 @@ class EdgeMonitor:
         subject per view, one rotation after the first verdict of a wave.
     on_rotation:
         Called with the current time at the end of every full rotation.
+    on_foreign:
+        ``on_foreign(peer, config_id)``: while watching, a probe, or an ack
+        from a process that watches a view too, named a configuration
+        other than the watched one.  Either side may be behind; the one
+        that is ahead answers (see :meth:`ViewChanger.repair`).
     metrics:
         Registry receiving ``cluster.probes_sent``.
     """
@@ -143,6 +147,7 @@ class EdgeMonitor:
         detector_factory: Optional[DetectorFactory],
         on_failed: Callable[[list], None],
         on_rotation: Callable[[float], None],
+        on_foreign: Callable[[Endpoint, int], None],
         metrics: MetricsRegistry = NULL_METRICS,
     ) -> None:
         self.runtime = runtime
@@ -150,11 +155,14 @@ class EdgeMonitor:
         self._detector_factory = detector_factory or PingTimeoutDetector
         self._on_failed = on_failed
         self._on_rotation = on_rotation
+        self._on_foreign = on_foreign
         self._m_probes_sent = metrics.counter("cluster.probes_sent")
         #: Subjects this process has raised an alert about in the current
-        #: view.  Alerts are irrevocable, so these are neither probed nor
-        #: reported again; the owner adds the ones it alerts about for
-        #: reasons of its own (a leave notification, a reinforcement).
+        #: view.  Alerts are irrevocable, so these are never reported
+        #: again; they are still probed, because a probe is how a process
+        #: that missed a view change hears of it (``on_foreign``).  The
+        #: owner adds the ones it alerts about for reasons of its own (a
+        #: leave notification, a reinforcement).
         self.alerted: set[Endpoint] = set()
         self._phase = _IDLE
         self._config_id = 0
@@ -261,6 +269,7 @@ class EdgeMonitor:
     def on_probe(self, src: Endpoint, msg: Probe) -> None:
         """Queue an ack; the batch flushes on our next wheel tick.
 
+        A probe naming another configuration goes to ``on_foreign`` too.
         Outside a view the wheel idles at one tick per interval (or not at
         all), which is too slow for ack batching — a joiner that answered
         an interval late would look dead to its observers — so those
@@ -268,6 +277,8 @@ class EdgeMonitor:
         """
         if self._phase == _WATCHING:
             self._ack_pending[msg.sender] = None
+            if msg.config_id != self._config_id:
+                self._on_foreign(msg.sender, msg.config_id)
             return
         self.runtime.send(
             msg.sender,
@@ -282,8 +293,16 @@ class EdgeMonitor:
         Acks are batched and carry no per-edge sequence number; whatever
         probe is in flight for this subject is considered answered.  A
         stale ack (its probe already expired, or a view change reset the
-        edge) finds nothing outstanding and is dropped.
+        edge) finds nothing outstanding and is dropped.  An ack naming
+        another configuration goes to ``on_foreign`` first, unless it is
+        bootstrapping: its sender watches no view.
         """
+        if (
+            msg.config_id != self._config_id
+            and not msg.bootstrapping
+            and self._phase == _WATCHING
+        ):
+            self._on_foreign(msg.sender, msg.config_id)
         idx = self._subject_index.get(msg.sender)
         if idx is None or not self._outstanding[idx]:
             return
@@ -375,13 +394,12 @@ class EdgeMonitor:
             deadline = now + self.settings.probe_timeout
             sent_at = self._sent_at
             for idx in self._slot_indices[tick % self._slots]:
-                subject = subjects[idx]
-                if subject in alerted or outstanding[idx]:
+                if outstanding[idx]:
                     continue
                 outstanding[idx] = tick
                 sent_at[idx] = now
                 ring.append((deadline, idx, tick))
-                targets.append(subject)
+                targets.append(subjects[idx])
             if targets:
                 self._m_probes_sent.inc(len(targets))
                 self.runtime.broadcast(
@@ -603,7 +621,7 @@ class ViewChanger:
 
         The one foreign-configuration rule: whatever names a configuration
         this process has left is answered with the cut that closed it —
-        a pull, a classical-round message, an alert batch — except a
+        a pull, a classical-round message, a probe or ack — except a
         ``pushed`` :class:`VoteBundle` from a view that did not gossip.
         There every voter broadcast its vote to every member and counts
         every vote itself, so a bundle arriving after the decision is a
@@ -629,9 +647,9 @@ class ViewChanger:
             self.metrics.counter(f"consensus.{name}").inc()
 
     def _decided(self, cut: Proposal) -> None:
+        # Consensus is fed only while ``config`` is set, and ``stop``
+        # cancels its timers, so a decision always has a view to close.
         old = self.config
-        if old is None:
-            return
         cid = self.consensus.decision_id
         try:
             # Every decider of this view holds the same ``old`` and decides
@@ -731,7 +749,7 @@ class AdmissionDesk:
         settled by the next :meth:`reset`."""
         self.config = None
 
-    def _designated(self, topology: Optional[KRingTopology], joiner: Endpoint) -> bool:
+    def _designated(self, topology: KRingTopology, joiner: Endpoint) -> bool:
         """Whether this process answers ``joiner``'s join for this decision.
 
         The designated responder is the joiner's observer on the
@@ -739,11 +757,9 @@ class AdmissionDesk:
         scoped to — deterministic per (joiner, configuration) pair, so
         all ``K`` observers agree without coordination and exactly one
         sends the (view-sized) response; a lost response is recovered by
-        the joiner's retry.  On the very first view (no prior topology)
-        everyone answers.
+        the joiner's retry.  A joiner is pending only at a desk that
+        served a view, so that view's topology is there to read.
         """
-        if topology is None:
-            return True
         return topology.observers_of(joiner)[0] == self.runtime.addr
 
     # ---------------------------------------------------------------- responses
@@ -896,8 +912,9 @@ class ClusterMember:
         Optional; called with ``(config, topology)`` for every view this
         process installs, before monitoring restarts on it.
     reinforce:
-        Optional; called with the current time once per wheel rotation,
-        ahead of the stale-view re-announce scan.
+        Optional; the monitor's ``on_rotation``.
+    repair:
+        Optional; the monitor's ``on_foreign``.
     """
 
     def __init__(
@@ -913,6 +930,7 @@ class ClusterMember:
         publish: Callable[[BatchedAlerts], None],
         on_install: Optional[Callable[[Configuration, KRingTopology], None]] = None,
         reinforce: Optional[Callable[[float], None]] = None,
+        repair: Optional[Callable[[Endpoint, int], None]] = None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
@@ -936,21 +954,18 @@ class ClusterMember:
         self._joiner: Optional[JoinProtocol] = None
         self._publish = publish
         self._on_install = on_install
-        self._reinforce = reinforce
 
         # The alert outbox: what this process vouches for, batched.
         self._alert_batch: list[Alert] = []
         self._batch_timer = None
-        # Virtual time of the last view install (or re-announce); gates
-        # the stale-view re-announce scan.
-        self._last_progress = 0.0
 
         self.monitor = EdgeMonitor(
             runtime,
             settings,
             detector_factory,
             on_failed=self._alert,
-            on_rotation=self._on_rotation,
+            on_rotation=reinforce or (lambda now: None),
+            on_foreign=repair or (lambda peer, config_id: None),
             metrics=metrics,
         )
         self.desk = AdmissionDesk(
@@ -1066,8 +1081,8 @@ class ClusterMember:
         """Raise this process's alert about each subject it observes.
 
         Alerts are irrevocable: a subject alerted about is marked in the
-        monitor and no longer probed.  A subject this process observes on
-        no ring of the current topology is skipped.
+        monitor and never reported again.  A subject this process observes
+        on no ring of the current topology is skipped.
         """
         for subject in subjects:
             rings = tuple(self.topology.observer_rings(self.addr, subject))
@@ -1113,34 +1128,22 @@ class ClusterMember:
         ):
             self._alert((msg.sender,))
 
-    def _on_rotation(self, now: float) -> None:
-        """Once per wheel rotation: reinforce, then re-announce stuck alerts.
-
-        The re-announce is a liveness aid for healed partitions.  A
-        minority partition announces its unreachable subjects once but
-        can never decide their removal (no quorum), so after the announce
-        the minority goes silent — and once the partition heals, nothing
-        would ever cross the old partition line again: both sides probe
-        only their own members.  Re-publishing the alerted-but-still-
-        in-view subjects after ``REANNOUNCE_INTERVAL`` seconds without a
-        view change breaks that silence.  Deciders that moved past our
-        configuration answer with the logged removal Decision (see
-        :meth:`ViewChanger.repair`), which tells this stranded process it
-        was kicked so it can rejoin.  Duplicate alerts are idempotent at
-        every receiver (the cut detector tallies each (subject, ring)
-        edge once), so re-announcing is safe in any regime.
-        """
-        if self._reinforce is not None:
-            self._reinforce(now)
-        alerted = self.monitor.alerted
-        if alerted and now - self._last_progress >= REANNOUNCE_INTERVAL:
-            self._last_progress = now
-            self._alert([s for s in sorted(alerted) if s in self.config])
-
     # ----------------------------------------------------------- installation
 
     def _install(self, config: Configuration, joined: tuple, removed: tuple) -> None:
-        """Install a configuration and reset every part for it."""
+        """Install a configuration and reset every part for it.
+
+        An alert outlives the view it was raised in: every subject this
+        process alerted about that the new view still lists is alerted
+        about again, in the new view.  Otherwise a removal whose alerts
+        were raised while another change was being decided (a leave
+        announced during a join) would be lost with the closed view.
+        """
+        old = self.config
+        # REMOVE alerts only: a JOIN alert's subject was no member of ``old``.
+        carried = sorted(
+            s for s in self.monitor.alerted if old is not None and s in old and s in config
+        )
         self.config = config
         self.status = NodeStatus.ACTIVE
         self._m_view_changes.inc()
@@ -1153,7 +1156,7 @@ class ClusterMember:
             self._on_install(config, topology)
         self.monitor.watch(config.config_id, topology.subjects_of(self.addr))
         self._alert_batch.clear()
-        self._last_progress = now
+        self._alert(carried)
         self.desk.reset(config, topology, joined)
         if self.on_view_change is not None:
             self.on_view_change(
@@ -1226,9 +1229,10 @@ class RapidNode(ClusterMember):
             publish=broadcast,
             on_install=self._on_install_view,
             reinforce=self._reinforce_scan,
+            repair=self.decider.repair,
         )
         self._parts.append(self.decider)
-        self._dispatch[BatchedAlerts] = self._on_batched_alerts
+        self._dispatch[BatchedAlerts] = self.decider.on_alerts
         self._dispatch[PreJoinRequest] = self.desk.on_pre_join_request
         # One bound method shared by every consensus message class.
         self._dispatch.update(
@@ -1252,20 +1256,6 @@ class RapidNode(ClusterMember):
         # unicast fan-out at any size.
         self.broadcaster.set_membership(config.members, config.member_index())
         self.decider.reset(config, topology, self.settings.use_gossip(config.size))
-
-    def _on_batched_alerts(self, src: Endpoint, msg: BatchedAlerts) -> None:
-        self.decider.on_alerts(src, msg)
-        # Laggard repair: alerts scoped to a configuration we already
-        # moved past mean the announcer is stranded in an old view (the
-        # healed-partition case) — hand it the decision that superseded
-        # that configuration, if we still hold it.
-        if (
-            msg.alerts
-            and self.status == NodeStatus.ACTIVE
-            and src != self.addr
-            and msg.alerts[0].config_id != self.config.config_id
-        ):
-            self.decider.repair(src, msg.alerts[0].config_id)
 
     def _reinforce_scan(self, now: float) -> None:
         """Paper section 4.2 liveness aid: after a subject has lingered in the

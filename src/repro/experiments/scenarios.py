@@ -406,8 +406,10 @@ def partition_heal_experiment(
     let alone Rapid's fast-path quorum — must make **zero** view progress
     (no split-brain, checked both by counting its view installs and by the
     always-on :class:`~repro.obs.invariants.ViewLedger`), while the majority
-    reconfigures it out.  After the window closes, the majority's decision
-    gossip tells the stale minority members they were removed; as each one
+    reconfigures it out.  After the window closes, the minority members'
+    probes name the configuration the majority closed, and the majority
+    members they probe answer with the logged Decision that removed them
+    (:meth:`~repro.core.membership.ViewChanger.repair`); as each one
     reaches ``KICKED`` the experiment calls
     :meth:`~repro.core.membership.RapidNode.rejoin`, whose join is answered
     with the view's snapshot, back to a full ``n``-member view.

@@ -232,6 +232,19 @@ class TestLedgerWiring:
         assert len(final.members) == final.size
 
 
+def test_a_healed_minority_rejoins_promptly():
+    """After the heal, the minority's probes name the view the majority
+    closed, and the majority members they reach answer with the Decision
+    that removed them: all 12 rejoin within 15 s of the heal (25 s while
+    the only way back was a re-announce every 30 s)."""
+    result = partition_heal_experiment(
+        "rapid", 128, fraction=0.1, partition_for=60.0, seed=1
+    )
+    assert result["minority"] == result["rejoined"] == 12
+    assert result["reconverge_time"] <= 15
+    assert result["harness"].ledger.report()["ok"] is True
+
+
 @pytest.mark.slow
 class TestSafetyAtScale:
     """The n=256 safety acceptance bars (minutes of wall time, opt-in)."""

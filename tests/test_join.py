@@ -10,7 +10,10 @@ Pins the properties of the join/bootstrap dissemination path:
   still complete the join;
 * exactly one SAFE_TO_JOIN responder answers each admitted joiner,
   deterministically across seeds;
-* join retry timeouts are jittered and clear the in-flight config id.
+* join retry timeouts are jittered and clear the in-flight config id;
+* one short loss window on one process, at any 20 ms offset around a
+  join or a graceful leave, leaves nobody on a closed view, joining, or
+  listing the leaver (the view-boundary scan).
 """
 
 import pytest
@@ -23,7 +26,7 @@ from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidHarness
 from repro.sim.cluster import endpoint_for
-from repro.sim.faults import IngressLoss
+from repro.sim.faults import EgressLoss, IngressLoss
 from repro.sim.network import Network, wire_size
 
 
@@ -457,8 +460,10 @@ def strand_one_member():
     starts) but is too short for any detector to suspect an edge.  The
     member misses the JOIN alerts, the votes and the decision, so it is
     left ACTIVE on the configuration the others closed, with no vote and
-    nothing alerted, yet still listed in their view.  Returns the harness
-    and the stranded member's endpoint.
+    nothing alerted, yet still listed in their view; the ``Decision``s its
+    observers send back when its probes name the closed view are lost too.
+    Returns the harness, at the end of the loss window, and the stranded
+    member's endpoint.
     """
     n = 16
     cluster = RapidHarness(seed=1)
@@ -476,9 +481,9 @@ def strand_one_member():
 
 
 def test_a_member_cut_off_from_one_view_change_is_left_behind_silently():
-    """The state of the stranded-member hole (ROADMAP item 1), reached
-    without a timing race: ACTIVE on a closed configuration, no vote, no
-    pending alert, and still a member of everyone else's view."""
+    """The stranded state, reached without a timing race: ACTIVE on a
+    closed configuration, no vote, no pending alert, and still a member of
+    everyone else's view."""
     cluster, stranded = strand_one_member()
     node = cluster.agents[stranded]
     ahead = cluster.agents[cluster.endpoints[0]]
@@ -489,20 +494,11 @@ def test_a_member_cut_off_from_one_view_change_is_left_behind_silently():
     assert stranded in ahead.config.members
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,  # an InvariantViolation (safety) is a real failure
-    reason="stranded-member liveness bug (ROADMAP item 1)",
-)
 def test_a_stranded_member_catches_up_with_the_cluster():
-    """Known liveness failure, recorded so that the fix flips it.
-
-    The stranded member keeps probing and acking the members around it,
-    but nothing on the probe path reads a ``Probe``'s or ``ProbeAck``'s
-    ``config_id``, it has nothing to alert and no vote to pull for, and
-    nobody sends a ``Decision`` where there is silence: it stays on the
-    old view for good.  Expected once fixed: all 17 on one view.
-    """
+    """The stranded member has nothing to alert and no vote to pull for,
+    but it keeps probing and acking the members around it, and those
+    name the closed view: the members it reaches answer with the logged
+    ``Decision``, and all 17 end on one view."""
     cluster, _ = strand_one_member()
     assert cluster.run_until_converged(len(cluster.agents), timeout=120.0) is not None
     assert cluster.ledger.report()["ok"] is True
@@ -518,9 +514,8 @@ def leave_during_a_join():
     accept the ``LeaveNotification``s, which name the view the join is
     closing, and raise their REMOVE alerts in that view; the batches, due
     one ``batching_window`` (0.1 s) later, are still buffered at the
-    install, which clears them.  The new view has nothing alerted to
-    re-announce.  Returns the harness, 0.08 s after the join started, and
-    the departed member's endpoint.
+    install, which clears them.  Returns the harness, 0.08 s after the
+    join started, and the departed member's endpoint.
     """
     n = 16
     cluster = RapidHarness(seed=1)
@@ -540,34 +535,11 @@ def leave_during_a_join():
     return cluster, leaver
 
 
-def test_a_graceful_leave_during_a_view_change_is_lost():
-    """The state of the lost-leave hole (ROADMAP item 1), reached without
-    a timing race: the join is installed everywhere, but 5 s after the
-    leave the departed identity is still in all 16 views."""
-    cluster, leaver = leave_during_a_join()
-    cluster.run_for(5.0)
-    assert cluster.agents[leaver].status == NodeStatus.LEFT
-    others = [node for ep, node in cluster.agents.items() if ep != leaver]
-    assert len(others) == 16
-    assert {node.status for node in others} == {NodeStatus.ACTIVE}
-    assert {node.view_size for node in others} == {17}
-    assert all(leaver in node.config for node in others)
-    assert cluster.ledger.report()["ok"] is True
-
-
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,  # an InvariantViolation (safety) is a real failure
-    reason="graceful leave lost across a view change (ROADMAP item 1)",
-)
 def test_a_graceful_leave_during_a_view_change_is_removed():
-    """Known liveness failure, recorded so that the fix flips it.
-
-    A leave is announced at once and needs one view change, a fraction of
-    a second here; today the identity lingers until the probe path gives
-    up on its acks (~21 s at this seed).  Expected once fixed: the 16
-    others agree on a view without it within 5 s.
-    """
+    """The observers' REMOVE alerts outlive the view they were raised in:
+    the install that clears the buffered batches raises them again in the
+    new view, so the 16 others agree on a view without the leaver within
+    5 s."""
     cluster, leaver = leave_during_a_join()
     cluster.run_for(5.0)
     others = [node for ep, node in cluster.agents.items() if ep != leaver]
@@ -577,33 +549,123 @@ def test_a_graceful_leave_during_a_view_change_is_removed():
 
 
 @pytest.mark.slow
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,  # an InvariantViolation (safety) is a real failure
-    reason="stranded-member liveness bug (ROADMAP item 1)",
-)
 def test_stranded_members_rejoin_the_running_cluster():
-    """Known liveness failure at scale, recorded so the correctness PR flips it.
+    """The stranded member at scale, reached by a timing race.
 
-    ``join_churn`` at n=128 with 16 joiners and 8 rejoins, seed 11, never
-    re-converges within its 180 s churn timeout; the safety ledger stays
-    clean.  Two members install seq 5 at t=34.06, after the rest of the
-    cluster began installing seq 6 (t=33.98): the seq-6 votes and
-    ``Decision`` reached them while they were still on seq 4 and were
-    dropped as foreign-configuration traffic.  They stay ACTIVE on the
-    136-member seq-5 view, with no vote and nothing alerted, for the whole
-    run — still listed in the final 144-member view and still acking
-    probes — while the cluster runs on to seq 13.  Final state: 142 on
-    seq 13, two on seq 5.  Which seeds strand members moves with any
-    change to dissemination timing, since the race is between one view
-    change's last deliveries and the next one's first; rescan seeds 1-40
-    after such a change.
-    ``test_a_stranded_member_catches_up_with_the_cluster`` reaches the
-    same state without a timing race.  Expected end state once fixed: all
-    144 on one view.
+    ``join_churn`` at n=128 with 16 joiners and 8 rejoins, seed 11: on a
+    tree whose probe path ignored ``config_id``, two members installed
+    seq 5 after the rest of the cluster had begun installing seq 6, whose
+    votes and ``Decision`` had reached them on seq 4 and been dropped as
+    foreign-configuration traffic.  They stayed ACTIVE on seq 5 for the
+    whole run while the cluster ran on to seq 13, and the run never
+    re-converged within its 180 s churn timeout.  Their probes name seq 5,
+    so their observers now answer with the Decision that closed it.
     """
     from repro.experiments.scenarios import join_churn_experiment
 
     result = join_churn_experiment("rapid", 128, joiners=16, rejoins=8, seed=11)
     assert result["harness"].ledger.report()["ok"] is True
     assert result["churn_convergence"] is not None
+
+
+# ------------------------------------------------------- view-boundary scan
+#
+# One short loss window on one process, at every 20 ms offset around one
+# view change.  ``strand_one_member`` and ``leave_during_a_join`` are two
+# hand-picked cells of this grid.
+
+SCAN_EVENTS = ("join", "leave")
+SCAN_FAULTS = {"IngressLoss": IngressLoss, "EgressLoss": EgressLoss}
+SCAN_DURATIONS = (0.2, 1.0)
+SCAN_OFFSETS = tuple(round(-0.04 + 0.02 * step, 2) for step in range(15))
+
+
+def view_boundary_cells(n: int) -> list:
+    """Every ``(n, event, fault, victim, duration, offset)`` cell at ``n``:
+    the victim is member 0 (the joiner's seed) or member n-1."""
+    return [
+        (n, event, fault, victim, duration, offset)
+        for event in SCAN_EVENTS
+        for fault in SCAN_FAULTS
+        for victim in (0, n - 1)
+        for duration in SCAN_DURATIONS
+        for offset in SCAN_OFFSETS
+    ]
+
+
+def view_boundary_cell(n, event, fault, victim, duration, offset) -> list:
+    """Run one cell of the scan and return what its oracle found wrong.
+
+    A converged ``n``-member cluster (seed 1) either admits one joiner
+    through member 0 or sees member n-2 leave gracefully.  ``fault``
+    covers member ``victim`` for ``duration`` seconds, starting ``offset``
+    seconds after the event.  30 s after the event no process may be
+    JOINING, every ACTIVE process must be on one configuration, and none
+    may list the leaver; the list names each check that failed.
+    """
+    cluster = RapidHarness(seed=1)
+    members = cluster.bootstrap(n, seed_delay=1.0)
+    assert cluster.run_until_converged(n, timeout=120.0) is not None
+    cluster.run_for(10.0)
+    event_at = cluster.engine.now + 0.1
+    cluster.network.add_rule(
+        SCAN_FAULTS[fault](
+            nodes=frozenset({members[victim]}),
+            start=event_at + offset,
+            end=event_at + offset + duration,
+        )
+    )
+    cluster.run_for(event_at - cluster.engine.now)
+    leaver = None
+    if event == "join":
+        cluster.add_node(endpoint_for(n), seeds=(members[0],))
+    else:
+        leaver = members[-2]
+        cluster.agents[leaver].leave()
+    cluster.run_for(30.0)
+    nodes = [cluster.agents[ep] for ep in cluster.live_endpoints()]
+    active = [node for node in nodes if node.status == NodeStatus.ACTIVE]
+    complaints = []
+    if any(node.status == NodeStatus.JOINING for node in nodes):
+        complaints.append("joining")
+    if len({node.config.config_id for node in active}) != 1:
+        complaints.append("split")
+    if leaver is not None and any(leaver in node.config for node in active):
+        complaints.append("leaver listed")
+    return complaints
+
+
+#: The 42 cells that failed at n=8 while probes ignored their
+#: ``config_id`` and an install dropped the alerts raised in the view it
+#: closed.  Every one is ingress loss, of either length: the joiner's seed
+#: from +0.02 s to +0.10 s, or the last member from -0.04 s to +0.10 s, was
+#: left on the closed configuration; across a leave, member 0 was, and the
+#: leaver stayed listed.
+STRANDING_CELLS_N8 = tuple(
+    (8, event, "IngressLoss", victim, duration, offset)
+    for event, victim, offsets in (
+        ("join", 0, SCAN_OFFSETS[3:8]),
+        ("join", 7, SCAN_OFFSETS[:8]),
+        ("leave", 0, SCAN_OFFSETS[:8]),
+    )
+    for duration in SCAN_DURATIONS
+    for offset in offsets
+)
+
+
+@pytest.mark.parametrize("cell", STRANDING_CELLS_N8, ids=str)
+def test_a_loss_window_at_a_view_boundary_strands_nobody(cell):
+    assert view_boundary_cell(*cell) == []
+
+
+@pytest.mark.slow
+def test_no_cell_of_the_view_boundary_scan_strands_anybody():
+    """All 480 cells: n = 8 and 16, a join or a leave, ingress or egress
+    loss on member 0 or n-1, for 0.2 s or 1.0 s, at 15 offsets."""
+    failing = [
+        cell
+        for n in (8, 16)
+        for cell in view_boundary_cells(n)
+        if view_boundary_cell(*cell)
+    ]
+    assert failing == []

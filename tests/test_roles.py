@@ -15,10 +15,12 @@ import pytest
 from repro.core.centralized import CentralizedClusterNode, EnsembleNode
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
+from repro.core.events import NodeStatus
 from repro.core.fast_paxos import DecisionLog, FastPaxos
 from repro.core.join import JoinProtocol
 from repro.core.membership import (
     PROBE_BOOTSTRAP_BUDGET,
+    REINFORCEMENT_TIMEOUT,
     AdmissionDesk,
     EdgeMonitor,
     RapidNode,
@@ -29,6 +31,7 @@ from repro.core.messages import (
     AlertKind,
     Change,
     Decision,
+    JoinRequest,
     JoinResponse,
     JoinStatus,
     Phase1a,
@@ -132,6 +135,7 @@ class MonitorBench:
         self.detectors = []
         self.reports = []  # (time, subjects)
         self.rotations = []
+        self.foreign = []  # (peer, config_id)
         self.monitor = EdgeMonitor(
             self.runtime,
             self.settings,
@@ -140,6 +144,7 @@ class MonitorBench:
                 (self.runtime.time, list(subjects))
             ),
             on_rotation=self.rotations.append,
+            on_foreign=lambda peer, config_id: self.foreign.append((peer, config_id)),
         )
         self._answered = 0
 
@@ -179,8 +184,11 @@ class TestEdgeMonitor:
         # The verdict waited out one full rotation before it was reported.
         assert reported_at - failed_at == pytest.approx(bench.settings.probe_interval)
         assert victim in bench.monitor.alerted
-        # An alerted subject is no longer probed.
-        assert all(dst != victim for t, dst in bench.probes() if t > reported_at)
+        # An alerted subject is still probed every rotation or two (a silent
+        # subject's probe is outstanding for one probe_timeout), but never
+        # reported again: the one report above spans the whole run.
+        later = [t for t, dst in bench.probes() if dst == victim and t > reported_at]
+        assert len(later) >= (30.0 - reported_at) / (2 * bench.settings.probe_interval)
 
     def test_co_victims_in_different_slots_arrive_in_one_report(self):
         bench = MonitorBench()
@@ -210,6 +218,18 @@ class TestEdgeMonitor:
         # One probe per subject per interval, each credited exactly once.
         assert len(outcomes) == len(bench.probes())
         assert len(bench.rotations) == pytest.approx(20, abs=1)
+
+    def test_an_edge_has_at_most_one_probe_in_flight(self):
+        """With a timeout longer than the interval, a silent subject's
+        slot comes round while its probe is still out: it is skipped."""
+        bench = MonitorBench(probe_timeout=1.6)
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.start()
+        victim = SUBJECTS[0]
+        bench.run(12.0, silent={victim})
+        sent = [t for t, dst in bench.probes() if dst == victim]
+        gaps = {round(b - a, 6) for a, b in zip(sent, sent[1:])}
+        assert gaps == {2 * bench.settings.probe_interval}
 
     def test_bootstrapping_acks_past_the_budget_count_as_failures(self):
         bench = MonitorBench()
@@ -260,6 +280,34 @@ class TestEdgeMonitor:
         bench.monitor.on_probe(observer, Probe(observer, config_id=7, seq=2))
         assert bench.runtime.sent[-1][2] == ProbeAck(ME, config_id=7, bootstrapping=True)
 
+
+    def test_a_probe_or_ack_naming_another_view_is_reported_once(self):
+        bench = MonitorBench()
+        monitor, peer, subject = bench.monitor, endpoint_for(9), SUBJECTS[0]
+        monitor.watch(7, SUBJECTS)
+        monitor.on_probe(peer, Probe(peer, config_id=6, seq=1))
+        assert bench.foreign == [(peer, 6)]
+        monitor.on_probe_ack(subject, ProbeAck(subject, config_id=8))
+        assert bench.foreign == [(peer, 6), (subject, 8)]
+
+    def test_only_a_watching_monitor_hears_of_another_view(self):
+        """Same-view traffic, a bootstrapping ack (its sender watches no
+        view), and anything an idle or stopped monitor receives are not
+        foreign."""
+        bench = MonitorBench()
+        monitor, peer, subject = bench.monitor, endpoint_for(9), SUBJECTS[0]
+
+        def traffic(config_id):
+            monitor.on_probe(peer, Probe(peer, config_id=config_id, seq=1))
+            monitor.on_probe_ack(subject, ProbeAck(subject, config_id=config_id))
+
+        traffic(6)
+        monitor.watch(7, SUBJECTS)
+        traffic(7)
+        monitor.on_probe_ack(subject, ProbeAck(subject, config_id=0, bootstrapping=True))
+        monitor.stop()
+        traffic(6)
+        assert bench.foreign == []
 
     def test_stopped_wheel_dies_at_its_next_tick(self):
         bench = MonitorBench()
@@ -359,6 +407,15 @@ class TestViewChanger:
         assert [(dst, msg) for _, dst, msg in runtime.sent] == [
             (laggard, Decision(runtime.addr, left, cid))
         ] * 3
+
+    def test_a_decided_cut_that_cannot_apply_closes_nothing(self, changer):
+        """A Decision whose body removes a non-member settles the round,
+        but there is no successor view to log or hand on."""
+        bad = make_proposal([Change(endpoint_for(50), AlertKind.REMOVE)])
+        config_id = changer.config.config_id
+        changer.on_consensus(MEMBERS[1], Decision(MEMBERS[1], config_id, cut_id(bad), bad))
+        assert changer.consensus.decided
+        assert list(changer.log) == []
 
     def test_the_log_keeps_the_newest_links(self):
         log = DecisionLog()
@@ -516,6 +573,57 @@ class TestAdmissionDesk:
         assert all(view.members is config.members for view in views)
 
 
+    def test_a_desk_serving_no_view_answers_nothing(self):
+        desk = AdmissionDesk(SteppingRuntime(MEMBERS[0]), RapidSettings(), {}, None)
+        joiner = endpoint_for(9)
+        desk.on_pre_join_request(joiner, PreJoinRequest(joiner, uuid=5))
+        desk.on_join_request(joiner, JoinRequest(joiner, uuid=5, config_id=7))
+        assert desk.runtime.sent == []
+
+    def test_a_pre_join_naming_a_listed_endpoint_or_uuid(self):
+        """A member asking again under its own identity was admitted and
+        lost the answer: it gets the view.  Anyone else presenting a
+        listed endpoint or logical id is turned away; when the endpoint
+        is listed, the reply names the id the view holds for it."""
+        settings = RapidSettings()
+        config = Configuration(MEMBERS, tuple(range(1, 9)), seq=0)
+        runtime = SteppingRuntime(MEMBERS[0])
+        desk = AdmissionDesk(runtime, settings, {}, None)
+        desk.reset(config, KRingTopology.for_configuration(config, settings.k), ())
+        stranger, member = endpoint_for(9), MEMBERS[2]
+        desk.on_pre_join_request(member, PreJoinRequest(member, uuid=3))
+        desk.on_pre_join_request(stranger, PreJoinRequest(stranger, uuid=4))
+        desk.on_pre_join_request(member, PreJoinRequest(member, uuid=99))
+        (_, dst, answer), *refusals = runtime.sent
+        assert (dst, answer.status, answer.view.members) == (
+            member, JoinStatus.SAFE_TO_JOIN, MEMBERS
+        )
+        assert [(dst, msg.status, msg.conflict_uuid) for _, dst, msg in refusals] == [
+            (stranger, JoinStatus.UUID_IN_USE, 0),
+            (member, JoinStatus.UUID_IN_USE, 3),
+        ]
+
+    def test_a_join_request_to_a_non_observer_is_sent_back(self):
+        """A JoinRequest scoped to the current view reaches a member that
+        observes the joiner on no ring: the joiner is told to start over."""
+        settings = RapidSettings(k=2, h=2, l=1)
+        config = Configuration.of(MEMBERS)
+        topology = KRingTopology.for_configuration(config, settings.k)
+        joiner = endpoint_for(9)
+        outsider = next(
+            m for m in MEMBERS if not topology.observer_rings(m, joiner)
+        )
+        runtime = SteppingRuntime(outsider)
+        alerts = []
+        desk = AdmissionDesk(runtime, settings, {}, alerts.append)
+        desk.reset(config, topology, ())
+        request = JoinRequest(joiner, uuid=5, config_id=config.config_id)
+        desk.on_join_request(joiner, request)
+        assert [(dst, msg.status) for _, dst, msg in runtime.sent] == [
+            (joiner, JoinStatus.CONFIG_CHANGED)
+        ]
+        assert alerts == [] and desk.pending == {}
+
     def test_desk_schedules_nothing(self):
         settings = RapidSettings()
         config = Configuration.of(MEMBERS)
@@ -565,6 +673,64 @@ class TestCompositions:
             last = events[ep][-1]
             assert last.configuration is harness.agents[ep].config
             assert last.removed == (victim,) and not last.joined and not last.kicked
+
+    def test_a_node_starts_once_and_rejoins_only_once_out(self):
+        node = RapidNode(SteppingRuntime(MEMBERS[0]))
+        with pytest.raises(RuntimeError):
+            node.rejoin()
+        node.start()
+        with pytest.raises(RuntimeError):
+            node.start()
+
+    def test_the_last_member_leaves_without_notifying_itself(self):
+        runtime = SteppingRuntime(MEMBERS[0])
+        node = RapidNode(runtime)
+        node.start()
+        assert node.view_size == 1
+        node.leave()
+        assert node.status == NodeStatus.LEFT
+        assert runtime.sent == []
+
+    def test_a_lingering_joiner_is_vouched_for_again(self):
+        """Reinforcement (section 4.2): a joiner left in the unstable region
+        past the timeout is echoed as a JOIN, with the uuid it asked under."""
+        runtime = SteppingRuntime(MEMBERS[0])
+        node = RapidNode(runtime)
+        node._install(Configuration.of(MEMBERS), joined=MEMBERS, removed=())
+        joiner = next(
+            endpoint_for(i)
+            for i in range(50, 100)
+            if node.topology.observer_rings(node.addr, endpoint_for(i))
+        )
+        node.desk.pending[joiner] = 77
+        node.decider.on_alert(
+            Alert(MEMBERS[1], joiner, AlertKind.JOIN, node.config.config_id, (0, 1, 2), 77)
+        )
+        node._alert_batch.clear()
+        runtime.time = REINFORCEMENT_TIMEOUT
+        node._reinforce_scan(runtime.time)
+        assert [(a.subject, a.kind, a.joiner_uuid) for a in node._alert_batch] == [
+            (joiner, AlertKind.JOIN, 77)
+        ]
+
+    def test_an_install_raises_again_the_alerts_its_view_still_needs(self):
+        """Alerts outlive their view: what a member alerted about and the
+        new view still lists is alerted about again under the new
+        ``config_id``; a subject the new view dropped is not."""
+        runtime = SteppingRuntime(MEMBERS[0])
+        node = RapidNode(runtime)
+        node._install(Configuration.of(MEMBERS), joined=MEMBERS, removed=())
+        subjects = node.topology.subjects_of(node.addr)
+        departs, joiner = subjects[0], endpoint_for(50)
+        new = Configuration.of([m for m in MEMBERS if m != departs] + [joiner], seq=1)
+        topology = KRingTopology.for_configuration(new, node.settings.k)
+        stays = min(set(subjects) & set(topology.subjects_of(node.addr)))
+        node._alert((stays, departs))
+        node._install(new, joined=(joiner,), removed=(departs,))
+        assert [(a.subject, a.kind, a.config_id) for a in node._alert_batch] == [
+            (stays, AlertKind.REMOVE, new.config_id)
+        ]
+        assert node.monitor.alerted == {stays}
 
     def test_rapid_c_members_watch_and_vouch_but_decide_nothing(self, monkeypatch):
         built = {FastPaxos: [], MultiNodeCutDetector: []}
