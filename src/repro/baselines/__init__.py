@@ -1,21 +1,17 @@
 """Baseline membership systems the paper compares against."""
 
 from repro.baselines.common import MembershipAgent
-from repro.baselines.swim import SwimConfig, SwimNode
-from repro.baselines.zookeeper import ZkClient, ZkConfig, ZkServer, build_ensemble
-from repro.baselines.akka import AkkaConfig, AkkaNode
-from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
+from repro.baselines.swim import SwimNode
+from repro.baselines.zookeeper import ZkClient, ZkServer, build_ensemble
+from repro.baselines.akka import AkkaNode
+from repro.baselines.gossip_fd import GossipFdNode
 
 __all__ = [
     "MembershipAgent",
-    "SwimConfig",
     "SwimNode",
     "ZkClient",
-    "ZkConfig",
     "ZkServer",
     "build_ensemble",
-    "AkkaConfig",
     "AkkaNode",
-    "GossipFdConfig",
     "GossipFdNode",
 ]

@@ -30,7 +30,7 @@ from repro.core.node_id import Endpoint
 from repro.detectors.phi_accrual import PhiAccrualDetector
 from repro.runtime.base import Runtime
 
-__all__ = ["AkkaNode", "AkkaConfig"]
+__all__ = ["AkkaNode"]
 
 UP = "up"
 UNREACHABLE = "unreachable"
@@ -60,14 +60,16 @@ class AkkaJoin:
     sender: Endpoint
 
 
-@dataclass
-class AkkaConfig:
-    gossip_interval: float = 1.0
-    heartbeat_interval: float = 1.0
-    monitored_members: int = 5
-    phi_threshold: float = 8.0
-    auto_down_after: float = 10.0
-    fd_check_interval: float = 1.0
+# Akka Cluster's reference configuration: ``gossip-interval``,
+# ``heartbeat-interval`` and ``unreachable-nodes-reaper-interval`` of one
+# second, ``monitored-by-nr-of-members = 5``, phi ``threshold = 8``.
+# Auto-downing is off in Akka by default; this model turns it on at 10 s.
+GOSSIP_INTERVAL = 1.0
+HEARTBEAT_INTERVAL = 1.0
+MONITORED_MEMBERS = 5
+PHI_THRESHOLD = 8.0
+AUTO_DOWN_AFTER = 10.0
+FD_CHECK_INTERVAL = 1.0
 
 
 class AkkaNode(MembershipAgent):
@@ -75,12 +77,10 @@ class AkkaNode(MembershipAgent):
         self,
         runtime: Runtime,
         seeds: Iterable[Endpoint] = (),
-        config: Optional[AkkaConfig] = None,
         on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
-        self.config = config or AkkaConfig()
         self.seeds = tuple(seeds)
         self.on_view_change = on_view_change
         # endpoint -> [status, version]
@@ -112,13 +112,13 @@ class AkkaNode(MembershipAgent):
             if seed != self.addr:
                 self.runtime.send(seed, AkkaJoin(sender=self.addr))
         self.runtime.schedule(
-            self.runtime.rng.uniform(0, self.config.gossip_interval), self._gossip_tick
+            self.runtime.rng.uniform(0, GOSSIP_INTERVAL), self._gossip_tick
         )
         self.runtime.schedule(
-            self.runtime.rng.uniform(0, self.config.heartbeat_interval),
+            self.runtime.rng.uniform(0, HEARTBEAT_INTERVAL),
             self._heartbeat_tick,
         )
-        self.runtime.schedule(self.config.fd_check_interval, self._fd_check)
+        self.runtime.schedule(FD_CHECK_INTERVAL, self._fd_check)
 
     def view(self) -> tuple:
         if self._cached_view is None:
@@ -139,7 +139,7 @@ class AkkaNode(MembershipAgent):
                 self._cached_targets = []
             else:
                 idx = members.index(self.addr)
-                count = min(self.config.monitored_members, len(members) - 1)
+                count = min(MONITORED_MEMBERS, len(members) - 1)
                 self._cached_targets = [
                     members[(idx + i + 1) % len(members)] for i in range(count)
                 ]
@@ -148,7 +148,7 @@ class AkkaNode(MembershipAgent):
     def _heartbeat_tick(self) -> None:
         for target in self._monitor_targets():
             self.runtime.send(target, AkkaHeartbeat(sender=self.addr))
-        self.runtime.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.runtime.schedule(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _fd_check(self) -> None:
         now = self.runtime.now()
@@ -157,26 +157,26 @@ class AkkaNode(MembershipAgent):
             detector = self._detectors.get(target)
             if detector is None:
                 detector = PhiAccrualDetector(
-                    threshold=self.config.phi_threshold,
-                    expected_interval=self.config.heartbeat_interval,
+                    threshold=PHI_THRESHOLD,
+                    expected_interval=HEARTBEAT_INTERVAL,
                 )
                 # Seed the arrival history so phi is meaningful immediately.
                 detector.on_probe_success(now, 0.0)
                 self._detectors[target] = detector
             status, version = self.state.get(target, (None, 0))
-            if status == UP and detector.current_phi(now) >= self.config.phi_threshold:
+            if status == UP and detector.current_phi(now) >= PHI_THRESHOLD:
                 self._mark(target, UNREACHABLE)
-            elif status == UNREACHABLE and detector.current_phi(now) < self.config.phi_threshold:
+            elif status == UNREACHABLE and detector.current_phi(now) < PHI_THRESHOLD:
                 self._mark(target, UP)
         # Auto-down: unreachable for too long is removed cluster-wide.
         for target, since in list(self._unreachable_since.items()):
             status, _ = self.state.get(target, (None, 0))
             if status != UNREACHABLE:
                 self._unreachable_since.pop(target, None)
-            elif now - since > self.config.auto_down_after:
+            elif now - since > AUTO_DOWN_AFTER:
                 self._mark(target, REMOVED)
                 self._unreachable_since.pop(target, None)
-        self.runtime.schedule(self.config.fd_check_interval, self._fd_check)
+        self.runtime.schedule(FD_CHECK_INTERVAL, self._fd_check)
 
     def _mark(self, target: Endpoint, status: str) -> None:
         before = self.view()
@@ -203,7 +203,7 @@ class AkkaNode(MembershipAgent):
         if peers:
             peer = peers[self.runtime.rng.randrange(len(peers))]
             self.runtime.send(peer, AkkaGossip(sender=self.addr, state=self._snapshot()))
-        self.runtime.schedule(self.config.gossip_interval, self._gossip_tick)
+        self.runtime.schedule(GOSSIP_INTERVAL, self._gossip_tick)
 
     def _snapshot(self) -> tuple:
         if self._cached_snapshot is None:

@@ -17,13 +17,13 @@ reports for the baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.baselines.common import MembershipAgent
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = ["GossipFdNode", "GossipFdConfig"]
+__all__ = ["GossipFdNode"]
 
 
 @dataclass(frozen=True)
@@ -41,20 +41,13 @@ class FdRumor:
     epoch: int
 
 
-@dataclass
-class GossipFdConfig:
-    heartbeat_interval: float = 1.0
-    timeout: float = 3.0
-    check_interval: float = 0.5
-    #: Delay an alive-declare by up to this many seconds after hearing a
-    #: heartbeat from a down-marked peer, cancelling if someone else's
-    #: resurrect rumor lands first (SRM-style duplicate suppression).
-    #: 0.0 keeps the historical declare-immediately behavior, where every
-    #: observer that hears the same heartbeat broadcasts its own rumor —
-    #: an O(n^2)-message thundering herd per resurrected peer.  The
-    #: flapping *view* dynamics are unchanged either way; only the
-    #: duplicate rumor traffic is suppressed.
-    resurrect_delay: float = 0.0
+# The paper does not give the in-house detector's timers; these are this
+# model's: heartbeat every second, down after three silent seconds at any
+# one observer, checked twice a second.  A down-marked peer that is heard
+# from again is declared alive at once by every observer that hears it.
+HEARTBEAT_INTERVAL = 1.0
+TIMEOUT = 3.0
+CHECK_INTERVAL = 0.5
 
 
 class GossipFdNode(MembershipAgent):
@@ -64,18 +57,15 @@ class GossipFdNode(MembershipAgent):
         self,
         runtime: Runtime,
         members: Iterable[Endpoint],
-        config: Optional[GossipFdConfig] = None,
         on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
-        self.config = config or GossipFdConfig()
         self.members = tuple(sorted(members))
         self.on_view_change = on_view_change
         self.down: set[Endpoint] = set()
         self._last_heard: dict[Endpoint, float] = {}
         self._epochs: dict[Endpoint, int] = {}
-        self._pending_resurrects: set[Endpoint] = set()
         self._started = False
         runtime.attach(self.on_message)
 
@@ -88,10 +78,10 @@ class GossipFdNode(MembershipAgent):
             if peer != self.addr:
                 self._last_heard[peer] = now
         self.runtime.schedule(
-            self.runtime.rng.uniform(0, self.config.heartbeat_interval),
+            self.runtime.rng.uniform(0, HEARTBEAT_INTERVAL),
             self._heartbeat_tick,
         )
-        self.runtime.schedule(self.config.check_interval, self._check_tick)
+        self.runtime.schedule(CHECK_INTERVAL, self._check_tick)
 
     def view(self) -> tuple:
         return tuple(ep for ep in self.members if ep not in self.down)
@@ -102,16 +92,16 @@ class GossipFdNode(MembershipAgent):
         for peer in self.members:
             if peer != self.addr:
                 self.runtime.send(peer, FdHeartbeat(sender=self.addr))
-        self.runtime.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.runtime.schedule(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _check_tick(self) -> None:
         now = self.runtime.now()
         for peer, last in self._last_heard.items():
             if peer in self.down:
                 continue
-            if now - last > self.config.timeout:
+            if now - last > TIMEOUT:
                 self._declare(peer, alive=False)
-        self.runtime.schedule(self.config.check_interval, self._check_tick)
+        self.runtime.schedule(CHECK_INTERVAL, self._check_tick)
 
     def _declare(self, target: Endpoint, alive: bool) -> None:
         epoch = self._epochs.get(target, 0) + 1
@@ -121,27 +111,6 @@ class GossipFdNode(MembershipAgent):
         for peer in self.members:
             if peer != self.addr:
                 self.runtime.send(peer, rumor)
-
-    def _schedule_resurrect(self, target: Endpoint) -> None:
-        """Queue a suppressible alive-declare for ``target``.
-
-        All observers hear a resurrected peer's heartbeat at essentially
-        the same instant; a random per-observer delay lets the first
-        declarer's rumor cancel everyone else's pending declare.
-        """
-        if target in self._pending_resurrects:
-            return
-        self._pending_resurrects.add(target)
-        self.runtime.schedule(
-            self.runtime.rng.uniform(0.0, self.config.resurrect_delay),
-            self._resurrect_if_still_down,
-            target,
-        )
-
-    def _resurrect_if_still_down(self, target: Endpoint) -> None:
-        self._pending_resurrects.discard(target)
-        if target in self.down:
-            self._declare(target, alive=True)
 
     def _set_status(self, target: Endpoint, alive: bool) -> None:
         before = self.view()
@@ -160,13 +129,8 @@ class GossipFdNode(MembershipAgent):
         if isinstance(msg, FdHeartbeat):
             self._last_heard[msg.sender] = self.runtime.now()
             if msg.sender in self.down:
-                # Heard from a supposedly dead node: resurrect it everywhere
-                # (optionally after a suppression delay — see
-                # ``GossipFdConfig.resurrect_delay``).
-                if self.config.resurrect_delay > 0.0:
-                    self._schedule_resurrect(msg.sender)
-                else:
-                    self._declare(msg.sender, alive=True)
+                # Heard from a supposedly dead node: resurrect it everywhere.
+                self._declare(msg.sender, alive=True)
         elif isinstance(msg, FdRumor):
             epoch = self._epochs.get(msg.target, 0)
             if msg.epoch > epoch:

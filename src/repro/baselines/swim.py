@@ -4,14 +4,14 @@ This models HashiCorp's Memberlist (the library under Serf and Consul),
 which implements SWIM [Das et al., DSN'02] with Lifeguard-era defaults:
 
 * round-robin **probing**: each protocol period, ping one member; on
-  timeout, ask ``indirect_probes`` random peers to ping it for us;
+  timeout, ask ``INDIRECT_PROBES`` random peers to ping it for us;
 * **suspicion** with incarnation-numbered refutation: a suspected member
   that hears about its suspicion re-asserts itself with a higher
   incarnation; unrefuted suspicion expires to ``dead`` after a multiplier
   of ``log(N)`` protocol periods;
 * **piggybacked + dedicated gossip**: membership updates ride on ping/ack
   traffic and on a dedicated gossip tick, each update retransmitted
-  ``retransmit_mult * log(N)`` times;
+  ``RETRANSMIT_MULT * log(N)`` times;
 * periodic **push-pull** full state synchronization with a random peer
   (Memberlist's 30-second ``PushPullInterval`` in ``DefaultLANConfig``) —
   the paper's bootstrap experiments show this is what dominates
@@ -25,14 +25,14 @@ forever, and a dead-then-refuted member flaps in and out of every view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.baselines.common import MembershipAgent
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = ["SwimNode", "SwimConfig"]
+__all__ = ["SwimNode"]
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -90,19 +90,17 @@ class SwimPushPull:
     reply: bool = False
 
 
-@dataclass
-class SwimConfig:
-    """Memberlist ``DefaultLANConfig``-shaped parameters."""
-
-    protocol_period: float = 1.0
-    probe_timeout: float = 0.5
-    indirect_probes: int = 3
-    suspicion_mult: float = 4.0
-    gossip_interval: float = 0.2
-    gossip_nodes: int = 3
-    retransmit_mult: float = 4.0
-    push_pull_interval: float = 30.0
-    max_piggyback: int = 8
+# Memberlist ``DefaultLANConfig``: the paper runs Memberlist at its stock
+# settings, and so does every run here.
+PROTOCOL_PERIOD = 1.0
+PROBE_TIMEOUT = 0.5
+INDIRECT_PROBES = 3
+SUSPICION_MULT = 4.0
+GOSSIP_INTERVAL = 0.2
+GOSSIP_NODES = 3
+RETRANSMIT_MULT = 4.0
+PUSH_PULL_INTERVAL = 30.0
+MAX_PIGGYBACK = 8
 
 
 @dataclass
@@ -118,12 +116,10 @@ class SwimNode(MembershipAgent):
         self,
         runtime: Runtime,
         seeds: Iterable[Endpoint] = (),
-        config: Optional[SwimConfig] = None,
         on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
-        self.config = config or SwimConfig()
         self.seeds = tuple(seeds)
         self.on_view_change = on_view_change
         self.incarnation = 0
@@ -151,11 +147,11 @@ class SwimNode(MembershipAgent):
             if seed != self.addr:
                 self.runtime.send(seed, SwimPushPull(sender=self.addr, state=self._state()))
         self._queue_update(Update(self.addr, ALIVE, self.incarnation))
-        jitter = self.runtime.rng.uniform(0, self.config.protocol_period)
+        jitter = self.runtime.rng.uniform(0, PROTOCOL_PERIOD)
         self.runtime.schedule(jitter, self._probe_tick)
-        self.runtime.schedule(self.config.gossip_interval, self._gossip_tick)
+        self.runtime.schedule(GOSSIP_INTERVAL, self._gossip_tick)
         self.runtime.schedule(
-            self.runtime.rng.uniform(0, self.config.push_pull_interval),
+            self.runtime.rng.uniform(0, PUSH_PULL_INTERVAL),
             self._push_pull_tick,
         )
 
@@ -182,10 +178,8 @@ class SwimNode(MembershipAgent):
                 target,
                 SwimPing(sender=self.addr, seq=seq, updates=self._piggyback()),
             )
-            self.runtime.schedule(
-                self.config.probe_timeout, self._probe_timeout, target, seq
-            )
-        self.runtime.schedule(self.config.protocol_period, self._probe_tick)
+            self.runtime.schedule(PROBE_TIMEOUT, self._probe_timeout, target, seq)
+        self.runtime.schedule(PROTOCOL_PERIOD, self._probe_tick)
 
     def _next_probe_target(self) -> Optional[Endpoint]:
         # Memberlist shuffles the member list and walks it round-robin so
@@ -211,7 +205,7 @@ class SwimNode(MembershipAgent):
         if seq not in self._pending_acks:
             return
         # Try indirect probes before suspecting.
-        peers = self._random_peers(self.config.indirect_probes, exclude={target})
+        peers = self._random_peers(INDIRECT_PROBES, exclude={target})
         for peer in peers:
             self.runtime.send(
                 peer,
@@ -224,7 +218,7 @@ class SwimNode(MembershipAgent):
                 ),
             )
         self.runtime.schedule(
-            self.config.protocol_period - self.config.probe_timeout,
+            PROTOCOL_PERIOD - PROBE_TIMEOUT,
             self._indirect_timeout,
             target,
             seq,
@@ -243,7 +237,7 @@ class SwimNode(MembershipAgent):
     def _piggyback(self) -> tuple:
         out = []
         for update in list(self._broadcast_queue):
-            if len(out) >= self.config.max_piggyback:
+            if len(out) >= MAX_PIGGYBACK:
                 break
             out.append(update)
             self._broadcast_queue[update] -= 1
@@ -253,25 +247,25 @@ class SwimNode(MembershipAgent):
 
     def _queue_update(self, update: Update) -> None:
         n = max(2, len(self.members))
-        retransmits = int(self.config.retransmit_mult * math.log10(n) + 1)
+        retransmits = int(RETRANSMIT_MULT * math.log10(n) + 1)
         self._broadcast_queue[update] = retransmits
 
     def _gossip_tick(self) -> None:
         if self._broadcast_queue:
-            peers = self._random_peers(self.config.gossip_nodes)
+            peers = self._random_peers(GOSSIP_NODES)
             updates = self._piggyback()
             if updates:
                 for peer in peers:
                     self.runtime.send(
                         peer, SwimAck(sender=self.addr, seq=0, updates=updates)
                     )
-        self.runtime.schedule(self.config.gossip_interval, self._gossip_tick)
+        self.runtime.schedule(GOSSIP_INTERVAL, self._gossip_tick)
 
     def _push_pull_tick(self) -> None:
         peers = self._random_peers(1)
         for peer in peers:
             self.runtime.send(peer, SwimPushPull(sender=self.addr, state=self._state()))
-        self.runtime.schedule(self.config.push_pull_interval, self._push_pull_tick)
+        self.runtime.schedule(PUSH_PULL_INTERVAL, self._push_pull_tick)
 
     def _random_peers(self, count: int, exclude: frozenset = frozenset()) -> list:
         candidates = [
@@ -392,7 +386,7 @@ class SwimNode(MembershipAgent):
     def _arm_suspicion_timer(self, endpoint: Endpoint, incarnation: int) -> None:
         n = max(2, len(self.members))
         timeout = (
-            self.config.suspicion_mult * math.log10(n) * self.config.protocol_period
+            SUSPICION_MULT * math.log10(n) * PROTOCOL_PERIOD
         )
         old = self._suspicion_timers.pop(endpoint, None)
         if old is not None:

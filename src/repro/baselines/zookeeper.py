@@ -24,20 +24,20 @@ the behaviors the paper measures are modeled explicitly:
   behavior ... resulting in its bootstrap latency increasing by 4x from
   N=1000 to N=2000").
 
-Server capacities (``base_cost``, ``per_child_cost``) are calibrated for
-the scaled-down cluster sizes used in the benchmarks; see EXPERIMENTS.md.
+Server capacities (``BASE_COST``, ``PER_CHILD_COST``) are calibrated for
+the scaled-down cluster sizes used in the benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.baselines.common import MembershipAgent
 from repro.core.node_id import Endpoint
 from repro.runtime.base import Runtime
 
-__all__ = ["ZkServer", "ZkClient", "ZkConfig", "build_ensemble"]
+__all__ = ["ZkServer", "ZkClient", "build_ensemble"]
 
 
 # ------------------------------------------------------------------ messages
@@ -143,22 +143,20 @@ class ZkSessionTouch:
     client: Endpoint
 
 
-@dataclass
-class ZkConfig:
-    """Ensemble and client parameters."""
-
-    session_timeout: float = 6.0
-    heartbeat_interval: float = 2.0
-    poll_interval: float = 5.0  # paper: clients also poll every 5 seconds
-    # Server service costs.  These are deliberately inflated relative to a
-    # real ZooKeeper: the herd effect the paper measures is quadratic in N,
-    # and the benchmarks run at roughly 10x-scaled-down cluster sizes, so
-    # per-request costs are scaled up to preserve the same saturation shape
-    # (see EXPERIMENTS.md, "calibration").
-    base_cost: float = 0.005  # seconds of server time per request
-    per_child_cost: float = 0.0005  # extra per child in a list response
-    write_cost: float = 0.008
-    session_check_interval: float = 1.0
+# Client timers: a 6 s session, pinged every third of it as ZooKeeper's
+# client does, and the paper's 5-second poll alongside the watches.
+SESSION_TIMEOUT = 6.0
+HEARTBEAT_INTERVAL = 2.0
+POLL_INTERVAL = 5.0
+# Server service costs.  These are deliberately inflated relative to a
+# real ZooKeeper: the herd effect the paper measures is quadratic in N,
+# and the benchmarks run at roughly 10x-scaled-down cluster sizes, so
+# per-request costs are scaled up to preserve the same saturation shape.
+BASE_COST = 0.005  # seconds of server time per request
+PER_CHILD_COST = 0.0005  # extra per child in a list response
+WRITE_COST = 0.008
+#: How often the leader expires sessions that went silent.
+SESSION_CHECK_INTERVAL = 1.0
 
 
 # ------------------------------------------------------------------- servers
@@ -175,11 +173,9 @@ class ZkServer:
         self,
         runtime: Runtime,
         servers: Iterable[Endpoint],
-        config: Optional[ZkConfig] = None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
-        self.config = config or ZkConfig()
         self.servers = tuple(servers)
         self.leader = self.servers[0]
         self.is_leader = self.addr == self.leader
@@ -198,9 +194,7 @@ class ZkServer:
 
     def start(self) -> None:
         if self.is_leader:
-            self.runtime.schedule(
-                self.config.session_check_interval, self._session_check
-            )
+            self.runtime.schedule(SESSION_CHECK_INTERVAL, self._session_check)
 
     # ----------------------------------------------------------- service time
 
@@ -244,7 +238,7 @@ class ZkServer:
             self._respond(
                 msg.sender,
                 ZkConnectReply(sender=self.addr, session_id=session_id),
-                self.config.base_cost,
+                BASE_COST,
             )
         else:
             # Forward connects to the leader (sessions are leader-owned).
@@ -258,7 +252,7 @@ class ZkServer:
                 if known
                 else ZkSessionExpired(sender=self.addr, session_id=msg.session_id)
             )
-            self._respond(msg.sender, reply, self.config.base_cost / 4)
+            self._respond(msg.sender, reply, BASE_COST / 4)
         else:
             self.runtime.send(
                 self.leader,
@@ -269,7 +263,7 @@ class ZkServer:
             self._respond(
                 msg.sender,
                 ZkHeartbeatReply(sender=self.addr, session_id=msg.session_id),
-                self.config.base_cost / 4,
+                BASE_COST / 4,
             )
 
     def _touch(self, session_id: int, client: Endpoint) -> bool:
@@ -286,15 +280,13 @@ class ZkServer:
             self.runtime.send(self.leader, msg)
             return
         self._start_proposal("create", msg.sender, msg.session_id)
-        self._respond(
-            msg.sender, ZkRegisterReply(sender=self.addr), self.config.write_cost
-        )
+        self._respond(msg.sender, ZkRegisterReply(sender=self.addr), WRITE_COST)
 
     def _on_get_children(self, msg: ZkGetChildren) -> None:
         members = tuple(sorted(self.children))
         if msg.watch:
             self.watches[msg.sender] = msg.session_id
-        cost = self.config.base_cost + self.config.per_child_cost * len(members)
+        cost = BASE_COST + PER_CHILD_COST * len(members)
         self._respond(
             msg.sender,
             ZkChildrenReply(sender=self.addr, members=members, zxid=self.zxid),
@@ -317,9 +309,7 @@ class ZkServer:
             self._commit(zxid)
 
     def _on_propose(self, src: Endpoint, msg: ZkPropose) -> None:
-        self._respond(
-            src, ZkAckProposal(sender=self.addr, zxid=msg.zxid), self.config.base_cost
-        )
+        self._respond(src, ZkAckProposal(sender=self.addr, zxid=msg.zxid), BASE_COST)
 
     def _on_ack_proposal(self, msg: ZkAckProposal) -> None:
         entry = self._proposals.get(msg.zxid)
@@ -359,7 +349,7 @@ class ZkServer:
             self._respond(
                 client,
                 ZkWatchEvent(sender=self.addr, zxid=zxid),
-                self.config.base_cost / 10,
+                BASE_COST / 10,
             )
 
     # --------------------------------------------------------------- sessions
@@ -369,14 +359,14 @@ class ZkServer:
         expired = [
             sid
             for sid, (client, last) in self.sessions.items()
-            if now - last > self.config.session_timeout
+            if now - last > SESSION_TIMEOUT
         ]
         for sid in expired:
             client, _ = self.sessions.pop(sid)
             for target, owner in list(self.children.items()):
                 if owner == sid:
                     self._start_proposal("delete", target, sid)
-        self.runtime.schedule(self.config.session_check_interval, self._session_check)
+        self.runtime.schedule(SESSION_CHECK_INTERVAL, self._session_check)
 
 
 # ------------------------------------------------------------------- clients
@@ -389,13 +379,11 @@ class ZkClient(MembershipAgent):
         self,
         runtime: Runtime,
         servers: Iterable[Endpoint],
-        config: Optional[ZkConfig] = None,
         on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
         self.servers = tuple(servers)
-        self.config = config or ZkConfig()
         self.on_view_change = on_view_change
         self.session_id: Optional[int] = None
         self.members: tuple = ()
@@ -411,9 +399,9 @@ class ZkClient(MembershipAgent):
             self.runtime.rng.randrange(len(self.servers))
         ]
         self._connect()
-        self.runtime.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.runtime.schedule(HEARTBEAT_INTERVAL, self._heartbeat_tick)
         self.runtime.schedule(
-            self.config.poll_interval + self.runtime.rng.uniform(0, 1.0),
+            POLL_INTERVAL + self.runtime.rng.uniform(0, 1.0),
             self._poll_tick,
         )
 
@@ -426,9 +414,9 @@ class ZkClient(MembershipAgent):
         self.session_id = None
         self.runtime.send(
             self._server,
-            ZkConnect(sender=self.addr, session_timeout=self.config.session_timeout),
+            ZkConnect(sender=self.addr, session_timeout=SESSION_TIMEOUT),
         )
-        self.runtime.schedule(self.config.session_timeout, self._connect_check)
+        self.runtime.schedule(SESSION_TIMEOUT, self._connect_check)
 
     def _connect_check(self) -> None:
         if self.session_id is None and self._started:
@@ -439,14 +427,14 @@ class ZkClient(MembershipAgent):
             self.runtime.send(
                 self._server, ZkHeartbeat(sender=self.addr, session_id=self.session_id)
             )
-        self.runtime.schedule(self.config.heartbeat_interval, self._heartbeat_tick)
+        self.runtime.schedule(HEARTBEAT_INTERVAL, self._heartbeat_tick)
 
     def _poll_tick(self) -> None:
         # Defense-in-depth polling alongside watches, as in the paper's
         # 5-second probing setup.
         if self.session_id is not None:
             self._read_children()
-        self.runtime.schedule(self.config.poll_interval, self._poll_tick)
+        self.runtime.schedule(POLL_INTERVAL, self._poll_tick)
 
     def _read_children(self) -> None:
         self.runtime.send(
@@ -476,11 +464,11 @@ class ZkClient(MembershipAgent):
                 self.on_view_change(self.members)
 
 
-def build_ensemble(runtimes: Iterable[Runtime], config: Optional[ZkConfig] = None):
+def build_ensemble(runtimes: Iterable[Runtime]):
     """Construct servers for the given runtimes; first runtime is leader."""
     runtimes = list(runtimes)
     endpoints = tuple(rt.addr for rt in runtimes)
-    servers = [ZkServer(rt, endpoints, config) for rt in runtimes]
+    servers = [ZkServer(rt, endpoints) for rt in runtimes]
     for server in servers:
         server.start()
     return servers

@@ -298,38 +298,36 @@ class FastPaxos:
     # -------------------------------------------------------------- messages
 
     def handle(self, src: Endpoint, msg: object) -> None:
-        """Feed a consensus-related message into this instance."""
+        """Feed a consensus message of this instance's configuration.
+
+        The owner scopes every message before it gets here
+        (:meth:`repro.core.membership.ViewChanger.on_consensus`), so a
+        message naming another configuration never reaches an instance.
+        """
         if isinstance(msg, VoteBundle):
             self._on_votes(msg)
         elif isinstance(msg, VotePull):
-            if msg.config_id == self.config_id:
-                self._on_pull(msg)
+            self._on_pull(msg)
         elif isinstance(msg, Decision):
-            if msg.config_id == self.config_id:
-                self._on_decision(msg)
+            self._on_decision(msg)
         elif isinstance(msg, (Phase1a, Phase1b, Phase2a, Phase2b)):
-            if msg.config_id == self.config_id:
-                self.used_fallback = True
-                # Classical rounds carry whole values; file them, so a
-                # quorum counted for a cut we never computed can decide.
-                if isinstance(msg, Phase1b) and msg.vvalue:
-                    self._hold(msg.vvalue)
-                elif isinstance(msg, Phase2a):
-                    self._hold(msg.value)
-                paxos = self.paxos
-                if not paxos.decided:
-                    paxos.handle(src, msg)
-                    if paxos.decided:
-                        # The accept that completed the majority came from
-                        # an acceptor that filed the body from Phase2a.
-                        self._want_from = msg.sender
-                        self._chosen(paxos.decision)
+            self.used_fallback = True
+            # Classical rounds carry whole values; file them, so a
+            # quorum counted for a cut we never computed can decide.
+            if isinstance(msg, Phase1b) and msg.vvalue:
+                self._hold(msg.vvalue)
+            elif isinstance(msg, Phase2a):
+                self._hold(msg.value)
+            paxos = self.paxos
+            if not paxos.decided:
+                paxos.handle(src, msg)
+                if paxos.decided:
+                    # The accept that completed the majority came from
+                    # an acceptor that filed the body from Phase2a.
+                    self._want_from = msg.sender
+                    self._chosen(paxos.decision)
 
     def _on_votes(self, msg: VoteBundle) -> None:
-        if msg.config_id != self.config_id:
-            if msg.bodies:
-                self._m_bodies_rejected.inc(len(msg.bodies))
-            return
         if msg.sender != self.runtime.addr:
             # Own broadcasts are delivered locally too; only bundles that
             # crossed the wire count, so tx and rx stay reconcilable.

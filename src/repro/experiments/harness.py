@@ -8,9 +8,10 @@ Every system runs under the one contract of
 so the experiment scenarios (:mod:`repro.experiments.scenarios`) and the
 benchmark runner (:mod:`repro.bench`) run the paper's comparisons across
 Rapid, Rapid-C, Memberlist/SWIM, ZooKeeper, and Akka with identical
-drivers.  A class here adds only its agent factory and its configuration:
-a config dataclass for the baselines; settings, the safety ledger and (for
-Rapid-C) the ensemble for Rapid.
+drivers.  A class here adds only its agent factory and what it needs
+beyond the contract: nothing for a baseline, whose timers are constants
+of its own module (the paper runs each at its stock settings); settings,
+the safety ledger and (for Rapid-C) the ensemble for Rapid.
 
 Every system is observed from outside: the driver samples each agent's
 ``view_size`` itself, and a Rapid process reports the views it installs
@@ -23,17 +24,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.baselines.akka import AkkaConfig, AkkaNode
-from repro.baselines.gossip_fd import GossipFdConfig, GossipFdNode
-from repro.baselines.swim import SwimConfig, SwimNode
-from repro.baselines.zookeeper import ZkClient, ZkConfig, build_ensemble
+from repro.baselines.akka import AkkaNode
+from repro.baselines.gossip_fd import GossipFdNode
+from repro.baselines.swim import SwimNode
+from repro.baselines.zookeeper import ZkClient, build_ensemble
 from repro.core.centralized import CentralizedClusterNode, EnsembleNode
 from repro.core.membership import RapidNode, ViewChanger
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.obs.invariants import ViewLedger
 from repro.sim.cluster import SimCluster
-from repro.sim.latency import LatencyModel
 
 __all__ = [
     "RapidHarness",
@@ -48,29 +48,22 @@ __all__ = [
 
 
 class _BaselineHarness(SimCluster):
-    """A baseline: ``agent_cls(runtime, contacts, config)``.
+    """A baseline: ``agent_cls(runtime, contacts)``.
 
-    Baselines report opaque views (no config ids or membership hashes),
-    so the safety-invariant ledger does not apply: ``ledger`` is ``None``.
+    A baseline takes nothing but a seed: its timers are constants of its
+    module.  Baselines report opaque views (no config ids or membership
+    hashes), so the safety-invariant ledger does not apply: ``ledger`` is
+    ``None``.
     """
 
     agent_cls: type
-    config_cls: type
-
-    def __init__(
-        self, seed: int = 0, config=None, latency: Optional[LatencyModel] = None
-    ) -> None:
-        super().__init__(seed=seed, latency=latency)
-        self.config = config or self.config_cls()
 
     def _contacts(self, addr: Endpoint, seeds: tuple) -> tuple:
         """Whom a new agent is told about: its seeds, never itself."""
         return tuple(seed for seed in seeds if seed != addr)
 
     def make_agent(self, runtime, seeds: tuple = (), **agent_kw):
-        return self.agent_cls(
-            runtime, self._contacts(runtime.addr, seeds), self.config, **agent_kw
-        )
+        return self.agent_cls(runtime, self._contacts(runtime.addr, seeds), **agent_kw)
 
 
 class SwimHarness(_BaselineHarness):
@@ -78,7 +71,6 @@ class SwimHarness(_BaselineHarness):
 
     name = "memberlist"
     agent_cls = SwimNode
-    config_cls = SwimConfig
 
 
 class AkkaHarness(_BaselineHarness):
@@ -86,7 +78,6 @@ class AkkaHarness(_BaselineHarness):
 
     name = "akka"
     agent_cls = AkkaNode
-    config_cls = AkkaConfig
 
 
 class GossipFdHarness(_BaselineHarness):
@@ -100,7 +91,6 @@ class GossipFdHarness(_BaselineHarness):
 
     name = "gossip-fd"
     agent_cls = GossipFdNode
-    config_cls = GossipFdConfig
 
     def _contacts(self, addr: Endpoint, seeds: tuple) -> tuple:
         return tuple(self.endpoints)
@@ -111,15 +101,14 @@ class ZooKeeperHarness(_BaselineHarness):
 
     name = "zookeeper"
     agent_cls = ZkClient
-    config_cls = ZkConfig
 
-    def __init__(self, seed: int = 0, **kw) -> None:
-        super().__init__(seed=seed, **kw)
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(seed=seed)
         self.server_endpoints = tuple(
             Endpoint(f"10.255.254.{i + 1}", 2181) for i in range(3)
         )
         self.servers = build_ensemble(
-            [self._runtime(ep) for ep in self.server_endpoints], self.config
+            [self._runtime(ep) for ep in self.server_endpoints]
         )
 
     def _contacts(self, addr: Endpoint, seeds: tuple) -> tuple:
@@ -137,14 +126,9 @@ class RapidHarness(SimCluster):
     #: Whether the ledger lets a member skip views (only Rapid-C may).
     allow_member_gaps = False
 
-    def __init__(
-        self,
-        seed: int = 0,
-        settings: Optional[RapidSettings] = None,
-        latency: Optional[LatencyModel] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, settings: Optional[RapidSettings] = None) -> None:
         ledger = ViewLedger(seed=seed, allow_member_gaps=self.allow_member_gaps)
-        super().__init__(seed=seed, latency=latency, ledger=ledger)
+        super().__init__(seed=seed, ledger=ledger)
         self.settings = settings or RapidSettings()
 
     def make_agent(self, runtime, seeds: tuple = (), **agent_kw):
@@ -181,8 +165,8 @@ class RapidCHarness(RapidHarness):
     # contiguity leg is relaxed.
     allow_member_gaps = True
 
-    def __init__(self, seed: int = 0, **kw) -> None:
-        super().__init__(seed=seed, **kw)
+    def __init__(self, seed: int = 0, settings: Optional[RapidSettings] = None) -> None:
+        super().__init__(seed=seed, settings=settings)
         # ``metrics`` instruments the cluster members, not the ensemble; the
         # members decide nothing, and their report keeps Rapid's columns for
         # the deciding role (at zero) so the two systems' rows line up.
@@ -217,14 +201,12 @@ SYSTEMS = {
 def harness_for(system: str, seed: int = 0, **kwargs):
     """Construct the harness for a system name used in the paper's plots.
 
-    ``settings`` may be passed as a plain dict of
+    A baseline takes only ``seed``.  The Rapid harnesses also take
+    ``settings``, which may be a plain dict of
     :class:`~repro.core.settings.RapidSettings` field overrides — the form
-    benchmark specs use, since their params must stay JSON-serializable —
-    and is instantiated here for the Rapid harnesses (an unknown field
-    name raises ``ValueError`` listing the valid ones).  Likewise ``config``
-    may be a plain dict of the baseline harness's config-dataclass fields
-    (``SwimConfig``, ``GossipFdConfig``, ``ZkConfig``, ``AkkaConfig``), the
-    form sweep grids use.
+    benchmark specs and sweep grids use, since their params must stay
+    JSON-serializable — and is instantiated here (an unknown field name
+    raises ``ValueError`` listing the valid ones).
     """
     try:
         factory = SYSTEMS[system]
@@ -233,12 +215,4 @@ def harness_for(system: str, seed: int = 0, **kwargs):
     settings = kwargs.get("settings")
     if isinstance(settings, dict):
         kwargs["settings"] = RapidSettings.from_overrides(settings)
-    config = kwargs.get("config")
-    if isinstance(config, dict):
-        if not issubclass(factory, _BaselineHarness):
-            raise ValueError(
-                f"system {system!r} takes no config dict; "
-                "pass Rapid overrides via settings={...}"
-            )
-        kwargs["config"] = factory.config_cls(**config)
     return factory(seed=seed, **kwargs)

@@ -163,7 +163,7 @@ class LiveHarness(RapidHarness):
             return self._final_now
         return self.loop.time() - self._epoch
 
-    def _fabric(self, latency) -> tuple:
+    def _fabric(self) -> tuple:
         return _LiveEngine(self), LiveWire(seed=self.seed, clock=self._now)
 
     def _address(self, index: int) -> Endpoint:

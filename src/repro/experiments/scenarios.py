@@ -336,7 +336,6 @@ def adversary_experiment(
     fault_at: float = 30.0,
     observe_for: float = 120.0,
     settle_timeout: float = 600.0,
-    profile_overrides: Optional[dict] = None,
     **harness_kwargs,
 ) -> dict:
     """Run a named fault profile against a system and score stability.
@@ -356,7 +355,7 @@ def adversary_experiment(
     )
     fault_start = harness.engine.now + fault_at
     compiled, healthy, scorecard = install_profile(
-        harness, endpoints, profile, seed, fault_start, profile_overrides
+        harness, endpoints, profile, seed, fault_start
     )
     harness.run_for(fault_at + observe_for)
     report = {
@@ -574,7 +573,7 @@ def _app_experiment(
     fault_at: float,
     observe_for: float,
     settle_timeout: float,
-    profile_overrides: Optional[dict],
+    overrides: Optional[dict],
     harness_kwargs: dict,
     deploy: Callable,
     drain: float,
@@ -585,10 +584,11 @@ def _app_experiment(
     ``deploy(harness, endpoints, stats)`` co-host the app tier on it —
     returning the load ``sources`` to start for the workload's duration,
     the (already started) view ``watchers``, and a callable giving the
-    app's own result keys — strike with ``profile`` ``fault_at`` seconds
-    in, run the workload out plus ``drain`` seconds of in-flight requests,
-    and assemble app SLO scalars, ``mem_``-prefixed membership stability
-    metrics and the series payloads behind ``repro.bench --timeseries``.
+    app's own result keys — strike with ``profile`` (its parameters
+    changed by ``overrides``) ``fault_at`` seconds in, run the workload out
+    plus ``drain`` seconds of in-flight requests, and assemble app SLO
+    scalars, ``mem_``-prefixed membership stability metrics and the series
+    payloads behind ``repro.bench --timeseries``.
     """
     harness, endpoints, settled = _settled(
         system, n, seed, settle_timeout, harness_kwargs
@@ -604,7 +604,7 @@ def _app_experiment(
     healthy: Sequence[Endpoint] = endpoints
     if profile is not None:
         compiled, healthy, mem_card = install_profile(
-            harness, endpoints, profile, seed, fault_start, profile_overrides
+            harness, endpoints, profile, seed, fault_start, overrides
         )
     harness.run_for(duration + drain + 1.0)
     for worker in (*sources, *watchers):
@@ -639,7 +639,6 @@ def service_discovery_experiment(
     fault_at: float = 10.0,
     observe_for: float = 40.0,
     settle_timeout: float = 600.0,
-    profile_overrides: Optional[dict] = None,
     app_config=None,
     **harness_kwargs,
 ) -> dict:
@@ -695,7 +694,7 @@ def service_discovery_experiment(
 
     return _app_experiment(
         system, n, profile, seed, fault_at, observe_for, settle_timeout,
-        profile_overrides, harness_kwargs,
+        None, harness_kwargs,
         deploy, config.request_deadline,
     )
 
@@ -712,7 +711,6 @@ def txn_platform_experiment(
     fault_at: float = 10.0,
     observe_for: float = 40.0,
     settle_timeout: float = 600.0,
-    profile_overrides: Optional[dict] = None,
     app_config=None,
     **harness_kwargs,
 ) -> dict:
@@ -721,10 +719,9 @@ def txn_platform_experiment(
     Every member is a :class:`~repro.apps.txn_platform.DataServer`
     (co-hosted with its membership agent); ``_TXN_CLIENTS`` external
     clients offer open-loop transactions for ``fault_at + observe_for`` seconds.
-    ``profile="blackhole"`` defaults its pair to ``"edge"`` — the
+    ``profile="blackhole"`` puts its pair on the ``"edge"`` — the
     serializer (lowest-addressed member) against the highest-addressed
-    one, the paper's Figure 12 fault — unless the caller overrides
-    ``pair`` explicitly.
+    one, the paper's Figure 12 fault.
 
     Returns the app SLO scorecard scalars plus ``failovers`` (the max any
     server observed), membership metrics prefixed ``mem_``, and the
@@ -733,8 +730,7 @@ def txn_platform_experiment(
     if isinstance(app_config, dict):
         app_config = TxnPlatformConfig(**app_config)
     config = app_config or TxnPlatformConfig()
-    if profile == "blackhole" and "pair" not in (profile_overrides or {}):
-        profile_overrides = {**(profile_overrides or {}), "pair": "edge"}
+    overrides = {"pair": "edge"} if profile == "blackhole" else None
 
     def deploy(harness, endpoints, stats):
         servers = []
@@ -775,7 +771,7 @@ def txn_platform_experiment(
 
     return _app_experiment(
         system, n, profile, seed, fault_at, observe_for, settle_timeout,
-        profile_overrides, harness_kwargs,
+        overrides, harness_kwargs,
         deploy, config.txn_deadline,
     )
 

@@ -24,7 +24,6 @@ from typing import Iterable, Optional
 from repro.core.node_id import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.latency import LatencyModel
 from repro.sim.network import Network
 from repro.sim.process import SimRuntime
 from repro.sim.trace import ViewTrace
@@ -43,9 +42,10 @@ class SimCluster:
     Parameters
     ----------
     seed:
-        Root seed for all randomness in the run.
-    latency:
-        Latency model of the simulated network (the default otherwise).
+        Root seed for all randomness in the run.  The simulated network
+        has one latency model (:class:`~repro.sim.latency.LanLatency`);
+        a test that needs exact timing builds a
+        :class:`~repro.sim.network.Network` with its own.
     ledger:
         The run's :class:`~repro.obs.invariants.ViewLedger`, fed by
         ``trace``; ``None`` for systems whose views carry no
@@ -63,12 +63,10 @@ class SimCluster:
     #: samples at every multiple of it that it runs the clock to.
     sample_interval = 1.0
 
-    def __init__(
-        self, seed: int = 0, latency: Optional[LatencyModel] = None, ledger=None
-    ) -> None:
+    def __init__(self, seed: int = 0, ledger=None) -> None:
         self.seed = seed
         self.metrics = MetricsRegistry()
-        self.engine, self.network = self._fabric(latency)
+        self.engine, self.network = self._fabric()
         self.ledger = ledger
         self.trace = ViewTrace(ledger)
         self.agents: dict[Endpoint, object] = {}
@@ -83,12 +81,10 @@ class SimCluster:
         """Build (not start) this system's agent on ``runtime``."""
         raise NotImplementedError
 
-    def _fabric(self, latency: Optional[LatencyModel]) -> tuple:
+    def _fabric(self) -> tuple:
         """The run's ``(engine, network)`` pair."""
         engine = Engine(metrics=self.metrics)
-        return engine, Network(
-            engine, seed=self.seed, latency=latency, metrics=self.metrics
-        )
+        return engine, Network(engine, seed=self.seed, metrics=self.metrics)
 
     def _address(self, index: int) -> Endpoint:
         """Where the ``index``-th process of the bootstrap cohort listens."""

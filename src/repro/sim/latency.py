@@ -3,10 +3,13 @@
 The simulated network asks a latency model for a one-way delay per message.
 Models are pure given an RNG, so experiments stay reproducible.
 
-The default :class:`LanLatency` is a lognormal fit loosely matching
-intra-datacenter RTTs (median a few hundred microseconds, with a tail), plus
-a per-byte serialization cost so that large messages (e.g. full membership
-list reads from the ZooKeeper baseline) cost proportionally more.
+Every simulated run uses :class:`LanLatency`, a lognormal fit loosely
+matching intra-datacenter RTTs (median a few hundred microseconds, with a
+tail), plus a per-byte serialization cost so that large messages (e.g. full
+membership list reads from the ZooKeeper baseline) cost proportionally
+more.  Its fit is three module constants.  :class:`ConstantLatency` is for
+tests that need exact timing, passed to
+:class:`~repro.sim.network.Network` directly.
 """
 
 from __future__ import annotations
@@ -14,16 +17,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Protocol
 
-__all__ = ["LatencyModel", "ConstantLatency", "UniformLatency", "LanLatency"]
+__all__ = ["LatencyModel", "ConstantLatency", "LanLatency"]
 
 
-class LatencyModel:
+class LatencyModel(Protocol):
     """Interface: one-way message delay in seconds."""
 
     def sample(self, rng: random.Random, size_bytes: int) -> float:
         """One-way delay (seconds) for a message of ``size_bytes``."""
-        raise NotImplementedError
 
 
 @dataclass
@@ -37,34 +40,19 @@ class ConstantLatency(LatencyModel):
         return self.delay
 
 
-@dataclass
-class UniformLatency(LatencyModel):
-    """Uniform delay in ``[low, high]``."""
-
-    low: float = 0.0005
-    high: float = 0.002
-
-    def sample(self, rng: random.Random, size_bytes: int) -> float:
-        """A uniform draw from ``[low, high]`` seconds."""
-        return rng.uniform(self.low, self.high)
+#: Median one-way propagation delay of :class:`LanLatency` (seconds).
+MEDIAN = 0.0005
+#: Its tail: a sigma of 0.6 gives a p99 roughly 4x the median.
+SIGMA = 0.6
+#: NIC/stack serialization rate: at 1 Gbps a 1 KB message adds ~8
+#: microseconds, while a 100 KB membership snapshot adds ~0.8 ms.
+BYTES_PER_SECOND = 125_000_000.0
+_LOG_MEDIAN = math.log(MEDIAN)
 
 
-@dataclass
 class LanLatency(LatencyModel):
-    """Lognormal LAN delay plus a per-byte transmission cost.
-
-    ``median`` is the median propagation delay; ``sigma`` controls the tail
-    (sigma of 0.6 gives p99 roughly 4x the median).  ``bytes_per_second``
-    models NIC/stack serialization; at the default 1 Gbps a 1 KB message adds
-    ~8 microseconds, while a 100 KB membership snapshot adds ~0.8 ms.
-    """
-
-    median: float = 0.0005
-    sigma: float = 0.6
-    bytes_per_second: float = 125_000_000.0
-
-    def __post_init__(self) -> None:
-        self._log_median = math.log(self.median)
+    """Lognormal LAN delay (``MEDIAN``, ``SIGMA``) plus a per-byte
+    transmission cost (``BYTES_PER_SECOND``)."""
 
     def sample(self, rng: random.Random, size_bytes: int) -> float:
         """Lognormal propagation delay plus size-proportional transmission."""
@@ -72,6 +60,6 @@ class LanLatency(LatencyModel):
         # rng.lognormvariate(mu, sigma), but gauss() amortizes one pair of
         # uniforms over two samples where normalvariate() runs a rejection
         # loop — measurably cheaper on the per-message hot path.
-        propagation = math.exp(rng.gauss(self._log_median, self.sigma))
-        transmission = size_bytes / self.bytes_per_second
+        propagation = math.exp(rng.gauss(_LOG_MEDIAN, SIGMA))
+        transmission = size_bytes / BYTES_PER_SECOND
         return propagation + transmission

@@ -179,7 +179,9 @@ class Network:
     seed:
         Root seed; latency and loss decisions derive child generators.
     latency:
-        One-way delay model (defaults to :class:`LanLatency`).
+        One-way delay model: :class:`LanLatency` in every run, a
+        :class:`~repro.sim.latency.ConstantLatency` in tests that need
+        exact timing.
     metrics:
         Registry receiving the fabric-wide ``net.*`` counters; a private
         enabled registry is created when none is supplied, so traffic
@@ -283,9 +285,13 @@ class Network:
     def register(
         self, addr: Endpoint, handler: Callable[[Endpoint, Any], None]
     ) -> None:
-        """Attach a message handler for ``addr`` (its "socket")."""
+        """Attach a message handler for ``addr`` (its "socket").
+
+        Registering does not revive a crashed endpoint: only
+        :meth:`recover` does, so a process that attaches a second handler
+        (an app co-hosted on a membership agent) stays down if it is down.
+        """
         self._handlers[addr] = handler
-        self._crashed.discard(addr)
 
     def add_rule(self, rule: FaultRule) -> FaultRule:
         """Install a fault rule; returns it so callers can remove it later.

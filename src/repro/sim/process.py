@@ -23,9 +23,10 @@ __all__ = ["SimRuntime"]
 class SimRuntime:
     """Per-process runtime inside the simulator.
 
-    The runtime must be given a message handler via :meth:`attach` before
-    messages arrive; :class:`~repro.sim.cluster` harnesses do this when they
-    construct protocol nodes.
+    :meth:`attach` registers the message handler with the network, which
+    calls it directly; until then the address has no listener and the
+    network drops what arrives there.  Protocol nodes attach when they
+    are constructed.
 
     Fail-stop is final: a timer that fires while the process is down is
     discarded, not deferred, so a crashed process cannot be brought back.
@@ -48,7 +49,6 @@ class SimRuntime:
         self.rng = rng if rng is not None else child_rng(seed, "process", str(addr))
         self._crashed = False
         self._handler: Optional[Callable[[Endpoint, Any], None]] = None
-        network.register(addr, self._dispatch)
 
     # ------------------------------------------------------- runtime protocol
 
@@ -73,8 +73,13 @@ class SimRuntime:
     # ----------------------------------------------------------------- wiring
 
     def attach(self, handler: Callable[[Endpoint, Any], None]) -> None:
-        """Set the function invoked for every inbound message."""
+        """Set the function the network calls for every inbound message.
+
+        Attaching never revives a crashed process (the network keeps
+        registration and fail-stop apart).
+        """
         self._handler = handler
+        self.network.register(self.addr, handler)
 
     @property
     def handler(self) -> Optional[Callable[[Endpoint, Any], None]]:
@@ -102,8 +107,3 @@ class SimRuntime:
     def _guarded(self, fn: Callable[..., None], args: tuple) -> None:
         if not self._crashed:
             fn(*args)
-
-    def _dispatch(self, src: Endpoint, msg: Any) -> None:
-        # The network delivers nothing to a crashed endpoint; what it does
-        # deliver goes to whichever handler is attached by now.
-        self._handler(src, msg)

@@ -8,7 +8,7 @@ forms parse to the same thing:
   ``profiles=flip_flop,slow_process;n=24;seeds=1,2`` (axes separated by
   ``;``, values by ``,``; ints/floats/bools are auto-typed);
 * JSON object — the same axes as a dict, with proper lists
-  (``{"systems": ["rapid"], "profile_overrides": {"loss": 0.5}}``; a
+  (``{"systems": ["rapid"], "settings": {"k": 8, "h": 7}}``; a
   dict-valued key is a scalar param, not an axis);
 * JSON list — several objects, expanded independently and concatenated
   (ragged grids: different windows per system, say).
@@ -164,8 +164,8 @@ def expand_grid(block: Mapping) -> list:
         if canon is not None:
             axes[canon] = values
         else:
-            # Dict-valued params (e.g. profile_overrides, settings) are a
-            # single scalar argument, never an axis.
+            # Dict-valued params (settings, app_config) are a single
+            # scalar argument, never an axis.
             extras[key] = (
                 [value] if isinstance(value, Mapping) else values
             )

@@ -243,14 +243,6 @@ class TestAppExperimentsSmall:
 #: The app-tier fault matrix the slow gap test serves traffic through.
 SERVED_PROFILES = ("flip_flop", "blackhole", "slow_process", "rack_crash")
 
-#: Coarse gossip-FD config bounding simulation cost (as in test_adversary).
-GOSSIP_FD_COARSE = {
-    "heartbeat_interval": 2.0,
-    "timeout": 6.0,
-    "check_interval": 1.0,
-    "resurrect_delay": 0.25,
-}
-
 
 @pytest.mark.slow
 class TestServedTrafficGap:
@@ -279,7 +271,7 @@ class TestServedTrafficGap:
         # with its reconfiguration pause — a measurably degraded tail.
         baseline = txn_platform_experiment(
             "gossip-fd", 16, profile="blackhole", seed=1,
-            fault_at=10.0, observe_for=40.0, config=GOSSIP_FD_COARSE,
+            fault_at=10.0, observe_for=40.0,
         )
         assert baseline["failovers"] >= 2
         assert (

@@ -113,6 +113,18 @@ def test_a_driver_without_a_system_makes_no_agent():
         SimCluster(seed=1).add_node(endpoint_for(0))
 
 
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_no_harness_takes_a_latency_model_or_a_baseline_config(system):
+    """No harness takes a latency model or a baseline config: every run
+    uses the one simulated network and each baseline's stock timers, and
+    an unknown system is refused with the known ones listed."""
+    for knob in ("latency", "config"):
+        with pytest.raises(TypeError):
+            harness_for(system, seed=1, **{knob: None})
+    with pytest.raises(ValueError, match="choose from"):
+        harness_for(system + "-x", seed=1)
+
+
 @pytest.mark.parametrize("system", ["rapid", "memberlist"])
 def test_sampling_is_observe_only(system):
     """Driving through the driver or running the engine directly gives the

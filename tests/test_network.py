@@ -11,6 +11,7 @@ from repro.sim.engine import Engine
 from repro.sim.faults import Duplicate, EgressDelay, EgressLoss, IngressLoss
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network, wire_size
+from repro.sim.process import SimRuntime
 
 
 def make_network(seed: int = 1):
@@ -106,6 +107,27 @@ class TestFailStop:
         assert network.received_bytes == wire_size(msg)
         assert byte_totals(network, victim) == (0, 0)
         assert byte_totals(network, nobody) == (0, 0)
+
+    def test_a_process_hears_only_once_attached_and_attaching_revives_nothing(self):
+        """A runtime's handler is the network's: nothing reaches the
+        address before ``attach``, and a second ``attach`` (an app
+        co-hosted on a crashed process) leaves it down."""
+        engine, network = make_network()
+        a, b = endpoints(2)
+        network.register(a, lambda src, msg: None)
+        runtime = SimRuntime(engine, network, b)
+        heard = []
+        network.send(a, b, Probe(sender=a, config_id=1, seq=1))
+        engine.run()
+        runtime.attach(lambda src, msg: heard.append(msg.seq))
+        network.send(a, b, Probe(sender=a, config_id=1, seq=2))
+        engine.run()
+        runtime.crash()
+        runtime.attach(lambda src, msg: heard.append(-msg.seq))
+        network.send(a, b, Probe(sender=a, config_id=1, seq=3))
+        engine.run()
+        assert heard == [2]
+        assert network.dropped_messages == 2 and runtime.crashed
 
 
 class TestRules:

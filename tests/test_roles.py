@@ -48,6 +48,7 @@ from repro.core.node_id import NodeId
 from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import harness_for
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.cluster import endpoint_for
 
 
@@ -332,7 +333,9 @@ def changer(request):
     runtime = SteppingRuntime(MEMBERS[0] if acceptors is None else ENSEMBLE[0])
     settings = RapidSettings()
     config = Configuration.of(MEMBERS)
-    changer = ViewChanger(runtime, settings, lambda payload: None, lambda *args: None)
+    changer = ViewChanger(
+        runtime, settings, lambda payload: None, lambda *args: None, MetricsRegistry()
+    )
     topology = KRingTopology.for_configuration(config, settings.k)
     changer.reset(config, topology, gossip=False, acceptors=acceptors)
     return changer
@@ -407,6 +410,23 @@ class TestViewChanger:
         assert [(dst, msg) for _, dst, msg in runtime.sent] == [
             (laggard, Decision(runtime.addr, left, cid))
         ] * 3
+
+    def test_a_body_for_another_configuration_is_counted_and_never_installed(
+        self, changer
+    ):
+        """Consensus scope is checked once, here: a bundle naming a view
+        this process is not deciding never reaches the round, even when
+        it carries the very body the round is waiting for."""
+        consensus = changer.consensus
+        wanted = make_proposal([Change(MEMBERS[7], AlertKind.REMOVE)])
+        consensus._merge(cut_id(wanted), (1 << consensus.fast_quorum) - 1)
+        consensus._check_quorum()
+        assert not consensus.decided and consensus._want == cut_id(wanted)
+        peer, foreign = MEMBERS[1], changer.config.config_id ^ 1
+        changer.on_consensus(peer, VoteBundle(peer, foreign, bodies=(wanted,)))
+        assert not consensus.decided
+        assert cut_id(wanted) not in consensus._bodies
+        assert changer.metrics.counter("consensus.bodies_rejected").value == 1
 
     def test_a_decided_cut_that_cannot_apply_closes_nothing(self, changer):
         """A Decision whose body removes a non-member settles the round,

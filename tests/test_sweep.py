@@ -74,15 +74,15 @@ class TestGridParsing:
         (point,) = parse_grid(
             json.dumps(
                 {
-                    "systems": ["gossip-fd"],
-                    "config": {"heartbeat_interval": 2.0},
-                    "profile_overrides": {"fraction": 0.05},
+                    "scenario": "service_discovery",
+                    "settings": {"k": 8, "h": 7},
+                    "app_config": {"request_deadline": 2.0},
                 }
             )
         )
         kwargs = point.call_kwargs()
-        assert kwargs["config"] == {"heartbeat_interval": 2.0}
-        assert kwargs["profile_overrides"] == {"fraction": 0.05}
+        assert kwargs["settings"] == {"k": 8, "h": 7}
+        assert kwargs["app_config"] == {"request_deadline": 2.0}
 
     def test_bad_specs_fail_loudly(self):
         with pytest.raises(ValueError, match="key=value"):
