@@ -46,7 +46,6 @@ __all__ = ["ZkServer", "ZkClient", "build_ensemble"]
 @dataclass(frozen=True)
 class ZkConnect:
     sender: Endpoint
-    session_timeout: float
 
 
 @dataclass(frozen=True)
@@ -412,10 +411,7 @@ class ZkClient(MembershipAgent):
 
     def _connect(self) -> None:
         self.session_id = None
-        self.runtime.send(
-            self._server,
-            ZkConnect(sender=self.addr, session_timeout=SESSION_TIMEOUT),
-        )
+        self.runtime.send(self._server, ZkConnect(sender=self.addr))
         self.runtime.schedule(SESSION_TIMEOUT, self._connect_check)
 
     def _connect_check(self) -> None:

@@ -28,11 +28,13 @@ all-to-all broadcast would take.  Ticking stops once the local aggregate has
 converged (no new bits learned for ``GOSSIP_CONVERGENCE_TICKS`` intervals,
 or a quorum reached); a straggler whose push teaches us nothing is repaired
 reactively with a delta of the bits it is missing.  A voter's first tick
-falls at a random phase of the interval: alert batches reach every member
-in one delivery, so a view's voters typically vote in the same instant, and
-ticks one whole interval after the vote would make them count in lock-step
-rounds (at n=1000 under ``flip_flop``, the median decision then came
-0.44 s later than with de-phased ticks).
+falls at a random phase of the interval: every copy of an alert batch
+draws its own LAN latency, so a view's voters typically vote within a
+millisecond or two of each other, and ticks one whole interval after the
+vote would make them count in near lock-step rounds (measured when a
+fan-out still reached every member at one instant, n=1000 under
+``flip_flop``: the median decision then came 0.44 s later than with
+de-phased ticks).
 
 Push gossip alone leaves a convergence *tail*: a node that is missing bits
 but has nothing new to push goes silent and can only wait for a random

@@ -67,7 +67,7 @@ __all__ = [
 #: classical-fallback storm a join storm on one shared loop can tip into
 #: at default rates: conflicting cut proposals, fallback rounds whose
 #: traffic delays the next round further, joiners never admitted (the
-#: undiagnosed hang of ROADMAP item 1(b)).  Measured at n=150, one run
+#: undiagnosed hang of ROADMAP item 4).  Measured at n=150, one run
 #: per seed (``CHANGES.md``, PR 24, lists every run): on the defaults with
 #: the simulator's 2 s stagger, 31 of 35 bootstraps converge in 3-22 s
 #: (simulated: 10 s), two take 45 and 63 s, and two never converge within

@@ -343,9 +343,30 @@ class Network:
             return
         size = wire_size(msg)
         key = msg.__class__.__name__
-        self.class_counts[key] = self.class_counts.get(key, 0) + 1
-        self.class_bytes[key] = self.class_bytes.get(key, 0) + size
-        self._account_tx(src, size, 1)
+        self._account_tx(src, key, size, 1)
+        self._route(src, dst, msg, size, key)
+
+    def broadcast(self, src: Endpoint, dsts: Sequence[Endpoint], msg: Any) -> None:
+        """Fan one message out from ``src`` to every endpoint in ``dsts``.
+
+        This is :meth:`send` in a loop: the message is sized and its
+        transmit accounted once, then every copy takes the per-recipient
+        path of a unicast — its own crash and drop-rule checks, its own
+        latency draw, delay and adversary rules, and its own delivery
+        event — drawing from the RNG streams in the order the loop would.
+        """
+        if src in self._crashed or not dsts:
+            return
+        size = wire_size(msg)
+        key = msg.__class__.__name__
+        self._account_tx(src, key, size, len(dsts))
+        for dst in dsts:
+            self._route(src, dst, msg, size, key)
+
+    def _route(
+        self, src: Endpoint, dst: Endpoint, msg: Any, size: int, key: str
+    ) -> None:
+        """Drop, delay and post the delivery of one copy already accounted sent."""
         if dst in self._crashed:
             self._dropped_counter.inc()
             return
@@ -364,93 +385,6 @@ class Network:
         if self._adversary_rules:
             delay += self._apply_adversary(src, dst, msg, size, key)
         self.engine.post(delay, self._deliver, src, dst, msg, size)
-
-    def broadcast(self, src: Endpoint, dsts: Sequence[Endpoint], msg: Any) -> None:
-        """Fan one message out from ``src`` to every endpoint in ``dsts``.
-
-        Semantically this is ``send`` in a loop — per-destination crash and
-        fault-rule drops still apply — but the O(N) unicast storm a
-        cluster-wide broadcast produces is collapsed onto the fast path:
-        the message is sized once, transmit accounting is batched into a
-        single per-second update, the one-way latency is sampled once, and
-        all surviving copies are delivered by a single engine event
-        instead of N heap entries.
-
-        Deliberate fidelity trade: sampling one delay per storm means
-        every recipient sees the copy at the same virtual instant,
-        collapsing the per-path jitter that N independent draws would
-        give.  For the broadcast-heavy workloads this primitive exists
-        for (alert batches, vote bundles) the protocol reacts on
-        coarse timers, so decision behavior is unchanged; fine-grained
-        latency *quantiles* of broadcast traffic do shift, which is why
-        the benchmark baseline was re-recorded alongside this change.
-        Paths that need per-message jitter (probes, acks, direct
-        replies) still use :meth:`send`.
-        """
-        if src in self._crashed:
-            return
-        n = len(dsts)
-        if n == 0:
-            return
-        size = wire_size(msg)
-        key = msg.__class__.__name__
-        self.class_counts[key] = self.class_counts.get(key, 0) + n
-        self.class_bytes[key] = self.class_bytes.get(key, 0) + size * n
-        self._account_tx(src, size * n, n)
-        crashed = self._crashed
-        rules = self._rules
-        dropped = 0
-        if rules:
-            now = self.engine.now
-            loss_rng = self._loss_rng
-            targets = []
-            for dst in dsts:
-                if dst in crashed:
-                    dropped += 1
-                    continue
-                for rule in rules:
-                    if rule.should_drop(src, dst, now, loss_rng):
-                        dropped += 1
-                        break
-                else:
-                    targets.append(dst)
-        elif crashed:
-            targets = [dst for dst in dsts if dst not in crashed]
-            dropped = n - len(targets)
-        else:
-            targets = list(dsts)
-        if dropped:
-            self._dropped_counter.inc(dropped)
-        if not targets:
-            return
-        delay = self.latency.sample(self._latency_rng, size)
-        delay_rules = self._delay_rules
-        adversary = self._adversary_rules
-        if not delay_rules and not adversary:
-            self.engine.post(delay, self._deliver_many, src, targets, msg, size)
-            return
-        # Delay and adversary rules can slow different recipients
-        # differently, so the storm splits into one delivery event per
-        # distinct extra delay (recipients without extra delay stay
-        # batched together).
-        now = self.engine.now
-        delay_rng = self._delay_rng
-        groups: dict[float, list] = {}
-        for dst in targets:
-            extra = 0.0
-            for rule in delay_rules:
-                extra += rule.added_delay(src, dst, now, delay_rng)
-            if adversary:
-                extra += self._apply_adversary(src, dst, msg, size, key)
-            group = groups.get(extra)
-            if group is None:
-                groups[extra] = [dst]
-            else:
-                group.append(dst)
-        for extra, group in sorted(groups.items()):
-            self.engine.post(
-                delay + extra, self._deliver_many, src, group, msg, size
-            )
 
     def _apply_adversary(
         self, src: Endpoint, dst: Endpoint, msg: Any, size: int, key: str
@@ -499,55 +433,27 @@ class Network:
         if handler is None or dst in self._crashed:
             self._dropped_counter.inc()
             return
-        self._account_rx(dst, size)
+        second = int(self.engine.now)
+        series = self.rx_per_second.get(dst)
+        if series is None or len(series) <= second:
+            series = _series_through(self.rx_per_second, dst, second)
+        series[second] += size
+        self._rx_bytes_counter.inc(size)
         self._delivered_counter.inc()
         handler(src, msg)
 
-    def _deliver_many(
-        self, src: Endpoint, dsts: list, msg: Any, size: int
-    ) -> None:
-        # Receive accounting is inlined and the fabric-wide counters are
-        # batched across the fan-out; per-endpoint series still update
-        # individually (they key Table 2).
-        handlers = self._handlers
-        crashed = self._crashed
-        rx_map = self.rx_per_second
-        second = int(self.engine.now)
-        delivered = 0
-        dropped = 0
-        for dst in dsts:
-            handler = handlers.get(dst)
-            if handler is None or dst in crashed:
-                dropped += 1
-                continue
-            series = rx_map.get(dst)
-            if series is None or len(series) <= second:
-                series = _series_through(rx_map, dst, second)
-            series[second] += size
-            delivered += 1
-            handler(src, msg)
-        if dropped:
-            self._dropped_counter.inc(dropped)
-        if delivered:
-            self._delivered_counter.inc(delivered)
-            self._rx_bytes_counter.inc(size * delivered)
-
-    def _account_tx(self, addr: Endpoint, size: int, messages: int) -> None:
+    def _account_tx(self, addr: Endpoint, key: str, size: int, messages: int) -> None:
+        """Charge ``addr`` for sending ``messages`` copies of one message."""
+        total = size * messages
+        self.class_counts[key] = self.class_counts.get(key, 0) + messages
+        self.class_bytes[key] = self.class_bytes.get(key, 0) + total
         second = int(self.engine.now)
         series = self.tx_per_second.get(addr)
         if series is None or len(series) <= second:
             series = _series_through(self.tx_per_second, addr, second)
-        series[second] += size
+        series[second] += total
         self._sent_counter.inc(messages)
-        self._tx_bytes_counter.inc(size)
-
-    def _account_rx(self, addr: Endpoint, size: int) -> None:
-        second = int(self.engine.now)
-        series = self.rx_per_second.get(addr)
-        if series is None or len(series) <= second:
-            series = _series_through(self.rx_per_second, addr, second)
-        series[second] += size
-        self._rx_bytes_counter.inc(size)
+        self._tx_bytes_counter.inc(total)
 
     # -------------------------------------------------------------- reporting
 

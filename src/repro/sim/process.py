@@ -66,8 +66,8 @@ class SimRuntime:
         self.network.send(self.addr, dst, msg)
 
     def broadcast(self, dsts, msg: Any) -> None:
-        """Fan ``msg`` out to every endpoint in ``dsts`` (sized and
-        delayed once, see :meth:`repro.sim.network.Network.broadcast`)."""
+        """Fan ``msg`` out to every endpoint in ``dsts`` (sized once, each
+        copy delayed on its own, see :meth:`repro.sim.network.Network.broadcast`)."""
         self.network.broadcast(self.addr, dsts, msg)
 
     # ----------------------------------------------------------------- wiring

@@ -8,8 +8,15 @@ import pytest
 from repro.core.messages import Probe
 from repro.core.node_id import Endpoint
 from repro.sim.engine import Engine
-from repro.sim.faults import Duplicate, EgressDelay, EgressLoss, IngressLoss
-from repro.sim.latency import ConstantLatency
+from repro.sim.faults import (
+    Duplicate,
+    EgressDelay,
+    EgressLoss,
+    IngressDelay,
+    IngressLoss,
+    Reorder,
+)
+from repro.sim.latency import ConstantLatency, LanLatency
 from repro.sim.network import Network, wire_size
 from repro.sim.process import SimRuntime
 
@@ -172,6 +179,9 @@ class TestSizing:
             wire_size(object())
 
 
+FAN_OUT_PEERS = frozenset(endpoints(13)[1:])
+
+
 class TestBroadcast:
     def test_broadcast_reaches_every_destination(self):
         engine, network = make_network()
@@ -245,6 +255,53 @@ class TestBroadcast:
         engine.run()
         assert network.delivered_messages == 0
         assert network.dropped_messages == len(peers)
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            (),
+            (IngressLoss(nodes=FAN_OUT_PEERS, probability=0.5),),
+            (IngressDelay(nodes=FAN_OUT_PEERS, delay=0.002, jitter=0.004),),
+            (Duplicate(probability=0.5), Reorder(probability=0.5)),
+        ],
+        ids=["no_rule", "ingress_loss", "delay", "duplicate_reorder"],
+    )
+    def test_broadcast_is_a_send_loop(self, rules):
+        # The contract: on two networks with one seed, a broadcast and a
+        # send() loop over the same recipients draw the same latencies and
+        # rule decisions, so every copy arrives at the same instant and
+        # every counter and per-second series agrees.
+        eps = endpoints(1 + len(FAN_OUT_PEERS))
+        src, peers = eps[0], eps[1:]
+
+        def run(fan_out):
+            engine = Engine()
+            network = Network(engine, seed=7, latency=LanLatency())
+            deliveries = []
+            for ep in eps:
+                network.register(
+                    ep, lambda s, m, _ep=ep: deliveries.append((engine.now, _ep, m))
+                )
+            for rule in rules:
+                network.add_rule(rule)
+            network.crash(peers[-1])
+            for seq in range(3):
+                fan_out(network, Probe(sender=src, config_id=1, seq=seq))
+            engine.run()
+            counters = (
+                network.sent_messages,
+                network.delivered_messages,
+                network.dropped_messages,
+            )
+            return deliveries, counters, network.tx_per_second, network.rx_per_second
+
+        def loop(network, msg):
+            for dst in peers:
+                network.send(src, dst, msg)
+
+        broadcast = run(lambda network, msg: network.broadcast(src, peers, msg))
+        assert broadcast == run(loop)
+        assert len({when for when, _, _ in broadcast[0]}) > 1
 
 
 class TestPerSecondRates:
