@@ -1,8 +1,8 @@
 """Statistics helpers used by the experiment harnesses.
 
 Besides the scalar summaries (mean/percentile/ecdf), this module loads
-and aggregates the long-format sweep CSVs written by ``python -m
-repro.sweep``: :func:`load_sweep_csv` parses rows back into dicts and
+and aggregates the long-format CSVs written by ``python -m repro.bench
+--csv``: :func:`load_sweep_csv` parses rows back into dicts and
 :func:`summarize_sweep` groups them over seeds per (scenario, profile,
 system, n, metric) cell.
 """
@@ -74,11 +74,11 @@ def summarize(values: Sequence[float]) -> dict:
     }
 
 
-# ------------------------------------------------------------ sweep CSVs
+# ------------------------------------------------------ long-format CSVs
 
 
 def load_sweep_csv(path: str) -> list:
-    """Parse a ``repro.sweep`` long-format CSV into row dicts.
+    """Parse a ``repro.bench --csv`` long-format CSV into row dicts.
 
     Each row becomes ``{"scenario", "profile", "system", "n", "seed",
     "metric", "value"}`` with ``n``/``seed`` as ints and ``value`` as a
@@ -107,7 +107,7 @@ def load_sweep_csv(path: str) -> list:
 def summarize_sweep(
     rows: Iterable[Mapping], metrics: Optional[Sequence[str]] = None
 ) -> dict:
-    """Aggregate sweep rows over seeds.
+    """Aggregate long-format rows over seeds.
 
     Returns ``{(scenario, profile, system, n, metric): summary}`` where
     ``summary`` is the mean/p50/p99/max dict of :func:`summarize` plus a

@@ -77,12 +77,10 @@ class AkkaNode(MembershipAgent):
         self,
         runtime: Runtime,
         seeds: Iterable[Endpoint] = (),
-        on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
         self.seeds = tuple(seeds)
-        self.on_view_change = on_view_change
         # endpoint -> [status, version]
         self.state: dict[Endpoint, list] = {self.addr: [UP, 0]}
         self._detectors: dict[Endpoint, PhiAccrualDetector] = {}
@@ -179,14 +177,12 @@ class AkkaNode(MembershipAgent):
         self.runtime.schedule(FD_CHECK_INTERVAL, self._fd_check)
 
     def _mark(self, target: Endpoint, status: str) -> None:
-        before = self.view()
         record = self.state.get(target)
         version = (record[1] if record else 0) + 1
         self.state[target] = [status, version]
         self._invalidate()
         if status == UNREACHABLE:
             self._unreachable_since.setdefault(target, self.runtime.now())
-        self._notify(before)
 
     # ----------------------------------------------------------------- gossip
 
@@ -224,20 +220,16 @@ class AkkaNode(MembershipAgent):
             if detector is not None:
                 detector.on_probe_success(self.runtime.now(), 0.0)
         elif isinstance(msg, AkkaJoin):
-            before = self.view()
             self.state[msg.sender] = [UP, self.state.get(msg.sender, [UP, 0])[1] + 1]
             self._invalidate()
             self.runtime.send(msg.sender, AkkaGossip(sender=self.addr, state=self._snapshot()))
-            self._notify(before)
         elif isinstance(msg, AkkaGossip):
             self._merge(msg.state)
 
     def _learn(self, endpoint: Endpoint) -> None:
         if endpoint not in self.state:
-            before = self.view()
             self.state[endpoint] = [UP, 1]
             self._invalidate()
-            self._notify(before)
 
     def _merge(self, snapshot: tuple) -> None:
         if snapshot == self._snapshot():
@@ -247,7 +239,6 @@ class AkkaNode(MembershipAgent):
             # entry is UP so no refutation fires).  Skipping it is the hot
             # path at large n.
             return
-        before = self.view()
         changed = False
         for endpoint, status, version in snapshot:
             if endpoint == self.addr:
@@ -274,9 +265,3 @@ class AkkaNode(MembershipAgent):
                     self._unreachable_since.setdefault(endpoint, self.runtime.now())
         if changed:
             self._invalidate()
-        self._notify(before)
-
-    def _notify(self, before: tuple) -> None:
-        after = self.view()
-        if after != before and self.on_view_change is not None:
-            self.on_view_change(after)

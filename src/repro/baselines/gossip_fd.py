@@ -57,12 +57,10 @@ class GossipFdNode(MembershipAgent):
         self,
         runtime: Runtime,
         members: Iterable[Endpoint],
-        on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
         self.members = tuple(sorted(members))
-        self.on_view_change = on_view_change
         self.down: set[Endpoint] = set()
         self._last_heard: dict[Endpoint, float] = {}
         self._epochs: dict[Endpoint, int] = {}
@@ -113,15 +111,11 @@ class GossipFdNode(MembershipAgent):
                 self.runtime.send(peer, rumor)
 
     def _set_status(self, target: Endpoint, alive: bool) -> None:
-        before = self.view()
         if alive:
             self.down.discard(target)
             self._last_heard[target] = self.runtime.now()
         else:
             self.down.add(target)
-        after = self.view()
-        if after != before and self.on_view_change is not None:
-            self.on_view_change(after)
 
     # --------------------------------------------------------------- messages
 

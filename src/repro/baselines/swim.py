@@ -116,12 +116,10 @@ class SwimNode(MembershipAgent):
         self,
         runtime: Runtime,
         seeds: Iterable[Endpoint] = (),
-        on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
         self.seeds = tuple(seeds)
-        self.on_view_change = on_view_change
         self.incarnation = 0
         self.members: dict[Endpoint, _Member] = {self.addr: _Member(ALIVE, 0)}
         self._probe_order: list[Endpoint] = []
@@ -157,8 +155,8 @@ class SwimNode(MembershipAgent):
 
     def view(self) -> tuple:
         # Cached: the harness polls every agent's view once per virtual
-        # second and _apply diffs it around every update, so re-sorting
-        # the membership per call dominated baseline runs.
+        # second, so re-sorting the membership per call dominated
+        # baseline runs.
         cached = self._view_cache
         if cached is None:
             cached = self._view_cache = tuple(
@@ -339,7 +337,6 @@ class SwimNode(MembershipAgent):
         """SWIM's precedence rules: higher incarnations win; for equal
         incarnations dead > suspect > alive.  Assertions about ourselves are
         refuted by bumping our incarnation."""
-        before = self.view()
         if update.endpoint == self.addr:
             if update.status in (SUSPECT, DEAD) and update.incarnation >= self.incarnation:
                 self.incarnation = update.incarnation + 1
@@ -354,7 +351,7 @@ class SwimNode(MembershipAgent):
             self.members[update.endpoint] = _Member(update.status, update.incarnation)
             self._view_cache = None
             self._queue_update(update)
-            self._after_change(update, before)
+            self._after_change(update)
             return
         if not self._supersedes(update, member):
             return
@@ -362,7 +359,7 @@ class SwimNode(MembershipAgent):
         member.incarnation = update.incarnation
         self._view_cache = None
         self._queue_update(update)
-        self._after_change(update, before)
+        self._after_change(update)
 
     @staticmethod
     def _supersedes(update: Update, member: _Member) -> bool:
@@ -373,15 +370,12 @@ class SwimNode(MembershipAgent):
             return rank[update.status] > rank[member.status]
         return False
 
-    def _after_change(self, update: Update, view_before: tuple) -> None:
+    def _after_change(self, update: Update) -> None:
         if update.status == SUSPECT:
             self._arm_suspicion_timer(update.endpoint, update.incarnation)
         timer = self._suspicion_timers.pop(update.endpoint, None)
         if timer is not None and update.status == ALIVE:
             timer.cancel()
-        view_after = self.view()
-        if view_after != view_before and self.on_view_change is not None:
-            self.on_view_change(view_after)
 
     def _arm_suspicion_timer(self, endpoint: Endpoint, incarnation: int) -> None:
         n = max(2, len(self.members))

@@ -378,12 +378,10 @@ class ZkClient(MembershipAgent):
         self,
         runtime: Runtime,
         servers: Iterable[Endpoint],
-        on_view_change=None,
     ) -> None:
         self.runtime = runtime
         self.addr = runtime.addr
         self.servers = tuple(servers)
-        self.on_view_change = on_view_change
         self.session_id: Optional[int] = None
         self.members: tuple = ()
         self._server = self.servers[0]
@@ -454,10 +452,7 @@ class ZkClient(MembershipAgent):
             if self.session_id is not None:
                 self._read_children()
         elif isinstance(msg, ZkChildrenReply):
-            before = self.members
             self.members = msg.members
-            if before != self.members and self.on_view_change is not None:
-                self.on_view_change(self.members)
 
 
 def build_ensemble(runtimes: Iterable[Runtime]):

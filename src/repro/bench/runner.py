@@ -5,13 +5,16 @@ through the experiment scenario functions and harvests what the run
 replays from its seed: virtual duration, events processed, the network's
 ``net.*`` counters, and the full metrics snapshot of the harness
 registry.  Host time and memory are measured by ``benchmarks/``, not
-here.
+here.  A case whose scenario raises (a safety
+:class:`~repro.obs.invariants.InvariantViolation` included) is recorded
+in band: its record carries the case's identity and an ``error`` field
+instead of measurements.
 
 The report schema (``repro.bench/v3``)::
 
     {
       "schema": "repro.bench/v3",
-      "suite": "quick",
+      "suite": "quick",                 # "grid" for a --grid run
       "scale": 1.0,
       "config": {"python": ..., "platform": ..., "git": ...},
       "cases": [
@@ -30,23 +33,32 @@ The report schema (``repro.bench/v3``)::
                          "max_seq": 4, "ok": true}  # ViewLedger summary
                                         # (absent for harnesses without a
                                         # ledger)
-        }, ...
+        },
+        {"name": ..., ..., "params": {...}, "error": "<Type>: <message>"},
+        ...                             # (the error record of a case that raised)
       ]
     }
 
 Every case field is derived from virtual time and counters, so two
 same-seed simulator runs produce identical cases — the property the
 regression tests and ``python -m repro.bench compare`` pin.
+
+The long-format CSV (``scenario,profile,system,n,seed,metric,value``) is
+a projection of the records (:func:`case_rows`): one row per scalar
+result, plus the ledger's ``invariant_checks``, or one ``error`` row.
+Its sha256 is the run's determinism fingerprint.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import tempfile
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -58,6 +70,10 @@ from repro.experiments.scenarios import scenario_function
 __all__ = [
     "BenchRunner",
     "CaseResult",
+    "CSV_HEADER",
+    "case_rows",
+    "render_csv",
+    "csv_hash",
     "write_report",
     "render_report",
     "write_timeseries_csv",
@@ -74,17 +90,22 @@ _RESULT_EXCLUDE = {
     "app_goodput_series",
 }
 
+CSV_HEADER = "scenario,profile,system,n,seed,metric,value"
+
+#: Result keys that repeat a CSV row's identity columns.
+_IDENTITY_KEYS = frozenset({"system", "n", "profile"})
+
 
 @dataclass
 class CaseResult:
-    """Measurements for one executed benchmark case."""
+    """One case's record: its measurements, or the error its scenario raised."""
 
     spec: BenchSpec
-    virtual_s: float
-    events_processed: int
-    messages: dict
-    metrics: dict
-    result: dict
+    virtual_s: float = 0.0
+    events_processed: int = 0
+    messages: dict = field(default_factory=dict)
+    metrics: dict = field(default_factory=dict)
+    result: dict = field(default_factory=dict)
     #: :meth:`~repro.obs.invariants.ViewLedger.report` summary of the
     #: harness's safety-invariant ledger: how many view installations were
     #: checked (each one passed, or the case would have aborted with an
@@ -97,6 +118,10 @@ class CaseResult:
     #: derivable — and exported on demand via :func:`write_timeseries_csv`
     #: (``python -m repro.bench --timeseries out.csv``).
     series: dict = field(default_factory=dict)
+    #: ``"<exception type>: <message>"`` when the scenario raised; the
+    #: record then carries no measurements.  Scenario exceptions derive
+    #: from the simulation, so an error record replays like any other.
+    error: Optional[str] = None
 
     def to_json(self) -> dict:
         payload = {
@@ -106,6 +131,11 @@ class CaseResult:
             "n": self.spec.n,
             "seed": self.spec.seed,
             "params": dict(self.spec.params),
+        }
+        if self.error is not None:
+            payload["error"] = self.error
+            return payload
+        payload.update({
             "virtual_s": self.virtual_s,
             "events_processed": self.events_processed,
             "events_per_virtual_s": (
@@ -114,7 +144,7 @@ class CaseResult:
             "messages": self.messages,
             "metrics": self.metrics,
             "result": self.result,
-        }
+        })
         if self.invariants is not None:
             payload["invariants"] = self.invariants
         return payload
@@ -126,7 +156,8 @@ class BenchRunner:
     ``log`` is the progress sink (``None`` silences it).  Each case's
     ``invariants`` block is the harness's
     :class:`~repro.obs.invariants.ViewLedger` summary; the safety checks
-    themselves run inside the harness and abort a violating case.
+    themselves run inside the harness and abort a violating case, which
+    :meth:`run` records as an error case before going on to the next.
     """
 
     def __init__(self, log: Optional[Callable[[str], None]] = print) -> None:
@@ -179,10 +210,15 @@ class BenchRunner:
         results = []
         for spec in specs:
             self._log(f"running {spec.name} ...")
-            case = self.run_case(spec)
-            self._log(
-                f"  {case.virtual_s:.0f}s virtual, {case.events_processed} events"
-            )
+            try:
+                case = self.run_case(spec)
+            except Exception as exc:
+                case = CaseResult(spec, error=f"{type(exc).__name__}: {exc}")
+                self._log(f"  ERROR {traceback.format_exc()}")
+            else:
+                self._log(
+                    f"  {case.virtual_s:.0f}s virtual, {case.events_processed} events"
+                )
             results.append(case)
         return results
 
@@ -225,6 +261,9 @@ def render_report(cases: Sequence[CaseResult]) -> str:
     """The paper-shaped ASCII summary of a benchmark run."""
     rows = []
     for case in cases:
+        if case.error is not None:
+            rows.append([case.spec.name, "-", "-", "-", "-", "-", case.error])
+            continue
         msgs = case.messages
         rows.append(
             [
@@ -375,6 +414,59 @@ def _scalars(outcome: dict) -> dict:
             ):
                 kept[key] = items
     return kept
+
+
+def _format_value(value) -> Optional[str]:
+    """Canonical CSV rendering of one scalar result, or None to skip it.
+
+    Bools become 0/1, None becomes ``NA`` (ran, no measurement — e.g.
+    detection latency when nothing was evicted); floats use ``repr`` for
+    shortest-roundtrip stability.  Strings and lists are skipped.
+    """
+    if value is None:
+        return "NA"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    return None
+
+
+def case_rows(case: CaseResult) -> list:
+    """One record's long-format rows, in sorted metric order.
+
+    A failed case is a single ``error=1`` row keyed like every other
+    metric, so a consumer sees *that* the point ran and failed.  A case
+    with a ledger also reports how many view installations it checked
+    (``invariant_checks``) unless the scenario already did.
+    """
+    spec = case.spec
+    identity = (spec.scenario, spec.profile, spec.system, str(spec.n), str(spec.seed))
+    if case.error is not None:
+        return [(*identity, "error", "1")]
+    values = dict(case.result)
+    if case.invariants is not None:
+        values.setdefault("invariant_checks", case.invariants["checked"])
+    rows = []
+    for metric in sorted(values):
+        rendered = _format_value(values[metric])
+        if rendered is not None and metric not in _IDENTITY_KEYS:
+            rows.append((*identity, metric, rendered))
+    return rows
+
+
+def render_csv(cases: Iterable[CaseResult]) -> str:
+    """The long-format CSV text of the cases (header first, LF endings)."""
+    lines = [CSV_HEADER]
+    lines.extend(",".join(row) for case in cases for row in case_rows(case))
+    return "\n".join(lines) + "\n"
+
+
+def csv_hash(cases: Iterable[CaseResult]) -> str:
+    """sha256 over :func:`render_csv`: the determinism fingerprint."""
+    return hashlib.sha256(render_csv(cases).encode("utf-8")).hexdigest()
 
 
 def _git(*args: str, cwd=None, index=None) -> Optional[str]:

@@ -97,7 +97,7 @@ class RapidSettings:
         """Defaults with the named fields replaced, from a plain mapping.
 
         The door for field dicts that arrive from outside the program —
-        benchmark specs, sweep grids, CLI JSON.  A name that is not a
+        benchmark specs and grids, CLI JSON.  A name that is not a
         field (a typo, or a knob a stale grid still passes) raises
         ``ValueError`` naming it and listing the valid ones.
         """

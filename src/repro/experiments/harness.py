@@ -204,7 +204,7 @@ def harness_for(system: str, seed: int = 0, **kwargs):
     A baseline takes only ``seed``.  The Rapid harnesses also take
     ``settings``, which may be a plain dict of
     :class:`~repro.core.settings.RapidSettings` field overrides — the form
-    benchmark specs and sweep grids use, since their params must stay
+    benchmark specs and grids use, since their params must stay
     JSON-serializable — and is instantiated here (an unknown field name
     raises ``ValueError`` listing the valid ones).
     """

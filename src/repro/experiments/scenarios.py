@@ -345,7 +345,7 @@ def adversary_experiment(
     ``now + fault_at``, installs its rules and schedules its crash/recover
     actions, and samples every healthy process's view through a
     :class:`~repro.obs.scorecard.StabilityScorecard` for ``observe_for``
-    seconds.  The returned dict is flat scalars (sweep-CSV friendly) plus
+    seconds.  The returned dict is flat scalars (one CSV row each) plus
     the usual ``timeseries``/``harness`` keys.  Figure 1 is
     ``profile="ingress_loss"``, Figure 9 ``"flip_flop"`` and Figure 10
     ``"egress_loss"``.
@@ -777,9 +777,9 @@ def txn_platform_experiment(
 
 
 #: Harness-driven scenarios addressable by name — the dispatch table shared
-#: by the benchmark runner (:mod:`repro.bench`) and the sweep harness
-#: (:mod:`repro.sweep`).  Every entry takes ``(system, n, seed=..., **params)``
-#: and returns a result dict carrying a ``"harness"`` key.
+#: by the experiment runner's suites and grids (:mod:`repro.bench`).  Every
+#: entry takes ``(system, n, seed=..., **params)`` and returns a result dict
+#: carrying a ``"harness"`` key.
 SCENARIO_FUNCTIONS = {
     "bootstrap": bootstrap_experiment,
     "crash": crash_experiment,

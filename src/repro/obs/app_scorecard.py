@@ -15,7 +15,7 @@ report into one shared :class:`AppScorecard`:
 * :class:`~repro.apps.resilience.BreakerBoard` transitions and app events
   like LB reloads and serializer failovers land as counters.
 
-:meth:`report` flattens to scalars (one bench/sweep row);
+:meth:`report` flattens to scalars (bench result keys, one CSV row each);
 :meth:`latency_series` and :meth:`goodput_series` provide the per-second
 series ``repro.bench --timeseries`` exports.
 """

@@ -305,7 +305,7 @@ class ViewLedger:
         return self._last.get(endpoint)
 
     def report(self) -> dict:
-        """Flat scalar summary for benchmark / sweep result rows.
+        """Flat scalar summary for a benchmark record's ``invariants`` block.
 
         ``checked`` is the observation count; ``ok`` is always True here
         because a violation raises instead of being tallied — a report

@@ -4,36 +4,54 @@ A :class:`FaultProfile` is a named recipe — "flip-flopping one-way loss on
 1% of processes", "whole-rack crash" — that :func:`compile_profile` turns
 into concrete network rules (:mod:`repro.sim.faults`) plus timed process
 actions, deterministically from a seed.  The adversary experiment
-(:func:`repro.experiments.scenarios.adversary_experiment`) and the sweep
-harness (:mod:`repro.sweep`) select scenarios by profile name, so every
-"what happens when…?" question is a registry entry rather than bespoke
-driver code.
+(:func:`repro.experiments.scenarios.adversary_experiment`) and the
+experiment runner's grids (:mod:`repro.bench`) select scenarios by profile
+name, so every "what happens when…?" question is a registry entry rather
+than bespoke driver code.
 
 Paper mapping (section 7):
 
-=====================  ==========================================
+=====================  =====================================================
 profile                paper condition
-=====================  ==========================================
-``ingress_loss``       Fig. 9/10 family — sustained one-way loss
-``flip_flop``          Fig. 9 — 20 s on / 20 s off INPUT drops
-``egress_loss``        Fig. 10 — OUTPUT-chain loss
-``asymmetric_ingress`` Fig. 9 steady state — 100% one-way drops
-``blackhole``          Fig. 12 — pairwise packet blackhole
-``slow_process``       accrual-detector probe: delay < timeout
-``stalled_process``    GC-stalled process: delay > timeout
-``flip_flop_crash``    repeated crash/recover of the same nodes
-``rack_crash``         correlated whole-rack fail-stop
-``rack_partition``     rack split from the rest of the cluster
-``network_flap``       cluster-wide loss burst, then quiet
-``partition_minority`` minority slice split off, never healed
-``partition_heal``     minority split for a bounded window, then healed
-``partition_flap``     minority split flapping on/off
-``dup_reorder``        cluster-wide duplicate + reorder adversary
-=====================  ==========================================
+=====================  =====================================================
+``ingress_loss``       Fig. 9/10 family — sustained one-way (INPUT-chain)
+                       loss on a slice of nodes
+``flip_flop``          Fig. 9 — one-way INPUT drops on a slice of nodes,
+                       flip-flopping 20 s on / 20 s off
+``egress_loss``        Fig. 10 — sustained OUTPUT-chain loss on a slice of
+                       nodes
+``asymmetric_ingress`` Fig. 9 steady state — 100% one-way ingress drops on a
+                       slice of nodes
+``blackhole``          Fig. 12 — packet blackhole between one pair of
+                       processes
+``slow_process``       accrual-detector probe — paused-but-alive processes
+                       acking below the detector timeout; a stable service
+                       must not evict them
+``stalled_process``    accrual-detector probe — GC-stalled processes whose
+                       acks arrive past the detector timeout; they must be
+                       evicted
+``flip_flop_crash``    Fig. 9, process-level — repeated crash/recover of the
+                       same nodes (network-level) on a slice of nodes
+``rack_crash``         §7.2 correlated failures — fail-stop of one whole rack
+``rack_partition``     §7.2 correlated failures — one rack split from the
+                       rest of the cluster
+``network_flap``       global flap composite — cluster-wide loss bursts
+                       (on/off), then quiet; a stable service rides them out
+                       without evictions
+``partition_minority`` §7.2 partitions — minority slice split off, never
+                       healed; the majority must evict it without split-brain
+``partition_heal``     §7.2 partitions — minority split for a bounded window,
+                       then healed; kicked members rejoin through the join
+                       protocol
+``partition_flap``     §7.2 partitions — minority split flapping on/off; the
+                       majority must converge despite the flapping
+``dup_reorder``        safety adversary — cluster-wide duplicate + reorder;
+                       a correct service rides it out with zero evictions
+=====================  =====================================================
 
 Faulty-node selection draws from a child RNG scoped by profile name, so the
 same (profile, seed, cluster) triple always afflicts the same processes —
-the property the sweep determinism hash relies on.
+the property the runner's determinism hash relies on.
 """
 
 from __future__ import annotations
@@ -87,12 +105,11 @@ class CompiledProfile:
     actions: tuple[ScheduledAction, ...]
     faulty: frozenset[Endpoint]
     expect_eviction: bool
-    params: dict
 
 
 @dataclass(frozen=True)
 class FaultProfile:
-    """Registry entry: metadata plus a builder closure.
+    """Registry entry: the eviction verdict, the knobs and a builder closure.
 
     ``build(nodes, fault_start, params, rng)`` returns
     ``(rules, actions, faulty)``; defaults document the tunable knobs and
@@ -100,8 +117,6 @@ class FaultProfile:
     """
 
     name: str
-    description: str
-    figure: str
     expect_eviction: bool
     defaults: dict
     build: Callable
@@ -284,16 +299,12 @@ PROFILES: dict[str, FaultProfile] = {
     for p in (
         FaultProfile(
             name="ingress_loss",
-            description="Sustained one-way (INPUT-chain) loss on a slice of nodes.",
-            figure="Figure 9/10",
             expect_eviction=True,
             defaults={"fraction": 0.01, "loss": 0.8},
             build=_build_ingress_loss,
         ),
         FaultProfile(
             name="flip_flop",
-            description="One-way drops flip-flopping on/off on a slice of nodes.",
-            figure="Figure 9",
             expect_eviction=True,
             defaults={
                 "fraction": 0.01,
@@ -305,50 +316,36 @@ PROFILES: dict[str, FaultProfile] = {
         ),
         FaultProfile(
             name="egress_loss",
-            description="Sustained OUTPUT-chain loss on a slice of nodes.",
-            figure="Figure 10",
             expect_eviction=True,
             defaults={"fraction": 0.01, "loss": 0.8},
             build=_build_egress_loss,
         ),
         FaultProfile(
             name="asymmetric_ingress",
-            description="Steady 100% one-way ingress drops on a slice of nodes.",
-            figure="Figure 9 (steady state)",
             expect_eviction=True,
             defaults={"fraction": 0.01},
             build=_build_asymmetric_ingress,
         ),
         FaultProfile(
             name="blackhole",
-            description="Packet blackhole between one pair of processes.",
-            figure="Figure 12",
             expect_eviction=False,
             defaults={"pair": "random"},
             build=_build_blackhole,
         ),
         FaultProfile(
             name="slow_process",
-            description="Paused-but-alive processes acking below the detector "
-            "timeout; a stable service must not evict them.",
-            figure="accrual-detector probe",
             expect_eviction=False,
             defaults={"fraction": 0.01, "delay": 0.25, "jitter": 0.0},
             build=_build_process_delay,
         ),
         FaultProfile(
             name="stalled_process",
-            description="GC-stalled processes whose acks arrive past the "
-            "detector timeout; they must be evicted.",
-            figure="accrual-detector probe",
             expect_eviction=True,
             defaults={"fraction": 0.01, "delay": 2.5, "jitter": 0.0},
             build=_build_process_delay,
         ),
         FaultProfile(
             name="flip_flop_crash",
-            description="Crash/recover loop (network-level) on a slice of nodes.",
-            figure="Figure 9 (process-level)",
             expect_eviction=True,
             defaults={
                 "fraction": 0.01,
@@ -360,43 +357,30 @@ PROFILES: dict[str, FaultProfile] = {
         ),
         FaultProfile(
             name="rack_crash",
-            description="Correlated fail-stop of one whole rack.",
-            figure="section 7.2 (correlated failures)",
             expect_eviction=True,
             defaults={"racks": 8, "rack": 1},
             build=_build_rack_crash,
         ),
         FaultProfile(
             name="rack_partition",
-            description="One rack partitioned from the rest of the cluster.",
-            figure="section 7.2 (correlated failures)",
             expect_eviction=True,
             defaults={"racks": 8, "rack": 1, "loss": 1.0, "one_way": False},
             build=_build_rack_partition,
         ),
         FaultProfile(
             name="partition_minority",
-            description="A minority slice split from the majority, never "
-            "healed; the majority must evict it without split-brain.",
-            figure="section 7.2 (partitions)",
             expect_eviction=True,
             defaults={"fraction": 0.2, "loss": 1.0},
             build=_build_partition_minority,
         ),
         FaultProfile(
             name="partition_heal",
-            description="A minority slice split off for a bounded window, "
-            "then healed; kicked members rejoin through the join protocol.",
-            figure="section 7.2 (partitions)",
             expect_eviction=True,
             defaults={"fraction": 0.2, "loss": 1.0, "duration": 60.0},
             build=_build_partition_heal,
         ),
         FaultProfile(
             name="partition_flap",
-            description="A minority slice whose partition flaps on/off; "
-            "the majority must converge despite the flapping.",
-            figure="section 7.2 (partitions)",
             expect_eviction=True,
             defaults={
                 "fraction": 0.2,
@@ -408,9 +392,6 @@ PROFILES: dict[str, FaultProfile] = {
         ),
         FaultProfile(
             name="dup_reorder",
-            description="Cluster-wide duplicate + reorder message adversary; "
-            "a correct service rides it out with zero evictions.",
-            figure="safety adversary",
             expect_eviction=False,
             defaults={
                 "probability": 0.2,
@@ -422,9 +403,6 @@ PROFILES: dict[str, FaultProfile] = {
         ),
         FaultProfile(
             name="network_flap",
-            description="Cluster-wide loss bursts (on/off); a stable service "
-            "rides them out without evictions.",
-            figure="global flap composite",
             expect_eviction=False,
             defaults={"loss": 1.0, "period_on": 2.0, "period_off": 8.0},
             build=_build_network_flap,
@@ -448,7 +426,7 @@ def compile_profile(
     """Instantiate a named profile against a concrete cluster.
 
     ``overrides`` must be a subset of the profile's default params —
-    unknown keys fail loudly so sweep grids cannot silently typo a knob.
+    unknown keys fail loudly so grids cannot silently typo a knob.
     Faulty-node choice derives from ``child_rng(seed, "fault-profile",
     name)``: same inputs, same afflicted nodes, byte-identical runs.
     """
@@ -474,5 +452,4 @@ def compile_profile(
         actions=tuple(sorted(actions, key=lambda a: a.time)),
         faulty=frozenset(faulty),
         expect_eviction=profile.expect_eviction,
-        params=params,
     )

@@ -1,34 +1,8 @@
-"""Declarative sweep harness: scenario × system × fault profile × seeds.
+"""Retired: grids run through :mod:`repro.bench` (``python -m repro.bench --grid SPEC``).
 
-``python -m repro.sweep --grid <spec> --out sweep.csv`` expands a grid
-specification (compact ``key=v1,v2;key=v3`` string or JSON) into a list of
-:class:`~repro.sweep.grid.SweepPoint` runs, executes each through the
-shared scenario dispatch table
-(:data:`repro.experiments.scenarios.SCENARIO_FUNCTIONS`), and writes the
-scalar metrics of every run as long-format CSV rows
-(``scenario,profile,system,n,seed,metric,value``) that
-:mod:`repro.analysis.stats` can load and summarize.
-
-Every run is deterministic given its seed, so the whole sweep is: the CLI
-prints a sha256 over the result rows, and ``--expect-hash`` turns that
-into a regression gate (CI runs a tiny grid twice and requires identical
-hashes).
+This package holds no code.  It is kept only because the benchmark's
+layer map (``benchmarks/layers.py``, which changes only together with
+the benchmark) still names ``sweep/``, and its test requires every
+mapped path to exist; the next change to the benchmark deletes that key
+and this directory together.
 """
-
-from repro.sweep.grid import SweepPoint, expand_grid, parse_grid
-from repro.sweep.runner import (
-    run_point,
-    run_sweep,
-    sweep_hash,
-    write_sweep_csv,
-)
-
-__all__ = [
-    "SweepPoint",
-    "parse_grid",
-    "expand_grid",
-    "run_point",
-    "run_sweep",
-    "sweep_hash",
-    "write_sweep_csv",
-]

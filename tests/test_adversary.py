@@ -5,8 +5,9 @@ directly with scripted views, and run the accrual-detector probe profiles
 (``slow_process``/``stalled_process``) plus the Figure 9 flip-flop profile
 against Rapid at sizes tier-1 can afford.  The ``slow``-marked test runs
 the full n=256 stability-gap comparison (Rapid vs SWIM vs gossip-FD under
-the identical flip-flop profile) through the sweep harness, asserting the
-paper's headline: Rapid holds its view while the baselines flap.
+the identical flip-flop profile) as a grid through the experiment runner,
+asserting the paper's headline: Rapid holds its view while the baselines
+flap.
 """
 
 import pytest
@@ -15,8 +16,8 @@ from repro.experiments.scenarios import adversary_experiment, sensitivity_experi
 from repro.obs.scorecard import StabilityScorecard
 from repro.sim.engine import Engine
 from repro.sim.fault_profiles import compile_profile, profile_names
-from repro.sweep.grid import parse_grid
-from repro.sweep.runner import run_sweep, sweep_hash, write_sweep_csv
+from repro.bench import BenchRunner, csv_hash, parse_grid
+from repro.bench.runner import render_csv
 
 
 class TestScorecard:
@@ -221,20 +222,18 @@ class TestWatermarkSensitivity:
 
 @pytest.mark.slow
 class TestStabilityGap:
-    def test_flip_flop_gap_at_n256_via_sweep(self, tmp_path):
+    def test_flip_flop_gap_at_n256_via_grid(self, tmp_path):
         import json
 
         points = parse_grid(json.dumps(STABILITY_GAP_GRID))
         assert [p.system for p in points] == ["rapid", "memberlist", "gossip-fd"]
-        rows = run_sweep(points)
-        write_sweep_csv(rows, str(tmp_path / "stability_gap.csv"))
-        assert len(sweep_hash(rows)) == 64
+        cases = BenchRunner(log=None).run(points)
+        (tmp_path / "stability_gap.csv").write_text(render_csv(cases))
+        assert len(csv_hash(cases)) == 64
+        results = {case.spec.system: case.result for case in cases}
 
         def metric(system, name):
-            for row in rows:
-                if row[2] == system and row[5] == name:
-                    return float(row[6])
-            raise AssertionError(f"missing {system}/{name}")
+            return float(results[system][name])
 
         # Rapid: zero healthy evictions, zero flaps, bounded view changes.
         assert metric("rapid", "healthy_evicted_nodes") == 0

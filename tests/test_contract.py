@@ -169,7 +169,7 @@ def test_installs_reach_the_trace_and_the_callers_callback(system):
 
 #: What a system under test must not import: the simulator, the drivers,
 #: the measurement front ends.
-_OUTSIDE = ("repro.sim", "repro.experiments", "repro.bench", "repro.sweep")
+_OUTSIDE = ("repro.sim", "repro.experiments", "repro.bench")
 
 
 def test_no_system_under_test_knows_it_is_in_an_experiment():

@@ -9,7 +9,8 @@ CLI flags dropped.  This test walks ``README.md`` and every page under
 * dotted ``repro.*`` module references import, and a trailing attribute
   (``repro.experiments.scenarios.SCENARIO_FUNCTIONS``) resolves on the
   module;
-* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers;
+* ``--flags`` attributed to the ``repro.bench`` CLI exist in its parsers
+  (the run, ``compare`` and ``summarize``);
 * the wire-layout table in ``docs/ARCHITECTURE.md`` is the one the codec's
   compiled schema prints.
 
@@ -128,33 +129,29 @@ def test_bench_cli_flags_in_docs_exist():
                 if "repro.bench" in line_group:
                     documented.update(_FLAG_RE.findall(line_group))
     assert documented, "no repro.bench CLI examples found in docs"
-    from repro.bench.__main__ import main  # noqa: F401  (import check)
 
-    # Collect the real option strings from both parsers.
+    # Collect the real option strings from the run, compare and summarize
+    # parsers (argument groups included: they share the container's
+    # add_argument).
     import argparse
     import unittest.mock as mock
 
+    from repro.bench.__main__ import main as run_main
+
     real = set()
     captured = []
-    orig = argparse.ArgumentParser.add_argument
+    orig = argparse._ActionsContainer.add_argument
 
     def record(self, *args, **kwargs):
         captured.extend(a for a in args if isinstance(a, str) and a.startswith("--"))
         return orig(self, *args, **kwargs)
 
-    with mock.patch.object(argparse.ArgumentParser, "add_argument", record):
-        try:
-            from repro.bench.__main__ import main as run_main
-
-            run_main(["--help"])
-        except SystemExit:
-            pass
-        try:
-            from repro.bench.compare import main as cmp_main
-
-            cmp_main(["--help"])
-        except SystemExit:
-            pass
+    with mock.patch.object(argparse._ActionsContainer, "add_argument", record):
+        for command in ([], ["compare"], ["summarize"]):
+            try:
+                run_main([*command, "--help"])
+            except SystemExit:
+                pass
     real.update(captured)
     missing = documented - real
     assert not missing, f"docs show repro.bench flags that do not exist: {missing}"
