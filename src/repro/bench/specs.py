@@ -101,8 +101,6 @@ class BenchSpec:
     def name(self) -> str:
         tags = ""
         for key, value in sorted(self.params.items()):
-            if key.endswith("timeout"):
-                continue
             if isinstance(value, Mapping):
                 # ``settings`` overrides: sorted key:value pairs, so names
                 # stay deterministic and greppable.

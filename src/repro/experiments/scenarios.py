@@ -398,8 +398,8 @@ def partition_heal_experiment(
 ) -> dict:
     """Split off a minority slice, hold the partition, heal, and rejoin.
 
-    Installs the ``partition_heal`` fault profile (a bounded-window
-    :class:`~repro.sim.faults.Partition` between a ``fraction`` minority and
+    Installs the ``partition_heal`` fault profile (a bounded-window, both-ways
+    :class:`~repro.sim.faults.Loss` between a ``fraction`` minority and
     the rest) against a settled cluster and asserts the safety story end to
     end: during the partition the minority — below the classical majority,
     let alone Rapid's fast-path quorum — must make **zero** view progress

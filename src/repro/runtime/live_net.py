@@ -9,10 +9,10 @@ roles back as a thin layer over :class:`AsyncioRuntime`:
 
 * :class:`LiveWire` is the shared per-cluster fabric: it holds
   :mod:`repro.sim.faults` rules (the *same* rule objects the simulator
-  consumes — drop rules and delay rules split exactly like
-  ``Network.add_rule``; rules that duplicate or reorder deliveries are
-  refused) and the counter surface the benchmark runner harvests
-  (``sent_messages``, ``sent_bytes``, ``class_counts``, ...).
+  consumes — ``Loss`` and ``Delay`` rules on one list each, like
+  ``Network.add_rule``; ``Duplicate`` and ``Reorder`` are refused) and
+  the counter surface the benchmark runner harvests (``sent_messages``,
+  ``sent_bytes``, ``class_counts``, ...).
   For every datagram it records both the **real** encoded size and the
   simulator's :func:`~repro.sim.network.wire_size` estimate, so a run
   yields a per-class sim-vs-real parity table for free.  Datagrams that
@@ -36,7 +36,7 @@ from typing import Any, Optional
 from repro.core.node_id import Endpoint
 from repro.runtime.asyncio_transport import AsyncioRuntime
 from repro.runtime.codec import CodecError, decode_bytes
-from repro.sim.faults import FaultRule
+from repro.sim.faults import Delay, FaultRule, Loss
 from repro.sim.network import wire_size
 from repro.sim.rng import child_rng
 
@@ -62,8 +62,8 @@ class LiveWire:
     def __init__(self, seed: int = 0, clock=None) -> None:
         self.seed = seed
         self._clock = clock if clock is not None else (lambda: 0.0)
-        self._rules: list[FaultRule] = []
-        self._delay_rules: list[FaultRule] = []
+        self._loss_rules: list[Loss] = []
+        self._delay_rules: list[Delay] = []
         self._loss_rng = child_rng(seed, "live", "loss")
         self._delay_rng = child_rng(seed, "live", "delay")
         self.sent_messages = 0
@@ -89,35 +89,22 @@ class LiveWire:
 
     # ----------------------------------------------------------- fault rules
 
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        """Install a drop or delay rule; returns it for later removal.
+    def add_rule(self, rule: FaultRule) -> None:
+        """Install a ``Loss`` or ``Delay`` rule on its effect's list.
 
         A rule that rewrites deliveries (``Duplicate``, ``Reorder``) has
         no sender-side equivalent on a real socket; it raises
         ``ValueError`` instead of sitting inert among the drop rules.
         """
-        if rule.mutates_delivery:
+        if isinstance(rule, Loss):
+            self._loss_rules.append(rule)
+        elif isinstance(rule, Delay):
+            self._delay_rules.append(rule)
+        else:
             raise ValueError(
                 f"LiveWire cannot apply {type(rule).__name__}: it drops and "
                 "delays datagrams but does not duplicate or reorder them"
             )
-        if rule.adds_delay:
-            self._delay_rules.append(rule)
-        else:
-            self._rules.append(rule)
-        return rule
-
-    def remove_rule(self, rule: FaultRule) -> None:
-        """Uninstall a previously added rule."""
-        if rule.adds_delay:
-            self._delay_rules.remove(rule)
-        else:
-            self._rules.remove(rule)
-
-    def clear_rules(self) -> None:
-        """Remove every installed rule."""
-        self._rules.clear()
-        self._delay_rules.clear()
 
     def rng_for(self, *scope: object):
         """A seeded RNG stream for auxiliary draws, labelled by the last
@@ -127,10 +114,10 @@ class LiveWire:
 
     def should_drop(self, src: Endpoint, dst: Endpoint) -> bool:
         """Whether any active drop rule discards a ``src -> dst`` datagram."""
-        if not self._rules:
+        if not self._loss_rules:
             return False
         now = self._clock()
-        for rule in self._rules:
+        for rule in self._loss_rules:
             if rule.should_drop(src, dst, now, self._loss_rng):
                 return True
         return False

@@ -61,19 +61,12 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.node_id import Endpoint
 from repro.sim.faults import (
-    AmbientLoss,
-    Blackhole,
-    CrashSchedule,
+    Delay,
     Duplicate,
-    EgressLoss,
     FaultRule,
-    FlipFlopCrash,
-    IngressLoss,
-    Partition,
-    ProcessDelay,
+    Loss,
     Reorder,
     ScheduledAction,
-    rack_assignment,
     rack_members,
 )
 from repro.sim.rng import child_rng
@@ -133,38 +126,38 @@ def _pick_faulty(nodes: Sequence[Endpoint], fraction: float, rng) -> frozenset:
     return frozenset(rng.sample(pool, count))
 
 
-def _build_ingress_loss(nodes, fault_start, params, rng):
-    faulty = _pick_faulty(nodes, params["fraction"], rng)
-    rule = IngressLoss(
-        nodes=faulty, probability=params["loss"], start=fault_start
+def _window(params: dict, start: float) -> dict:
+    """The rule window a profile's params describe, from ``start`` on.
+
+    ``duration`` bounds it; ``period_on``/``period_off`` make it flip-flop.
+    """
+    window = {"start": start}
+    if "duration" in params:
+        window["end"] = start + params["duration"]
+    if "period_on" in params:
+        window.update(period_on=params["period_on"], period_off=params["period_off"])
+    return window
+
+
+def _on_slice(make: Callable) -> Callable:
+    """Builder of the rule ``make(slice, params, window)`` over a sampled
+    ``fraction`` of the cluster, the slice being the faulty set."""
+
+    def build(nodes, fault_start, params, rng):
+        faulty = _pick_faulty(nodes, params["fraction"], rng)
+        return (make(faulty, params, _window(params, fault_start)),), (), faulty
+
+    return build
+
+
+_build_ingress = _on_slice(lambda s, p, w: Loss(dst=s, probability=p["loss"], **w))
+_build_egress = _on_slice(lambda s, p, w: Loss(src=s, probability=p["loss"], **w))
+_build_asymmetric_ingress = _on_slice(lambda s, p, w: Loss(dst=s, probability=1.0, **w))
+_build_process_delay = _on_slice(
+    lambda s, p, w: Delay(
+        src=s, both_ways=True, delay=p["delay"], jitter=p["jitter"], **w
     )
-    return (rule,), (), faulty
-
-
-def _build_flip_flop(nodes, fault_start, params, rng):
-    faulty = _pick_faulty(nodes, params["fraction"], rng)
-    rule = IngressLoss(
-        nodes=faulty,
-        probability=params["loss"],
-        start=fault_start,
-        period_on=params["period_on"],
-        period_off=params["period_off"],
-    )
-    return (rule,), (), faulty
-
-
-def _build_egress_loss(nodes, fault_start, params, rng):
-    faulty = _pick_faulty(nodes, params["fraction"], rng)
-    rule = EgressLoss(
-        nodes=faulty, probability=params["loss"], start=fault_start
-    )
-    return (rule,), (), faulty
-
-
-def _build_asymmetric_ingress(nodes, fault_start, params, rng):
-    faulty = _pick_faulty(nodes, params["fraction"], rng)
-    rule = IngressLoss(nodes=faulty, probability=1.0, start=fault_start)
-    return (rule,), (), faulty
+)
 
 
 def _build_blackhole(nodes, fault_start, params, rng):
@@ -177,120 +170,70 @@ def _build_blackhole(nodes, fault_start, params, rng):
     else:
         pool = list(nodes[1:]) if len(nodes) > 2 else list(nodes)
         a, b = rng.sample(pool, 2)
-    rule = Blackhole(a, b, start=fault_start)
+    rule = Loss(
+        src=frozenset({a}), dst=frozenset({b}), both_ways=True, start=fault_start
+    )
     return (rule,), (), frozenset((a, b))
 
 
-def _build_process_delay(nodes, fault_start, params, rng):
-    faulty = _pick_faulty(nodes, params["fraction"], rng)
-    rule = ProcessDelay(
-        nodes=faulty,
-        delay=params["delay"],
-        jitter=params["jitter"],
-        start=fault_start,
-    )
-    return (rule,), (), faulty
-
-
 def _build_flip_flop_crash(nodes, fault_start, params, rng):
+    # Network-level netdown/netup pairs: the afflicted processes stay alive
+    # (timers running) and rejoin the conversation each time they recover.
+    down_for, up_for, cycles = params["down_for"], params["up_for"], params["cycles"]
+    if down_for <= 0.0 or up_for <= 0.0:
+        raise ValueError(
+            f"flip-flop periods must be positive: "
+            f"down_for={down_for}, up_for={up_for}"
+        )
+    if cycles < 1:
+        raise ValueError(f"cycles must be >= 1, got {cycles}")
     faulty = _pick_faulty(nodes, params["fraction"], rng)
-    loop = FlipFlopCrash(
-        nodes=tuple(sorted(faulty)),
-        start=fault_start,
-        down_for=params["down_for"],
-        up_for=params["up_for"],
-        cycles=params["cycles"],
-    )
-    return (), loop.schedule(), faulty
+    down = tuple(sorted(faulty))
+    actions = []
+    for k in range(cycles):
+        t = fault_start + k * (down_for + up_for)
+        actions.append(ScheduledAction(t, "netdown", down))
+        actions.append(ScheduledAction(t + down_for, "netup", down))
+    return (), tuple(actions), faulty
 
 
 def _build_rack_crash(nodes, fault_start, params, rng):
-    assignment = rack_assignment(nodes, params["racks"])
-    faulty = rack_members(assignment, params["rack"])
-    crash = CrashSchedule(nodes=tuple(sorted(faulty)), at=fault_start)
-    return (), crash.schedule(), faulty
+    faulty = rack_members(nodes, params["racks"], params["rack"])
+    return (), (ScheduledAction(fault_start, "crash", tuple(sorted(faulty))),), faulty
 
 
-def _build_rack_partition(nodes, fault_start, params, rng):
-    assignment = rack_assignment(nodes, params["racks"])
-    faulty = rack_members(assignment, params["rack"])
-    rest = frozenset(nodes) - faulty
-    rule = Partition(
-        group_a=faulty,
-        group_b=rest,
-        one_way=params["one_way"],
+def _build_partition(nodes, fault_start, params, rng):
+    """A slice split from the rest of the cluster, for the params' window.
+
+    The slice is one rack of ``racks`` if the profile has racks, else a
+    sampled ``fraction``; the split is one-way (slice to rest) if
+    ``one_way``.
+    """
+    if "racks" in params:
+        split = rack_members(nodes, params["racks"], params["rack"])
+    else:
+        split = _pick_faulty(nodes, params["fraction"], rng)
+    rule = Loss(
+        src=split,
+        dst=frozenset(nodes) - split,
+        both_ways=not params.get("one_way", False),
         probability=params["loss"],
-        start=fault_start,
+        **_window(params, fault_start),
     )
-    return (rule,), (), faulty
-
-
-def _partition_groups(nodes, fraction, rng):
-    """Sample a minority slice and return (minority, majority) frozensets."""
-    minority = _pick_faulty(nodes, fraction, rng)
-    return minority, frozenset(nodes) - minority
-
-
-def _build_partition_minority(nodes, fault_start, params, rng):
-    minority, majority = _partition_groups(nodes, params["fraction"], rng)
-    rule = Partition(
-        group_a=minority,
-        group_b=majority,
-        probability=params["loss"],
-        start=fault_start,
-    )
-    return (rule,), (), minority
-
-
-def _build_partition_heal(nodes, fault_start, params, rng):
-    minority, majority = _partition_groups(nodes, params["fraction"], rng)
-    rule = Partition(
-        group_a=minority,
-        group_b=majority,
-        probability=params["loss"],
-        start=fault_start,
-        end=fault_start + params["duration"],
-    )
-    return (rule,), (), minority
-
-
-def _build_partition_flap(nodes, fault_start, params, rng):
-    minority, majority = _partition_groups(nodes, params["fraction"], rng)
-    rule = Partition(
-        group_a=minority,
-        group_b=majority,
-        probability=params["loss"],
-        start=fault_start,
-        period_on=params["period_on"],
-        period_off=params["period_off"],
-    )
-    return (rule,), (), minority
+    return (rule,), (), split
 
 
 def _build_dup_reorder(nodes, fault_start, params, rng):
-    rules = (
-        Duplicate(
-            probability=params["probability"],
-            copies=params["copies"],
-            start=fault_start,
-        ),
-        Reorder(
-            probability=params["probability"],
-            delay=params["delay"],
-            jitter=params["jitter"],
-            start=fault_start,
-        ),
+    p = params["probability"]
+    duplicate = Duplicate(probability=p, copies=params["copies"], start=fault_start)
+    reorder = Reorder(
+        probability=p, delay=params["delay"], jitter=params["jitter"], start=fault_start
     )
-    return rules, (), frozenset()
+    return (duplicate, reorder), (), frozenset()
 
 
 def _build_network_flap(nodes, fault_start, params, rng):
-    rule = AmbientLoss(
-        probability=params["loss"],
-        start=fault_start,
-        period_on=params["period_on"],
-        period_off=params["period_off"],
-    )
+    rule = Loss(probability=params["loss"], **_window(params, fault_start))
     return (rule,), (), frozenset()
 
 
@@ -301,7 +244,7 @@ PROFILES: dict[str, FaultProfile] = {
             name="ingress_loss",
             expect_eviction=True,
             defaults={"fraction": 0.01, "loss": 0.8},
-            build=_build_ingress_loss,
+            build=_build_ingress,
         ),
         FaultProfile(
             name="flip_flop",
@@ -312,13 +255,13 @@ PROFILES: dict[str, FaultProfile] = {
                 "period_on": 20.0,
                 "period_off": 20.0,
             },
-            build=_build_flip_flop,
+            build=_build_ingress,
         ),
         FaultProfile(
             name="egress_loss",
             expect_eviction=True,
             defaults={"fraction": 0.01, "loss": 0.8},
-            build=_build_egress_loss,
+            build=_build_egress,
         ),
         FaultProfile(
             name="asymmetric_ingress",
@@ -365,19 +308,19 @@ PROFILES: dict[str, FaultProfile] = {
             name="rack_partition",
             expect_eviction=True,
             defaults={"racks": 8, "rack": 1, "loss": 1.0, "one_way": False},
-            build=_build_rack_partition,
+            build=_build_partition,
         ),
         FaultProfile(
             name="partition_minority",
             expect_eviction=True,
             defaults={"fraction": 0.2, "loss": 1.0},
-            build=_build_partition_minority,
+            build=_build_partition,
         ),
         FaultProfile(
             name="partition_heal",
             expect_eviction=True,
             defaults={"fraction": 0.2, "loss": 1.0, "duration": 60.0},
-            build=_build_partition_heal,
+            build=_build_partition,
         ),
         FaultProfile(
             name="partition_flap",
@@ -388,7 +331,7 @@ PROFILES: dict[str, FaultProfile] = {
                 "period_on": 15.0,
                 "period_off": 15.0,
             },
-            build=_build_partition_flap,
+            build=_build_partition,
         ),
         FaultProfile(
             name="dup_reorder",

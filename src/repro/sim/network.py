@@ -22,7 +22,7 @@ from repro.core.messages import ViewSnapshot, VoteBundle, VotePull
 from repro.core.node_id import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.sim.faults import FaultRule
+from repro.sim.faults import Delay, Duplicate, FaultRule, Loss, Reorder
 from repro.sim.rng import child_rng
 from repro.sim.latency import LanLatency, LatencyModel
 
@@ -200,17 +200,22 @@ class Network:
         self.latency = latency or LanLatency()
         self._handlers: dict[Endpoint, Callable[[Endpoint, Any], None]] = {}
         self._crashed: set[Endpoint] = set()
-        self._rules: list[FaultRule] = []
-        # Delay rules (FaultRule.adds_delay) live on their own list with
-        # their own RNG stream: the drop loop never sees them and their
-        # jitter draws never perturb loss sampling, so installing one
-        # cannot shift the deterministic trace of unrelated traffic.
-        self._delay_rules: list[FaultRule] = []
-        # Adversary rules (FaultRule.mutates_delivery) duplicate and
-        # reorder deliveries; they too get their own list and RNG stream
-        # so installing one leaves the loss/latency/delay draws of every
-        # other message byte-identical.
-        self._adversary_rules: list[FaultRule] = []
+        # One rule list per effect, picked by the rule's type.  Loss, delay
+        # and the adversary (Duplicate, then Reorder, per message) draw
+        # from three separate RNG streams: the drop loop never sees a
+        # delay rule, and a jitter or adversary draw never perturbs loss
+        # or latency sampling, so installing one cannot shift the
+        # deterministic trace of unrelated traffic.
+        self._loss_rules: list[Loss] = []
+        self._delay_rules: list[Delay] = []
+        self._duplicate_rules: list[Duplicate] = []
+        self._reorder_rules: list[Reorder] = []
+        self._rule_lists: dict[type, list] = {
+            Loss: self._loss_rules,
+            Delay: self._delay_rules,
+            Duplicate: self._duplicate_rules,
+            Reorder: self._reorder_rules,
+        }
         self._latency_rng = child_rng(seed, "network", "latency")
         self._loss_rng = child_rng(seed, "network", "loss")
         self._delay_rng = child_rng(seed, "network", "delay")
@@ -293,37 +298,12 @@ class Network:
         """
         self._handlers[addr] = handler
 
-    def add_rule(self, rule: FaultRule) -> FaultRule:
-        """Install a fault rule; returns it so callers can remove it later.
+    def add_rule(self, rule: FaultRule) -> None:
+        """Install a fault rule on its effect's list.
 
-        Delay rules (``rule.adds_delay``) are kept on a separate list
-        consulted only when computing delivery latency; adversary rules
-        (``rule.mutates_delivery``) on a third, consulted after the drop
-        loop to duplicate/reorder surviving deliveries; drop rules join
-        the per-message drop loop.
+        Every rule is bounded by its own window, so none is ever removed.
         """
-        if rule.mutates_delivery:
-            self._adversary_rules.append(rule)
-        elif rule.adds_delay:
-            self._delay_rules.append(rule)
-        else:
-            self._rules.append(rule)
-        return rule
-
-    def remove_rule(self, rule: FaultRule) -> None:
-        """Uninstall a previously added fault rule."""
-        if rule.mutates_delivery:
-            self._adversary_rules.remove(rule)
-        elif rule.adds_delay:
-            self._delay_rules.remove(rule)
-        else:
-            self._rules.remove(rule)
-
-    def clear_rules(self) -> None:
-        """Remove every installed fault rule."""
-        self._rules.clear()
-        self._delay_rules.clear()
-        self._adversary_rules.clear()
+        self._rule_lists[type(rule)].append(rule)
 
     # ----------------------------------------------------------------- faults
 
@@ -370,7 +350,7 @@ class Network:
         if dst in self._crashed:
             self._dropped_counter.inc()
             return
-        rules = self._rules
+        rules = self._loss_rules
         if rules:
             now = self.engine.now
             for rule in rules:
@@ -382,7 +362,7 @@ class Network:
             now = self.engine.now
             for rule in self._delay_rules:
                 delay += rule.added_delay(src, dst, now, self._delay_rng)
-        if self._adversary_rules:
+        if self._duplicate_rules or self._reorder_rules:
             delay += self._apply_adversary(src, dst, msg, size, key)
         self.engine.post(delay, self._deliver, src, dst, msg, size)
 
@@ -400,18 +380,10 @@ class Network:
         (receive accounting happens in ``_deliver``), never as sent — the
         fabric fabricated them, no process paid transmit cost.
         """
-        extra = 0.0
         rng = self._adversary_rng
         now = self.engine.now
-        for rule in self._adversary_rules:
-            if not rule.active(now) or not rule.matches(src, dst):
-                continue
-            held = rule.hold_delay(src, dst, rng)
-            if held > 0.0:
-                extra += held
-                self._reordered_counter.inc()
-                self.reorder_counts[key] = self.reorder_counts.get(key, 0) + 1
-            copies = rule.extra_copies(src, dst, rng)
+        for rule in self._duplicate_rules:
+            copies = rule.extra_copies(src, dst, now, rng)
             if copies:
                 self._duplicated_counter.inc(copies)
                 self.duplicate_counts[key] = (
@@ -426,6 +398,13 @@ class Network:
                         msg,
                         size,
                     )
+        extra = 0.0
+        for rule in self._reorder_rules:
+            held = rule.hold_delay(src, dst, now, rng)
+            if held > 0.0:
+                extra += held
+                self._reordered_counter.inc()
+                self.reorder_counts[key] = self.reorder_counts.get(key, 0) + 1
         return extra
 
     def _deliver(self, src: Endpoint, dst: Endpoint, msg: Any, size: int) -> None:

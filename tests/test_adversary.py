@@ -15,7 +15,6 @@ import pytest
 from repro.experiments.scenarios import adversary_experiment, sensitivity_experiment
 from repro.obs.scorecard import StabilityScorecard
 from repro.sim.engine import Engine
-from repro.sim.fault_profiles import compile_profile, profile_names
 from repro.bench import BenchRunner, csv_hash, parse_grid
 from repro.bench.runner import render_csv
 
@@ -88,32 +87,6 @@ class TestScorecard:
         )
         # o2 is fail-stopped: its stale view must not block detection.
         assert card.faulty_detected_at == 2.0
-
-
-class TestProfiles:
-    def test_every_profile_compiles_deterministically(self):
-        from repro.sim.cluster import endpoint_for
-
-        nodes = [endpoint_for(i) for i in range(24)]
-        for name in profile_names():
-            first = compile_profile(name, nodes, seed=3, fault_start=10.0)
-            again = compile_profile(name, nodes, seed=3, fault_start=10.0)
-            assert first.faulty == again.faulty, name
-            assert len(first.rules) == len(again.rules), name
-            assert first.actions == again.actions, name
-            assert nodes[0] not in first.faulty  # the bootstrap seed stays up
-
-    def test_unknown_profile_and_override_fail_loudly(self):
-        from repro.sim.cluster import endpoint_for
-
-        nodes = [endpoint_for(i) for i in range(8)]
-        with pytest.raises(ValueError, match="unknown fault profile"):
-            compile_profile("nope", nodes, seed=1, fault_start=0.0)
-        with pytest.raises(ValueError, match="no parameter"):
-            compile_profile(
-                "flip_flop", nodes, seed=1, fault_start=0.0,
-                overrides={"typo": 1},
-            )
 
 
 class TestAccrualProbe:

@@ -66,6 +66,14 @@ class TestSpecs:
         )
         assert spec.name == "adversary/rapid/n8/s2/profile=egress_loss"
 
+    def test_names_keep_timeout_params_apart(self):
+        # A swept timeout is an axis like any other: two cases, two names,
+        # so compare keys each of them separately.
+        points = parse_grid("scenario=adversary;n=8;settle_timeout=60,120")
+        names = [point.name for point in points]
+        assert len(names) == len(set(names)) == 2
+        assert names[0].endswith("/settle_timeout=60")
+
 
 class TestRunner:
     @pytest.fixture(scope="class")

@@ -51,7 +51,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime import codec
 from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
-from repro.sim.faults import AmbientLoss
+from repro.sim.faults import Loss
 from repro.sim.latency import ConstantLatency
 from repro.sim.network import Network
 from repro.sim.process import SimRuntime
@@ -221,7 +221,7 @@ class TestGossipDissemination:
     def test_fast_path_decides_under_message_loss(self):
         """Delta gossip repairs loss: everyone decides without fallback."""
         harness = ConsensusHarness(48, gossip_settings(), seed=3)
-        harness.network.add_rule(AmbientLoss(probability=0.15))
+        harness.network.add_rule(Loss(probability=0.15))
         proposal = proposal_for(0)
         harness.propose_all(lambda i: proposal)
         decided_at = harness.run_until_decided(timeout=20.0)

@@ -39,6 +39,9 @@ _MODULE_RE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 _CODE_SPAN_RE = re.compile(r"`([^`]+)`")
 
+#: A fenced block, from its opening fence line to its closing fence.
+_FENCE_RE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
 #: Flags documented as belonging to the repro.bench CLI.
 _FLAG_RE = re.compile(r"(--[a-z][a-z-]+)")
 
@@ -51,12 +54,22 @@ _PATH_ALLOWLIST = {
 _PATH_PREFIX_ALLOWLIST = ("BENCH_", "/tmp/", "NEW.json", "OLD.json")
 
 
+def _code_spans(text):
+    """Each fenced block whole, then the inline code spans of the prose.
+
+    Pairing backticks across the whole text would let a fence's three
+    backticks open a span that closes inside the next paragraph.
+    """
+    prose = _FENCE_RE.sub("", text)
+    return _FENCE_RE.findall(text) + _CODE_SPAN_RE.findall(prose)
+
+
 def _tokens(pattern):
-    """All (file, token) matches of ``pattern`` inside code spans."""
+    """All (file, token) matches of ``pattern`` inside code."""
     out = []
     for doc in DOC_FILES:
         text = doc.read_text()
-        for span in _CODE_SPAN_RE.findall(text):
+        for span in _code_spans(text):
             for match in pattern.findall(span):
                 out.append((doc.name, match))
         # Markdown link targets: [label](target)

@@ -1,12 +1,14 @@
 """Direct tests for fault-rule semantics (:mod:`repro.sim.faults`).
 
-Covers the rule algebra the adversarial experiments depend on: activity
-window boundaries, flip-flop phasing, one-way partitions, ingress/egress
-asymmetry, delay-rule delivery, schedule expansion, and the determinism
-of probabilistic rules under the network's seeded RNG streams.
+Covers the rule algebra the adversarial experiments depend on: one scope
+table run through every effect, activity window boundaries, flip-flop
+phasing, delay-rule delivery, the profiles' schedules, and the
+determinism of probabilistic rules under the network's seeded RNG
+streams.
 """
 
 import math
+import random
 
 import pytest
 
@@ -16,23 +18,15 @@ from repro.experiments.harness import harness_for
 from repro.experiments.scenarios import _schedule
 from repro.sim.cluster import endpoint_for
 from repro.sim.engine import Engine
+from repro.sim.fault_profiles import compile_profile, profile_names
 from repro.sim.faults import (
-    AmbientLoss,
-    Blackhole,
-    CrashSchedule,
+    Delay,
     Duplicate,
-    EgressDelay,
     EgressLoss,
-    FlipFlopCrash,
     IngressDelay,
-    IngressLoss,
-    LinkDelay,
-    PairLoss,
-    Partition,
-    ProcessDelay,
+    Loss,
     Reorder,
     ScheduledAction,
-    rack_assignment,
     rack_members,
 )
 from repro.sim.latency import ConstantLatency
@@ -55,33 +49,34 @@ def probe(sender, seq=1):
 class TestValidation:
     def test_empty_window_rejected(self):
         with pytest.raises(ValueError, match="window is empty"):
-            AmbientLoss(probability=0.5, start=10.0, end=5.0)
+            Loss(probability=0.5, start=10.0, end=5.0)
 
     def test_flip_flop_requires_both_periods(self):
         with pytest.raises(ValueError, match="both period_on and period_off"):
-            IngressLoss(nodes=frozenset(endpoints(1)), period_on=20.0)
+            Loss(dst=frozenset(endpoints(1)), period_on=20.0)
         with pytest.raises(ValueError, match="both period_on and period_off"):
-            IngressLoss(nodes=frozenset(endpoints(1)), period_off=20.0)
+            Loss(dst=frozenset(endpoints(1)), period_off=20.0)
 
     def test_zero_length_cycle_rejected(self):
         # Used to divide by zero inside active(); now fails at construction.
         with pytest.raises(ValueError, match="periods must be positive"):
-            AmbientLoss(probability=1.0, period_on=0.0, period_off=0.0)
+            Loss(probability=1.0, period_on=0.0, period_off=0.0)
         with pytest.raises(ValueError, match="periods must be positive"):
-            AmbientLoss(probability=1.0, period_on=5.0, period_off=-1.0)
+            Loss(probability=1.0, period_on=5.0, period_off=-1.0)
 
     def test_probability_bounds_checked(self):
+        a, b = endpoints(2)
         with pytest.raises(ValueError, match="probability"):
-            AmbientLoss(probability=1.5)
+            Loss(probability=1.5)
         with pytest.raises(ValueError, match="probability"):
-            PairLoss(*endpoints(2), probability=-0.1)
+            Loss(src=frozenset({a}), dst=frozenset({b}), probability=-0.1)
 
     def test_delay_and_jitter_must_be_non_negative(self):
         nodes = frozenset(endpoints(1))
         with pytest.raises(ValueError, match="delay"):
-            IngressDelay(nodes=nodes, delay=-0.5)
+            Delay(dst=nodes, delay=-0.5)
         with pytest.raises(ValueError, match="jitter"):
-            IngressDelay(nodes=nodes, delay=0.5, jitter=-0.1)
+            Delay(dst=nodes, delay=0.5, jitter=-0.1)
 
     def test_adversary_rule_validation(self):
         with pytest.raises(ValueError, match="copies"):
@@ -93,6 +88,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="jitter"):
             Reorder(probability=0.5, delay=0.5, jitter=-0.1)
 
+    def test_rules_take_keywords_only(self):
+        # A positional value would land in the first scope field unnoticed.
+        with pytest.raises(TypeError):
+            Loss(0.5)
+
     def test_scheduled_action_verb_checked(self):
         nodes = tuple(endpoints(1))
         with pytest.raises(ValueError, match="unknown action"):
@@ -101,20 +101,20 @@ class TestValidation:
             assert ScheduledAction(1.0, verb, nodes).action == verb
 
     def test_flip_flop_crash_validation(self):
-        nodes = tuple(endpoints(1))
+        nodes = endpoints(4)
         with pytest.raises(ValueError, match="periods must be positive"):
-            FlipFlopCrash(nodes=nodes, down_for=0.0)
+            compile_profile("flip_flop_crash", nodes, 1, 0.0, {"down_for": 0.0})
         with pytest.raises(ValueError, match="cycles"):
-            FlipFlopCrash(nodes=nodes, cycles=0)
+            compile_profile("flip_flop_crash", nodes, 1, 0.0, {"cycles": 0})
 
     def test_rack_count_checked(self):
         with pytest.raises(ValueError, match="racks"):
-            rack_assignment(endpoints(4), 0)
+            rack_members(endpoints(4), 0, 0)
 
 
 class TestActivityWindow:
     def test_half_open_window_boundaries(self):
-        rule = AmbientLoss(probability=1.0, start=10.0, end=20.0)
+        rule = Loss(probability=1.0, start=10.0, end=20.0)
         assert not rule.active(9.999)
         assert rule.active(10.0)  # inclusive start
         assert rule.active(19.999)
@@ -122,15 +122,13 @@ class TestActivityWindow:
         assert not rule.active(25.0)
 
     def test_unbounded_window_is_always_active(self):
-        rule = AmbientLoss(probability=1.0)
+        rule = Loss(probability=1.0)
         assert rule.active(0.0)
         assert rule.active(1e9)
         assert rule.end == math.inf
 
     def test_flip_flop_phasing(self):
-        rule = AmbientLoss(
-            probability=1.0, start=10.0, period_on=5.0, period_off=5.0
-        )
+        rule = Loss(probability=1.0, start=10.0, period_on=5.0, period_off=5.0)
         assert not rule.active(9.0)  # before the window
         assert rule.active(10.0)  # first on-phase begins at start
         assert rule.active(14.999)
@@ -140,7 +138,7 @@ class TestActivityWindow:
         assert not rule.active(26.0)
 
     def test_flip_flop_respects_outer_window(self):
-        rule = AmbientLoss(
+        rule = Loss(
             probability=1.0,
             start=0.0,
             end=12.0,
@@ -151,49 +149,96 @@ class TestActivityWindow:
         assert not rule.active(12.0)  # window closed mid-phase
 
 
-class TestDirectionality:
-    def test_ingress_loss_is_one_way(self):
-        engine, network = make_network()
-        a, b = endpoints(2)
-        got = []
-        network.register(a, lambda s, m: got.append(("a", m.seq)))
-        network.register(b, lambda s, m: got.append(("b", m.seq)))
-        network.add_rule(IngressLoss(nodes=frozenset({b}), probability=1.0))
-        network.send(a, b, probe(a, seq=1))  # toward b: dropped
-        network.send(b, a, probe(b, seq=2))  # from b: delivered
-        engine.run()
-        assert got == [("a", 2)]
+A, B, C, D = endpoints(4)
 
-    def test_egress_loss_is_the_mirror_image(self):
-        engine, network = make_network()
-        a, b = endpoints(2)
-        got = []
-        network.register(a, lambda s, m: got.append(("a", m.seq)))
-        network.register(b, lambda s, m: got.append(("b", m.seq)))
-        network.add_rule(EgressLoss(nodes=frozenset({b}), probability=1.0))
-        network.send(a, b, probe(a, seq=1))  # toward b: delivered
-        network.send(b, a, probe(b, seq=2))  # from b: dropped
-        engine.run()
-        assert got == [("b", 1)]
+#: Every scope the profiles use: its fields, the ``(src, dst)`` pairs it
+#: must cover and the pairs it must leave alone.
+SCOPES = {
+    "ingress": (
+        {"dst": frozenset({B})},
+        [(A, B), (C, B)],
+        [(B, A), (A, C)],
+    ),
+    "egress": (
+        {"src": frozenset({B})},
+        [(B, A), (B, C)],
+        [(A, B), (A, C)],
+    ),
+    "process": (
+        {"src": frozenset({B}), "both_ways": True},
+        [(A, B), (B, A), (B, C)],
+        [(A, C), (C, A)],
+    ),
+    "link": (
+        {"src": frozenset({A}), "dst": frozenset({B}), "both_ways": True},
+        [(A, B), (B, A)],
+        [(A, C), (C, B)],
+    ),
+    "one_way_link": (
+        {"src": frozenset({A}), "dst": frozenset({B})},
+        [(A, B)],
+        [(B, A), (A, C)],
+    ),
+    "partition": (
+        {"src": frozenset({A, B}), "dst": frozenset({C, D}), "both_ways": True},
+        [(A, C), (B, D), (C, A), (D, B)],
+        [(A, B), (C, D)],
+    ),
+    "one_way_partition": (
+        {"src": frozenset({A, B}), "dst": frozenset({C, D})},
+        [(A, C), (B, D)],
+        [(C, A), (A, B), (C, D)],
+    ),
+    "everything": ({}, [(A, B), (B, A), (C, D)], []),
+}
 
-    def test_one_way_partition(self):
-        a, b, c, d = endpoints(4)
-        rule = Partition(
-            group_a=frozenset({a, b}), group_b=frozenset({c, d}), one_way=True
-        )
-        assert rule.matches(a, c)
-        assert rule.matches(b, d)
-        assert not rule.matches(c, a)  # reverse direction unaffected
-        assert not rule.matches(a, b)  # intra-group unaffected
-        two_way = Partition(
-            group_a=frozenset({a, b}), group_b=frozenset({c, d})
-        )
-        assert two_way.matches(c, a)
+#: Each effect at full strength, and how one delivered copy shows it: the
+#: arrival times of a ``src -> dst`` send over a 1 ms constant latency.
+EFFECTS = {
+    "Loss": (lambda scope: Loss(**scope), []),
+    "Delay": (lambda scope: Delay(delay=0.5, **scope), [0.501]),
+    "Duplicate": (lambda scope: Duplicate(probability=1.0, **scope), [0.001, 0.001]),
+    "Reorder": (
+        lambda scope: Reorder(probability=1.0, delay=0.5, jitter=0.0, **scope),
+        [0.501],
+    ),
+}
+
+
+class TestScope:
+    @pytest.mark.parametrize("effect", EFFECTS)
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_scope_covers_exactly_its_links(self, scope, effect):
+        fields, covered, spared = SCOPES[scope]
+        make, hit = EFFECTS[effect]
+        rule = make(fields)
+        for src, dst in covered:
+            assert rule.matches(src, dst), (src, dst)
+        for src, dst in spared:
+            assert not rule.matches(src, dst), (src, dst)
+        # End to end: the network applies the effect to exactly the
+        # covered pairs, and delivers the spared ones untouched.
+        engine, network = make_network()
+        arrivals = {}
+        for ep in (A, B, C, D):
+            network.register(
+                ep, lambda s, m, _ep=ep: arrivals.setdefault((s, _ep), []).append(
+                    round(engine.now, 6)
+                )
+            )
+        network.add_rule(rule)
+        for src, dst in covered + spared:
+            network.send(src, dst, probe(src))
+        engine.run()
+        for src, dst in covered:
+            assert arrivals.get((src, dst), []) == hit, (src, dst)
+        for src, dst in spared:
+            assert arrivals[(src, dst)] == [0.001], (src, dst)
 
     def test_partition_probability_yields_partial_loss(self):
         a, b, c, d = endpoints(4)
-        lossless = Partition(
-            group_a=frozenset({a}), group_b=frozenset({c}), probability=0.0
+        lossless = Loss(
+            src=frozenset({a}), dst=frozenset({c}), both_ways=True, probability=0.0
         )
         engine, network = make_network()
         got = []
@@ -204,15 +249,10 @@ class TestDirectionality:
         engine.run()
         assert got == [1]  # matches, but probability 0 never drops
 
-    def test_blackhole_is_a_labelled_pair_loss(self):
-        a, b = endpoints(2)
-        rule = Blackhole(a, b)
-        assert isinstance(rule, PairLoss)
-        assert rule.kind == "Blackhole"
-        assert rule.matches(a, b) and rule.matches(b, a)
-        assert rule.drop_probability(a, b) == 1.0
-        plain = PairLoss(a=a, b=b, probability=0.5)
-        assert plain.kind == "PairLoss"
+    def test_benchmark_constructors_are_a_loss_and_a_delay(self):
+        nodes = frozenset(endpoints(1))
+        assert EgressLoss(nodes=nodes) == Loss(src=nodes)
+        assert IngressDelay(nodes=nodes, delay=0.01) == Delay(dst=nodes, delay=0.01)
 
 
 class TestDelayRules:
@@ -222,7 +262,7 @@ class TestDelayRules:
         arrivals = []
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: arrivals.append(engine.now))
-        network.add_rule(IngressDelay(nodes=frozenset({b}), delay=0.5))
+        network.add_rule(Delay(dst=frozenset({b}), delay=0.5))
         network.send(a, b, probe(a))
         engine.run()
         assert len(arrivals) == 1
@@ -235,7 +275,7 @@ class TestDelayRules:
         arrivals = {}
         network.register(a, lambda s, m: arrivals.setdefault("a", engine.now))
         network.register(b, lambda s, m: arrivals.setdefault("b", engine.now))
-        network.add_rule(ProcessDelay(nodes=frozenset({b}), delay=0.25))
+        network.add_rule(Delay(src=frozenset({b}), both_ways=True, delay=0.25))
         network.send(a, b, probe(a, seq=1))
         network.send(b, a, probe(b, seq=2))
         engine.run()
@@ -243,23 +283,13 @@ class TestDelayRules:
         assert arrivals["b"] == pytest.approx(0.251)
         assert arrivals["a"] == pytest.approx(0.251)
 
-    def test_egress_and_link_delay_match_their_directions(self):
-        a, b, c = endpoints(3)
-        egress = EgressDelay(nodes=frozenset({a}), delay=0.1)
-        assert egress.matches(a, b) and not egress.matches(b, a)
-        one_way = LinkDelay(a=a, b=b, delay=0.1, bidirectional=False)
-        assert one_way.matches(a, b) and not one_way.matches(b, a)
-        assert not one_way.matches(a, c)
-
     def test_inactive_delay_rule_adds_nothing(self):
         engine, network = make_network()
         a, b = endpoints(2)
         arrivals = []
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: arrivals.append(engine.now))
-        network.add_rule(
-            IngressDelay(nodes=frozenset({b}), delay=5.0, start=100.0)
-        )
+        network.add_rule(Delay(dst=frozenset({b}), delay=5.0, start=100.0))
         network.send(a, b, probe(a))
         engine.run()
         assert arrivals[0] == pytest.approx(0.001)
@@ -271,18 +301,24 @@ class TestDelayRules:
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: arrivals.setdefault(b, engine.now))
         network.register(c, lambda s, m: arrivals.setdefault(c, engine.now))
-        network.add_rule(IngressDelay(nodes=frozenset({c}), delay=0.5))
+        network.add_rule(Delay(dst=frozenset({c}), delay=0.5))
         network.broadcast(a, [b, c], probe(a))
         engine.run()
         assert arrivals[b] == pytest.approx(0.001)
         assert arrivals[c] == pytest.approx(0.501)
 
     def test_delay_rules_never_drop(self):
+        engine, network = make_network()
         a, b = endpoints(2)
-        rule = IngressDelay(nodes=frozenset({b}), delay=1.0)
-        assert rule.adds_delay
-        assert rule.drop_probability(a, b) == 0.0
-        assert not rule.should_drop(a, b, 0.0, None)  # rng never consulted
+        got = []
+        network.register(a, lambda s, m: None)
+        network.register(b, lambda s, m: got.append(m.seq))
+        network.add_rule(Delay(dst=frozenset({b}), delay=1.0, jitter=0.5))
+        for seq in range(50):
+            network.send(a, b, probe(a, seq=seq))
+        engine.run()
+        assert sorted(got) == list(range(50))
+        assert network.dropped_messages == 0
 
 
 class TestBoundarySemantics:
@@ -295,8 +331,8 @@ class TestBoundarySemantics:
     """
 
     def test_abutting_windows_have_no_overlap_and_no_gap(self):
-        first = AmbientLoss(probability=1.0, start=10.0, end=20.0)
-        second = AmbientLoss(probability=1.0, start=20.0, end=30.0)
+        first = Loss(start=10.0, end=20.0)
+        second = Loss(start=20.0, end=30.0)
         for t, active in ((19.999, (True, False)), (20.0, (False, True))):
             assert (first.active(t), second.active(t)) == active
         # Exactly one of the two covers every instant of [10, 30).
@@ -308,7 +344,7 @@ class TestBoundarySemantics:
     def test_zero_width_window_is_never_active(self):
         # end == start is tolerated at construction (only end < start is
         # an error) and means "never": the half-open window is empty.
-        rule = AmbientLoss(probability=1.0, start=10.0, end=10.0)
+        rule = Loss(start=10.0, end=10.0)
         assert not rule.active(10.0)
 
     def test_message_sent_exactly_at_rule_edges(self):
@@ -319,7 +355,7 @@ class TestBoundarySemantics:
         got = []
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: got.append(m.seq))
-        network.add_rule(AmbientLoss(probability=1.0, start=5.0, end=9.0))
+        network.add_rule(Loss(start=5.0, end=9.0))
         engine.schedule_at(5.0, network.send, a, b, probe(a, seq=1))  # dropped
         engine.schedule_at(8.999, network.send, a, b, probe(a, seq=2))  # dropped
         engine.schedule_at(9.0, network.send, a, b, probe(a, seq=3))  # delivered
@@ -335,7 +371,7 @@ class TestBoundarySemantics:
         got = []
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: got.append(m.seq))
-        network.add_rule(AmbientLoss(probability=1.0, start=0.0, end=10.0))
+        network.add_rule(Loss(start=0.0, end=10.0))
         action = ScheduledAction(10.0, "netup", (b,))
         network.crash(b)
         engine.schedule_at(
@@ -349,23 +385,27 @@ class TestBoundarySemantics:
         # probability < 1.0 must not change *which* directions match —
         # only how often matching packets drop.
         a, b, c, d = endpoints(4)
-        partial = Partition(
-            group_a=frozenset({a, b}),
-            group_b=frozenset({c, d}),
+        always = random.Random()
+        always.random = lambda: 0.0  # every draw says "drop"
+        partial = Loss(
+            src=frozenset({a, b}),
+            dst=frozenset({c, d}),
+            both_ways=True,
             probability=0.5,
         )
         assert partial.matches(a, c) and partial.matches(c, a)
         assert not partial.matches(a, b) and not partial.matches(c, d)
-        assert partial.drop_probability(a, c) == 0.5
-        assert partial.drop_probability(c, a) == 0.5
-        one_way = Partition(
-            group_a=frozenset({a, b}),
-            group_b=frozenset({c, d}),
-            one_way=True,
+        assert partial.should_drop(a, c, 0.0, always)
+        assert partial.should_drop(c, a, 0.0, always)
+        assert not partial.should_drop(a, b, 0.0, always)
+        one_way = Loss(
+            src=frozenset({a, b}),
+            dst=frozenset({c, d}),
             probability=0.5,
         )
         assert one_way.matches(a, c)
         assert not one_way.matches(c, a)  # reverse never matches, any p
+        assert not one_way.should_drop(c, a, 0.0, always)
 
     def test_partial_one_way_partition_losses_are_asymmetric(self):
         # End to end: a 50% one-way partition thins a->c traffic but
@@ -376,12 +416,7 @@ class TestBoundarySemantics:
         network.register(a, lambda s, m: got.__setitem__(a, got[a] + 1))
         network.register(c, lambda s, m: got.__setitem__(c, got[c] + 1))
         network.add_rule(
-            Partition(
-                group_a=frozenset({a}),
-                group_b=frozenset({c}),
-                one_way=True,
-                probability=0.5,
-            )
+            Loss(src=frozenset({a}), dst=frozenset({c}), probability=0.5)
         )
         for seq in range(200):
             network.send(a, c, probe(a, seq=seq))
@@ -442,7 +477,9 @@ class TestAdversaryRules:
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: got.__setitem__(b, got[b] + 1))
         network.register(c, lambda s, m: got.__setitem__(c, got[c] + 1))
-        network.add_rule(Duplicate(nodes=frozenset({b}), probability=1.0))
+        network.add_rule(
+            Duplicate(src=frozenset({b}), both_ways=True, probability=1.0)
+        )
         network.send(a, b, probe(a, seq=1))
         network.send(a, c, probe(a, seq=2))
         engine.run()
@@ -475,20 +512,6 @@ class TestAdversaryRules:
         assert network.duplicate_counts == {}
         assert network.reorder_counts == {}
 
-    def test_remove_and_clear_uninstall_adversary_rules(self):
-        engine, network = make_network()
-        a, b = endpoints(2)
-        got = []
-        network.register(a, lambda s, m: None)
-        network.register(b, lambda s, m: got.append(m.seq))
-        rule = network.add_rule(Duplicate(probability=1.0))
-        network.remove_rule(rule)
-        network.add_rule(Reorder(probability=1.0, delay=9.0, jitter=0.0))
-        network.clear_rules()
-        network.send(a, b, probe(a, seq=1))
-        engine.run()
-        assert got == [1]
-
     def test_adversary_stream_does_not_perturb_other_traffic(self):
         # The drop pattern and the originals' latencies are byte-identical
         # with and without an adversary installed: its draws come from a
@@ -500,7 +523,7 @@ class TestAdversaryRules:
             got = []
             network.register(a, lambda s, m: None)
             network.register(b, lambda s, m: got.append(m.seq))
-            network.add_rule(AmbientLoss(probability=0.5))
+            network.add_rule(Loss(probability=0.5))
             if with_adversary:
                 network.add_rule(Duplicate(probability=0.3))
                 network.add_rule(Reorder(probability=0.3, delay=0.2))
@@ -522,11 +545,9 @@ class TestDeterminism:
         got = []
         network.register(a, lambda s, m: None)
         network.register(b, lambda s, m: got.append(m.seq))
-        network.add_rule(AmbientLoss(probability=0.5))
+        network.add_rule(Loss(probability=0.5))
         if with_delay_rule:
-            network.add_rule(
-                IngressDelay(nodes=frozenset({b}), delay=0.2, jitter=0.1)
-            )
+            network.add_rule(Delay(dst=frozenset({b}), delay=0.2, jitter=0.1))
         for seq in range(sends):
             network.send(a, b, probe(a, seq=seq))
         engine.run()
@@ -556,36 +577,107 @@ class TestDeterminism:
         assert draws != [other.random() for _ in range(4)]
 
 
-class TestSchedules:
+class TestProfiles:
+    def test_every_profile_compiles_deterministically(self):
+        nodes = [endpoint_for(i) for i in range(24)]
+        for name in profile_names():
+            first = compile_profile(name, nodes, seed=3, fault_start=10.0)
+            again = compile_profile(name, nodes, seed=3, fault_start=10.0)
+            assert first.faulty == again.faulty, name
+            assert len(first.rules) == len(again.rules), name
+            assert first.actions == again.actions, name
+            assert nodes[0] not in first.faulty  # the bootstrap seed stays up
+
+    def test_unknown_profile_and_override_fail_loudly(self):
+        nodes = [endpoint_for(i) for i in range(8)]
+        with pytest.raises(ValueError, match="unknown fault profile"):
+            compile_profile("nope", nodes, seed=1, fault_start=0.0)
+        with pytest.raises(ValueError, match="no parameter"):
+            compile_profile(
+                "flip_flop", nodes, seed=1, fault_start=0.0,
+                overrides={"typo": 1},
+            )
+
     def test_flip_flop_crash_expansion(self):
-        nodes = tuple(endpoints(2))
-        loop = FlipFlopCrash(
-            nodes=nodes, start=30.0, down_for=10.0, up_for=5.0, cycles=2
+        nodes = endpoints(8)
+        compiled = compile_profile(
+            "flip_flop_crash",
+            nodes,
+            1,
+            30.0,
+            {"down_for": 10.0, "up_for": 5.0, "cycles": 2},
         )
-        actions = loop.schedule()
-        assert [(a.time, a.action) for a in actions] == [
+        assert compiled.rules == ()
+        assert [(a.time, a.action) for a in compiled.actions] == [
             (30.0, "netdown"),
             (40.0, "netup"),
             (45.0, "netdown"),
             (55.0, "netup"),
         ]
-        assert all(a.nodes == nodes for a in actions)
+        down = tuple(sorted(compiled.faulty))
+        assert len(down) == 1 and all(a.nodes == down for a in compiled.actions)
 
-    def test_crash_schedule_is_a_single_fail_stop(self):
-        nodes = tuple(endpoints(3))
-        (action,) = CrashSchedule(nodes=nodes, at=12.0).schedule()
-        assert action == ScheduledAction(12.0, "crash", nodes)
+    def test_rack_crash_is_a_single_fail_stop(self):
+        nodes = endpoints(24)
+        compiled = compile_profile("rack_crash", nodes, 1, 12.0)
+        assert compiled.faulty == rack_members(nodes, 8, 1)
+        (action,) = compiled.actions
+        assert action == ScheduledAction(12.0, "crash", tuple(sorted(compiled.faulty)))
 
-    def test_rack_assignment_round_robin(self):
+    def test_rack_members_round_robin(self):
         eps = endpoints(8)
-        assignment = rack_assignment(eps, 3)
-        assert assignment[eps[0]] == 0
-        assert assignment[eps[1]] == 1
-        assert assignment[eps[2]] == 2
-        assert assignment[eps[3]] == 0
-        rack0 = rack_members(assignment, 0)
-        assert rack0 == frozenset({eps[0], eps[3], eps[6]})
-        assert rack_members(assignment, 5) == frozenset()
+        assert rack_members(eps, 3, 0) == frozenset({eps[0], eps[3], eps[6]})
+        assert rack_members(eps, 3, 1) == frozenset({eps[1], eps[4], eps[7]})
+        assert rack_members(eps, 3, 2) == frozenset({eps[2], eps[5]})
+        assert rack_members(eps, 3, 5) == frozenset()
+
+    def test_blackhole_on_the_edge_pair(self):
+        # The app experiments' Figure 12 edge: lowest against highest.
+        nodes = endpoints(8)
+        compiled = compile_profile("blackhole", nodes, 1, 3.0, {"pair": "edge"})
+        (rule,) = compiled.rules
+        assert compiled.faulty == {nodes[0], nodes[-1]}
+        assert rule.matches(nodes[0], nodes[-1]) and rule.matches(nodes[-1], nodes[0])
+        assert not rule.matches(nodes[0], nodes[1])
+        assert rule.probability == 1.0 and rule.start == 3.0
+
+    def test_every_profile_compiles_to_its_rules(self):
+        # Each profile's effects and window; partitions split the faulty
+        # slice from everyone else.
+        nodes = endpoints(16)
+        expected = {
+            "asymmetric_ingress": ["Loss"],
+            "blackhole": ["Loss"],
+            "dup_reorder": ["Duplicate", "Reorder"],
+            "egress_loss": ["Loss"],
+            "flip_flop": ["Loss"],
+            "flip_flop_crash": [],
+            "ingress_loss": ["Loss"],
+            "network_flap": ["Loss"],
+            "partition_flap": ["Loss"],
+            "partition_heal": ["Loss"],
+            "partition_minority": ["Loss"],
+            "rack_crash": [],
+            "rack_partition": ["Loss"],
+            "slow_process": ["Delay"],
+            "stalled_process": ["Delay"],
+        }
+        assert set(expected) == set(profile_names())
+        for name, effects in expected.items():
+            compiled = compile_profile(name, nodes, 1, 5.0)
+            assert [type(r).__name__ for r in compiled.rules] == effects, name
+            assert all(r.start == 5.0 for r in compiled.rules), name
+            if "partition" in name:
+                (rule,) = compiled.rules
+                assert rule.src == compiled.faulty, name
+                assert rule.dst == frozenset(nodes) - compiled.faulty, name
+                assert rule.both_ways, name
+        heal = compile_profile("partition_heal", nodes, 1, 5.0).rules[0]
+        assert heal.end == 65.0 and heal.period_on is None
+        flap = compile_profile("partition_flap", nodes, 1, 5.0).rules[0]
+        assert (flap.end, flap.period_on, flap.period_off) == (math.inf, 15.0, 15.0)
+        one_way = compile_profile("rack_partition", nodes, 1, 5.0, {"one_way": True})
+        assert not one_way.rules[0].both_ways
 
 
 class TestChurnActions:

@@ -26,7 +26,7 @@ from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
 from repro.experiments.harness import RapidHarness
 from repro.sim.cluster import endpoint_for
-from repro.sim.faults import EgressLoss, IngressLoss
+from repro.sim.faults import Loss
 from repro.sim.network import Network, wire_size
 
 
@@ -473,7 +473,7 @@ def strand_one_member():
     stranded = members[-1]
     now = cluster.engine.now
     cluster.network.add_rule(
-        IngressLoss(nodes=frozenset({stranded}), start=now, end=now + 1.0)
+        Loss(dst=frozenset({stranded}), start=now, end=now + 1.0)
     )
     cluster.add_node(endpoint_for(n), seeds=(members[0],))
     cluster.run_for(1.0)
@@ -575,7 +575,8 @@ def test_stranded_members_rejoin_the_running_cluster():
 # hand-picked cells of this grid.
 
 SCAN_EVENTS = ("join", "leave")
-SCAN_FAULTS = {"IngressLoss": IngressLoss, "EgressLoss": EgressLoss}
+#: Each fault's scope over its victim: loss at its input or output chain.
+SCAN_FAULTS = {"IngressLoss": "dst", "EgressLoss": "src"}
 SCAN_DURATIONS = (0.2, 1.0)
 SCAN_OFFSETS = tuple(round(-0.04 + 0.02 * step, 2) for step in range(15))
 
@@ -609,8 +610,8 @@ def view_boundary_cell(n, event, fault, victim, duration, offset) -> list:
     cluster.run_for(10.0)
     event_at = cluster.engine.now + 0.1
     cluster.network.add_rule(
-        SCAN_FAULTS[fault](
-            nodes=frozenset({members[victim]}),
+        Loss(
+            **{SCAN_FAULTS[fault]: frozenset({members[victim]})},
             start=event_at + offset,
             end=event_at + offset + duration,
         )

@@ -55,7 +55,7 @@ from repro.runtime.conformance import (
 from repro.runtime.live_net import LiveRuntime, LiveWire
 from repro.sim import network
 from repro.sim.cluster import endpoint_for
-from repro.sim.faults import Blackhole, Duplicate, EgressLoss, LinkDelay, Reorder
+from repro.sim.faults import Delay, Duplicate, Loss, Reorder
 
 live = pytest.mark.live
 
@@ -308,21 +308,18 @@ class _FakeClock:
 def test_live_wire_applies_sim_drop_rules():
     clock = _FakeClock()
     wire = LiveWire(seed=7, clock=clock)
-    rule = wire.add_rule(EgressLoss(nodes=frozenset({_SRC}), probability=1.0))
+    wire.add_rule(Loss(src=frozenset({_SRC})))
     assert wire.should_drop(_SRC, _DST)
     assert not wire.should_drop(_OTHER, _DST)  # egress rule: src-keyed
-    wire.remove_rule(rule)
-    assert not wire.should_drop(_SRC, _DST)
+    assert not wire.should_drop(_DST, _SRC)
 
 
 def test_live_wire_blackhole_is_bidirectional():
     wire = LiveWire(seed=7, clock=_FakeClock())
-    wire.add_rule(Blackhole(_SRC, _DST))
+    wire.add_rule(Loss(src=frozenset({_SRC}), dst=frozenset({_DST}), both_ways=True))
     assert wire.should_drop(_SRC, _DST)
     assert wire.should_drop(_DST, _SRC)
     assert not wire.should_drop(_SRC, _OTHER)
-    wire.clear_rules()
-    assert not wire.should_drop(_SRC, _DST)
 
 
 def test_live_wire_honours_rule_activity_windows():
@@ -330,9 +327,8 @@ def test_live_wire_honours_rule_activity_windows():
     clock = _FakeClock()
     wire = LiveWire(seed=7, clock=clock)
     wire.add_rule(
-        EgressLoss(
-            nodes=frozenset({_SRC}),
-            probability=1.0,
+        Loss(
+            src=frozenset({_SRC}),
             start=10.0,
             period_on=5.0,
             period_off=5.0,
@@ -349,13 +345,14 @@ def test_live_wire_honours_rule_activity_windows():
 def test_live_wire_delay_rules_are_kept_separate():
     clock = _FakeClock()
     wire = LiveWire(seed=7, clock=clock)
-    rule = wire.add_rule(LinkDelay(a=_SRC, b=_DST, delay=0.25))
+    assert wire.added_delay(_SRC, _DST) == 0.0
+    wire.add_rule(
+        Delay(src=frozenset({_SRC}), dst=frozenset({_DST}), both_ways=True, delay=0.25)
+    )
     assert not wire.should_drop(_SRC, _DST)  # delay rules never drop
     assert wire.added_delay(_SRC, _DST) == pytest.approx(0.25)
     assert wire.added_delay(_DST, _SRC) == pytest.approx(0.25)
     assert wire.added_delay(_SRC, _OTHER) == 0.0
-    wire.remove_rule(rule)
-    assert wire.added_delay(_SRC, _DST) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -450,7 +447,9 @@ def test_live_harness_blackhole_evicts_the_partitioned_node():
         victim = endpoints[-1]
         survivors = endpoints[:-1]
         for other in survivors:
-            harness.network.add_rule(Blackhole(victim, other))
+            harness.network.add_rule(
+                Loss(src=frozenset({victim}), dst=frozenset({other}), both_ways=True)
+            )
 
         def evicted() -> bool:
             return all(

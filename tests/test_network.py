@@ -8,14 +8,7 @@ import pytest
 from repro.core.messages import Probe
 from repro.core.node_id import Endpoint
 from repro.sim.engine import Engine
-from repro.sim.faults import (
-    Duplicate,
-    EgressDelay,
-    EgressLoss,
-    IngressDelay,
-    IngressLoss,
-    Reorder,
-)
+from repro.sim.faults import Delay, Duplicate, Loss, Reorder
 from repro.sim.latency import ConstantLatency, LanLatency
 from repro.sim.network import Network, wire_size
 from repro.sim.process import SimRuntime
@@ -137,27 +130,6 @@ class TestFailStop:
         assert network.dropped_messages == 2 and runtime.crashed
 
 
-class TestRules:
-    def test_remove_rule_uninstalls_each_kind(self):
-        """Drop, delay and adversary rules live on three lists; removing
-        one takes it off its own list and leaves traffic untouched."""
-        engine, network = make_network()
-        a, b = endpoints(2)
-        got = []
-        network.register(a, lambda s, m: None)
-        network.register(b, lambda s, m: got.append(engine.now))
-        for rule in (
-            EgressLoss(nodes=frozenset({a}), probability=1.0),
-            EgressDelay(nodes=frozenset({a}), delay=5.0),
-            Duplicate(probability=1.0),
-        ):
-            network.remove_rule(network.add_rule(rule))
-        network.send(a, b, Probe(sender=a, config_id=1, seq=1))
-        engine.run()
-        assert got == [pytest.approx(0.001)]
-        assert network.dropped_messages == 0
-
-
 class TestSizing:
     def test_a_dataclass_is_sized_on_first_sight_and_nothing_else_is(self):
         @dataclass(frozen=True)
@@ -226,7 +198,7 @@ class TestBroadcast:
         for ep in eps:
             network.register(ep, lambda s, m, _ep=ep: delivered.append(_ep))
         network.crash(peers[0])
-        network.add_rule(IngressLoss(nodes=frozenset({peers[1]}), probability=1.0))
+        network.add_rule(Loss(dst=frozenset({peers[1]})))
         network.broadcast(src, peers, Probe(sender=src, config_id=1, seq=1))
         engine.run()
         assert delivered == [peers[2]]
@@ -250,7 +222,7 @@ class TestBroadcast:
         src, peers = eps[0], eps[1:]
         for ep in eps:
             network.register(ep, lambda s, m: None)
-        network.add_rule(EgressLoss(nodes=frozenset({src}), probability=1.0))
+        network.add_rule(Loss(src=frozenset({src})))
         network.broadcast(src, peers, Probe(sender=src, config_id=1, seq=1))
         engine.run()
         assert network.delivered_messages == 0
@@ -260,8 +232,8 @@ class TestBroadcast:
         "rules",
         [
             (),
-            (IngressLoss(nodes=FAN_OUT_PEERS, probability=0.5),),
-            (IngressDelay(nodes=FAN_OUT_PEERS, delay=0.002, jitter=0.004),),
+            (Loss(dst=FAN_OUT_PEERS, probability=0.5),),
+            (Delay(dst=FAN_OUT_PEERS, delay=0.002, jitter=0.004),),
             (Duplicate(probability=0.5), Reorder(probability=0.5)),
         ],
         ids=["no_rule", "ingress_loss", "delay", "duplicate_reorder"],
