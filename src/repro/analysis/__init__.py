@@ -1,15 +1,11 @@
 """Analysis utilities: statistics and report rendering."""
 
-from repro.analysis.stats import ecdf, mean, percentile, stddev, summarize
-from repro.analysis.report import render_series, render_table, render_timeseries
+from repro.analysis.stats import mean, percentile, summarize
+from repro.analysis.report import render_table
 
 __all__ = [
-    "ecdf",
     "mean",
     "percentile",
-    "stddev",
     "summarize",
-    "render_series",
     "render_table",
-    "render_timeseries",
 ]

@@ -1,15 +1,15 @@
-"""Rendering helpers: ASCII tables and series matching the paper's layout.
+"""Rendering helper: ASCII tables matching the paper's layout.
 
-Benchmarks print their reproduced rows through these functions so that the
-``python -m repro.bench`` summary output can be compared side by side with
-the paper's tables and figures.
+Benchmarks print their reproduced rows through :func:`render_table`, so
+the ``python -m repro.bench`` summary output can be compared side by side
+with the paper's tables.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["render_table", "render_series", "render_timeseries"]
+__all__ = ["render_table"]
 
 
 def render_table(
@@ -28,26 +28,6 @@ def render_table(
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
-def render_series(name: str, points: Iterable[tuple], unit: str = "") -> str:
-    """Format an (x, y) series compactly, one point per line."""
-    lines = [f"{name}{f' ({unit})' if unit else ''}:"]
-    for point in points:
-        x, *ys = point
-        lines.append("  " + _fmt(x) + " -> " + ", ".join(_fmt(y) for y in ys))
-    return "\n".join(lines)
-
-
-def render_timeseries(
-    name: str, series: Iterable[tuple], step_label: str = "t"
-) -> str:
-    """Format (time, min, median, max) aggregate view series (Figures 1,
-    7-10): a wide min-max band shows inconsistent views across processes."""
-    lines = [f"{name} [{step_label}: min / median / max of per-node views]"]
-    for t, lo, med, hi in series:
-        lines.append(f"  {step_label}={_fmt(t):>7}  {lo:>6} / {med:>6} / {hi:>6}")
     return "\n".join(lines)
 
 

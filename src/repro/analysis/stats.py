@@ -1,6 +1,6 @@
 """Statistics helpers used by the experiment harnesses.
 
-Besides the scalar summaries (mean/percentile/ecdf), this module loads
+Besides the scalar summaries (mean/percentile), this module loads
 and aggregates the long-format CSVs written by ``python -m repro.bench
 --csv``: :func:`load_sweep_csv` parses rows back into dicts and
 :func:`summarize_sweep` groups them over seeds per (scenario, profile,
@@ -16,8 +16,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 __all__ = [
     "percentile",
     "mean",
-    "stddev",
-    "ecdf",
     "summarize",
     "load_sweep_csv",
     "summarize_sweep",
@@ -30,15 +28,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         return 0.0
     return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation."""
-    values = list(values)
-    if len(values) < 2:
-        return 0.0
-    m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -55,13 +44,6 @@ def percentile(values: Sequence[float], p: float) -> float:
         return values[low]
     frac = rank - low
     return values[low] * (1 - frac) + values[high] * frac
-
-
-def ecdf(values: Iterable[float]) -> list:
-    """Empirical CDF as a list of (value, cumulative fraction) points."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
 
 
 def summarize(values: Sequence[float]) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
+from repro.core.broadcaster import Broadcaster
 from repro.core.configuration import Configuration
 from repro.core.events import NodeStatus
 from repro.core.membership import (
@@ -91,7 +92,13 @@ class EnsembleNode:
         self.ensemble = tuple(sorted(ensemble))
         if self.addr not in self.ensemble:
             raise ValueError("ensemble node address must be in the ensemble list")
-        self.decider = ViewChanger(runtime, settings, self._broadcast, self._on_decide)
+        # Consensus rounds fan out over the ensemble, as a Rapid node's
+        # fan out over its view.
+        self.broadcaster = Broadcaster(runtime, self.on_message)
+        self.broadcaster.set_membership(self.ensemble)
+        self.decider = ViewChanger(
+            runtime, settings, self.broadcaster.broadcast, self._on_decide
+        )
         self.desk = AdmissionDesk(runtime, settings, {}, self.decider.on_alert)
         self._dispatch = {
             BatchedAlerts: self.decider.on_alerts,
@@ -120,12 +127,6 @@ class EnsembleNode:
         gossip = self.settings.use_gossip(len(self.ensemble))
         self.decider.reset(config, topology, gossip, acceptors=self.ensemble)
         self.desk.reset(config, topology, ())
-
-    def _broadcast(self, payload: Any) -> None:
-        for peer in self.ensemble:
-            if peer != self.addr:
-                self.runtime.send(peer, payload)
-        self.on_message(self.addr, payload)
 
     def _on_decide(self, old: Configuration, new: Configuration, cut: Proposal) -> None:
         self._serve(new)

@@ -73,14 +73,15 @@ coordinator's worth per round; the all-to-all ``Phase2b`` names it by id,
 so a majority counted for a cut this node never held is a ``want`` like
 any other.
 
-Laggards whose vote messages were lost are repaired reactively with a
+Laggards whose vote messages were lost are repaired with a
 :class:`~repro.core.messages.Decision` learn message, which this instance
-adopts directly.  A decided process (or one that has moved past the
-configuration, see ``ViewChanger.repair``) answers every pull, but a pushed
-``VoteBundle`` only in a gossip view: there a push from a process still
-voting means it is behind, while in a unicast view it is the broadcast of a
-voter that counts every other vote itself — its own stale tick pulls if it
-really lags.
+adopts directly.  An instance never sends one: its owner replaces or stops
+it the moment it decides, so everything naming a decided view reaches
+``ViewChanger.repair``, which answers from the ``DecisionLog`` — every
+pull, but a pushed ``VoteBundle`` only in a gossip view: there a push from
+a process still voting means it is behind, while in a unicast view it is
+the broadcast of a voter that counts every other vote itself — its own
+stale tick pulls if it really lags.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from repro.core.messages import (
 from repro.core.node_id import Endpoint
 from repro.core.paxos import PaxosInstance, fast_quorum_size
 from repro.core.settings import RapidSettings
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.base import Runtime
 
 __all__ = ["DecisionLog", "FastPaxos"]
@@ -182,7 +183,7 @@ class FastPaxos:
         broadcast per voter.
     metrics:
         Registry receiving ``consensus.*`` counters and the decision
-        latency histogram (virtual time; disabled by default).
+        latency histogram (virtual time; a private one by default).
     index:
         Optional pre-built ``{endpoint: position}`` map over ``members``
         (e.g. :meth:`repro.core.configuration.Configuration.member_index`).
@@ -203,7 +204,7 @@ class FastPaxos:
         index: Optional[dict] = None,
     ) -> None:
         self.runtime = runtime
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._voted_at: Optional[float] = None
         self.members = tuple(members)
         self.n = len(self.members)
@@ -304,7 +305,10 @@ class FastPaxos:
 
         The owner scopes every message before it gets here
         (:meth:`repro.core.membership.ViewChanger.on_consensus`), so a
-        message naming another configuration never reaches an instance.
+        message naming another configuration never reaches an instance,
+        and replaces or stops the instance as it decides, so a decided
+        one hears nothing: a view's decision is answered from the owner's
+        :class:`DecisionLog` alone.
         """
         if isinstance(msg, VoteBundle):
             self._on_votes(msg)
@@ -334,15 +338,6 @@ class FastPaxos:
             # Own broadcasts are delivered locally too; only bundles that
             # crossed the wire count, so tx and rx stay reconcilable.
             self._m_bundles_rx.inc()
-        if self.decided:
-            if self.gossip_mode and msg.sender != self.runtime.addr:
-                # A peer still gossiping votes for a round we decided is a
-                # straggler; hand it the decision directly (the same learn
-                # message RapidNode uses to repair laggards of *past*
-                # configurations).  One small reply per incoming bundle,
-                # and the sender stops gossiping the moment it adopts it.
-                self.runtime.send(msg.sender, self._learn_message())
-            return
         for body in msg.bodies:
             cid = cut_id(body)
             if cid == self._want:
@@ -369,14 +364,9 @@ class FastPaxos:
         so it is absorbed like any bundle before computing the reply
         delta: against the requester's ledger row in a gossip view, which
         the digest has just joined, and against the digest itself in a
-        unicast view, which keeps no rows.  A decided node replies with
-        the decision instead (the requester is by definition behind).
-        Either reply carries the bodies ``msg.want`` names, as far as this
-        node holds them.
+        unicast view, which keeps no rows.  The reply carries the bodies
+        ``msg.want`` names, as far as this node holds them.
         """
-        if self.decided:
-            self.runtime.send(msg.sender, self._learn_message(msg.want))
-            return
         self._absorb(msg)
         if self.gossip_mode:
             shown = self._ledger(msg.sender)
@@ -393,8 +383,6 @@ class FastPaxos:
 
     def _on_decision(self, msg: Decision) -> None:
         """Adopt a decision we can spell out; ask for the body otherwise."""
-        if self.decided:
-            return
         if msg.body:
             if cut_id(msg.body) != msg.cut_id:
                 self._m_bodies_rejected.inc()
@@ -402,18 +390,6 @@ class FastPaxos:
             self._bodies[msg.cut_id] = msg.body
         self._want_from = msg.sender
         self._chosen(msg.cut_id)
-
-    def _learn_message(self, want: tuple = ()) -> Decision:
-        """This decided node's learn message, with the body if wanted."""
-        wanted = self.decision_id in want
-        if want:
-            (self._m_bodies_tx if wanted else self._m_wants_unanswered).inc()
-        return Decision(
-            self.runtime.addr,
-            self.config_id,
-            self.decision_id,
-            self.decision if wanted else (),
-        )
 
     def _absorb(self, msg) -> int:
         """OR a peer's bitmaps into the aggregate; returns the new bits.
@@ -698,13 +674,12 @@ class FastPaxos:
         self.decided = True
         self.decision = value
         self.decision_id = cid if cid is not None else cut_id(value)
-        if self.metrics.enabled:
-            path = "fallback" if self.used_fallback else "fast_path"
-            self.metrics.counter(f"consensus.decisions_{path}").inc()
-            if self._voted_at is not None:
-                self.metrics.histogram("consensus.decision_latency_s").observe(
-                    self.runtime.now() - self._voted_at
-                )
+        path = "fallback" if self.used_fallback else "fast_path"
+        self.metrics.counter(f"consensus.decisions_{path}").inc()
+        if self._voted_at is not None:
+            self.metrics.histogram("consensus.decision_latency_s").observe(
+                self.runtime.now() - self._voted_at
+            )
         self.cancel_timers()
         self._on_decide(value)
 

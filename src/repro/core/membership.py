@@ -79,7 +79,7 @@ from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
 from repro.detectors.base import DetectorFactory
 from repro.detectors.ping_timeout import PingTimeoutDetector
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.base import Runtime
 
 __all__ = [
@@ -148,7 +148,7 @@ class EdgeMonitor:
         on_failed: Callable[[list], None],
         on_rotation: Callable[[float], None],
         on_foreign: Callable[[Endpoint, int], None],
-        metrics: MetricsRegistry = NULL_METRICS,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.runtime = runtime
         self.settings = settings
@@ -156,6 +156,8 @@ class EdgeMonitor:
         self._on_failed = on_failed
         self._on_rotation = on_rotation
         self._on_foreign = on_foreign
+        if metrics is None:
+            metrics = MetricsRegistry()
         self._m_probes_sent = metrics.counter("cluster.probes_sent")
         #: Subjects this process has raised an alert about in the current
         #: view.  Alerts are irrevocable, so these are never reported
@@ -472,7 +474,7 @@ class ViewChanger:
         self.settings = settings
         self._broadcast = broadcast
         self._on_decide = on_decide
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._m_alerts_received, self._m_cut_latency = self.instruments(self.metrics)
         #: The configuration being decided for; ``None`` while not deciding.
         self.config: Optional[Configuration] = None
@@ -571,9 +573,8 @@ class ViewChanger:
                     self.joiner_metadata[subject] = alert.metadata
             proposal = detector.receive_alert(alert, now)
             if proposal:
-                if self.metrics.enabled:
-                    first = min(detector.first_seen(c.endpoint) for c in proposal)
-                    self._m_cut_latency.observe(now - first)
+                first = min(detector.first_seen(c.endpoint) for c in proposal)
+                self._m_cut_latency.observe(now - first)
                 # Every decider of this view that detects the same cut
                 # votes, files and logs one tuple.
                 self.consensus.propose(config.cut(proposal))
@@ -904,8 +905,8 @@ class ClusterMember:
         Application-supplied role metadata, e.g. ``{"role": "backend"}``.
     metrics:
         Registry receiving ``cluster.*`` aggregates and the consensus
-        instruments (shared across every node of a harness; disabled by
-        default).
+        instruments (shared across every node of a harness; a private
+        one by default).
     publish:
         Where a flushed :class:`BatchedAlerts` goes.
     on_install:
@@ -940,9 +941,8 @@ class ClusterMember:
         self.on_view_change = on_view_change
         self.metadata = dict(metadata or {})
         self.metadata_store: dict[Endpoint, dict] = {}
-        self.metrics = metrics = metrics if metrics is not None else NULL_METRICS
-        # Hot-path instruments are resolved once; with a disabled registry
-        # these are shared no-op singletons.
+        self.metrics = metrics = metrics if metrics is not None else MetricsRegistry()
+        # Hot-path instruments are resolved once.
         cluster = metrics.scope("cluster")
         self._m_alerts_enqueued = cluster.counter("alerts_enqueued")
         self._m_view_changes = cluster.counter("view_changes")
@@ -1213,6 +1213,8 @@ class RapidNode(ClusterMember):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         settings = settings or RapidSettings()
+        # One registry for every part, private unless the caller shares one.
+        metrics = metrics if metrics is not None else MetricsRegistry()
         self.broadcaster = Broadcaster(runtime, self.on_message)
         broadcast = self.broadcaster.broadcast
         self.decider = ViewChanger(

@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     MetricsScope,
-    NULL_METRICS,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsScope",
-    "NULL_METRICS",
 ]

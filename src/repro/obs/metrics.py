@@ -10,10 +10,8 @@ order:
   it), keeping snapshots safe to diff across runs and machines.
 * **cheap** — counters are a single attribute add; histograms are O(1)
   per observation with bounded memory (log-spaced buckets, no sample
-  retention).
-* **near-zero when disabled** — a disabled registry hands out shared
-  null instruments whose methods are empty; the per-event cost is one
-  no-op method call.
+  retention).  There is no off switch: a component built without a
+  registry makes a private one and records into it all the same.
 
 Names are hierarchical, dot-separated (``net.messages_sent``,
 ``cluster.view_changes``, ``consensus.votes_cast``); use
@@ -32,7 +30,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsScope",
-    "NULL_METRICS",
 ]
 
 Number = Union[int, float]
@@ -132,37 +129,14 @@ class Histogram:
         }
 
 
-class _NullCounter(Counter):
-    __slots__ = ()
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        pass
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: Number) -> None:
-        pass
-
-
 class MetricsRegistry:
     """Factory and container for named instruments.
 
     Instruments are memoized by name: two call sites asking for
-    ``net.messages_sent`` share one counter.  A disabled registry returns
-    shared null instruments and snapshots empty.
+    ``net.messages_sent`` share one counter.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
@@ -170,24 +144,18 @@ class MetricsRegistry:
     # ------------------------------------------------------------- factories
 
     def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
 
     def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE
         gauge = self._gauges.get(name)
         if gauge is None:
             gauge = self._gauges[name] = Gauge(name)
         return gauge
 
     def histogram(self, name: str) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram(name)
@@ -219,12 +187,6 @@ class MetricsRegistry:
             out[name] = histogram.summary()
         return dict(sorted(out.items()))
 
-    def reset(self) -> None:
-        """Drop all instruments (call sites holding references keep theirs)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
 
 class MetricsScope:
     """A registry view under a fixed name prefix (hierarchical naming)."""
@@ -243,18 +205,3 @@ class MetricsScope:
 
     def gauge(self, name: str) -> Gauge:
         return self._registry.gauge(self._name(name))
-
-    def histogram(self, name: str) -> Histogram:
-        return self._registry.histogram(self._name(name))
-
-    def scope(self, *parts: object) -> "MetricsScope":
-        suffix = ".".join(str(p) for p in parts)
-        return MetricsScope(self._registry, self._name(suffix))
-
-
-_NULL_COUNTER = _NullCounter("null")
-_NULL_GAUGE = _NullGauge("null")
-_NULL_HISTOGRAM = _NullHistogram("null")
-
-#: Shared disabled registry: instruments recorded here vanish for free.
-NULL_METRICS = MetricsRegistry(enabled=False)

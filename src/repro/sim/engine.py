@@ -37,7 +37,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["Engine", "EventHandle"]
 
@@ -106,7 +106,7 @@ class Engine:
         self._seq = 0
         self._tombstones = 0
         self._events_processed = 0
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     @property
     def now(self) -> float:
@@ -208,14 +208,11 @@ class Engine:
             if until is not None and budget and self._now < until:
                 self._now = until
         finally:
-            if self.metrics.enabled:
-                self.metrics.gauge("engine.virtual_s").set(self._now)
-                self.metrics.gauge("engine.events_processed").set(
-                    self._events_processed
-                )
-                # Live events only: cancelled timers linger as tombstones
-                # until lazily popped or batch-compacted.
-                self.metrics.gauge("engine.pending_events").set(self.pending_live)
+            self.metrics.gauge("engine.virtual_s").set(self._now)
+            self.metrics.gauge("engine.events_processed").set(self._events_processed)
+            # Live events only: cancelled timers linger as tombstones
+            # until lazily popped or batch-compacted.
+            self.metrics.gauge("engine.pending_events").set(self.pending_live)
 
     def run_for(self, duration: float) -> None:
         """Run for ``duration`` virtual seconds from the current time."""

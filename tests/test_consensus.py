@@ -68,7 +68,9 @@ class ConsensusHarness:
 
     Their ``broadcast`` is one unicast fan-out plus local delivery, which
     is what a node hands its consensus in both modes, so the split-vote
-    tests cover the classical recovery a gossip view really runs.
+    tests cover the classical recovery a gossip view really runs.  They
+    decide for ``config``, whose id scopes their traffic (a bare instance
+    reads no scope; :meth:`move_on` puts a process there that does).
     """
 
     def __init__(self, n, settings, seed=1, latency=None):
@@ -77,7 +79,9 @@ class ConsensusHarness:
             self.engine, seed=seed, latency=latency or ConstantLatency(0.001)
         )
         self.metrics = MetricsRegistry()
+        self.settings = settings
         self.members = tuple(endpoint_for(i) for i in range(n))
+        self.config = Configuration.of(self.members)
         index = {m: i for i, m in enumerate(self.members)}
         self.nodes = {}
         for addr in self.members:
@@ -85,7 +89,7 @@ class ConsensusHarness:
             node = FastPaxos(
                 runtime=runtime,
                 members=self.members,
-                config_id=1,
+                config_id=self.config.config_id,
                 settings=settings,
                 broadcast=self._broadcaster_for(runtime),
                 on_decide=lambda value: None,
@@ -104,6 +108,35 @@ class ConsensusHarness:
             self.nodes[runtime.addr].handle(runtime.addr, msg)
 
         return broadcast
+
+    def cut(self):
+        """A cut of this view that it can apply: the last member leaves."""
+        return make_proposal([Change(endpoint=self.members[-1], kind=AlertKind.REMOVE)])
+
+    def move_on(self, addr, cut):
+        """Make ``addr`` a process that decided ``cut`` and left the view.
+
+        A :class:`ViewChanger` deciding ``config`` takes the bare
+        instance's place: its round decides ``cut``, it logs the link and
+        stops, as its owner would on installing the next view.  From then
+        on everything naming the view is answered from its
+        :class:`~repro.core.fast_paxos.DecisionLog`
+        (:meth:`ViewChanger.repair`), the one answer every composition
+        gives for a decided view.
+        """
+        runtime = self.nodes[addr].runtime
+        changer = ViewChanger(
+            runtime,
+            self.settings,
+            lambda payload: None,
+            lambda old, new, cut: changer.stop(),
+            self.metrics,
+        )
+        changer.reset(self.config, None, self.settings.use_gossip(len(self.members)))
+        changer.consensus._decide(cut)
+        assert self.config.config_id in changer.log
+        runtime.attach(changer.on_consensus)
+        return changer
 
     def propose_all(self, proposal_of):
         for i, addr in enumerate(self.members):
@@ -318,20 +351,17 @@ class TestPullGossip:
         assert peer.votes[cid] == 0b1110 | 0b10001 | 0b1111
 
     def test_pull_to_decided_node_earns_decision(self):
-        """Pulling a decided peer repairs the straggler with the decision."""
+        """Pulling a peer that decided and moved on repairs the straggler
+        with the decision, from the peer's ``DecisionLog``."""
         harness = ConsensusHarness(8, gossip_settings(), seed=8)
         a, b = harness.members[0], harness.members[1]
-        node = harness.nodes[a]
-        proposal = proposal_for(0)
-        for addr in (a, b):  # both computed the cut; only a counted the quorum
-            harness.nodes[addr]._hold(proposal)
-        node._merge(cut_id(proposal), (1 << node.fast_quorum) - 1)
-        node._check_quorum()
-        assert node.decided
-        node._on_pull(VotePull(sender=b, config_id=1))
+        cut = harness.cut()
+        harness.nodes[b]._hold(cut)  # both computed the cut; only a decided
+        changer = harness.move_on(a, cut)
+        changer.on_consensus(b, VotePull(sender=b, config_id=harness.config.config_id))
         harness.engine.run(until=1.0)
         assert harness.nodes[b].decided
-        assert harness.nodes[b].decision == proposal
+        assert harness.nodes[b].decision == cut
         # The decision named the cut; b spelled it out from its own table.
         assert counter_value(harness, "consensus.bodies_sent") == 0
 
@@ -583,19 +613,19 @@ class TestBodiesOnDemand:
         asking every gossip tick while the answers get lost."""
         harness = ConsensusHarness(8, settings_for(), seed=12)
         a, b = harness.members[0], harness.members[1]
-        proposal = proposal_for(0)
-        decided = harness.nodes[a]
-        decided._decide(proposal)
+        cut = harness.cut()
+        harness.move_on(a, cut)
         laggard = harness.nodes[b]
         dropped = drop_first_body(harness, b, count=2)
-        laggard.handle(a, decided._learn_message())
-        assert not laggard.decided and laggard._want == cut_id(proposal)
+        told = Decision(a, harness.config.config_id, cut_id(cut))
+        laggard.handle(a, told)
+        assert not laggard.decided and laggard._want == cut_id(cut)
         # The same decision from elsewhere is not a reason to ask twice.
-        laggard.handle(a, decided._learn_message())
+        laggard.handle(a, told)
         assert counter_value(harness, "consensus.body_pulls_sent") == 1
         harness.engine.run(until=1.0)
         assert len(dropped) == 2
-        assert laggard.decided and laggard.decision == proposal
+        assert laggard.decided and laggard.decision == cut
         assert counter_value(harness, "consensus.body_pulls_sent") == 3
         assert counter_value(harness, "consensus.bodies_sent") == 3
 
@@ -604,14 +634,13 @@ class TestBodiesOnDemand:
         proposing the cut it is waiting for decides it, and casts no vote."""
         harness = ConsensusHarness(8, unicast_settings(), seed=14)
         a, b = harness.members[0], harness.members[1]
-        proposal = proposal_for(0)
-        decided = harness.nodes[a]
-        decided._decide(proposal)
+        cut = harness.cut()
+        harness.move_on(a, cut)
         laggard = harness.nodes[b]
-        laggard.handle(a, decided._learn_message())
-        assert not laggard.decided and laggard._want == cut_id(proposal)
-        laggard.propose(proposal)
-        assert laggard.decided and laggard.decision == proposal
+        laggard.handle(a, Decision(a, harness.config.config_id, cut_id(cut)))
+        assert not laggard.decided and laggard._want == cut_id(cut)
+        laggard.propose(cut)
+        assert laggard.decided and laggard.decision == cut
         assert laggard.my_vote is None
         assert counter_value(harness, "consensus.votes_cast") == 0
 
@@ -642,13 +671,14 @@ class TestBodiesOnDemand:
         node.handle(b, VotePull(b, 1, want=(12345,)))
         assert harness.network.sent_messages == sent  # nothing to say
         assert counter_value(harness, "consensus.wants_unanswered") == 1
-        node._decide(proposal_for(0))
-        node.handle(b, VotePull(b, 1, want=(12345,)))
+        cut = harness.cut()
+        changer = harness.move_on(a, cut)
+        changer.on_consensus(b, VotePull(b, harness.config.config_id, want=(12345,)))
         assert counter_value(harness, "consensus.wants_unanswered") == 2
         assert counter_value(harness, "consensus.bodies_sent") == 0
         # The decision still went back, by id — which b then asks about.
         harness.engine.run(until=1.0)
-        assert harness.nodes[b].decision == proposal_for(0)
+        assert harness.nodes[b].decision == cut
         assert counter_value(harness, "consensus.bodies_sent") == 1
 
     @BOTH_MODES

@@ -6,13 +6,7 @@ import pytest
 
 from repro.analysis.stats import percentile as exact_percentile
 from repro.experiments import scenarios
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.scorecard import StabilityScorecard
 from repro.sim.engine import Engine
 
@@ -105,11 +99,6 @@ class TestRegistry:
         scope.counter("alerts_sent").inc()
         assert m.snapshot() == {"node.10.0.0.1:5000.alerts_sent": 1}
 
-    def test_nested_scope(self):
-        m = MetricsRegistry()
-        m.scope("a").scope("b").counter("c").inc(2)
-        assert m.counter("a.b.c").value == 2
-
     def test_snapshot_sorted_and_serializable(self):
         import json
 
@@ -121,24 +110,6 @@ class TestRegistry:
         snap = m.snapshot()
         assert list(snap) == sorted(snap)
         json.dumps(snap)  # must not raise
-
-    def test_disabled_registry_is_null(self):
-        m = MetricsRegistry(enabled=False)
-        m.counter("a").inc()
-        m.gauge("g").set(5)
-        m.histogram("h").observe(1.0)
-        assert m.snapshot() == {}
-
-    def test_null_metrics_shared_and_inert(self):
-        NULL_METRICS.counter("x").inc()
-        assert NULL_METRICS.snapshot() == {}
-        assert NULL_METRICS.counter("x") is NULL_METRICS.counter("y")
-
-    def test_reset_clears_instruments(self):
-        m = MetricsRegistry()
-        m.counter("a").inc()
-        m.reset()
-        assert m.snapshot() == {}
 
 
 class TestSimulationDeterminism:

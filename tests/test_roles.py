@@ -12,7 +12,11 @@ import random
 
 import pytest
 
-from repro.core.centralized import CentralizedClusterNode, EnsembleNode
+from repro.core.centralized import (
+    VIEW_PROBE_INTERVAL,
+    CentralizedClusterNode,
+    EnsembleNode,
+)
 from repro.core.configuration import Configuration
 from repro.core.cut_detector import MultiNodeCutDetector
 from repro.core.events import NodeStatus
@@ -39,6 +43,8 @@ from repro.core.messages import (
     PreJoinResponse,
     Probe,
     ProbeAck,
+    ViewProbe,
+    ViewUpdate,
     VoteBundle,
     VotePull,
     cut_id,
@@ -791,3 +797,64 @@ class TestCompositions:
             assert type(server.decider) is type(node.decider) is ViewChanger
             assert type(server.desk) is type(node.desk)
             assert server.config.config_id == harness.agents[endpoints[0]].config.config_id
+
+    def test_an_ensemble_member_answers_only_a_stale_view_probe(self):
+        with pytest.raises(ValueError):
+            EnsembleNode(SteppingRuntime(endpoint_for(9)), ENSEMBLE)
+        server = EnsembleNode(SteppingRuntime(ENSEMBLE[0]), ENSEMBLE, initial_members=MEMBERS)
+        current, member = server.config, MEMBERS[2]
+        server.on_message(member, ViewProbe(member, current.config_id))
+        assert server.runtime.sent == []
+        server.on_message(member, ViewProbe(member, current.config_id ^ 1))
+        assert [(dst, msg) for _, dst, msg in server.runtime.sent] == [
+            (
+                member,
+                ViewUpdate(
+                    ENSEMBLE[0], current.config_id, current.members, current.uuids,
+                    current.seq,
+                ),
+            )
+        ]
+
+    def test_a_rapid_c_member_follows_the_ensemble_until_it_is_removed(self):
+        """Views come from the ensemble: an update that arrives before the
+        member is in, or that is no newer than its view, is ignored; its
+        probe asks one ensemble member every ``VIEW_PROBE_INTERVAL``; the
+        update that removes it kicks it, and a departed member's probe
+        tick is its last."""
+        runtime = SteppingRuntime(MEMBERS[2])
+        node = CentralizedClusterNode(runtime, ENSEMBLE)
+        node.start()
+        with pytest.raises(RuntimeError):
+            node.start()
+        config = Configuration.of(MEMBERS)
+        newer = Configuration.of(MEMBERS[:-1], seq=1)
+
+        def update(view):
+            return ViewUpdate(ENSEMBLE[1], view.config_id, view.members, view.uuids, view.seq)
+
+        node.on_message(ENSEMBLE[1], update(newer))  # early: still joining
+        assert node.status == NodeStatus.JOINING and node.config is None
+        node.on_message(
+            ENSEMBLE[0],
+            JoinResponse(
+                ENSEMBLE[0], JoinStatus.SAFE_TO_JOIN, config.config_id, config.view_snapshot()
+            ),
+        )
+        assert node.status == NodeStatus.ACTIVE and node.config is config
+        node.on_message(ENSEMBLE[1], update(config))  # stale: no newer
+        assert node.config is config
+        runtime.run_until(VIEW_PROBE_INTERVAL)
+        probes = [(dst, msg) for _, dst, msg in runtime.sent if type(msg) is ViewProbe]
+        assert len(probes) == 1 and probes[0][0] in ENSEMBLE
+        assert probes[0][1] == ViewProbe(node.addr, config.config_id)
+        node.on_message(ENSEMBLE[1], update(newer))
+        assert node.config is newer
+        gone = Configuration.of([m for m in MEMBERS if m != node.addr], seq=2)
+        node.on_message(ENSEMBLE[1], update(gone))
+        assert node.status == NodeStatus.KICKED and node.config is newer
+        runtime.run_until(4 * VIEW_PROBE_INTERVAL)
+        assert [msg for _, _, msg in runtime.sent if type(msg) is ViewProbe] == [
+            msg for _, msg in probes
+        ]
+        assert runtime.live_timers() == []
