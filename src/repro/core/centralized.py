@@ -92,8 +92,7 @@ class EnsembleNode:
         self.ensemble = tuple(sorted(ensemble))
         if self.addr not in self.ensemble:
             raise ValueError("ensemble node address must be in the ensemble list")
-        # Consensus rounds fan out over the ensemble, as a Rapid node's
-        # fan out over its view.
+        # The ensemble is this decider's view: consensus fans out over it.
         self.broadcaster = Broadcaster(runtime, self.on_message)
         self.broadcaster.set_membership(self.ensemble)
         self.decider = ViewChanger(

@@ -12,41 +12,40 @@ Dissemination is scale-adaptive, chosen per view by the instance's owner
 (``RapidSettings.use_gossip``).  Below the gossip threshold each voter
 broadcasts its aggregate once — one message delay in the common case, O(N)
 messages per voter, and every member counts every vote, so nobody needs to
-be told the outcome.  Loss is repaired by pulling: every gossip interval an
-undecided voter sends its whole aggregate as a
-:class:`~repro.core.messages.VotePull` digest to ``gossip_fanout`` random
-peers, each of which replies with only the bits the digest lacks (or the
-decision, see below).  At or above the
-threshold the gossip counting step *is* the dissemination path, as in the
-paper's large deployments: no initial broadcast storm, only periodic pushes
-of **delta bundles** — each peer is
+be told the outcome; loss is repaired by the pull round below, the one tail
+every view runs.  At or above the threshold the gossip counting step *is*
+the dissemination path, as in the paper's large deployments: no initial
+broadcast storm, only periodic pushes of **delta bundles** — each peer is
 sent only the cut ids/bitmap bits it has not been shown yet — to
 ``gossip_fanout`` random peers.  Aggregates compound bitwise-OR along the
 way, so every vote reaches every node in O(log N) rounds and a view change
 costs O(N · log N · fanout) VoteBundle deliveries instead of the O(N²) an
-all-to-all broadcast would take.  Ticking stops once the local aggregate has
-converged (no new bits learned for ``GOSSIP_CONVERGENCE_TICKS`` intervals,
-or a quorum reached); a straggler whose push teaches us nothing is repaired
-reactively with a delta of the bits it is missing.  A voter's first tick
-falls at a random phase of the interval: every copy of an alert batch
-draws its own LAN latency, so a view's voters typically vote within a
-millisecond or two of each other, and ticks one whole interval after the
-vote would make them count in near lock-step rounds (measured when a
-fan-out still reached every member at one instant, n=1000 under
-``flip_flop``: the median decision then came 0.44 s later than with
-de-phased ticks).
+all-to-all broadcast would take.  Pushing stops once the local aggregate
+has converged (no new bits learned for ``GOSSIP_CONVERGENCE_TICKS``
+intervals, or a quorum reached); a straggler whose push teaches us nothing
+is repaired reactively with a delta of the bits it is missing.  Here a
+voter's first tick falls at a random phase of the interval: every copy
+of an alert batch draws its own LAN latency, so a view's voters
+typically vote within a millisecond or two of each other, and ticks one
+whole interval after the vote would make them count in near lock-step
+rounds (measured when a fan-out still reached every member at one instant,
+n=1000 under ``flip_flop``: the median decision then came 0.44 s later than
+with de-phased ticks).
 
-Push gossip alone leaves a convergence *tail*: a node that is missing bits
-but has nothing new to push goes silent and can only wait for a random
-push to find it (or, worst case, the classical-Paxos fallback timer).  The
-**pull-gossip round** closes it: a stale tick sends a
+Either way a voter is left with a convergence *tail*: a node that is
+missing bits — a unicast vote lost, or nothing new left to push — can only
+wait for a random push to find it (or, worst case, the classical-Paxos
+fallback timer).  The **pull round** closes it, by one rule in every view:
+a tick that learned no new bit sends a
 :class:`~repro.core.messages.VotePull` digest (the node's full aggregate)
 to ``GOSSIP_PULL_FANOUT`` random peers, and the receiver — after OR-merging
 the digest like any bundle — replies with exactly the bits the digest
-lacks, or the :class:`~repro.core.messages.Decision` once one is known.
-After local convergence an undecided node drops to a slow pull heartbeat,
-one pull per convergence window (``gossip_interval ×
-GOSSIP_CONVERGENCE_TICKS``), instead of going fully quiet.
+lacks, or the :class:`~repro.core.messages.Decision` once it has moved on.
+After ``GOSSIP_CONVERGENCE_TICKS`` such ticks an undecided node drops to a
+slow pull heartbeat, one pull per convergence window (``gossip_interval ×
+GOSSIP_CONVERGENCE_TICKS``), instead of going fully quiet.  A view whose
+votes split cannot be repaired by pulling at all — the classical round
+decides it — so its voters wait for the fallback timer at that pace.
 
 Quorum counting is incremental: each proposal's endorsement count is
 maintained as bits are merged (``new = bitmap & ~old``), so a quorum check
@@ -120,10 +119,10 @@ _COUNTERS = (
     "consensus.wants_unanswered",
 )
 
-#: Consecutive gossip intervals without a new vote bit after which push
-#: gossip stops ticking (the aggregate has converged); a later bundle that
-#: teaches new bits re-arms it, and an undecided instance keeps pulling
-#: once per ``gossip_interval * GOSSIP_CONVERGENCE_TICKS``.
+#: Consecutive gossip intervals without a new vote bit after which the
+#: aggregate counts as converged: an undecided instance drops from one pull
+#: per interval to one per ``gossip_interval * GOSSIP_CONVERGENCE_TICKS``
+#: (and a gossip view stops pushing) until a bundle teaches it new bits.
 GOSSIP_CONVERGENCE_TICKS = 5
 
 #: Seconds between the fallback timers of consecutive membership indices:
@@ -178,9 +177,9 @@ class FastPaxos:
     on_decide:
         Invoked exactly once with the decided proposal.
     gossip:
-        Whether this view disseminates votes by gossip (delta bundles and
-        pulls, no initial broadcast storm) rather than one aggregate
-        broadcast per voter.
+        Whether this view disseminates votes by gossip (delta bundles, no
+        initial broadcast storm) rather than one aggregate broadcast per
+        voter.  Both pull by the same rule.
     metrics:
         Registry receiving ``consensus.*`` counters and the decision
         latency histogram (virtual time; a private one by default).
@@ -397,7 +396,8 @@ class FastPaxos:
         Whatever the sender shows us, it evidently has: in gossip mode the
         bits also go into its row of the dissemination ledger, so we never
         push them back (a unicast view pushes no deltas, and a row per
-        peer per node is megabytes it would never read).
+        peer per node is megabytes it would never read; only the peers it
+        pulls get one, see :meth:`_send_pulls`).
         """
         shown = self._ledger(msg.sender) if self.gossip_mode else None
         learned = 0
@@ -529,16 +529,17 @@ class FastPaxos:
         """Periodically exchange votes with a few random peers until the
         round decides; this is the paper's gossip-based counting step.  In
         gossip mode it is the *primary* dissemination path (delta
-        bundles); in unicast mode it only repairs vote loss under UDP
-        semantics, by pulling.
+        bundles); in every view it repairs vote loss under UDP semantics,
+        by pulling.
 
-        ``first`` marks the arming at this node's own vote; in gossip mode
-        that tick falls at a random phase of the interval (see the module
-        docstring on lock-step counting)."""
+        ``first`` marks the arming at this node's own vote; that tick
+        falls at a random phase of the interval (see the module docstring
+        on lock-step counting).  In a unicast view the vote's broadcast,
+        delivered here too, has already armed a whole-interval tick."""
         if self.decided or self._gossip_timer is not None:
             return
         delay = self.settings.gossip_interval
-        if first and self.gossip_mode:
+        if first:
             delay = self.runtime.rng.uniform(0, delay)
         self._gossip_timer = self.runtime.schedule(delay, self._gossip_tick)
 
@@ -552,38 +553,27 @@ class FastPaxos:
             if self._want is not None:
                 self._arm_gossip()
             return
-        if self.gossip_mode:
-            if self._learned_since_tick:
-                self._learned_since_tick = False
-                self._stale_ticks = 0
-            else:
-                self._stale_ticks += 1
-                # A quiet interval means pushes stopped teaching us;
-                # actively fetch what we might be missing.
-                self._send_pulls()
-                if self._stale_ticks >= GOSSIP_CONVERGENCE_TICKS:
-                    # Converged: nothing new learned for k intervals.  Push
-                    # gossip goes quiet — an incoming bundle with new bits
-                    # re-arms it — but an undecided node keeps a slow pull
-                    # heartbeat so the tail is fetched rather than waited
-                    # out until the fallback timer.
-                    self._gossip_timer = self.runtime.schedule(
-                        self.settings.gossip_interval * GOSSIP_CONVERGENCE_TICKS,
-                        self._gossip_tick,
-                    )
-                    return
-            self._push_deltas()
+        if self._learned_since_tick:
+            self._learned_since_tick = False
+            self._stale_ticks = 0
         else:
-            # Every vote of a unicast view went to every member once, so
-            # re-pushing would only repeat it.  Ask instead: a peer still
-            # deciding replies with the bits the digest lacks, one that
-            # moved on with the Decision (``ViewChanger.repair``).
-            peers = self._peers
-            count = min(self.settings.gossip_fanout, len(peers))
-            self.runtime.broadcast(
-                self.runtime.rng.sample(peers, count), self._aggregate(VotePull)
-            )
-            self._m_pulls_tx.inc(count)
+            self._stale_ticks += 1
+            # A quiet interval means votes stopped teaching us; actively
+            # fetch what we might be missing.
+            self._send_pulls()
+            if self._stale_ticks >= GOSSIP_CONVERGENCE_TICKS:
+                # Converged: nothing new learned for k intervals.  Push
+                # gossip goes quiet — an incoming bundle with new bits
+                # re-arms it — but an undecided node keeps a slow pull
+                # heartbeat so the tail is fetched rather than waited
+                # out until the fallback timer.
+                self._gossip_timer = self.runtime.schedule(
+                    self.settings.gossip_interval * GOSSIP_CONVERGENCE_TICKS,
+                    self._gossip_tick,
+                )
+                return
+        if self.gossip_mode:
+            self._push_deltas()
         self._gossip_timer = self.runtime.schedule(
             self.settings.gossip_interval, self._gossip_tick
         )
@@ -608,7 +598,9 @@ class FastPaxos:
         The digest doubles as a push (receivers merge it), so the bits it
         carries are optimistically marked shown for each pulled peer —
         the same at-most-once bookkeeping ``_delta_for`` applies to
-        pushes; a lost datagram is repaired through other partners.
+        pushes; a lost datagram is repaired through other partners.  A
+        unicast view pushes no deltas, so there the marks cost one ledger
+        row per pulled peer and nothing reads them.
         """
         peers = self._peers
         count = min(GOSSIP_PULL_FANOUT, len(peers))

@@ -52,10 +52,13 @@ class RapidSettings:
         :data:`~repro.core.fast_paxos.CONSENSUS_RANK_DELAY` longer than the
         one before, so the lowest-ranked live node usually runs it alone.
     gossip_interval / gossip_fanout:
-        Parameters of vote counting when gossip is active (views of at
-        least ``gossip_threshold`` members): the period and fan-out of
-        delta pushes.  In smaller views they are the period and fan-out of
-        the pull an undecided voter sends.
+        ``gossip_interval`` is the tick of an undecided voter in every
+        view: a tick that learned no vote bit pulls
+        :data:`~repro.core.fast_paxos.GOSSIP_PULL_FANOUT` peers, and after
+        :data:`~repro.core.fast_paxos.GOSSIP_CONVERGENCE_TICKS` such ticks
+        the voter pulls once per that many intervals.  When gossip is
+        active (views of at least ``gossip_threshold`` members) each tick
+        also pushes deltas to ``gossip_fanout`` peers, its one reader.
     gossip_threshold:
         View size at which votes switch from one aggregate broadcast per
         voter — one message delay, O(N) messages per voter — to delta

@@ -270,6 +270,39 @@ class TestGossipDissemination:
     def test_split_vote_in_a_unicast_view_falls_back_too(self):
         self.split_vote_decides_by_fallback(unicast_settings)
 
+    def test_a_split_unicast_view_pulls_at_the_heartbeat_until_it_falls_back(self):
+        """Pulling cannot repair a 50/50 split — no quorum exists to learn
+        — so a voter's stale ticks slow to the heartbeat until the lowest
+        rank's fallback timer fires and its classical round decides.  Each
+        member sends a bounded handful of pulls, not one fan-out per
+        tick."""
+        settings = RapidSettings()
+        assert not settings.use_gossip(12)
+        harness = ConsensusHarness(12, settings, seed=4)
+        pulls = dict.fromkeys(harness.members, 0)
+        for addr, node in harness.nodes.items():
+            runtime = node.runtime
+
+            def spy(dst, msg, addr=addr, send=runtime.send):
+                pulls[addr] += type(msg) is VotePull
+                send(dst, msg)
+
+            def fan_out(dsts, msg, addr=addr, broadcast=runtime.broadcast):
+                pulls[addr] += len(dsts) * (type(msg) is VotePull)
+                broadcast(dsts, msg)
+
+            runtime.send, runtime.broadcast = spy, fan_out
+        a, b = proposal_for(0), proposal_for(1)
+        harness.propose_all(lambda i: a if i % 2 == 0 else b)
+        decided_at = harness.run_until_decided(timeout=60.0)
+        timeout = settings.consensus_fallback_timeout
+        assert decided_at is not None and timeout < decided_at <= timeout + 1.0
+        assert len({node.decision for node in harness.nodes.values()}) == 1
+        window = settings.gossip_interval * GOSSIP_CONVERGENCE_TICKS
+        bound = GOSSIP_CONVERGENCE_TICKS + math.ceil(timeout / window) + 2
+        assert 0 < max(pulls.values()) <= bound, (pulls, bound)
+        assert counter_value(harness, "consensus.body_pulls_sent") == 0
+
     def split_vote_decides_by_fallback(self, settings_for):
         """A 50/50 split: the half that voted for the other cut learns the
         decided body from ``Phase1b``/``Phase2a`` — nobody counted a
@@ -377,32 +410,47 @@ class TestPullGossip:
         pulls = counter_value(harness, "consensus.vote_pulls_sent")
         assert pulls > 0
 
-    def test_stale_unicast_tick_pulls_with_its_whole_aggregate(self):
-        """Below the threshold a vote is broadcast once; every later tick
-        of the undecided voter sends its whole aggregate as a ``VotePull``
-        digest to ``gossip_fanout`` peers.  Peers that hold no bit the
-        digest lacks stay silent."""
-        settings = RapidSettings(consensus_fallback_timeout=10_000.0)
+    @BOTH_MODES
+    def test_a_stale_tick_pulls_and_a_quiet_voter_slows_to_a_heartbeat(self, settings_for):
+        """The one pull rule of every view: a tick that learned a bit sends
+        nothing; a tick that learned none sends ``GOSSIP_PULL_FANOUT``
+        digests, each the whole aggregate; after
+        ``GOSSIP_CONVERGENCE_TICKS`` such ticks, one per convergence
+        window."""
+        settings = settings_for(consensus_fallback_timeout=10_000.0)
         harness = ConsensusHarness(16, settings, seed=9)
-        node = harness.nodes[harness.members[0]]
-        sent, broadcast = [], node.runtime.broadcast
+        a, b = harness.members[0], harness.members[1]
+        node = harness.nodes[a]
+        pulls, send = [], node.runtime.send
 
-        def spy(dsts, msg):
-            sent.append((tuple(dsts), msg))
-            broadcast(dsts, msg)
+        def spy(dst, msg):
+            if type(msg) is VotePull:
+                pulls.append((harness.engine.now, msg))
+            send(dst, msg)
 
-        node.runtime.broadcast = spy
-        harness.engine.schedule(0.0, node.propose, proposal_for(0))
-        harness.engine.run(until=1.9)
-        (everyone, vote), *ticks = sent
-        assert len(everyone) == 15 and type(vote) is VoteBundle
-        assert len(ticks) == int(1.9 / settings.gossip_interval)
-        for dsts, msg in ticks:
-            assert type(msg) is VotePull and msg.want == ()
+        node.runtime.send = spy
+        node.propose(harness.cut())
+        interval = settings.gossip_interval
+        first = node._gossip_timer.time
+        harness.engine.run(until=first + interval / 2)
+        assert [t for t, _ in pulls] == [first] * GOSSIP_PULL_FANOUT
+        for _, msg in pulls:
+            assert msg.want == ()
             assert (msg.ids, msg.bitmaps) == (tuple(node.votes), tuple(node.votes.values()))
-            assert len(set(dsts)) == settings.gossip_fanout
-        assert counter_value(harness, "consensus.vote_bundles_sent") == 15
-        assert counter_value(harness, "consensus.vote_pull_replies") == 0
+        # A bit learned before the next tick: that tick sends nothing.
+        cid = cut_id(harness.cut())
+        node.handle(b, VoteBundle(b, harness.config.config_id, ids=(cid,), bitmaps=(0b10,)))
+        learned = first + interval
+        del pulls[:]
+        window = interval * GOSSIP_CONVERGENCE_TICKS
+        harness.engine.run(until=learned + 4 * window + interval / 2)
+        times = [t for t, _ in pulls[::GOSSIP_PULL_FANOUT]]
+        expected = [learned + k * interval for k in range(1, GOSSIP_CONVERGENCE_TICKS + 1)]
+        expected += [expected[-1] + k * window for k in (1, 2, 3)]
+        assert times == pytest.approx(expected)
+        assert len(pulls) == GOSSIP_PULL_FANOUT * len(expected)
+        assert pulls[-1][1].bitmaps == (0b11,)
+        assert not node.decided
 
     def test_unicast_pull_is_answered_with_only_the_bits_it_lacks(self):
         """A unicast view keeps no ledger rows: the reply to a pull is
