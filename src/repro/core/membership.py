@@ -543,24 +543,22 @@ class ViewChanger:
         """Tally each alert of a batch that can still matter; vote when a
         cut forms.
 
-        The aggregation rule is evaluated after every alert (it is per
-        alert in the paper: a cut forms the moment no subject is left
-        unstable), but what it is evaluated *against* is fixed for the
-        batch, so it is bound once.  A vote can decide on the spot and
+        A batch names its view once: one addressed to another view is
+        dropped whole.  The aggregation rule is evaluated after every
+        alert (it is per alert in the paper: a cut forms the moment no
+        subject is left unstable), but what it is evaluated *against* is
+        fixed for the batch, so it is bound once.  A vote can decide on the spot and
         re-enter :meth:`reset`; the rest of the batch was addressed to the
         view that just closed and is dropped, uncounted.
         """
         config = self.config
-        if config is None:
+        if config is None or msg.config_id != config.config_id:
             return
-        config_id = config.config_id
         members = config.member_index()
         detector = self.cut_detector
         now = self.runtime.now()
         received = 0
         for alert in msg.alerts:
-            if alert.config_id != config_id:
-                continue
             received += 1
             subject = alert.subject
             in_view = subject in members
@@ -584,7 +582,9 @@ class ViewChanger:
 
     def on_alert(self, alert: Alert) -> None:
         """:meth:`on_alerts` for a batch of one."""
-        self.on_alerts(alert.observer, BatchedAlerts(alert.observer, (alert,)))
+        self.on_alerts(
+            alert.observer, BatchedAlerts(alert.observer, alert.config_id, (alert,))
+        )
 
     def overdue(self, now: float) -> list:
         """``(subject, kind)`` of every subject that has lingered in the
@@ -1117,7 +1117,11 @@ class ClusterMember:
         alerts = tuple(self._alert_batch)
         self._alert_batch.clear()
         if alerts and self.status == NodeStatus.ACTIVE:
-            self._publish(BatchedAlerts(sender=self.addr, alerts=alerts))
+            self._publish(
+                BatchedAlerts(
+                    sender=self.addr, config_id=self.config.config_id, alerts=alerts
+                )
+            )
 
     def _on_leave_notification(self, src: Endpoint, msg: LeaveNotification) -> None:
         if (

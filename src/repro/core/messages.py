@@ -175,12 +175,25 @@ class Alert:
     metadata: Metadata = ()  # for JOIN alerts
 
 
+#: An alert inside a :class:`BatchedAlerts`: on the wire it leaves out each
+#: field named here, which the batch carries once as the paired field.
+BatchedAlert = Annotated[Alert, (("observer", "sender"), ("config_id", "config_id"))]
+
+
 @dataclass(frozen=True)
 class BatchedAlerts:
-    """Alerts buffered over the batching window and sent as one message."""
+    """Alerts buffered over the batching window and sent as one message.
+
+    Invariant: every alert of a batch was raised by its ``sender`` in the
+    view ``config_id`` (``alert.observer == sender`` and ``alert.config_id
+    == config_id``), so the wire names the observer and the view once per
+    batch.  A batch never spans two views: installing a view drops the
+    alerts still buffered.
+    """
 
     sender: Endpoint
-    alerts: tuple[Alert, ...] = ()
+    config_id: U64
+    alerts: tuple[BatchedAlert, ...] = ()
 
 
 # --------------------------------------------------------------------- join

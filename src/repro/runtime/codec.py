@@ -26,7 +26,15 @@ annotation             wire form
 ``tuple[A, B]``        the parts, back to back
 ``Optional[T]``        1 B presence, then ``T`` if present
 a registered class     its fields, back to back
+a hoisting annotation  a registered class without what it hoists (below)
 =====================  ====================================================
+
+A hoisting annotation, ``Annotated[C, ((field, holder_field), ...)]``,
+leaves out each ``field`` that the holding message carries once, as a
+``holder_field`` declared before the elements: the encoder refuses an
+element whose ``field`` differs (it never rewrites one), the decoder
+fills the holder's value in.  :data:`repro.core.messages.BatchedAlert`
+is the one: a batch's alerts go without the observer and view it names.
 
 Every value has exactly one encoding and the decoder refuses the others
 (padded varints, a dotted quad sent as a host name, a bitmap with a zero
@@ -71,7 +79,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 4
+WIRE_VERSION = 5
 
 
 class CodecError(ValueError):
@@ -287,6 +295,7 @@ class _Source:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self._locals = 0
+        self.fields: dict[str, str] = {}  # the message's fields so far -> locals
 
     def emit(self, depth: int, *lines: str) -> None:
         self.lines.extend("    " * depth + line for line in lines)
@@ -444,6 +453,44 @@ def _nested(entry: WireClass) -> WireType:
     return WireType(name, enc, dec, entry.sample)
 
 
+def _hoisted(cls: type, pairs: tuple) -> WireType:
+    """A registered class without the fields its holder carries once.
+
+    ``pairs`` are ``(field, holder_field)``; the holder's value is read
+    from the local its generated function already bound it to.
+    """
+    name = cls.__name__
+    hints = typing.get_type_hints(cls, include_extras=True)
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    shared = dict(pairs)
+    parts = tuple((n, _wire_type(hints[n])) for n in names if n not in shared)
+
+    def holder(src, field) -> str:
+        try:
+            return src.fields[field]
+        except KeyError:
+            raise CodecError(f"no {field} declared before the {name}s") from None
+
+    def enc(src, depth, v) -> None:
+        test = " or ".join(f"{v}.{n} != {holder(src, h)}" for n, h in pairs)
+        differs = f"{name} {' or '.join(shared)} differs from its holder"
+        src.emit(depth, f"if {test}: raise CodecError({differs!r})")
+        for n, wire in parts:
+            part = src.local()
+            src.emit(depth, f"{part} = {v}.{n}")
+            wire.enc(src, depth, part)
+
+    def dec(src, depth) -> str:
+        values = {n: wire.dec(src, depth) for n, wire in parts}
+        values.update((n, holder(src, h)) for n, h in pairs)
+        v = src.local()
+        src.emit(depth, f"{v} = {name}({', '.join(values[n] for n in names)})")
+        return v
+
+    label = f"{name} without {', '.join(shared)}"
+    return WireType(label, enc, dec, _BY_CLASS[cls].sample)
+
+
 def _wire_type(annotation: Any) -> WireType:
     """The wire type of one resolved field annotation."""
     scalar = _SCALARS.get(annotation)
@@ -455,6 +502,8 @@ def _wire_type(annotation: Any) -> WireType:
     args = typing.get_args(annotation)
     if origin is typing.Annotated and isinstance(args[1], type):
         return _enum(args[1])
+    if origin is typing.Annotated and args[0] in _BY_CLASS:
+        return _hoisted(args[0], args[1])
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return _sequence(_wire_type(args[0]))
     if origin is tuple and args:
@@ -473,13 +522,13 @@ def _generate(cls: type, fields: tuple) -> tuple:
     enc, dec = _Source(), _Source()
     enc.emit(0, f"def enc_{name}(msg, out):")
     dec.emit(0, f"def dec_{name}(data, pos):")
-    values = []
     for field, wire in fields:
         v = enc.local()
         enc.emit(1, f"{v} = msg.{field}")
         wire.enc(enc, 1, v)
-        values.append(wire.dec(dec, 1))
-    dec.emit(1, f"return {name}({', '.join(values)}), pos")
+        enc.fields[field] = v
+        dec.fields[field] = wire.dec(dec, 1)
+    dec.emit(1, f"return {name}({', '.join(dec.fields.values())}), pos")
     source = "\n".join(enc.lines + dec.lines)
     exec(compile(source, f"<wire codec for {name}>", "exec"), _GENERATED)
     return _GENERATED[f"enc_{name}"], _GENERATED[f"dec_{name}"]

@@ -78,6 +78,7 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
     "Alert": lambda: _ALERT,
     "BatchedAlerts": lambda: m.BatchedAlerts(
         sender=_A,
+        config_id=_CID,
         alerts=(
             _ALERT,
             m.Alert(

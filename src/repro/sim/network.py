@@ -18,7 +18,7 @@ import math
 from array import array
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.messages import ViewSnapshot, VoteBundle, VotePull
+from repro.core.messages import BatchedAlerts, ViewSnapshot, VoteBundle, VotePull
 from repro.core.node_id import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
@@ -93,6 +93,18 @@ _SIZERS[VoteBundle] = lambda value: (
     _vote_bundle_size(value) + _container_size(value.bodies)
 )
 _SIZERS[VotePull] = lambda value: _vote_bundle_size(value) + 2 + 8 * len(value.want)
+
+
+def _batched_alerts_size(value) -> int:
+    """Size a BatchedAlerts in its wire form: the batch names its sender and
+    ``config_id`` once, and each alert goes without the ``observer`` (the
+    sender) and the 8-byte ``config_id`` the generic walk charges it."""
+    sender = _payload_size(value.sender)
+    hoisted = len(value.alerts) * (sender + 8)
+    return 2 + sender + 8 + _container_size(value.alerts) - hoisted
+
+
+_SIZERS[BatchedAlerts] = _batched_alerts_size
 
 
 def _view_snapshot_size(value) -> int:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.core import messages as m
 from repro.core.node_id import Endpoint
+from repro.experiments.harness import harness_for
 from repro.runtime import codec
 from repro.runtime.conformance import sample_message
 from repro.sim import network
@@ -59,6 +60,26 @@ def body(name: str) -> bytes:
 _A = Endpoint("127.0.0.1", 4001)
 _A_WIRE = b"\x00\x7f\x00\x00\x01" + (4001).to_bytes(2, "little")
 _CID = bytes(8)
+#: The committed version-4 vector of the BatchedAlerts exemplar: each
+#: alert named its observer and its view.
+VERSION_4_BATCH = (
+    "0406007f000001a10f02007f000001a10f007f000001a20f0188796a5b4c3d2e1f0300"
+    "0307000000000000000000007f000001a10f007f000001a30f0088796a5b4c3d2e1f01"
+    "01090000000000000001047a6f6e650162"
+)
+#: ``wire_size`` of every exemplar at wire version 4.  Version 5 moved only
+#: BatchedAlerts (198): its two alerts dropped 13 + 8 B each, the batch
+#: gained its 8-byte ``config_id``.
+VERSION_4_SIZES = {
+    "Alert": 108, "BatchedAlerts": 198, "Change": 57, "Decision": 61,
+    "Endpoint": 33, "HttpRequest": 67, "HttpResponse": 51, "JoinRequest": 72,
+    "JoinResponse": 172, "LeaveNotification": 51, "NotSerializer": 64,
+    "Phase1a": 69, "Phase1b": 149, "Phase2a": 131, "Phase2b": 77,
+    "PreJoinRequest": 51, "PreJoinResponse": 101, "Probe": 59, "ProbeAck": 52,
+    "TsRequest": 59, "TsResponse": 59, "ViewProbe": 51, "ViewRequest": 43,
+    "ViewResponse": 71, "ViewSnapshot": 135, "ViewUpdate": 105, "VoteBundle": 73,
+    "VotePull": 81, "WriteAck": 59, "WriteRequest": 83,
+}
 
 
 # ------------------------------------------------------------ pinned format
@@ -148,7 +169,7 @@ def test_non_canonical_encodings_are_refused():
         body("NotSerializer") + _A_WIRE + b"\x01\x02",  # presence byte 2
         body("Change") + _A_WIRE + b"\x02" + _CID,  # AlertKind index 2
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01\x02\x01\x00",  # bitmap 0x0001
-        b"\x05" + probe[1:] + b"\x01",  # a future wire version
+        b"\x06" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
         # retired: delta-encoded join answers (the committed version-3
@@ -157,6 +178,9 @@ def test_non_canonical_encodings_are_refused():
             "0309007f000001a10f630000000000000088796a5b4c3d2e1f02010201047a6f"
             "6e6501610000000000000000"
         ),
+        # retired: alerts that name their observer and view each (the
+        # committed version-4 BatchedAlerts)
+        bytes.fromhex(VERSION_4_BATCH),
         HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
@@ -177,6 +201,103 @@ def test_old_json_datagrams_are_refused_not_misread():
     ):
         with pytest.raises(codec.CodecError):
             codec.decode_bytes(data)
+
+
+# ------------------------------------------------------------ hoisted alerts
+
+
+def _batch(alerts, sender=_A, config_id=7):
+    return m.BatchedAlerts(sender, config_id, tuple(alerts))
+
+
+def _alert(subject, observer=_A, config_id=7, **fields):
+    return m.Alert(observer, subject, m.AlertKind.REMOVE, config_id, **fields)
+
+
+def test_a_batch_names_its_observer_and_view_once():
+    subjects = [endpoint_for(i) for i in range(1, 4)]
+    batch = _batch(_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects))
+    data = codec.encode_bytes(batch)
+    alone = [codec.encode_bytes(alert) for alert in batch.alerts]
+    # Each alert loses its 7-byte observer and 8-byte config_id (and its
+    # own two-byte header); the batch adds its config_id once.
+    assert len(data) == 2 + 7 + 8 + 1 + sum(len(a) - 2 - 7 - 8 for a in alone)
+    assert data[2:17] == _A_WIRE + (7).to_bytes(8, "little")
+    decoded = decode_or_refuse(data)
+    assert decoded == batch
+    assert all(a.observer is decoded.sender for a in decoded.alerts)
+    assert decode_or_refuse(codec.encode_bytes(_batch(()))) == _batch(())
+    assert codec.wire_classes()["BatchedAlerts"].layout == (
+        ("sender", "endpoint"),
+        ("config_id", "u64"),
+        ("alerts", "tuple<Alert without observer, config_id>"),
+    )
+
+
+def test_a_foreign_alert_in_a_batch_is_refused_not_rewritten():
+    other = Endpoint("127.0.0.1", 4002)
+    for foreign in (_alert(other, observer=other), _alert(other, config_id=8)):
+        with pytest.raises(codec.CodecError, match="differs from its holder"):
+            codec.encode_bytes(_batch((_alert(endpoint_for(1)), foreign)))
+
+
+def test_a_batch_is_sized_without_what_it_hoists():
+    """A batch of n alerts costs what the generic walk charged at version 4,
+    less each alert's observer and config_id, plus one config_id."""
+    observer = Endpoint("node-12.rack-3", 7000)
+    for n in (0, 1, 5):
+        alerts = [
+            _alert(endpoint_for(i), observer=observer, ring_numbers=(i, i + 1))
+            for i in range(n)
+        ]
+        version_4 = (
+            network.wire_size(observer)  # the header and the sender
+            + 2  # the batch
+            + 2  # its alerts tuple
+            + sum(network.wire_size(a) - 28 for a in alerts)
+        )
+        per_alert = 4 + len(observer.host) + 8
+        batch = _batch(alerts, sender=observer)
+        assert network.wire_size(batch) == version_4 - n * per_alert + 8
+
+
+def test_only_the_batch_moved_its_simulated_size():
+    sizes = {name: network.wire_size(sample_message(name)) for name in NAMES}
+    assert sizes == {**VERSION_4_SIZES, "BatchedAlerts": 198 - 2 * (13 + 8) + 8}
+
+
+@pytest.mark.parametrize("system", ["rapid", "rapid-c"])
+def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
+    """The simulator passes message objects by reference and encodes none:
+    a protocol path that batched an alert from another observer or view
+    would pass every simulated test and fail only on sockets.  So tap one
+    harness's fabric through a bootstrap, a join and a crash, and
+    round-trip every message it was handed."""
+    harness = harness_for(system, seed=1)
+    fabric, sent = harness.network, []
+    send, broadcast = fabric.send, fabric.broadcast
+
+    def tap_send(src, dst, msg):
+        sent.append(msg)
+        send(src, dst, msg)
+
+    def tap_broadcast(src, dsts, msg):
+        sent.append(msg)
+        broadcast(src, dsts, msg)
+
+    monkeypatch.setattr(fabric, "send", tap_send)
+    monkeypatch.setattr(fabric, "broadcast", tap_broadcast)
+    endpoints = harness.bootstrap(16, seed_delay=2.0, stagger=1.0)
+    assert harness.run_until_converged(16, timeout=120.0) is not None
+    harness.add_node(endpoint_for(16), seeds=endpoints[:1])
+    assert harness.run_until_converged(17, timeout=120.0) is not None
+    harness.crash(endpoints[5:6])
+    assert harness.run_until_converged(16, timeout=120.0) is not None
+    assert harness.ledger.report()["ok"] is True
+    classes = {type(msg).__name__ for msg in sent}
+    assert {"BatchedAlerts", "JoinResponse", "Probe"} <= classes
+    for msg in sent:
+        assert codec.decode_bytes(codec.encode_bytes(msg)) == msg
 
 
 # --------------------------------------------------------------- value range
@@ -322,8 +443,13 @@ def test_registration_refuses_what_it_cannot_put_on_the_wire(scratch_registry):
     class Fine:
         x: int
 
+    @dataclasses.dataclass(frozen=True)
+    class Orphans:
+        alerts: tuple[m.BatchedAlert, ...]
+
     for cls, tag in (
         (Loose, 0xF1),  # no encoding for `object`
+        (Orphans, 0xF1),  # hoists fields it does not carry
         (Empty, 0xF1),  # nothing to send
         (Fine, 0x03),  # Probe's tag
         (Fine, 0),  # reserved

@@ -10,7 +10,7 @@ one loop per batch, one count per batch, one cut object per view.
 """
 
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import pytest
 
@@ -364,9 +364,10 @@ def vouch(config, joiner, uuid):
 
 
 def deliver(changer, alerts, batched):
-    """The same alerts as one ``BatchedAlerts`` or one call each."""
+    """The same alerts as one ``BatchedAlerts`` per view or one call each."""
     if batched:
-        changer.on_alerts(ME, BatchedAlerts(ME, alerts))
+        for config_id, run in groupby(alerts, key=lambda alert: alert.config_id):
+            changer.on_alerts(ME, BatchedAlerts(ME, config_id, tuple(run)))
     else:
         for alert in alerts:
             changer.on_alert(alert)

@@ -39,13 +39,15 @@ reality) still fails.
 
 import dataclasses
 import os
+import runpy
+import sys
 
 import pytest
 
 from repro.core import messages
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
-from repro.runtime import codec
+from repro.runtime import codec, conformance
 from repro.runtime.asyncio_transport import AsyncioRuntime, _Protocol
 from repro.runtime.conformance import (
     parity_rows,
@@ -111,6 +113,23 @@ def test_parity_table_renders_every_class():
     table = render_parity_table(rows)
     for row in rows:
         assert row.name in table
+
+
+def test_the_conformance_cli_exits_zero_and_fails_loudly(capsys, monkeypatch):
+    """``python -m repro.runtime.conformance [--layout]``."""
+    monkeypatch.setattr(sys, "argv", ["conformance", "--layout"])
+    monkeypatch.delitem(sys.modules, "repro.runtime.conformance")  # run it afresh
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("repro.runtime.conformance", run_name="__main__")
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.strip() == conformance.render_layout_table()
+    assert conformance.main([]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and "BatchedAlerts" in out
+    # A sizer that undercounts every class fails the gate.
+    monkeypatch.setattr(conformance, "wire_size", lambda msg: 1)
+    assert conformance.main([]) == 1
+    assert "FAIL (round trip, or real/est > 1.0): Alert, " in capsys.readouterr().out
 
 
 def test_codec_registry_covers_sizer_registry():
@@ -216,7 +235,8 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     """Wire version 1 put whole proposals where version 2 puts 8-byte cut
     ids; a peer still speaking it is counted and ignored, never read as
     a vote for ids made of its proposal bytes.  Version 2 did the same in
-    ``Phase2b``, which version 3 also names by id."""
+    ``Phase2b``, which version 3 also names by id.  Version 4 named the
+    observer and view in each alert of a batch, which version 5 names once."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -229,12 +249,16 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         # The committed version-2 vector of a Phase2b, whole cut included.
         "0214007f000001a10f88796a5b4c3d2e1f020102007f000001a20f000700000000"
         "000000007f000001a30f010000000000000000",
+        # The committed version-4 vector of a BatchedAlerts.
+        "0406007f000001a10f02007f000001a10f007f000001a20f0188796a5b4c3d2e1f"
+        "03000307000000000000000000007f000001a10f007f000001a30f0088796a5b4c"
+        "3d2e1f0101090000000000000001047a6f6e650162",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 4
+    assert codec.WIRE_VERSION == 5
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():
