@@ -399,13 +399,19 @@ def write_timeseries_csv(cases: Sequence[CaseResult], path: str) -> Path:
     return out
 
 
+def _is_scalar(value) -> bool:
+    return isinstance(value, (int, float, bool, str)) or value is None
+
+
 def _scalars(outcome: dict) -> dict:
-    """Scenario results filtered down to JSON-friendly scalar facts."""
+    """Scenario results filtered down to JSON-friendly facts: scalars, short
+    lists of scalars, and tables of scalar rows (``{row: {column: value}}``,
+    e.g. a live run's per-class ``wire_parity``)."""
     kept: dict = {}
     for key, value in outcome.items():
         if key in _RESULT_EXCLUDE:
             continue
-        if isinstance(value, (int, float, bool, str)) or value is None:
+        if _is_scalar(value):
             kept[key] = value
         elif isinstance(value, (list, tuple, set, frozenset)):
             items = sorted(value) if isinstance(value, (set, frozenset)) else list(value)
@@ -413,6 +419,11 @@ def _scalars(outcome: dict) -> dict:
                 isinstance(item, (int, float, bool, str)) for item in items
             ):
                 kept[key] = items
+        elif isinstance(value, dict) and all(
+            isinstance(row, dict) and all(map(_is_scalar, row.values()))
+            for row in value.values()
+        ):
+            kept[key] = {name: dict(row) for name, row in value.items()}
     return kept
 
 
@@ -421,7 +432,7 @@ def _format_value(value) -> Optional[str]:
 
     Bools become 0/1, None becomes ``NA`` (ran, no measurement — e.g.
     detection latency when nothing was evicted); floats use ``repr`` for
-    shortest-roundtrip stability.  Strings and lists are skipped.
+    shortest-roundtrip stability.  Strings, lists and tables are skipped.
     """
     if value is None:
         return "NA"

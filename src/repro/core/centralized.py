@@ -59,13 +59,14 @@ __all__ = ["EnsembleNode", "CentralizedClusterNode"]
 VIEW_PROBE_INTERVAL = 5.0
 
 
-def _view_update(sender: Endpoint, config: Configuration) -> ViewUpdate:
+def _view_update(sender: Endpoint, config: Configuration, metadata: tuple) -> ViewUpdate:
     return ViewUpdate(
         sender=sender,
         config_id=config.config_id,
         members=config.members,
         uuids=config.uuids,
         seq=config.seq,
+        metadata=metadata,
     )
 
 
@@ -75,8 +76,8 @@ class EnsembleNode:
     All ensemble members start with the same (possibly empty) initial
     cluster configuration and the same sorted ensemble list; consensus runs
     among the ensemble with the cluster's configuration id as its scope.
-    Role metadata in JOIN alerts is not kept: the views the ensemble hands
-    out carry none.
+    The role metadata of JOIN alerts is kept in :attr:`metadata_store`, as
+    a member keeps it, and travels with every view the ensemble hands out.
     """
 
     def __init__(
@@ -98,7 +99,11 @@ class EnsembleNode:
         self.decider = ViewChanger(
             runtime, settings, self.broadcaster.broadcast, self._on_decide
         )
-        self.desk = AdmissionDesk(runtime, settings, {}, self.decider.on_alert)
+        #: Role metadata of the members, ``{endpoint: {key: value}}``.
+        self.metadata_store: dict[Endpoint, dict] = {}
+        self.desk = AdmissionDesk(
+            runtime, settings, self.metadata_store, self.decider.on_alert
+        )
         self._dispatch = {
             BatchedAlerts: self.decider.on_alerts,
             PreJoinRequest: self.desk.on_pre_join_request,
@@ -128,21 +133,26 @@ class EnsembleNode:
         self.desk.reset(config, topology, ())
 
     def _on_decide(self, old: Configuration, new: Configuration, cut: Proposal) -> None:
+        self.decider.file_metadata(self.metadata_store, cut)
         self._serve(new)
         joined = tuple(c.endpoint for c in cut if c.kind == AlertKind.JOIN)
         # Answer joiners; push the new view to the cluster (lowest-address
-        # ensemble member pushes, the rest serve polls).
-        for joiner in joined:
-            self.runtime.send(joiner, self.desk.join_response())
+        # ensemble member pushes, the rest serve polls).  Each message is
+        # one fan-out, so a live runtime encodes it once.
+        if joined:
+            self.runtime.broadcast(joined, self.desk.join_response())
         if self.addr == self.ensemble[0]:
-            update = _view_update(self.addr, new)
-            for member in new.members:
-                if member not in joined:
-                    self.runtime.send(member, update)
+            update = _view_update(self.addr, new, self.desk.metadata_entries())
+            self.runtime.broadcast(
+                [member for member in new.members if member not in joined], update
+            )
 
     def _on_view_probe(self, src: Endpoint, msg: ViewProbe) -> None:
         if msg.config_id != self.config.config_id:
-            self.runtime.send(msg.sender, _view_update(self.addr, self.config))
+            self.runtime.send(
+                msg.sender,
+                _view_update(self.addr, self.config, self.desk.metadata_entries()),
+            )
 
 
 class CentralizedClusterNode(ClusterMember):
@@ -153,8 +163,11 @@ class CentralizedClusterNode(ClusterMember):
     only to the ensemble, and view changes arrive as
     ``JoinResponse``/``ViewUpdate`` messages from the ensemble, pulled by a
     periodic probe.  Consensus traffic and pre-join requests are none of
-    its business and find no handler here.
+    its business and find no handler here; nor is answering the joiners a
+    view admits, which the ensemble that decided it does.
     """
+
+    answers_admitted = False
 
     def __init__(
         self,
@@ -200,6 +213,7 @@ class CentralizedClusterNode(ClusterMember):
         if self.addr not in new_members:
             self._depart(NodeStatus.KICKED, kicked_from=self.config)
             return
+        self._adopt_metadata(msg.metadata)
         self._install(
             new_config,
             joined=tuple(sorted(new_members - old_members)),

@@ -111,6 +111,16 @@ REINFORCEMENT_TIMEOUT = 10.0
 _IDLE, _WATCHING, _STOPPED = range(3)
 
 
+def _batch(sender: Endpoint, config_id: int, alerts: tuple) -> BatchedAlerts:
+    """``alerts``, all raised by ``sender`` in ``config_id``, as one batch."""
+    return BatchedAlerts(
+        sender,
+        config_id,
+        joins=tuple(a for a in alerts if a.kind == AlertKind.JOIN),
+        removes=tuple(a for a in alerts if a.kind != AlertKind.JOIN),
+    )
+
+
 class EdgeMonitor:
     """One process's probe wheel over its K-ring subjects (section 4.1).
 
@@ -544,12 +554,14 @@ class ViewChanger:
         cut forms.
 
         A batch names its view once: one addressed to another view is
-        dropped whole.  The aggregation rule is evaluated after every
-        alert (it is per alert in the paper: a cut forms the moment no
-        subject is left unstable), but what it is evaluated *against* is
-        fixed for the batch, so it is bound once.  A vote can decide on the spot and
-        re-enter :meth:`reset`; the rest of the batch was addressed to the
-        view that just closed and is dropped, uncounted.
+        dropped whole.  Its JOIN alerts are tallied before its REMOVE
+        alerts (the wire keeps no other order).  The aggregation rule is
+        evaluated after every alert (it is per alert in the paper: a cut
+        forms the moment no subject is left unstable), but what it is
+        evaluated *against* is fixed for the batch, so it is bound once.
+        A vote can decide on the spot and re-enter :meth:`reset`; the rest
+        of the batch was addressed to the view that just closed and is
+        dropped, uncounted.
         """
         config = self.config
         if config is None or msg.config_id != config.config_id:
@@ -558,7 +570,7 @@ class ViewChanger:
         detector = self.cut_detector
         now = self.runtime.now()
         received = 0
-        for alert in msg.alerts:
+        for alert in msg.joins + msg.removes:
             received += 1
             subject = alert.subject
             in_view = subject in members
@@ -582,9 +594,18 @@ class ViewChanger:
 
     def on_alert(self, alert: Alert) -> None:
         """:meth:`on_alerts` for a batch of one."""
-        self.on_alerts(
-            alert.observer, BatchedAlerts(alert.observer, alert.config_id, (alert,))
-        )
+        self.on_alerts(alert.observer, _batch(alert.observer, alert.config_id, (alert,)))
+
+    def file_metadata(self, store: dict, cut: Proposal) -> None:
+        """File the role metadata of ``cut``'s joiners in ``store`` and drop
+        its leavers'; :meth:`reset` forgets the JOIN alerts it came in."""
+        for change in cut:
+            if change.kind == AlertKind.JOIN:
+                meta = self.joiner_metadata.get(change.endpoint)
+                if meta:
+                    store[change.endpoint] = dict(meta)
+            else:
+                store.pop(change.endpoint, None)
 
     def overdue(self, now: float) -> list:
         """``(subject, kind)`` of every subject that has lingered in the
@@ -710,7 +731,8 @@ class AdmissionDesk:
     ) -> None:
         """Serve ``config`` from now on, and settle every pending joiner.
 
-        Joiners admitted by this view change are answered with the view;
+        Joiners of ``joined`` that this view change admits are answered
+        with the view;
         those whose alerts did not make this cut are told to restart
         promptly against the new configuration (otherwise they would idle
         out their join timeout, which cascades badly during mass
@@ -765,7 +787,7 @@ class AdmissionDesk:
 
     # ---------------------------------------------------------------- responses
 
-    def _metadata_entries(self) -> tuple:
+    def metadata_entries(self) -> tuple:
         """The current view's metadata table, built once per view.
 
         Canonical ``((endpoint, ((key, value), ...)), ...)`` form, sorted
@@ -799,7 +821,7 @@ class AdmissionDesk:
             sender=self.runtime.addr,
             status=JoinStatus.SAFE_TO_JOIN if admitted else JoinStatus.CONFIG_CHANGED,
             config_id=config.config_id,
-            view=config.view_snapshot(self._metadata_entries()) if admitted else None,
+            view=config.view_snapshot(self.metadata_entries()) if admitted else None,
         )
 
     # ----------------------------------------------------------------- requests
@@ -917,6 +939,11 @@ class ClusterMember:
     repair:
         Optional; the monitor's ``on_foreign``.
     """
+
+    #: Whether an install answers the joiners it admits (with the view).
+    #: Whoever decides a view answers them; a joiner the view passed over
+    #: is told so by its designated observer either way.
+    answers_admitted = True
 
     def __init__(
         self,
@@ -1063,17 +1090,22 @@ class ClusterMember:
         """Called by the join protocol when our admission is confirmed.
 
         ``node_id`` is the identity admitted (the handshake may have had
-        to re-mint it).  The snapshot's metadata table, plus this
-        process's own entry, replaces the metadata store wholesale.
+        to re-mint it).
         """
         self.node_id = node_id
-        self.metadata_store.clear()
-        for endpoint, meta in metadata:
-            self.metadata_store[endpoint] = dict(meta)
-        self.metadata_store[self.addr] = dict(self.metadata)
+        self._adopt_metadata(metadata)
         self._joiner = None
         del self._dispatch[PreJoinResponse], self._dispatch[JoinResponse]
         self._install(config, joined=(self.addr,), removed=())
+
+    def _adopt_metadata(self, table: tuple) -> None:
+        """Replace the metadata store wholesale with a view's metadata
+        table, plus this process's own entry."""
+        store = self.metadata_store
+        store.clear()
+        for endpoint, meta in table:
+            store[endpoint] = dict(meta)
+        store[self.addr] = dict(self.metadata)
 
     # ----------------------------------------------------------------- alerts
 
@@ -1117,11 +1149,7 @@ class ClusterMember:
         alerts = tuple(self._alert_batch)
         self._alert_batch.clear()
         if alerts and self.status == NodeStatus.ACTIVE:
-            self._publish(
-                BatchedAlerts(
-                    sender=self.addr, config_id=self.config.config_id, alerts=alerts
-                )
-            )
+            self._publish(_batch(self.addr, self.config.config_id, alerts))
 
     def _on_leave_notification(self, src: Endpoint, msg: LeaveNotification) -> None:
         if (
@@ -1161,7 +1189,7 @@ class ClusterMember:
         self.monitor.watch(config.config_id, topology.subjects_of(self.addr))
         self._alert_batch.clear()
         self._alert(carried)
-        self.desk.reset(config, topology, joined)
+        self.desk.reset(config, topology, joined if self.answers_admitted else ())
         if self.on_view_change is not None:
             self.on_view_change(
                 ViewChangeEvent(
@@ -1275,12 +1303,7 @@ class RapidNode(ClusterMember):
     def _on_decide(self, old: Configuration, new: Configuration, cut: Proposal) -> None:
         joined = tuple(c.endpoint for c in cut if c.kind == AlertKind.JOIN)
         removed = tuple(c.endpoint for c in cut if c.kind == AlertKind.REMOVE)
-        for endpoint in joined:
-            meta = self.decider.joiner_metadata.get(endpoint)
-            if meta:
-                self.metadata_store[endpoint] = dict(meta)
-        for endpoint in removed:
-            self.metadata_store.pop(endpoint, None)
+        self.decider.file_metadata(self.metadata_store, cut)
         if self.addr in removed:
             self._depart(NodeStatus.KICKED, kicked_from=old)
         else:

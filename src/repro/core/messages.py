@@ -77,6 +77,10 @@ Status = Annotated[str, JoinStatus]
 Metadata = tuple[tuple[str, str], ...]
 #: Metadata of several members, ``((endpoint, metadata), ...)`` by endpoint.
 MetadataTable = tuple[tuple[Endpoint, Metadata], ...]
+#: A whole view's members, sorted and distinct.  On the wire a set of
+#: dotted quads goes in numeric order as address and port deltas (about
+#: 2 B a member instead of 7); a set naming any other host goes plain.
+EndpointSet = Annotated[tuple[Endpoint, ...], "endpoint set"]
 #: A classical-Paxos rank, ``(round, node_index)``.
 Rank = tuple[int, int]
 
@@ -175,9 +179,19 @@ class Alert:
     metadata: Metadata = ()  # for JOIN alerts
 
 
-#: An alert inside a :class:`BatchedAlerts`: on the wire it leaves out each
-#: field named here, which the batch carries once as the paired field.
-BatchedAlert = Annotated[Alert, (("observer", "sender"), ("config_id", "config_id"))]
+#: What an alert inside a :class:`BatchedAlerts` leaves to its batch: each
+#: alert field here is carried once, as the paired field of the batch.
+_FROM_BATCH = (("observer", "sender"), ("config_id", "config_id"))
+#: A JOIN alert of a batch: it goes without what the batch names and
+#: without its kind.
+BatchedJoin = Annotated[Alert, _FROM_BATCH, (("kind", AlertKind.JOIN),)]
+#: A REMOVE alert of a batch: its subject and its rings.  A removal has no
+#: joiner, so its ``joiner_uuid`` and ``metadata`` are pinned empty too.
+BatchedRemove = Annotated[
+    Alert,
+    _FROM_BATCH,
+    (("kind", AlertKind.REMOVE), ("joiner_uuid", 0), ("metadata", ())),
+]
 
 
 @dataclass(frozen=True)
@@ -187,13 +201,15 @@ class BatchedAlerts:
     Invariant: every alert of a batch was raised by its ``sender`` in the
     view ``config_id`` (``alert.observer == sender`` and ``alert.config_id
     == config_id``), so the wire names the observer and the view once per
-    batch.  A batch never spans two views: installing a view drops the
-    alerts still buffered.
+    batch; and ``joins`` holds its JOIN alerts, ``removes`` its REMOVE
+    alerts, so no alert names its kind.  A batch never spans two views:
+    installing a view drops the alerts still buffered.
     """
 
     sender: Endpoint
     config_id: U64
-    alerts: tuple[BatchedAlert, ...] = ()
+    joins: tuple[BatchedJoin, ...] = ()
+    removes: tuple[BatchedRemove, ...] = ()
 
 
 # --------------------------------------------------------------------- join
@@ -257,7 +273,7 @@ class ViewSnapshot:
     only members that advertised a non-empty table.
     """
 
-    members: tuple[Endpoint, ...] = ()  # sorted
+    members: EndpointSet = ()
     uuids: tuple[U64, ...] = ()  # aligned with members
     seq: int = 0
     metadata: MetadataTable = ()
@@ -411,10 +427,14 @@ class ViewProbe:
 
 @dataclass(frozen=True)
 class ViewUpdate:
-    """Ensemble -> cluster member: the authoritative membership view."""
+    """Ensemble -> cluster member: the authoritative membership view.
+
+    ``metadata`` is the view's role table, as in :class:`ViewSnapshot`.
+    """
 
     sender: Endpoint
     config_id: U64
-    members: tuple[Endpoint, ...] = ()
+    members: EndpointSet = ()
     uuids: tuple[U64, ...] = ()
     seq: int = 0
+    metadata: MetadataTable = ()

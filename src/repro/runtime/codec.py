@@ -22,6 +22,12 @@ annotation             wire form
 ``Kind`` / ``Status``  1 B index into the constants of the named class
 ``Endpoint``           a dotted quad packs as ``0`` + 4 B IPv4 + 2 B port
                        (7 B); any other host as ``str`` host, varint port
+``EndpointSet``        varint ``2 * count + plain``, then: a set of dotted
+                       quads in numeric order, the first member as 4 B
+                       IPv4 + 2 B port big-endian and each other as a
+                       varint address delta and a zigzag varint port
+                       delta (about 2 B); any other set (``plain`` = 1)
+                       as endpoints
 ``tuple[T, ...]``      varint element count, then the elements
 ``tuple[A, B]``        the parts, back to back
 ``Optional[T]``        1 B presence, then ``T`` if present
@@ -29,17 +35,28 @@ a registered class     its fields, back to back
 a hoisting annotation  a registered class without what it hoists (below)
 =====================  ====================================================
 
-A hoisting annotation, ``Annotated[C, ((field, holder_field), ...)]``,
-leaves out each ``field`` that the holding message carries once, as a
-``holder_field`` declared before the elements: the encoder refuses an
-element whose ``field`` differs (it never rewrites one), the decoder
-fills the holder's value in.  :data:`repro.core.messages.BatchedAlert`
-is the one: a batch's alerts go without the observer and view it names.
+A hoisting annotation, ``Annotated[C, ((field, holder_field), ...),
+((field, constant), ...)]``, leaves out each ``field`` of the first tuple,
+which the holding message carries once as a ``holder_field`` declared
+before the elements, and each ``field`` of the second tuple, which every
+element holds at ``constant``: the encoder refuses an element
+whose ``field`` differs (it never rewrites one), the decoder fills the
+holder's value or the constant in.  A :class:`repro.core.messages.BatchedAlerts`
+is the one holder: its alerts go without the observer and view it names,
+a JOIN alert without its kind (:data:`~repro.core.messages.BatchedJoin`)
+and a REMOVE alert without its kind and its empty joiner fields
+(:data:`~repro.core.messages.BatchedRemove`): its subject and its rings.
+
+An ``EndpointSet`` (``ViewSnapshot.members``, ``ViewUpdate.members``) is
+sorted and distinct in :class:`Endpoint` order both in memory and after
+decoding, whatever order the wire uses, so a field aligned with it (the
+``uuids``) stays aligned; the encoder refuses an unsorted one.
 
 Every value has exactly one encoding and the decoder refuses the others
 (padded varints, a dotted quad sent as a host name, a bitmap with a zero
-top byte), so ``encode_bytes(decode_bytes(b)) == b`` for every ``b`` that
-decodes.  :func:`decode_bytes` raises :class:`CodecError` and nothing else:
+top byte, an endpoint set out of order, or plain when every host is a
+dotted quad), so ``encode_bytes(decode_bytes(b)) == b`` for every ``b``
+that decodes.  :func:`decode_bytes` raises :class:`CodecError` and nothing else:
 truncation, trailing bytes, an unknown version or tag, an out-of-range
 enum, a count that outruns the buffer and an oversized payload are all
 refused before a message object exists.
@@ -54,6 +71,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import socket
 import struct
 import types
@@ -79,7 +97,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 5
+WIRE_VERSION = 6
 
 
 class CodecError(ValueError):
@@ -228,14 +246,15 @@ def _endpoint_wire(endpoint) -> bytes:
     packed = _ipv4(host)
     if packed is not None:
         wire = b"\x00" + packed + _U16.pack(port)
+        key = int.from_bytes(packed, "big") << 16 | port
     elif host and 0 <= port <= 0xFFFF:
         out = bytearray()
         _put_str(host, out)
         _put_uint(port, out)
-        wire = bytes(out)
+        wire, key = bytes(out), None
     else:
         raise CodecError(f"no wire form for {endpoint!r}")
-    endpoint._wire = wire
+    endpoint._wire, endpoint._key = wire, key
     return wire
 
 
@@ -268,10 +287,96 @@ def _get_endpoint(data, pos):
             raise CodecError("truncated endpoint")
         endpoint = Endpoint(socket.inet_ntoa(wire[1:5]), _U16.unpack_from(wire, 5)[0])
         endpoint._wire = wire
+        endpoint._key = int.from_bytes(wire[1:5], "big") << 16 | endpoint.port
         if len(_ENDPOINTS) >= _ENDPOINTS_MAX:
             _ENDPOINTS.clear()
         _ENDPOINTS[wire] = endpoint
     return endpoint, pos + 7
+
+
+def _keys(endpoints) -> list:
+    """The numeric ``address << 16 | port`` of each endpoint, ``None`` for
+    a host that is no dotted quad; memoised on the endpoint with its wire."""
+    try:
+        return [endpoint._key for endpoint in endpoints]
+    except AttributeError:
+        for endpoint in endpoints:
+            _endpoint_wire(endpoint)
+        return [endpoint._key for endpoint in endpoints]
+
+
+def _put_endpoints(value, out) -> None:
+    """Append the wire form of an endpoint set (see the module docstring)."""
+    if not all(map(operator.lt, value, value[1:])):
+        raise CodecError("endpoint set not sorted and distinct")
+    keys = _keys(value)
+    if None in keys:  # a host that is no dotted quad
+        _put_uint(2 * len(keys) + 1, out)
+        for endpoint in value:
+            out += endpoint._wire
+        return
+    _put_uint(2 * len(keys), out)
+    if not keys:
+        return
+    keys.sort()
+    last = keys[0]
+    out += last.to_bytes(6, "big")
+    for key in keys[1:]:
+        addr_delta = (key >> 16) - (last >> 16)
+        port_delta = (key & 0xFFFF) - (last & 0xFFFF)
+        zigzag = port_delta << 1 if port_delta >= 0 else ~port_delta << 1 | 1
+        if addr_delta < 0x80 and zigzag < 0x80:
+            out += bytes((addr_delta, zigzag))
+        else:
+            _put_uint(addr_delta, out)
+            _put_uint(zigzag, out)
+        last = key
+
+
+def _get_endpoints(data, pos):
+    head, pos = _get_uint(data, pos)
+    count = head >> 1
+    if count > len(data) - pos:
+        raise CodecError(f"count {count} outruns the datagram")
+    members = []
+    if head & 1:
+        plain = False
+        for _ in range(count):
+            plain = plain or data[pos] != 0
+            endpoint, pos = _get_endpoint(data, pos)
+            members.append(endpoint)
+        if not plain:
+            raise CodecError("a set of dotted quads sent plain")
+        if not all(map(operator.lt, members, members[1:])):
+            raise CodecError("endpoint set not sorted and distinct")
+        return tuple(members), pos
+    addr = port = 0
+    for i in range(count):
+        if i:
+            addr_delta, zigzag = data[pos], data[pos + 1]
+            if addr_delta < 0x80 and zigzag < 0x80:
+                pos += 2
+            else:
+                addr_delta, pos = _get_uint(data, pos)
+                zigzag, pos = _get_uint(data, pos)
+            port_delta = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
+            if not addr_delta and port_delta <= 0:
+                raise CodecError("endpoint deltas not increasing")
+            addr += addr_delta
+            port += port_delta
+            if addr >> 32 or not 0 <= port <= 0xFFFF:
+                raise CodecError(f"endpoint out of range: {addr:#x}:{port}")
+        else:
+            first = data[pos : pos + 6]
+            if len(first) != 6:
+                raise CodecError("truncated endpoint set")
+            pos += 6
+            addr, port = divmod(int.from_bytes(first, "big"), 0x10000)
+        # The 7-byte wire form: 0, the address big-endian, the port little-endian.
+        wire = (addr << 16 | (port & 0xFF) << 8 | port >> 8).to_bytes(7, "big")
+        members.append(_ENDPOINTS.get(wire) or _get_endpoint(wire, 0)[0])
+    members.sort()
+    return tuple(members), pos
 
 
 #: Globals of every generated function: the helpers above, then each
@@ -281,7 +386,7 @@ _GENERATED: dict[str, Any] = {"CodecError": CodecError}
 for _helper in (
     _put_uint, _get_uint, _put_u64, _get_u64, _put_bool, _get_bool,
     _put_bitmap, _get_bitmap, _put_float, _get_float, _put_str, _get_str,
-    _put_endpoint, _get_endpoint,
+    _put_endpoint, _get_endpoint, _put_endpoints, _get_endpoints,
 ):
     _GENERATED[_helper.__name__[1:]] = _helper
 del _helper
@@ -345,6 +450,7 @@ _SCALARS: dict[Any, WireType] = {
     float: _call("f64", "float", 1.0),
     str: _call("str", "str", "x"),
     Endpoint: _ENDPOINT,
+    m.EndpointSet: _call("endpoint set", "endpoints", ()),
 }
 
 
@@ -453,17 +559,22 @@ def _nested(entry: WireClass) -> WireType:
     return WireType(name, enc, dec, entry.sample)
 
 
-def _hoisted(cls: type, pairs: tuple) -> WireType:
-    """A registered class without the fields its holder carries once.
+def _hoisted(cls: type, pairs: tuple, constants: tuple) -> WireType:
+    """A registered class without the fields its holder carries once and
+    the fields every element holds at one value.
 
-    ``pairs`` are ``(field, holder_field)``; the holder's value is read
+    ``pairs`` are ``(field, holder_field)``: the holder's value is read
     from the local its generated function already bound it to.
+    ``constants`` are ``(field, value)``, ``value`` a literal.
     """
     name = cls.__name__
     hints = typing.get_type_hints(cls, include_extras=True)
     names = tuple(f.name for f in dataclasses.fields(cls))
-    shared = dict(pairs)
-    parts = tuple((n, _wire_type(hints[n])) for n in names if n not in shared)
+    shared, pinned = dict(pairs), dict(constants)
+    parts = tuple(
+        (n, _wire_type(hints[n])) for n in names if n not in shared and n not in pinned
+    )
+    held = ", ".join(f"{n}={value!r}" for n, value in constants)
 
     def holder(src, field) -> str:
         try:
@@ -475,6 +586,9 @@ def _hoisted(cls: type, pairs: tuple) -> WireType:
         test = " or ".join(f"{v}.{n} != {holder(src, h)}" for n, h in pairs)
         differs = f"{name} {' or '.join(shared)} differs from its holder"
         src.emit(depth, f"if {test}: raise CodecError({differs!r})")
+        test = " or ".join(f"{v}.{n} != {value!r}" for n, value in constants)
+        differs = f"{name} does not hold {held}"
+        src.emit(depth, f"if {test}: raise CodecError({differs!r})")
         for n, wire in parts:
             part = src.local()
             src.emit(depth, f"{part} = {v}.{n}")
@@ -483,11 +597,12 @@ def _hoisted(cls: type, pairs: tuple) -> WireType:
     def dec(src, depth) -> str:
         values = {n: wire.dec(src, depth) for n, wire in parts}
         values.update((n, holder(src, h)) for n, h in pairs)
+        values.update((n, repr(value)) for n, value in constants)
         v = src.local()
         src.emit(depth, f"{v} = {name}({', '.join(values[n] for n in names)})")
         return v
 
-    label = f"{name} without {', '.join(shared)}"
+    label = f"{name} without {', '.join(shared)}; {held}"
     return WireType(label, enc, dec, _BY_CLASS[cls].sample)
 
 
@@ -503,7 +618,7 @@ def _wire_type(annotation: Any) -> WireType:
     if origin is typing.Annotated and isinstance(args[1], type):
         return _enum(args[1])
     if origin is typing.Annotated and args[0] in _BY_CLASS:
-        return _hoisted(args[0], args[1])
+        return _hoisted(*args)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
         return _sequence(_wire_type(args[0]))
     if origin is tuple and args:

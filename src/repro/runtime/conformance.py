@@ -79,8 +79,7 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
     "BatchedAlerts": lambda: m.BatchedAlerts(
         sender=_A,
         config_id=_CID,
-        alerts=(
-            _ALERT,
+        joins=(
             m.Alert(
                 observer=_A,
                 subject=_C,
@@ -91,6 +90,7 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
                 metadata=(("zone", "b"),),
             ),
         ),
+        removes=(_ALERT,),
     ),
     "PreJoinRequest": lambda: m.PreJoinRequest(_A, uuid=99),
     "PreJoinResponse": lambda: m.PreJoinResponse(

@@ -18,7 +18,13 @@ import math
 from array import array
 from typing import Any, Callable, Optional, Sequence
 
-from repro.core.messages import BatchedAlerts, ViewSnapshot, VoteBundle, VotePull
+from repro.core.messages import (
+    AlertKind,
+    BatchedAlerts,
+    ViewSnapshot,
+    VoteBundle,
+    VotePull,
+)
 from repro.core.node_id import Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
@@ -95,13 +101,24 @@ _SIZERS[VoteBundle] = lambda value: (
 _SIZERS[VotePull] = lambda value: _vote_bundle_size(value) + 2 + 8 * len(value.want)
 
 
+#: What the generic walk charges the fields a batched alert leaves out
+#: beyond its observer and view: the kind of a JOIN (6 B); the kind, the
+#: zero ``joiner_uuid`` and the empty ``metadata`` of a REMOVE (18 B).
+_JOIN_HOISTS = _SIZERS[str](AlertKind.JOIN)
+_REMOVE_HOISTS = _SIZERS[str](AlertKind.REMOVE) + _SIZERS[int](0) + _container_size(())
+
+
 def _batched_alerts_size(value) -> int:
     """Size a BatchedAlerts in its wire form: the batch names its sender and
     ``config_id`` once, and each alert goes without the ``observer`` (the
-    sender) and the 8-byte ``config_id`` the generic walk charges it."""
+    sender) and the 8-byte ``config_id`` the generic walk charges it, and
+    without its kind (its tuple names it); a REMOVE alert also goes
+    without its empty ``joiner_uuid`` and ``metadata``."""
     sender = _payload_size(value.sender)
-    hoisted = len(value.alerts) * (sender + 8)
-    return 2 + sender + 8 + _container_size(value.alerts) - hoisted
+    joins, removes = value.joins, value.removes
+    hoisted = (len(joins) + len(removes)) * (sender + 8)
+    hoisted += len(joins) * _JOIN_HOISTS + len(removes) * _REMOVE_HOISTS
+    return 2 + sender + 8 + _container_size(joins) + _container_size(removes) - hoisted
 
 
 _SIZERS[BatchedAlerts] = _batched_alerts_size

@@ -15,6 +15,7 @@ from repro.bench.runner import (
     CSV_HEADER,
     BenchRunner,
     CaseResult,
+    _scalars,
     build_report,
     case_rows,
     csv_hash,
@@ -404,6 +405,7 @@ class TestRows:
             "detection_latency": None,
             "faulty": ["10.0.0.2:5000"],  # list: skipped
             "mode": "gossip",  # string: skipped
+            "wire_parity": {"Probe": {"messages": 3, "ratio": 0.5}},  # table: skipped
         }
         rows = case_rows(CaseResult(spec, result=result, invariants={"checked": 7}))
         by_metric = {r[5]: r[6] for r in rows}
@@ -418,6 +420,19 @@ class TestRows:
         # A scenario's own count wins over the ledger's.
         own = CaseResult(spec, result={"invariant_checks": 2}, invariants={"checked": 7})
         assert case_rows(own)[0][5:] == ("invariant_checks", "2")
+
+    def test_a_record_keeps_tables_of_scalar_rows(self):
+        parity = {"Probe": {"messages": 3, "ratio": 0.5}, "Ack": {"ratio": None}}
+        kept = _scalars(
+            {
+                "wire_parity": parity,
+                "nested": {"a": {"b": {"c": 1}}},  # a row of a row: dropped
+                "flat": {"a": 1},  # not rows: dropped
+                "harness": object(),
+            }
+        )
+        assert kept == {"wire_parity": parity}
+        assert kept["wire_parity"]["Probe"] is not parity["Probe"]
 
     def test_csv_shape(self):
         spec = BenchSpec("bootstrap", "rapid", 8, seed=2)

@@ -67,11 +67,20 @@ VERSION_4_BATCH = (
     "0307000000000000000000007f000001a10f007f000001a30f0088796a5b4c3d2e1f01"
     "01090000000000000001047a6f6e650162"
 )
-#: ``wire_size`` of every exemplar at wire version 4.  Version 5 moved only
-#: BatchedAlerts (198): its two alerts dropped 13 + 8 B each, the batch
-#: gained its 8-byte ``config_id``.
-VERSION_4_SIZES = {
-    "Alert": 108, "BatchedAlerts": 198, "Change": 57, "Decision": 61,
+#: The committed version-5 vector of the BatchedAlerts exemplar: every
+#: alert named its kind, and the REMOVE its zero uuid and empty metadata.
+VERSION_5_BATCH = (
+    "0506007f000001a10f88796a5b4c3d2e1f02007f000001a20f0103000307000000"
+    "000000000000007f000001a30f000101090000000000000001047a6f6e650162"
+)
+#: And of the ViewSnapshot exemplar: three members at 7 B each.
+VERSION_5_SNAPSHOT = (
+    "050a03007f000001a10f007f000001a20f007f000001a30f030b00000000000000"
+    "160000000000000021000000000000000401007f000001a20f01047a6f6e650161"
+)
+#: ``wire_size`` of every exemplar at wire version 5.
+VERSION_5_SIZES = {
+    "Alert": 108, "BatchedAlerts": 164, "Change": 57, "Decision": 61,
     "Endpoint": 33, "HttpRequest": 67, "HttpResponse": 51, "JoinRequest": 72,
     "JoinResponse": 172, "LeaveNotification": 51, "NotSerializer": 64,
     "Phase1a": 69, "Phase1b": 149, "Phase2a": 131, "Phase2b": 77,
@@ -80,6 +89,10 @@ VERSION_4_SIZES = {
     "ViewResponse": 71, "ViewSnapshot": 135, "ViewUpdate": 105, "VoteBundle": 73,
     "VotePull": 81, "WriteAck": 59, "WriteRequest": 83,
 }
+#: Version 6 moved two: the batch's REMOVE alert dropped its kind, uuid and
+#: metadata (18), its JOIN alert its kind (6), and the batch gained its
+#: second tuple (2); a ViewUpdate gained its (empty) metadata table (2).
+VERSION_6_SIZES = {**VERSION_5_SIZES, "BatchedAlerts": 142, "ViewUpdate": 107}
 
 
 # ------------------------------------------------------------ pinned format
@@ -159,6 +172,11 @@ def test_hostile_lengths_are_refused_before_any_allocation():
 def test_non_canonical_encodings_are_refused():
     probe = body("Probe") + _A_WIRE + _CID
     ack = body("ProbeAck") + _A_WIRE + _CID
+    snapshot = body("ViewSnapshot")
+    rest = b"\x00\x00\x00"  # no uuids, seq 0, no metadata
+    batch = body("BatchedAlerts") + _A_WIRE + _CID
+    subject = b"\x00\x0a\x00\x00\x01\x88\x13"  # 10.0.0.1:5000
+    ten_5000 = b"\x0a\x00\x00\x01\x13\x88"  # a set's first member, 10.0.0.1:5000
     for data in (
         probe + b"\x80\x00",  # 0 as a padded varint
         probe + b"\xff" * 10 + b"\x01",  # an eleven-byte varint
@@ -169,7 +187,24 @@ def test_non_canonical_encodings_are_refused():
         body("NotSerializer") + _A_WIRE + b"\x01\x02",  # presence byte 2
         body("Change") + _A_WIRE + b"\x02" + _CID,  # AlertKind index 2
         body("VoteBundle") + _A_WIRE + _CID + b"\x00\x01\x02\x01\x00",  # bitmap 0x0001
-        b"\x06" + probe[1:] + b"\x01",  # a future wire version
+        # endpoint sets: 10.0.0.1:5000 then a zero delta (itself again), a
+        # negative port delta (5000 then 4999 on one host), a dotted quad
+        # sent plain, host names out of order or twice, an address past
+        # 2**32, a port past 65535, and a first member cut short
+        snapshot + b"\x04" + ten_5000 + b"\x00\x00" + rest,
+        snapshot + b"\x04" + ten_5000 + b"\x00\x01" + rest,
+        snapshot + b"\x03" + subject + rest,
+        snapshot + b"\x05\x01b\x01\x01a\x01" + rest,  # plain, out of order: b:1, a:1
+        snapshot + b"\x05\x01a\x01\x01a\x01" + rest,  # plain, a:1 twice
+        snapshot + b"\x04\xff\xff\xff\xff\x00\x00\x01\x00" + rest,
+        snapshot + b"\x04\x00\x00\x00\x00\xff\xff\x00\x02" + rest,
+        snapshot + b"\x02\x0a\x00\x00\x01\x13",
+        # a REMOVE alert with a uuid, with metadata, and a JOIN alert (its
+        # uuid and metadata) in ``removes``: what follows its rings is left over
+        batch + b"\x00\x01" + subject + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0)),
+        batch + b"\x00\x01" + subject + b"\x01\x00\x01\x01a\x01b",
+        batch + b"\x00\x01" + subject + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0, 0)),
+        b"\x07" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
         # retired: delta-encoded join answers (the committed version-3
@@ -179,8 +214,11 @@ def test_non_canonical_encodings_are_refused():
             "6e6501610000000000000000"
         ),
         # retired: alerts that name their observer and view each (the
-        # committed version-4 BatchedAlerts)
+        # committed version-4 BatchedAlerts), alerts that name their kind
+        # and plain member lists (the committed version-5 vectors)
         bytes.fromhex(VERSION_4_BATCH),
+        bytes.fromhex(VERSION_5_BATCH),
+        bytes.fromhex(VERSION_5_SNAPSHOT),
         HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
@@ -190,6 +228,19 @@ def test_non_canonical_encodings_are_refused():
         with pytest.raises(codec.CodecError):
             codec.decode_bytes(data)
     assert codec.decode_bytes(probe + b"\x00") == m.Probe(_A, 0, 0)
+    # The well-formed neighbours of the refused sets and alerts decode.
+    ten, ten_5001 = Endpoint("10.0.0.1", 5000), Endpoint("10.0.0.1", 5001)
+    for data, members in (
+        (snapshot + b"\x04" + ten_5000 + b"\x00\x02", (ten, ten_5001)),
+        (snapshot + b"\x02" + bytes(6), (Endpoint("0.0.0.0", 0),)),
+        (snapshot + b"\x02" + b"\xff" * 6, (Endpoint("255.255.255.255", 65535),)),
+        (snapshot + b"\x00", ()),
+        (snapshot + b"\x05\x01a\x01\x01b\x01", (Endpoint("a", 1), Endpoint("b", 1))),
+    ):
+        assert decode_or_refuse(data + rest) == m.ViewSnapshot(members)
+    removal = m.Alert(_A, ten, m.AlertKind.REMOVE, 0, (0,))
+    decoded = decode_or_refuse(batch + b"\x00\x01" + subject + b"\x01\x00")
+    assert decoded == m.BatchedAlerts(_A, 0, removes=(removal,))
 
 
 def test_old_json_datagrams_are_refused_not_misread():
@@ -207,49 +258,81 @@ def test_old_json_datagrams_are_refused_not_misread():
 
 
 def _batch(alerts, sender=_A, config_id=7):
-    return m.BatchedAlerts(sender, config_id, tuple(alerts))
+    alerts = tuple(alerts)
+    return m.BatchedAlerts(
+        sender,
+        config_id,
+        joins=tuple(a for a in alerts if a.kind == m.AlertKind.JOIN),
+        removes=tuple(a for a in alerts if a.kind == m.AlertKind.REMOVE),
+    )
 
 
-def _alert(subject, observer=_A, config_id=7, **fields):
-    return m.Alert(observer, subject, m.AlertKind.REMOVE, config_id, **fields)
+def _alert(subject, observer=_A, config_id=7, kind=m.AlertKind.REMOVE, **fields):
+    return m.Alert(observer, subject, kind, config_id, **fields)
 
 
-def test_a_batch_names_its_observer_and_view_once():
+def _join(subject, uuid=5, **fields):
+    return _alert(subject, kind=m.AlertKind.JOIN, joiner_uuid=uuid, **fields)
+
+
+def test_a_batch_names_its_observer_view_and_kinds_once():
     subjects = [endpoint_for(i) for i in range(1, 4)]
-    batch = _batch(_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects))
+    removes = [_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects)]
+    joins = [_join(endpoint_for(9), ring_numbers=(0, 4), metadata=(("zone", "a"),))]
+    batch = _batch(removes + joins)
     data = codec.encode_bytes(batch)
-    alone = [codec.encode_bytes(alert) for alert in batch.alerts]
+    alone = [codec.encode_bytes(alert) for alert in removes + joins]
     # Each alert loses its 7-byte observer and 8-byte config_id (and its
-    # own two-byte header); the batch adds its config_id once.
-    assert len(data) == 2 + 7 + 8 + 1 + sum(len(a) - 2 - 7 - 8 for a in alone)
+    # own two-byte header) and its kind byte; a REMOVE its 8-byte zero uuid
+    # and its empty metadata's count too.  The batch adds its config_id
+    # once and a count per tuple.
+    hoisted = 2 + 7 + 8 + 1
+    assert len(data) == 2 + 7 + 8 + 2 + sum(len(a) - hoisted for a in alone) - 9 * 3
+    assert [len(a) - hoisted - 9 for a in alone[:3]] == [9, 9, 9]  # subject, rings
     assert data[2:17] == _A_WIRE + (7).to_bytes(8, "little")
     decoded = decode_or_refuse(data)
     assert decoded == batch
-    assert all(a.observer is decoded.sender for a in decoded.alerts)
+    alerts = decoded.joins + decoded.removes
+    assert all(a.observer is decoded.sender for a in alerts)
     assert decode_or_refuse(codec.encode_bytes(_batch(()))) == _batch(())
     assert codec.wire_classes()["BatchedAlerts"].layout == (
         ("sender", "endpoint"),
         ("config_id", "u64"),
-        ("alerts", "tuple<Alert without observer, config_id>"),
+        ("joins", "tuple<Alert without observer, config_id; kind='join'>"),
+        (
+            "removes",
+            "tuple<Alert without observer, config_id; "
+            "kind='remove', joiner_uuid=0, metadata=()>",
+        ),
     )
 
 
-def test_a_foreign_alert_in_a_batch_is_refused_not_rewritten():
-    other = Endpoint("127.0.0.1", 4002)
+def test_a_foreign_or_misfiled_alert_in_a_batch_is_refused_not_rewritten():
+    other, ok = Endpoint("127.0.0.1", 4002), _alert(endpoint_for(1))
     for foreign in (_alert(other, observer=other), _alert(other, config_id=8)):
         with pytest.raises(codec.CodecError, match="differs from its holder"):
-            codec.encode_bytes(_batch((_alert(endpoint_for(1)), foreign)))
+            codec.encode_bytes(_batch((ok, foreign)))
+    for removes, joins in (
+        ((ok, _alert(other, joiner_uuid=3)), ()),  # a REMOVE names a joiner
+        ((ok, _alert(other, metadata=(("zone", "a"),))), ()),  # or its role
+        ((ok, _join(other)), ()),  # a JOIN among the removals
+        ((), (ok,)),  # a REMOVE among the joins
+    ):
+        with pytest.raises(codec.CodecError, match="does not hold kind="):
+            codec.encode_bytes(m.BatchedAlerts(_A, 7, joins, removes))
 
 
 def test_a_batch_is_sized_without_what_it_hoists():
-    """A batch of n alerts costs what the generic walk charged at version 4,
-    less each alert's observer and config_id, plus one config_id."""
+    """A batch of alerts costs what the generic walk charged at version 4,
+    less each alert's observer and config_id (version 5) and kind, and
+    a REMOVE's zero uuid and empty metadata, plus one config_id and one
+    more tuple (version 6)."""
     observer = Endpoint("node-12.rack-3", 7000)
     for n in (0, 1, 5):
         alerts = [
             _alert(endpoint_for(i), observer=observer, ring_numbers=(i, i + 1))
             for i in range(n)
-        ]
+        ] + [_join(endpoint_for(100 + i), observer=observer) for i in range(n // 2)]
         version_4 = (
             network.wire_size(observer)  # the header and the sender
             + 2  # the batch
@@ -257,13 +340,83 @@ def test_a_batch_is_sized_without_what_it_hoists():
             + sum(network.wire_size(a) - 28 for a in alerts)
         )
         per_alert = 4 + len(observer.host) + 8
+        version_5 = version_4 - len(alerts) * per_alert + 8
         batch = _batch(alerts, sender=observer)
-        assert network.wire_size(batch) == version_4 - n * per_alert + 8
+        kinds = 6 * len(batch.joins) + (8 + 8 + 2) * len(batch.removes)
+        assert network.wire_size(batch) == version_5 - kinds + 2
 
 
-def test_only_the_batch_moved_its_simulated_size():
+def test_the_batch_and_the_view_update_moved_their_simulated_size():
     sizes = {name: network.wire_size(sample_message(name)) for name in NAMES}
-    assert sizes == {**VERSION_4_SIZES, "BatchedAlerts": 198 - 2 * (13 + 8) + 8}
+    assert sizes == VERSION_6_SIZES
+    assert VERSION_6_SIZES["BatchedAlerts"] == 164 - 18 - 6 + 2
+
+
+# ------------------------------------------------------------ endpoint sets
+
+
+def _members(pattern, n):
+    """``n`` members in :class:`Endpoint` order, as a view holds them."""
+    make = {
+        "sim": endpoint_for,  # 10.0.x.y:5000
+        "live": lambda i: Endpoint("127.0.0.1", 40000 + i),  # one host, base + i
+        "hosts": lambda i: Endpoint(f"node-{i}.rack-{i % 7}", 7000 + i % 3),
+        # far apart, and a port that falls as often as it rises
+        "spread": lambda i: Endpoint(f"10.{i % 256}.{i // 256}.1", 9000 - 37 * (i % 50)),
+    }[pattern]
+    return tuple(sorted(make(i) for i in range(n)))
+
+
+@pytest.mark.parametrize("pattern", ["sim", "live", "hosts", "spread"])
+@pytest.mark.parametrize("n", [1, 2, 512])
+def test_an_endpoint_set_round_trips_in_endpoint_order(pattern, n):
+    members = _members(pattern, n)
+    uuids = tuple(range(n, 0, -1))
+    for msg in (
+        m.ViewSnapshot(members, uuids, seq=n),
+        m.ViewUpdate(_A, 9, members, uuids),
+    ):
+        decoded = decode_or_refuse(codec.encode_bytes(msg))
+        assert decoded == msg
+        assert dict(zip(decoded.members, decoded.uuids)) == dict(zip(members, uuids))
+    data = codec.encode_bytes(m.ViewSnapshot(members))
+    size = len(data) - 2 - 3  # less the header and the three empty fields
+    if pattern == "hosts":  # plain: a count and each endpoint in full
+        count = 1 if 2 * n + 1 < 0x80 else 2
+        assert size == count + sum(len(codec.encode_bytes(ep)) - 2 for ep in members)
+    elif pattern != "spread":  # a count, the first address and port, then 2 B a member
+        assert size == (1 if 2 * n < 0x80 else 2) + 6 + 2 * (n - 1)
+
+
+def test_a_member_list_that_is_not_in_endpoint_order_is_refused():
+    """The wire carries members in numeric order and the uuids as they
+    are: only a list the decoder's sort restores can keep them aligned."""
+    unsorted = (Endpoint("10.0.0.2", 1), Endpoint("10.0.0.10", 1))  # numeric order
+    for members in (unsorted, (_A, _A), (Endpoint("b", 1), Endpoint("a", 1))):
+        with pytest.raises(codec.CodecError, match="not sorted and distinct"):
+            codec.encode_bytes(m.ViewSnapshot(members))
+    # A mixed set goes plain, in Endpoint order.
+    mixed = (Endpoint("10.0.0.1", 5), Endpoint("db", 5))
+    data = codec.encode_bytes(m.ViewSnapshot(mixed))
+    assert data[2] == 2 * 2 + 1
+    assert decode_or_refuse(data).members == mixed
+
+
+def test_a_join_response_prices_a_member_at_about_ten_bytes():
+    """A 7-byte endpoint and an 8-byte uuid per member at version 5; the
+    uuid and about 2 B at version 6."""
+    for n, bound, version_5 in ((512, 5_300, 7_733), (2048, 21_000, 30_747)):
+        members = _members("sim", n)
+        uuids = tuple(random.Random(7).getrandbits(64) for _ in members)
+        response = m.JoinResponse(
+            members[0],
+            status=m.JoinStatus.SAFE_TO_JOIN,
+            config_id=2**64 - 1,
+            view=m.ViewSnapshot(members=members, uuids=uuids, seq=n - 1),
+        )
+        data = codec.encode_bytes(response)
+        assert len(data) + 28 <= bound < version_5
+        assert codec.decode_bytes(data) == response
 
 
 @pytest.mark.parametrize("system", ["rapid", "rapid-c"])
@@ -272,7 +425,8 @@ def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
     a protocol path that batched an alert from another observer or view
     would pass every simulated test and fail only on sockets.  So tap one
     harness's fabric through a bootstrap, a join and a crash, and
-    round-trip every message it was handed."""
+    round-trip every message it was handed, and check that the simulator
+    charged it no less than its datagram."""
     harness = harness_for(system, seed=1)
     fabric, sent = harness.network, []
     send, broadcast = fabric.send, fabric.broadcast
@@ -297,24 +451,13 @@ def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
     classes = {type(msg).__name__ for msg in sent}
     assert {"BatchedAlerts", "JoinResponse", "Probe"} <= classes
     for msg in sent:
-        assert codec.decode_bytes(codec.encode_bytes(msg)) == msg
+        data = codec.encode_bytes(msg)
+        assert codec.decode_bytes(data) == msg
+        # The simulator's sizer stays an upper bound on every message sent.
+        assert network.wire_size(msg) >= len(data) + 28, msg
 
 
 # --------------------------------------------------------------- value range
-
-
-def test_a_2048_member_join_response_fits_one_datagram():
-    members = tuple(sorted(endpoint_for(i) for i in range(2048)))
-    uuids = tuple(random.Random(7).getrandbits(64) for _ in members)
-    response = m.JoinResponse(
-        members[0],
-        status=m.JoinStatus.SAFE_TO_JOIN,
-        config_id=2**64 - 1,
-        view=m.ViewSnapshot(members=members, uuids=uuids, seq=2047),
-    )
-    data = codec.encode_bytes(response)
-    assert len(data) < 32 * 1024
-    assert codec.decode_bytes(data) == response
 
 
 def test_bitmaps_are_as_wide_as_the_view_and_floats_are_lossless():
@@ -445,7 +588,7 @@ def test_registration_refuses_what_it_cannot_put_on_the_wire(scratch_registry):
 
     @dataclasses.dataclass(frozen=True)
     class Orphans:
-        alerts: tuple[m.BatchedAlert, ...]
+        alerts: tuple[m.BatchedRemove, ...]
 
     for cls, tag in (
         (Loose, 0xF1),  # no encoding for `object`

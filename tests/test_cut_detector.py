@@ -367,7 +367,10 @@ def deliver(changer, alerts, batched):
     """The same alerts as one ``BatchedAlerts`` per view or one call each."""
     if batched:
         for config_id, run in groupby(alerts, key=lambda alert: alert.config_id):
-            changer.on_alerts(ME, BatchedAlerts(ME, config_id, tuple(run)))
+            run = tuple(run)
+            joins = tuple(alert for alert in run if alert.kind == JOIN)
+            removes = tuple(alert for alert in run if alert.kind == REMOVE)
+            changer.on_alerts(ME, BatchedAlerts(ME, config_id, joins, removes))
     else:
         for alert in alerts:
             changer.on_alert(alert)

@@ -20,11 +20,11 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.events import NodeStatus
-from repro.core.messages import JoinResponse, JoinStatus
+from repro.core.messages import JoinResponse, JoinStatus, ViewUpdate
 from repro.core.join import JoinProtocol
 from repro.core.node_id import Endpoint, NodeId
 from repro.core.settings import RapidSettings
-from repro.experiments.harness import RapidHarness
+from repro.experiments.harness import RapidCHarness, RapidHarness
 from repro.sim.cluster import endpoint_for
 from repro.sim.faults import Loss
 from repro.sim.network import Network, wire_size
@@ -234,6 +234,41 @@ class TestRoleMetadata:
         for agent in cluster.agents.values():
             roles = {ep: meta for ep, meta in agent.metadata_store.items() if meta}
             assert roles == {backend: role}, agent.addr
+
+
+    def test_rapid_c_hands_a_joiners_role_to_members_in_its_view_updates(self):
+        """Rapid-C: the ensemble files the role from the JOIN alerts it
+        decides on, and its ViewUpdate carries the view's table to the
+        members that learn the view that way; a departure takes the role
+        with it."""
+        cluster = RapidCHarness(seed=1)
+        updates = []
+        broadcast = cluster.network.broadcast
+
+        def tap(src, dsts, msg):
+            if type(msg) is ViewUpdate:
+                updates.extend((dst, msg) for dst in dsts)
+            broadcast(src, dsts, msg)
+
+        cluster.network.broadcast = tap
+        endpoints = cluster.bootstrap(6, seed_delay=2.0, stagger=1.0)
+        assert cluster.run_until_converged(6, timeout=120.0) is not None
+        backend, role = endpoint_for(20), {"role": "backend"}
+        cluster.add_node(backend, seeds=endpoints[:1], metadata=role)
+        assert cluster.run_until_converged(7, timeout=120.0) is not None
+        for server in cluster.ensemble:
+            assert server.metadata_store == {backend: role}
+        told = {dst for dst, msg in updates if backend in msg.members}
+        assert told == set(endpoints)
+        assert all(msg.metadata == ((backend, (("role", "backend"),)),)
+                   for dst, msg in updates if backend in msg.members)
+        for ep in endpoints:
+            assert cluster.agents[ep].metadata_store.get(backend) == role
+        cluster.crash([backend])
+        assert cluster.run_until_converged(6, timeout=120.0) is not None
+        for ep in endpoints:
+            assert backend not in cluster.agents[ep].metadata_store
+        assert all(server.metadata_store == {} for server in cluster.ensemble)
 
 
 class TestTamperedResponses:

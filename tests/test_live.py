@@ -236,7 +236,8 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     ids; a peer still speaking it is counted and ignored, never read as
     a vote for ids made of its proposal bytes.  Version 2 did the same in
     ``Phase2b``, which version 3 also names by id.  Version 4 named the
-    observer and view in each alert of a batch, which version 5 names once."""
+    observer and view in each alert of a batch, which version 5 names once;
+    version 5 named each alert's kind, which version 6 files by tuple."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -253,12 +254,15 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         "0406007f000001a10f02007f000001a10f007f000001a20f0188796a5b4c3d2e1f"
         "03000307000000000000000000007f000001a10f007f000001a30f0088796a5b4c"
         "3d2e1f0101090000000000000001047a6f6e650162",
+        # The committed version-5 vector of a BatchedAlerts.
+        "0506007f000001a10f88796a5b4c3d2e1f02007f000001a20f0103000307000000"
+        "000000000000007f000001a30f000101090000000000000001047a6f6e650162",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 5
+    assert codec.WIRE_VERSION == 6
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():
@@ -282,7 +286,8 @@ class _RecordingTransport:
 
 
 def _oversized_join_response():
-    members = tuple(endpoint_for(i) for i in range(5000))
+    # About 10 B a member on the wire: 8,000 outgrow a datagram.
+    members = tuple(sorted(endpoint_for(i) for i in range(8000)))
     view = messages.ViewSnapshot(members=members, uuids=(1,) * len(members))
     return messages.JoinResponse(
         members[0], messages.JoinStatus.SAFE_TO_JOIN, config_id=1, view=view
@@ -587,5 +592,7 @@ def test_live_bench_case_records_wire_parity():
     assert 0.25 <= case.result["sim_estimate_ratio"] <= 1.0
     assert case.result["decode_errors"] == 0
     assert case.result["send_errors"] == 0
+    row = case.result["wire_parity"]["JoinResponse"]
+    assert row["messages"] > 0 and 0.25 <= row["ratio"] <= 1.0, row
     assert case.messages["sent"] > 0
     assert case.virtual_s > 0

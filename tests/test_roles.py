@@ -769,8 +769,22 @@ class TestCompositions:
 
             monkeypatch.setattr(cls, "__init__", counting)
         harness = harness_for("rapid-c", seed=1)
+        admitted_by = set()
+        fabric = harness.network
+        send, broadcast = fabric.send, fabric.broadcast
+
+        def tap(src, msg):
+            if type(msg) is JoinResponse and msg.status == JoinStatus.SAFE_TO_JOIN:
+                admitted_by.add(src)
+
+        monkeypatch.setattr(fabric, "send", lambda s, d, m: (tap(s, m), send(s, d, m)))
+        monkeypatch.setattr(
+            fabric, "broadcast", lambda s, ds, m: (tap(s, m), broadcast(s, ds, m))
+        )
         endpoints = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
         assert harness.run_until_converged(8, timeout=120.0) is not None
+        # The ensemble that admits a joiner answers it; its observers do not.
+        assert admitted_by == set(harness.ensemble_endpoints)
         # Every consensus instance and cut detector of the run was built by
         # an ensemble member: one of each per view it served.
         ensemble = set(harness.ensemble_endpoints)
