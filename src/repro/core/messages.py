@@ -129,8 +129,10 @@ class Probe:
 
     ``seq`` is the observer's wheel-tick counter, shared by every probe
     sent in the same tick — one frozen message object fans out to all of
-    the tick's subjects.  It identifies the *probe round* at the observer;
-    acks do not echo it (see :class:`ProbeAck`).
+    the tick's subjects.  Nothing reads it: a subject answers with a
+    :class:`ProbeAck` that does not echo it, and an observer matches an
+    ack by its sender.  It stays only because ``benchmarks/kernels.py``
+    builds probes with it, until ROADMAP item 7 (i) drops it.
     """
 
     sender: Endpoint
@@ -183,14 +185,19 @@ class Alert:
 #: alert field here is carried once, as the paired field of the batch.
 _FROM_BATCH = (("observer", "sender"), ("config_id", "config_id"))
 #: A JOIN alert of a batch: it goes without what the batch names and
-#: without its kind.
-BatchedJoin = Annotated[Alert, _FROM_BATCH, (("kind", AlertKind.JOIN),)]
-#: A REMOVE alert of a batch: its subject and its rings.  A removal has no
-#: joiner, so its ``joiner_uuid`` and ``metadata`` are pinned empty too.
+#: without its kind, and its subject travels in the column of its tuple's
+#: subjects, in the order the alerts were raised: of dotted quads, the
+#: first 6 B and each later one a zigzag address and port delta from the
+#: one before (about 3 B instead of 7); of any other hosts, plain.
+BatchedJoin = Annotated[Alert, _FROM_BATCH, (("kind", AlertKind.JOIN),), "subject"]
+#: A REMOVE alert of a batch: its subject, in its tuple's column, and its
+#: rings.  A removal has no joiner, so its ``joiner_uuid`` and ``metadata``
+#: are pinned empty too.
 BatchedRemove = Annotated[
     Alert,
     _FROM_BATCH,
     (("kind", AlertKind.REMOVE), ("joiner_uuid", 0), ("metadata", ())),
+    "subject",
 ]
 
 

@@ -33,6 +33,13 @@ annotation             wire form
 ``Optional[T]``        1 B presence, then ``T`` if present
 a registered class     its fields, back to back
 a hoisting annotation  a registered class without what it hoists (below)
+a tuple of a class     varint ``2 * count + plain``, then the column: of
+with a column          dotted quads, the first as 4 B IPv4 + 2 B port
+                       big-endian and each later one as a zigzag varint
+                       address delta and a zigzag varint port delta from
+                       the one before, in element order; of any other
+                       hosts (``plain`` = 1), as endpoints; then each
+                       element without its column field
 =====================  ====================================================
 
 A hoisting annotation, ``Annotated[C, ((field, holder_field), ...),
@@ -41,11 +48,16 @@ which the holding message carries once as a ``holder_field`` declared
 before the elements, and each ``field`` of the second tuple, which every
 element holds at ``constant``: the encoder refuses an element
 whose ``field`` differs (it never rewrites one), the decoder fills the
-holder's value or the constant in.  A :class:`repro.core.messages.BatchedAlerts`
+holder's value or the constant in.  A fourth part, an ``Endpoint``
+field's name, sends that field of a tuple's elements as one column
+ahead of them (a hoisting annotation with a column travels only as the
+element of a tuple).  A :class:`repro.core.messages.BatchedAlerts`
 is the one holder: its alerts go without the observer and view it names,
 a JOIN alert without its kind (:data:`~repro.core.messages.BatchedJoin`)
 and a REMOVE alert without its kind and its empty joiner fields
 (:data:`~repro.core.messages.BatchedRemove`): its subject and its rings.
+Each tuple's subjects travel as its column, in the order the alerts were
+raised, so a receiver tallies them in that order.
 
 An ``EndpointSet`` (``ViewSnapshot.members``, ``ViewUpdate.members``) is
 sorted and distinct in :class:`Endpoint` order both in memory and after
@@ -54,8 +66,8 @@ decoding, whatever order the wire uses, so a field aligned with it (the
 
 Every value has exactly one encoding and the decoder refuses the others
 (padded varints, a dotted quad sent as a host name, a bitmap with a zero
-top byte, an endpoint set out of order, or plain when every host is a
-dotted quad), so ``encode_bytes(decode_bytes(b)) == b`` for every ``b``
+top byte, an endpoint set out of order, or a set or a column sent plain
+when every host is a dotted quad), so ``encode_bytes(decode_bytes(b)) == b`` for every ``b``
 that decodes.  :func:`decode_bytes` raises :class:`CodecError` and nothing else:
 truncation, trailing bytes, an unknown version or tag, an out-of-range
 enum, a count that outruns the buffer and an oversized payload are all
@@ -97,7 +109,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 6
+WIRE_VERSION = 7
 
 
 class CodecError(ValueError):
@@ -305,24 +317,31 @@ def _keys(endpoints) -> list:
         return [endpoint._key for endpoint in endpoints]
 
 
-def _put_endpoints(value, out) -> None:
-    """Append the wire form of an endpoint set (see the module docstring)."""
-    if not all(map(operator.lt, value, value[1:])):
-        raise CodecError("endpoint set not sorted and distinct")
-    keys = _keys(value)
+def _put_list(endpoints, out, ordered: bool) -> None:
+    """Append ``endpoints`` as varint ``2 * count + plain``, then, when every
+    host is a dotted quad, the first as 4 B address and 2 B port big-endian
+    and each later one as a varint address delta and a zigzag varint port
+    delta from the one before it; otherwise (``plain``) the endpoints
+    whole.  An ``ordered`` list (a set) goes in numeric order with a
+    non-negative address delta; any other keeps its order and zigzags the
+    address delta too."""
+    keys = _keys(endpoints)
     if None in keys:  # a host that is no dotted quad
         _put_uint(2 * len(keys) + 1, out)
-        for endpoint in value:
+        for endpoint in endpoints:
             out += endpoint._wire
         return
     _put_uint(2 * len(keys), out)
     if not keys:
         return
-    keys.sort()
+    if ordered:
+        keys.sort()
     last = keys[0]
     out += last.to_bytes(6, "big")
     for key in keys[1:]:
         addr_delta = (key >> 16) - (last >> 16)
+        if not ordered:
+            addr_delta = addr_delta << 1 if addr_delta >= 0 else ~addr_delta << 1 | 1
         port_delta = (key & 0xFFFF) - (last & 0xFFFF)
         zigzag = port_delta << 1 if port_delta >= 0 else ~port_delta << 1 | 1
         if addr_delta < 0x80 and zigzag < 0x80:
@@ -333,7 +352,8 @@ def _put_endpoints(value, out) -> None:
         last = key
 
 
-def _get_endpoints(data, pos):
+def _get_list(data, pos, ordered: bool):
+    """The endpoints :func:`_put_list` appended, in wire order."""
     head, pos = _get_uint(data, pos)
     count = head >> 1
     if count > len(data) - pos:
@@ -346,10 +366,10 @@ def _get_endpoints(data, pos):
             endpoint, pos = _get_endpoint(data, pos)
             members.append(endpoint)
         if not plain:
-            raise CodecError("a set of dotted quads sent plain")
-        if not all(map(operator.lt, members, members[1:])):
+            raise CodecError("endpoints of dotted quads sent plain")
+        if ordered and not all(map(operator.lt, members, members[1:])):
             raise CodecError("endpoint set not sorted and distinct")
-        return tuple(members), pos
+        return members, pos
     addr = port = 0
     for i in range(count):
         if i:
@@ -360,8 +380,13 @@ def _get_endpoints(data, pos):
                 addr_delta, pos = _get_uint(data, pos)
                 zigzag, pos = _get_uint(data, pos)
             port_delta = -(zigzag >> 1) - 1 if zigzag & 1 else zigzag >> 1
-            if not addr_delta and port_delta <= 0:
-                raise CodecError("endpoint deltas not increasing")
+            if ordered:
+                if not addr_delta and port_delta <= 0:
+                    raise CodecError("endpoint deltas not increasing")
+            elif addr_delta & 1:
+                addr_delta = -(addr_delta >> 1) - 1
+            else:
+                addr_delta >>= 1
             addr += addr_delta
             port += port_delta
             if addr >> 32 or not 0 <= port <= 0xFFFF:
@@ -369,14 +394,36 @@ def _get_endpoints(data, pos):
         else:
             first = data[pos : pos + 6]
             if len(first) != 6:
-                raise CodecError("truncated endpoint set")
+                raise CodecError("truncated first endpoint")
             pos += 6
             addr, port = divmod(int.from_bytes(first, "big"), 0x10000)
         # The 7-byte wire form: 0, the address big-endian, the port little-endian.
         wire = (addr << 16 | (port & 0xFF) << 8 | port >> 8).to_bytes(7, "big")
         members.append(_ENDPOINTS.get(wire) or _get_endpoint(wire, 0)[0])
-    members.sort()
+    if ordered:
+        members.sort()
+    return members, pos
+
+
+def _put_endpoints(value, out) -> None:
+    """Append the wire form of an endpoint set (see the module docstring)."""
+    if not all(map(operator.lt, value, value[1:])):
+        raise CodecError("endpoint set not sorted and distinct")
+    _put_list(value, out, True)
+
+
+def _get_endpoints(data, pos):
+    members, pos = _get_list(data, pos, True)
     return tuple(members), pos
+
+
+def _put_column(value, out) -> None:
+    """Append the subjects of a tuple of alerts, in the order raised."""
+    _put_list(value, out, False)
+
+
+def _get_column(data, pos):
+    return _get_list(data, pos, False)
 
 
 #: Globals of every generated function: the helpers above, then each
@@ -387,6 +434,7 @@ for _helper in (
     _put_uint, _get_uint, _put_u64, _get_u64, _put_bool, _get_bool,
     _put_bitmap, _get_bitmap, _put_float, _get_float, _put_str, _get_str,
     _put_endpoint, _get_endpoint, _put_endpoints, _get_endpoints,
+    _put_column, _get_column,
 ):
     _GENERATED[_helper.__name__[1:]] = _helper
 del _helper
@@ -417,13 +465,16 @@ class WireType(NamedTuple):
     ``out``; ``dec(src, depth)`` emits statements that read from ``data``
     at ``pos``, advance ``pos``, and returns the local holding the value.
     ``label`` is the layout-table text and ``sample`` a small well-typed
-    value.
+    value.  ``column`` names the field of an element that its enclosing
+    tuple sends as one column: ``enc`` leaves it out and ``dec`` takes
+    the local holding it as a third argument.
     """
 
     label: str
     enc: Callable[[_Source, int, str], None]
-    dec: Callable[[_Source, int], str]
+    dec: Callable[..., str]
     sample: Any
+    column: str = ""
 
 
 def _call(label: str, helper: str, sample: Any) -> WireType:
@@ -480,6 +531,9 @@ def _enum(constants: type) -> WireType:
 
 
 def _sequence(item: WireType) -> WireType:
+    if item.column:
+        return _columned(item)
+
     def enc(src, depth, v) -> None:
         element = src.local()
         src.emit(depth, f"put_uint(len({v}), out)", f"for {element} in {v}:")
@@ -502,6 +556,37 @@ def _sequence(item: WireType) -> WireType:
         return v
 
     return WireType(f"tuple<{item.label}>", enc, dec, ())
+
+
+def _columned(item: WireType) -> WireType:
+    """A tuple whose elements' ``item.column`` endpoints travel first, as
+    one endpoint column in element order (its head is the tuple's count),
+    and the rest of each element after it."""
+    column = item.column
+
+    def enc(src, depth, v) -> None:
+        element = src.local()
+        src.emit(
+            depth,
+            f"put_column([{element}.{column} for {element} in {v}], out)",
+            f"for {element} in {v}:",
+        )
+        item.enc(src, depth + 1, element)
+
+    def dec(src, depth) -> str:
+        values, value, v = src.local(), src.local(), src.local()
+        src.emit(
+            depth,
+            f"{values}, pos = get_column(data, pos)",
+            f"{v} = []",
+            f"for {value} in {values}:",
+        )
+        element = item.dec(src, depth + 1, value)
+        src.emit(depth + 1, f"{v}.append({element})")
+        src.emit(depth, f"{v} = tuple({v})")
+        return v
+
+    return WireType(f"{column} column, tuple<{item.label}>", enc, dec, ())
 
 
 def _record(parts: tuple) -> WireType:
@@ -559,9 +644,10 @@ def _nested(entry: WireClass) -> WireType:
     return WireType(name, enc, dec, entry.sample)
 
 
-def _hoisted(cls: type, pairs: tuple, constants: tuple) -> WireType:
-    """A registered class without the fields its holder carries once and
-    the fields every element holds at one value.
+def _hoisted(cls: type, pairs: tuple, constants: tuple, column: str = "") -> WireType:
+    """A registered class without the fields its holder carries once, the
+    fields every element holds at one value and the endpoint field its
+    tuple sends as a column.
 
     ``pairs`` are ``(field, holder_field)``: the holder's value is read
     from the local its generated function already bound it to.
@@ -570,9 +656,13 @@ def _hoisted(cls: type, pairs: tuple, constants: tuple) -> WireType:
     name = cls.__name__
     hints = typing.get_type_hints(cls, include_extras=True)
     names = tuple(f.name for f in dataclasses.fields(cls))
+    if column and hints.get(column) is not Endpoint:
+        raise CodecError(f"{name}.{column} is no Endpoint to send as a column")
     shared, pinned = dict(pairs), dict(constants)
     parts = tuple(
-        (n, _wire_type(hints[n])) for n in names if n not in shared and n not in pinned
+        (n, _wire_type(hints[n]))
+        for n in names
+        if n not in shared and n not in pinned and n != column
     )
     held = ", ".join(f"{n}={value!r}" for n, value in constants)
 
@@ -594,20 +684,24 @@ def _hoisted(cls: type, pairs: tuple, constants: tuple) -> WireType:
             src.emit(depth, f"{part} = {v}.{n}")
             wire.enc(src, depth, part)
 
-    def dec(src, depth) -> str:
+    def dec(src, depth, given=None) -> str:
         values = {n: wire.dec(src, depth) for n, wire in parts}
         values.update((n, holder(src, h)) for n, h in pairs)
         values.update((n, repr(value)) for n, value in constants)
+        if column:
+            values[column] = given
         v = src.local()
         src.emit(depth, f"{v} = {name}({', '.join(values[n] for n in names)})")
         return v
 
-    label = f"{name} without {', '.join(shared)}; {held}"
-    return WireType(label, enc, dec, _BY_CLASS[cls].sample)
+    without = ", ".join([*shared, column] if column else shared)
+    label = f"{name} without {without}; {held}"
+    return WireType(label, enc, dec, _BY_CLASS[cls].sample, column)
 
 
-def _wire_type(annotation: Any) -> WireType:
-    """The wire type of one resolved field annotation."""
+def _wire_type(annotation: Any, element: bool = False) -> WireType:
+    """The wire type of one resolved field annotation (``element``: of a
+    tuple's elements, the one place a column can travel)."""
     scalar = _SCALARS.get(annotation)
     if scalar is not None:
         return scalar
@@ -618,9 +712,12 @@ def _wire_type(annotation: Any) -> WireType:
     if origin is typing.Annotated and isinstance(args[1], type):
         return _enum(args[1])
     if origin is typing.Annotated and args[0] in _BY_CLASS:
-        return _hoisted(*args)
+        hoisted = _hoisted(*args)
+        if hoisted.column and not element:
+            raise CodecError(f"a {hoisted.column} column travels only in a tuple")
+        return hoisted
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        return _sequence(_wire_type(args[0]))
+        return _sequence(_wire_type(args[0], element=True))
     if origin is tuple and args:
         return _record(tuple(_wire_type(arg) for arg in args))
     if origin in (typing.Union, types.UnionType):

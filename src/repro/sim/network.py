@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import socket
 from array import array
 from typing import Any, Callable, Optional, Sequence
 
@@ -38,17 +39,26 @@ _HEADER_BYTES = 28  # IP + UDP header estimate applied to every message.
 
 
 def wire_size(msg: Any) -> int:
-    """Estimate the serialized size of a message in bytes.
+    """The simulator's charge for one datagram: a 28-byte IP + UDP header
+    plus a structural estimate of the payload.
 
-    A rough structural estimate is enough: the evaluation compares the
-    *relative* bandwidth of protocols, and all protocols are sized by the
-    same rule.  Dataclasses are walked recursively; strings count their
-    length; numbers count 8 bytes.
+    Every protocol is sized by the same rule, and the estimate is kept
+    an upper bound on the datagram :mod:`repro.runtime.codec` writes
+    (``tests/test_codec.py`` checks that for every message a simulated
+    run sends).  Most parts are the generic walk: dataclasses walked
+    field by field, strings and containers at their length plus two,
+    numbers at 8 B and an endpoint at 4 B plus its host's length.  A vote
+    bitmap is charged its byte width (no less than 8 B), and a batch's
+    alerts without what the batch names once and what their tuple pins.
+    One part follows the codec byte for byte: the subjects of each tuple
+    of a :class:`~repro.core.messages.BatchedAlerts` whose hosts are all
+    dotted quads, charged their delta-coded column (:func:`_column_size`).
 
-    Deliberately *not* memoized on the message object: most traffic is
-    unique (probes carry sequence numbers), so a cache would hash every
-    message only to miss.  Broadcast fan-outs size their payload once in
-    :meth:`Network.broadcast` instead.
+    Not memoised on the message object, except for the shared
+    :class:`~repro.core.messages.ViewSnapshot`: a message sent to many
+    (a probe tick's one ``Probe``, an alert batch) goes through
+    :meth:`Network.broadcast`, which sizes it once for all copies, and
+    most other messages are sent once.
     """
     return _HEADER_BYTES + _payload_size(msg)
 
@@ -108,17 +118,62 @@ _JOIN_HOISTS = _SIZERS[str](AlertKind.JOIN)
 _REMOVE_HOISTS = _SIZERS[str](AlertKind.REMOVE) + _SIZERS[int](0) + _container_size(())
 
 
+def _ipv4_address(host: str) -> Optional[int]:
+    """The 32-bit address of a canonical dotted quad, else ``None`` (the
+    codec's rule for packing a host as 4 bytes)."""
+    try:
+        packed = socket.inet_aton(host)
+    except (OSError, ValueError):
+        return None
+    return int.from_bytes(packed, "big") if socket.inet_ntoa(packed) == host else None
+
+
+def _zigzag_size(delta: int) -> int:
+    """The bytes of ``delta`` as a zigzag varint."""
+    zigzag = delta << 1 if delta >= 0 else ~delta << 1 | 1
+    return 1 if zigzag < 0x80 else (zigzag.bit_length() + 6) // 7
+
+
+def _column_size(alerts) -> Optional[int]:
+    """What the codec's column of the subjects of a tuple of batched
+    alerts takes after the tuple's count, when every host is a dotted
+    quad: 6 B for the first subject, then for each later one a zigzag
+    varint address delta and a zigzag varint port delta from the one
+    before it, in the order the alerts were raised.  ``None`` otherwise:
+    the codec then sends the subjects whole."""
+    size = 0
+    last = None
+    for alert in alerts:
+        host, port = alert.subject
+        addr = _ipv4_address(host)
+        if addr is None:
+            return None
+        if last is None:
+            size = 6
+        else:
+            size += _zigzag_size(addr - last[0]) + _zigzag_size(port - last[1])
+        last = addr, port
+    return size
+
+
 def _batched_alerts_size(value) -> int:
     """Size a BatchedAlerts in its wire form: the batch names its sender and
     ``config_id`` once, and each alert goes without the ``observer`` (the
     sender) and the 8-byte ``config_id`` the generic walk charges it, and
     without its kind (its tuple names it); a REMOVE alert also goes
-    without its empty ``joiner_uuid`` and ``metadata``."""
+    without its empty ``joiner_uuid`` and ``metadata``.  A tuple whose
+    subjects travel as a delta-coded column (:func:`_column_size`) is
+    charged that column instead of the generic walk's endpoints."""
     sender = _payload_size(value.sender)
     joins, removes = value.joins, value.removes
     hoisted = (len(joins) + len(removes)) * (sender + 8)
     hoisted += len(joins) * _JOIN_HOISTS + len(removes) * _REMOVE_HOISTS
-    return 2 + sender + 8 + _container_size(joins) + _container_size(removes) - hoisted
+    total = 2 + sender + 8 + _container_size(joins) + _container_size(removes) - hoisted
+    for alerts in (joins, removes):
+        column = _column_size(alerts)
+        if column is not None:
+            total += column - sum(_payload_size(alert.subject) for alert in alerts)
+    return total
 
 
 _SIZERS[BatchedAlerts] = _batched_alerts_size

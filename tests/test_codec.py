@@ -18,7 +18,7 @@ import json
 import math
 import random
 from pathlib import Path
-from typing import Optional
+from typing import Annotated, Optional
 
 import pytest
 
@@ -93,6 +93,16 @@ VERSION_5_SIZES = {
 #: metadata (18), its JOIN alert its kind (6), and the batch gained its
 #: second tuple (2); a ViewUpdate gained its (empty) metadata table (2).
 VERSION_6_SIZES = {**VERSION_5_SIZES, "BatchedAlerts": 142, "ViewUpdate": 107}
+#: The committed version-6 vector of the BatchedAlerts exemplar: each
+#: alert spelt its subject as a whole 7-byte endpoint.
+VERSION_6_BATCH = (
+    "0606007f000001a10f88796a5b4c3d2e1f01007f000001a30f0101090000000000000001"
+    "047a6f6e65016201007f000001a20f03000307"
+)
+#: Version 7 moved one: each of the batch's two single-subject tuples
+#: charges its subject as a column's first 6 B, not the 13 B of the
+#: generic walk's 127.0.0.1 endpoint.
+VERSION_7_SIZES = {**VERSION_6_SIZES, "BatchedAlerts": 128}
 
 
 # ------------------------------------------------------------ pinned format
@@ -177,6 +187,7 @@ def test_non_canonical_encodings_are_refused():
     batch = body("BatchedAlerts") + _A_WIRE + _CID
     subject = b"\x00\x0a\x00\x00\x01\x88\x13"  # 10.0.0.1:5000
     ten_5000 = b"\x0a\x00\x00\x01\x13\x88"  # a set's first member, 10.0.0.1:5000
+    one_remove = batch + b"\x00\x02" + ten_5000  # no joins, one removal's subject
     for data in (
         probe + b"\x80\x00",  # 0 as a padded varint
         probe + b"\xff" * 10 + b"\x01",  # an eleven-byte varint
@@ -201,10 +212,17 @@ def test_non_canonical_encodings_are_refused():
         snapshot + b"\x02\x0a\x00\x00\x01\x13",
         # a REMOVE alert with a uuid, with metadata, and a JOIN alert (its
         # uuid and metadata) in ``removes``: what follows its rings is left over
-        batch + b"\x00\x01" + subject + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0)),
-        batch + b"\x00\x01" + subject + b"\x01\x00\x01\x01a\x01b",
-        batch + b"\x00\x01" + subject + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0, 0)),
-        b"\x07" + probe[1:] + b"\x01",  # a future wire version
+        one_remove + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0)),
+        one_remove + b"\x01\x00\x01\x01a\x01b",
+        one_remove + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0, 0)),
+        # subject columns: a dotted quad sent plain, an address past 2**32
+        # (255.255.255.255 and then one more), a port past 65535 (65535 and
+        # then one more), and a first subject cut short
+        batch + b"\x00\x03" + subject + b"\x01\x00",
+        batch + b"\x00\x04" + b"\xff" * 6 + b"\x02\x00" + b"\x01\x00" * 2,
+        batch + b"\x00\x04" + b"\xff" * 6 + b"\x00\x02" + b"\x01\x00" * 2,
+        batch + b"\x00\x02" + ten_5000[:5],
+        b"\x08" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
         # retired: delta-encoded join answers (the committed version-3
@@ -219,6 +237,8 @@ def test_non_canonical_encodings_are_refused():
         bytes.fromhex(VERSION_4_BATCH),
         bytes.fromhex(VERSION_5_BATCH),
         bytes.fromhex(VERSION_5_SNAPSHOT),
+        # retired: subjects spelt whole (the committed version-6 vector)
+        bytes.fromhex(VERSION_6_BATCH),
         HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
@@ -239,8 +259,15 @@ def test_non_canonical_encodings_are_refused():
     ):
         assert decode_or_refuse(data + rest) == m.ViewSnapshot(members)
     removal = m.Alert(_A, ten, m.AlertKind.REMOVE, 0, (0,))
-    decoded = decode_or_refuse(batch + b"\x00\x01" + subject + b"\x01\x00")
+    decoded = decode_or_refuse(one_remove + b"\x01\x00")
     assert decoded == m.BatchedAlerts(_A, 0, removes=(removal,))
+    # ... and the highest address and port, and a plain column with a host name
+    top = m.Alert(_A, Endpoint("255.255.255.255", 65535), m.AlertKind.REMOVE, 0, (0,))
+    data = batch + b"\x00\x02" + b"\xff" * 6 + b"\x01\x00"
+    assert decode_or_refuse(data) == m.BatchedAlerts(_A, 0, removes=(top,))
+    named = m.Alert(_A, Endpoint("a", 1), m.AlertKind.REMOVE, 0, (0,))
+    data = batch + b"\x00\x05\x01a\x01" + subject + b"\x01\x00" * 2
+    assert decode_or_refuse(data) == m.BatchedAlerts(_A, 0, removes=(named, removal))
 
 
 def test_old_json_datagrams_are_refused_not_misread():
@@ -285,9 +312,13 @@ def test_a_batch_names_its_observer_view_and_kinds_once():
     # Each alert loses its 7-byte observer and 8-byte config_id (and its
     # own two-byte header) and its kind byte; a REMOVE its 8-byte zero uuid
     # and its empty metadata's count too.  The batch adds its config_id
-    # once and a count per tuple.
+    # once and a count per tuple, and sends each tuple's 7-byte subjects
+    # as one column: the first in 6 B, each later one here in 2 B.
     hoisted = 2 + 7 + 8 + 1
-    assert len(data) == 2 + 7 + 8 + 2 + sum(len(a) - hoisted for a in alone) - 9 * 3
+    columns = 7 * 4 - (6 + 2 + 2) - 6
+    assert len(data) == (
+        2 + 7 + 8 + 2 + sum(len(a) - hoisted for a in alone) - 9 * 3 - columns
+    )
     assert [len(a) - hoisted - 9 for a in alone[:3]] == [9, 9, 9]  # subject, rings
     assert data[2:17] == _A_WIRE + (7).to_bytes(8, "little")
     decoded = decode_or_refuse(data)
@@ -298,10 +329,14 @@ def test_a_batch_names_its_observer_view_and_kinds_once():
     assert codec.wire_classes()["BatchedAlerts"].layout == (
         ("sender", "endpoint"),
         ("config_id", "u64"),
-        ("joins", "tuple<Alert without observer, config_id; kind='join'>"),
+        (
+            "joins",
+            "subject column, tuple<Alert without observer, config_id, subject; "
+            "kind='join'>",
+        ),
         (
             "removes",
-            "tuple<Alert without observer, config_id; "
+            "subject column, tuple<Alert without observer, config_id, subject; "
             "kind='remove', joiner_uuid=0, metadata=()>",
         ),
     )
@@ -322,11 +357,21 @@ def test_a_foreign_or_misfiled_alert_in_a_batch_is_refused_not_rewritten():
             codec.encode_bytes(m.BatchedAlerts(_A, 7, joins, removes))
 
 
+def column_bytes(alerts) -> int:
+    """The bytes of the codec's column of ``alerts``' subjects after its head."""
+    out = bytearray()
+    codec._put_column([alert.subject for alert in alerts], out)
+    _, head = codec._get_uint(bytes(out), 0)
+    return len(out) - head
+
+
 def test_a_batch_is_sized_without_what_it_hoists():
     """A batch of alerts costs what the generic walk charged at version 4,
     less each alert's observer and config_id (version 5) and kind, and
     a REMOVE's zero uuid and empty metadata, plus one config_id and one
-    more tuple (version 6)."""
+    more tuple (version 6); a tuple's subjects of dotted quads cost their
+    column's bytes exactly instead of the generic walk's endpoints
+    (version 7)."""
     observer = Endpoint("node-12.rack-3", 7000)
     for n in (0, 1, 5):
         alerts = [
@@ -343,13 +388,108 @@ def test_a_batch_is_sized_without_what_it_hoists():
         version_5 = version_4 - len(alerts) * per_alert + 8
         batch = _batch(alerts, sender=observer)
         kinds = 6 * len(batch.joins) + (8 + 8 + 2) * len(batch.removes)
-        assert network.wire_size(batch) == version_5 - kinds + 2
+        version_6 = version_5 - kinds + 2
+        subjects = sum(4 + len(a.subject.host) for a in alerts)
+        columns = column_bytes(batch.joins) + column_bytes(batch.removes)
+        assert network.wire_size(batch) == version_6 - subjects + columns
 
 
-def test_the_batch_and_the_view_update_moved_their_simulated_size():
+def test_the_batch_moved_its_simulated_size():
     sizes = {name: network.wire_size(sample_message(name)) for name in NAMES}
-    assert sizes == VERSION_6_SIZES
-    assert VERSION_6_SIZES["BatchedAlerts"] == 164 - 18 - 6 + 2
+    assert sizes == VERSION_7_SIZES
+    assert VERSION_7_SIZES["BatchedAlerts"] == 142 - 2 * (4 + len("127.0.0.1") - 6)
+
+
+# ----------------------------------------------------------- subject columns
+
+_TEN = Endpoint("10.0.0.1", 5000)
+#: Subjects as a batch raised them: not in Endpoint order, not distinct.
+RAISED = {
+    "none": (),
+    "one": (_TEN,),
+    "two, falling": (Endpoint("10.0.0.9", 5000), _TEN),
+    "a duplicate": (_TEN, Endpoint("10.0.3.4", 5000), _TEN),
+    "falling address and port": tuple(
+        Endpoint(f"10.0.{200 - 3 * i}.1", 9000 - 37 * i) for i in range(20)
+    ),
+    "far apart": tuple(
+        Endpoint(("0.0.0.0", "255.255.255.255")[i % 2], (0, 65535)[i % 2])
+        for i in range(6)
+    ),
+    "one host, base + i": tuple(Endpoint("127.0.0.1", 40000 + i) for i in range(30)),
+    "one host name": (_TEN, Endpoint("db-1", 5000), _TEN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAISED))
+def test_a_batch_keeps_its_subjects_in_the_order_raised(name):
+    """Each tuple's subjects travel as one column in the order raised (a
+    receiver tallies them in that order), delta-coded when every host is a
+    dotted quad and whole otherwise; the simulator charges the column
+    exactly."""
+    subjects = RAISED[name]
+    joins = tuple(
+        _join(s, uuid=i + 1, ring_numbers=(i % 10,)) for i, s in enumerate(subjects)
+    )
+    removes = tuple(_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects[::-1]))
+    batch = m.BatchedAlerts(_A, 7, joins, removes)
+    data = codec.encode_bytes(batch)
+    decoded = decode_or_refuse(data)
+    assert decoded == batch
+    assert [a.subject for a in decoded.joins] == list(subjects)
+    assert [a.joiner_uuid for a in decoded.joins] == list(range(1, len(subjects) + 1))
+    plain = any(s.host == "db-1" for s in subjects)
+    assert data[2 + 7 + 8] == 2 * len(subjects) + plain  # the joins' head
+    whole = sum(len(codec.encode_bytes(s)) - 2 for s in subjects)
+    for alerts in (joins, removes):
+        if plain:
+            assert network._column_size(alerts) is None
+            assert column_bytes(alerts) == whole
+        else:
+            assert network._column_size(alerts) == column_bytes(alerts)
+    assert network.wire_size(batch) >= len(data) + 28
+
+
+@pytest.fixture(scope="module")
+def bootstrap_batches():
+    """The alert batches of a 64-member core admitting 448 joiners at once,
+    as ``bootstrap_n512`` grows its cluster."""
+    harness = harness_for("rapid", seed=1)
+    endpoints = harness.bootstrap(64, seed_delay=5.0, stagger=8.0)
+    assert harness.run_until_converged(64) is not None
+    harness.run_for(2.0)
+    fabric, batches = harness.network, []
+    broadcast = fabric.broadcast
+
+    def tap(src, dsts, msg):
+        if type(msg) is m.BatchedAlerts:
+            batches.append(msg)
+        broadcast(src, dsts, msg)
+
+    fabric.broadcast = tap
+    for i in range(64, 512):
+        harness.cluster.add_node(endpoint_for(i), seeds=endpoints[:1])
+    assert harness.run_until_converged(512) is not None
+    return batches
+
+
+def test_a_bootstrap_batch_keeps_its_order_at_under_three_bytes_a_subject(
+    bootstrap_batches,
+):
+    """A JOIN alert's subject cost 7 B at version 6; in raise order a
+    mass join's subjects take about 2.8 B each (sorted they would take
+    about 2.1 B, but the cut detector would tally them in another order)."""
+    batches = sorted(bootstrap_batches, key=lambda b: len(b.joins))
+    batch = batches[len(batches) // 2]  # about 65 JOIN alerts
+    assert 60 <= len(batch.joins) <= 70 and not batch.removes
+    subjects = [a.subject for a in batch.joins]
+    assert subjects != sorted(subjects)
+    data = codec.encode_bytes(batch)
+    assert decode_or_refuse(data) == batch
+    columns = [column_bytes(b.joins) for b in batches]
+    assert sum(columns) < 2.9 * sum(len(b.joins) for b in batches)
+    assert [network._column_size(b.joins) for b in batches] == columns
+    assert all(network.wire_size(b) >= len(codec.encode_bytes(b)) + 28 for b in batches)
 
 
 # ------------------------------------------------------------ endpoint sets
@@ -424,9 +564,10 @@ def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
     """The simulator passes message objects by reference and encodes none:
     a protocol path that batched an alert from another observer or view
     would pass every simulated test and fail only on sockets.  So tap one
-    harness's fabric through a bootstrap, a join and a crash, and
-    round-trip every message it was handed, and check that the simulator
-    charged it no less than its datagram."""
+    harness's fabric through a bootstrap, a join, a crash and a mass join
+    (16 -> 48 at once, whose batches hold many subjects with varied
+    deltas), round-trip every message it was handed, and check that the
+    simulator charged it no less than its datagram."""
     harness = harness_for(system, seed=1)
     fabric, sent = harness.network, []
     send, broadcast = fabric.send, fabric.broadcast
@@ -447,6 +588,9 @@ def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
     assert harness.run_until_converged(17, timeout=120.0) is not None
     harness.crash(endpoints[5:6])
     assert harness.run_until_converged(16, timeout=120.0) is not None
+    for i in range(17, 49):
+        harness.add_node(endpoint_for(i), seeds=endpoints[:1])
+    assert harness.run_until_converged(48, timeout=120.0) is not None
     assert harness.ledger.report()["ok"] is True
     classes = {type(msg).__name__ for msg in sent}
     assert {"BatchedAlerts", "JoinResponse", "Probe"} <= classes
@@ -455,6 +599,12 @@ def test_every_simulated_message_can_go_on_the_wire(system, monkeypatch):
         assert codec.decode_bytes(data) == msg
         # The simulator's sizer stays an upper bound on every message sent.
         assert network.wire_size(msg) >= len(data) + 28, msg
+    batches = [msg.joins for msg in sent if type(msg) is m.BatchedAlerts]
+    assert max(map(len, batches)) >= 8
+    # ... and charges the subjects of a batch exactly their column.
+    assert [network._column_size(joins) for joins in batches] == [
+        column_bytes(joins) for joins in batches
+    ]
 
 
 # --------------------------------------------------------------- value range
@@ -590,9 +740,23 @@ def test_registration_refuses_what_it_cannot_put_on_the_wire(scratch_registry):
     class Orphans:
         alerts: tuple[m.BatchedRemove, ...]
 
+    @dataclasses.dataclass(frozen=True)
+    class Single:
+        sender: Endpoint
+        config_id: m.U64
+        alert: m.BatchedJoin
+
+    @dataclasses.dataclass(frozen=True)
+    class Ringed:
+        sender: Endpoint
+        config_id: m.U64
+        alerts: tuple[Annotated[m.Alert, m._FROM_BATCH, (), "ring_numbers"], ...]
+
     for cls, tag in (
         (Loose, 0xF1),  # no encoding for `object`
         (Orphans, 0xF1),  # hoists fields it does not carry
+        (Single, 0xF1),  # a subject column outside a tuple
+        (Ringed, 0xF1),  # a column of what is no endpoint
         (Empty, 0xF1),  # nothing to send
         (Fine, 0x03),  # Probe's tag
         (Fine, 0),  # reserved

@@ -237,7 +237,9 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     a vote for ids made of its proposal bytes.  Version 2 did the same in
     ``Phase2b``, which version 3 also names by id.  Version 4 named the
     observer and view in each alert of a batch, which version 5 names once;
-    version 5 named each alert's kind, which version 6 files by tuple."""
+    version 5 named each alert's kind, which version 6 files by tuple;
+    version 6 spelt each alert's subject whole, which version 7 sends as
+    one delta-coded column per tuple."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -257,12 +259,15 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         # The committed version-5 vector of a BatchedAlerts.
         "0506007f000001a10f88796a5b4c3d2e1f02007f000001a20f0103000307000000"
         "000000000000007f000001a30f000101090000000000000001047a6f6e650162",
+        # The committed version-6 vector of a BatchedAlerts.
+        "0606007f000001a10f88796a5b4c3d2e1f01007f000001a30f0101090000000000"
+        "000001047a6f6e65016201007f000001a20f03000307",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 6
+    assert codec.WIRE_VERSION == 7
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():
