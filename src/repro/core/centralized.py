@@ -101,9 +101,7 @@ class EnsembleNode:
         )
         #: Role metadata of the members, ``{endpoint: {key: value}}``.
         self.metadata_store: dict[Endpoint, dict] = {}
-        self.desk = AdmissionDesk(
-            runtime, settings, self.metadata_store, self.decider.on_alert
-        )
+        self.desk = AdmissionDesk(runtime, self.metadata_store, self.decider.on_alert)
         self._dispatch = {
             BatchedAlerts: self.decider.on_alerts,
             PreJoinRequest: self.desk.on_pre_join_request,

@@ -34,6 +34,11 @@ no container is allocated per subject.  *Which* observer reported a ring is
 not kept: the tally counts rings, the implicit rule asks the topology who
 observes a ring, and nothing else ever read it.  All of it is reset
 wholesale after each configuration change by discarding the instance.
+
+No alert names its rings: an alert counts on the rings its observer holds
+for its subject in this view's topology (:meth:`KRingTopology.ring_masks`),
+so an alert from a process that observes the subject on no ring counts
+for nothing.
 """
 
 from __future__ import annotations
@@ -55,8 +60,11 @@ class MultiNodeCutDetector:
     k, h, l:
         Ring count and the high/low watermarks, ``1 <= L <= H <= K``.
     topology:
-        The monitoring topology of the current configuration; used to
-        resolve ring numbers to observers for the implicit-alert rule.
+        The monitoring topology of the current configuration: which rings
+        an alert counts on, and who observes a ring for the implicit-alert
+        rule.  ``None`` only for an empty view, whose first member is
+        vouched for by one process as all ``K`` observers at once: there
+        every alert counts on every ring.
     """
 
     def __init__(self, k: int, h: int, l: int, topology: Optional[KRingTopology] = None) -> None:
@@ -101,28 +109,39 @@ class MultiNodeCutDetector:
         leaves no subject unstable and at least one stable subject not
         proposed before.
 
-        Alerts are idempotent: a duplicate (same subject, same ring) does
-        not move the tally.  Conflicting kinds for the same subject are
-        impossible in the protocol (JOIN alerts are only about non-members,
-        REMOVE only about members); if one arrives anyway it is ignored.
-        Ring numbers outside ``[0, K)`` are ignored too.
+        The alert counts on the rings its observer holds for the subject
+        in the topology, whatever it names.  Alerts are idempotent: a
+        duplicate (same subject, same observer) does not move the tally.
+        Conflicting kinds for the same subject are impossible in the
+        protocol (JOIN alerts are only about non-members, REMOVE only about
+        members); if one arrives anyway it is ignored.  An alert from a
+        process that observes the subject on no ring is ignored too: it
+        does not even register the subject.
         """
         subject = alert.subject
         reports = self._reports
-        k = self.k
         before = reports.get(subject)
+        if before is not None and (
+            before >> self.k or self._first[subject].kind != alert.kind
+        ):
+            return None  # already proposed, or a conflicting kind
+        topology = self.topology
+        if topology is None:
+            rings = (1 << self.k) - 1
+        else:
+            try:  # the topology's memo, shared by every decider of the view
+                rings = topology.masks[subject][alert.observer]
+            except KeyError:  # the view's first alert about it, or a stranger's
+                rings = topology.ring_masks(subject).get(alert.observer, 0)
+        if not rings:
+            return None  # not an observer of the subject
         if before is None:
-            before = reports[subject] = 0
+            before = 0
             self._first[subject] = alert
             self._first_seen[subject] = now
             if alert.kind == AlertKind.REMOVE:
                 self._remove_count += 1
-        elif before >> k or self._first[subject].kind != alert.kind:
-            return None  # already proposed, or a conflicting kind
-        after = before
-        for ring in alert.ring_numbers:
-            if 0 <= ring < k:
-                after |= 1 << ring
+        after = before | rings
         if after != before:
             reports[subject] = after
             # Move the subject between zones.  Only unproposed subjects
@@ -144,7 +163,7 @@ class MultiNodeCutDetector:
             self._crossed_low
             and self._unstable_count
             and self._remove_count
-            and self.topology is not None
+            and topology is not None
         ):
             self._apply_implicit_alerts()
         if self._stable_count == 0 or self._unstable_count:
@@ -156,7 +175,7 @@ class MultiNodeCutDetector:
         high = self.h
         first = self._first
         stable = [s for s, rings in reports.items() if rings.bit_count() >= high]
-        proposed = 1 << k
+        proposed = 1 << self.k
         for s in stable:
             reports[s] |= proposed
         return make_proposal(

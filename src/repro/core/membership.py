@@ -696,8 +696,8 @@ class AdmissionDesk:
 
     Parameters
     ----------
-    runtime, settings:
-        Messaging; ``k`` (rings to vouch on in an empty view).
+    runtime:
+        Messaging.
     metadata_store:
         The owner's ``{endpoint: role metadata}`` table (read-only here),
         shipped with view snapshots.
@@ -708,12 +708,10 @@ class AdmissionDesk:
     def __init__(
         self,
         runtime: Runtime,
-        settings: RapidSettings,
         metadata_store: dict,
         raise_alert: Callable[[Alert], None],
     ) -> None:
         self.runtime = runtime
-        self.settings = settings
         self._metadata_store = metadata_store
         self._raise_alert = raise_alert
         #: The view being served; ``None`` while its owner is not a member.
@@ -853,8 +851,10 @@ class AdmissionDesk:
             reply(JoinStatus.UUID_IN_USE)
         elif not config.size:
             # Nobody to observe the first member of an empty cluster: this
-            # process vouches for it, as all K temporary observers at once.
-            self._vouch(msg.sender, msg.uuid, tuple(range(self.settings.k)))
+            # process vouches for it, as all K temporary observers at once
+            # (a decider of the empty view has no topology and counts the
+            # vouch on every ring).
+            self._vouch(msg.sender, msg.uuid)
         else:
             reply(
                 JoinStatus.SAFE_TO_JOIN,
@@ -872,8 +872,7 @@ class AdmissionDesk:
             admitted = config.uuid_of(msg.sender) == msg.uuid
             self.runtime.send(msg.sender, self.join_response(admitted))
             return
-        rings = tuple(self.topology.observer_rings(self.runtime.addr, msg.sender))
-        if not rings:
+        if not self.topology.observer_rings(self.runtime.addr, msg.sender):
             self.runtime.send(msg.sender, self.join_response(admitted=False))
             return
         # Duplicate JoinRequests (network-level duplication, or a joiner
@@ -884,16 +883,15 @@ class AdmissionDesk:
         if self.pending.get(msg.sender) == msg.uuid:
             return
         self.pending[msg.sender] = msg.uuid
-        self._vouch(msg.sender, msg.uuid, rings, msg.metadata)
+        self._vouch(msg.sender, msg.uuid, msg.metadata)
 
-    def _vouch(self, joiner: Endpoint, uuid: int, rings: tuple, metadata: tuple = ()) -> None:
+    def _vouch(self, joiner: Endpoint, uuid: int, metadata: tuple = ()) -> None:
         self._raise_alert(
             Alert(
                 observer=self.runtime.addr,
                 subject=joiner,
                 kind=AlertKind.JOIN,
                 config_id=self.config.config_id,
-                ring_numbers=rings,
                 joiner_uuid=uuid,
                 metadata=metadata,
             )
@@ -995,9 +993,7 @@ class ClusterMember:
             on_foreign=repair or (lambda peer, config_id: None),
             metrics=metrics,
         )
-        self.desk = AdmissionDesk(
-            runtime, settings, self.metadata_store, self._enqueue_alert
-        )
+        self.desk = AdmissionDesk(runtime, self.metadata_store, self._enqueue_alert)
         #: Everything that goes quiet when this process leaves its view.
         self._parts: list = [self.monitor, self.desk]
         # Exact-type dispatch: wire messages are final dataclasses, and a
@@ -1114,11 +1110,11 @@ class ClusterMember:
 
         Alerts are irrevocable: a subject alerted about is marked in the
         monitor and never reported again.  A subject this process observes
-        on no ring of the current topology is skipped.
+        on no ring of the current topology is skipped; the alert names no
+        ring, as every receiver derives them from the same topology.
         """
         for subject in subjects:
-            rings = tuple(self.topology.observer_rings(self.addr, subject))
-            if not rings:
+            if not self.topology.observer_rings(self.addr, subject):
                 continue
             uuid = 0
             if kind == AlertKind.JOIN:
@@ -1130,7 +1126,6 @@ class ClusterMember:
                     subject=subject,
                     kind=kind,
                     config_id=self.config.config_id,
-                    ring_numbers=rings,
                     joiner_uuid=uuid,
                 )
             )

@@ -167,9 +167,13 @@ class ProbeAck:
 class Alert:
     """An irrevocable edge alert broadcast by an observer about a subject.
 
-    ``ring_numbers`` lists the rings on which ``observer`` precedes
-    ``subject``; in small clusters one observer can represent several rings,
-    and the cut detector tallies *rings*, not observer addresses.
+    The cut detector tallies *rings*, not observer addresses (in small
+    clusters one observer can represent several rings), and a receiver
+    works out the rings on which ``observer`` precedes ``subject`` from
+    its own topology of the view: an alert in a batch names none.
+    Nothing reads ``ring_numbers``.  It stays only because
+    ``benchmarks/kernels.py`` builds alerts with it, until ROADMAP item
+    7 (c) drops it.
     """
 
     observer: Endpoint
@@ -184,19 +188,27 @@ class Alert:
 #: What an alert inside a :class:`BatchedAlerts` leaves to its batch: each
 #: alert field here is carried once, as the paired field of the batch.
 _FROM_BATCH = (("observer", "sender"), ("config_id", "config_id"))
-#: A JOIN alert of a batch: it goes without what the batch names and
-#: without its kind, and its subject travels in the column of its tuple's
+#: A JOIN alert of a batch: it goes without what the batch names, without
+#: its kind and without rings (the receiver derives them from its view's
+#: topology), and its subject travels in the column of its tuple's
 #: subjects, in the order the alerts were raised: of dotted quads, the
 #: first 6 B and each later one a zigzag address and port delta from the
 #: one before (about 3 B instead of 7); of any other hosts, plain.
-BatchedJoin = Annotated[Alert, _FROM_BATCH, (("kind", AlertKind.JOIN),), "subject"]
-#: A REMOVE alert of a batch: its subject, in its tuple's column, and its
-#: rings.  A removal has no joiner, so its ``joiner_uuid`` and ``metadata``
-#: are pinned empty too.
+BatchedJoin = Annotated[
+    Alert, _FROM_BATCH, (("kind", AlertKind.JOIN), ("ring_numbers", ())), "subject"
+]
+#: A REMOVE alert of a batch: its subject, in its tuple's column, and
+#: nothing else.  A removal has no joiner, so its ``joiner_uuid`` and
+#: ``metadata`` are pinned empty too.
 BatchedRemove = Annotated[
     Alert,
     _FROM_BATCH,
-    (("kind", AlertKind.REMOVE), ("joiner_uuid", 0), ("metadata", ())),
+    (
+        ("kind", AlertKind.REMOVE),
+        ("ring_numbers", ()),
+        ("joiner_uuid", 0),
+        ("metadata", ()),
+    ),
     "subject",
 ]
 
@@ -209,7 +221,8 @@ class BatchedAlerts:
     view ``config_id`` (``alert.observer == sender`` and ``alert.config_id
     == config_id``), so the wire names the observer and the view once per
     batch; and ``joins`` holds its JOIN alerts, ``removes`` its REMOVE
-    alerts, so no alert names its kind.  A batch never spans two views:
+    alerts, so no alert names its kind.  No alert names rings either:
+    they are a function of the view, the observer and the subject.  A batch never spans two views:
     installing a view drops the alerts still buffered.
     """
 

@@ -5,8 +5,9 @@ is the full membership ordered by a per-ring hash of the member's address.
 A pair ``(o, s)`` is an observer/subject edge when ``o`` immediately
 precedes ``s`` on some ring.  Every process therefore has exactly ``K``
 observers and ``K`` subjects (counted with multiplicity — in small clusters
-the same process can precede a subject on several rings, which is why alert
-messages carry ring numbers rather than just observer addresses).
+the same process can precede a subject on several rings, which is why the
+cut detector tallies the rings an alert's observer holds, not observer
+addresses).
 
 The union of the rings is a random ``2K``-regular multigraph, which is a
 good expander with high probability [Friedman-Kahn-Szemerédi, STOC'89] —
@@ -85,6 +86,10 @@ class KRingTopology:
         self._subject_rows: dict[Endpoint, tuple] = {
             m: tuple(row) for m, row in subjects.items()
         }
+        #: subject -> ``{observer: bits of the rings on which it observes
+        #: subject}``, filled by :meth:`ring_masks` on the first alert about
+        #: a subject and read directly by every cut detector of the view.
+        self.masks: dict[Endpoint, dict] = {}
 
     # ------------------------------------------------------------------ cache
 
@@ -136,8 +141,8 @@ class KRingTopology:
     def observer_rings(self, observer: Endpoint, subject: Endpoint) -> list:
         """Ring numbers on which ``observer`` is the observer of ``subject``.
 
-        Alert messages carry these so the cut detector can tally distinct
-        rings even when one process observes a subject on several rings.
+        An observer alerts only about a subject it holds some ring of;
+        the receivers tally the same rings, from :meth:`ring_masks`.
         """
         row = self._observer_rows.get(subject)
         if row is not None:
@@ -147,6 +152,22 @@ class KRingTopology:
             for ring in range(self.k)
             if self._expected_observer(ring, subject) == observer
         ]
+
+    def ring_masks(self, subject: Endpoint) -> dict:
+        """``{observer: bits}`` for each observer of ``subject``, bit ``r``
+        set for each ring ``r`` it observes it on: what the cut detector
+        tallies for an alert, since no alert names its rings.
+
+        Memoised in :attr:`masks`, which every decider of the view shares,
+        so a subject's row is resolved once per view rather than once per
+        decider and alert.
+        """
+        masks = self.masks.get(subject)
+        if masks is None:
+            masks = self.masks[subject] = {}
+            for ring, observer in enumerate(self.observers_of(subject)):
+                masks[observer] = masks.get(observer, 0) | 1 << ring
+        return masks
 
     def unique_observers_of(self, subject: Endpoint) -> list:
         """Deduplicated observers, order-preserving by ring number."""

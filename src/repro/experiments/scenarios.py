@@ -519,7 +519,7 @@ def sensitivity_experiment(
                 for rep in range(repetitions):
                     failed = rng.sample(members, f)
                     failed_set = frozenset(failed)
-                    alerts = _alerts_for_failures(topology, failed, k)
+                    alerts = _alerts_for_failures(topology, failed)
                     sample = min(observers_sampled, n)
                     for _ in range(sample):
                         order = alerts[:]
@@ -540,25 +540,14 @@ def sensitivity_experiment(
     return {"k": k, "n": n, "conflict_rates": results}
 
 
-def _alerts_for_failures(
-    topology: KRingTopology, failed: Sequence[Endpoint], k: int
-) -> list:
-    alerts = []
-    for subject in failed:
-        by_observer: dict[Endpoint, list] = {}
-        for ring, observer in enumerate(topology.observers_of(subject)):
-            by_observer.setdefault(observer, []).append(ring)
-        for observer, rings in by_observer.items():
-            alerts.append(
-                Alert(
-                    observer=observer,
-                    subject=subject,
-                    kind=AlertKind.REMOVE,
-                    config_id=0,
-                    ring_numbers=tuple(rings),
-                )
-            )
-    return alerts
+def _alerts_for_failures(topology: KRingTopology, failed: Sequence[Endpoint]) -> list:
+    """One REMOVE alert from each distinct observer of each failed process
+    (the detector tallies every ring its observer holds)."""
+    return [
+        Alert(observer=observer, subject=subject, kind=AlertKind.REMOVE, config_id=0)
+        for subject in failed
+        for observer in topology.unique_observers_of(subject)
+    ]
 
 
 # -------------------------------------------------------- Figures 12/13:

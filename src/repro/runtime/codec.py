@@ -52,10 +52,11 @@ holder's value or the constant in.  A fourth part, an ``Endpoint``
 field's name, sends that field of a tuple's elements as one column
 ahead of them (a hoisting annotation with a column travels only as the
 element of a tuple).  A :class:`repro.core.messages.BatchedAlerts`
-is the one holder: its alerts go without the observer and view it names,
-a JOIN alert without its kind (:data:`~repro.core.messages.BatchedJoin`)
+is the one holder: its alerts go without the observer and view it names
+and without rings (a receiver derives them from its view's topology), a
+JOIN alert without its kind (:data:`~repro.core.messages.BatchedJoin`)
 and a REMOVE alert without its kind and its empty joiner fields
-(:data:`~repro.core.messages.BatchedRemove`): its subject and its rings.
+(:data:`~repro.core.messages.BatchedRemove`): its subject alone.
 Each tuple's subjects travel as its column, in the order the alerts were
 raised, so a receiver tallies them in that order.
 
@@ -109,7 +110,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 7
+WIRE_VERSION = 8
 
 
 class CodecError(ValueError):

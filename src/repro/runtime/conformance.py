@@ -85,12 +85,11 @@ _SAMPLES: dict[str, Callable[[], Any]] = {
                 subject=_C,
                 kind=m.AlertKind.JOIN,
                 config_id=_CID,
-                ring_numbers=(1,),
                 joiner_uuid=9,
                 metadata=(("zone", "b"),),
             ),
         ),
-        removes=(_ALERT,),
+        removes=(m.Alert(_A, _B, m.AlertKind.REMOVE, _CID),),
     ),
     "PreJoinRequest": lambda: m.PreJoinRequest(_A, uuid=99),
     "PreJoinResponse": lambda: m.PreJoinResponse(

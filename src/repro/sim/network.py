@@ -47,7 +47,8 @@ def wire_size(msg: Any) -> int:
     (``tests/test_codec.py`` checks that for every message a simulated
     run sends).  Most parts are the generic walk: dataclasses walked
     field by field, strings and containers at their length plus two,
-    numbers at 8 B and an endpoint at 4 B plus its host's length.  A vote
+    numbers at 8 B and an endpoint at 4 B plus its host's length (or its
+    codec form, where a host of 128 B or more makes that longer).  A vote
     bitmap is charged its byte width (no less than 8 B), and a batch's
     alerts without what the batch names once and what their tuple pins.
     One part follows the codec byte for byte: the subjects of each tuple
@@ -67,6 +68,21 @@ def _container_size(value) -> int:
     return 2 + sum(_payload_size(item) for item in value)
 
 
+def _varint_size(value: int) -> int:
+    """The bytes of ``value`` as an unsigned LEB128 varint."""
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
+def _endpoint_size(value) -> int:
+    """4 B plus the host's length, but never less than the codec's form
+    of a host name: its length and its bytes, then the port, as varints
+    (a host of 128 B or more with a port of 16384 or more needs 5 B)."""
+    host = len(value.host)
+    if host < 0x80:
+        return 4 + host
+    return max(4 + host, _varint_size(host) + host + _varint_size(value.port))
+
+
 #: Exact-type sizing dispatch.  Message sizing walks the same dozen types
 #: millions of times per run; one dict lookup replaces an isinstance
 #: chain, and dataclass types get a compiled walker on first sight (see
@@ -78,7 +94,7 @@ _SIZERS: dict[type, Callable[[Any], int]] = {
     float: lambda value: 8,
     str: lambda value: 2 + len(value),
     bytes: lambda value: 2 + len(value),
-    Endpoint: lambda value: 4 + len(value.host),
+    Endpoint: _endpoint_size,
     tuple: _container_size,
     list: _container_size,
     set: _container_size,
@@ -112,10 +128,13 @@ _SIZERS[VotePull] = lambda value: _vote_bundle_size(value) + 2 + 8 * len(value.w
 
 
 #: What the generic walk charges the fields a batched alert leaves out
-#: beyond its observer and view: the kind of a JOIN (6 B); the kind, the
-#: zero ``joiner_uuid`` and the empty ``metadata`` of a REMOVE (18 B).
-_JOIN_HOISTS = _SIZERS[str](AlertKind.JOIN)
-_REMOVE_HOISTS = _SIZERS[str](AlertKind.REMOVE) + _SIZERS[int](0) + _container_size(())
+#: beyond its observer and view: the kind and the empty ``ring_numbers`` of
+#: a JOIN (8 B); the kind, the empty ``ring_numbers``, the zero
+#: ``joiner_uuid`` and the empty ``metadata`` of a REMOVE (20 B).
+_JOIN_HOISTS = _SIZERS[str](AlertKind.JOIN) + _container_size(())
+_REMOVE_HOISTS = (
+    _SIZERS[str](AlertKind.REMOVE) + 2 * _container_size(()) + _SIZERS[int](0)
+)
 
 
 def _ipv4_address(host: str) -> Optional[int]:
@@ -160,8 +179,9 @@ def _batched_alerts_size(value) -> int:
     """Size a BatchedAlerts in its wire form: the batch names its sender and
     ``config_id`` once, and each alert goes without the ``observer`` (the
     sender) and the 8-byte ``config_id`` the generic walk charges it, and
-    without its kind (its tuple names it); a REMOVE alert also goes
-    without its empty ``joiner_uuid`` and ``metadata``.  A tuple whose
+    without its kind (its tuple names it) and its empty ``ring_numbers``;
+    a REMOVE alert also goes without its empty ``joiner_uuid`` and
+    ``metadata``.  A tuple whose
     subjects travel as a delta-coded column (:func:`_column_size`) is
     charged that column instead of the generic walk's endpoints."""
     sender = _payload_size(value.sender)

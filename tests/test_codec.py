@@ -103,6 +103,16 @@ VERSION_6_BATCH = (
 #: charges its subject as a column's first 6 B, not the 13 B of the
 #: generic walk's 127.0.0.1 endpoint.
 VERSION_7_SIZES = {**VERSION_6_SIZES, "BatchedAlerts": 128}
+#: The committed version-7 vector of the BatchedAlerts exemplar: its JOIN
+#: alert named one ring, its REMOVE alert three.
+VERSION_7_BATCH = (
+    "0706007f000001a10f88796a5b4c3d2e1f027f0000010fa30101090000000000000001"
+    "047a6f6e650162027f0000010fa203000307"
+)
+#: Version 8 moved one: no batched alert names rings, so the exemplar
+#: batch sheds the generic walk's charge for its JOIN's one ring (10 B)
+#: and its REMOVE's three (26 B).
+VERSION_8_SIZES = {**VERSION_7_SIZES, "BatchedAlerts": 92}
 
 
 # ------------------------------------------------------------ pinned format
@@ -210,19 +220,21 @@ def test_non_canonical_encodings_are_refused():
         snapshot + b"\x04\xff\xff\xff\xff\x00\x00\x01\x00" + rest,
         snapshot + b"\x04\x00\x00\x00\x00\xff\xff\x00\x02" + rest,
         snapshot + b"\x02\x0a\x00\x00\x01\x13",
-        # a REMOVE alert with a uuid, with metadata, and a JOIN alert (its
-        # uuid and metadata) in ``removes``: what follows its rings is left over
-        one_remove + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0)),
-        one_remove + b"\x01\x00\x01\x01a\x01b",
-        one_remove + b"\x01\x00" + bytes((7, 0, 0, 0, 0, 0, 0, 0, 0)),
+        # a REMOVE alert with rings, a uuid, with metadata, and a JOIN alert
+        # (its uuid and metadata) in ``removes``: what follows its subject
+        # is left over
+        one_remove + b"\x01\x00",
+        one_remove + bytes((7, 0, 0, 0, 0, 0, 0, 0)),
+        one_remove + b"\x01\x01a\x01b",
+        one_remove + bytes((7, 0, 0, 0, 0, 0, 0, 0, 0)),
         # subject columns: a dotted quad sent plain, an address past 2**32
         # (255.255.255.255 and then one more), a port past 65535 (65535 and
         # then one more), and a first subject cut short
-        batch + b"\x00\x03" + subject + b"\x01\x00",
-        batch + b"\x00\x04" + b"\xff" * 6 + b"\x02\x00" + b"\x01\x00" * 2,
-        batch + b"\x00\x04" + b"\xff" * 6 + b"\x00\x02" + b"\x01\x00" * 2,
+        batch + b"\x00\x03" + subject,
+        batch + b"\x00\x04" + b"\xff" * 6 + b"\x02\x00",
+        batch + b"\x00\x04" + b"\xff" * 6 + b"\x00\x02",
         batch + b"\x00\x02" + ten_5000[:5],
-        b"\x08" + probe[1:] + b"\x01",  # a future wire version
+        b"\x09" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
         # retired: delta-encoded join answers (the committed version-3
@@ -237,8 +249,10 @@ def test_non_canonical_encodings_are_refused():
         bytes.fromhex(VERSION_4_BATCH),
         bytes.fromhex(VERSION_5_BATCH),
         bytes.fromhex(VERSION_5_SNAPSHOT),
-        # retired: subjects spelt whole (the committed version-6 vector)
+        # retired: subjects spelt whole (the committed version-6 vector),
+        # and alerts that name their rings (the committed version-7 one)
         bytes.fromhex(VERSION_6_BATCH),
+        bytes.fromhex(VERSION_7_BATCH),
         HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
@@ -258,15 +272,15 @@ def test_non_canonical_encodings_are_refused():
         (snapshot + b"\x05\x01a\x01\x01b\x01", (Endpoint("a", 1), Endpoint("b", 1))),
     ):
         assert decode_or_refuse(data + rest) == m.ViewSnapshot(members)
-    removal = m.Alert(_A, ten, m.AlertKind.REMOVE, 0, (0,))
-    decoded = decode_or_refuse(one_remove + b"\x01\x00")
+    removal = m.Alert(_A, ten, m.AlertKind.REMOVE, 0)
+    decoded = decode_or_refuse(one_remove)
     assert decoded == m.BatchedAlerts(_A, 0, removes=(removal,))
     # ... and the highest address and port, and a plain column with a host name
-    top = m.Alert(_A, Endpoint("255.255.255.255", 65535), m.AlertKind.REMOVE, 0, (0,))
-    data = batch + b"\x00\x02" + b"\xff" * 6 + b"\x01\x00"
+    top = m.Alert(_A, Endpoint("255.255.255.255", 65535), m.AlertKind.REMOVE, 0)
+    data = batch + b"\x00\x02" + b"\xff" * 6
     assert decode_or_refuse(data) == m.BatchedAlerts(_A, 0, removes=(top,))
-    named = m.Alert(_A, Endpoint("a", 1), m.AlertKind.REMOVE, 0, (0,))
-    data = batch + b"\x00\x05\x01a\x01" + subject + b"\x01\x00" * 2
+    named = m.Alert(_A, Endpoint("a", 1), m.AlertKind.REMOVE, 0)
+    data = batch + b"\x00\x05\x01a\x01" + subject
     assert decode_or_refuse(data) == m.BatchedAlerts(_A, 0, removes=(named, removal))
 
 
@@ -304,22 +318,23 @@ def _join(subject, uuid=5, **fields):
 
 def test_a_batch_names_its_observer_view_and_kinds_once():
     subjects = [endpoint_for(i) for i in range(1, 4)]
-    removes = [_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects)]
-    joins = [_join(endpoint_for(9), ring_numbers=(0, 4), metadata=(("zone", "a"),))]
+    removes = [_alert(s) for s in subjects]
+    joins = [_join(endpoint_for(9), metadata=(("zone", "a"),))]
     batch = _batch(removes + joins)
     data = codec.encode_bytes(batch)
     alone = [codec.encode_bytes(alert) for alert in removes + joins]
     # Each alert loses its 7-byte observer and 8-byte config_id (and its
-    # own two-byte header) and its kind byte; a REMOVE its 8-byte zero uuid
-    # and its empty metadata's count too.  The batch adds its config_id
-    # once and a count per tuple, and sends each tuple's 7-byte subjects
-    # as one column: the first in 6 B, each later one here in 2 B.
-    hoisted = 2 + 7 + 8 + 1
+    # own two-byte header), its kind byte and its empty rings' count; a
+    # REMOVE its 8-byte zero uuid and its empty metadata's count too.  The
+    # batch adds its config_id once and a count per tuple, and sends each
+    # tuple's 7-byte subjects as one column: the first in 6 B, each later
+    # one here in 2 B.
+    hoisted = 2 + 7 + 8 + 1 + 1
     columns = 7 * 4 - (6 + 2 + 2) - 6
     assert len(data) == (
         2 + 7 + 8 + 2 + sum(len(a) - hoisted for a in alone) - 9 * 3 - columns
     )
-    assert [len(a) - hoisted - 9 for a in alone[:3]] == [9, 9, 9]  # subject, rings
+    assert [len(a) - hoisted - 9 for a in alone[:3]] == [7, 7, 7]  # the subject
     assert data[2:17] == _A_WIRE + (7).to_bytes(8, "little")
     decoded = decode_or_refuse(data)
     assert decoded == batch
@@ -332,12 +347,12 @@ def test_a_batch_names_its_observer_view_and_kinds_once():
         (
             "joins",
             "subject column, tuple<Alert without observer, config_id, subject; "
-            "kind='join'>",
+            "kind='join', ring_numbers=()>",
         ),
         (
             "removes",
             "subject column, tuple<Alert without observer, config_id, subject; "
-            "kind='remove', joiner_uuid=0, metadata=()>",
+            "kind='remove', ring_numbers=(), joiner_uuid=0, metadata=()>",
         ),
     )
 
@@ -357,6 +372,21 @@ def test_a_foreign_or_misfiled_alert_in_a_batch_is_refused_not_rewritten():
             codec.encode_bytes(m.BatchedAlerts(_A, 7, joins, removes))
 
 
+def test_a_batched_alert_that_names_rings_is_refused_not_rewritten():
+    """A receiver tallies the rings its own topology gives the observer, so
+    a batch has no place for rings: one that names any is refused."""
+    ok, other = _alert(endpoint_for(1)), Endpoint("127.0.0.1", 4002)
+    for joins, removes in (
+        ((), (ok, _alert(other, ring_numbers=(0,)))),
+        ((_join(other, ring_numbers=(3, 7)),), (ok,)),
+    ):
+        with pytest.raises(codec.CodecError, match=r"ring_numbers=\(\)"):
+            codec.encode_bytes(m.BatchedAlerts(_A, 7, joins, removes))
+    # A lone Alert still carries whatever rings it names.
+    alert = _alert(other, ring_numbers=(0, 3, 7))
+    assert decode_or_refuse(codec.encode_bytes(alert)) == alert
+
+
 def column_bytes(alerts) -> int:
     """The bytes of the codec's column of ``alerts``' subjects after its head."""
     out = bytearray()
@@ -371,13 +401,12 @@ def test_a_batch_is_sized_without_what_it_hoists():
     a REMOVE's zero uuid and empty metadata, plus one config_id and one
     more tuple (version 6); a tuple's subjects of dotted quads cost their
     column's bytes exactly instead of the generic walk's endpoints
-    (version 7)."""
+    (version 7); and each alert less its empty rings (version 8)."""
     observer = Endpoint("node-12.rack-3", 7000)
     for n in (0, 1, 5):
-        alerts = [
-            _alert(endpoint_for(i), observer=observer, ring_numbers=(i, i + 1))
-            for i in range(n)
-        ] + [_join(endpoint_for(100 + i), observer=observer) for i in range(n // 2)]
+        alerts = [_alert(endpoint_for(i), observer=observer) for i in range(n)] + [
+            _join(endpoint_for(100 + i), observer=observer) for i in range(n // 2)
+        ]
         version_4 = (
             network.wire_size(observer)  # the header and the sender
             + 2  # the batch
@@ -391,13 +420,15 @@ def test_a_batch_is_sized_without_what_it_hoists():
         version_6 = version_5 - kinds + 2
         subjects = sum(4 + len(a.subject.host) for a in alerts)
         columns = column_bytes(batch.joins) + column_bytes(batch.removes)
-        assert network.wire_size(batch) == version_6 - subjects + columns
+        version_7 = version_6 - subjects + columns
+        assert network.wire_size(batch) == version_7 - 2 * len(alerts)
 
 
 def test_the_batch_moved_its_simulated_size():
     sizes = {name: network.wire_size(sample_message(name)) for name in NAMES}
-    assert sizes == VERSION_7_SIZES
+    assert sizes == VERSION_8_SIZES
     assert VERSION_7_SIZES["BatchedAlerts"] == 142 - 2 * (4 + len("127.0.0.1") - 6)
+    assert VERSION_8_SIZES["BatchedAlerts"] == 128 - (2 + 8) - (2 + 3 * 8)
 
 
 # ----------------------------------------------------------- subject columns
@@ -428,10 +459,8 @@ def test_a_batch_keeps_its_subjects_in_the_order_raised(name):
     dotted quad and whole otherwise; the simulator charges the column
     exactly."""
     subjects = RAISED[name]
-    joins = tuple(
-        _join(s, uuid=i + 1, ring_numbers=(i % 10,)) for i, s in enumerate(subjects)
-    )
-    removes = tuple(_alert(s, ring_numbers=(i,)) for i, s in enumerate(subjects[::-1]))
+    joins = tuple(_join(s, uuid=i + 1) for i, s in enumerate(subjects))
+    removes = tuple(_alert(s) for s in subjects[::-1])
     batch = m.BatchedAlerts(_A, 7, joins, removes)
     data = codec.encode_bytes(batch)
     decoded = decode_or_refuse(data)
@@ -641,6 +670,22 @@ def test_host_names_travel_and_dotted_quads_pack_to_seven_bytes():
     # Not canonical dotted quads: they stay host names and stay distinct.
     for host in ("127.1", "127.000.0.1", "1.2.3.4 "):
         assert decode_or_refuse(codec.encode_bytes(Endpoint(host, 9))).host == host
+
+
+def test_a_long_host_name_is_sized_no_less_than_its_datagram():
+    """A host of 128 B or more takes a two-byte length and a port of 16384
+    or more three bytes: 5 B beyond the host, where the simulator's rule
+    for an endpoint charges 4 B."""
+    request = codec.registered_classes()["ViewRequest"]
+    for endpoint, datagram in (
+        (Endpoint("n" * 200, 40000), 235),
+        (Endpoint("n" * 128, 16384), 163),
+        (Endpoint("n" * 127, 65535), 161),  # a one-byte length: 4 B suffice
+        (Endpoint("n" * 128, 16383), 162),  # a two-byte port: 4 B suffice
+    ):
+        data = codec.encode_bytes(request(endpoint))
+        assert len(data) + 28 == datagram
+        assert network.wire_size(request(endpoint)) == datagram
 
 
 def test_the_decoded_endpoint_memo_is_emptied_when_full(monkeypatch):

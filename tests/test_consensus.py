@@ -554,10 +554,8 @@ class TestReplacedInstances:
         config = Configuration.of(members)
         topology = KRingTopology.for_configuration(config, settings.k)
         changer.reset(config, topology, gossip=True)
-        changer.on_alert(
-            Alert(members[1], members[3], AlertKind.REMOVE, config.config_id,
-                  tuple(range(settings.k)))
-        )
+        for observer in topology.unique_observers_of(members[3]):
+            changer.on_alert(Alert(observer, members[3], AlertKind.REMOVE, config.config_id))
         round_ = changer.consensus
         changer.on_consensus(members[2], Phase1a(members[2], config.config_id, (2, 2)))
         assert round_.my_vote and round_.paxos.promised_rank == (2, 2)

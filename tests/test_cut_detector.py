@@ -6,7 +6,8 @@ implicit-alert rule and the queries reinforcement reads.  A differential
 test runs the bitmask detector against the dict-of-dicts detector it
 replaced (``tests/reference_cut_detector.py``) over thousands of seeded
 random alert streams.  The last class checks how ``ViewChanger`` feeds it:
-one loop per batch, one count per batch, one cut object per view.
+one loop per batch, one count per batch, one cut object per view; and the
+last test how Rapid-C's ensemble admits an empty view's first member.
 """
 
 import random
@@ -21,6 +22,7 @@ from repro.core.membership import ViewChanger
 from repro.core.messages import Alert, AlertKind, BatchedAlerts, Change
 from repro.core.ring import KRingTopology
 from repro.core.settings import RapidSettings
+from repro.experiments.harness import harness_for
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.cluster import endpoint_for
 from test_roles import SteppingRuntime
@@ -29,11 +31,33 @@ JOIN, REMOVE = AlertKind.JOIN, AlertKind.REMOVE
 K, H, L = 10, 9, 3
 MEMBERS = [endpoint_for(i) for i in range(60)]
 TOPOLOGY = KRingTopology(MEMBERS, K)
-REPORTER = MEMBERS[0]  # the detector never reads who reported a ring
+#: Members observed by K distinct processes, so the observer of ring r
+#: reports ring r alone; in Endpoint order, as a cut lists them.
+DISTINCT = sorted(m for m in MEMBERS if len(set(TOPOLOGY.observers_of(m))) == K)
+#: A prospective member whose K expected observers are distinct.
+JOINER = next(
+    joiner
+    for joiner in map(endpoint_for, range(500, 600))
+    if len(set(TOPOLOGY.observers_of(joiner))) == K
+)
 
 
-def report(subject, *rings, kind=REMOVE, uuid=0):
-    return Alert(REPORTER, subject, kind, config_id=1, ring_numbers=rings, joiner_uuid=uuid)
+def tally(detector, subject, *rings, kind=REMOVE, uuid=0, now=0.0):
+    """Feed ``detector`` one alert from the observer of each of ``rings``
+    (an alert names no ring: the detector counts those its observer holds)
+    and return the proposal one of them returned, if any."""
+    observers = detector.topology.observers_of(subject)
+    reporters = list(dict.fromkeys(observers[ring] for ring in rings))
+    masks = detector.topology.ring_masks(subject)
+    held = sum(masks[o] for o in reporters)
+    assert held == sum({1 << ring for ring in rings}), "a reporter holds other rings"
+    proposals = [
+        detector.receive_alert(Alert(o, subject, kind, 1, joiner_uuid=uuid), now)
+        for o in reporters
+    ]
+    returned = [proposal for proposal in proposals if proposal is not None]
+    assert len(returned) <= 1
+    return returned[0] if returned else None
 
 
 def subjects_of(proposal):
@@ -44,13 +68,14 @@ def observer_chain(length):
     """Members ``s0, s1, ...`` and rings ``r0, r1, ...`` where ``s(i+1)``
     observes ``si`` on ring ``ri`` and on no other, and nobody else in the
     chain observes anybody in it — so the only implicit alerts among them
-    are the ones the chain spells."""
+    are the ones the chain spells.  Each is observed by K distinct
+    processes."""
     def extend(chain, rings):
         if len(chain) == length:
             return chain, rings
         observers = TOPOLOGY.observers_of(chain[-1])
         for ring, observer in enumerate(observers):
-            if observer in chain or observers.count(observer) != 1:
+            if observer in chain or observer not in DISTINCT:
                 continue
             candidate = chain + [observer]
             related = sum(
@@ -62,7 +87,7 @@ def observer_chain(length):
                     return found
         return None
 
-    for start in MEMBERS:
+    for start in DISTINCT:
         found = extend([start], [])
         if found:
             return found
@@ -81,10 +106,10 @@ class TestZones:
 
     def test_noise_unstable_stable_at_the_watermarks(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        victim = MEMBERS[7]
+        victim = DISTINCT[2]
         zones = {}
         for ring in range(H):
-            proposal = detector.receive_alert(report(victim, ring))
+            proposal = tally(detector, victim, ring)
             zones[ring + 1] = (detector.unstable_subjects(), proposal)
         assert zones[L - 1] == ([], None)
         assert zones[L] == ([victim], None)
@@ -92,82 +117,103 @@ class TestZones:
         assert zones[H] == ([], (Change(victim, REMOVE),))
 
     def test_h_equal_to_k_needs_every_ring(self):
-        detector = MultiNodeCutDetector(3, 3, 1, None)
-        victim = MEMBERS[7]
-        assert detector.receive_alert(report(victim, 0)) is None
-        assert detector.receive_alert(report(victim, 2)) is None
+        topology = KRingTopology(MEMBERS, 3)
+        detector = MultiNodeCutDetector(3, 3, 1, topology)
+        victim = next(m for m in MEMBERS if len(set(topology.observers_of(m))) == 3)
+        assert tally(detector, victim, 0) is None
+        assert tally(detector, victim, 2) is None
         assert detector.unstable_subjects() == [victim]
-        assert subjects_of(detector.receive_alert(report(victim, 1))) == [victim]
+        assert subjects_of(tally(detector, victim, 1)) == [victim]
 
     def test_duplicate_subject_ring_moves_nothing(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        victim = MEMBERS[7]
+        victim = DISTINCT[2]
         for ring in (0, 1, 1, 0, 1):
-            assert detector.receive_alert(report(victim, ring)) is None
+            assert tally(detector, victim, ring) is None
         assert detector.unstable_subjects() == []  # two rings, not five
-        detector.receive_alert(report(victim, 2))
+        tally(detector, victim, 2)
         assert detector.unstable_subjects() == [victim]
 
     def test_conflicting_kind_is_dropped(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        victim = MEMBERS[7]
-        detector.receive_alert(report(victim, 0, 1))
-        assert detector.receive_alert(report(victim, 2, 3, kind=JOIN, uuid=9)) is None
+        victim = DISTINCT[2]
+        tally(detector, victim, 0, 1)
+        assert tally(detector, victim, 2, 3, kind=JOIN, uuid=9) is None
         assert detector.kind_of(victim) == REMOVE
         assert detector.unstable_subjects() == []
-        detector.receive_alert(report(victim, 2))
+        tally(detector, victim, 2)
         assert detector.unstable_subjects() == [victim]
 
-    def test_rings_outside_k_are_ignored_but_register_first_sight(self):
+    def test_an_alert_counts_its_observers_rings_whatever_it_names(self):
+        """No alert names its rings: one from a process that observes the
+        subject on no ring moves nothing, not even the subject's first
+        sight, and one from an observer counts the rings it holds."""
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        victim = MEMBERS[7]
-        assert detector.receive_alert(report(victim, -1, K, K + 7), now=4.0) is None
-        assert detector.kind_of(victim) == REMOVE
-        assert detector.first_seen(victim) == 4.0
+        victim = DISTINCT[2]
+        observers = TOPOLOGY.observers_of(victim)
+        outsider = next(m for m in MEMBERS if m not in observers)
+        every = tuple(range(-1, K + 8))
+        for kind in (REMOVE, JOIN):
+            alert = Alert(outsider, victim, kind, 1, every, joiner_uuid=7)
+            assert detector.receive_alert(alert, now=4.0) is None
+        assert detector.kind_of(victim) is None
+        assert detector.first_seen(victim) is None
         assert detector.unstable_subjects() == []
-        # Ring -1 is not ring K-1, ring K is not the "proposed" mark.
-        for ring in range(H - 1):
-            assert detector.receive_alert(report(victim, ring, K), now=6.0) is None
-        assert detector.receive_alert(report(victim, K - 1), now=6.0)
-        assert detector.first_seen(victim) == 4.0
+        # The observer of ring 0 alone counts ring 0 alone, whatever it names.
+        assert detector.receive_alert(Alert(observers[0], victim, REMOVE, 1, every), 6.0) is None
+        assert detector.first_seen(victim) == 6.0
+        assert tally(detector, victim, 1) is None
+        assert detector.unstable_subjects() == []
+        assert tally(detector, victim, 2) is None
+        assert detector.unstable_subjects() == [victim]
 
     def test_one_alert_with_several_rings_jumps_noise_to_stable(self):
-        detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        joiner = endpoint_for(500)
-        proposal = detector.receive_alert(report(joiner, *range(H), kind=JOIN, uuid=77))
-        assert proposal == (Change(joiner, JOIN, 77),)
+        """In a one-member view the member observes a joiner on every ring."""
+        solo = KRingTopology(MEMBERS[:1], K)
+        detector = MultiNodeCutDetector(K, H, L, solo)
+        alert = Alert(MEMBERS[0], JOINER, JOIN, 1, joiner_uuid=77)
+        proposal = detector.receive_alert(alert)
+        assert proposal == (Change(JOINER, JOIN, 77),)
         assert detector.unstable_subjects() == []
+
+    def test_without_a_topology_an_alert_counts_on_every_ring(self):
+        """An empty view's first member is vouched for by one process as
+        all K observers (Rapid-C's ensemble): a detector with no topology
+        counts the vouch on every ring."""
+        detector = MultiNodeCutDetector(K, K, L, None)
+        proposal = detector.receive_alert(Alert(MEMBERS[0], JOINER, JOIN, 1, joiner_uuid=5))
+        assert proposal == (Change(JOINER, JOIN, 5),)
 
     def test_cut_waits_for_every_unstable_subject_and_is_sorted(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        late, early = MEMBERS[3], MEMBERS[40]
+        late, early = DISTINCT[0], DISTINCT[-1]
         assert late < early
-        detector.receive_alert(report(early, *range(H)[:L]))
-        assert detector.receive_alert(report(late, *range(H))) is None  # early blocks
-        proposal = detector.receive_alert(report(early, *range(H)))
+        tally(detector, early, *range(H)[:L])
+        assert tally(detector, late, *range(H)) is None  # early blocks
+        proposal = tally(detector, early, *range(H))
         assert subjects_of(proposal) == [late, early]
 
 
 class TestQueries:
     def test_unstable_subjects_keep_first_report_order(self):
         """Reinforcement echoes in this order, so it is part of the trace."""
-        detector = MultiNodeCutDetector(K, H, L, None)
-        a, b, c = MEMBERS[30], MEMBERS[10], MEMBERS[20]
-        detector.receive_alert(report(a, 0))
-        detector.receive_alert(report(b, *range(L)))
-        detector.receive_alert(report(c, *range(L)))
-        detector.receive_alert(report(a, *range(L)))  # unstable last, reported first
+        detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
+        a, b, c = DISTINCT[9], DISTINCT[3], DISTINCT[6]
+        tally(detector, a, 0)
+        tally(detector, b, *range(L))
+        tally(detector, c, *range(L))
+        tally(detector, a, *range(L))  # unstable last, reported first
         assert detector.unstable_subjects() == [a, b, c]
 
     def test_first_seen_and_kind_of(self):
-        detector = MultiNodeCutDetector(K, H, L, None)
-        victim, joiner = MEMBERS[7], endpoint_for(500)
-        detector.receive_alert(report(victim, 0), now=5.0)
-        detector.receive_alert(report(victim, 1), now=9.0)
-        detector.receive_alert(report(joiner, 0, kind=JOIN, uuid=3), now=9.5)
+        detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
+        victim = DISTINCT[2]
+        tally(detector, victim, 0, now=5.0)
+        tally(detector, victim, 1, now=9.0)
+        tally(detector, JOINER, 0, kind=JOIN, uuid=3, now=9.5)
         assert detector.first_seen(victim) == 5.0
-        assert detector.first_seen(joiner) == 9.5
-        assert (detector.kind_of(victim), detector.kind_of(joiner)) == (REMOVE, JOIN)
+        assert detector.first_seen(JOINER) == 9.5
+        assert (detector.kind_of(victim), detector.kind_of(JOINER)) == (REMOVE, JOIN)
         assert detector.first_seen(MEMBERS[8]) is None
         assert detector.kind_of(MEMBERS[8]) is None
 
@@ -178,72 +224,74 @@ class TestImplicitAlerts:
     def test_observer_reaches_l_after_its_subject_was_blocked(self):
         (subject, observer), (ring,) = observer_chain(2)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        detector.receive_alert(report(subject, *other_rings(L, ring)))
-        detector.receive_alert(report(observer, *range(L - 1)))
+        tally(detector, subject, *other_rings(L, ring))
+        tally(detector, observer, *range(L - 1))
         assert detector.unstable_subjects() == [subject]
         # The observer's L-th ring makes it failing: its ring counts for
         # the subject, which is thereby stable; the observer itself blocks.
-        assert detector.receive_alert(report(observer, L - 1)) is None
+        assert tally(detector, observer, L - 1) is None
         assert detector.unstable_subjects() == [observer]
-        proposal = detector.receive_alert(report(observer, L))
+        proposal = tally(detector, observer, L)
         assert sorted(subjects_of(proposal)) == sorted([subject, observer])
 
     def test_observer_was_failing_before_its_subject_was_blocked(self):
         (subject, observer), (ring,) = observer_chain(2)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        detector.receive_alert(report(observer, *range(L)))
+        tally(detector, observer, *range(L))
         rings = other_rings(L, ring)
-        detector.receive_alert(report(subject, *rings[:-1]))
+        tally(detector, subject, *rings[:-1])
         assert detector.unstable_subjects() == [observer]
-        detector.receive_alert(report(subject, rings[-1]))  # L explicit + 1 implicit
+        tally(detector, subject, rings[-1])  # L explicit + 1 implicit
         assert detector.unstable_subjects() == [observer]
 
     def test_a_proposed_observer_is_still_failing(self):
         (subject, observer), (ring,) = observer_chain(2)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        # Noise to stable in one alert: a crossing with nothing blocked.
-        assert detector.receive_alert(report(observer, *range(L + 1)))
-        proposal = detector.receive_alert(report(subject, *other_rings(L, ring)))
+        assert tally(detector, observer, *range(L + 1))
+        proposal = tally(detector, subject, *other_rings(L, ring))
         assert subjects_of(proposal) == sorted([subject, observer])
 
     def test_each_new_failing_observer_gets_its_own_pass(self):
         (a, b, c), (ring_ab, ring_bc) = observer_chain(3)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        detector.receive_alert(report(a, *other_rings(L, ring_ab)))
+        tally(detector, a, *other_rings(L, ring_ab))
         assert detector.unstable_subjects() == [a]
-        detector.receive_alert(report(b, *other_rings(L, ring_bc)))
+        tally(detector, b, *other_rings(L, ring_bc))
         assert detector.unstable_subjects() == [b]  # b failing lifted a
-        assert detector.receive_alert(report(c, *range(L))) is None
+        assert tally(detector, c, *range(L)) is None
         assert detector.unstable_subjects() == [c]  # c failing lifted b
-        proposal = detector.receive_alert(report(c, L))
+        proposal = tally(detector, c, L)
         assert subjects_of(proposal) == sorted([a, b, c])
 
     def test_joiner_with_a_failing_expected_observer(self):
-        joiner = endpoint_for(500)
-        expected = TOPOLOGY.observers_of(joiner)
-        observer = next(o for o in expected if expected.count(o) == 1)
+        expected = TOPOLOGY.observers_of(JOINER)
+        observer = next(o for o in expected if o in DISTINCT)
         ring = expected.index(observer)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        detector.receive_alert(report(joiner, *other_rings(L, ring), kind=JOIN, uuid=5))
-        assert detector.unstable_subjects() == [joiner]  # nobody is failing yet
-        proposal = detector.receive_alert(report(observer, *range(L + 1)))
+        tally(detector, JOINER, *other_rings(L, ring), kind=JOIN, uuid=5)
+        assert detector.unstable_subjects() == [JOINER]  # nobody is failing yet
+        proposal = tally(detector, observer, *range(L + 1))
         assert sorted(proposal) == sorted(
-            [Change(joiner, JOIN, 5), Change(observer, REMOVE)]
+            [Change(JOINER, JOIN, 5), Change(observer, REMOVE)]
         )
 
     def test_joiners_are_never_failing_observers(self):
         (subject, observer), (ring,) = observer_chain(2)
         detector = MultiNodeCutDetector(K, L + 1, L, TOPOLOGY)
-        detector.receive_alert(report(observer, *range(L + 1), kind=JOIN, uuid=5))
-        detector.receive_alert(report(subject, *other_rings(L, ring)))
+        tally(detector, observer, *range(L + 1), kind=JOIN, uuid=5)
+        tally(detector, subject, *other_rings(L, ring))
         assert detector.unstable_subjects() == [subject]
 
     def test_without_a_topology_nothing_is_implied(self):
+        """Nor is anything tallied from a topology: with none every alert
+        counts on every ring, so an observer and its subject each reach
+        H at once, and nothing is left unstable to imply anything about."""
         (subject, observer), (ring,) = observer_chain(2)
         detector = MultiNodeCutDetector(K, L + 1, L, None)
-        detector.receive_alert(report(observer, *range(L)))
-        detector.receive_alert(report(subject, *other_rings(L, ring)))
-        assert detector.unstable_subjects() == [observer, subject]
+        detector.receive_alert(Alert(MEMBERS[0], observer, REMOVE, 1))
+        detector.receive_alert(Alert(MEMBERS[0], subject, REMOVE, 1))
+        assert detector.unstable_subjects() == []
+        assert detector.kind_of(subject) == REMOVE
 
 
 class TestRepeatProposals:
@@ -251,21 +299,21 @@ class TestRepeatProposals:
         """Consensus takes one vote per view, and every proposal is a
         latency sample: an alert that adds nothing stable returns nothing."""
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        first, second, noise = MEMBERS[7], MEMBERS[3], MEMBERS[20]
-        assert subjects_of(detector.receive_alert(report(first, *range(H)))) == [first]
-        assert detector.receive_alert(report(noise, 0)) is None
-        assert detector.receive_alert(report(noise, 0)) is None
-        assert detector.receive_alert(report(second, *range(L))) is None
-        later = detector.receive_alert(report(second, *range(H)))
+        second, first, noise = DISTINCT[1], DISTINCT[2], DISTINCT[5]
+        assert subjects_of(tally(detector, first, *range(H))) == [first]
+        assert tally(detector, noise, 0) is None
+        assert tally(detector, noise, 0) is None
+        assert tally(detector, second, *range(L)) is None
+        later = tally(detector, second, *range(H))
         assert subjects_of(later) == [second, first]  # every stable subject
-        assert detector.receive_alert(report(noise, 1)) is None
+        assert tally(detector, noise, 1) is None
 
     def test_proposed_subjects_take_no_more_alerts(self):
         detector = MultiNodeCutDetector(K, H, L, TOPOLOGY)
-        victim = MEMBERS[7]
-        assert detector.receive_alert(report(victim, *range(H)))
-        assert detector.receive_alert(report(victim, H)) is None
-        assert detector.receive_alert(report(victim, 0)) is None
+        victim = DISTINCT[2]
+        assert tally(detector, victim, *range(H))
+        assert tally(detector, victim, H) is None
+        assert tally(detector, victim, 0) is None
 
 
 # ------------------------------------------------------------ differential
@@ -286,13 +334,10 @@ def random_stream(rng):
     alerts = []
     for subject in failed + joiners:
         kind, uuid = (REMOVE, 0) if subject in failed else (JOIN, rng.getrandbits(32))
-        by_observer = {}
-        for ring, observer in enumerate(topology.observers_of(subject)):
-            # One alert per observer (several rings in small views), or
-            # one per ring.
-            key = observer if rng.random() < 0.7 else (observer, ring)
-            by_observer.setdefault(key, (observer, []))[1].append(ring)
-        for observer, rings in by_observer.values():
+        # One alert per observer, naming its rings (several in small
+        # views) for the reference, which tallies what an alert names.
+        for observer in topology.unique_observers_of(subject):
+            rings = topology.observer_rings(observer, subject)
             if rng.random() < 0.15:
                 continue  # lost
             if rng.random() < 0.1:
@@ -304,7 +349,7 @@ def random_stream(rng):
             alert = Alert(observer, subject, kind_sent, 1, tuple(rings), uuid)
             alerts.extend([alert] * rng.choice((1, 1, 1, 2, 3)))
     rng.shuffle(alerts)
-    return k, h, l, (None if rng.random() < 0.1 else topology), alerts
+    return k, h, l, topology, alerts
 
 
 def test_bitmask_detector_agrees_with_the_reference_on_random_streams():
@@ -360,7 +405,7 @@ def decider(config, addr, decided=None, metrics=None):
 
 
 def vouch(config, joiner, uuid):
-    return Alert(ME, joiner, JOIN, config.config_id, tuple(range(K)), uuid)
+    return Alert(ME, joiner, JOIN, config.config_id, joiner_uuid=uuid)
 
 
 def deliver(changer, alerts, batched):
@@ -398,11 +443,11 @@ class TestViewChangerBatches:
         config = Configuration.of(MEMBERS[:8])
         stranger = endpoint_for(500)
         batch = (
-            Alert(ME, MEMBERS[3], REMOVE, config.config_id ^ 1, (0,)),  # foreign
-            Alert(ME, stranger, REMOVE, config.config_id, (0,)),  # not a member
-            Alert(ME, MEMBERS[3], JOIN, config.config_id, (0,), 5),  # a member
-            Alert(ME, MEMBERS[3], REMOVE, config.config_id, (0,)),
-            Alert(ME, stranger, JOIN, config.config_id, (0,), 5),
+            Alert(ME, MEMBERS[3], REMOVE, config.config_id ^ 1),  # foreign
+            Alert(ME, stranger, REMOVE, config.config_id),  # not a member
+            Alert(ME, MEMBERS[3], JOIN, config.config_id, joiner_uuid=5),  # a member
+            Alert(ME, MEMBERS[3], REMOVE, config.config_id),
+            Alert(ME, stranger, JOIN, config.config_id, joiner_uuid=5),
         )
         counts = []
         for batched in (True, False):
@@ -418,13 +463,35 @@ class TestViewChangerBatches:
     def test_deciders_of_one_view_share_one_cut_object(self):
         config = Configuration.of(MEMBERS[:8])
         a, b, c = (decider(config, addr) for addr in MEMBERS[:3])
-        agreed = Alert(ME, MEMBERS[5], REMOVE, config.config_id, tuple(range(K)))
-        differs = Alert(ME, MEMBERS[6], REMOVE, config.config_id, tuple(range(K)))
-        a.on_alert(agreed)
-        b.on_alert(agreed)
-        c.on_alert(differs)
+        topology = a.cut_detector.topology
+
+        def reported(subject):  # by each of its observers
+            return [
+                Alert(observer, subject, REMOVE, config.config_id)
+                for observer in topology.unique_observers_of(subject)
+            ]
+
+        agreed, differs = reported(MEMBERS[5]), reported(MEMBERS[6])
+        for alert in agreed:
+            a.on_alert(alert)
+            b.on_alert(alert)
+        for alert in differs:
+            c.on_alert(alert)
         vote = a.consensus.my_vote
         assert vote == (Change(MEMBERS[5], REMOVE),)
         assert b.consensus.my_vote is vote
         assert c.consensus.my_vote == (Change(MEMBERS[6], REMOVE),)
         assert c.consensus.my_vote is not vote
+
+
+def test_rapid_c_admits_the_first_member_of_an_empty_view():
+    """Nobody observes the first member of an empty view: an ensemble
+    member vouches for it as all K observers, and its deciders, which have
+    no topology of an empty view, count that vouch on every ring."""
+    harness = harness_for("rapid-c", seed=1)
+    (first,) = harness.bootstrap(1)
+    assert harness.run_until_converged(1, timeout=30.0) is not None
+    assert harness.agents[first].config.members == (first,)
+    assert [server.config.members for server in harness.ensemble] == [(first,)] * len(
+        harness.ensemble
+    )

@@ -239,7 +239,8 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     observer and view in each alert of a batch, which version 5 names once;
     version 5 named each alert's kind, which version 6 files by tuple;
     version 6 spelt each alert's subject whole, which version 7 sends as
-    one delta-coded column per tuple."""
+    one delta-coded column per tuple; version 7 named each batched alert's
+    rings, which version 8 leaves to the receiver's topology."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -262,12 +263,15 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         # The committed version-6 vector of a BatchedAlerts.
         "0606007f000001a10f88796a5b4c3d2e1f01007f000001a30f0101090000000000"
         "000001047a6f6e65016201007f000001a20f03000307",
+        # The committed version-7 vector of a BatchedAlerts.
+        "0706007f000001a10f88796a5b4c3d2e1f027f0000010fa30101090000000000000001"
+        "047a6f6e650162027f0000010fa203000307",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 7
+    assert codec.WIRE_VERSION == 8
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():

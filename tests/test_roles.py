@@ -348,12 +348,13 @@ def changer(request):
 
 
 def alert(changer, subject, kind, config_id=None, uuid=0):
+    """An alert from ``subject``'s ring-0 observer, which the filter alone
+    can keep from the detector's tally."""
     return Alert(
-        observer=MEMBERS[1],
+        observer=changer.cut_detector.topology.observers_of(subject)[0],
         subject=subject,
         kind=kind,
         config_id=changer.config.config_id if config_id is None else config_id,
-        ring_numbers=(0,),
         joiner_uuid=uuid,
     )
 
@@ -469,10 +470,10 @@ class TestViewChanger:
         """A vote short of its quorum arms the fallback and gossip timers;
         a process that left its view must not keep running that round."""
         runtime = changer.runtime
-        changer.on_alert(
-            Alert(MEMBERS[1], MEMBERS[3], AlertKind.REMOVE, changer.config.config_id,
-                  tuple(range(changer.settings.k)))
-        )
+        for observer in changer.cut_detector.topology.unique_observers_of(MEMBERS[3]):
+            changer.on_alert(
+                Alert(observer, MEMBERS[3], AlertKind.REMOVE, changer.config.config_id)
+            )
         assert changer.consensus.my_vote and not changer.consensus.decided
         assert runtime.live_timers() == ["_fallback", "_gossip_tick"]
         changer.stop()
@@ -588,7 +589,7 @@ class TestAdmissionDesk:
         desks = []
         for addr, role in zip(MEMBERS, roles):
             store = {MEMBERS[1]: {"role": role}, endpoint_for(77): {"role": "gone"}}
-            desk = AdmissionDesk(SteppingRuntime(addr), settings, store, lambda alert: None)
+            desk = AdmissionDesk(SteppingRuntime(addr), store, lambda alert: None)
             desk.reset(config, topology, ())
             desks.append(desk)
         views = [desk.join_response().view for desk in desks]
@@ -600,7 +601,7 @@ class TestAdmissionDesk:
 
 
     def test_a_desk_serving_no_view_answers_nothing(self):
-        desk = AdmissionDesk(SteppingRuntime(MEMBERS[0]), RapidSettings(), {}, None)
+        desk = AdmissionDesk(SteppingRuntime(MEMBERS[0]), {}, None)
         joiner = endpoint_for(9)
         desk.on_pre_join_request(joiner, PreJoinRequest(joiner, uuid=5))
         desk.on_join_request(joiner, JoinRequest(joiner, uuid=5, config_id=7))
@@ -614,7 +615,7 @@ class TestAdmissionDesk:
         settings = RapidSettings()
         config = Configuration(MEMBERS, tuple(range(1, 9)), seq=0)
         runtime = SteppingRuntime(MEMBERS[0])
-        desk = AdmissionDesk(runtime, settings, {}, None)
+        desk = AdmissionDesk(runtime, {}, None)
         desk.reset(config, KRingTopology.for_configuration(config, settings.k), ())
         stranger, member = endpoint_for(9), MEMBERS[2]
         desk.on_pre_join_request(member, PreJoinRequest(member, uuid=3))
@@ -641,7 +642,7 @@ class TestAdmissionDesk:
         )
         runtime = SteppingRuntime(outsider)
         alerts = []
-        desk = AdmissionDesk(runtime, settings, {}, alerts.append)
+        desk = AdmissionDesk(runtime, {}, alerts.append)
         desk.reset(config, topology, ())
         request = JoinRequest(joiner, uuid=5, config_id=config.config_id)
         desk.on_join_request(joiner, request)
@@ -654,7 +655,7 @@ class TestAdmissionDesk:
         settings = RapidSettings()
         config = Configuration.of(MEMBERS)
         runtime = SteppingRuntime(MEMBERS[0])
-        desk = AdmissionDesk(runtime, settings, {}, lambda alert: None)
+        desk = AdmissionDesk(runtime, {}, lambda alert: None)
         desk.reset(config, KRingTopology.for_configuration(config, settings.k), ())
         joiner = endpoint_for(9)
         desk.on_pre_join_request(joiner, PreJoinRequest(joiner, uuid=5))
@@ -729,9 +730,14 @@ class TestCompositions:
             if node.topology.observer_rings(node.addr, endpoint_for(i))
         )
         node.desk.pending[joiner] = 77
-        node.decider.on_alert(
-            Alert(MEMBERS[1], joiner, AlertKind.JOIN, node.config.config_id, (0, 1, 2), 77)
-        )
+        detector = node.decider.cut_detector
+        for observer in node.topology.unique_observers_of(joiner):  # up to L rings
+            if detector.unstable_subjects():
+                break
+            node.decider.on_alert(
+                Alert(observer, joiner, AlertKind.JOIN, node.config.config_id, joiner_uuid=77)
+            )
+        assert detector.unstable_subjects() == [joiner]
         node._alert_batch.clear()
         runtime.time = REINFORCEMENT_TIMEOUT
         node._reinforce_scan(runtime.time)
