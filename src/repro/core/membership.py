@@ -279,47 +279,44 @@ class EdgeMonitor:
     # ----------------------------------------------------------------- messages
 
     def on_probe(self, src: Endpoint, msg: Probe) -> None:
-        """Queue an ack; the batch flushes on our next wheel tick.
+        """Queue an ack to ``src``; the batch flushes on our next wheel tick.
 
-        A probe naming another configuration goes to ``on_foreign`` too.
-        Outside a view the wheel idles at one tick per interval (or not at
-        all), which is too slow for ack batching — a joiner that answered
-        an interval late would look dead to its observers — so those
-        probes are acked immediately instead.
+        A probe naming another configuration reports ``src`` to
+        ``on_foreign`` too.  Outside a view the wheel idles at one tick per
+        interval (or not at all), which is too slow for ack batching — a
+        joiner that answered an interval late would look dead to its
+        observers — so those probes are acked immediately instead.
         """
         if self._phase == _WATCHING:
-            self._ack_pending[msg.sender] = None
+            self._ack_pending[src] = None
             if msg.config_id != self._config_id:
-                self._on_foreign(msg.sender, msg.config_id)
+                self._on_foreign(src, msg.config_id)
             return
-        self.runtime.send(
-            msg.sender,
-            ProbeAck(
-                sender=self.runtime.addr, config_id=self._config_id, bootstrapping=True
-            ),
-        )
+        self.runtime.send(src, ProbeAck(config_id=self._config_id, bootstrapping=True))
 
     def on_probe_ack(self, src: Endpoint, msg: ProbeAck) -> None:
-        """Credit an ack to the sender's outstanding probe, if any.
+        """Credit an ack to the outstanding probe of its source, if any.
 
-        Acks are batched and carry no per-edge sequence number; whatever
-        probe is in flight for this subject is considered answered.  A
-        stale ack (its probe already expired, or a view change reset the
-        edge) finds nothing outstanding and is dropped.  An ack naming
-        another configuration goes to ``on_foreign`` first, unless it is
-        bootstrapping: its sender watches no view.
+        An ack names no sender: the datagram's source is the subject that
+        sent it.  Acks are batched and carry no per-edge sequence number;
+        whatever probe is in flight for this subject is considered
+        answered.  A stale ack (its probe already expired, or a view change
+        reset the edge) finds nothing outstanding and is dropped, as is an
+        ack from a process this monitor does not watch.  An ack naming
+        another configuration reports ``src`` to ``on_foreign`` first,
+        unless it is bootstrapping: its sender watches no view.
         """
         if (
             msg.config_id != self._config_id
             and not msg.bootstrapping
             and self._phase == _WATCHING
         ):
-            self._on_foreign(msg.sender, msg.config_id)
-        idx = self._subject_index.get(msg.sender)
+            self._on_foreign(src, msg.config_id)
+        idx = self._subject_index.get(src)
         if idx is None or not self._outstanding[idx]:
             return
         self._outstanding[idx] = 0
-        if msg.sender in self.alerted:
+        if src in self.alerted:
             return
         now = self.runtime.now()
         if msg.bootstrapping:
@@ -397,9 +394,7 @@ class EdgeMonitor:
             self._ack_pending.clear()
             # Only a watching process batches (others ack immediately in
             # on_probe), so bootstrapping is never set on this path.
-            self.runtime.broadcast(
-                targets, ProbeAck(sender=self.runtime.addr, config_id=self._config_id)
-            )
+            self.runtime.broadcast(targets, ProbeAck(config_id=self._config_id))
         # 3. Probe this slot's subjects with one fanned-out message.
         if subjects:
             targets = []

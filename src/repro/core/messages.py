@@ -127,12 +127,14 @@ def cut_id(proposal: Proposal) -> int:
 class Probe:
     """Edge-monitoring probe from an observer to its subject.
 
-    ``seq`` is the observer's wheel-tick counter, shared by every probe
-    sent in the same tick — one frozen message object fans out to all of
-    the tick's subjects.  Nothing reads it: a subject answers with a
-    :class:`ProbeAck` that does not echo it, and an observer matches an
-    ack by its sender.  It stays only because ``benchmarks/kernels.py``
-    builds probes with it, until ROADMAP item 7 (i) drops it.
+    A subject acks the datagram's source and reports it if the probe
+    names another view, so nothing reads ``sender``.  ``seq`` is the
+    observer's wheel-tick counter, shared by every probe sent in the same
+    tick — one frozen message object fans out to all of the tick's
+    subjects — and nothing reads it either: a subject answers with a
+    :class:`ProbeAck` that does not echo it.  Both stay on the wire only
+    because ``benchmarks/kernels.py`` builds probes with them, until
+    ROADMAP item 7 (i) drops them.
     """
 
     sender: Endpoint
@@ -144,21 +146,25 @@ class Probe:
 class ProbeAck:
     """Subject's batched reply to every observer that probed it recently.
 
-    Acks ride the subject's own probe-wheel tick: probes received since
-    the last tick are answered with *one* message fanned out to all of
-    their senders, so ack content cannot be observer-specific.  An
-    observer credits an ack to whatever probe it has outstanding for the
-    sender (at most one per subject); a stale ack that outlived its
-    probe's expiry finds nothing outstanding and is ignored.
+    An ack names no sender: its sender is its datagram's source, the
+    subject's advertised endpoint in every runtime.  Acks ride the
+    subject's own probe-wheel tick: probes received since the last tick
+    are answered with *one* message fanned out to all of their sources,
+    so ack content cannot be observer-specific.  An observer credits an
+    ack to whatever probe it has outstanding for the source (at most one
+    per subject); a stale ack that outlived its probe's expiry, or one
+    from a process the observer does not watch, finds nothing outstanding
+    and is ignored.
 
-    ``bootstrapping`` is true when the ack came from a subject that is
-    not (yet) active in a view.  The flag is informational: a slow
-    joiner avoids condemnation by *acking at all* (any ack counts as a
-    probe success at the observer), and the flag merely labels that
-    traffic for diagnosis.
+    ``bootstrapping`` is true when the ack came from a process that is
+    not (yet) active in a view, which answers each probe at once.  An
+    observer counts such an ack as a success only up to
+    ``PROBE_BOOTSTRAP_BUDGET`` in a row per subject and as a failure past
+    it, so a departed process that keeps answering fails out of the view;
+    and it never reports such an ack's ``config_id`` as another view, as
+    its sender watches none.
     """
 
-    sender: Endpoint
     config_id: U64
     bootstrapping: bool = False
 

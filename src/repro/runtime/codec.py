@@ -60,6 +60,10 @@ and a REMOVE alert without its kind and its empty joiner fields
 Each tuple's subjects travel as its column, in the order the alerts were
 raised, so a receiver tallies them in that order.
 
+A :class:`repro.core.messages.ProbeAck` names no sender: it is its
+config id and its flag, and an observer credits it to the datagram's
+source, which every runtime hands the handler as ``src``.
+
 An ``EndpointSet`` (``ViewSnapshot.members``, ``ViewUpdate.members``) is
 sorted and distinct in :class:`Endpoint` order both in memory and after
 decoding, whatever order the wire uses, so a field aligned with it (the
@@ -110,7 +114,7 @@ __all__ = [
 #: Largest UDP payload an IPv4 datagram can carry (65,535 - 20 - 8).
 MAX_DATAGRAM_BYTES = 65_507
 #: First byte of every datagram; a format change bumps it.
-WIRE_VERSION = 8
+WIRE_VERSION = 9
 
 
 class CodecError(ValueError):

@@ -74,7 +74,7 @@ _SNAPSHOT = m.ViewSnapshot(
 _SAMPLES: dict[str, Callable[[], Any]] = {
     "Change": lambda: m.Change(_B, m.AlertKind.JOIN, uuid=7),
     "Probe": lambda: m.Probe(_A, config_id=_CID, seq=42),
-    "ProbeAck": lambda: m.ProbeAck(_A, config_id=_CID, bootstrapping=True),
+    "ProbeAck": lambda: m.ProbeAck(config_id=_CID, bootstrapping=True),
     "Alert": lambda: _ALERT,
     "BatchedAlerts": lambda: m.BatchedAlerts(
         sender=_A,

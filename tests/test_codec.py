@@ -113,6 +113,12 @@ VERSION_7_BATCH = (
 #: batch sheds the generic walk's charge for its JOIN's one ring (10 B)
 #: and its REMOVE's three (26 B).
 VERSION_8_SIZES = {**VERSION_7_SIZES, "BatchedAlerts": 92}
+#: The committed version-8 vector of the ProbeAck exemplar: an ack named
+#: its sender.
+VERSION_8_ACK = "0804007f000001a10f88796a5b4c3d2e1f01"
+#: Version 9 moved one: an ack names no sender, so the exemplar sheds the
+#: generic walk's charge for its 127.0.0.1 endpoint (4 + 9 B).
+VERSION_9_SIZES = {**VERSION_8_SIZES, "ProbeAck": 39}
 
 
 # ------------------------------------------------------------ pinned format
@@ -191,7 +197,7 @@ def test_hostile_lengths_are_refused_before_any_allocation():
 
 def test_non_canonical_encodings_are_refused():
     probe = body("Probe") + _A_WIRE + _CID
-    ack = body("ProbeAck") + _A_WIRE + _CID
+    ack = body("ProbeAck") + _CID
     snapshot = body("ViewSnapshot")
     rest = b"\x00\x00\x00"  # no uuids, seq 0, no metadata
     batch = body("BatchedAlerts") + _A_WIRE + _CID
@@ -234,7 +240,7 @@ def test_non_canonical_encodings_are_refused():
         batch + b"\x00\x04" + b"\xff" * 6 + b"\x02\x00",
         batch + b"\x00\x04" + b"\xff" * 6 + b"\x00\x02",
         batch + b"\x00\x02" + ten_5000[:5],
-        b"\x09" + probe[1:] + b"\x01",  # a future wire version
+        b"\x0a" + probe[1:] + b"\x01",  # a future wire version
         b"\x01" + probe[1:] + b"\x01",  # retired: full-body votes
         b"\x02" + probe[1:] + b"\x01",  # retired: full-body accepts, epidemic
         # retired: delta-encoded join answers (the committed version-3
@@ -253,6 +259,8 @@ def test_non_canonical_encodings_are_refused():
         # and alerts that name their rings (the committed version-7 one)
         bytes.fromhex(VERSION_6_BATCH),
         bytes.fromhex(VERSION_7_BATCH),
+        # retired: acks that name their sender (the committed version-8 one)
+        bytes.fromhex(VERSION_8_ACK),
         HEADER + b"\x0b",  # the join answer's delta, retired with its class
         HEADER + b"\x15",  # the epidemic's envelope, retired with its class
         HEADER + b"\x16",  # and its relay bundle
@@ -426,9 +434,26 @@ def test_a_batch_is_sized_without_what_it_hoists():
 
 def test_the_batch_moved_its_simulated_size():
     sizes = {name: network.wire_size(sample_message(name)) for name in NAMES}
-    assert sizes == VERSION_8_SIZES
+    assert sizes == VERSION_9_SIZES
     assert VERSION_7_SIZES["BatchedAlerts"] == 142 - 2 * (4 + len("127.0.0.1") - 6)
     assert VERSION_8_SIZES["BatchedAlerts"] == 128 - (2 + 8) - (2 + 3 * 8)
+    assert VERSION_9_SIZES["ProbeAck"] == 52 - (4 + len("127.0.0.1"))
+
+
+def test_an_ack_is_charged_exactly_its_datagram():
+    """The version byte, the tag, the config id and the flag: the sizer's
+    estimate of an ack is its encoded length plus the 28 B of IPv4 and
+    UDP headers, no more."""
+    for ack in (
+        sample_message("ProbeAck"),
+        m.ProbeAck(config_id=0),
+        m.ProbeAck(config_id=2**64 - 1, bootstrapping=False),
+    ):
+        data = codec.encode_bytes(ack)
+        assert data == body("ProbeAck") + ack.config_id.to_bytes(8, "little") + bytes(
+            (ack.bootstrapping,)
+        )
+        assert network.wire_size(ack) == len(data) + 28 == 39
 
 
 # ----------------------------------------------------------- subject columns

@@ -37,6 +37,7 @@ enough that a broken live scheduler (or a sim model drifting from
 reality) still fails.
 """
 
+import asyncio
 import dataclasses
 import os
 import runpy
@@ -48,7 +49,7 @@ from repro.core import messages
 from repro.core.node_id import Endpoint
 from repro.core.settings import RapidSettings
 from repro.runtime import codec, conformance
-from repro.runtime.asyncio_transport import AsyncioRuntime, _Protocol
+from repro.runtime.asyncio_transport import AsyncioRuntime, _Protocol, open_local_socket
 from repro.runtime.conformance import (
     parity_rows,
     render_parity_table,
@@ -240,7 +241,9 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
     version 5 named each alert's kind, which version 6 files by tuple;
     version 6 spelt each alert's subject whole, which version 7 sends as
     one delta-coded column per tuple; version 7 named each batched alert's
-    rings, which version 8 leaves to the receiver's topology."""
+    rings, which version 8 leaves to the receiver's topology; version 8
+    named each probe ack's sender, which version 9 reads off the
+    datagram's source."""
     received = []
     runtime = AsyncioRuntime(Endpoint("127.0.0.1", 1))
     runtime.attach(lambda src, msg: received.append(msg))
@@ -266,12 +269,14 @@ def test_a_version_1_datagram_is_a_counted_decode_error_not_a_misparse():
         # The committed version-7 vector of a BatchedAlerts.
         "0706007f000001a10f88796a5b4c3d2e1f027f0000010fa30101090000000000000001"
         "047a6f6e650162027f0000010fa203000307",
+        # The committed version-8 vector of a ProbeAck.
+        "0804007f000001a10f88796a5b4c3d2e1f01",
     )
     for hexed in version_1:
         runtime._datagram_received(bytes.fromhex(hexed), ("127.0.0.1", 2))
     assert runtime.decode_errors == len(version_1)
     assert received == []
-    assert codec.WIRE_VERSION == 8
+    assert codec.WIRE_VERSION == 9
 
 
 def test_live_runtime_accounts_decode_errors_on_the_wire():
@@ -432,6 +437,37 @@ def test_live_bootstrap_scenario_is_registered():
 
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else 0
+
+
+@live
+def test_a_datagrams_source_is_its_senders_advertised_endpoint():
+    """A probe ack names no sender: its observer credits it to the
+    datagram's source, which must be the address the subject advertises
+    (the one its observers probe).  Two runtimes on pre-bound loopback
+    sockets each see the other's ``addr`` as ``src``."""
+    ack = messages.ProbeAck(config_id=7)
+
+    async def exchange():
+        bound = [open_local_socket() for _ in range(2)]
+        runtimes = [AsyncioRuntime(endpoint) for _, endpoint in bound]
+        heard = [[], []]
+        try:
+            for i, (runtime, (sock, _)) in enumerate(zip(runtimes, bound)):
+                runtime.attach(lambda src, msg, i=i: heard[i].append((src, msg)))
+                await runtime.start(sock)
+            runtimes[0].send(runtimes[1].addr, ack)
+            runtimes[1].broadcast([runtimes[0].addr], ack)
+            for _ in range(200):
+                if all(heard):
+                    break
+                await asyncio.sleep(0.01)
+        finally:
+            for runtime in runtimes:
+                runtime.close()
+        return runtimes, heard
+
+    runtimes, heard = asyncio.run(exchange())
+    assert heard == [[(runtimes[1].addr, ack)], [(runtimes[0].addr, ack)]]
 
 
 @live

@@ -169,7 +169,7 @@ class MonitorBench:
                 if dst in silent and runtime.time >= silent_from:
                     continue
                 self.monitor.on_probe_ack(
-                    dst, ProbeAck(dst, config_id=7, bootstrapping=dst in bootstrapping)
+                    dst, ProbeAck(config_id=7, bootstrapping=dst in bootstrapping)
                 )
             self._answered = len(probes)
 
@@ -264,7 +264,7 @@ class TestEdgeMonitor:
         # finds nothing outstanding, an unanswered one never expires into
         # a verdict.
         for subject in SUBJECTS[:2]:
-            monitor.on_probe_ack(subject, ProbeAck(subject, config_id=7))
+            monitor.on_probe_ack(subject, ProbeAck(config_id=7))
         assert all(bench.detector_of(subject).outcomes == [] for subject in SUBJECTS)
         bench._answered = len(bench.probes())
         bench.run(10.0)
@@ -273,19 +273,19 @@ class TestEdgeMonitor:
         # The ack owed from before the view change still went out, under
         # the new configuration id, batched onto the next tick.
         acks = [(dst, msg) for _, dst, msg in runtime.sent if isinstance(msg, ProbeAck)]
-        assert acks == [(observer, ProbeAck(ME, config_id=8))]
+        assert acks == [(observer, ProbeAck(config_id=8))]
 
     def test_outside_a_view_probes_are_acked_at_once_as_bootstrapping(self):
         bench = MonitorBench()
         observer = endpoint_for(9)
         bench.monitor.on_probe(observer, Probe(observer, config_id=3, seq=1))
         assert bench.runtime.sent == [
-            (0.0, observer, ProbeAck(ME, config_id=0, bootstrapping=True))
+            (0.0, observer, ProbeAck(config_id=0, bootstrapping=True))
         ]
         bench.monitor.watch(7, SUBJECTS)
         bench.monitor.stop()
         bench.monitor.on_probe(observer, Probe(observer, config_id=7, seq=2))
-        assert bench.runtime.sent[-1][2] == ProbeAck(ME, config_id=7, bootstrapping=True)
+        assert bench.runtime.sent[-1][2] == ProbeAck(config_id=7, bootstrapping=True)
 
 
     def test_a_probe_or_ack_naming_another_view_is_reported_once(self):
@@ -294,7 +294,7 @@ class TestEdgeMonitor:
         monitor.watch(7, SUBJECTS)
         monitor.on_probe(peer, Probe(peer, config_id=6, seq=1))
         assert bench.foreign == [(peer, 6)]
-        monitor.on_probe_ack(subject, ProbeAck(subject, config_id=8))
+        monitor.on_probe_ack(subject, ProbeAck(config_id=8))
         assert bench.foreign == [(peer, 6), (subject, 8)]
 
     def test_only_a_watching_monitor_hears_of_another_view(self):
@@ -306,15 +306,58 @@ class TestEdgeMonitor:
 
         def traffic(config_id):
             monitor.on_probe(peer, Probe(peer, config_id=config_id, seq=1))
-            monitor.on_probe_ack(subject, ProbeAck(subject, config_id=config_id))
+            monitor.on_probe_ack(subject, ProbeAck(config_id=config_id))
 
         traffic(6)
         monitor.watch(7, SUBJECTS)
         traffic(7)
-        monitor.on_probe_ack(subject, ProbeAck(subject, config_id=0, bootstrapping=True))
+        monitor.on_probe_ack(subject, ProbeAck(config_id=0, bootstrapping=True))
         monitor.stop()
         traffic(6)
         assert bench.foreign == []
+
+    def test_an_ack_from_a_process_that_is_no_subject_credits_nothing(self):
+        bench = MonitorBench()
+        runtime, monitor = bench.runtime, bench.monitor
+        monitor.watch(7, SUBJECTS)
+        monitor.start()
+        runtime.run_until(runtime._timers[0][0] + 0.6)  # every subject probed
+        sent = len(runtime.sent)
+        stranger = endpoint_for(9)
+        monitor.on_probe_ack(stranger, ProbeAck(config_id=7))
+        monitor.on_probe_ack(stranger, ProbeAck(config_id=7, bootstrapping=True))
+        assert all(d.outcomes == [] for d in bench.detectors)
+        assert len(runtime.sent) == sent
+        assert bench.foreign == [] and bench.reports == []
+        # Every subject's probe is still outstanding, and its own ack
+        # credits it.
+        for subject in SUBJECTS:
+            monitor.on_probe_ack(subject, ProbeAck(config_id=7))
+        assert [bench.detector_of(s).outcomes for s in SUBJECTS] == [[True]] * 4
+
+    def test_an_ack_naming_another_view_reports_its_source(self):
+        bench = MonitorBench()
+        stranger = endpoint_for(9)
+        bench.monitor.watch(7, SUBJECTS)
+        bench.monitor.on_probe_ack(stranger, ProbeAck(config_id=8))
+        assert bench.foreign == [(stranger, 8)]
+
+    def test_a_probe_is_answered_and_reported_by_its_source(self):
+        """The ``sender`` a probe names is never read: an idle monitor's
+        immediate ack, a watching monitor's batched one and a report of
+        another view all go to the datagram's source."""
+        bench = MonitorBench()
+        runtime, monitor = bench.runtime, bench.monitor
+        src, named = endpoint_for(9), endpoint_for(10)
+        monitor.on_probe(src, Probe(named, config_id=3, seq=1))
+        assert runtime.sent == [(0.0, src, ProbeAck(config_id=0, bootstrapping=True))]
+        monitor.watch(7, SUBJECTS)
+        monitor.start()
+        monitor.on_probe(src, Probe(named, config_id=6, seq=2))
+        assert bench.foreign == [(src, 6)]
+        runtime.run_until(runtime._timers[0][0])
+        acks = [(dst, msg) for _, dst, msg in runtime.sent if isinstance(msg, ProbeAck)]
+        assert acks[1:] == [(src, ProbeAck(config_id=7))]
 
     def test_stopped_wheel_dies_at_its_next_tick(self):
         bench = MonitorBench()
