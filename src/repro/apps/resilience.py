@@ -476,12 +476,13 @@ class ResilientCall:
 
     # -------------------------------------------------------------- responses
 
-    def complete(self, src: Endpoint, ok: bool = True) -> bool:
+    def complete(self, src: Endpoint) -> bool:
         """Report a response from ``src``; returns False for late duplicates.
 
         The first response settles the call: latency is measured from the
         *intended* start, the hedge tracker learns it, and ``src``'s
-        breaker records the outcome.
+        breaker records a success.  A response is always a success: no app
+        of this tier answers a request with an error.
         """
         if self.done:
             return False
@@ -491,12 +492,6 @@ class ResilientCall:
             if dst == src:
                 del self._current[attempt]
                 break
-        if not ok:
-            if self.on_target_failure is not None:
-                self.on_target_failure(src)
-            if not self._current:
-                self._finish("error", ok=False)
-            return True
         if self.on_target_success is not None:
             self.on_target_success(src)
         latency = self.runtime.now() - self.intended

@@ -357,10 +357,8 @@ class WorkloadGenerator:
                 self.stats.record_success(call.intended, call.latency)
             elif call.outcome == "deadline":
                 self.stats.record_deadline()
-            elif call.outcome == "exhausted":
-                self.stats.record_exhausted()
             else:
-                self.stats.record_error()
+                self.stats.record_exhausted()
 
         call = ResilientCall(
             self.runtime,

@@ -208,9 +208,6 @@ class DataServer:
                     self.config.failover_pause, self._drain_queued
                 )
 
-    def serializer(self) -> Optional[Endpoint]:
-        return self._serializer
-
     def _is_active_serializer(self) -> bool:
         if self._serializer != self.addr:
             return False
@@ -508,16 +505,12 @@ class TxnClient:
             self.stats.record_success(txn.intended, now - txn.intended)
 
     def _fail_txn(self, txn: _Txn, outcome: Optional[str]) -> None:
-        if txn.done:
-            return
         txn.done = True
         self._inflight.pop(txn.txn_id, None)
         if outcome == "deadline":
             self.stats.record_deadline()
-        elif outcome == "exhausted":
-            self.stats.record_exhausted()
         else:
-            self.stats.record_error()
+            self.stats.record_exhausted()
 
     # --------------------------------------------------------------- messages
 

@@ -93,7 +93,6 @@ class AkkaNode(MembershipAgent):
         self._cached_snapshot: Optional[tuple] = None
         self._cached_peers: Optional[list] = None
         self._cached_targets: Optional[list] = None
-        self._started = False
         runtime.attach(self.on_message)
 
     def _invalidate(self) -> None:
@@ -103,9 +102,6 @@ class AkkaNode(MembershipAgent):
         self._cached_targets = None
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         for seed in self.seeds:
             if seed != self.addr:
                 self.runtime.send(seed, AkkaJoin(sender=self.addr))

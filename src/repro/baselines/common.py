@@ -22,11 +22,10 @@ class MembershipAgent:
     runtime: Runtime
 
     def start(self) -> None:
-        raise NotImplementedError
+        """Begin taking part in the cluster (called once per process)."""
 
     def view(self) -> tuple:
         """The membership set this agent currently believes in."""
-        raise NotImplementedError
 
     @property
     def view_size(self) -> int:

@@ -64,13 +64,9 @@ class GossipFdNode(MembershipAgent):
         self.down: set[Endpoint] = set()
         self._last_heard: dict[Endpoint, float] = {}
         self._epochs: dict[Endpoint, int] = {}
-        self._started = False
         runtime.attach(self.on_message)
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         now = self.runtime.now()
         for peer in self.members:
             if peer != self.addr:

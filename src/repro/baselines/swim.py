@@ -128,19 +128,14 @@ class SwimNode(MembershipAgent):
         # Relay bookkeeping for indirect probes: our ping seq -> (origin,
         # origin's seq), so the target's ack can be forwarded back.
         self._relay: dict[int, tuple] = {}
-        self._suspicion_timers: dict[Endpoint, object] = {}
         self._view_cache: Optional[tuple] = None
         # Update -> remaining retransmissions.
         self._broadcast_queue: dict[Update, int] = {}
-        self._started = False
         runtime.attach(self.on_message)
 
     # ----------------------------------------------------------------- public
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         for seed in self.seeds:
             if seed != self.addr:
                 self.runtime.send(seed, SwimPushPull(sender=self.addr, state=self._state()))
@@ -371,26 +366,19 @@ class SwimNode(MembershipAgent):
         return False
 
     def _after_change(self, update: Update) -> None:
+        # A suspicion timer is never cancelled: a refutation (ALIVE at a
+        # higher incarnation) or a newer suspicion makes it a no-op when
+        # it fires, by the incarnation check in _suspicion_expired.
         if update.status == SUSPECT:
-            self._arm_suspicion_timer(update.endpoint, update.incarnation)
-        timer = self._suspicion_timers.pop(update.endpoint, None)
-        if timer is not None and update.status == ALIVE:
-            timer.cancel()
-
-    def _arm_suspicion_timer(self, endpoint: Endpoint, incarnation: int) -> None:
-        n = max(2, len(self.members))
-        timeout = (
-            SUSPICION_MULT * math.log10(n) * PROTOCOL_PERIOD
-        )
-        old = self._suspicion_timers.pop(endpoint, None)
-        if old is not None:
-            old.cancel()
-        self._suspicion_timers[endpoint] = self.runtime.schedule(
-            timeout, self._suspicion_expired, endpoint, incarnation
-        )
+            n = max(2, len(self.members))
+            self.runtime.schedule(
+                SUSPICION_MULT * math.log10(n) * PROTOCOL_PERIOD,
+                self._suspicion_expired,
+                update.endpoint,
+                update.incarnation,
+            )
 
     def _suspicion_expired(self, endpoint: Endpoint, incarnation: int) -> None:
-        self._suspicion_timers.pop(endpoint, None)
         member = self.members.get(endpoint)
         if member is not None and member.status == SUSPECT and member.incarnation == incarnation:
             self._apply(Update(endpoint, DEAD, incarnation))

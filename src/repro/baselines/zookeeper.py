@@ -266,8 +266,8 @@ class ZkServer:
             )
 
     def _touch(self, session_id: int, client: Endpoint) -> bool:
-        if not self.is_leader:
-            return True
+        """Leader only (followers forward a ``ZkSessionTouch``): whether the
+        session is still known, refreshing its heartbeat if so."""
         session = self.sessions.get(session_id)
         if session is None:
             return False
@@ -319,10 +319,7 @@ class ZkServer:
             self._commit(msg.zxid)
 
     def _commit(self, zxid: int) -> None:
-        entry = self._proposals.pop(zxid, None)
-        if entry is None:
-            return
-        op, target, session_id, _ = entry
+        op, target, session_id, _ = self._proposals.pop(zxid)
         commit = ZkCommit(
             sender=self.addr, zxid=zxid, op=op, target=target, session_id=session_id
         )
@@ -385,13 +382,9 @@ class ZkClient(MembershipAgent):
         self.session_id: Optional[int] = None
         self.members: tuple = ()
         self._server = self.servers[0]
-        self._started = False
         runtime.attach(self.on_message)
 
     def start(self) -> None:
-        if self._started:
-            return
-        self._started = True
         self._server = self.servers[
             self.runtime.rng.randrange(len(self.servers))
         ]
@@ -413,7 +406,7 @@ class ZkClient(MembershipAgent):
         self.runtime.schedule(SESSION_TIMEOUT, self._connect_check)
 
     def _connect_check(self) -> None:
-        if self.session_id is None and self._started:
+        if self.session_id is None:
             self._connect()
 
     def _heartbeat_tick(self) -> None:

@@ -29,11 +29,9 @@ class EdgeFailureDetector:
 
     def on_probe_success(self, now: float, rtt: float) -> None:
         """A probe was acknowledged within the timeout."""
-        raise NotImplementedError
 
     def on_probe_failure(self, now: float) -> None:
         """A probe timed out (or a transport error was observed)."""
-        raise NotImplementedError
 
     def failed(self) -> bool:
         """True once the detector considers the edge faulty.
@@ -42,7 +40,6 @@ class EdgeFailureDetector:
         for the current configuration, so detectors only need to latch; the
         membership layer stops consulting the detector after the alert.
         """
-        raise NotImplementedError
 
 
 # A factory receives no arguments and returns a fresh detector; the

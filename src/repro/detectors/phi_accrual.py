@@ -26,18 +26,18 @@ def phi(elapsed: float, mean: float, stddev: float) -> float:
 
     Uses the logistic approximation to the normal CDF tail that the
     original paper (and Akka's implementation) uses, which is monotone and
-    cheap to evaluate.  Extreme deviations are handled analytically:
-    ``exp`` under/overflows past |exponent| ~ 700, where the tail
-    probability is ~``exp(-exponent)`` (so ``phi ~ exponent / ln 10``)
-    on the late side and ~1 (``phi = 0``) on the early side.
+    cheap to evaluate.  A late ack is handled analytically: ``exp``
+    underflows past an exponent of ~700, where the tail probability is
+    ~``exp(-exponent)`` (so ``phi ~ exponent / ln 10``).  An early one
+    needs no such care: with ``stddev`` floored at a tenth of the mean,
+    any ``elapsed >= 0`` gives ``y >= -10``, an exponent above -87, and
+    ``phi = 0``.
     """
     stddev = max(stddev, mean / 10.0, 1e-6)
     y = (elapsed - mean) / stddev
     exponent = y * (1.5976 + 0.070566 * y * y)
     if exponent > 700.0:
         return exponent / _LN10
-    if exponent < -700.0:
-        return 0.0
     e = math.exp(-exponent)
     if elapsed > mean:
         return -math.log10(e / (1.0 + e))

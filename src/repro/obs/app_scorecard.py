@@ -44,7 +44,9 @@ class AppScorecard:
         self.offered = 0
         #: Logical requests that completed successfully.
         self.completed = 0
-        #: Logical requests that ended in an application error.
+        #: Logical requests that ended in an application error.  No app of
+        #: this tier answers with one, so this stays 0; the report keeps
+        #: the column.
         self.errors = 0
         #: Logical requests abandoned at their deadline.
         self.deadline_exceeded = 0
@@ -76,10 +78,6 @@ class AppScorecard:
         """One logical request completed; latency is from intended time."""
         self.completed += 1
         self._latencies.append((intended, latency))
-
-    def record_error(self) -> None:
-        """One logical request failed with an application error."""
-        self.errors += 1
 
     def record_deadline(self) -> None:
         """One logical request was abandoned at its deadline."""
@@ -115,8 +113,8 @@ class AppScorecard:
     # ----------------------------------------------------------- reporting
 
     def _window(self, post: bool) -> list:
-        if self.fault_start is None:
-            return [lat for _, lat in self._latencies] if not post else []
+        """Latencies of requests intended before (or from) ``fault_start``,
+        which :meth:`report` has checked is set."""
         cut = self.fault_start
         if post:
             return [lat for t, lat in self._latencies if t >= cut]
@@ -188,8 +186,6 @@ class AppScorecard:
         the second the response finally arrived.  Empty buckets yield
         ``None`` tails — a visible service hole, not a dropped row.
         """
-        if end <= start:
-            return []
         n_buckets = int(math.ceil((end - start) / bucket))
         grouped: dict[int, list] = {}
         for t, lat in self._latencies:
@@ -214,8 +210,6 @@ class AppScorecard:
 
     def goodput_series(self, start: float, end: float, bucket: float = 1.0) -> list:
         """Per-bucket completions/s as (bucket_start, goodput) tuples."""
-        if end <= start:
-            return []
         n_buckets = int(math.ceil((end - start) / bucket))
         counts = [0] * n_buckets
         for t, _ in self._latencies:

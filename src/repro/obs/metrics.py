@@ -109,13 +109,14 @@ class Histogram:
         target = max(1, math.ceil((p / 100.0) * self.count))
         if target <= self._zeros:
             return max(self.min, 0.0) if self.min <= 0.0 else 0.0
+        # The zeros and the buckets hold all ``count`` samples, and
+        # ``target <= count`` for ``p <= 100``: the loop always returns.
         seen = self._zeros
         for index in sorted(self._buckets):
             seen += self._buckets[index]
             if seen >= target:
                 midpoint = math.exp((index + 0.5) * _LOG_BASE)
                 return min(max(midpoint, self.min), self.max)
-        return self.max
 
     def summary(self) -> dict:
         """Count / mean / p50 / p90 / p99 / max, Table-2 style."""

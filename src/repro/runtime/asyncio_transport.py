@@ -140,11 +140,7 @@ class AsyncioRuntime:
         return _TimerHandle(loop.call_later(delay, self._guarded, fn, args))
 
     def send(self, dst: Endpoint, msg: Any) -> None:
-        if self._transport is None or self._closed:
-            return
-        payload = self._payload(msg)
-        if payload is not None:
-            self._transport.sendto(payload, (dst.host, dst.port))
+        self.broadcast((dst,), msg)
 
     def broadcast(self, dsts, msg: Any) -> None:
         """Unicast ``msg`` to each destination, encoding the payload once."""
@@ -153,7 +149,7 @@ class AsyncioRuntime:
         payload = self._payload(msg)
         if payload is not None:
             for dst in dsts:
-                self._transport.sendto(payload, (dst.host, dst.port))
+                self._sendto(dst, msg, payload)
 
     def attach(self, handler: Callable[[Endpoint, Any], None]) -> None:
         self._handler = handler
@@ -168,6 +164,11 @@ class AsyncioRuntime:
             return None
         return payload
 
+    def _sendto(self, dst: Endpoint, msg: Any, payload: bytes) -> None:
+        """Hand one encoded datagram to the socket: every send and every
+        copy of a broadcast ends here, one call per destination."""
+        self._transport.sendto(payload, (dst.host, dst.port))
+
     def _send_failed(self) -> None:
         self.send_errors += 1
 
@@ -176,11 +177,18 @@ class AsyncioRuntime:
             fn(*args)
 
     def _datagram_received(self, data: bytes, addr) -> None:
-        if self._handler is None or self._closed:
-            return
+        if self._handler is not None and not self._closed:
+            self._receive(data, addr)
+
+    def _receive(self, data: bytes, addr) -> None:
+        """Decode one arrival and hand it to the handler; a datagram the
+        codec refuses is counted and goes no further."""
         try:
             msg = decode_bytes(data)
         except CodecError:
-            self.decode_errors += 1
+            self._decode_failed()
             return
         self._handler(Endpoint(host=addr[0], port=addr[1]), msg)
+
+    def _decode_failed(self) -> None:
+        self.decode_errors += 1

@@ -50,15 +50,12 @@ class Runtime(Protocol):
 
     def now(self) -> float:
         """Current time in seconds (virtual in simulation, wall-clock live)."""
-        ...
 
     def schedule(self, delay: float, fn: Callable[..., None], *args) -> TimerHandle:
         """Invoke ``fn(*args)`` after ``delay`` seconds; returns a handle."""
-        ...
 
     def send(self, dst: Endpoint, msg: Any) -> None:
         """Fire-and-forget a message to ``dst`` (datagram semantics)."""
-        ...
 
     def broadcast(self, dsts: Sequence[Endpoint], msg: Any) -> None:
         """Fan one message out to every endpoint in ``dsts``.
@@ -66,4 +63,3 @@ class Runtime(Protocol):
         ``send`` in a loop as far as the protocol can tell; a runtime may
         size, delay and account the copies as one batch.
         """
-        ...

@@ -18,10 +18,12 @@ roles back as a thin layer over :class:`AsyncioRuntime`:
   yields a per-class sim-vs-real parity table for free.  Datagrams that
   failed in either direction are gauges beside them (``decode_errors``,
   ``send_errors``).
-* :class:`LiveRuntime` routes ``send``/``broadcast`` through the fabric:
-  matching drop rules discard the datagram before it reaches the socket,
-  matching delay rules defer the ``sendto`` with ``loop.call_later`` —
-  one-way extra latency, like the simulated network's delay rules.
+* :class:`LiveRuntime` puts the fabric on the two steps every datagram
+  of an :class:`AsyncioRuntime` takes, one send per destination and one
+  receive per arrival: matching drop rules discard the datagram before it
+  reaches the socket, matching delay rules defer the ``sendto`` like a
+  timer (a crash meanwhile cancels it) — one-way extra latency, like the
+  simulated network's delay rules.
 
 Fault rules are applied entirely on the sender side.  Ingress rules still
 match (they test ``dst``), which mirrors how the simulated network
@@ -35,7 +37,6 @@ from typing import Any, Optional
 
 from repro.core.node_id import Endpoint
 from repro.runtime.asyncio_transport import AsyncioRuntime
-from repro.runtime.codec import CodecError, decode_bytes
 from repro.sim.faults import Delay, FaultRule, Loss
 from repro.sim.network import wire_size
 from repro.sim.rng import child_rng
@@ -215,27 +216,7 @@ class LiveRuntime(AsyncioRuntime):
         """Fail-stop: close the socket; pending timers are skipped."""
         self.close()
 
-    def send(self, dst: Endpoint, msg: Any) -> None:
-        if self._transport is None or self._closed:
-            return
-        payload = self._payload(msg)
-        if payload is not None:
-            self._send_payload(dst, msg, payload)
-
-    def broadcast(self, dsts, msg: Any) -> None:
-        """Unicast ``msg`` to each destination, encoding the payload once."""
-        if self._transport is None or self._closed:
-            return
-        payload = self._payload(msg)
-        if payload is not None:
-            for dst in dsts:
-                self._send_payload(dst, msg, payload)
-
-    def _send_failed(self) -> None:
-        super()._send_failed()
-        self.wire.account_send_error()
-
-    def _send_payload(self, dst: Endpoint, msg: Any, payload: bytes) -> None:
+    def _sendto(self, dst: Endpoint, msg: Any, payload: bytes) -> None:
         wire = self.wire
         wire.account_send(msg, len(payload))
         if wire.should_drop(self.addr, dst):
@@ -243,22 +224,19 @@ class LiveRuntime(AsyncioRuntime):
             return
         extra = wire.added_delay(self.addr, dst)
         if extra > 0.0:
-            self._loop.call_later(extra, self._deferred_sendto, payload, dst)
+            # Deferred like a timer: a socket closed meanwhile sends nothing.
+            self.schedule(extra, super()._sendto, dst, msg, payload)
         else:
-            self._transport.sendto(payload, (dst.host, dst.port))
+            super()._sendto(dst, msg, payload)
 
-    def _deferred_sendto(self, payload: bytes, dst: Endpoint) -> None:
-        if self._transport is not None and not self._closed:
-            self._transport.sendto(payload, (dst.host, dst.port))
+    def _send_failed(self) -> None:
+        super()._send_failed()
+        self.wire.account_send_error()
 
-    def _datagram_received(self, data: bytes, addr) -> None:
-        if self._handler is None or self._closed:
-            return
+    def _receive(self, data: bytes, addr) -> None:
         self.wire.account_delivery(len(data))
-        try:
-            msg = decode_bytes(data)
-        except CodecError:
-            self.decode_errors += 1
-            self.wire.account_decode_error()
-            return
-        self._handler(Endpoint(host=addr[0], port=addr[1]), msg)
+        super()._receive(data, addr)
+
+    def _decode_failed(self) -> None:
+        super()._decode_failed()
+        self.wire.account_decode_error()

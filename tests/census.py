@@ -5,6 +5,7 @@ Standard library only (``sys.settrace``); loading the plugin is the opt-in::
     python -m pytest -p tests.census -q                      # per-module table
     python -m pytest -p tests.census -q tests/test_engine.py \\
         --census-require src/repro/sim/engine.py             # must be 100 %
+    python -m pytest -p tests.census -q --census-require src/repro  # every module
 
 A *statement* is an ``ast.stmt`` whose first line carries bytecode (which
 leaves out docstrings, ``global`` and bare annotations); it is *executed*
@@ -46,8 +47,9 @@ def pytest_addoption(parser):
         "--census-require",
         action="append",
         default=[],
-        metavar="FILE",
-        help="fail unless every statement of FILE was executed (repeatable)",
+        metavar="PATH",
+        help="fail unless every statement of PATH (a file, or every .py file "
+        "under a directory) was executed (repeatable)",
     )
 
 
@@ -60,7 +62,10 @@ def pytest_sessionfinish(session):
     config = session.config
     report = config.pluginmanager.get_plugin("terminalreporter")
     report.write_line("")
-    required = [ROOT / name for name in config.getoption("--census-require")]
+    required = []
+    for name in config.getoption("--census-require"):
+        path = ROOT / name
+        required.extend(sorted(path.rglob("*.py")) if path.is_dir() else [path])
     missed_total = total = 0
     for path in required or sorted(Path(PREFIX).rglob("*.py")):
         lines = statements(path)

@@ -192,6 +192,13 @@ class TestWatermarkSensitivity:
         assert rates[(9, 3, 2)] == rates[(9, 3, 8)] == 0.0
         assert max(rates.values()) > 10.0  # a low H, high L corner does conflict
 
+    def test_a_low_watermark_above_the_high_one_is_not_a_cell(self):
+        rates = sensitivity_experiment(
+            k=4, n=16, repetitions=1, observers_sampled=4,
+            h_values=(3,), l_values=(2, 4), f_values=(1,),
+        )["conflict_rates"]
+        assert list(rates) == [(3, 2, 1)]
+
 
 @pytest.mark.slow
 class TestStabilityGap:

@@ -16,12 +16,21 @@ import random
 import pytest
 
 from repro.apps.load import OpenLoopSource, ZipfKeys
-from repro.apps.service_discovery import HttpRequest, HttpResponse
+from repro.apps.service_discovery import (
+    HttpRequest,
+    HttpResponse,
+    LoadBalancer,
+    ServiceDiscoveryConfig,
+    WorkloadGenerator,
+)
 from repro.apps.txn_platform import (
+    DataServer,
     NotSerializer,
     TsRequest,
     TsResponse,
     ViewRequest,
+    TxnClient,
+    TxnPlatformConfig,
     ViewResponse,
     WriteAck,
     WriteRequest,
@@ -155,6 +164,21 @@ class TestAppScorecard:
         assert report["success_rate"] == pytest.approx(10 / 11)
         assert report["latency_max"] == pytest.approx(0.100)
         assert report["latency_p99_post_fault"] >= report["latency_p99_pre_fault"]
+
+    def test_a_card_with_no_success_reports_no_tail(self):
+        report = AppScorecard(fault_start=1.0).report(0.0, 2.0)
+        assert report["latency_p99"] is None
+        assert report["latency_p99_post_fault"] is None
+        assert report["goodput_rps"] == 0.0 and report["errors"] == 0
+
+    def test_series_count_only_requests_intended_inside_the_window(self):
+        card = AppScorecard()
+        for t in (0.5, 1.5, 2.5):
+            card.record_success(intended=t, latency=0.1)
+        assert card.goodput_series(1.0, 2.0) == [(1.0, 1.0)]
+        assert [row[0] for row in card.latency_series(1.0, 2.0)] == [1.0]
+        # An empty or inverted window has no bucket.
+        assert card.goodput_series(2.0, 2.0) == [] == card.latency_series(2.0, 1.0)
 
     def test_breaker_transitions_counted(self):
         card = AppScorecard()
@@ -293,3 +317,179 @@ class TestServedTrafficGap:
         # multi-node view change arrives as a single configuration.
         assert result["reloads"] <= 2
         assert result["latency_p99"] < 1.0
+
+
+# =====================================================================
+# The app tier's fault paths, one small cluster each (no membership:
+# views are handed to the apps directly, as their agents would)
+# =====================================================================
+
+
+def _dispatcher(engine, network, ep, seed=0):
+    return TypeDispatcher(SimRuntime(engine, network, ep, seed=seed))
+
+
+class TestLoadBalancer:
+    BACKENDS = tuple(Endpoint(f"10.2.0.{i}", 1) for i in range(3))
+    CLIENT = Endpoint("10.3.0.1", 1)
+
+    def _lb(self, backends=BACKENDS):
+        engine = Engine()
+        network = Network(engine, seed=0)
+        dispatcher = _dispatcher(engine, network, Endpoint("10.9.9.9", 1))
+        stats = AppScorecard()
+        lb = LoadBalancer(dispatcher, backends, stats)
+        return engine, network, dispatcher, lb, stats
+
+    def test_view_changes_during_a_reload_get_one_follow_up_reload(self):
+        engine, _, _, lb, stats = self._lb()
+        a, b, c = self.BACKENDS
+        lb.on_view_change([a, b])  # reload 1 writes (a, b)
+        engine.run(until=0.5)
+        lb.on_view_change([a])  # both land while reload 1 runs
+        lb.on_view_change([a, c])
+        engine.run(until=5.0)
+        assert lb.configured == (a, c)
+        assert lb.reloads == 2 == stats.reconfigurations
+
+    def test_a_reload_that_ends_on_the_desired_list_needs_no_follow_up(self):
+        engine, _, _, lb, _ = self._lb()
+        a, b, _c = self.BACKENDS
+        lb.on_view_change([a, b])
+        engine.run(until=0.5)
+        lb.on_view_change([a])
+        lb.on_view_change([a, b])  # back to what reload 1 is writing
+        engine.run(until=5.0)
+        assert lb.configured == (a, b) and lb.reloads == 1
+
+    @pytest.mark.parametrize("backends", [(), BACKENDS], ids=["none", "all-open"])
+    def test_a_request_no_backend_can_take_is_shed_not_sent(self, backends):
+        engine, network, dispatcher, lb, _ = self._lb(backends)
+        for backend in backends:
+            for _ in range(lb.config.breaker_failures):
+                lb.breakers.record_failure(backend, 0.0)
+        dispatcher.dispatch(
+            self.CLIENT, HttpRequest(sender=self.CLIENT, request_id=1, deadline=1.0)
+        )
+        engine.run(until=2.0)
+        assert "HttpRequest" not in network.class_counts
+
+    def test_a_client_retry_of_a_request_in_flight_is_not_forwarded_again(self):
+        engine, network, dispatcher, _, _ = self._lb()
+        request = HttpRequest(sender=self.CLIENT, request_id=7, deadline=0.5)
+        dispatcher.dispatch(self.CLIENT, request)
+        dispatcher.dispatch(self.CLIENT, request)
+        engine.run(until=0.1)
+        assert network.class_counts["HttpRequest"] == 1
+
+
+class TestWorkloadGenerator:
+    @pytest.mark.parametrize(
+        "attempt_timeout, outcome",
+        [(2.0, "deadline_exceeded"), (1.0, "exhausted")],
+    )
+    def test_a_silent_load_balancer_ends_each_request_one_way(
+        self, attempt_timeout, outcome
+    ):
+        """Two 2 s attempts overrun the 4 s deadline; two 1 s attempts
+        run out first."""
+        engine, runtime = _runtime()
+        stats = AppScorecard()
+        config = ServiceDiscoveryConfig(client_attempt_timeout=attempt_timeout)
+        client = WorkloadGenerator(runtime, Endpoint("10.2.0.9", 1), stats, config)
+        client.start(duration=0.05)
+        engine.run(until=10.0)
+        assert stats.offered > 0 and stats.completed == 0
+        assert getattr(stats, outcome) == stats.offered
+
+
+class TestTxnPlatformFailover:
+    SERVERS = tuple(Endpoint(f"10.4.0.{i}", 1) for i in range(3))
+
+    def _platform(self, config, servers=SERVERS):
+        engine = Engine()
+        network = Network(engine, seed=0)
+        stats = AppScorecard()
+        data = [
+            DataServer(_dispatcher(engine, network, ep, seed=i), servers, config, stats)
+            for i, ep in enumerate(servers)
+        ]
+        runtime = SimRuntime(engine, network, Endpoint("10.5.0.1", 1), seed=9)
+        client = TxnClient(runtime, servers, stats, config)
+        return engine, network, data, client, stats
+
+    def test_a_redirected_client_is_served_once_the_new_serializer_resumes(self):
+        """s0 leaves the view but still answers: it redirects the client to
+        s1, which queues the timestamp requests through its failover
+        pause and then serves them."""
+        config = TxnPlatformConfig(failover_pause=0.75)
+        engine, network, data, client, stats = self._platform(config)
+        s0, s1, s2 = self.SERVERS
+        for server in data:
+            server.on_view_change([s1, s2])
+        client.start(duration=0.1)
+        engine.run(until=3.0)
+        client.stop()
+        engine.run(until=6.0)  # a view tick after stop() sends nothing
+        assert network.class_counts["NotSerializer"] > 0
+        assert stats.offered > 0 and stats.completed == stats.offered
+        assert stats.reconfigurations == 1  # recorded by s1 alone
+
+    def test_queued_requests_past_their_deadline_are_dropped_at_the_drain(self):
+        config = TxnPlatformConfig(failover_pause=0.75, txn_deadline=0.7)
+        engine, network, data, client, stats = self._platform(config)
+        s0, s1, s2 = self.SERVERS
+        for server in data:
+            server.on_view_change([s1, s2])
+        client.start(duration=0.01)
+        engine.run(until=3.0)
+        assert stats.offered == stats.deadline_exceeded == 1
+        assert "TsResponse" not in network.class_counts
+
+    def test_a_server_that_loses_the_role_in_its_pause_serves_nothing(self):
+        engine, network, data, _, _ = self._platform(TxnPlatformConfig(failover_pause=1.0))
+        s0, s1, s2 = self.SERVERS
+        data[1].on_view_change([s1, s2])
+        sender = SimRuntime(engine, network, Endpoint("10.5.0.2", 1))
+        sender.send(s1, TsRequest(sender=sender.addr, txn_id=1))
+        engine.run(until=0.5)
+        data[1].on_view_change([s0, s1, s2])  # s0 is back before the pause ends
+        engine.run(until=2.0)
+        assert "TsResponse" not in network.class_counts
+
+    def test_writes_no_replica_acks_in_time_fail_their_transaction(self):
+        """One server, too slow to ack a write: the write's attempts time
+        out until its breaker opens and the call is shed to its deadline;
+        the first failed write fails the transaction and the second one's
+        end changes nothing."""
+        config = TxnPlatformConfig(write_service_time=100.0, txn_deadline=3.0)
+        engine, _, _, client, stats = self._platform(config, servers=self.SERVERS[:1])
+        client.start(duration=0.01)
+        engine.run(until=10.0)
+        assert stats.offered == stats.deadline_exceeded == 1
+        assert stats.attempt_timeouts == 4 and stats.breaker_opens == 1
+
+    def test_a_transaction_no_server_answers_runs_out_of_attempts(self):
+        config = TxnPlatformConfig(breaker_failures=10)  # no breaker sheds
+        engine = Engine()
+        runtime = SimRuntime(engine, Network(engine, seed=0), Endpoint("10.5.0.1", 1))
+        stats = AppScorecard()
+        client = TxnClient(runtime, self.SERVERS, stats, config)
+        client.start(duration=0.01)
+        engine.run(until=10.0)
+        assert stats.offered == stats.exhausted == 1
+        assert stats.attempt_timeouts == config.max_attempts
+
+    def test_a_client_whose_view_holds_no_server_sheds(self):
+        """A view reply naming no server empties the client's candidates:
+        writes and later timestamp requests find no target and are shed."""
+        config = TxnPlatformConfig(txn_deadline=0.5)
+        engine, network, _, client, stats = self._platform(config)
+        stranger = SimRuntime(engine, network, Endpoint("10.5.0.3", 1))
+        client.start(duration=0.1)
+        stranger.send(client.addr, ViewResponse(sender=stranger.addr, members=()))
+        engine.run(until=0.9)  # before the first view tick
+        assert stats.offered > 0 and stats.completed == 0
+        assert stats.deadline_exceeded == stats.offered
+        assert network.class_counts["TsRequest"] == 1
+        assert "WriteRequest" not in network.class_counts

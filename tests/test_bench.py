@@ -623,6 +623,31 @@ class TestStatsHelpers:
         assert len(cells) == 1
 
 
+def test_the_retired_sweep_package_holds_no_code():
+    """``repro.sweep`` stays only while the benchmark's layer map names it:
+    its one statement is its docstring, and importing it defines nothing."""
+    import ast
+    import inspect
+
+    import repro.sweep
+
+    assert "holds no code" in repro.sweep.__doc__
+    body = ast.parse(inspect.getsource(repro.sweep)).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
+    assert [name for name in vars(repro.sweep) if not name.startswith("__")] == []
+
+
+class TestRenderTable:
+    def test_a_float_prints_whole_when_it_is_whole_else_to_two_places(self):
+        from repro.analysis.report import render_table
+
+        lines = render_table(
+            ["metric", "value"], [["n", 8.0], ["p99", 1.234], ["big", 2e9]], title="T"
+        ).splitlines()
+        assert lines[0] == "T"
+        assert [line.split()[-1] for line in lines[3:]] == ["8", "1.23", "2000000000.00"]
+
+
 class TestCompare:
     def _report(self, tmp_path, name, cases):
         path = tmp_path / name

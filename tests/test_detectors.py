@@ -170,6 +170,14 @@ class TestPhiAccrual:
         assert values == sorted(values)
         assert all(not math.isnan(v) for v in values)
 
+    def test_the_earliest_ack_is_no_suspicion_and_the_latest_is_finite(self):
+        """The stddev floor keeps the early side far from ``exp``'s
+        overflow; the late side takes the analytic tail."""
+        for stddev in (0.0, 1e-9, 0.1):
+            assert phi(0.0, mean=1.0, stddev=stddev) == 0.0
+        assert phi(0.0, mean=0.0, stddev=0.0) == pytest.approx(0.30103, abs=1e-5)
+        assert 1e8 < phi(1e3, mean=1.0, stddev=0.1) < math.inf
+
     def test_steady_acks_keep_suspicion_low(self):
         d = PhiAccrualDetector(threshold=8.0)
         for i in range(20):

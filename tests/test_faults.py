@@ -697,3 +697,30 @@ class TestChurnActions:
         step("rejoin", leaver, cohort)
         step("join", joiner, [*cohort, joiner])
         assert harness.ledger.report()["ok"] is True
+
+    def test_netdown_netup_and_crash_run_through_the_schedule(self):
+        """A network outage silences a process only while it lasts; a crash
+        is for good and the cluster evicts the process."""
+        harness = harness_for("rapid", seed=1)
+        cohort = harness.bootstrap(8, seed_delay=2.0, stagger=1.0)
+        assert harness.run_until_converged(8, timeout=120.0) is not None
+        flapper, victim = cohort[2], cohort[5]
+        now = harness.engine.now
+        _schedule(
+            harness,
+            [
+                ScheduledAction(now + 1.0, "netdown", (flapper,)),
+                ScheduledAction(now + 2.0, "netup", (flapper,)),
+                ScheduledAction(now + 3.0, "crash", (victim,)),
+            ],
+        )
+        sent = harness.network.tx_per_second[flapper]
+        harness.run_for(1.1)
+        before = sum(sent)
+        harness.run_for(0.8)
+        assert sum(sent) == before
+        harness.run_for(1.0)
+        assert sum(sent) > before
+        assert harness.run_until_converged(7, timeout=120.0) is not None
+        assert harness.live_endpoints() == [ep for ep in cohort if ep != victim]
+        assert set(harness.agents[flapper].view()) == set(harness.live_endpoints())

@@ -298,6 +298,9 @@ class _RecordingTransport:
     def sendto(self, payload, addr):
         self.sent.append((payload, addr))
 
+    def close(self):
+        pass
+
 
 def _oversized_join_response():
     # About 10 B a member on the wire: 8,000 outgrow a datagram.
@@ -329,6 +332,47 @@ def test_outbound_failures_are_counted_not_swallowed():
         assert len(transport.sent) == 1
     assert wire.send_errors == 3
     assert wire.sent_messages == 1  # the dropped ones never reached the fabric
+
+
+def test_a_closed_runtime_sends_and_receives_nothing():
+    received = []
+    runtime = LiveRuntime(Endpoint("127.0.0.1", 1), LiveWire(seed=0))
+    runtime.attach(lambda src, msg: received.append(msg))
+    probe = sample_message("Probe")
+    runtime.send(_DST, probe)  # not started: no transport yet
+    runtime._transport = transport = _RecordingTransport()
+    runtime.crash()
+    runtime.send(_DST, probe)
+    runtime.broadcast([_SRC, _DST], probe)
+    runtime._datagram_received(codec.encode_bytes(probe), ("127.0.0.1", 2))
+    assert transport.sent == [] and received == []
+    assert runtime.wire.sent_messages == runtime.wire.delivered_messages == 0
+
+
+def test_a_live_delay_rule_defers_the_send_and_a_crash_cancels_it():
+    """The datagram leaves ``delay`` seconds late, like a timer; one still
+    waiting when its runtime crashes never leaves."""
+    wire = LiveWire(seed=0)
+    wire.add_rule(Delay(delay=0.05))
+    runtime = LiveRuntime(_SRC, wire)
+    runtime._transport = transport = _RecordingTransport()
+    probe = sample_message("Probe")
+
+    async def drive():
+        runtime.send(_DST, probe)
+        sent_at_once = list(transport.sent)
+        await asyncio.sleep(0.1)
+        sent_later = list(transport.sent)
+        runtime.send(_OTHER, probe)
+        runtime.crash()
+        await asyncio.sleep(0.1)
+        return sent_at_once, sent_later
+
+    sent_at_once, sent_later = asyncio.run(drive())
+    assert sent_at_once == []
+    assert sent_later == [(codec.encode_bytes(probe), ("127.0.0.1", 9002))]
+    assert transport.sent == sent_later
+    assert wire.sent_messages == 2  # both were accounted on the way out
 
 
 # =====================================================================
@@ -502,6 +546,53 @@ def test_live_harness_timeout_closes_every_socket():
     for _ in range(3):
         doomed()
     assert _open_fds() <= before
+
+
+@live
+def test_live_harness_on_fixed_ports_closes_twice():
+    """``base_port`` lays the cohort out on consecutive ports, each bound by
+    its runtime; closing an already closed harness does nothing."""
+    from repro.experiments.live import LiveHarness
+
+    sock, free = open_local_socket()
+    sock.close()
+    with LiveHarness(seed=4, settings=RapidSettings(**FAST), base_port=free.port) as harness:
+        endpoints = harness.bootstrap(3, seed_delay=0.2)
+        assert [ep.port for ep in endpoints] == [free.port + i for i in range(3)]
+        assert harness.run_until_converged(3, timeout=30.0) is not None
+    harness.close()
+    assert harness.loop.is_closed()
+
+
+@live
+def test_a_bootstrap_that_fails_midway_releases_the_ports_bound_ahead():
+    """The cohort's sockets are bound before any process starts; when a
+    bad agent option stops the bootstrap at its first process, closing the
+    harness releases the ports of the processes never created."""
+    import socket
+
+    from repro.experiments.live import LiveHarness
+
+    with LiveHarness(seed=5, settings=RapidSettings(**FAST)) as harness:
+        with pytest.raises(TypeError):
+            harness.bootstrap(4, no_such_option=True)
+        never_created = harness.endpoints[1:]
+    for ep in never_created:
+        probe = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        probe.bind((ep.host, ep.port))
+        probe.close()
+
+
+@live
+def test_live_bootstrap_takes_settings_as_a_dict_of_overrides():
+    """The form grid params use (``settings=...`` in a spec)."""
+    from repro.experiments.live import live_bootstrap_experiment
+
+    result = live_bootstrap_experiment(
+        "rapid", 4, seed=1, timeout=30.0, seed_delay=0.2, stagger=0.5, settings=FAST
+    )
+    assert result["convergence_time"] is not None
+    assert result["harness"].settings == RapidSettings(**FAST)
 
 
 @live

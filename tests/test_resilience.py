@@ -20,6 +20,7 @@ from repro.apps.resilience import (
     ResiliencePolicy,
     ResilientCall,
     ViewResolver,
+    ViewWatcher,
 )
 from repro.core.node_id import Endpoint
 from repro.obs.app_scorecard import AppScorecard
@@ -322,3 +323,136 @@ class TestViewResolver:
             lambda: ["lb", "s1", "s2"], select=min, restrict=("s1", "s2")
         )
         assert resolver.resolve() == "s1"
+
+
+class TestResilientCallEnds:
+    """How a call ends when no response comes: each rule that stops
+    sending, reached once."""
+
+    def _call(self, runtime, policy, pick=None, deadline_at=None):
+        sent, outcomes = [], []
+        stats = AppScorecard()
+        target = Endpoint("10.1.0.1", 1)
+        call = ResilientCall(
+            runtime,
+            policy,
+            stats,
+            pick=pick or (lambda attempt: target),
+            send=lambda dst, c: sent.append((runtime.now(), dst)),
+            on_done=lambda c, ok: outcomes.append(c.outcome),
+            deadline_at=deadline_at,
+        )
+        return call, sent, outcomes, stats
+
+    def test_nothing_eligible_backs_off_and_re_picks_until_the_deadline(self):
+        """All breakers open: nothing is sent and no attempt is spent; the
+        deadline ends the call, and a re-pick due after it does nothing."""
+        engine, runtime = _runtime()
+        picks = []
+
+        def pick(attempt):
+            picks.append(runtime.now())
+            return None
+
+        policy = ResiliencePolicy(
+            deadline=1.0, backoff=BackoffPolicy(base=0.3, cap=0.3)
+        )
+        call, sent, outcomes, _ = self._call(runtime, policy, pick=pick)
+        call.begin()
+        engine.run(until=5.0)
+        assert outcomes == ["deadline"]
+        assert sent == [] and call.attempts == 0
+        assert len(picks) >= 2 and max(picks) < 1.0
+
+    def test_a_call_begun_past_its_deadline_sends_nothing(self):
+        engine, runtime = _runtime()
+        call, sent, outcomes, _ = self._call(
+            runtime, ResiliencePolicy(), deadline_at=runtime.now()
+        )
+        call.begin()
+        engine.run(until=1.0)
+        assert outcomes == ["deadline"] and sent == []
+
+    def test_a_retry_that_would_land_past_the_deadline_is_not_sent(self):
+        engine, runtime = _runtime()
+        policy = ResiliencePolicy(
+            attempt_timeout=0.5, deadline=0.6, backoff=BackoffPolicy(base=5.0, cap=5.0)
+        )
+        call, sent, outcomes, stats = self._call(runtime, policy)
+        call.begin()
+        engine.run(until=5.0)
+        assert outcomes == ["deadline"]
+        assert len(sent) == 1 and stats.retries == 0 and stats.attempt_timeouts == 1
+
+    def test_a_hedge_that_cannot_finish_before_the_deadline_is_not_armed(self):
+        engine, runtime = _runtime()
+        hedge = HedgeTracker(quantile=95.0, min_samples=1, refresh_every=1)
+        hedge.record(2.0)
+        policy = ResiliencePolicy(attempt_timeout=10.0, deadline=1.0, hedge=hedge)
+        call, sent, outcomes, stats = self._call(runtime, policy)
+        call.begin()
+        engine.run(until=5.0)
+        assert outcomes == ["deadline"]
+        assert len(sent) == 1 and stats.hedges == 0
+
+    def test_the_hedge_is_not_sent_when_no_attempt_is_left(self):
+        engine, runtime = _runtime()
+        hedge = HedgeTracker(quantile=95.0, min_samples=1, refresh_every=1)
+        hedge.record(0.05)
+        policy = ResiliencePolicy(
+            attempt_timeout=10.0, max_attempts=1, deadline=30.0, hedge=hedge
+        )
+        call, sent, outcomes, stats = self._call(runtime, policy)
+        call.begin()
+        engine.run(until=5.0)
+        assert len(sent) == 1 and stats.hedges == 0 and not call.hedged
+
+    def test_a_hedge_can_spend_the_attempt_a_pending_retry_was_to_use(self):
+        """The first attempt times out and a retry is due; the hedge fires
+        first and sends the last attempt.  The retry then finds none left
+        and ends the call as exhausted, with the hedge still in flight."""
+        engine, runtime = _runtime()
+        hedge = HedgeTracker(quantile=95.0, min_samples=1, refresh_every=1)
+        hedge.record(0.25)
+        policy = ResiliencePolicy(
+            attempt_timeout=0.2,
+            max_attempts=2,
+            deadline=30.0,
+            backoff=BackoffPolicy(base=0.25, cap=0.25),
+            hedge=hedge,
+        )
+        call, sent, outcomes, stats = self._call(runtime, policy)
+        call.begin()
+        engine.run(until=0.44)  # the hedge's own timeout is due at 0.45
+        assert [t for t, _ in sent] == [0.0, 0.25]
+        assert stats.retries == 1 and stats.hedges == 1
+        assert outcomes == ["exhausted"]
+
+    def test_a_timeout_with_the_hedge_in_flight_waits_for_the_hedge(self):
+        engine, runtime = _runtime()
+        hedge = HedgeTracker(quantile=95.0, min_samples=1, refresh_every=1)
+        hedge.record(0.05)
+        policy = ResiliencePolicy(attempt_timeout=0.2, deadline=30.0, hedge=hedge)
+        call, sent, outcomes, stats = self._call(runtime, policy)
+        call.begin()
+        engine.run(until=0.24)
+        assert [t for t, _ in sent] == [0.0, 0.05]
+        assert stats.attempt_timeouts == 1 and stats.retries == 0
+        engine.run(until=0.26)  # the hedge times out too: now a retry is due
+        assert stats.attempt_timeouts == 2 and stats.retries == 1
+
+
+class TestViewWatcher:
+    def test_reports_each_change_once_and_nothing_after_stop(self):
+        engine, runtime = _runtime()
+        view = [("s1", "s2")]
+        seen = []
+        watcher = ViewWatcher(runtime, lambda: view[0], seen.append, interval=0.25)
+        watcher.start()
+        engine.run(until=1.0)
+        view[0] = ("s2",)
+        engine.run(until=2.0)
+        watcher.stop()
+        view[0] = ("s3",)
+        engine.run(until=3.0)
+        assert seen == [("s1", "s2"), ("s2",)]
